@@ -22,7 +22,7 @@
 //!    can always replay the newest consistent epoch.
 //!
 //! If any rank fails phase 1, the group epoch aborts: already-finished
-//! ranks retire their local epoch (`remove_epoch`), a
+//! ranks retire their local epoch (`remove_epochs`), a
 //! [`GlobalRecord::abort`] burns the number, and the error surfaces to the
 //! caller. A crash anywhere in the protocol is recovered at
 //! [`CheckpointGroup::open`]: rank-local epochs newer than the last global
@@ -361,7 +361,7 @@ impl CheckpointGroup {
                 .epochs()
                 .is_ok_and(|epochs| epochs.contains(&epoch))
             {
-                let _ = cell.backend().remove_epoch(epoch);
+                let _ = cell.backend().remove_epochs(&[epoch]);
             }
         }
         let _ = global::append(

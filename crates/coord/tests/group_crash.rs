@@ -83,7 +83,7 @@ fn abort_after_a_disk_reached_commit_wins_on_reopen() {
     // rank's epoch 3, append an abort burning the number.
     for rank in 0..RANKS {
         let backend = FileBackend::open(rank_dir(&root, rank)).unwrap();
-        backend.remove_epoch(3).unwrap();
+        backend.remove_epochs(&[3]).unwrap();
     }
     global::append(
         &root.join(GLOBAL_MANIFEST_FILE),

@@ -224,6 +224,9 @@ struct SlowReads<B> {
 }
 
 impl<B: StorageBackend> StorageBackend for SlowReads<B> {
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&self.inner)
+    }
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         self.inner.begin_epoch(epoch)
     }
@@ -236,27 +239,15 @@ impl<B: StorageBackend> StorageBackend for SlowReads<B> {
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.inner.epochs()
     }
-    fn high_water(&self) -> io::Result<Option<u64>> {
-        self.inner.high_water()
-    }
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
         self.inner.read_epoch(epoch, visit)
-    }
-    fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        self.inner.epoch_page_ids(epoch)
-    }
-    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        std::thread::sleep(self.delay);
-        self.inner.read_page_at(epoch, page)
-    }
-    fn chain(&self) -> io::Result<Vec<ai_ckpt_storage::ChainEntry>> {
-        self.inner.chain()
     }
     fn bytes_written(&self) -> u64 {
         self.inner.bytes_written()
     }
-    fn bytes_stored(&self) -> u64 {
-        self.inner.bytes_stored()
+    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
+        std::thread::sleep(self.delay);
+        self.inner.read_page_at(epoch, page)
     }
 }
 
@@ -265,6 +256,9 @@ impl<B: StorageBackend> StorageBackend for SlowReads<B> {
 struct FailReads<B>(B);
 
 impl<B: StorageBackend> StorageBackend for FailReads<B> {
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&self.0)
+    }
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         self.0.begin_epoch(epoch)
     }
@@ -277,26 +271,14 @@ impl<B: StorageBackend> StorageBackend for FailReads<B> {
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.0.epochs()
     }
-    fn high_water(&self) -> io::Result<Option<u64>> {
-        self.0.high_water()
-    }
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
         self.0.read_epoch(epoch, visit)
-    }
-    fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        self.0.epoch_page_ids(epoch)
-    }
-    fn read_page_at(&self, _epoch: u64, _page: u64) -> io::Result<Option<Vec<u8>>> {
-        Err(io::Error::other("storage died"))
-    }
-    fn chain(&self) -> io::Result<Vec<ai_ckpt_storage::ChainEntry>> {
-        self.0.chain()
     }
     fn bytes_written(&self) -> u64 {
         self.0.bytes_written()
     }
-    fn bytes_stored(&self) -> u64 {
-        self.0.bytes_stored()
+    fn read_page_at(&self, _epoch: u64, _page: u64) -> io::Result<Option<Vec<u8>>> {
+        Err(io::Error::other("storage died"))
     }
 }
 

@@ -47,11 +47,21 @@
 //!   toward a slower durable tier (see `TieredBackend`); it is a no-op for
 //!   single-tier backends.
 //!
-//! The default `compact` materialises the merged image in memory and hands
-//! it to [`StorageBackend::install_compacted`] — the one primitive a
-//! backend must implement (atomically: after a crash either the old chain
-//! or the new full segment is visible, never neither) to opt into
-//! compaction.
+//! The leaf default of `compact` ([`compact_latest_wins`]) materialises the
+//! merged image in memory and hands it to
+//! [`StorageBackend::install_compacted`] — the one primitive a backend must
+//! implement (atomically: after a crash either the old chain or the new full
+//! segment is visible, never neither) to opt into compaction.
+//!
+//! ## Required core, provided rest, one delegate
+//!
+//! Six methods are required; everything else is provided, and every
+//! provided default forwards to [`StorageBackend::inner`] when the backend
+//! names one. A transparent wrapper is therefore the six required methods
+//! plus `inner()`; whatever else it overrides is, by construction, what it
+//! changes — there is no forwarding to forget. Only multi-child composites
+//! (`ReplicatedBackend`, `TieredBackend`, `PolicyBackend`), for which no
+//! single child can answer, still spell out every operation.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -119,6 +129,13 @@ impl CompactionStats {
 /// A sink + source of checkpoint epochs. `Send + Sync`: the runtime shares
 /// one backend between the checkpoint requester, N committer streams and
 /// restore.
+///
+/// Six methods are **required** (`begin_epoch`, `put_blob`, `get_blob`,
+/// `epochs`, `read_epoch`, `bytes_written`). Every other method is
+/// **provided**, and every provided default has the same shape: forward to
+/// [`StorageBackend::inner`] when there is one, else the leaf behaviour its
+/// doc describes. A leaf backend overrides what it can do better than the
+/// leaf default; a wrapper overrides only what it changes.
 pub trait StorageBackend: Send + Sync {
     /// Open the commit session for a new epoch. Epoch numbers must be
     /// strictly increasing; at most one epoch may be open at a time.
@@ -134,27 +151,48 @@ pub trait StorageBackend: Send + Sync {
     /// All *finished* epochs, ascending.
     fn epochs(&self) -> io::Result<Vec<u64>>;
 
+    /// Stream the records of a finished epoch, verifying integrity.
+    /// `visit(page, bytes)` is called per record.
+    fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()>;
+
+    /// Total payload bytes written since creation (diagnostics; excludes
+    /// framing overhead). Implementations keep this in atomics so the count
+    /// stays exact under concurrent streams.
+    fn bytes_written(&self) -> u64;
+
+    /// The single backend this one wraps, if it is a transparent wrapper.
+    /// Returning `Some` turns every provided method below into a forward to
+    /// that backend, so a wrapper is the six required methods, `inner`, and
+    /// the methods whose behaviour it actually changes. Leaf backends and
+    /// multi-child composites (replicas, tiers, policy levels — no single
+    /// child can answer for them) keep the default `None`.
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        None
+    }
+
     /// The highest epoch number this backend has ever *accounted for* —
     /// committed, compacted away or retired. New epochs must exceed it.
-    /// The default derives it from [`StorageBackend::epochs`], which is
+    /// The leaf default derives it from [`StorageBackend::epochs`], which is
     /// only correct for backends that never burn numbers; backends with a
     /// retirement history (manifest, high-water mark) override it so a
     /// fresh process resumes numbering above retired epochs instead of
     /// colliding with them. `None` means the backend is untouched.
     fn high_water(&self) -> io::Result<Option<u64>> {
-        Ok(self.epochs()?.last().copied())
+        match self.inner() {
+            Some(inner) => inner.high_water(),
+            None => Ok(self.epochs()?.last().copied()),
+        }
     }
-
-    /// Stream the records of a finished epoch, verifying integrity.
-    /// `visit(page, bytes)` is called per record.
-    fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()>;
 
     /// Page ids recorded in a finished epoch, in record (arrival) order,
     /// *without* materialising payloads. The demand-paged restore path uses
     /// this to build its locator and to derive the prefetch order. The
-    /// default streams the epoch and discards payloads; backends with a
+    /// leaf default streams the epoch and discards payloads; backends with a
     /// segment index override it to walk frames only.
     fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
+        if let Some(inner) = self.inner() {
+            return inner.epoch_page_ids(epoch);
+        }
         let mut pages = Vec::new();
         self.read_epoch(epoch, &mut |p, _| pages.push(p))?;
         Ok(pages)
@@ -164,9 +202,12 @@ pub trait StorageBackend: Send + Sync {
     /// (decoded, integrity-checked), or `None` when the epoch holds no
     /// record for `page`. When an epoch somehow carries duplicate records
     /// for a page the latest one wins, matching `read_epoch` replay
-    /// semantics. The default streams the whole epoch; backends with a
+    /// semantics. The leaf default streams the whole epoch; backends with a
     /// segment index override it to seek straight to the record.
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
+        if let Some(inner) = self.inner() {
+            return inner.read_page_at(epoch, page);
+        }
         let mut hit: Option<Vec<u8>> = None;
         self.read_epoch(epoch, &mut |p, d| {
             if p == page {
@@ -177,38 +218,43 @@ pub trait StorageBackend: Send + Sync {
     }
 
     /// Delete a named metadata blob. Deleting a blob that does not exist is
-    /// not an error (retirement paths race benignly with sweeps). The
+    /// not an error (retirement paths race benignly with sweeps). The leaf
     /// default is a no-op for backends that never persist blobs.
     fn delete_blob(&self, name: &str) -> io::Result<()> {
-        let _ = name;
-        Ok(())
+        match self.inner() {
+            Some(inner) => inner.delete_blob(name),
+            None => Ok(()),
+        }
     }
 
     /// Names of all stored metadata blobs, ascending. Used by the open-time
-    /// orphan sweep and by retirement tests. Backends that never persist
-    /// blobs report none.
+    /// orphan sweep and by retirement tests. Leaf backends that never
+    /// persist blobs report none.
     fn list_blobs(&self) -> io::Result<Vec<String>> {
-        Ok(Vec::new())
+        match self.inner() {
+            Some(inner) => inner.list_blobs(),
+            None => Ok(Vec::new()),
+        }
     }
-
-    /// Total payload bytes written since creation (diagnostics; excludes
-    /// framing overhead). Implementations keep this in atomics so the count
-    /// stays exact under concurrent streams.
-    fn bytes_written(&self) -> u64;
 
     /// Physical payload bytes stored after per-record encoding
-    /// (diagnostics). Backends without a compression stage report
-    /// [`StorageBackend::bytes_written`]; wrappers forward to their inner
-    /// backend. `bytes_stored <= bytes_written` whenever compression is
-    /// active (the encoder never grows a record).
+    /// (diagnostics). Leaf backends without a compression stage report
+    /// [`StorageBackend::bytes_written`]. `bytes_stored <= bytes_written`
+    /// whenever compression is active (the encoder never grows a record).
     fn bytes_stored(&self) -> u64 {
-        self.bytes_written()
+        match self.inner() {
+            Some(inner) => inner.bytes_stored(),
+            None => self.bytes_written(),
+        }
     }
 
-    /// The live chain with per-epoch kinds, ascending. The default derives
-    /// it from [`StorageBackend::epochs`]: all deltas (pre-compaction
-    /// semantics — restore replays everything).
+    /// The live chain with per-epoch kinds, ascending. The leaf default
+    /// derives it from [`StorageBackend::epochs`]: all deltas
+    /// (pre-compaction semantics — restore replays everything).
     fn chain(&self) -> io::Result<Vec<ChainEntry>> {
+        if let Some(inner) = self.inner() {
+            return inner.chain();
+        }
         Ok(self
             .epochs()?
             .into_iter()
@@ -224,119 +270,88 @@ pub trait StorageBackend: Send + Sync {
     /// epoch. Restore to epochs below `up_to` becomes impossible; restore
     /// to `up_to` and beyond is byte-identical to the uncompacted chain.
     ///
-    /// The default is the latest-wins merge over `read_epoch`, installed
-    /// through [`StorageBackend::install_compacted`]; backends only
-    /// override it to stream instead of buffering. Safe to call while a
+    /// The leaf default is [`compact_latest_wins`]. Safe to call while a
     /// *later* epoch session is open — the open epoch is not part of the
     /// committed chain yet.
     fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
-        // Probe capability *before* materialising the merge: without this,
-        // an unsupported backend would buffer the entire chain in memory on
-        // every call only to fail at the final install.
-        if !self.supports_compaction() {
-            return Err(io::Error::new(
+        match self.inner() {
+            Some(inner) => inner.compact(up_to),
+            None => compact_latest_wins(self, up_to),
+        }
+    }
+
+    /// Whether this backend can fold its chain (cheap capability probe
+    /// [`compact_latest_wins`] checks before doing any work, and
+    /// policy-driven callers check before scheduling folds at all). Leaf
+    /// backends override it to `true` together with
+    /// [`StorageBackend::install_compacted`].
+    fn supports_compaction(&self) -> bool {
+        self.inner()
+            .is_some_and(|inner| inner.supports_compaction())
+    }
+
+    /// Compaction primitive behind [`compact_latest_wins`]: atomically
+    /// replace the live epochs `from ..= into` with one full segment at
+    /// `into` containing `records` (borrowed, the same batch shape
+    /// [`EpochWriter::write_pages`] takes, so a wrapper can append records
+    /// of its own without copying the image), then reclaim the superseded
+    /// segments. Unsupported on leaves by default — implementing this (plus
+    /// [`StorageBackend::supports_compaction`]) opts a backend into
+    /// latest-wins compaction.
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        match self.inner() {
+            Some(inner) => inner.install_compacted(from, into, records),
+            None => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "backend does not support compaction",
-            ));
-        }
-        match merge_live_prefix(self, up_to)? {
-            MergeOutcome::AlreadyCompact => Ok(CompactionStats {
-                from: up_to,
-                into: up_to,
-                ..CompactionStats::default()
-            }),
-            MergeOutcome::Merged {
-                from,
-                segments,
-                bytes_before,
-                records,
-            } => {
-                let bytes_after: u64 = records.iter().map(|(_, d)| d.len() as u64).sum();
-                self.install_compacted(from, up_to, &records)?;
-                Ok(CompactionStats {
-                    from,
-                    into: up_to,
-                    segments_removed: segments,
-                    bytes_before,
-                    bytes_after,
-                })
-            }
+            )),
         }
     }
 
-    /// Whether this backend can fold its chain (cheap capability probe the
-    /// default [`StorageBackend::compact`] checks before doing any work,
-    /// and policy-driven callers check before scheduling folds at all).
-    /// Override to `true` together with
-    /// [`StorageBackend::install_compacted`]; wrappers forward to their
-    /// inner backend.
-    fn supports_compaction(&self) -> bool {
-        false
-    }
-
-    /// Compaction primitive behind the default [`StorageBackend::compact`]:
-    /// atomically replace the live epochs `from ..= into` with one full
-    /// segment at `into` containing `records`, then reclaim the superseded
-    /// segments. Unsupported by default — implementing this (plus
-    /// [`StorageBackend::supports_compaction`]) opts a backend into the
-    /// default latest-wins compaction.
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
-        let _ = (from, into, records);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "backend does not support compaction",
-        ))
-    }
-
-    /// Retire a committed epoch from this backend (tier eviction). The
-    /// caller must guarantee the epoch is durable elsewhere — dropping a
-    /// delta from the middle of a single-tier chain corrupts restore.
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!("backend cannot retire epoch {epoch}"),
-        ))
-    }
-
-    /// Retire a batch of committed epochs. The default loops over
-    /// [`StorageBackend::remove_epoch`]; backends with a commit log
-    /// override it to append all retirement records under **one** log
-    /// fsync (coordinated-group recovery and maintenance drains retire
-    /// many epochs at once). The batch is not atomic across backends: on
-    /// error, a prefix of `epochs` may already be retired.
+    /// Retire a batch of committed epochs from this backend (tier
+    /// eviction, group abort, orphan sweeps) — the one retirement entry
+    /// point. The caller must guarantee the epochs are durable elsewhere or
+    /// dispensable: dropping a delta from the middle of a single-tier chain
+    /// corrupts restore. Backends with a commit log append all retirement
+    /// records under **one** log fsync. The batch is not atomic across
+    /// backends: on error, part of `epochs` may already be retired.
+    /// Unsupported on leaves by default.
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        for &epoch in epochs {
-            self.remove_epoch(epoch)?;
+        match self.inner() {
+            Some(inner) => inner.remove_epochs(epochs),
+            None if epochs.is_empty() => Ok(()),
+            None => Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("backend cannot retire epochs {epochs:?}"),
+            )),
         }
-        Ok(())
     }
 
     /// Move the oldest not-yet-drained epoch one tier outward (see
     /// `TieredBackend`), returning it, or `None` when there is no backlog.
-    /// Single-tier backends have no backlog.
+    /// Single-tier leaves have no backlog.
     fn drain_one(&self) -> io::Result<Option<u64>> {
-        Ok(None)
+        match self.inner() {
+            Some(inner) => inner.drain_one(),
+            None => Ok(None),
+        }
     }
 
     /// Epochs currently waiting in the drain backlog (committed to a fast
     /// tier but not yet evicted to the durable one). Always 0 for
-    /// single-tier backends; a drain scheduler reads this to seed and
+    /// single-tier leaves; a drain scheduler reads this to seed and
     /// balance its arbitration. Best-effort: the value may be stale by the
     /// time the caller acts on it.
     fn drain_backlog(&self) -> usize {
-        0
+        self.inner().map_or(0, |inner| inner.drain_backlog())
     }
 
     /// Syscall-level I/O accounting (vectored writes, fsyncs, manifest
-    /// append coalescing). Zero by default for backends without a syscall
-    /// path (memory, null); wrappers sum their children.
+    /// append coalescing). Zero for leaves without a syscall path (memory,
+    /// null); composites sum their children.
     fn io_stats(&self) -> IoStats {
-        IoStats::default()
+        self.inner()
+            .map_or_else(IoStats::default, |inner| inner.io_stats())
     }
 
     /// Validate every stored record of a finished epoch — per-record CRCs,
@@ -346,12 +361,15 @@ pub trait StorageBackend: Send + Sync {
     /// transport-level errors (epoch missing, tier unreachable) return
     /// `Err`.
     ///
-    /// The default streams [`StorageBackend::read_epoch`]; when that trips
-    /// an integrity error it falls back to per-page random reads to
+    /// The leaf default streams [`StorageBackend::read_epoch`]; when that
+    /// trips an integrity error it falls back to per-page random reads to
     /// localise which records are damaged. Backends with a frame index
     /// override this to walk frames directly and to keep going past
     /// damage the streaming path cannot step over.
     fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
+        if let Some(inner) = self.inner() {
+            return inner.verify_epoch(epoch);
+        }
         let mut report = VerifyReport::new(epoch);
         let stream = self.read_epoch(epoch, &mut |_, d| {
             report.records += 1;
@@ -404,44 +422,49 @@ pub trait StorageBackend: Send + Sync {
     /// [`StorageBackend::install_compacted`], which folds to a full
     /// segment). This is the rewrite primitive repair paths install
     /// healed bytes through; it must work even when the existing segment
-    /// is unreadable. Unsupported by default.
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
-        let _ = (epoch, records);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!("backend cannot rewrite epoch {epoch}"),
-        ))
+    /// is unreadable. Unsupported on leaves by default.
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        match self.inner() {
+            Some(inner) => inner.rewrite_epoch(epoch, records),
+            None => Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("backend cannot rewrite epoch {epoch}"),
+            )),
+        }
     }
 
     /// Repair a damaged epoch from the best surviving redundant source
     /// (replica member, parity reconstruction, another policy level),
     /// rewriting the damaged bytes in place via
-    /// [`StorageBackend::rewrite_epoch`]. Backends with no redundancy
-    /// fail by default — the scrubber then quarantines the epoch rather
-    /// than serving bad bytes.
+    /// [`StorageBackend::rewrite_epoch`]. Leaves with no redundancy fail
+    /// by default — the scrubber then quarantines the epoch rather than
+    /// serving bad bytes.
     fn repair_epoch(&self, epoch: u64) -> io::Result<RepairReport> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!("no redundant source to repair epoch {epoch}"),
-        ))
+        match self.inner() {
+            Some(inner) => inner.repair_epoch(epoch),
+            None => Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("no redundant source to repair epoch {epoch}"),
+            )),
+        }
     }
 
     /// Frame metadata (uncompressed length, stored CRC) of a page's record
     /// in a finished epoch, without reading or validating its payload.
-    /// `None` when the epoch has no record for the page, or when the
-    /// backend keeps no per-record metadata (the default).
+    /// `None` when the epoch has no record for the page, or when the leaf
+    /// keeps no per-record metadata (the default).
     fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
-        let _ = (epoch, page);
-        Ok(None)
+        match self.inner() {
+            Some(inner) => inner.record_meta(epoch, page),
+            None => Ok(None),
+        }
     }
 }
 
-// A boxed backend is a backend: composed stacks (`ParityBackend<Box<dyn
-// StorageBackend>>`, the policy layer's per-level stores) hold trait
-// objects, and every method must forward — a missing forward here would
-// silently fall back to a trait default (the exact bug class the wrapper
-// conformance suite exists to catch).
-impl<B: StorageBackend + ?Sized> StorageBackend for Box<B> {
+// A boxed backend is a transparent wrapper around its pointee: composed
+// stacks (`ParityBackend<Box<dyn StorageBackend>>`, the policy layer's
+// per-level stores) hold trait objects.
+impl StorageBackend for Box<dyn StorageBackend> {
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         (**self).begin_epoch(epoch)
     }
@@ -458,123 +481,39 @@ impl<B: StorageBackend + ?Sized> StorageBackend for Box<B> {
         (**self).epochs()
     }
 
-    fn high_water(&self) -> io::Result<Option<u64>> {
-        (**self).high_water()
-    }
-
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
         (**self).read_epoch(epoch, visit)
-    }
-
-    fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        (**self).epoch_page_ids(epoch)
-    }
-
-    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        (**self).read_page_at(epoch, page)
-    }
-
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        (**self).delete_blob(name)
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        (**self).list_blobs()
     }
 
     fn bytes_written(&self) -> u64 {
         (**self).bytes_written()
     }
 
-    fn bytes_stored(&self) -> u64 {
-        (**self).bytes_stored()
-    }
-
-    fn chain(&self) -> io::Result<Vec<ChainEntry>> {
-        (**self).chain()
-    }
-
-    fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
-        (**self).compact(up_to)
-    }
-
-    fn supports_compaction(&self) -> bool {
-        (**self).supports_compaction()
-    }
-
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
-        (**self).install_compacted(from, into, records)
-    }
-
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-        (**self).remove_epoch(epoch)
-    }
-
-    fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        (**self).remove_epochs(epochs)
-    }
-
-    fn drain_one(&self) -> io::Result<Option<u64>> {
-        (**self).drain_one()
-    }
-
-    fn drain_backlog(&self) -> usize {
-        (**self).drain_backlog()
-    }
-
-    fn io_stats(&self) -> IoStats {
-        (**self).io_stats()
-    }
-
-    fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
-        (**self).verify_epoch(epoch)
-    }
-
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
-        (**self).rewrite_epoch(epoch, records)
-    }
-
-    fn repair_epoch(&self, epoch: u64) -> io::Result<RepairReport> {
-        (**self).repair_epoch(epoch)
-    }
-
-    fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
-        (**self).record_meta(epoch, page)
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&**self)
     }
 }
 
-/// Result of [`merge_live_prefix`].
-pub(crate) enum MergeOutcome {
-    /// The prefix is already a lone full segment at the target epoch:
-    /// nothing to fold.
-    AlreadyCompact,
-    /// The latest-wins merge of the live prefix.
-    Merged {
-        /// Oldest epoch folded.
-        from: u64,
-        /// Live segments the merge supersedes.
-        segments: u64,
-        /// Payload bytes of the superseded segments.
-        bytes_before: u64,
-        /// One record per surviving page version, ascending by page id.
-        records: Vec<(u64, Vec<u8>)>,
-    },
-}
-
-/// Latest-wins merge of the live chain prefix `..= up_to` — the shared
-/// core of the default [`StorageBackend::compact`], also used by wrappers
-/// that post-process the merged image before installing it (e.g.
-/// `ParityBackend` re-emitting parity groups) so they can append to the
-/// merge buffer they already own instead of copying the whole image.
-pub(crate) fn merge_live_prefix<B: StorageBackend + ?Sized>(
+/// Latest-wins compaction over `backend`'s *own* view: merge the live chain
+/// prefix `..= up_to` through its `chain`/`read_epoch` and commit the image
+/// through its `install_compacted`. This is the leaf default of
+/// [`StorageBackend::compact`]; a wrapper whose view or commit point
+/// differs from its inner backend's (parity ids filtered out and re-emitted,
+/// an injected fault at the install) overrides `compact` to call this on
+/// itself instead of forwarding.
+pub fn compact_latest_wins<B: StorageBackend + ?Sized>(
     backend: &B,
     up_to: u64,
-) -> io::Result<MergeOutcome> {
+) -> io::Result<CompactionStats> {
+    // Probe capability *before* materialising the merge: without this, an
+    // unsupported backend would buffer the entire chain in memory on every
+    // call only to fail at the final install.
+    if !backend.supports_compaction() {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "backend does not support compaction",
+        ));
+    }
     let live: Vec<ChainEntry> = backend
         .chain()?
         .into_iter()
@@ -596,7 +535,12 @@ pub(crate) fn merge_live_prefix<B: StorageBackend + ?Sized>(
         ));
     }
     if live.len() == 1 && last.kind == EpochKind::Full {
-        return Ok(MergeOutcome::AlreadyCompact);
+        // Already a lone full segment at the target: nothing to fold.
+        return Ok(CompactionStats {
+            from: up_to,
+            into: up_to,
+            ..CompactionStats::default()
+        });
     }
     let from = live[0].epoch;
     let mut pages: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
@@ -607,12 +551,23 @@ pub(crate) fn merge_live_prefix<B: StorageBackend + ?Sized>(
             pages.insert(p, d.to_vec());
         })?;
     }
-    Ok(MergeOutcome::Merged {
+    // One record per surviving page version, ascending by page id.
+    let records: Vec<(u64, &[u8])> = pages.iter().map(|(p, d)| (*p, d.as_slice())).collect();
+    backend.install_compacted(from, up_to, &records)?;
+    Ok(CompactionStats {
         from,
-        segments: live.len() as u64,
+        into: up_to,
+        segments_removed: live.len() as u64,
         bytes_before,
-        records: pages.into_iter().collect(),
+        bytes_after: records.iter().map(|(_, d)| d.len() as u64).sum(),
     })
+}
+
+/// Borrow owned page records as the batch shape [`EpochWriter::write_pages`],
+/// [`StorageBackend::install_compacted`] and
+/// [`StorageBackend::rewrite_epoch`] take.
+pub(crate) fn as_batch(records: &[(u64, Vec<u8>)]) -> Vec<(u64, &[u8])> {
+    records.iter().map(|(p, d)| (*p, d.as_slice())).collect()
 }
 
 /// Canonical name of the per-checkpoint layout metadata blob. The zero

@@ -20,7 +20,7 @@
 //!
 //! [`encode`] never grows a record: it picks the smallest candidate the
 //! [`Compression`] mode allows and falls back to `Raw` otherwise, so the
-//! worst case over incompressible data is byte-identical to the v1 path.
+//! worst case over incompressible data stores the payload bytes unchanged.
 
 use std::io;
 
@@ -53,7 +53,7 @@ impl Encoding {
 /// Compression policy of a backend's write path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
-    /// Store every record raw (the v1 behaviour, in v2 framing).
+    /// Store every record raw.
     None,
     /// Per record, store the smallest of Raw / RLE / LZ.
     #[default]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{EpochWriter, StorageBackend};
+use crate::backend::{compact_latest_wins, CompactionStats, EpochWriter, StorageBackend};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
 /// Operations a [`FailureControl`] can arm a *transient* burst against:
@@ -26,7 +26,7 @@ pub enum FaultOp {
     Finish,
     /// `put_blob`.
     PutBlob,
-    /// `remove_epoch` / `remove_epochs`.
+    /// `remove_epochs`.
     RemoveEpoch,
     /// `drain_one` (the maintenance drain path).
     DrainOne,
@@ -51,7 +51,7 @@ impl FaultOp {
 ///
 /// Beyond the original page-write budget and `finish` switch, every other
 /// mutating entry point can be failed individually — epoch opens, blob
-/// writes, and the whole chain API (`remove_epoch`, `drain_one`,
+/// writes, and the whole chain API (`remove_epochs`, `drain_one`,
 /// `install_compacted`), so manifest-append paths and the maintenance
 /// worker are testable under fault too.
 #[derive(Debug, Clone, Default)]
@@ -65,7 +65,7 @@ pub struct FailureControl {
     fail_begin_epoch: Arc<AtomicU64>,
     /// When set, `put_blob` fails.
     fail_put_blob: Arc<AtomicU64>,
-    /// When set, `remove_epoch` fails (tier eviction / group abort path).
+    /// When set, `remove_epochs` fails (tier eviction / group abort path).
     fail_remove_epoch: Arc<AtomicU64>,
     /// When set, `drain_one` fails (maintenance drain path).
     fail_drain_one: Arc<AtomicU64>,
@@ -236,7 +236,7 @@ impl FailureControl {
         self.fail_put_blob.store(yes as u64, Ordering::SeqCst);
     }
 
-    /// Make `remove_epoch` fail.
+    /// Make `remove_epochs` fail.
     pub fn fail_remove_epoch(&self, yes: bool) {
         self.fail_remove_epoch.store(yes as u64, Ordering::SeqCst);
     }
@@ -366,7 +366,14 @@ impl EpochWriter for FailingEpochWriter {
     }
 }
 
+// Every entry point with an injection point is spelled out; the pure
+// counters (`bytes_stored`, `supports_compaction`, `drain_backlog`,
+// `io_stats`) cannot fail and reach the wrapped backend through `inner()`.
 impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&self.inner)
+    }
+
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         self.control.gate(&self.control.fail_begin_epoch)?;
         self.control.take_transient(FaultOp::BeginEpoch)?;
@@ -439,40 +446,23 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
         self.inner.bytes_written()
     }
 
-    fn bytes_stored(&self) -> u64 {
-        self.inner.bytes_stored()
-    }
-
     fn chain(&self) -> io::Result<Vec<crate::backend::ChainEntry>> {
         self.control.read_gate()?;
         self.inner.chain()
     }
 
-    fn supports_compaction(&self) -> bool {
-        self.inner.supports_compaction()
+    // `compact` is deliberately NOT forwarded: the merge runs over this
+    // wrapper's gated `chain`/`read_epoch` and commits through
+    // `install_compacted` below, so an armed `fail_install_compacted` hits
+    // the compaction commit point exactly as it would on the real backend.
+    fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
+        compact_latest_wins(self, up_to)
     }
 
-    // `compact` is deliberately NOT forwarded: the default trait merge runs
-    // over this wrapper's (forwarded) `chain`/`read_epoch` and commits
-    // through `install_compacted` below, so an armed
-    // `fail_install_compacted` hits the compaction commit point exactly as
-    // it would on the real backend.
-
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         self.control.gate(&self.control.fail_install_compacted)?;
         self.control.take_transient(FaultOp::InstallCompacted)?;
         self.inner.install_compacted(from, into, records)
-    }
-
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-        self.control.gate(&self.control.fail_remove_epoch)?;
-        self.control.take_transient(FaultOp::RemoveEpoch)?;
-        self.inner.remove_epoch(epoch)
     }
 
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
@@ -481,18 +471,10 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
         self.inner.remove_epochs(epochs)
     }
 
-    fn io_stats(&self) -> crate::io::IoStats {
-        self.inner.io_stats()
-    }
-
     fn drain_one(&self) -> io::Result<Option<u64>> {
         self.control.gate(&self.control.fail_drain_one)?;
         self.control.take_transient(FaultOp::DrainOne)?;
         self.inner.drain_one()
-    }
-
-    fn drain_backlog(&self) -> usize {
-        self.inner.drain_backlog()
     }
 
     fn high_water(&self) -> io::Result<Option<u64>> {
@@ -513,7 +495,7 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
         Ok(report)
     }
 
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         // The rewrite shares `install_compacted`'s injection point: both
         // are the atomic install path.
         self.control.gate(&self.control.fail_install_compacted)?;
@@ -602,7 +584,7 @@ mod tests {
         ctl.fail_drain_one(true);
         assert!(b.drain_one().is_err());
         ctl.fail_remove_epoch(true);
-        assert!(b.remove_epoch(1).is_err());
+        assert!(b.remove_epochs(&[1]).is_err());
         ctl.fail_install_compacted(true);
         assert!(b.compact(2).is_err(), "compaction commit point injected");
         // Nothing was lost: both epochs still restore after healing.
@@ -646,7 +628,7 @@ mod tests {
         assert!(b.epochs().is_err(), "liveness probe observes the kill");
         assert!(b.put_blob("x", b"y").is_err());
         assert!(b.read_page_at(1, 0).is_err());
-        assert!(b.remove_epoch(1).is_err());
+        assert!(b.remove_epochs(&[1]).is_err());
         assert!(b.drain_one().is_err());
         assert!(b.delete_blob("x").is_err());
         // An open writer dies with the store too.
@@ -719,7 +701,7 @@ mod tests {
         ctl.heal();
         assert!(b.read_page_at(1, 1).is_err());
         // The repair path's rewrite replaces the stored bytes: rot gone.
-        b.rewrite_epoch(1, &[(0, vec![1]), (1, vec![2])]).unwrap();
+        b.rewrite_epoch(1, &[(0, &[1]), (1, &[2])]).unwrap();
         assert_eq!(ctl.corruptions_armed(), 0);
         assert_eq!(b.read_page_at(1, 1).unwrap().unwrap(), vec![2]);
         assert!(b.verify_epoch(1).unwrap().is_clean());

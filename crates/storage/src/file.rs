@@ -18,18 +18,14 @@
 //!
 //! ## Segment format
 //!
-//! New segments are written as version 2; version 1 files remain readable
-//! (the reader dispatches on the magic, so a directory can mix both after
-//! an upgrade). All integers little-endian.
-//!
-//! * **v1** (`AICKSEG1` + epoch, 16-byte header), per page:
-//!   `[page u64][len u32][crc64 u64][payload]` — always raw payloads.
-//! * **v2** (`AICKSEG2` + epoch, 16-byte header), per page:
-//!   `[page u64][enc u8][raw_len u32][stored_len u32][crc64 u64][stored]`
-//!   where `enc` is a [`codec::Encoding`] and `crc64` covers the
-//!   *uncompressed* payload — restore verification is independent of the
-//!   encoding, and a corrupt compressed stream surfaces as `InvalidData`
-//!   either from the decoder or from the CRC check.
+//! One format, `AICKSEG2` (any other magic is rejected loudly, naming what
+//! was found). All integers little-endian: a 16-byte header (`AICKSEG2` +
+//! epoch), then per page
+//! `[page u64][enc u8][raw_len u32][stored_len u32][crc64 u64][stored]`
+//! where `enc` is a [`codec::Encoding`] and `crc64` covers the
+//! *uncompressed* payload — restore verification is independent of the
+//! encoding, and a corrupt compressed stream surfaces as `InvalidData`
+//! either from the decoder or from the CRC check.
 //!
 //! CRCs are verified on read; a mismatch fails the restore rather than
 //! silently resurrecting corrupt state. The per-record encoding is chosen
@@ -98,15 +94,8 @@ use crate::io::{pwritev_full, AlignedBuf, IoCounters, IoStats};
 use crate::manifest::{self, ManifestRecord, RecordKind};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
-/// Magic prefix of a version-1 segment file (raw records; still readable).
-pub const SEGMENT_MAGIC_V1: &[u8; 8] = b"AICKSEG1";
-
-/// Magic prefix of a version-2 segment file (per-record encodings).
+/// Magic prefix of a segment file (per-record encodings).
 pub const SEGMENT_MAGIC_V2: &[u8; 8] = b"AICKSEG2";
-
-/// Compat alias for pre-v2 callers (names the v1 magic; new segments are
-/// written with [`SEGMENT_MAGIC_V2`]).
-pub const SEGMENT_MAGIC: &[u8; 8] = SEGMENT_MAGIC_V1;
 
 /// Name of the append-only commit log inside the checkpoint directory
 /// (shared by the read path and the epoch writer's commit point).
@@ -133,8 +122,8 @@ struct FileShared {
     /// At most one epoch session may be open.
     epoch_open: AtomicBool,
     /// Serialises manifest appends between the committer's `finish` and the
-    /// maintenance worker's compaction/retirement (a v1→v2 manifest
-    /// migration rewrites the file, which must not race an append).
+    /// maintenance worker's compaction/retirement (an append first truncates
+    /// any torn tail, which must not race another append).
     manifest_lock: Mutex<()>,
     /// Cached high-water mark: highest epoch the manifest has ever recorded
     /// *plus one* (0 = manifest empty). Seeded once at `open` and advanced
@@ -154,6 +143,22 @@ impl FileShared {
     fn note_epoch(&self, epoch: u64) {
         self.high_water
             .fetch_max(epoch.saturating_add(1), Ordering::AcqRel);
+    }
+
+    /// Durably append `records` to the manifest at `path` as one commit
+    /// (one fsync however many records), under the manifest lock, and
+    /// account for it.
+    fn commit(&self, path: &Path, records: &[ManifestRecord]) -> io::Result<()> {
+        let _manifest = self.manifest_lock.lock();
+        manifest::append_batch(path, records)?;
+        self.io
+            .manifest_appends
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        self.io.manifest_fsyncs.fetch_add(1, Ordering::Relaxed);
+        for r in records {
+            self.note_epoch(r.epoch);
+        }
+        Ok(())
     }
 }
 
@@ -359,8 +364,8 @@ impl FileBackend {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            let doomed = if name.ends_with(".tmp") || name.ends_with(".mig") {
-                // Half-written blob, compaction image or manifest migration.
+            let doomed = if name.ends_with(".tmp") {
+                // Half-written blob or compaction image.
                 true
             } else if let Some((epoch, _shard)) = parse_segment_name(name, "epoch_") {
                 // A delta shard is live only while its manifest record is
@@ -597,21 +602,10 @@ impl EpochWriter for FileEpochWriter {
                     .fetch_add(shards.len() as u64, Ordering::Relaxed);
             }
             // Commit point: the manifest record makes the epoch visible.
-            let _manifest = self.shared.manifest_lock.lock();
-            manifest::append(
+            self.shared.commit(
                 &self.dir.join(MANIFEST_FILE),
-                ManifestRecord::delta(self.epoch, records, payload_bytes),
-            )?;
-            self.shared
-                .io
-                .manifest_appends
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .io
-                .manifest_fsyncs
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared.note_epoch(self.epoch);
-            Ok(())
+                &[ManifestRecord::delta(self.epoch, records, payload_bytes)],
+            )
         })();
         if result.is_err() {
             // Failed commit: the manifest never saw the epoch, so drop the
@@ -774,16 +768,7 @@ impl StorageBackend for FileBackend {
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        let rec = self
-            .live_records()?
-            .into_iter()
-            .find(|r| r.epoch == epoch)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("epoch {epoch} not committed (or compacted away)"),
-                )
-            })?;
+        let rec = self.live_record(epoch)?;
         let total = match rec.kind {
             RecordKind::Full => {
                 read_segment_to_eof(&Self::full_path(&self.dir, epoch), epoch, visit)?
@@ -867,12 +852,7 @@ impl StorageBackend for FileBackend {
             .collect())
     }
 
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         let superseded: Vec<ManifestRecord> = self
             .live_records()?
             .into_iter()
@@ -884,59 +864,27 @@ impl StorageBackend for FileBackend {
                 format!("install_compacted: epoch {into} is not live"),
             ));
         }
-        // 1. Write the full image to a temp name and make it durable.
+        // 1. Write the full image to a temp name and make it durable. The
+        //    folded segment re-encodes every surviving page under the
+        //    current policy (deltas may have been written raw; the rewrite
+        //    is the natural place to shrink them).
         let final_path = Self::full_path(&self.dir, into);
-        let tmp = final_path.with_extension("seg.tmp");
-        let mut payload_bytes = 0u64;
-        {
-            let file = File::create(&tmp)?;
-            let mut w = BufWriter::with_capacity(1 << 20, file);
-            w.write_all(SEGMENT_MAGIC_V2)?;
-            w.write_all(&into.to_le_bytes())?;
-            for (page, data) in records {
-                // The folded full segment re-encodes every surviving page
-                // under the current policy (deltas may have been written
-                // raw by an older process; the rewrite is the natural place
-                // to shrink them).
-                write_record_v2(&mut w, *page, data, self.compression)?;
-                payload_bytes += data.len() as u64;
-            }
-            let file = w
-                .into_inner()
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            if self.sync_on_finish {
-                file.sync_all()?;
-                self.shared
-                    .io
-                    .segment_fsyncs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let (tmp, payload_bytes) = self.stage_segment(&final_path, into, records)?;
         // 2. Move it into place (still invisible: no manifest record yet)
         //    and make the directory entry durable before the commit record
         //    can reference it.
-        fs::rename(&tmp, &final_path)?;
-        if self.sync_on_finish {
-            self.sync_dir()?;
-        }
+        self.publish_staged(&tmp, &final_path)?;
         // 3. Commit: one durable manifest append. A crash before this line
         //    leaves the old chain intact plus one orphan file.
-        {
-            let _manifest = self.shared.manifest_lock.lock();
-            manifest::append(
-                &self.manifest_path(),
-                ManifestRecord::full(into, records.len() as u64, payload_bytes, from),
-            )?;
-            self.shared
-                .io
-                .manifest_appends
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .io
-                .manifest_fsyncs
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared.note_epoch(into);
-        }
+        self.shared.commit(
+            &self.manifest_path(),
+            &[ManifestRecord::full(
+                into,
+                records.len() as u64,
+                payload_bytes,
+                from,
+            )],
+        )?;
         // 4. GC the superseded segments — and the layout blobs of epochs
         //    below the new horizon (restore can no longer target them; the
         //    blob at `into` itself stays, restore needs it). A crash in
@@ -957,10 +905,6 @@ impl StorageBackend for FileBackend {
         Ok(())
     }
 
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-        self.remove_epochs(&[epoch])
-    }
-
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
         if epochs.is_empty() {
             return Ok(());
@@ -975,20 +919,9 @@ impl StorageBackend for FileBackend {
             doomed.push(*rec);
             batch.push(ManifestRecord::compacted_into(epoch, 0));
         }
-        {
-            // One durable manifest append for the whole batch: N
-            // retirements, one fsync.
-            let _manifest = self.shared.manifest_lock.lock();
-            manifest::append_batch(&self.manifest_path(), &batch)?;
-            self.shared
-                .io
-                .manifest_appends
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            self.shared
-                .io
-                .manifest_fsyncs
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        // One durable manifest append for the whole batch: N retirements,
+        // one fsync.
+        self.shared.commit(&self.manifest_path(), &batch)?;
         self.invalidate_index(doomed.iter().map(|r| r.epoch));
         for rec in doomed {
             match rec.kind {
@@ -1052,7 +985,7 @@ impl StorageBackend for FileBackend {
         Ok(report)
     }
 
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         let rec = self.live_record(epoch)?;
         let final_path = match rec.kind {
             RecordKind::Full => Self::full_path(&self.dir, epoch),
@@ -1061,28 +994,7 @@ impl StorageBackend for FileBackend {
         // 1. Stage the replacement segment and make it durable. The old
         //    segment files are never read — repair must work when they are
         //    arbitrarily damaged.
-        let tmp = final_path.with_extension("seg.tmp");
-        let mut payload_bytes = 0u64;
-        {
-            let file = File::create(&tmp)?;
-            let mut w = BufWriter::with_capacity(1 << 20, file);
-            w.write_all(SEGMENT_MAGIC_V2)?;
-            w.write_all(&epoch.to_le_bytes())?;
-            for (page, data) in records {
-                write_record_v2(&mut w, *page, data, self.compression)?;
-                payload_bytes += data.len() as u64;
-            }
-            let file = w
-                .into_inner()
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            if self.sync_on_finish {
-                file.sync_all()?;
-                self.shared
-                    .io
-                    .segment_fsyncs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let (tmp, payload_bytes) = self.stage_segment(&final_path, epoch, records)?;
         // 2. Collapse the epoch to exactly one file: stale extra shards
         //    would double-count against the corrective manifest record.
         //    A crash in here leaves the epoch detectably damaged (it
@@ -1094,10 +1006,7 @@ impl StorageBackend for FileBackend {
                 }
             }
         }
-        fs::rename(&tmp, &final_path)?;
-        if self.sync_on_finish {
-            self.sync_dir()?;
-        }
+        self.publish_staged(&tmp, &final_path)?;
         // 3. Corrective commit: re-appending the epoch's record replaces it
         //    in the folded view (latest record per epoch wins), repairing a
         //    damaged count/byte field while preserving the chain kind.
@@ -1107,18 +1016,7 @@ impl StorageBackend for FileBackend {
             }
             _ => ManifestRecord::delta(epoch, records.len() as u64, payload_bytes),
         };
-        {
-            let _manifest = self.shared.manifest_lock.lock();
-            manifest::append(&self.manifest_path(), fixed)?;
-            self.shared
-                .io
-                .manifest_appends
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .io
-                .manifest_fsyncs
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.shared.commit(&self.manifest_path(), &[fixed])?;
         self.invalidate_index([epoch]);
         Ok(())
     }
@@ -1143,18 +1041,7 @@ impl StorageBackend for FileBackend {
             RecordKind::Full => ManifestRecord::full(epoch, report.records, report.bytes, rec.aux),
             _ => ManifestRecord::delta(epoch, report.records, report.bytes),
         };
-        {
-            let _manifest = self.shared.manifest_lock.lock();
-            manifest::append(&self.manifest_path(), fixed)?;
-            self.shared
-                .io
-                .manifest_appends
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .io
-                .manifest_fsyncs
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.shared.commit(&self.manifest_path(), &[fixed])?;
         self.invalidate_index([epoch]);
         Ok(RepairReport {
             epoch,
@@ -1177,27 +1064,20 @@ impl StorageBackend for FileBackend {
     }
 }
 
-/// Segment-format version, dispatched on the file's magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SegmentVersion {
-    V1,
-    V2,
-}
-
-/// Read and validate a segment header, returning the format version.
-fn read_segment_header(reader: &mut impl Read, epoch: u64) -> io::Result<SegmentVersion> {
-    let mut header = [0u8; 16];
+/// Read and validate a segment header: `AICKSEG2` magic (anything else is
+/// rejected by name — there is exactly one format) and the expected epoch.
+fn read_segment_header(reader: &mut impl Read, epoch: u64) -> io::Result<()> {
+    let mut header = [0u8; SEGMENT_HEADER_LEN];
     reader.read_exact(&mut header)?;
-    let version = match &header[..8] {
-        m if m == SEGMENT_MAGIC_V1 => SegmentVersion::V1,
-        m if m == SEGMENT_MAGIC_V2 => SegmentVersion::V2,
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad segment magic",
-            ))
-        }
-    };
+    if &header[..8] != SEGMENT_MAGIC_V2 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "bad segment magic {:?} (expected \"AICKSEG2\")",
+                String::from_utf8_lossy(&header[..8])
+            ),
+        ));
+    }
     let seg_epoch = u64::from_le_bytes(header[8..16].try_into().unwrap());
     if seg_epoch != epoch {
         return Err(io::Error::new(
@@ -1205,16 +1085,31 @@ fn read_segment_header(reader: &mut impl Read, epoch: u64) -> io::Result<Segment
             format!("segment claims epoch {seg_epoch}, expected {epoch}"),
         ));
     }
-    Ok(version)
+    Ok(())
 }
 
-/// Fill `buf` from `r`, distinguishing a clean end-of-file at a frame
-/// boundary (`Ok(false)`) from a torn frame mid-read (`InvalidData`).
-fn read_frame(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+/// One record frame, decoded field by field (nothing validated: an at-rest
+/// flip of, say, the encoding byte must condemn that record when it is
+/// *read*, not break walking the segment).
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    page: u64,
+    enc: u8,
+    raw_len: u32,
+    stored_len: u32,
+    /// CRC-64 over the uncompressed payload.
+    crc: u64,
+}
+
+/// Read the next record frame from `r`, distinguishing a clean end-of-file
+/// at a frame boundary (`Ok(None)`) from a torn frame mid-read
+/// (`InvalidData`).
+fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
+    let mut buf = [0u8; FRAME_LEN_V2];
     let mut filled = 0usize;
     while filled < buf.len() {
         match r.read(&mut buf[filled..])? {
-            0 if filled == 0 => return Ok(false),
+            0 if filled == 0 => return Ok(None),
             0 => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -1224,61 +1119,42 @@ fn read_frame(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
             n => filled += n,
         }
     }
-    Ok(true)
+    Ok(Some(Frame {
+        page: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
+        enc: buf[8],
+        raw_len: u32::from_le_bytes(buf[9..13].try_into().unwrap()),
+        stored_len: u32::from_le_bytes(buf[13..17].try_into().unwrap()),
+        crc: u64::from_le_bytes(buf[17..25].try_into().unwrap()),
+    }))
 }
 
-/// Stream one segment (shard) file of either version to end-of-file,
-/// verifying magic, epoch and per-record CRCs — always computed over the
-/// uncompressed payload, so a compressed record that decodes wrongly can
-/// never pass verification. Returns the record count read; the caller
-/// cross-checks the total against the manifest.
+/// Stream one segment (shard) file to end-of-file, verifying magic, epoch
+/// and per-record CRCs — always computed over the uncompressed payload, so
+/// a compressed record that decodes wrongly can never pass verification.
+/// Returns the record count read; the caller cross-checks the total against
+/// the manifest.
 fn read_segment_to_eof(
     path: &Path,
     epoch: u64,
     visit: &mut dyn FnMut(u64, &[u8]),
 ) -> io::Result<u64> {
     let mut reader = BufReader::with_capacity(1 << 20, File::open(path)?);
-    let version = read_segment_header(&mut reader, epoch)?;
+    read_segment_header(&mut reader, epoch)?;
     let mut stored = Vec::new();
     let mut count = 0u64;
-    loop {
-        let (page, crc, raw_len, enc) = match version {
-            SegmentVersion::V1 => {
-                let mut frame = [0u8; 20];
-                if !read_frame(&mut reader, &mut frame)? {
-                    break;
-                }
-                let page = u64::from_le_bytes(frame[0..8].try_into().unwrap());
-                let len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
-                let crc = u64::from_le_bytes(frame[12..20].try_into().unwrap());
-                stored.resize(len, 0);
-                reader.read_exact(&mut stored)?;
-                (page, crc, len, Encoding::Raw)
-            }
-            SegmentVersion::V2 => {
-                let mut frame = [0u8; FRAME_LEN_V2];
-                if !read_frame(&mut reader, &mut frame)? {
-                    break;
-                }
-                let page = u64::from_le_bytes(frame[0..8].try_into().unwrap());
-                let enc = Encoding::from_u8(frame[8])?;
-                let raw_len = u32::from_le_bytes(frame[9..13].try_into().unwrap()) as usize;
-                let stored_len = u32::from_le_bytes(frame[13..17].try_into().unwrap()) as usize;
-                let crc = u64::from_le_bytes(frame[17..25].try_into().unwrap());
-                stored.resize(stored_len, 0);
-                reader.read_exact(&mut stored)?;
-                (page, crc, raw_len, enc)
-            }
-        };
-        let decoded = codec::decode(enc, &stored, raw_len)?;
+    while let Some(frame) = read_frame(&mut reader)? {
+        let enc = Encoding::from_u8(frame.enc)?;
+        stored.resize(frame.stored_len as usize, 0);
+        reader.read_exact(&mut stored)?;
+        let decoded = codec::decode(enc, &stored, frame.raw_len as usize)?;
         let payload = decoded.as_deref().unwrap_or(&stored);
-        if crc64(payload) != crc {
+        if crc64(payload) != frame.crc {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("CRC mismatch for page {page} in epoch {epoch}"),
+                format!("CRC mismatch for page {} in epoch {epoch}", frame.page),
             ));
         }
-        visit(page, payload);
+        visit(frame.page, payload);
         count += 1;
     }
     Ok(count)
@@ -1319,8 +1195,8 @@ fn verify_segment_file(path: &Path, epoch: u64) -> io::Result<SegmentVerify> {
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or("segment");
-    let version = match read_segment_header(&mut reader, epoch) {
-        Ok(v) => v,
+    match read_segment_header(&mut reader, epoch) {
+        Ok(()) => {}
         Err(e)
             if e.kind() == io::ErrorKind::InvalidData
                 || e.kind() == io::ErrorKind::UnexpectedEof =>
@@ -1329,64 +1205,39 @@ fn verify_segment_file(path: &Path, epoch: u64) -> io::Result<SegmentVerify> {
             return Ok(out);
         }
         Err(e) => return Err(e),
-    };
+    }
     let mut offset = SEGMENT_HEADER_LEN as u64;
     let mut stored = Vec::new();
     loop {
-        let (page, crc, raw_len, stored_len, enc) = match version {
-            SegmentVersion::V1 => {
-                let mut frame = [0u8; 20];
-                match read_frame(&mut reader, &mut frame) {
-                    Ok(false) => break,
-                    Ok(true) => {}
-                    Err(e) => {
-                        out.structural = Some(format!("{name}: {e}"));
-                        break;
-                    }
-                }
-                let page = u64::from_le_bytes(frame[0..8].try_into().unwrap());
-                let len = u32::from_le_bytes(frame[8..12].try_into().unwrap());
-                let crc = u64::from_le_bytes(frame[12..20].try_into().unwrap());
-                offset += 20;
-                (page, crc, len, len, Encoding::Raw as u8)
-            }
-            SegmentVersion::V2 => {
-                let mut frame = [0u8; FRAME_LEN_V2];
-                match read_frame(&mut reader, &mut frame) {
-                    Ok(false) => break,
-                    Ok(true) => {}
-                    Err(e) => {
-                        out.structural = Some(format!("{name}: {e}"));
-                        break;
-                    }
-                }
-                let page = u64::from_le_bytes(frame[0..8].try_into().unwrap());
-                let raw_len = u32::from_le_bytes(frame[9..13].try_into().unwrap());
-                let stored_len = u32::from_le_bytes(frame[13..17].try_into().unwrap());
-                let crc = u64::from_le_bytes(frame[17..25].try_into().unwrap());
-                offset += FRAME_LEN_V2 as u64;
-                (page, crc, raw_len, stored_len, frame[8])
+        let frame = match read_frame(&mut reader) {
+            Ok(None) => break,
+            Ok(Some(frame)) => frame,
+            Err(e) => {
+                out.structural = Some(format!("{name}: {e}"));
+                break;
             }
         };
-        if offset + stored_len as u64 > file_len {
+        offset += FRAME_LEN_V2 as u64;
+        if offset + frame.stored_len as u64 > file_len {
             // A corrupted length field would otherwise desync the walk (or
             // ask for gigabytes); everything past here is unaccounted.
             out.structural = Some(format!(
-                "{name}: record for page {page} overruns the segment"
+                "{name}: record for page {} overruns the segment",
+                frame.page
             ));
             break;
         }
-        stored.resize(stored_len as usize, 0);
+        stored.resize(frame.stored_len as usize, 0);
         reader.read_exact(&mut stored)?;
-        offset += stored_len as u64;
+        offset += frame.stored_len as u64;
         out.records += 1;
-        out.payload_bytes += raw_len as u64;
-        let verified = Encoding::from_u8(enc)
-            .and_then(|enc| codec::decode(enc, &stored, raw_len as usize))
-            .map(|decoded| crc64(decoded.as_deref().unwrap_or(&stored)) == crc)
+        out.payload_bytes += frame.raw_len as u64;
+        let verified = Encoding::from_u8(frame.enc)
+            .and_then(|enc| codec::decode(enc, &stored, frame.raw_len as usize))
+            .map(|decoded| crc64(decoded.as_deref().unwrap_or(&stored)) == frame.crc)
             .unwrap_or(false);
         if !verified {
-            out.corrupt.push(page);
+            out.corrupt.push(frame.page);
         }
     }
     Ok(out)
@@ -1434,53 +1285,22 @@ fn index_segment(
 ) -> io::Result<File> {
     let file = File::open(path)?;
     let mut reader = BufReader::with_capacity(1 << 16, &file);
-    let version = read_segment_header(&mut reader, epoch)?;
+    read_segment_header(&mut reader, epoch)?;
     let mut offset = SEGMENT_HEADER_LEN as u64;
-    loop {
-        let (page, loc) = match version {
-            SegmentVersion::V1 => {
-                let mut frame = [0u8; 20];
-                if !read_frame(&mut reader, &mut frame)? {
-                    break;
-                }
-                let page = u64::from_le_bytes(frame[0..8].try_into().unwrap());
-                let len = u32::from_le_bytes(frame[8..12].try_into().unwrap());
-                let crc = u64::from_le_bytes(frame[12..20].try_into().unwrap());
-                let loc = RecordLoc {
-                    file: file_idx,
-                    offset: offset + 20,
-                    enc: Encoding::Raw as u8,
-                    raw_len: len,
-                    stored_len: len,
-                    crc,
-                };
-                offset += 20 + len as u64;
-                (page, loc)
-            }
-            SegmentVersion::V2 => {
-                let mut frame = [0u8; FRAME_LEN_V2];
-                if !read_frame(&mut reader, &mut frame)? {
-                    break;
-                }
-                let page = u64::from_le_bytes(frame[0..8].try_into().unwrap());
-                let raw_len = u32::from_le_bytes(frame[9..13].try_into().unwrap());
-                let stored_len = u32::from_le_bytes(frame[13..17].try_into().unwrap());
-                let crc = u64::from_le_bytes(frame[17..25].try_into().unwrap());
-                let loc = RecordLoc {
-                    file: file_idx,
-                    offset: offset + FRAME_LEN_V2 as u64,
-                    enc: frame[8],
-                    raw_len,
-                    stored_len,
-                    crc,
-                };
-                offset += (FRAME_LEN_V2 + stored_len as usize) as u64;
-                (page, loc)
-            }
+    while let Some(frame) = read_frame(&mut reader)? {
+        offset += FRAME_LEN_V2 as u64;
+        let loc = RecordLoc {
+            file: file_idx,
+            offset,
+            enc: frame.enc,
+            raw_len: frame.raw_len,
+            stored_len: frame.stored_len,
+            crc: frame.crc,
         };
-        reader.seek_relative(loc.stored_len as i64)?;
-        pages.push(page);
-        by_page.insert(page, loc);
+        offset += frame.stored_len as u64;
+        reader.seek_relative(frame.stored_len as i64)?;
+        pages.push(frame.page);
+        by_page.insert(frame.page, loc);
     }
     Ok(file)
 }
@@ -1493,16 +1313,7 @@ impl FileBackend {
         if let Some(idx) = self.shared.page_index.lock().get(&epoch) {
             return Ok(Arc::clone(idx));
         }
-        let rec = self
-            .live_records()?
-            .into_iter()
-            .find(|r| r.epoch == epoch)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("epoch {epoch} not committed (or compacted away)"),
-                )
-            })?;
+        let rec = self.live_record(epoch)?;
         let paths = match rec.kind {
             RecordKind::Full => vec![Self::full_path(&self.dir, epoch)],
             _ => {
@@ -1571,6 +1382,47 @@ impl FileBackend {
         }
     }
 
+    /// Write `records` as a complete segment of `epoch` under
+    /// `final_path`'s temp name and make it durable — not yet renamed into
+    /// place. Returns the temp path and the uncompressed payload bytes.
+    fn stage_segment(
+        &self,
+        final_path: &Path,
+        epoch: u64,
+        records: &[(u64, &[u8])],
+    ) -> io::Result<(PathBuf, u64)> {
+        let tmp = final_path.with_extension("seg.tmp");
+        let mut w = BufWriter::with_capacity(1 << 20, File::create(&tmp)?);
+        w.write_all(SEGMENT_MAGIC_V2)?;
+        w.write_all(&epoch.to_le_bytes())?;
+        let mut payload_bytes = 0u64;
+        for &(page, data) in records {
+            write_record_v2(&mut w, page, data, self.compression)?;
+            payload_bytes += data.len() as u64;
+        }
+        let file = w
+            .into_inner()
+            .map_err(|e| io::Error::other(e.to_string()))?;
+        if self.sync_on_finish {
+            file.sync_all()?;
+            self.shared
+                .io
+                .segment_fsyncs
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((tmp, payload_bytes))
+    }
+
+    /// Rename a staged segment into place and make the directory entry
+    /// durable.
+    fn publish_staged(&self, tmp: &Path, final_path: &Path) -> io::Result<()> {
+        fs::rename(tmp, final_path)?;
+        if self.sync_on_finish {
+            self.sync_dir()?;
+        }
+        Ok(())
+    }
+
     /// Make a directory-entry change (blob rename/unlink, compacted-segment
     /// rename) durable by fsyncing the checkpoint directory itself — the
     /// rename is only crash-safe once its directory entry is on disk.
@@ -1581,66 +1433,12 @@ impl FileBackend {
     }
 }
 
-/// Hand-write a v1 (`AICKSEG1`) segment plus its manifest record, exactly
-/// as the pre-upgrade backend laid them out — test-support helper for the
-/// cross-version compatibility suites, kept next to the reader so a format
-/// change updates writer and parser together. Not used by any production
-/// path (new segments are always v2).
-pub fn write_v1_epoch_for_tests(
-    dir: &Path,
-    epoch: u64,
-    pages: &[(u64, Vec<u8>)],
-) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let mut seg = Vec::new();
-    seg.extend_from_slice(SEGMENT_MAGIC_V1);
-    seg.extend_from_slice(&epoch.to_le_bytes());
-    let mut payload_bytes = 0u64;
-    for (page, data) in pages {
-        seg.extend_from_slice(&page.to_le_bytes());
-        seg.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        seg.extend_from_slice(&crc64(data).to_le_bytes());
-        seg.extend_from_slice(data);
-        payload_bytes += data.len() as u64;
-    }
-    fs::write(FileBackend::segment_path(dir, epoch), &seg)?;
-    manifest::append(
-        &dir.join(MANIFEST_FILE),
-        ManifestRecord::delta(epoch, pages.len() as u64, payload_bytes),
-    )
-}
-
 /// Corrupt a single byte of the first record's *stored* payload inside a
 /// finished segment — test helper for integrity verification (exposed so
-/// integration tests and failure-injection examples can share it). Parses
-/// the segment header, so it works for both v1 and v2 (compressed) layouts;
+/// integration tests and failure-injection examples can share it).
 /// `byte_offset` is taken modulo the stored payload length.
 pub fn corrupt_record_payload(dir: &Path, epoch: u64, byte_offset: u64) -> io::Result<()> {
-    let path = dir.join(format!("epoch_{epoch:010}.seg"));
-    let mut f = OpenOptions::new().read(true).write(true).open(path)?;
-    let version = read_segment_header(&mut f, epoch)?;
-    let (frame_len, stored_len) = match version {
-        SegmentVersion::V1 => {
-            let mut frame = [0u8; 20];
-            f.read_exact(&mut frame)?;
-            let len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as u64;
-            (20u64, len)
-        }
-        SegmentVersion::V2 => {
-            let mut frame = [0u8; 25];
-            f.read_exact(&mut frame)?;
-            let len = u32::from_le_bytes(frame[13..17].try_into().unwrap()) as u64;
-            (25u64, len)
-        }
-    };
-    if stored_len == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "first record has an empty payload",
-        ));
-    }
-    let pos = 16 + frame_len + byte_offset % stored_len;
-    flip_byte_at(&mut f, pos)
+    corrupt_segment_region(dir, epoch, SegmentRegion::Payload { byte: byte_offset })
 }
 
 /// XOR one byte of `f` at `pos` with `0xFF` (read-modify-write).
@@ -1663,8 +1461,8 @@ pub enum SegmentRegion {
     /// The segment header magic: structural damage, the whole shard
     /// becomes unwalkable (`verify_epoch` reports it in `structural`).
     Header,
-    /// The first record's encoding byte (v2 segments only): per-record
-    /// damage localized to that page.
+    /// The first record's encoding byte: per-record damage localized to
+    /// that page.
     Encoding,
     /// A byte of the first record's *stored* payload (offset taken modulo
     /// the stored length).
@@ -1692,50 +1490,22 @@ pub fn corrupt_segment_region(dir: &Path, epoch: u64, region: SegmentRegion) -> 
     if region == SegmentRegion::Header {
         return flip_byte_at(&mut f, 0);
     }
-    let version = read_segment_header(&mut f, epoch)?;
-    let pos = match version {
-        SegmentVersion::V1 => {
-            let mut frame = [0u8; 20];
-            f.read_exact(&mut frame)?;
-            let stored_len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as u64;
-            match region {
-                SegmentRegion::Header => unreachable!(),
-                SegmentRegion::Encoding => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "v1 record frames have no encoding byte",
-                    ))
-                }
-                SegmentRegion::Crc => 16 + 12,
-                SegmentRegion::Payload { byte } => {
-                    if stored_len == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            "first record has an empty payload",
-                        ));
-                    }
-                    16 + 20 + byte % stored_len
-                }
+    read_segment_header(&mut f, epoch)?;
+    let frame = read_frame(&mut f)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "segment holds no record"))?;
+    let first = SEGMENT_HEADER_LEN as u64;
+    let pos = match region {
+        SegmentRegion::Header => unreachable!(),
+        SegmentRegion::Encoding => first + 8,
+        SegmentRegion::Crc => first + 17,
+        SegmentRegion::Payload { byte } => {
+            if frame.stored_len == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "first record has an empty payload",
+                ));
             }
-        }
-        SegmentVersion::V2 => {
-            let mut frame = [0u8; FRAME_LEN_V2];
-            f.read_exact(&mut frame)?;
-            let stored_len = u32::from_le_bytes(frame[13..17].try_into().unwrap()) as u64;
-            match region {
-                SegmentRegion::Header => unreachable!(),
-                SegmentRegion::Encoding => 16 + 8,
-                SegmentRegion::Crc => 16 + 17,
-                SegmentRegion::Payload { byte } => {
-                    if stored_len == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            "first record has an empty payload",
-                        ));
-                    }
-                    16 + FRAME_LEN_V2 as u64 + byte % stored_len
-                }
-            }
+            first + FRAME_LEN_V2 as u64 + byte % frame.stored_len as u64
         }
     };
     flip_byte_at(&mut f, pos)
@@ -1745,7 +1515,6 @@ pub fn corrupt_segment_region(dir: &Path, epoch: u64, region: SegmentRegion) -> 
 /// manifest record — at-rest damage to the commit log itself rather than
 /// to a segment, which `verify_epoch` reports as a structural
 /// manifest↔segment disagreement and `repair_epoch` heals by recounting.
-/// v2 manifests only (every manifest this backend writes today is v2).
 pub fn corrupt_manifest_count(dir: &Path, epoch: u64) -> io::Result<()> {
     let mut f = OpenOptions::new()
         .read(true)
@@ -1992,7 +1761,8 @@ mod tests {
         write_epoch(&b, 2, vec![(0, vec![9u8; 8])]).unwrap();
         corrupt_segment_region(&dir, 1, SegmentRegion::Header).unwrap();
         assert!(b.read_epoch(1, &mut |_, _| {}).is_err());
-        b.rewrite_epoch(1, &pages).unwrap();
+        b.rewrite_epoch(1, &crate::backend::as_batch(&pages))
+            .unwrap();
         assert!(b.verify_epoch(1).unwrap().is_clean());
         let mut seen = Vec::new();
         b.read_epoch(1, &mut |p, d| seen.push((p, d.to_vec())))
@@ -2017,7 +1787,7 @@ mod tests {
         b.compact(2).unwrap();
         corrupt_segment_region(&dir, 2, SegmentRegion::Payload { byte: 0 }).unwrap();
         assert!(!b.verify_epoch(2).unwrap().is_clean());
-        b.rewrite_epoch(2, &[(0, vec![1u8; 16]), (1, vec![2u8; 16])])
+        b.rewrite_epoch(2, &[(0, &[1u8; 16]), (1, &[2u8; 16])])
             .unwrap();
         assert!(b.verify_epoch(2).unwrap().is_clean());
         assert_eq!(
@@ -2141,10 +1911,10 @@ mod tests {
             let b = FileBackend::open(&dir).unwrap();
             write_epoch(&b, 1, vec![(0, vec![1])]).unwrap();
             write_epoch(&b, 2, vec![(1, vec![2])]).unwrap();
-            b.remove_epoch(1).unwrap();
+            b.remove_epochs(&[1]).unwrap();
             assert_eq!(b.epochs().unwrap(), vec![2]);
             assert!(!FileBackend::segment_path(&dir, 1).exists());
-            assert!(b.remove_epoch(1).is_err(), "already retired");
+            assert!(b.remove_epochs(&[1]).is_err(), "already retired");
         }
         let b = FileBackend::open(&dir).unwrap();
         assert_eq!(b.epochs().unwrap(), vec![2], "retirement survived reopen");
@@ -2220,7 +1990,7 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![(0, 7), (1, 9)], "both shards restored");
         // Retirement removes every shard file of the epoch.
-        b.remove_epoch(1).unwrap();
+        b.remove_epochs(&[1]).unwrap();
         assert!(!FileBackend::segment_path(&dir, 1).exists());
         assert!(!shard_path(&dir, 1, 1).exists());
         fs::remove_dir_all(&dir).unwrap();
@@ -2297,7 +2067,7 @@ mod tests {
             assert_eq!(b.high_water().unwrap(), None);
             write_epoch(&b, 5, vec![(0, vec![1])]).unwrap();
             assert_eq!(b.high_water().unwrap(), Some(5));
-            b.remove_epoch(5).unwrap();
+            b.remove_epochs(&[5]).unwrap();
             assert_eq!(b.high_water().unwrap(), Some(5), "retired number burned");
         }
         let b = FileBackend::open(&dir).unwrap();
@@ -2413,7 +2183,7 @@ mod tests {
             b.put_blob(&crate::backend::layout_blob_name(e), &[e as u8])
                 .unwrap();
         }
-        b.remove_epoch(1).unwrap();
+        b.remove_epochs(&[1]).unwrap();
         assert_eq!(
             b.list_blobs().unwrap(),
             (2..=4)

@@ -75,8 +75,8 @@ pub mod throttle;
 pub mod tiered;
 
 pub use backend::{
-    layout_blob_name, write_epoch, ChainEntry, CompactionStats, EpochKind, EpochWriter,
-    StorageBackend,
+    compact_latest_wins, layout_blob_name, write_epoch, ChainEntry, CompactionStats, EpochKind,
+    EpochWriter, StorageBackend,
 };
 pub use cache::{CacheStats, PageCache};
 pub use checksum::{crc64, crc64_update};

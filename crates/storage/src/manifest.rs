@@ -8,12 +8,11 @@
 //! commit; hand-rolled here because the format is a few dozen bytes per
 //! record and a serde dependency would be heavier than the format itself.)
 //!
-//! ## Versions
+//! ## Format
 //!
-//! * `AICKMAN1` — the original format: 24-byte records, every record a
-//!   plain (delta) epoch commit. Still read transparently.
-//! * `AICKMAN2` — adds a record *kind* and an auxiliary field:
-//!   - [`RecordKind::Delta`] — an incremental epoch commit (v1 semantics);
+//! `AICKMAN2`: an 8-byte magic followed by fixed 33-byte records, each a
+//! *kind* plus an auxiliary field:
+//!   - [`RecordKind::Delta`] — an incremental epoch commit;
 //!   - [`RecordKind::Full`] — epoch `epoch` is a *full* segment covering
 //!     every live epoch `aux ..= epoch`; it supersedes all earlier live
 //!     epochs (appended as the atomic commit point of a compaction);
@@ -21,29 +20,21 @@
 //!     backend; `aux` names the epoch that absorbed it (0 when it was
 //!     drained to another tier rather than folded locally).
 //!
-//! New manifests are written as v2. Appending a `Delta` record to an
-//! existing v1 manifest keeps the file v1 (old readers stay compatible);
-//! the first non-delta append migrates the file to v2 atomically
-//! (write-temp + rename).
+//! There is exactly one format. A file with any other magic is rejected
+//! loudly (`InvalidData`, naming the magic found) by reads and appends
+//! alike — never treated as an empty log.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-/// Magic prefix of a version-1 manifest (delta-only records).
-pub const MANIFEST_MAGIC_V1: &[u8; 8] = b"AICKMAN1";
-
-/// Magic prefix of a version-2 manifest (kinded records).
+/// Magic prefix of a manifest (kinded records).
 pub const MANIFEST_MAGIC_V2: &[u8; 8] = b"AICKMAN2";
-
-/// Magic prefix of a freshly created manifest (compat alias: pre-v2 code
-/// referred to "the" manifest magic).
-pub const MANIFEST_MAGIC: &[u8; 8] = MANIFEST_MAGIC_V1;
 
 /// What a manifest record says about its epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordKind {
-    /// Incremental epoch commit (the only kind v1 could express).
+    /// Incremental epoch commit.
     #[default]
     Delta,
     /// The epoch's segment is a full image superseding all earlier live
@@ -92,7 +83,7 @@ pub struct ManifestRecord {
 }
 
 impl ManifestRecord {
-    /// A plain epoch commit (what v1 appended).
+    /// A plain epoch commit.
     pub fn delta(epoch: u64, records: u64, payload_bytes: u64) -> Self {
         Self {
             epoch,
@@ -127,27 +118,7 @@ impl ManifestRecord {
         }
     }
 
-    const WIRE_LEN_V1: usize = 24;
     const WIRE_LEN_V2: usize = 33;
-
-    fn to_bytes_v1(self) -> [u8; Self::WIRE_LEN_V1] {
-        debug_assert_eq!(self.kind, RecordKind::Delta, "v1 stores deltas only");
-        let mut out = [0u8; Self::WIRE_LEN_V1];
-        out[0..8].copy_from_slice(&self.epoch.to_le_bytes());
-        out[8..16].copy_from_slice(&self.records.to_le_bytes());
-        out[16..24].copy_from_slice(&self.payload_bytes.to_le_bytes());
-        out
-    }
-
-    fn from_bytes_v1(b: &[u8]) -> Self {
-        Self {
-            epoch: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-            records: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-            payload_bytes: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            kind: RecordKind::Delta,
-            aux: 0,
-        }
-    }
 
     fn to_bytes_v2(self) -> [u8; Self::WIRE_LEN_V2] {
         let mut out = [0u8; Self::WIRE_LEN_V2];
@@ -181,39 +152,29 @@ fn read_raw(path: &Path) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(buf))
 }
 
-fn parse(buf: &[u8]) -> io::Result<Vec<ManifestRecord>> {
-    let magic_len = MANIFEST_MAGIC_V1.len();
-    if buf.len() < magic_len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad manifest magic",
-        ));
-    }
-    let body = &buf[magic_len..];
-    match &buf[..magic_len] {
-        m if m == MANIFEST_MAGIC_V1 => {
-            // Torn trailing record (crash mid-append) is ignored, matching
-            // the commit protocol: the epoch never became visible.
-            Ok(body
-                .chunks_exact(ManifestRecord::WIRE_LEN_V1)
-                .map(ManifestRecord::from_bytes_v1)
-                .collect())
-        }
-        m if m == MANIFEST_MAGIC_V2 => body
-            .chunks_exact(ManifestRecord::WIRE_LEN_V2)
-            .map(ManifestRecord::from_bytes_v2)
-            .collect(),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad manifest magic",
-        )),
-    }
+fn bad_magic(found: &[u8]) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "bad manifest magic {:?} (expected \"AICKMAN2\")",
+            String::from_utf8_lossy(found)
+        ),
+    )
 }
 
-/// Append one record, durably (O_APPEND + fsync). Creates the manifest (v2)
-/// with its magic header on first use; appends format-preserving records to
-/// a v1 manifest and migrates it to v2 atomically when a non-delta record
-/// must be stored.
+fn parse(buf: &[u8]) -> io::Result<Vec<ManifestRecord>> {
+    let Some(body) = buf.strip_prefix(MANIFEST_MAGIC_V2) else {
+        return Err(bad_magic(&buf[..buf.len().min(MANIFEST_MAGIC_V2.len())]));
+    };
+    // Torn trailing record (crash mid-append) is ignored, matching the
+    // commit protocol: the epoch never became visible.
+    body.chunks_exact(ManifestRecord::WIRE_LEN_V2)
+        .map(ManifestRecord::from_bytes_v2)
+        .collect()
+}
+
+/// Append one record, durably (O_APPEND + fsync). Creates the manifest
+/// with its magic header on first use.
 pub fn append(path: &Path, record: ManifestRecord) -> io::Result<()> {
     append_batch(path, &[record])
 }
@@ -225,52 +186,21 @@ pub fn append(path: &Path, record: ManifestRecord) -> io::Result<()> {
 /// appends: a crash mid-batch leaves a tear that readers ignore and the
 /// next append truncates away — so callers must not treat *any* record of
 /// the batch as committed until `append_batch` returns.
-///
-/// Versioning matches [`append`]: an all-delta batch keeps a v1 file v1;
-/// any non-delta record migrates it to v2 atomically.
 pub fn append_batch(path: &Path, records: &[ManifestRecord]) -> io::Result<()> {
     if records.is_empty() {
         return Ok(());
     }
+    let body: Vec<u8> = records.iter().flat_map(|r| r.to_bytes_v2()).collect();
     // Peek only the magic — appends must stay O(1) in manifest size.
     let mut magic = [0u8; 8];
-    let version = match File::open(path) {
+    match File::open(path) {
         Ok(mut f) => {
             f.read_exact(&mut magic)?;
-            if magic == *MANIFEST_MAGIC_V1 {
-                1
-            } else if magic == *MANIFEST_MAGIC_V2 {
-                2
-            } else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad manifest magic",
-                ));
+            if magic != *MANIFEST_MAGIC_V2 {
+                return Err(bad_magic(&magic));
             }
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-        Err(e) => return Err(e),
-    };
-    if version != 0 {
-        // A crash mid-append can leave a torn trailing record. Readers
-        // ignore it, but appending *after* it would misalign every future
-        // record — truncate the tear away before the new commit lands.
-        let rec_len = if version == 1 {
-            ManifestRecord::WIRE_LEN_V1
-        } else {
-            ManifestRecord::WIRE_LEN_V2
-        } as u64;
-        let len = std::fs::metadata(path)?.len();
-        let torn = (len - magic.len() as u64) % rec_len;
-        if torn != 0 {
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(len - torn)?;
-            f.sync_all()?;
-        }
-    }
-    let all_deltas = records.iter().all(|r| r.kind == RecordKind::Delta);
-    match version {
-        0 => {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
             // First use: build the file aside and rename it in. Creating
             // the manifest in place would let a concurrent reader (e.g. a
             // `chain()` racing the very first commit) open it between
@@ -279,52 +209,30 @@ pub fn append_batch(path: &Path, records: &[ManifestRecord]) -> io::Result<()> {
             // or the complete file, never anything between.
             let tmp = path.with_extension("new");
             let mut f = File::create(&tmp)?;
-            let mut buf = MANIFEST_MAGIC_V2.to_vec();
-            for r in records {
-                buf.extend_from_slice(&r.to_bytes_v2());
-            }
-            f.write_all(&buf)?;
+            f.write_all(MANIFEST_MAGIC_V2)?;
+            f.write_all(&body)?;
             f.sync_all()?;
-            std::fs::rename(&tmp, path)
+            return std::fs::rename(&tmp, path);
         }
-        1 if all_deltas => {
-            // Keep the file v1: old readers stay compatible.
-            let mut f = OpenOptions::new().append(true).open(path)?;
-            let mut buf = Vec::with_capacity(records.len() * ManifestRecord::WIRE_LEN_V1);
-            for r in records {
-                buf.extend_from_slice(&r.to_bytes_v1());
-            }
-            f.write_all(&buf)?;
-            f.sync_all()
-        }
-        1 => {
-            // First non-delta record: migrate to v2 atomically.
-            let existing = read(path)?;
-            let tmp = path.with_extension("mig");
-            {
-                let mut f = File::create(&tmp)?;
-                f.write_all(MANIFEST_MAGIC_V2)?;
-                for r in existing.iter().chain(records) {
-                    f.write_all(&r.to_bytes_v2())?;
-                }
-                f.sync_all()?;
-            }
-            std::fs::rename(&tmp, path)
-        }
-        _ => {
-            let mut f = OpenOptions::new().append(true).open(path)?;
-            let mut buf = Vec::with_capacity(records.len() * ManifestRecord::WIRE_LEN_V2);
-            for r in records {
-                buf.extend_from_slice(&r.to_bytes_v2());
-            }
-            f.write_all(&buf)?;
-            f.sync_all()
-        }
+        Err(e) => return Err(e),
     }
+    // A crash mid-append can leave a torn trailing record. Readers ignore
+    // it, but appending *after* it would misalign every future record —
+    // truncate the tear away before the new commit lands.
+    let len = std::fs::metadata(path)?.len();
+    let torn = (len - magic.len() as u64) % ManifestRecord::WIRE_LEN_V2 as u64;
+    if torn != 0 {
+        let f = OpenOptions::new().write(true).open(path)?;
+        f.set_len(len - torn)?;
+        f.sync_all()?;
+    }
+    let mut f = OpenOptions::new().append(true).open(path)?;
+    f.write_all(&body)?;
+    f.sync_all()
 }
 
-/// Read all complete records of either manifest version; a torn trailing
-/// record (crash mid-append) is ignored, matching the commit protocol.
+/// Read all complete records; a torn trailing record (crash mid-append) is
+/// ignored, matching the commit protocol.
 pub fn read(path: &Path) -> io::Result<Vec<ManifestRecord>> {
     match read_raw(path)? {
         None => Ok(Vec::new()),
@@ -446,63 +354,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Hand-write a v1 manifest exactly as the old code would have.
-    fn write_v1(path: &Path, records: &[ManifestRecord]) {
-        let mut buf = MANIFEST_MAGIC_V1.to_vec();
-        for r in records {
-            buf.extend_from_slice(&r.to_bytes_v1());
-        }
-        std::fs::write(path, buf).unwrap();
-    }
-
-    #[test]
-    fn v1_manifests_read_as_deltas() {
-        let path = tmp();
-        let records = vec![
-            ManifestRecord::delta(1, 2, 100),
-            ManifestRecord::delta(2, 1, 50),
-        ];
-        write_v1(&path, &records);
-        assert_eq!(read(&path).unwrap(), records);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn delta_append_keeps_v1_format() {
-        let path = tmp();
-        write_v1(&path, &[ManifestRecord::delta(1, 1, 8)]);
-        append(&path, ManifestRecord::delta(2, 2, 16)).unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        assert!(raw.starts_with(MANIFEST_MAGIC_V1), "still v1 on disk");
-        assert_eq!(read(&path).unwrap().len(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn non_delta_append_migrates_v1_to_v2() {
-        let path = tmp();
-        write_v1(
-            &path,
-            &[
-                ManifestRecord::delta(1, 1, 8),
-                ManifestRecord::delta(2, 1, 8),
-            ],
-        );
-        let full = ManifestRecord::full(2, 2, 16, 1);
-        append(&path, full).unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        assert!(raw.starts_with(MANIFEST_MAGIC_V2), "migrated to v2");
-        assert_eq!(
-            read(&path).unwrap(),
-            vec![
-                ManifestRecord::delta(1, 1, 8),
-                ManifestRecord::delta(2, 1, 8),
-                full
-            ]
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
     #[test]
     fn append_batch_commits_all_records_in_order() {
         let path = tmp();
@@ -520,36 +371,6 @@ mod tests {
         // A later batch appends after the existing records.
         append_batch(&path, &[ManifestRecord::delta(3, 1, 8)]).unwrap();
         assert_eq!(read(&path).unwrap().len(), 4);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn append_batch_versioning_matches_single_appends() {
-        // All-delta batch keeps a v1 file v1.
-        let path = tmp();
-        write_v1(&path, &[ManifestRecord::delta(1, 1, 8)]);
-        append_batch(
-            &path,
-            &[
-                ManifestRecord::delta(2, 1, 8),
-                ManifestRecord::delta(3, 1, 8),
-            ],
-        )
-        .unwrap();
-        assert!(std::fs::read(&path).unwrap().starts_with(MANIFEST_MAGIC_V1));
-        assert_eq!(read(&path).unwrap().len(), 3);
-        // A batch containing any non-delta record migrates to v2, keeping
-        // every record of the batch.
-        let batch = vec![
-            ManifestRecord::compacted_into(1, 3),
-            ManifestRecord::compacted_into(2, 3),
-            ManifestRecord::full(3, 2, 16, 1),
-        ];
-        append_batch(&path, &batch).unwrap();
-        assert!(std::fs::read(&path).unwrap().starts_with(MANIFEST_MAGIC_V2));
-        let all = read(&path).unwrap();
-        assert_eq!(all.len(), 6);
-        assert_eq!(&all[3..], &batch[..]);
         std::fs::remove_file(&path).unwrap();
     }
 

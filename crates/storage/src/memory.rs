@@ -405,7 +405,7 @@ impl StorageBackend for MemoryBackend {
             }))
     }
 
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         let mut s = self.shared.store.lock();
         if !s.finished.contains_key(&epoch) {
             return Err(io::Error::new(
@@ -451,12 +451,7 @@ impl StorageBackend for MemoryBackend {
         true
     }
 
-    fn install_compacted(
-        &self,
-        _from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
+    fn install_compacted(&self, _from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         let mut s = self.shared.store.lock();
         if !s.finished.contains_key(&into) {
             return Err(io::Error::new(
@@ -482,16 +477,21 @@ impl StorageBackend for MemoryBackend {
         Ok(())
     }
 
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
+    fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
         let mut s = self.shared.store.lock();
-        if s.finished.remove(&epoch).is_none() {
+        // Validate the whole batch first: naming a non-live epoch fails
+        // before anything is lost, like the file backend's batch.
+        if let Some(epoch) = epochs.iter().find(|e| !s.finished.contains_key(e)) {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("epoch {epoch} not live"),
             ));
         }
-        s.full.remove(&epoch);
-        s.blobs.remove(&layout_blob_name(epoch));
+        for epoch in epochs {
+            s.finished.remove(epoch);
+            s.full.remove(epoch);
+            s.blobs.remove(&layout_blob_name(*epoch));
+        }
         // Retired numbers stay burned (high_water already covers them).
         Ok(())
     }
@@ -611,9 +611,9 @@ mod tests {
         let b = MemoryBackend::new();
         write_epoch(&b, 1, vec![(0, vec![1])]).unwrap();
         write_epoch(&b, 2, vec![(1, vec![2])]).unwrap();
-        b.remove_epoch(1).unwrap();
+        b.remove_epochs(&[1]).unwrap();
         assert_eq!(b.epochs().unwrap(), vec![2]);
-        assert!(b.remove_epoch(1).is_err());
+        assert!(b.remove_epochs(&[1]).is_err());
         assert!(b.begin_epoch(1).is_err(), "retired number not reusable");
     }
 
@@ -654,8 +654,7 @@ mod tests {
         assert_eq!(report.corrupt_pages, vec![1]);
         assert_eq!(report.records, 1, "only the clean record verified");
         // A rewrite with healed bytes restores full health in place.
-        b.rewrite_epoch(1, &[(0, vec![1; 32]), (1, vec![2; 32])])
-            .unwrap();
+        b.rewrite_epoch(1, &[(0, &[1; 32]), (1, &[2; 32])]).unwrap();
         assert!(b.verify_epoch(1).unwrap().is_clean());
         assert_eq!(b.read_page_at(1, 1).unwrap().unwrap(), vec![2; 32]);
         assert!(

@@ -20,10 +20,12 @@
 //! share a group is then nondeterministic, but every data page still lands
 //! in exactly one group, which is all the recovery invariant needs.
 //!
-//! The chain lifecycle (compaction, tier draining, epoch retirement) is
-//! forwarded to the wrapped backend, with one twist: a compaction merges
-//! *data* records only and re-emits fresh parity groups over the folded
-//! full segment, so [`ParityBackend::recover_page`] keeps working after the
+//! Everything this wrapper does not change (the chain lifecycle, tier
+//! draining, retirement, verification — a rotten parity record is reported
+//! and repaired like any other page) reaches the wrapped backend through
+//! [`StorageBackend::inner`]. The one twist is compaction: it merges *data*
+//! records only and re-emits fresh parity groups over the folded full
+//! segment, so [`ParityBackend::recover_page`] keeps working after the
 //! deltas (and their now-stale parity records) are gone.
 
 use std::io;
@@ -31,10 +33,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{
-    merge_live_prefix, ChainEntry, CompactionStats, EpochWriter, MergeOutcome, StorageBackend,
-};
-use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
+use crate::backend::{as_batch, compact_latest_wins, CompactionStats, EpochWriter, StorageBackend};
+use crate::scrub::RepairReport;
 
 /// Page-id flag marking parity records inside the wrapped backend.
 pub const PARITY_FLAG: u64 = 1 << 63;
@@ -99,21 +99,29 @@ impl<B: StorageBackend> ParityBackend<B> {
         &self.inner
     }
 
-    /// Fresh parity records covering `records` in order: one XOR record per
-    /// `k` members plus the trailing partial group (the compaction paths'
-    /// re-emission).
-    fn parity_records(&self, records: &[(u64, Vec<u8>)]) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::with_capacity(records.len() / self.k + 1);
+    /// Run `install` over `records` (a data-page image: compaction and
+    /// repair paths never see parity records) followed by fresh parity
+    /// groups covering them in order — one XOR record per `k` members plus
+    /// the trailing partial group. Only the record *references* are
+    /// re-collected; the image itself is never copied.
+    fn install_with_parity(
+        &self,
+        records: &[(u64, &[u8])],
+        install: impl FnOnce(&[(u64, &[u8])]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut parity = Vec::with_capacity(records.len() / self.k + 1);
         let mut state = ParityState::default();
-        for (page, data) in records {
-            debug_assert_eq!(page & PARITY_FLAG, 0, "parity id in compacted image");
-            state.absorb(*page, data);
+        for &(page, data) in records {
+            debug_assert_eq!(page & PARITY_FLAG, 0, "parity id in data image");
+            state.absorb(page, data);
             if state.group.len() == self.k {
-                out.extend(state.take_parity_record());
+                parity.extend(state.take_parity_record());
             }
         }
-        out.extend(state.take_parity_record());
-        out
+        parity.extend(state.take_parity_record());
+        let mut all = records.to_vec();
+        all.extend(as_batch(&parity));
+        install(&all)
     }
 
     /// Reconstruct a lost/corrupt page of a finished epoch from its parity
@@ -234,6 +242,10 @@ impl EpochWriter for ParityEpochWriter {
 }
 
 impl<B: StorageBackend> StorageBackend for ParityBackend<B> {
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&self.inner)
+    }
+
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         Ok(Box::new(ParityEpochWriter {
             inner: self.inner.begin_epoch(epoch)?,
@@ -250,20 +262,8 @@ impl<B: StorageBackend> StorageBackend for ParityBackend<B> {
         self.inner.get_blob(name)
     }
 
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        self.inner.delete_blob(name)
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        self.inner.list_blobs()
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.inner.epochs()
-    }
-
-    fn high_water(&self) -> io::Result<Option<u64>> {
-        self.inner.high_water()
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
@@ -275,20 +275,16 @@ impl<B: StorageBackend> StorageBackend for ParityBackend<B> {
     }
 
     fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        // Audit fix: the trait default streams the whole epoch (payloads
-        // decoded and discarded) through this wrapper's filtered
-        // `read_epoch`. The inner backend's frame walk is the fast path —
-        // only the parity ids need filtering out.
+        // The inner backend's frame walk, minus the parity ids.
         let mut ids = self.inner.epoch_page_ids(epoch)?;
         ids.retain(|id| id & PARITY_FLAG == 0);
         Ok(ids)
     }
 
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        // Audit fix: forward the random access (data ids are stored
-        // unflagged, so the inner seek finds them directly) instead of the
-        // default's full-epoch stream. A payload the inner backend reports
-        // as corrupt (`InvalidData`: CRC mismatch on a decoded record) is
+        // Data ids are stored unflagged, so the inner seek finds them
+        // directly. A payload the inner backend reports as corrupt
+        // (`InvalidData`: CRC mismatch on a decoded record) is
         // reconstructed from its parity group — the single-page degraded
         // read this wrapper exists for.
         match self.inner.read_page_at(epoch, page) {
@@ -313,122 +309,23 @@ impl<B: StorageBackend> StorageBackend for ParityBackend<B> {
         self.inner.bytes_written()
     }
 
-    fn bytes_stored(&self) -> u64 {
-        self.inner.bytes_stored()
-    }
-
-    // The chain lifecycle forwards to the wrapped backend. Without these, a
-    // parity-wrapped backend fell back to the trait defaults: it reported
-    // `supports_compaction() == false` (disarming the maintenance worker's
-    // `CompactionPolicy` permanently) and turned `remove_epoch`/`drain_one`
-    // into unsupported/no-op stubs, so a tiered parity stack never drained
-    // or compacted.
-
-    fn supports_compaction(&self) -> bool {
-        self.inner.supports_compaction()
-    }
-
-    fn chain(&self) -> io::Result<Vec<ChainEntry>> {
-        self.inner.chain()
-    }
-
     // `compact` is NOT forwarded to the inner backend: its merge would
     // fold raw records latest-wins, and parity ids collide across epochs
     // (`PARITY_FLAG | group`), so old groups would silently overwrite each
     // other while covering superseded page versions. Instead the merge
     // runs over *this* backend's parity-filtered view (data records only)
-    // and fresh parity groups are appended to the merge buffer — which
-    // this override already owns, so the image is never copied — before
-    // one atomic install on the inner backend.
-
+    // and commits through `install_compacted` below, which re-emits fresh
+    // groups over the folded image.
     fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
-        if !self.supports_compaction() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "backend does not support compaction",
-            ));
-        }
-        match merge_live_prefix(self, up_to)? {
-            MergeOutcome::AlreadyCompact => Ok(CompactionStats {
-                from: up_to,
-                into: up_to,
-                ..CompactionStats::default()
-            }),
-            MergeOutcome::Merged {
-                from,
-                segments,
-                bytes_before,
-                mut records,
-            } => {
-                let bytes_after: u64 = records.iter().map(|(_, d)| d.len() as u64).sum();
-                let parity = self.parity_records(&records);
-                records.extend(parity);
-                self.inner.install_compacted(from, up_to, &records)?;
-                Ok(CompactionStats {
-                    from,
-                    into: up_to,
-                    segments_removed: segments,
-                    bytes_before,
-                    bytes_after,
-                })
-            }
-        }
+        compact_latest_wins(self, up_to)
     }
 
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
-        // Generic primitive (an outer wrapper's default `compact` may land
-        // here with a data-only image): same parity re-emission as the
-        // `compact` override above, at the cost of copying the payloads
-        // into the combined slice the inner install wants.
-        let mut all: Vec<(u64, Vec<u8>)> =
-            Vec::with_capacity(records.len() + records.len() / self.k + 1);
-        for (page, data) in records {
-            all.push((*page, data.clone()));
-        }
-        all.extend(self.parity_records(records));
-        self.inner.install_compacted(from, into, &all)
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        self.install_with_parity(records, |all| self.inner.install_compacted(from, into, all))
     }
 
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-        self.inner.remove_epoch(epoch)
-    }
-
-    fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        self.inner.remove_epochs(epochs)
-    }
-
-    fn drain_one(&self) -> io::Result<Option<u64>> {
-        self.inner.drain_one()
-    }
-
-    fn drain_backlog(&self) -> usize {
-        self.inner.drain_backlog()
-    }
-
-    fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
-        // The inner walk sees parity records as ordinary pages (their ids
-        // carry `PARITY_FLAG`), so a rotten parity record is reported and
-        // repaired like any other — redundancy that silently rots is no
-        // redundancy at all.
-        self.inner.verify_epoch(epoch)
-    }
-
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
-        // `records` is a data-page image (an outer repair path never sees
-        // parity records); fresh groups are re-emitted over it, exactly as
-        // the compaction paths do.
-        let mut all: Vec<(u64, Vec<u8>)> =
-            Vec::with_capacity(records.len() + records.len() / self.k + 1);
-        for (page, data) in records {
-            all.push((*page, data.clone()));
-        }
-        all.extend(self.parity_records(records));
-        self.inner.rewrite_epoch(epoch, &all)
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        self.install_with_parity(records, |all| self.inner.rewrite_epoch(epoch, all))
     }
 
     fn repair_epoch(&self, epoch: u64) -> io::Result<RepairReport> {
@@ -466,21 +363,13 @@ impl<B: StorageBackend> StorageBackend for ParityBackend<B> {
             })?;
             data.push((id, payload));
         }
-        self.rewrite_epoch(epoch, &data)?;
+        self.rewrite_epoch(epoch, &as_batch(&data))?;
         Ok(RepairReport {
             epoch,
             pages: report.corrupt_pages,
             rewrote_segment: true,
             source: "parity".to_owned(),
         })
-    }
-
-    fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
-        self.inner.record_meta(epoch, page)
-    }
-
-    fn io_stats(&self) -> crate::io::IoStats {
-        self.inner.io_stats()
     }
 }
 
@@ -555,7 +444,7 @@ mod tests {
         write_epoch(&b, 1, vec![(0, page(1))]).unwrap();
         write_epoch(&b, 2, vec![(1, page(2))]).unwrap();
         assert_eq!(b.chain().unwrap().len(), 2);
-        b.remove_epoch(1).unwrap();
+        b.remove_epochs(&[1]).unwrap();
         assert_eq!(b.epochs().unwrap(), vec![2]);
         assert_eq!(b.drain_one().unwrap(), None, "single-tier: no backlog");
         assert_eq!(b.bytes_stored(), b.inner().bytes_stored());

@@ -51,7 +51,9 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{ChainEntry, CompactionStats, EpochKind, EpochWriter, StorageBackend};
+use crate::backend::{
+    as_batch, ChainEntry, CompactionStats, EpochKind, EpochWriter, StorageBackend,
+};
 use crate::errors::{classify, FaultClass, RetryPolicy};
 use crate::failing::{FailingBackend, FailureControl};
 use crate::io::IoStats;
@@ -247,6 +249,12 @@ impl Level {
 
     fn is_suspect(&self) -> bool {
         self.suspect.load(Ordering::SeqCst)
+    }
+
+    /// Whether the level currently lists `epoch`; `Err` when it cannot
+    /// even be probed.
+    fn holds(&self, epoch: u64) -> io::Result<bool> {
+        Ok(self.store().epochs()?.contains(&epoch))
     }
 }
 
@@ -821,18 +829,13 @@ impl PolicyBackend {
             let mut idx = 0;
             while present.len() - idx > level.capacity && idx < present.len() {
                 let oldest = present[idx];
-                let held_higher = self.shared.levels[l + 1..].iter().any(|higher| {
-                    !higher.is_suspect()
-                        && higher
-                            .store()
-                            .epochs()
-                            .map(|eps| eps.contains(&oldest))
-                            .unwrap_or(false)
-                });
+                let held_higher = self.shared.levels[l + 1..]
+                    .iter()
+                    .any(|higher| !higher.is_suspect() && higher.holds(oldest).unwrap_or(false));
                 if !held_higher {
                     break; // never drop the sole durable copy
                 }
-                if level.store().remove_epoch(oldest).is_err() {
+                if level.store().remove_epochs(&[oldest]).is_err() {
                     break;
                 }
                 level.counters.evictions.fetch_add(1, Ordering::SeqCst);
@@ -1008,15 +1011,13 @@ impl StorageBackend for PolicyBackend {
     fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
         let mut last_err = None;
         for level in &self.shared.levels {
-            let holds = match level.store().epochs() {
-                Ok(eps) => eps.contains(&epoch),
+            match level.holds(epoch) {
+                Ok(true) => {}
+                Ok(false) => continue,
                 Err(e) => {
                     last_err = Some(e);
                     continue;
                 }
-            };
-            if !holds {
-                continue;
             }
             match self.level_read(level, epoch, || level.store().epoch_page_ids(epoch)) {
                 Ok(ids) => {
@@ -1043,15 +1044,13 @@ impl StorageBackend for PolicyBackend {
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
         let mut last_err = None;
         for level in &self.shared.levels {
-            let holds = match level.store().epochs() {
-                Ok(eps) => eps.contains(&epoch),
+            match level.holds(epoch) {
+                Ok(true) => {}
+                Ok(false) => continue,
                 Err(e) => {
                     last_err = Some(e);
                     continue;
                 }
-            };
-            if !holds {
-                continue;
             }
             // Inside a parity level this already reconstructs a corrupt
             // record from its XOR group before we ever fall through.
@@ -1203,12 +1202,7 @@ impl StorageBackend for PolicyBackend {
             if level.is_suspect() {
                 continue;
             }
-            let holds = level
-                .store()
-                .epochs()
-                .map(|eps| eps.contains(&up_to))
-                .unwrap_or(false);
-            if !holds {
+            if !level.holds(up_to).unwrap_or(false) {
                 continue; // e.g. capacity-evicted past the fold point
             }
             match level.store().compact(up_to) {
@@ -1240,12 +1234,7 @@ impl StorageBackend for PolicyBackend {
             .all(|l| l.store().supports_compaction())
     }
 
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         let mut last_err = None;
         for level in &self.shared.levels {
             if let Err(e) = level.store().install_compacted(from, into, records) {
@@ -1256,44 +1245,44 @@ impl StorageBackend for PolicyBackend {
         last_err.map_or(Ok(()), Err)
     }
 
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
+    fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
+        // Partition once per level (one `epochs()` probe) and retire each
+        // healthy level's share as ONE batch — one manifest fsync per
+        // file-backed level however many epochs go.
         let mut last_err = None;
         for level in &self.shared.levels {
             if level.is_suspect() {
                 continue; // cleaned up on reconcile via the retired set
             }
-            match level.store().epochs() {
-                Ok(eps) if eps.contains(&epoch) => {
-                    if let Err(e) = level.store().remove_epoch(epoch) {
-                        level.suspect.store(true, Ordering::SeqCst);
-                        last_err = Some(e);
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    // The level is down: it cannot act now, but the
-                    // retired set below guarantees the epoch is dropped
-                    // when it reconciles — not an error for the caller.
-                    level.suspect.store(true, Ordering::SeqCst);
-                }
+            let Ok(present) = level.store().epochs() else {
+                // The level is down: it cannot act now, but the retired
+                // set below guarantees the epochs are dropped when it
+                // reconciles — not an error for the caller.
+                level.suspect.store(true, Ordering::SeqCst);
+                continue;
+            };
+            let held: Vec<u64> = epochs
+                .iter()
+                .copied()
+                .filter(|e| present.contains(e))
+                .collect();
+            if held.is_empty() {
+                continue;
+            }
+            if let Err(e) = level.store().remove_epochs(&held) {
+                level.suspect.store(true, Ordering::SeqCst);
+                last_err = Some(e);
             }
         }
         let mut state = self.shared.state.lock().unwrap();
-        state.retired.insert(epoch);
+        state.retired.extend(epochs);
         for queue in &mut state.queues {
-            queue.retain(|&(e, _)| e != epoch);
+            queue.retain(|(e, _)| !epochs.contains(e));
         }
         for deferred in &mut state.deferred {
-            deferred.retain(|&(e, _)| e != epoch);
+            deferred.retain(|(e, _)| !epochs.contains(e));
         }
         last_err.map_or(Ok(()), Err)
-    }
-
-    fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        for &epoch in epochs {
-            self.remove_epoch(epoch)?;
-        }
-        Ok(())
     }
 
     fn drain_one(&self) -> io::Result<Option<u64>> {
@@ -1327,15 +1316,13 @@ impl StorageBackend for PolicyBackend {
             if level.is_suspect() {
                 continue;
             }
-            let holds = match level.store().epochs() {
-                Ok(eps) => eps.contains(&epoch),
+            match level.holds(epoch) {
+                Ok(true) => {}
+                Ok(false) => continue,
                 Err(e) => {
                     last_err = Some(e);
                     continue;
                 }
-            };
-            if !holds {
-                continue;
             }
             match level.store().verify_epoch(epoch) {
                 Ok(report) => match &mut merged {
@@ -1356,7 +1343,7 @@ impl StorageBackend for PolicyBackend {
         }
     }
 
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         // Rewrite every alive holder. A level that fails the rewrite is
         // marked suspect: reconcile rebuilds it wholesale from a clean
         // peer, which is itself a repair.
@@ -1366,12 +1353,7 @@ impl StorageBackend for PolicyBackend {
             if level.is_suspect() {
                 continue;
             }
-            let holds = level
-                .store()
-                .epochs()
-                .map(|eps| eps.contains(&epoch))
-                .unwrap_or(false);
-            if !holds {
+            if !level.holds(epoch).unwrap_or(false) {
                 continue;
             }
             match level.store().rewrite_epoch(epoch, records) {
@@ -1407,12 +1389,7 @@ impl StorageBackend for PolicyBackend {
             if level.is_suspect() {
                 continue;
             }
-            let holds = level
-                .store()
-                .epochs()
-                .map(|eps| eps.contains(&epoch))
-                .unwrap_or(false);
-            if !holds {
+            if !level.holds(epoch).unwrap_or(false) {
                 continue;
             }
             match level.store().verify_epoch(epoch) {
@@ -1465,7 +1442,7 @@ impl StorageBackend for PolicyBackend {
             let mut healed_from = None;
             for &src in &clean {
                 if let Ok(Some(records)) = try_read_epoch(self.shared.levels[src].store(), epoch) {
-                    level.store().rewrite_epoch(epoch, &records)?;
+                    level.store().rewrite_epoch(epoch, &as_batch(&records))?;
                     healed_from = Some(src);
                     break;
                 }
@@ -1496,12 +1473,7 @@ impl StorageBackend for PolicyBackend {
             if level.is_suspect() {
                 continue;
             }
-            let holds = level
-                .store()
-                .epochs()
-                .map(|eps| eps.contains(&epoch))
-                .unwrap_or(false);
-            if !holds {
+            if !level.holds(epoch).unwrap_or(false) {
                 continue;
             }
             match level.store().record_meta(epoch, page) {
@@ -1732,7 +1704,7 @@ mod tests {
         }
         drain_all(&policy);
         controls[1].kill();
-        policy.remove_epoch(1).unwrap();
+        policy.remove_epochs(&[1]).unwrap();
         controls[1].heal();
         policy.drain_backlog();
         assert_eq!(policy.epochs().unwrap(), vec![2, 3]);
@@ -1741,6 +1713,39 @@ mod tests {
         controls[0].kill();
         controls[2].kill();
         assert_eq!(policy.epochs().unwrap(), vec![2, 3]);
+    }
+
+    #[test]
+    fn batched_retirement_costs_one_manifest_fsync_per_level() {
+        let root = std::env::temp_dir().join(format!(
+            "aickpt-policy-batchrm-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let spec = ResilienceSpec::parse("hot=plain -> cold=plain").unwrap();
+        let policy = PolicyBuilder::new(spec)
+            .unwrap()
+            .build(|level, _| {
+                Box::new(crate::file::FileBackend::open(root.join(format!("l{level}"))).unwrap())
+            })
+            .unwrap();
+        for epoch in 1..=5u64 {
+            write_epoch(&policy, epoch, epoch_pages(epoch)).unwrap();
+        }
+        drain_all(&policy);
+        let fsyncs = |l: usize| policy.shared.levels[l].store().io_stats().manifest_fsyncs;
+        let before = [fsyncs(0), fsyncs(1)];
+        policy.remove_epochs(&[1, 2, 3, 4]).unwrap();
+        for (l, before) in before.into_iter().enumerate() {
+            assert_eq!(
+                fsyncs(l) - before,
+                1,
+                "level {l}: a 4-epoch retirement is one manifest commit"
+            );
+        }
+        assert_eq!(policy.epochs().unwrap(), vec![5]);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -1792,6 +1797,9 @@ mod tests {
     }
 
     impl<B: StorageBackend> StorageBackend for CorruptPage<B> {
+        fn inner(&self) -> Option<&dyn StorageBackend> {
+            Some(&self.inner)
+        }
         fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
             self.inner.begin_epoch(epoch)
         }
@@ -1804,14 +1812,11 @@ mod tests {
         fn epochs(&self) -> io::Result<Vec<u64>> {
             self.inner.epochs()
         }
-        fn high_water(&self) -> io::Result<Option<u64>> {
-            self.inner.high_water()
-        }
         fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
             self.inner.read_epoch(epoch, visit)
         }
-        fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-            self.inner.epoch_page_ids(epoch)
+        fn bytes_written(&self) -> u64 {
+            self.inner.bytes_written()
         }
         fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
             if page == self.page {
@@ -1821,12 +1826,6 @@ mod tests {
                 ));
             }
             self.inner.read_page_at(epoch, page)
-        }
-        fn bytes_written(&self) -> u64 {
-            self.inner.bytes_written()
-        }
-        fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-            self.inner.remove_epoch(epoch)
         }
     }
 

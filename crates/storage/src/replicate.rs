@@ -9,7 +9,7 @@
 
 use std::io;
 
-use crate::backend::{EpochWriter, StorageBackend};
+use crate::backend::{as_batch, EpochWriter, StorageBackend};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
 /// Mirrors every operation across `n` replicas.
@@ -175,21 +175,9 @@ impl StorageBackend for ReplicatedBackend {
         Ok(first.expect("at least one replica"))
     }
 
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         for r in &self.replicas {
             r.install_compacted(from, into, records)?;
-        }
-        Ok(())
-    }
-
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-        for r in &self.replicas {
-            r.remove_epoch(epoch)?;
         }
         Ok(())
     }
@@ -239,7 +227,7 @@ impl StorageBackend for ReplicatedBackend {
         Ok(report)
     }
 
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         for r in &self.replicas {
             r.rewrite_epoch(epoch, records)?;
         }
@@ -293,7 +281,7 @@ impl StorageBackend for ReplicatedBackend {
             if report.is_clean() {
                 continue;
             }
-            r.rewrite_epoch(epoch, &image)?;
+            r.rewrite_epoch(epoch, &as_batch(&image))?;
             for &p in &report.corrupt_pages {
                 if !pages.contains(&p) {
                     pages.push(p);

@@ -433,7 +433,7 @@ mod tests {
         assert_eq!(st.repair_failures, 1);
         assert_eq!(st.epochs_quarantined, 1);
         // Retiring the epoch clears the quarantine entry.
-        b.remove_epoch(1).unwrap();
+        b.remove_epochs(&[1]).unwrap();
         s.cycle(&b).unwrap();
         assert!(!s.is_quarantined(1));
         assert_eq!(s.stats().epochs_quarantined, 0);

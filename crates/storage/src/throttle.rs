@@ -210,7 +210,15 @@ impl EpochWriter for ThrottledEpochWriter {
     }
 }
 
+// Only the checkpoint channel is throttled: page writes always, blob and
+// page reads when a read throttle is set. Everything else — compaction,
+// retirement, drains, integrity maintenance — is out-of-band traffic that
+// paces itself, and reaches the wrapped backend through `inner()`.
 impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&self.inner)
+    }
+
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         Ok(Box::new(ThrottledEpochWriter {
             inner: self.inner.begin_epoch(epoch)?,
@@ -234,10 +242,6 @@ impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
         self.inner.epochs()
     }
 
-    fn high_water(&self) -> io::Result<Option<u64>> {
-        self.inner.high_water()
-    }
-
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
         let mut bytes = 0u64;
         let mut records = 0u64;
@@ -250,10 +254,6 @@ impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
         Ok(())
     }
 
-    fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        self.inner.epoch_page_ids(epoch)
-    }
-
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
         let hit = self.inner.read_page_at(epoch, page)?;
         if let Some(data) = &hit {
@@ -262,83 +262,8 @@ impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
         Ok(hit)
     }
 
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        self.inner.delete_blob(name)
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        self.inner.list_blobs()
-    }
-
     fn bytes_written(&self) -> u64 {
         self.inner.bytes_written()
-    }
-
-    fn bytes_stored(&self) -> u64 {
-        self.inner.bytes_stored()
-    }
-
-    fn chain(&self) -> io::Result<Vec<crate::backend::ChainEntry>> {
-        self.inner.chain()
-    }
-
-    fn supports_compaction(&self) -> bool {
-        self.inner.supports_compaction()
-    }
-
-    fn compact(&self, up_to: u64) -> io::Result<crate::backend::CompactionStats> {
-        // Maintenance traffic is not throttled: the emulated device models
-        // the checkpoint channel, and compaction runs out-of-band.
-        self.inner.compact(up_to)
-    }
-
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
-        self.inner.install_compacted(from, into, records)
-    }
-
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-        self.inner.remove_epoch(epoch)
-    }
-
-    fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        self.inner.remove_epochs(epochs)
-    }
-
-    fn drain_one(&self) -> io::Result<Option<u64>> {
-        self.inner.drain_one()
-    }
-
-    fn drain_backlog(&self) -> usize {
-        self.inner.drain_backlog()
-    }
-
-    // Integrity maintenance is out-of-band like compaction: the scrubber
-    // paces itself with its own byte budget, so the emulated checkpoint
-    // channel is not charged for it.
-
-    fn verify_epoch(&self, epoch: u64) -> io::Result<crate::scrub::VerifyReport> {
-        self.inner.verify_epoch(epoch)
-    }
-
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
-        self.inner.rewrite_epoch(epoch, records)
-    }
-
-    fn repair_epoch(&self, epoch: u64) -> io::Result<crate::scrub::RepairReport> {
-        self.inner.repair_epoch(epoch)
-    }
-
-    fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<crate::scrub::RecordMeta>> {
-        self.inner.record_meta(epoch, page)
-    }
-
-    fn io_stats(&self) -> crate::io::IoStats {
-        self.inner.io_stats()
     }
 }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{ChainEntry, CompactionStats, EpochWriter, StorageBackend};
+use crate::backend::{as_batch, ChainEntry, CompactionStats, EpochWriter, StorageBackend};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
 struct TierState {
@@ -311,12 +311,7 @@ impl StorageBackend for TieredBackend {
         self.slow.compact(up_to)
     }
 
-    fn install_compacted(
-        &self,
-        from: u64,
-        into: u64,
-        records: &[(u64, Vec<u8>)],
-    ) -> io::Result<()> {
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         // A wrapper above this backend (e.g. `ParityBackend`) may run the
         // default merge itself and install through this primitive. The full
         // segment belongs on the durable tier, so everything it supersedes
@@ -325,21 +320,10 @@ impl StorageBackend for TieredBackend {
         self.slow.install_compacted(from, into, records)
     }
 
-    fn remove_epoch(&self, epoch: u64) -> io::Result<()> {
-        if self.fast.epochs()?.contains(&epoch) {
-            self.fast.remove_epoch(epoch)?;
-            self.state.lock().pending.retain(|&e| e != epoch);
-            Ok(())
-        } else {
-            self.slow.remove_epoch(epoch)
-        }
-    }
-
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        // Audit fix: the trait default loops `remove_epoch`, which pays one
-        // fast-tier `epochs()` probe per epoch and loses the slow tier's
-        // batched retirement (one manifest fsync for the whole batch on the
-        // file backend). Partition once, then batch per tier.
+        // Partition once (one fast-tier `epochs()` probe), then batch per
+        // tier: the slow tier's retirement stays one manifest fsync for the
+        // whole batch on the file backend.
         let on_fast = self.fast.epochs()?;
         let (fast_part, slow_part): (Vec<u64>, Vec<u64>) =
             epochs.iter().copied().partition(|e| on_fast.contains(e));
@@ -370,7 +354,7 @@ impl StorageBackend for TieredBackend {
         }
     }
 
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, Vec<u8>)]) -> io::Result<()> {
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         match self.fast.rewrite_epoch(epoch, records) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -397,7 +381,7 @@ impl StorageBackend for TieredBackend {
                 let mut records = Vec::new();
                 self.slow
                     .read_epoch(epoch, &mut |page, data| records.push((page, data.to_vec())))?;
-                self.fast.rewrite_epoch(epoch, &records)?;
+                self.fast.rewrite_epoch(epoch, &as_batch(&records))?;
                 Ok(RepairReport {
                     epoch,
                     pages: records.iter().map(|(p, _)| *p).collect(),
@@ -452,7 +436,7 @@ impl StorageBackend for TieredBackend {
         // tier and release the queue slot. The queue only pops once the
         // eviction succeeded, so `pending` stays truthful (a failed
         // eviction is retried by the next drain, skipping the copy).
-        self.fast.remove_epoch(epoch)?;
+        self.fast.remove_epochs(&[epoch])?;
         self.state.lock().pending.pop_front();
         Ok(Some(epoch))
     }

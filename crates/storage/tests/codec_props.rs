@@ -1,13 +1,12 @@
-//! Cross-version segment properties: chains mixing hand-written v1
-//! (`AICKSEG1`) segments with v2 (`AICKSEG2`) segments written by the
-//! current backend must read back byte-identically, whatever the payload
+//! Mixed-encoding segment properties: chains whose prefix was written under
+//! one `Compression` policy and whose suffix under the other (a reopen with
+//! a changed policy) must read back byte-identically, whatever the payload
 //! shapes, and survive a latest-wins fold.
 
 use std::fs;
 use std::path::PathBuf;
 
 use ai_ckpt_core::rng::SplitMix64;
-use ai_ckpt_storage::file::write_v1_epoch_for_tests;
 use ai_ckpt_storage::{write_epoch, CheckpointImage, Compression, FileBackend, StorageBackend};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -30,19 +29,21 @@ fn payload(rng: &mut SplitMix64) -> Vec<u8> {
 }
 
 #[test]
-fn mixed_v1_v2_chains_read_back_and_fold_identically() {
+fn mixed_encoding_chains_read_back_and_fold_identically() {
     let mut rng = SplitMix64::new(0x002C_E551);
     for case in 0..12u64 {
         let dir = tmpdir(&format!("mix-{case}"));
-        let compression = if case % 2 == 0 {
-            Compression::Auto
+        let (before, after) = if case % 2 == 0 {
+            (Compression::None, Compression::Auto)
         } else {
-            Compression::None
+            (Compression::Auto, Compression::None)
         };
         // Model: page -> latest payload, built alongside the chain.
         let mut model: std::collections::BTreeMap<u64, Vec<u8>> = Default::default();
         let epochs = 2 + rng.next_below(4);
-        // v1 prefix, written by "the old process".
+        // Prefix, written by "the old process" under the other policy.
+        let mut old = FileBackend::open(&dir).unwrap().with_compression(before);
+        old.sync_on_finish = false;
         for e in 1..=epochs {
             let pages: Vec<(u64, Vec<u8>)> = (0..1 + rng.next_below(6))
                 .map(|_| (rng.next_below(24), payload(&mut rng)))
@@ -55,12 +56,11 @@ fn mixed_v1_v2_chains_read_back_and_fold_identically() {
             for (p, d) in &pages {
                 model.insert(*p, d.clone());
             }
-            write_v1_epoch_for_tests(&dir, e, &pages).unwrap();
+            write_epoch(&old, e, pages).unwrap();
         }
-        // v2 suffix, written by the upgraded backend.
-        let mut b = FileBackend::open(&dir)
-            .unwrap()
-            .with_compression(compression);
+        drop(old);
+        // Suffix, written after a reopen with the policy flipped.
+        let mut b = FileBackend::open(&dir).unwrap().with_compression(after);
         b.sync_on_finish = false;
         for e in epochs + 1..=epochs + 3 {
             let pages: Vec<(u64, Vec<u8>)> = (0..1 + rng.next_below(6))
@@ -85,8 +85,8 @@ fn mixed_v1_v2_chains_read_back_and_fold_identically() {
             }
         };
         check(&b, "mixed chain");
-        // Folding the mixed chain rewrites everything as v2; bytes must not
-        // change.
+        // Folding the mixed chain re-encodes everything under the current
+        // policy; bytes must not change.
         b.compact(head).unwrap();
         check(&b, "after fold");
         // …and a cold reopen reads the same.

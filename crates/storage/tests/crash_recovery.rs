@@ -350,3 +350,51 @@ fn segment_count_stays_bounded_across_fifty_epochs() {
     fs::remove_dir_all(&dir).unwrap();
     fs::remove_dir_all(&twin_dir).unwrap();
 }
+
+/// Overwrite the 8-byte magic at the head of `path`.
+fn stamp_magic(path: &Path, magic: &[u8; 8]) {
+    let mut f = OpenOptions::new().write(true).open(path).unwrap();
+    f.write_all(magic).unwrap();
+}
+
+#[test]
+fn v1_magics_are_rejected_loudly_never_read_as_empty() {
+    // The never-deployed v1 formats are gone. A directory carrying their
+    // magics is foreign data: every entry point must refuse it by name
+    // (`InvalidData`), never treat it as an empty log or an empty epoch.
+    let expect = |err: std::io::Error, magic: &str| {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().contains(magic),
+            "error names {magic}: {err}"
+        );
+    };
+    let dir = tmpdir("v1-reject");
+    let b = populate(&dir, 2);
+
+    // A v1 segment under a current manifest: streaming reads, the frame
+    // index and random reads all fail; the scrubber reports it structural.
+    stamp_magic(&dir.join("epoch_0000000001.seg"), b"AICKSEG1");
+    expect(b.read_epoch(1, &mut |_, _| {}).unwrap_err(), "AICKSEG1");
+    expect(b.epoch_page_ids(1).unwrap_err(), "AICKSEG1");
+    expect(b.read_page_at(1, 0).unwrap_err(), "AICKSEG1");
+    let report = b.verify_epoch(1).unwrap();
+    assert!(report.structural.iter().any(|s| s.contains("AICKSEG1")));
+    assert!(CheckpointImage::load(&b, 2).is_err(), "restore refuses");
+    drop(b);
+
+    // A v1 manifest: open, read and append all fail.
+    let manifest = dir.join("MANIFEST");
+    stamp_magic(&manifest, b"AICKMAN1");
+    expect(FileBackend::open(&dir).unwrap_err(), "AICKMAN1");
+    expect(
+        ai_ckpt_storage::manifest::read(&manifest).unwrap_err(),
+        "AICKMAN1",
+    );
+    let record = ai_ckpt_storage::ManifestRecord::delta(3, 0, 0);
+    expect(
+        ai_ckpt_storage::manifest::append(&manifest, record).unwrap_err(),
+        "AICKMAN1",
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -227,7 +227,7 @@ fn shard_files_are_garbage_collected_with_their_epoch() {
         w.finish().unwrap();
     }
     // Retiring epoch 1 leaves no file of it behind, shards included.
-    b.remove_epoch(1).unwrap();
+    b.remove_epochs(&[1]).unwrap();
     assert!(
         !epoch_files(&dir).iter().any(|n| n.contains("0000000001")),
         "every epoch-1 shard removed, got {:?}",

@@ -1,22 +1,79 @@
 //! Wrapper conformance: every `StorageBackend` wrapper must be
 //! *observably transparent* over the store it wraps — same epoch listing,
 //! same chain, same per-page random reads, same blob namespace, same
-//! restored image — including through the trait methods that have
-//! defaults (`epoch_page_ids`, `read_page_at`, `remove_epochs`,
-//! `delete_blob`/`list_blobs`, `high_water`). A wrapper that forgets to
-//! forward one of those silently degrades to the default implementation
-//! and only diverges under load or degradation; this suite pins each
-//! wrapper against a plain `MemoryBackend` twin executing the same
-//! deterministic (seed-pinned `SplitMix64`) operation log.
+//! restored image. Single-child wrappers get every provided method
+//! forwarded through `StorageBackend::inner()`, so for them this suite
+//! proves the delegate itself (the `bare-*` rows: six required methods plus
+//! `inner()`, nothing else) and that each override still agrees with what
+//! it overrides. Multi-child composites (replicated, tiered, policy) have
+//! no single `inner()` and still spell every operation out — there a
+//! forgotten method silently degrades to the leaf default, which is what
+//! pinning each one against a plain `MemoryBackend` twin executing the same
+//! deterministic (seed-pinned `SplitMix64`) operation log catches.
 
 use ai_ckpt_core::rng::SplitMix64;
 use ai_ckpt_storage::{
-    write_epoch, CheckpointImage, FailingBackend, MemoryBackend, MemoryRoot, ParityBackend,
-    PolicyBuilder, ReplicatedBackend, ResilienceSpec, ScrubPolicy, Scrubber, StorageBackend,
-    ThrottledBackend, TieredBackend,
+    write_epoch, CheckpointImage, EpochKind, EpochWriter, FailingBackend, FileBackend,
+    MemoryBackend, MemoryRoot, ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec,
+    ScrubPolicy, Scrubber, StorageBackend, ThrottledBackend, TieredBackend,
 };
 use std::collections::BTreeMap;
+use std::io;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// The whole cost of a transparent wrapper: the six required methods plus
+/// `inner()`. Everything else must reach the wrapped backend by itself.
+/// (The optional path is a checkpoint directory to delete on drop.)
+struct Bare<B>(B, Option<PathBuf>);
+
+impl<B: StorageBackend> StorageBackend for Bare<B> {
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&self.0)
+    }
+    fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
+        self.0.begin_epoch(epoch)
+    }
+    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
+        self.0.put_blob(name, data)
+    }
+    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+        self.0.get_blob(name)
+    }
+    fn epochs(&self) -> io::Result<Vec<u64>> {
+        self.0.epochs()
+    }
+    fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
+        self.0.read_epoch(epoch, visit)
+    }
+    fn bytes_written(&self) -> u64 {
+        self.0.bytes_written()
+    }
+}
+
+impl<B> Drop for Bare<B> {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.1 {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// A bare delegate over a (compaction-capable) `FileBackend` in a fresh
+/// temp directory, removed when the delegate drops.
+fn bare_file() -> Bare<FileBackend> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "aickpt-conformance-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut file = FileBackend::open(&dir).unwrap();
+    file.sync_on_finish = false;
+    Bare(file, Some(dir))
+}
 
 /// An arbitrary epoch with *unique* page ids (checkpoint epochs commit
 /// each page at most once; XOR parity groups rely on that).
@@ -46,6 +103,14 @@ fn wrappers() -> Vec<(&'static str, Build)> {
                 let inner: Box<dyn StorageBackend> = Box::new(MemoryBackend::new());
                 Box::new(inner) as Box<dyn StorageBackend>
             }) as Build,
+        ),
+        (
+            "bare-memory",
+            Box::new(|| Box::new(Bare(MemoryBackend::new(), None)) as Box<dyn StorageBackend>),
+        ),
+        (
+            "bare-file",
+            Box::new(|| Box::new(bare_file()) as Box<dyn StorageBackend>),
         ),
         (
             "namespaced",
@@ -176,6 +241,52 @@ fn wrappers_are_observably_transparent_over_memory() {
             assert_agree(name, case, wrapper.as_ref(), &reference);
         }
     }
+}
+
+/// The op-log above reaches the read side, retirement, verification and
+/// draining; this walks the rest of the provided surface through a bare
+/// delegate and checks each answer is the wrapped backend's own — not the
+/// leaf default a wrapper without `inner()` would have given.
+#[test]
+fn bare_delegate_forwards_every_provided_method() {
+    let bare = bare_file();
+    let file = &bare.0;
+    let pages = |v: u8| vec![(0u64, vec![v; 64]), (1, vec![v ^ 0xFF; 64])];
+    for epoch in 1..=3u64 {
+        write_epoch(&bare, epoch, pages(epoch as u8)).unwrap();
+    }
+    // Counters and metadata: the leaf defaults would be bytes_written, no
+    // I/O at all, and no record metadata.
+    assert!(bare.bytes_stored() < bare.bytes_written(), "Auto codec");
+    assert_eq!(bare.bytes_stored(), file.bytes_stored());
+    assert_eq!(bare.io_stats(), file.io_stats());
+    assert!(bare.io_stats().manifest_appends >= 3);
+    assert_eq!(bare.record_meta(1, 0).unwrap().unwrap().raw_len, 64);
+    // Retirement burns the number: the leaf default derives the mark from
+    // `epochs()` and would forget epoch 3.
+    bare.remove_epochs(&[3]).unwrap();
+    assert_eq!(bare.high_water().unwrap(), Some(3));
+    // The install/rewrite primitives and compaction: unsupported on a leaf.
+    assert!(bare.supports_compaction());
+    bare.rewrite_epoch(1, &[(0, &[7u8; 64]), (1, &[8u8; 64])])
+        .unwrap();
+    assert_eq!(bare.read_page_at(1, 0).unwrap().unwrap(), vec![7u8; 64]);
+    let stats = bare.compact(2).unwrap();
+    assert_eq!((stats.from, stats.into, stats.segments_removed), (1, 2, 2));
+    assert_eq!(bare.chain().unwrap(), file.chain().unwrap());
+    assert_eq!(bare.chain().unwrap()[0].kind, EpochKind::Full);
+    write_epoch(&bare, 4, pages(4)).unwrap();
+    bare.install_compacted(2, 4, &[(0, &[9u8; 64])]).unwrap();
+    assert_eq!(bare.epochs().unwrap(), vec![4]);
+    assert_eq!(bare.epoch_page_ids(4).unwrap(), vec![0]);
+    // Repair: the file backend heals a rotten manifest count by recount;
+    // a leaf default has no repair at all.
+    ai_ckpt_storage::corrupt_manifest_count(file.dir(), 4).unwrap();
+    assert!(!bare.verify_epoch(4).unwrap().is_clean());
+    assert_eq!(bare.repair_epoch(4).unwrap().source, "manifest recount");
+    assert!(bare.verify_epoch(4).unwrap().is_clean());
+    // Single-tier: no backlog, through the delegate too.
+    assert_eq!((bare.drain_one().unwrap(), bare.drain_backlog()), (None, 0));
 }
 
 #[test]

@@ -38,15 +38,21 @@ fn scribble(buf: &mut ai_ckpt::ProtectedBuffer, epoch: u8) {
     }
 }
 
+/// Live on-disk segments: distinct `epoch_N` / `full_N` numbers, not files —
+/// an epoch committed by several contending streams is one segment spread
+/// over one shard file per stream (`epoch_N.seg`, `epoch_N.s1.seg`, …), and
+/// how many shards an epoch gets depends on thread scheduling.
 fn segment_count(dir: &Path) -> usize {
-    fs::read_dir(dir)
+    let segments: std::collections::BTreeSet<String> = fs::read_dir(dir)
         .unwrap()
-        .filter(|e| {
-            let name = e.as_ref().unwrap().file_name();
-            let n = name.to_string_lossy().into_owned();
-            (n.starts_with("epoch_") || n.starts_with("full_")) && n.ends_with(".seg")
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().to_string_lossy().into_owned();
+            let stem = name.strip_suffix(".seg")?;
+            (stem.starts_with("epoch_") || stem.starts_with("full_"))
+                .then(|| stem.split('.').next().unwrap().to_owned())
         })
-        .count()
+        .collect();
+    segments.len()
 }
 
 /// Run EPOCHS checkpoints under `policy`; returns the peak on-disk segment

@@ -3,8 +3,6 @@
 //! * on a 50% clean-dirty, RLE-friendly workload, the digest filter plus
 //!   `AICKSEG2` compression cut flushed bytes by at least 2× while the
 //!   restored image stays byte-identical;
-//! * a v1 (`AICKSEG1`) segment written before the upgrade still restores,
-//!   including mixed v1+v2 chains;
 //! * a parity + tiered + compaction stack compacts under
 //!   `CompactionPolicy` and `recover_page` still works on a
 //!   post-compaction full segment.
@@ -14,7 +12,6 @@ use std::path::PathBuf;
 
 use ai_ckpt::{CkptConfig, CompactionPolicy, PageManager};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::file::write_v1_epoch_for_tests;
 use ai_ckpt_storage::{
     CheckpointImage, Compression, EpochKind, FileBackend, MemoryBackend, ParityBackend,
     StorageBackend, TieredBackend,
@@ -96,39 +93,6 @@ fn flushed_bytes_drop_at_least_2x_with_byte_identical_restore() {
         "acceptance bound: >= 2x flushed-byte reduction \
          ({aware_stored} vs {base_stored})"
     );
-}
-
-#[test]
-fn v1_segments_written_before_the_upgrade_still_restore() {
-    let dir = tmpdir("v1-compat");
-    write_v1_epoch_for_tests(
-        &dir,
-        1,
-        &[
-            (0, vec![0xAA; 256]),
-            (1, vec![0xBB; 256]),
-            (7, vec![1, 2, 3]),
-        ],
-    )
-    .unwrap();
-    let b = FileBackend::open(&dir).unwrap();
-    assert_eq!(b.epochs().unwrap(), vec![1]);
-    let img = CheckpointImage::load(&b, 1).unwrap();
-    assert_eq!(img.page(0).unwrap(), &[0xAA; 256][..]);
-    assert_eq!(img.page(7).unwrap(), &[1, 2, 3][..]);
-
-    // Post-upgrade epochs append in v2 on top of the v1 prefix; restore
-    // merges across formats, and compaction folds the mixed chain into a
-    // (v2) full segment with the same bytes.
-    ai_ckpt_storage::write_epoch(&b, 2, vec![(1, vec![0xCC; 256]), (9, vec![9u8; 64])]).unwrap();
-    let mixed = CheckpointImage::load(&b, 2).unwrap();
-    assert_eq!(mixed.page(0).unwrap(), &[0xAA; 256][..], "v1 page");
-    assert_eq!(mixed.page(1).unwrap(), &[0xCC; 256][..], "v2 wins");
-    assert_eq!(mixed.page(9).unwrap(), &[9u8; 64][..]);
-    b.compact(2).unwrap();
-    let folded = CheckpointImage::load(&b, 2).unwrap();
-    assert_eq!(folded, mixed, "fold of a mixed-format chain is lossless");
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

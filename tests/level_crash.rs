@@ -278,11 +278,14 @@ fn retirement_with_a_failing_level_sticks_and_cleans_up_after_heal() {
     let e2 = commit_epoch(&policy, 0xB2);
     drain_tolerant(&policy);
 
-    // remove_epoch fails on the partner level: the retirement is still
+    // remove_epochs fails on the partner level: the retirement is still
     // recorded policy-wide (the epoch disappears from every listing) and
     // the caller sees the error.
     controls[1].fail_remove_epoch(true);
-    assert!(policy.remove_epoch(1).is_err(), "failing level surfaces");
+    assert!(
+        policy.remove_epochs(&[1]).is_err(),
+        "failing level surfaces"
+    );
     assert_eq!(policy.epochs().unwrap(), vec![2], "retired policy-wide");
     assert_restores(&policy, &e2, "retired while failing");
 
