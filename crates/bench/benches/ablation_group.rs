@@ -1,15 +1,16 @@
 //! Group ablation: coordinated-checkpoint wall time across a ranks ×
 //! streams sweep, on the real mprotect runtime. Every rank flushes through
 //! its own throttled storage channel set (one emulated channel per
-//! committer stream, as on a striped parallel file system), so the headline
-//! expectations are:
+//! committer stream, as on a striped parallel file system), and the group
+//! hosts every rank on one flush pool of `streams` workers, so the
+//! headline expectations are:
 //!
-//! * **ranks**: near-flat wall time as the group grows — phase 1 overlaps
-//!   every rank's flush on its own committer pool, and phase 2 is one tiny
-//!   manifest append;
 //! * **streams**: wall time drops with the stream count, exactly like the
-//!   single-rank `ablation_streams`, because the group inherits each
-//!   manager's multi-stream pipeline unchanged.
+//!   single-rank `ablation_streams` — the pool's workers are the
+//!   multi-stream pipeline;
+//! * **ranks**: wall time grows with the group's total dirty set over the
+//!   shared workers (ranks × pages ÷ streams); the group adds one tiny
+//!   manifest append in phase 2 and no threads per rank.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};

@@ -9,8 +9,9 @@
 //! `CHECKPOINT`):
 //!
 //! 1. **Phase 1 — rank finish.** Every rank's manager takes checkpoint `e`
-//!    (kick all, then wait all: the flushes themselves overlap on each
-//!    rank's own committer streams — thread-per-rank parallelism). A rank
+//!    (kick all, then wait all: the flushes interleave on the one
+//!    [`FlushPool`] the group hosts every rank on — `committer_streams`
+//!    workers plus a maintenance worker, whatever the rank count). A rank
 //!    epoch is durable once its `EpochWriter::finish` committed it to the
 //!    rank's manifest.
 //! 2. **Phase 2 — global append.** Only after *every* rank committed does
@@ -61,7 +62,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ai_ckpt::restore::{restore_at, RestoredState};
-use ai_ckpt::{CkptConfig, CompactionPolicy, PageManager};
+use ai_ckpt::{CkptConfig, CompactionPolicy, DrainPolicy, FlushPool, PageManager};
 use ai_ckpt_storage::{EpochKind, FileBackend, StorageBackend};
 
 use crate::global::{self, GlobalRecord};
@@ -86,7 +87,8 @@ pub struct GroupConfig {
     /// (forced to disabled inside each manager): per-rank folds must not
     /// cross the globally committed horizon, so chain compaction is
     /// group-driven — see [`GroupConfig::compaction`]. Tier draining stays
-    /// with each rank's maintenance worker (it never loses epochs).
+    /// with the pool's maintenance worker (it never loses epochs).
+    /// `committer_streams` sizes the group's shared pool.
     pub ckpt: CkptConfig,
     /// Group-level chain compaction: when either trigger fires on a rank's
     /// chain, the coordinator folds that chain up to the newest *globally
@@ -205,10 +207,13 @@ impl CheckpointGroup {
         let mut rank_cfg = cfg.ckpt.clone();
         rank_cfg.compaction = CompactionPolicy::DISABLED;
         rank_cfg.epoch_floor = floor;
+        // One pool hosts every rank: `committer_streams + 1` threads
+        // whatever the rank count. The ranks' handles keep it alive.
+        let pool = FlushPool::new(rank_cfg.committer_streams, DrainPolicy::OldestFirst)?;
         let mut ranks = Vec::with_capacity(cfg.ranks);
         for backend in backends {
             ranks.push(RankCell {
-                manager: PageManager::with_shared_backend(rank_cfg.clone(), backend)?,
+                manager: pool.attach(rank_cfg.clone(), backend, Arc::new(()))?,
             });
         }
         Ok(Self {
@@ -279,7 +284,7 @@ impl CheckpointGroup {
         let expected = self.next_epoch;
         self.next_epoch += 1;
         // Phase 1a: kick every rank. In async mode each call returns once
-        // the flush is scheduled, so the ranks' committer pools drain
+        // the flush is scheduled, so the pool's workers drain the ranks
         // concurrently.
         let mut failures: Vec<(usize, io::Error)> = Vec::new();
         let mut kicked = vec![false; self.ranks.len()];
@@ -425,8 +430,8 @@ impl CheckpointGroup {
         }))
     }
 
-    /// Block until every rank's maintenance worker (tier draining) caught
-    /// up with the committed state.
+    /// Block until the maintenance worker (tier draining) caught up with
+    /// every rank's committed state.
     pub fn wait_maintenance_idle(&self) -> io::Result<()> {
         for cell in &self.ranks {
             cell.manager.wait_maintenance_idle()?;

@@ -188,7 +188,17 @@ impl Drop for ProtectedBuffer {
         for p in self.base_page..self.base_page + self.pages {
             let mut attempts = 0u32;
             loop {
-                let done = self.ctl.shared.engine().discard_page(p as PageId);
+                let mut eng = self.ctl.shared.engine();
+                let was_active = eng.checkpoint_active();
+                let done = eng.discard_page(p as PageId);
+                let ended_checkpoint = was_active && !eng.checkpoint_active();
+                drop(eng);
+                if ended_checkpoint {
+                    // The discard completed the in-flight checkpoint outside
+                    // any worker's claim: tell the pool now (not after the
+                    // remaining pages), or nobody may finalise the epoch.
+                    self.ctl.pool.checkpoint_drained(self.ctl.tenant);
+                }
                 if done {
                     break;
                 }

@@ -46,8 +46,8 @@
 //!
 //! | module | role |
 //! |--------|------|
-//! | [`manager`] | the page manager: `CHECKPOINT`, fault handling, committer |
-//! | [`attach`] | shared-pool attachment: drive a manager from a multi-tenant host |
+//! | [`manager`] | the page manager: `CHECKPOINT`, fault handling, the batch-flush hot path |
+//! | [`attach`] | the flush pool every manager attaches to: flush workers + maintenance |
 //! | [`buffer`] | `ProtectedBuffer` (= `malloc_protected`/`free_protected`) |
 //! | [`config`] | presets for the paper's three evaluated settings |
 //! | [`restore`] | restart from an incremental checkpoint chain (eager or demand-paged) |
@@ -69,7 +69,7 @@ pub mod restore;
 pub mod stats;
 pub mod transparent;
 
-pub use attach::{ActiveFlush, ClaimOutcome, ClaimScratch, FlushHost, FlushRequest, StatsProbe};
+pub use attach::{FlushPool, TenantHook};
 pub use buffer::ProtectedBuffer;
 pub use config::{CkptConfig, CkptMode, CompactionPolicy};
 pub use manager::PageManager;
@@ -81,5 +81,5 @@ pub use stats::{CheckpointRecord, MaintenanceStats, RuntimeStats};
 
 // Re-export the vocabulary types users need alongside the runtime.
 pub use ai_ckpt_core::{
-    AccessType, CheckpointPlanInfo, EpochStats, LatencySnapshot, SchedulerKind,
+    AccessType, CheckpointPlanInfo, DrainPolicy, EpochStats, LatencySnapshot, SchedulerKind,
 };

@@ -1,42 +1,40 @@
 //! The page manager: "the central actor of our approach" (§3.2), tying the
-//! deterministic engine to real memory protection, a pool of background
-//! committer streams and a storage backend.
+//! deterministic engine to real memory protection and a storage backend.
+//! It owns no threads: every manager is a tenant of a
+//! [`FlushPool`](crate::attach) — private to it, or shared with other
+//! managers — whose workers run the batch-flush hot path defined here.
 //!
-//! Thread/lock architecture (the paper's two concurrent modules, §3.3,
-//! generalised to N committer streams):
+//! The paper's two concurrent modules (§3.3), generalised to N workers:
 //!
 //! * **Application threads** run `PROTECTED_PAGE_HANDLER` inside the SIGSEGV
 //!   handler (`fault_entry`): they take the engine spin lock briefly, may
 //!   copy a page into a CoW slot under it, may spin-wait (lock-free, on the
-//!   shared [`StateTable`]) until a committer stream processes their page,
+//!   shared [`StateTable`]) until a flush worker processes their page,
 //!   then lift the page's write protection and retry the faulting
 //!   instruction. Every handler entry's latency lands in the write-stall
 //!   histogram ([`RuntimeStats::write_stall`]).
-//! * **The committer pool** runs `ASYNC_COMMIT` across
-//!   `CkptConfig::committer_streams` worker threads: each stream claims a
+//! * **The pool's flush workers** run `ASYNC_COMMIT`: each claims a
 //!   *batch* of pages under the engine lock
 //!   ([`EpochEngine::select_batch`], built on `FlushPlan::next_batch`) and
-//!   does everything else *outside* it — payload bytes are handed to the
-//!   backend **zero-copy** (batch slices point straight at application page
-//!   memory and the shared CoW slot store; the file backend builds iovecs
-//!   over them, so page bytes cross no intermediate buffer between the
-//!   application and the kernel), clean-dirty digests
+//!   does everything else *outside* it (`flush_one_batch`) — payload bytes
+//!   are handed to the backend **zero-copy** (batch slices point straight at
+//!   application page memory and the shared CoW slot store; the file
+//!   backend builds iovecs over them, so page bytes cross no intermediate
+//!   buffer between the application and the kernel), clean-dirty digests
 //!   probe a page-id-sharded table, storage I/O goes through a shared
 //!   per-epoch [`EpochWriter`] session, and completed pages are published
 //!   `PAGE_PROCESSED` straight through the lock-free [`StateTable`] (one
 //!   atomic store per page, waking `MustWait` writers immediately). The
 //!   engine lock is re-taken only once per sub-batch, to reconcile slot
-//!   and pending counters ([`EpochEngine::complete_published`]). A stream
-//!   whose claim comes back empty exits its drain — no tail polling.
-//! * **A coordinator thread** sequences whole checkpoints: it opens the
-//!   epoch session, fans the drain out to the worker pool, waits for every
-//!   stream to finish, then commits the epoch atomically
-//!   (`finish`) or aborts it if any stream failed — a failed stream never
-//!   leaves a partially visible epoch. On success it merges each stream's
-//!   private digest-update buffer into the sharded filter table.
+//!   and pending counters ([`EpochEngine::complete_published`]). Whichever
+//!   worker sees the drain complete commits the epoch atomically
+//!   (`finalize_flush`: `finish`, then merge each slot's private
+//!   digest-update buffer into the sharded filter table) or aborts it if
+//!   any claim failed — a failed claim never leaves a partially visible
+//!   epoch.
 //! * **`CHECKPOINT`** (any application thread) waits for the previous
 //!   checkpoint, rolls the epoch under the engine lock, re-protects every
-//!   region, and hands the flush to the coordinator (async mode) or waits
+//!   region, and hands the begun epoch to the pool (async mode) or waits
 //!   for it (sync mode).
 //!
 //! Lock domains (see DESIGN.md §4 for the full inventory): the engine spin
@@ -61,22 +59,23 @@
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
 use ai_ckpt_core::{
-    CheckpointPlanInfo, CowSlotStore, EngineConfig, EpochEngine, FlushItem, FlushSource,
-    LatencyHistogram, PageId, PageState, SpinGuard, SpinLock, StateTable, WriteOutcome,
+    CheckpointPlanInfo, CowSlotStore, DrainPolicy, EngineConfig, EpochEngine, FlushItem,
+    FlushSource, LatencyHistogram, PageId, PageState, SpinGuard, SpinLock, StateTable,
+    WriteOutcome,
 };
 use ai_ckpt_mem::{page_size, registry, sigsegv, MappedRegion, Protection, RegionHit};
-use ai_ckpt_storage::{crc64, EpochKind, EpochWriter, RetryPolicy, Scrubber, StorageBackend};
+use ai_ckpt_storage::{crc64, EpochWriter, Scrubber, StorageBackend};
 
-use crate::config::{CkptConfig, CkptMode, CompactionPolicy};
+use crate::attach::{FlushPool, PoolInner, Tenant};
+use crate::config::{CkptConfig, CkptMode};
 use crate::layout::{self, BufferLayout};
-use crate::stats::{CheckpointRecord, MaintenanceStats, RuntimeStats, StreamStats};
+use crate::stats::{CheckpointRecord, RuntimeStats};
 
 /// Per-page fill states of the demand-paged restore path (values of
 /// [`Shared::fill`]). Transitions are CAS-only (except the initial mark and
@@ -274,6 +273,10 @@ pub(crate) struct Ctl {
     /// Clean-dirty filtering state; `None` when
     /// `CkptConfig::content_filter` is off.
     pub(crate) filter: Option<ContentFilter>,
+    /// The pool draining this manager and the id it knows the manager by:
+    /// how a buffer drop that ends a checkpoint reaches the finaliser.
+    pub(crate) pool: Arc<PoolInner>,
+    pub(crate) tenant: u64,
 }
 
 /// Per-page CRC-64 digests of the last *committed* payload version.
@@ -313,9 +316,9 @@ pub(crate) const DIGEST_SHARDS: usize = 16;
 /// takes one shard lock per digest probe (uncontended in steady state),
 /// never a global one.
 ///
-/// Lifecycle: committer streams *read* the shards to drop clean-dirty pages
-/// and stage `(page, digest)` updates in private per-stream buffers
-/// ([`FlushJob::digest_updates`]); the coordinator merges the buffers into
+/// Lifecycle: flush workers *read* the shards to drop clean-dirty pages
+/// and stage `(page, digest)` updates in private per-slot buffers
+/// ([`FlushJob::digest_updates`]); the finaliser merges the buffers into
 /// the shards only after the epoch's `finish` succeeded — an aborted epoch
 /// must leave the table describing what storage still holds. Restore seeds
 /// the table from the restored image
@@ -407,15 +410,6 @@ impl Regions {
     }
 }
 
-enum Cmd {
-    Checkpoint {
-        seq: u64,
-        started: Instant,
-        layout_blob: Vec<u8>,
-    },
-    Shutdown,
-}
-
 /// One epoch's `(page, digest)` pairs staged by a committer stream.
 type DigestUpdates = Vec<(u64, u64)>;
 
@@ -425,50 +419,40 @@ type DigestUpdates = Vec<(u64, u64)>;
 /// page; large uncut batches would multiply that wait by the batch size).
 const WAKE_BATCH_PAGES: usize = 8;
 
-/// Work counters of one committer stream (atomics: bumped by the worker,
-/// snapshot by `PageManager::stats`).
-#[derive(Default)]
-struct StreamCounters {
-    pages: AtomicU64,
-    bytes: AtomicU64,
-    batches: AtomicU64,
-}
-
-/// One checkpoint's shared drain state, published by the coordinator (or
-/// the multi-tenant service) to whichever worker threads drain it.
-#[derive(Clone)]
+/// One checkpoint's shared drain state: the open epoch session plus what
+/// the pool workers draining it accumulate.
 pub(crate) struct FlushJob {
-    /// The epoch session every stream writes into. `None` when opening the
-    /// epoch failed — the streams then drain the engine *without* writing
+    /// The epoch session every worker writes into. `None` when opening the
+    /// epoch failed — the workers then drain the engine *without* writing
     /// so page states settle and blocked writers wake.
     pub(crate) writer: Option<Arc<dyn EpochWriter>>,
-    /// Set by the first stream that hits a storage error; later batches are
-    /// skipped (drain-only) and the coordinator aborts the epoch.
-    pub(crate) failed: Arc<AtomicBool>,
+    /// Set by the first worker that hits a storage error; later batches are
+    /// skipped (drain-only) and the finaliser aborts the epoch.
+    pub(crate) failed: AtomicBool,
     /// The first storage error's message (first writer wins).
-    pub(crate) error: Arc<Mutex<Option<String>>>,
+    pub(crate) error: Mutex<Option<String>>,
     /// `(page, digest)` pairs of the payloads written into this epoch, one
-    /// private buffer per committer slot: slot `i` is appended to only by
+    /// private buffer per worker slot: slot `i` is appended to only by
     /// the worker draining as slot `i` (under a mutex that is uncontended
     /// by construction), and the finaliser reads the slots only after the
     /// drain completed — the flush hot path shares no digest-update state
     /// across slots. Applied to the digest shards iff `finish` succeeds
     /// (unused when the content filter is off).
-    pub(crate) digest_updates: Arc<[Mutex<DigestUpdates>]>,
+    pub(crate) digest_updates: Box<[Mutex<DigestUpdates>]>,
     /// Clean-dirty pages dropped while draining this epoch; folded into
     /// the filter's counters by the finaliser iff `finish` succeeds, so
     /// the stats describe committed checkpoints only (a retried epoch must
     /// not double-count its skips).
-    pub(crate) skipped_pages: Arc<AtomicU64>,
+    pub(crate) skipped_pages: AtomicU64,
     /// Pages actually written to the epoch session so far (excludes
-    /// clean-dirty skips). The service charges these against tenant quotas.
-    pub(crate) written_pages: Arc<AtomicU64>,
+    /// clean-dirty skips). What tenant quotas are charged.
+    pub(crate) written_pages: AtomicU64,
     /// Bytes actually written to the epoch session so far.
-    pub(crate) written_bytes: Arc<AtomicU64>,
+    pub(crate) written_bytes: AtomicU64,
     /// Set once the engine's checkpoint completed (every scheduled page
     /// processed or discarded) — the signal that the epoch session may be
     /// finalised. Monotonic: never cleared.
-    pub(crate) drained: Arc<AtomicBool>,
+    pub(crate) drained: AtomicBool,
 }
 
 impl FlushJob {
@@ -481,13 +465,13 @@ impl FlushJob {
     ) -> Self {
         Self {
             writer,
-            failed: Arc::new(AtomicBool::new(open_error.is_some())),
-            error: Arc::new(Mutex::new(open_error.map(|e| e.to_string()))),
+            failed: AtomicBool::new(open_error.is_some()),
+            error: Mutex::new(open_error.map(|e| e.to_string())),
             digest_updates: (0..slots.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-            skipped_pages: Arc::new(AtomicU64::new(0)),
-            written_pages: Arc::new(AtomicU64::new(0)),
-            written_bytes: Arc::new(AtomicU64::new(0)),
-            drained: Arc::new(AtomicBool::new(false)),
+            skipped_pages: AtomicU64::new(0),
+            written_pages: AtomicU64::new(0),
+            written_bytes: AtomicU64::new(0),
+            drained: AtomicBool::new(false),
         }
     }
 
@@ -501,6 +485,15 @@ impl FlushJob {
         }
     }
 
+    /// Pages and bytes written to the epoch session so far (excludes
+    /// clean-dirty skips) — what quota accounting charges.
+    pub(crate) fn written(&self) -> (u64, u64) {
+        (
+            self.written_pages.load(Ordering::Relaxed),
+            self.written_bytes.load(Ordering::Relaxed),
+        )
+    }
+
     /// Record a storage failure (first error wins); the drain continues
     /// without writing and the epoch aborts at finalise time.
     pub(crate) fn fail(&self, msg: &str) {
@@ -510,87 +503,21 @@ impl FlushJob {
     }
 }
 
-#[derive(Default)]
-struct PoolState {
-    /// Bumped per published job; workers track the last generation they
-    /// served so a stale wake-up never re-runs an old job.
-    generation: u64,
-    job: Option<FlushJob>,
-    /// Streams still draining the current job.
-    running: usize,
-    shutdown: bool,
-}
-
-/// Coordinator/worker hand-off for the committer pool.
-#[derive(Default)]
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Workers wait here for the next job (or shutdown).
-    work: Condvar,
-    /// The coordinator waits here for the drain to complete.
-    drained: Condvar,
-    streams: Vec<StreamCounters>,
-}
-
-/// Work counters of the maintenance worker (atomics: bumped by the worker,
-/// snapshot by `PageManager::stats`).
-#[derive(Default)]
-struct MaintCounters {
-    compactions: AtomicU64,
-    segments_removed: AtomicU64,
-    bytes_reclaimed: AtomicU64,
-    bytes_compacted: AtomicU64,
-    epochs_drained: AtomicU64,
-    failures: AtomicU64,
-}
-
-#[derive(Default)]
-struct MaintState {
-    /// Bumped by the coordinator after every finished checkpoint; the
-    /// worker runs one cycle per kick.
-    kicks: u64,
-    /// Highest kick value a *completed* cycle had observed when it started
-    /// (`wait_maintenance_idle` waits for this to catch its own kick up).
-    served: u64,
-    shutdown: bool,
-}
-
-/// Control block of the low-priority maintenance worker (chain compaction,
-/// segment GC, tier draining).
-#[derive(Default)]
-struct Maint {
-    state: Mutex<MaintState>,
-    /// The worker waits here; the coordinator and Drop notify it.
-    wake: Condvar,
-    /// Observers (tests, `wait_maintenance_idle`) wait here for cycles.
-    idle: Condvar,
-    counters: MaintCounters,
-}
-
 /// The AI-Ckpt runtime entry point. One per process is typical (the paper's
 /// page manager), but multiple independent managers are supported.
+///
+/// A manager owns no threads: it is a tenant of a [`FlushPool`], whose
+/// workers drain its checkpoints and maintain its backend.
 pub struct PageManager {
     pub(crate) ctl: Arc<Ctl>,
     pub(crate) regions: Arc<Mutex<Regions>>,
     cfg: CkptConfig,
-    backend: Arc<dyn StorageBackend>,
-    pool: Arc<Pool>,
-    maint: Arc<Maint>,
-    /// Standalone mode's committer-coordinator channel; `None` when the
-    /// manager is attached to a shared [`FlushHost`].
-    tx: Option<mpsc::Sender<Cmd>>,
-    /// Shared flush host + this manager's tenant id when attached
-    /// ([`PageManager::attached`]); the manager then owns **no** threads —
-    /// the host's worker pool drains its checkpoints.
-    host: Option<(Arc<dyn crate::attach::FlushHost>, u64)>,
-    join: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    maint_join: Option<std::thread::JoinHandle<()>>,
-    /// At-rest integrity scrubber over `backend`: verification cursor,
-    /// pacing budget and the quarantine set restores consult. Standalone
-    /// managers drive it from the maintenance worker; attached managers
-    /// share the same instance with the host's maintenance worker.
-    scrubber: Arc<Scrubber>,
+    /// The pool this manager is attached to — private to it
+    /// ([`PageManager::new`]) or shared ([`FlushPool::attach`]); dropping
+    /// the last handle shuts the pool down.
+    pool: Arc<FlushPool>,
+    /// The pool's side of this manager: backend, scrubber, hook, counters.
+    tenant: Arc<Tenant>,
     /// Backend epochs committed before this manager started (restart case):
     /// checkpoint `n` of this manager persists as epoch `epoch_base + n`.
     epoch_base: u64,
@@ -604,151 +531,46 @@ impl PageManager {
     }
 
     /// Like [`PageManager::new`], but over a backend the caller keeps a
-    /// handle to — the group-coordination hook: a multi-rank coordinator
-    /// needs the same backend the manager commits through for epoch
-    /// retirement (global aborts), restore and group-driven compaction.
+    /// handle to (for restores, or to inspect what was committed).
+    ///
+    /// Builds a private [`FlushPool`] of `cfg.committer_streams` workers
+    /// and attaches to it as its only tenant: drains are FIFO and nothing
+    /// is refused. The pool's threads exit when the manager drops.
     pub fn with_shared_backend(
         cfg: CkptConfig,
         backend: Arc<dyn StorageBackend>,
     ) -> io::Result<Self> {
-        let (ctl, epoch_base) = Self::build_ctl(&cfg, &backend)?;
-        let n_streams = cfg.committer_streams.max(1);
-        let batch_pages = cfg.flush_batch_pages.max(1);
-        let (tx, rx) = mpsc::channel();
-        let pool = Arc::new(Pool {
-            state: Mutex::new(PoolState::default()),
-            work: Condvar::new(),
-            drained: Condvar::new(),
-            streams: (0..n_streams).map(|_| StreamCounters::default()).collect(),
-        });
-        let maint = Arc::new(Maint {
-            state: Mutex::new(MaintState::default()),
-            wake: Condvar::new(),
-            idle: Condvar::new(),
-            counters: MaintCounters::default(),
-        });
-        let mut workers = Vec::with_capacity(n_streams);
-        let release_pool = |pool: &Pool, workers: Vec<std::thread::JoinHandle<()>>| {
-            // Release threads already parked on the pool, or they (and
-            // everything the Ctl pins) would leak for the process lifetime.
-            pool.state.lock().shutdown = true;
-            pool.work.notify_all();
-            for w in workers {
-                let _ = w.join();
-            }
-        };
-        let spawned = (|| -> io::Result<std::thread::JoinHandle<()>> {
-            for stream in 0..n_streams {
-                let pool = Arc::clone(&pool);
-                let ctl = Arc::clone(&ctl);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("ai-ckpt-stream-{stream}"))
-                        .spawn(move || stream_loop(ctl, pool, stream, batch_pages))?,
-                );
-            }
-            let committer_ctl = Arc::clone(&ctl);
-            let committer_pool = Arc::clone(&pool);
-            let committer_backend = Arc::clone(&backend);
-            let committer_maint = Arc::clone(&maint);
-            std::thread::Builder::new()
-                .name("ai-ckpt-committer".into())
-                .spawn(move || {
-                    committer_loop(
-                        committer_ctl,
-                        committer_pool,
-                        rx,
-                        committer_backend,
-                        committer_maint,
-                    )
-                })
-        })();
-        let join = match spawned {
-            Ok(join) => join,
-            Err(e) => {
-                release_pool(&pool, workers);
-                return Err(e);
-            }
-        };
-        let scrubber = Arc::new(Scrubber::new(cfg.scrub));
-        let maint_worker = Arc::clone(&maint);
-        let maint_backend = Arc::clone(&backend);
-        let maint_scrubber = Arc::clone(&scrubber);
-        let policy = cfg.compaction;
-        let retry = cfg.retry;
-        let maint_join = match std::thread::Builder::new()
-            .name("ai-ckpt-maintenance".into())
-            .spawn(move || {
-                maintenance_loop(maint_worker, maint_backend, policy, maint_scrubber, retry)
-            }) {
-            Ok(j) => j,
-            Err(e) => {
-                release_pool(&pool, workers);
-                let _ = tx.send(Cmd::Shutdown);
-                let _ = join.join();
-                return Err(e);
-            }
-        };
-        Ok(Self {
-            ctl,
-            regions: Arc::new(Mutex::new(Regions::default())),
+        FlushPool::new(cfg.committer_streams, DrainPolicy::OldestFirst)?.attach(
             cfg,
             backend,
-            pool,
-            maint,
-            tx: Some(tx),
-            host: None,
-            join: Some(join),
-            workers,
-            maint_join: Some(maint_join),
-            scrubber,
-            epoch_base,
-        })
+            Arc::new(()),
+        )
     }
 
-    /// Create a manager that owns **no** threads: its checkpoints are
-    /// drained by `host`'s shared worker pool, and its maintenance (tier
-    /// draining, chain compaction) runs on the host's shared maintenance
-    /// worker. This is the multi-tenant attachment point — the service
-    /// crate's `CkptService::add_tenant` builds every tenant manager this
-    /// way, so service thread count is independent of tenant count.
-    ///
-    /// Semantics are otherwise identical to
-    /// [`PageManager::with_shared_backend`]: same fault handler, same
-    /// engine, same epoch numbering, same sync/async modes (sync waits for
-    /// the host's workers instead of a private pool).
-    pub fn attached(
+    /// The manager half of [`FlushPool::attach`].
+    pub(crate) fn on_pool(
+        pool: Arc<FlushPool>,
+        tenant: Arc<Tenant>,
         cfg: CkptConfig,
-        backend: Arc<dyn StorageBackend>,
-        host: Arc<dyn crate::attach::FlushHost>,
-        tenant: u64,
-    ) -> io::Result<Self> {
-        let (ctl, epoch_base) = Self::build_ctl(&cfg, &backend)?;
-        let cfg_scrub = cfg.scrub;
-        Ok(Self {
-            ctl,
+        epoch_base: u64,
+    ) -> Self {
+        Self {
+            ctl: Arc::clone(&tenant.ctl),
             regions: Arc::new(Mutex::new(Regions::default())),
             cfg,
-            backend,
-            // Unused placeholders (no streams, no worker): stats() reports
-            // per-stream and maintenance numbers from the host instead.
-            pool: Arc::new(Pool::default()),
-            maint: Arc::new(Maint::default()),
-            tx: None,
-            host: Some((host, tenant)),
-            join: None,
-            workers: Vec::new(),
-            maint_join: None,
-            scrubber: Arc::new(Scrubber::new(cfg_scrub)),
+            pool,
+            tenant,
             epoch_base,
-        })
+        }
     }
 
-    /// Shared construction: fault handler, epoch numbering, engine and the
-    /// control block every execution mode hangs off.
-    fn build_ctl(
+    /// Fault handler, epoch numbering, engine and the control block of a
+    /// manager that will be tenant `tenant` of `pool`.
+    pub(crate) fn build_ctl(
         cfg: &CkptConfig,
         backend: &Arc<dyn StorageBackend>,
+        pool: &Arc<PoolInner>,
+        tenant: u64,
     ) -> io::Result<(Arc<Ctl>, u64)> {
         sigsegv::install(fault_entry)?;
         // Resume epoch numbering above everything the backend has ever
@@ -799,6 +621,8 @@ impl PageManager {
             filter: cfg
                 .content_filter
                 .then(|| ContentFilter::new(cfg.max_pages)),
+            pool: Arc::clone(pool),
+            tenant,
         });
         Ok((ctl, epoch_base))
     }
@@ -808,11 +632,11 @@ impl PageManager {
         &self.cfg
     }
 
-    /// The tenant id this manager registered under when attached to a
-    /// shared flush host (`None` for standalone managers). This is the id
-    /// the host's control surface keys on — e.g. `CkptService::set_quota`.
-    pub fn tenant_id(&self) -> Option<u64> {
-        self.host.as_ref().map(|(_, id)| *id)
+    /// The id this manager is attached to its pool under — what the pool
+    /// owner's control surface keys on (`FlushPool::tenant_stats`,
+    /// `CkptService::set_quota`).
+    pub fn tenant_id(&self) -> u64 {
+        self.tenant.id
     }
 
     /// The storage backend this manager commits to. Restores and group
@@ -820,7 +644,7 @@ impl PageManager {
     /// that race an in-flight checkpoint are the caller's responsibility to
     /// avoid (the group coordinator only acts between checkpoints).
     pub fn backend(&self) -> &Arc<dyn StorageBackend> {
-        &self.backend
+        &self.tenant.backend
     }
 
     /// Allocate an anonymous protected buffer (the paper's
@@ -922,17 +746,15 @@ impl PageManager {
             }
             st.busy = true;
         }
-        // Admission control (attached mode): the host may refuse the epoch
-        // outright — quota exhausted, service shut down — *before* any
-        // engine or protection state changes, so a rejected checkpoint is
-        // a clean no-op the application can retry after a quota raise.
-        if let Some((host, tenant)) = &self.host {
-            if let Err(e) = host.admit(*tenant) {
-                let mut st = self.ctl.status.lock();
-                st.busy = false;
-                self.ctl.done.notify_all();
-                return Err(e);
-            }
+        // Admission control: the pool may refuse the epoch outright — quota
+        // exhausted, pool shut down — *before* any engine or protection
+        // state changes, so a rejected checkpoint is a clean no-op the
+        // application can retry after a quota raise.
+        if let Err(e) = self.pool.inner.admit(&self.tenant) {
+            let mut st = self.ctl.status.lock();
+            st.busy = false;
+            self.ctl.done.notify_all();
+            return Err(e);
         }
         let started = Instant::now();
         let (mut info, layout_blob) = {
@@ -963,30 +785,15 @@ impl PageManager {
             failed: false,
             closed_epoch: info.closed_epoch,
         });
-        match (&self.tx, &self.host) {
-            (Some(tx), _) => tx
-                .send(Cmd::Checkpoint {
-                    seq: info.checkpoint,
-                    started,
-                    layout_blob,
-                })
-                .map_err(|_| io::Error::other("committer thread is gone"))?,
-            (None, Some((host, tenant))) => {
-                // Host contract: on Err the host has already resolved the
-                // request (engine drained, busy cleared, record stamped
-                // failed) — the error returned here is the whole story.
-                host.submit(crate::attach::FlushRequest::new(
-                    Arc::clone(&self.ctl),
-                    Arc::clone(&self.backend),
-                    *tenant,
-                    info.checkpoint,
-                    started,
-                    layout_blob,
-                    self.cfg.flush_batch_pages.max(1),
-                ))?;
-            }
-            (None, None) => unreachable!("a manager is standalone or attached"),
-        }
+        // On `Err` the pool has already resolved the request (engine
+        // drained, busy cleared, record stamped failed) — the error
+        // returned here is the whole story.
+        self.pool.inner.submit(
+            Arc::clone(&self.tenant),
+            info.checkpoint,
+            started,
+            layout_blob,
+        )?;
         if self.cfg.mode == CkptMode::Sync {
             self.wait_checkpoint()?;
         }
@@ -1029,73 +836,20 @@ impl PageManager {
         self.ctl.status.lock().busy
     }
 
-    /// Snapshot of runtime metrics. For an attached manager, maintenance
-    /// numbers come from the host's shared worker (scoped to this tenant)
-    /// and the per-stream breakdown is empty — the host's workers are not
-    /// owned by any one tenant.
+    /// Snapshot of runtime metrics. `streams` has one entry per worker
+    /// slot of the pool draining this manager and counts this manager's
+    /// pages only; `maintenance` is this manager's share of the pool's
+    /// maintenance worker.
     pub fn stats(&self) -> RuntimeStats {
-        let maintenance = match &self.host {
-            Some((host, tenant)) => host.maintenance_stats(*tenant),
-            None => {
-                let m = &self.maint.counters;
-                MaintenanceStats {
-                    compactions: m.compactions.load(Ordering::Relaxed),
-                    segments_removed: m.segments_removed.load(Ordering::Relaxed),
-                    bytes_reclaimed: m.bytes_reclaimed.load(Ordering::Relaxed),
-                    bytes_compacted: m.bytes_compacted.load(Ordering::Relaxed),
-                    epochs_drained: m.epochs_drained.load(Ordering::Relaxed),
-                    failures: m.failures.load(Ordering::Relaxed),
-                }
-            }
-        };
-        let (pages_skipped_clean, bytes_skipped) = self
-            .ctl
-            .filter
-            .as_ref()
-            .map(|f| {
-                (
-                    f.skipped_pages.load(Ordering::Relaxed),
-                    f.skipped_bytes.load(Ordering::Relaxed),
-                )
-            })
-            .unwrap_or((0, 0));
-        // O(1) under the records lock: clone the Arc, materialise outside.
-        let records = Arc::clone(&self.ctl.stats.lock());
-        RuntimeStats {
-            pages_skipped_clean,
-            bytes_skipped,
-            checkpoints: (*records).clone(),
-            write_stall: self.ctl.shared.stall.snapshot(),
-            engine_lock_acquisitions: self.ctl.shared.engine_locks.load(Ordering::Relaxed),
-            live_epoch: self.ctl.shared.engine().current_stats(),
-            streams: self
-                .pool
-                .streams
-                .iter()
-                .enumerate()
-                .map(|(stream, c)| StreamStats {
-                    stream,
-                    pages: c.pages.load(Ordering::Relaxed),
-                    bytes: c.bytes.load(Ordering::Relaxed),
-                    batches: c.batches.load(Ordering::Relaxed),
-                })
-                .collect(),
-            maintenance,
-            io: self.backend.io_stats(),
-            integrity: self.scrubber.stats(),
-        }
+        self.tenant.stats()
     }
 
     /// The at-rest integrity scrubber guarding this manager's backend: its
     /// counters, pacing policy and — most importantly — its quarantine set,
-    /// which every restore path consults before serving an epoch. For a
-    /// standalone manager the maintenance worker paces it one cycle per
-    /// checkpoint; an attached manager shares the same instance with the
-    /// host's maintenance worker (the multi-tenant service drives one cycle
-    /// per tenant per pass on its shared thread — no new threads either
-    /// way).
+    /// which every restore path consults before serving an epoch. The
+    /// pool's maintenance worker paces it one cycle per checkpoint.
     pub fn scrubber(&self) -> &Arc<Scrubber> {
-        &self.scrubber
+        &self.tenant.scrubber
     }
 
     /// Block until the maintenance worker has completed a cycle that
@@ -1105,24 +859,7 @@ impl PageManager {
     /// needs no help making progress.
     pub fn wait_maintenance_idle(&self) -> io::Result<()> {
         self.wait_checkpoint()?;
-        if let Some((host, tenant)) = &self.host {
-            // Attached mode: the host's shared maintenance worker owns the
-            // drain/compaction backlog; barrier on it instead.
-            return host.maintenance_barrier(*tenant);
-        }
-        let target = {
-            let mut st = self.maint.state.lock();
-            st.kicks += 1; // force a cycle that starts after this instant
-            self.maint.wake.notify_all();
-            st.kicks
-        };
-        // `served` only advances to `target` once a cycle that *began*
-        // after our kick completed — a cycle already in flight (which may
-        // have read pre-kick state) cannot satisfy the wait.
-        let mut st = self.maint.state.lock();
-        while st.served < target && !st.shutdown {
-            self.maint.idle.wait(&mut st);
-        }
+        self.pool.inner.maintenance_barrier(&self.tenant);
         Ok(())
     }
 
@@ -1168,41 +905,12 @@ impl PageManager {
 
 impl Drop for PageManager {
     fn drop(&mut self) {
-        if let Some((host, tenant)) = self.host.take() {
-            // Attached mode: an in-flight flush drains on the host's
-            // workers and holds its own `Arc<Ctl>`/backend handles — wait
-            // it out so the epoch commits or aborts atomically before the
-            // tenant disappears, then detach (the host drops its registry
-            // entry, drain backlog and quota state). No threads to join.
-            let _ = self.wait_checkpoint();
-            host.detach(tenant);
-            return;
-        }
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(Cmd::Shutdown);
-        }
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-        // Stop the maintenance worker (it holds a backend Arc).
-        {
-            let mut st = self.maint.state.lock();
-            st.shutdown = true;
-        }
-        self.maint.wake.notify_all();
-        self.maint.idle.notify_all();
-        if let Some(j) = self.maint_join.take() {
-            let _ = j.join();
-        }
-        // The coordinator normally sets the pool's shutdown flag on its way
-        // out, but set it here too (idempotent): a coordinator that died by
-        // panic must not leave the streams parked forever — this join would
-        // then hang the process in Drop.
-        self.pool.state.lock().shutdown = true;
-        self.pool.work.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        // An in-flight flush drains on the pool's workers and holds its own
+        // handles — wait it out so the epoch commits or aborts atomically
+        // before the tenant disappears, then detach. A private pool shuts
+        // down right after, when its last handle (ours) drops.
+        let _ = self.wait_checkpoint();
+        self.pool.inner.detach(self.tenant.id);
     }
 }
 
@@ -1367,82 +1075,10 @@ fn fault_entry(hit: RegionHit, _addr: usize) -> bool {
     handled
 }
 
-/// The coordinator thread: sequences whole checkpoints, delegating the page
-/// drain to the committer stream pool.
-fn committer_loop(
-    ctl: Arc<Ctl>,
-    pool: Arc<Pool>,
-    rx: mpsc::Receiver<Cmd>,
-    backend: Arc<dyn StorageBackend>,
-    maint: Arc<Maint>,
-) {
-    // The committer's own allocations (backend buffers, error strings) must
-    // never be routed into protected regions by the transparent-tracking
-    // allocator: the hooks take the page-manager lock, which can deadlock
-    // against an application thread waiting for this very thread.
-    ai_ckpt_mem::alloc::exempt_thread_from_tracking(true);
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Shutdown => break,
-            Cmd::Checkpoint {
-                seq,
-                started,
-                layout_blob,
-            } => {
-                let result = flush_checkpoint(&ctl, &pool, backend.as_ref(), seq, &layout_blob);
-                complete_checkpoint(&ctl, seq, started, &result, true);
-                // Kick the maintenance worker: a new epoch may have pushed
-                // the chain past the compaction policy's bound, and a
-                // tiered backend has a fresh epoch to drain.
-                maint.state.lock().kicks += 1;
-                maint.wake.notify_all();
-            }
-        }
-    }
-    // Release the stream pool on the way out.
-    let mut st = pool.state.lock();
-    st.shutdown = true;
-    pool.work.notify_all();
-}
-
-/// Drain one checkpoint through the stream pool. On any storage error
-/// (opening the epoch, writing a batch, committing), the streams keep
-/// draining the engine *without* writing so page states stay consistent and
-/// blocked writers wake; the epoch is then aborted atomically (never
-/// partially visible), and the error is reported through
-/// `wait_checkpoint`/the next `checkpoint` call.
-fn flush_checkpoint(
-    ctl: &Ctl,
-    pool: &Arc<Pool>,
-    backend: &dyn StorageBackend,
-    seq: u64,
-    layout_blob: &[u8],
-) -> io::Result<()> {
-    let job = FlushJob::open(backend, seq, pool.streams.len());
-    // Publish the drain job to the worker streams.
-    {
-        let mut st = pool.state.lock();
-        debug_assert!(st.job.is_none(), "one checkpoint in flight at a time");
-        st.generation += 1;
-        st.running = pool.streams.len();
-        st.job = Some(job.clone());
-        pool.work.notify_all();
-    }
-    // Wait until every stream finished draining, then collect the verdict.
-    {
-        let mut st = pool.state.lock();
-        while st.running > 0 {
-            pool.drained.wait(&mut st);
-        }
-        st.job = None;
-    }
-    finalize_flush(ctl, backend, &job, seq, layout_blob)
-}
-
 /// Commit or abort `job`'s epoch session after its drain completed (the
-/// caller provides the completion barrier: the stream pool's running count,
-/// or the service's `job.drained` observation). On success, merges the
-/// per-slot digest updates and skip counts into the content filter.
+/// caller provides the completion barrier: `job.drained` observed, and no
+/// worker still inside a claim). On success, merges the per-slot digest
+/// updates and skip counts into the content filter.
 pub(crate) fn finalize_flush(
     ctl: &Ctl,
     backend: &dyn StorageBackend,
@@ -1536,208 +1172,6 @@ pub(crate) fn complete_checkpoint(
     ctl.done.notify_all();
 }
 
-/// The low-priority maintenance worker: runs beside the committer streams,
-/// draining tiered-backend backlog and compacting the committed chain when
-/// the [`CompactionPolicy`] fires — never blocking an active checkpoint
-/// (compaction only touches *committed* epochs; the open epoch session is
-/// invisible to `chain()` until its `finish`).
-///
-/// Wakes on every finished checkpoint (kick from the coordinator); each
-/// cycle drains the whole tier backlog, so between checkpoints there is
-/// nothing to poll for and the worker parks without any timer — except
-/// after a failed cycle, where a 50 ms-timed wait retries the work even if
-/// no new checkpoint ever arrives. Errors are counted, never fatal: a
-/// failed fold leaves the (longer) chain fully restorable. A backend that
-/// reports compaction as unsupported disarms the policy permanently (one
-/// failure recorded) instead of re-attempting forever.
-fn maintenance_loop(
-    maint: Arc<Maint>,
-    backend: Arc<dyn StorageBackend>,
-    mut policy: CompactionPolicy,
-    scrubber: Arc<Scrubber>,
-    retry: RetryPolicy,
-) {
-    // Same exemption as the committer: maintenance allocations must never
-    // route into protected regions (deadlock; see committer_loop).
-    ai_ckpt_mem::alloc::exempt_thread_from_tracking(true);
-    if !policy.is_disabled() && !backend.supports_compaction() {
-        maint.counters.failures.fetch_add(1, Ordering::Relaxed);
-        policy = CompactionPolicy::DISABLED;
-    }
-    let mut failed_cycle = false;
-    loop {
-        let observed_kicks = {
-            let mut st = maint.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.kicks != st.served {
-                    break;
-                }
-                if failed_cycle {
-                    if maint
-                        .wake
-                        .wait_for(&mut st, std::time::Duration::from_millis(50))
-                        .timed_out()
-                    {
-                        break; // re-run the failed cycle without a kick
-                    }
-                } else {
-                    maint.wake.wait(&mut st);
-                }
-            }
-            if st.shutdown {
-                return;
-            }
-            st.kicks
-        };
-        failed_cycle =
-            match maintenance_cycle(backend.as_ref(), policy, &maint.counters, &scrubber, retry) {
-                Ok(()) => false,
-                Err(e) => {
-                    maint.counters.failures.fetch_add(1, Ordering::Relaxed);
-                    if e.kind() == io::ErrorKind::Unsupported {
-                        policy = CompactionPolicy::DISABLED;
-                        false
-                    } else {
-                        true
-                    }
-                }
-            };
-        let mut st = maint.state.lock();
-        st.served = st.served.max(observed_kicks);
-        maint.idle.notify_all();
-    }
-}
-
-/// One maintenance cycle: drain the tier backlog, fold the chain if the
-/// policy says so, then advance the integrity scrub by one paced step.
-/// Transient storage faults on each step retry with bounded backoff
-/// (`CkptConfig::retry`) before counting as a cycle failure; corrupt
-/// findings never surface here — the scrubber repairs or quarantines them
-/// internally.
-fn maintenance_cycle(
-    backend: &dyn StorageBackend,
-    policy: CompactionPolicy,
-    counters: &MaintCounters,
-    scrubber: &Scrubber,
-    retry: RetryPolicy,
-) -> io::Result<()> {
-    // Tier drain first: it shortens the fast tier, and compaction works on
-    // the durable chain below.
-    while retry.run(|| backend.drain_one())?.is_some() {
-        counters.epochs_drained.fetch_add(1, Ordering::Relaxed);
-    }
-    let folded = compact_chain_if_due(backend, policy);
-    if let Ok(Some(stats)) = &folded {
-        counters.compactions.fetch_add(1, Ordering::Relaxed);
-        counters
-            .segments_removed
-            .fetch_add(stats.segments_removed, Ordering::Relaxed);
-        counters
-            .bytes_reclaimed
-            .fetch_add(stats.bytes_reclaimed(), Ordering::Relaxed);
-        counters
-            .bytes_compacted
-            .fetch_add(stats.bytes_after, Ordering::Relaxed);
-    }
-    // Scrub last, even after a failed fold (the longer chain is still live
-    // and still deserves verification): verify the chain this cycle just
-    // settled rather than segments about to be superseded. Corrupt findings
-    // are repaired or quarantined inside the scrubber; only transient (after
-    // backoff ran dry) and permanent read errors surface.
-    let scrubbed = retry.run(|| scrubber.cycle(backend));
-    folded?;
-    scrubbed?;
-    Ok(())
-}
-
-/// Fold the committed chain into one full segment when `policy` fires —
-/// the compaction half of a maintenance cycle, shared with the
-/// multi-tenant service's maintenance worker. Returns the compaction's
-/// stats when one ran, `None` when the policy is satisfied already.
-pub(crate) fn compact_chain_if_due(
-    backend: &dyn StorageBackend,
-    policy: CompactionPolicy,
-) -> io::Result<Option<ai_ckpt_storage::CompactionStats>> {
-    if policy.is_disabled() {
-        return Ok(None);
-    }
-    let chain = backend.chain()?;
-    let Some(head) = chain.last().map(|c| c.epoch) else {
-        return Ok(None);
-    };
-    // Segments a restore of `head` would replay: everything after (and
-    // including) the newest full segment.
-    let since_full = chain
-        .iter()
-        .rposition(|c| c.kind == EpochKind::Full)
-        .map(|i| chain.len() - 1 - i)
-        .unwrap_or(chain.len());
-    let over_len = policy.max_chain_len > 0 && chain.len() > policy.max_chain_len;
-    let full_due = policy.full_every_n > 0 && since_full >= policy.full_every_n;
-    if !(over_len || full_due) {
-        return Ok(None);
-    }
-    Ok(Some(backend.compact(head)?))
-}
-
-/// `ASYNC_COMMIT` (Algorithm 3), one stream of it: wait for a drain job,
-/// then repeatedly claim a batch of pages under the engine lock and commit
-/// it to the epoch session outside the lock.
-fn stream_loop(ctl: Arc<Ctl>, pool: Arc<Pool>, stream: usize, batch_pages: usize) {
-    // Same exemption as the coordinator: never allocate into protected
-    // regions from checkpointing machinery (deadlock; see committer_loop).
-    ai_ckpt_mem::alloc::exempt_thread_from_tracking(true);
-    let mut scratch = ClaimScratch::default();
-    let mut served_generation = 0u64;
-    loop {
-        let job = {
-            let mut st = pool.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation != served_generation {
-                    if let Some(job) = st.job.clone() {
-                        served_generation = st.generation;
-                        break job;
-                    }
-                }
-                pool.work.wait(&mut st);
-            }
-        };
-        // One stream's share of the drain: claim until this stream can
-        // contribute nothing more — every page it claimed is completed and
-        // no claimable page remains (the remainder, if any, is
-        // `PAGE_INPROGRESS` on other streams, which complete their own
-        // claims; the pool's running count is the coordinator's completion
-        // barrier, so nobody polls).
-        loop {
-            match flush_one_batch(&ctl, &job, stream, batch_pages, &mut scratch) {
-                BatchClaim::Empty | BatchClaim::Drained => break,
-                BatchClaim::Flushed {
-                    batches,
-                    pages,
-                    bytes,
-                    ..
-                } => {
-                    let c = &pool.streams[stream];
-                    c.batches.fetch_add(batches, Ordering::Relaxed);
-                    c.pages.fetch_add(pages, Ordering::Relaxed);
-                    c.bytes.fetch_add(bytes, Ordering::Relaxed);
-                }
-            }
-        }
-        let mut st = pool.state.lock();
-        st.running -= 1;
-        if st.running == 0 {
-            pool.drained.notify_all();
-        }
-    }
-}
-
 /// Resolve a claimed flush item to the memory its payload already lives in
 /// — the zero-copy handoff: the returned slice is passed straight to
 /// `EpochWriter::write_pages`, where the file backend points an iovec at
@@ -1772,8 +1206,7 @@ fn flush_src<'a>(shared: &'a Shared, item: &FlushItem) -> &'a [u8] {
 }
 
 /// Reusable per-worker staging buffers for [`flush_one_batch`]: the flush
-/// hot path stays allocation-free in steady state whichever thread —
-/// dedicated stream or shared service worker — drives it.
+/// hot path stays allocation-free in steady state.
 #[derive(Default)]
 pub(crate) struct ClaimScratch {
     items: Vec<FlushItem>,
@@ -1804,10 +1237,9 @@ pub(crate) enum BatchClaim {
     },
 }
 
-/// Claim and complete one batch of `job`'s checkpoint: the committer hot
-/// path, shared verbatim by the per-manager stream pool and the
-/// multi-tenant service's worker pool. Digest updates land in
-/// `job.digest_updates[slot]`.
+/// Claim and complete one batch of `job`'s checkpoint: the hot path every
+/// flush-pool worker runs, for whichever manager the flush belongs to.
+/// Digest updates land in `job.digest_updates[slot]`.
 ///
 /// The steady-state hot path takes the engine lock exactly twice per
 /// claimed run: once to claim the batch, and once per completed sub-batch

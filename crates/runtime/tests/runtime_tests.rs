@@ -187,19 +187,6 @@ fn restore_round_trip_two_buffers() {
 }
 
 #[test]
-fn buffer_drop_during_flush_is_safe() {
-    let (mem, _view) = MemoryBackend::shared();
-    let backend = ThrottledBackend::new(mem, 4.0 * 1024.0 * 1024.0, Duration::ZERO);
-    let mgr = PageManager::new(CkptConfig::ai_ckpt(0), Box::new(backend)).unwrap();
-    let mut buf = mgr.alloc_protected(32 * page_size()).unwrap();
-    fill_pages(&mut buf, 9);
-    mgr.checkpoint().unwrap();
-    // Drop while the throttled committer is still flushing.
-    drop(buf);
-    mgr.wait_checkpoint().unwrap();
-}
-
-#[test]
 fn many_epochs_stress() {
     let (backend, view) = MemoryBackend::shared();
     let mgr = PageManager::new(CkptConfig::ai_ckpt(2 * page_size()), Box::new(backend)).unwrap();

@@ -1,17 +1,17 @@
 //! Multi-tenant checkpoint service over the `ai-ckpt` runtime.
 //!
-//! A standalone [`PageManager`](ai_ckpt::PageManager) owns a committer
-//! pool, a coordinator and a maintenance worker — the right shape for one
-//! application checkpointing one memory image. Hosting many tenants that
-//! way multiplies threads by tenant count while most tenants sit idle.
-//! This crate inverts the ownership: a [`CkptService`] owns **one** shared
-//! flush-worker pool and **one** maintenance worker, and every tenant's
-//! manager (built by [`CkptService::add_tenant`] via
-//! [`PageManager::attached`](ai_ckpt::PageManager::attached)) hands its
-//! flush plans to the service instead of spawning anything.
+//! A lone [`PageManager`](ai_ckpt::PageManager) runs on a private
+//! [`FlushPool`](ai_ckpt::FlushPool) — its own flush workers and
+//! maintenance worker — the right shape for one application checkpointing
+//! one memory image. Hosting many tenants that way multiplies threads by
+//! tenant count while most tenants sit idle. A [`CkptService`] instead
+//! owns **one** shared pool and attaches every tenant's manager (built by
+//! [`CkptService::add_tenant`]) to it: same workers, same schedule, same
+//! maintenance cycle, thread count independent of tenant count.
 //!
-//! On top of the shared pools the service layers the multi-tenant policy
-//! the runtime deliberately does not know about:
+//! The service itself is the multi-tenant policy the runtime deliberately
+//! does not know about, entering the pool through one
+//! [`TenantHook`](ai_ckpt::TenantHook) per tenant:
 //!
 //! - **Fair drain arbitration** — committed epochs queue into an
 //!   [`ai_ckpt_core::DrainQueue`] and move to the durable tier in

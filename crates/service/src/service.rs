@@ -1,43 +1,29 @@
-//! The multi-tenant checkpoint service: one shared worker pool and one
-//! shared maintenance worker multiplexed across every tenant's flush plans.
+//! The multi-tenant checkpoint service: tenant policy over one shared
+//! runtime [`FlushPool`].
 //!
 //! # Thread model
 //!
-//! `CkptService::new` spawns `workers` flush workers plus one maintenance
-//! worker — and nothing else, ever: `add_tenant` builds managers with
-//! [`PageManager::attached`], which owns no threads. Service thread count
-//! is therefore **independent of tenant count** (128 mostly-idle tenants
-//! cost 128 engines' worth of metadata, not 128 × (streams + 2) parked
-//! threads).
+//! `CkptService::new` builds one [`FlushPool`] — `workers` flush workers
+//! plus one maintenance worker — and spawns nothing of its own, ever:
+//! `add_tenant` attaches each tenant's [`PageManager`] to that pool, and a
+//! manager owns no threads. Service thread count is therefore
+//! **independent of tenant count** (128 mostly-idle tenants cost 128
+//! engines' worth of metadata, not 128 parked thread sets). The schedule
+//! the workers run (finalise → open → claim round-robin) and the
+//! maintenance cycle (drain → compact → scrub) are the pool's, the same
+//! ones a lone `PageManager::new` runs on its private pool.
 //!
-//! There is no dedicated coordinator thread either. Workers self-organise
-//! over a shared schedule with a fixed priority:
-//!
-//! 1. **Finalise** any drained active flush (commit or abort its epoch,
-//!    wake the tenant's `wait_checkpoint` callers). Exactly-once by
-//!    construction: the finalising worker removes the entry from the
-//!    active list under the schedule lock.
-//! 2. **Open** a queued [`FlushRequest`] (runs `begin_epoch`, which may
-//!    block on tiered-backend backpressure — outside the schedule lock).
-//! 3. **Claim** a batch from an active flush, round-robin across flushes,
-//!    skipping tenants whose bandwidth token bucket is in debt. Claims for
-//!    different tenants' flushes interleave freely, so a large tenant's
-//!    checkpoint does not head-of-line-block a small one.
-//!
-//! With active-but-unclaimable flushes a worker waits on a short (5 ms)
-//! timer rather than a bare condvar: a protected-buffer drop can complete
-//! a checkpoint without any claim observing it, and bandwidth debts expire
-//! on the clock, not on a notification.
+//! What this crate adds is policy, entering the pool through one
+//! per-tenant [`TenantHook`]:
 //!
 //! # Fair drain arbitration
 //!
-//! Tiered backends accumulate a committed-but-undrained backlog. The
-//! standalone maintenance worker drains its one tenant oldest-first; a
-//! shared worker doing that would let one tenant's burst starve everyone
-//! else's tier. The service instead feeds every committed epoch (cost =
-//! bytes written) into an [`ai_ckpt_core::DrainQueue`] and drains in the
-//! configured [`DrainPolicy`] order — deficit round-robin by default, so
-//! tenants share drain bandwidth by bytes, not by arrival order.
+//! Tiered backends accumulate a committed-but-undrained backlog. A private
+//! pool drains its one tenant oldest-first; a shared worker doing that
+//! would let one tenant's burst starve everyone else's tier. The service
+//! builds its pool with the configured [`DrainPolicy`] — deficit
+//! round-robin by default — so tenants share drain bandwidth by bytes
+//! committed, not by arrival order.
 //!
 //! # Quotas
 //!
@@ -49,33 +35,19 @@
 //! restorable). Bandwidth limits never fail anything — they only delay
 //! claims.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use ai_ckpt::attach::compact_if_due;
-use ai_ckpt::{
-    ActiveFlush, CkptConfig, ClaimOutcome, ClaimScratch, CompactionPolicy, FlushHost, FlushRequest,
-    MaintenanceStats, PageManager, StatsProbe,
-};
-use ai_ckpt_core::{DrainPolicy, DrainQueue};
-use ai_ckpt_storage::{PolicyBackend, RetryPolicy, Scrubber, StorageBackend};
+use ai_ckpt::{CkptConfig, FlushPool, PageManager, TenantHook};
+use ai_ckpt_core::DrainPolicy;
+use ai_ckpt_storage::{PolicyBackend, StorageBackend};
 
 use crate::quota::{TenantQuota, TokenBucket};
 use crate::stats::{ServiceStats, TenantStats};
-
-/// How long a worker with active-but-unclaimable flushes sleeps between
-/// drain re-polls (buffer drops complete checkpoints silently; bandwidth
-/// debts expire on the clock).
-const IDLE_POLL: Duration = Duration::from_millis(5);
-
-/// Backoff after a failed maintenance cycle before retrying the drain.
-const MAINT_RETRY: Duration = Duration::from_millis(50);
 
 /// Service-wide tuning: pool width and drain arbitration policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +69,15 @@ impl Default for ServiceConfig {
     }
 }
 
+/// Service-wide counters, shared with every tenant's hook.
+#[derive(Default)]
+struct Counters {
+    shutdown: AtomicBool,
+    flushes_completed: AtomicU64,
+    flushes_failed: AtomicU64,
+    admission_rejections: AtomicU64,
+}
+
 /// Mutable per-tenant accounting, all under one small lock.
 struct TenantState {
     quota: TenantQuota,
@@ -104,384 +85,43 @@ struct TenantState {
     committed_pages: u64,
     committed_bytes: u64,
     quota_failures: u64,
+    /// The open epoch already crossed its quota and was failed (guard
+    /// against charging a failure per subsequent drain-only claim).
+    epoch_killed: bool,
 }
 
-/// Everything the service holds for one registered tenant.
+/// Everything the service knows about one registered tenant: its name, its
+/// quota ledger and the handles the stats rollup needs. The pool owns it as
+/// the tenant's [`TenantHook`]; it (and its backend handles) is freed when
+/// the manager detaches, whether or not anyone polls the service.
 struct Tenant {
     name: String,
-    probe: StatsProbe,
     backend: Arc<dyn StorageBackend>,
     /// Present when `backend` is a multi-level resilience policy: the
     /// typed handle behind the per-level stats rollup.
     policy: Option<PolicyBackend>,
-    compaction: CompactionPolicy,
-    /// The tenant manager's integrity scrubber — the *same* instance the
-    /// manager's restores consult for quarantine, so damage found on the
-    /// shared maintenance worker is refused by the tenant's own restore
-    /// calls. One paced cycle per tenant per maintenance pass; still no
-    /// new threads.
-    scrubber: Arc<Scrubber>,
-    /// Transient-fault backoff for this tenant's drain and scrub steps
-    /// (from its `CkptConfig::retry`).
-    retry: RetryPolicy,
     state: Mutex<TenantState>,
-    maint: Mutex<MaintenanceStats>,
-    detached: AtomicBool,
-    /// Set when the backend turned out not to support the configured
-    /// compaction policy (one failure recorded, then disarmed — same
-    /// behaviour as the standalone maintenance worker).
-    compaction_disarmed: AtomicBool,
+    counters: Arc<Counters>,
 }
 
-/// Worker-shared flags of one active flush, updated without re-taking the
-/// schedule lock.
-#[derive(Default)]
-struct EntryFlags {
-    /// No further claim can succeed (a claim returned `Empty`/`Drained`);
-    /// only the drained-poll matters now.
-    quiescent: AtomicBool,
-    /// The mid-epoch quota kill already fired (guard against charging the
-    /// tenant a failure per subsequent drain-only claim).
-    quota_killed: AtomicBool,
-}
-
-/// One flush being drained by the pool.
-struct Entry {
-    flush: Arc<ActiveFlush>,
-    tenant: Option<Arc<Tenant>>,
-    flags: Arc<EntryFlags>,
-}
-
-/// The worker-shared schedule.
-#[derive(Default)]
-struct Sched {
-    queue: VecDeque<FlushRequest>,
-    active: Vec<Entry>,
-    /// Round-robin cursor over `active` for claim fairness.
-    cursor: usize,
-    shutdown: bool,
-}
-
-/// Maintenance-worker shared state.
-struct MaintState {
-    queue: DrainQueue,
-    kicks: u64,
-    served: u64,
-    shutdown: bool,
-}
-
-struct Inner {
-    cfg: ServiceConfig,
-    tenants: Mutex<BTreeMap<u64, Arc<Tenant>>>,
-    sched: Mutex<Sched>,
-    /// Workers wait here for queue/active/shutdown changes.
-    work: Condvar,
-    maint: Mutex<MaintState>,
-    maint_wake: Condvar,
-    maint_done: Condvar,
-    next_id: AtomicU64,
-    flushes_completed: AtomicU64,
-    flushes_failed: AtomicU64,
-    admission_rejections: AtomicU64,
-}
-
-/// What a worker decided to do while holding the schedule lock; executed
-/// after dropping it.
-enum Work {
-    Finalize(Entry),
-    Open(FlushRequest),
-    Claim(Arc<ActiveFlush>, Option<Arc<Tenant>>, Arc<EntryFlags>),
-}
-
-impl Inner {
-    /// Worker step 1–3 selection. Returns `None` to shut the worker down.
-    fn next_work(&self) -> Option<Work> {
-        let mut sched = self.sched.lock();
-        loop {
-            // 1. Finalise a drained flush. Removing the entry under the
-            // lock makes finalisation exactly-once; `drained()` is the
-            // authoritative engine-lock re-check, so buffer-drop
-            // completions are caught here too.
-            if let Some(i) = (0..sched.active.len()).find(|&i| sched.active[i].flush.drained()) {
-                let entry = sched.active.remove(i);
-                if sched.cursor > i {
-                    sched.cursor -= 1;
-                }
-                return Some(Work::Finalize(entry));
-            }
-            // 2. Open a queued request (begin_epoch may block on tiered
-            // backpressure — never under this lock).
-            if let Some(req) = sched.queue.pop_front() {
-                return Some(Work::Open(req));
-            }
-            // 3. Claim round-robin over active flushes, skipping quiescent
-            // flushes and bandwidth-indebted tenants.
-            let n = sched.active.len();
-            let mut picked = None;
-            for k in 0..n {
-                let i = (sched.cursor + k) % n;
-                let e = &sched.active[i];
-                if e.flags.quiescent.load(Ordering::Relaxed) {
-                    continue;
-                }
-                if let Some(t) = &e.tenant {
-                    if !t.state.lock().bucket.allow() {
-                        continue;
-                    }
-                }
-                picked = Some(i);
-                break;
-            }
-            if let Some(i) = picked {
-                sched.cursor = (i + 1) % n;
-                let e = &sched.active[i];
-                return Some(Work::Claim(
-                    Arc::clone(&e.flush),
-                    e.tenant.as_ref().map(Arc::clone),
-                    Arc::clone(&e.flags),
-                ));
-            }
-            // 4. Nothing to do.
-            if sched.shutdown && sched.queue.is_empty() && sched.active.is_empty() {
-                return None;
-            }
-            if sched.active.is_empty() {
-                self.work.wait(&mut sched);
-            } else {
-                // Quiescent-but-active flushes complete via buffer drops
-                // and bandwidth debts expire on the clock: re-poll.
-                self.work.wait_for(&mut sched, IDLE_POLL);
-            }
-        }
-    }
-
-    /// Commit/abort a drained flush and do the service-side bookkeeping:
-    /// quota charging on success, fair-drain scheduling, maintenance kick.
-    fn finalize(&self, entry: Entry) {
-        let result = entry.flush.finalize();
-        match (&result, &entry.tenant) {
-            (Ok(()), Some(t)) => {
-                self.flushes_completed.fetch_add(1, Ordering::Relaxed);
-                let (pages, bytes) = entry.flush.written();
-                {
-                    let mut st = t.state.lock();
-                    st.committed_pages = st.committed_pages.saturating_add(pages);
-                    st.committed_bytes = st.committed_bytes.saturating_add(bytes);
-                }
-                // Hand the committed epoch to the fair drain scheduler,
-                // weighted by what it actually wrote. Backends without a
-                // tier backlog never show one, so the push is skipped.
-                if t.backend.drain_backlog() > 0 {
-                    let tenant_id = entry.flush.tenant();
-                    let mut m = self.maint.lock();
-                    m.queue.push(tenant_id, entry.flush.seq(), bytes.max(1));
-                    drop(m);
-                    self.maint_wake.notify_all();
-                }
-            }
-            (Ok(()), None) => {
-                self.flushes_completed.fetch_add(1, Ordering::Relaxed);
-            }
-            (Err(_), _) => {
-                self.flushes_failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // Wake workers: the schedule shrank (shutdown re-check) and the
-        // tenant may submit again immediately.
-        self.work.notify_all();
-    }
-
-    /// Mid-epoch quota enforcement after a successful claim: charge the
-    /// bandwidth bucket, then kill the flush (once) if the epoch crossed
-    /// the tenant's storage caps.
-    fn settle_claim(&self, flush: &ActiveFlush, tenant: &Tenant, flags: &EntryFlags, bytes: u64) {
-        let (wp, wb) = flush.written();
-        let mut st = tenant.state.lock();
-        st.bucket.charge(bytes);
-        let over = st.committed_pages.saturating_add(wp) > st.quota.max_pages
-            || st.committed_bytes.saturating_add(wb) > st.quota.max_bytes;
-        if over && !flags.quota_killed.swap(true, Ordering::Relaxed) {
-            st.quota_failures += 1;
-            drop(st);
-            flush.fail("tenant quota exceeded: epoch aborted");
-        }
-    }
-
-    fn worker_loop(self: &Arc<Self>, slot: usize) {
-        // Same exemption as standalone committer threads: pool allocations
-        // must never fault into a tenant's protected memory accounting.
-        ai_ckpt_mem::alloc::exempt_thread_from_tracking(true);
-        let mut scratch = ClaimScratch::default();
-        while let Some(work) = self.next_work() {
-            match work {
-                Work::Finalize(entry) => self.finalize(entry),
-                Work::Open(req) => {
-                    let tenant = self.tenants.lock().get(&req.tenant()).cloned();
-                    let flush = Arc::new(req.open(self.cfg.workers));
-                    let mut sched = self.sched.lock();
-                    sched.active.push(Entry {
-                        flush,
-                        tenant,
-                        flags: Arc::new(EntryFlags::default()),
-                    });
-                    drop(sched);
-                    self.work.notify_all();
-                }
-                Work::Claim(flush, tenant, flags) => {
-                    match flush.claim(slot, flush.batch_pages(), &mut scratch) {
-                        ClaimOutcome::Empty => {
-                            flags.quiescent.store(true, Ordering::Relaxed);
-                        }
-                        ClaimOutcome::Drained => {
-                            flags.quiescent.store(true, Ordering::Relaxed);
-                            self.work.notify_all();
-                        }
-                        ClaimOutcome::Flushed { bytes, drained, .. } => {
-                            // A tenant vanishing mid-flight cannot happen
-                            // through the manager's drop path (it waits for
-                            // the flush first); drain unmetered if it does.
-                            if let Some(t) = &tenant {
-                                self.settle_claim(&flush, t, &flags, bytes);
-                            }
-                            if drained {
-                                flags.quiescent.store(true, Ordering::Relaxed);
-                                self.work.notify_all();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// One maintenance cycle: drain the fair queue dry, then run every
-    /// tenant's compaction policy. Returns true when a drain failed (the
-    /// caller backs off before retrying).
-    fn maintenance_cycle(&self, give_up_on_error: bool) -> bool {
-        let mut had_failure = false;
-        loop {
-            let item = self.maint.lock().queue.pop();
-            let Some(item) = item else { break };
-            let Some(t) = self.tenants.lock().get(&item.tenant).cloned() else {
-                continue; // detached while queued
-            };
-            // Transient faults (a flaky link, an interrupted syscall) are
-            // absorbed by bounded backoff before the failure/requeue path
-            // runs; permanent faults surface immediately as before.
-            match t.retry.run(|| t.backend.drain_one()) {
-                Ok(Some(_)) => t.maint.lock().epochs_drained += 1,
-                // Already drained (synthetic barrier top-up, or a duplicate
-                // entry from the finalise/barrier race): nothing owed.
-                Ok(None) => {}
-                Err(_) => {
-                    t.maint.lock().failures += 1;
-                    had_failure = true;
-                    if !give_up_on_error {
-                        // Put it back and stop the cycle: hot-looping on a
-                        // failing backend helps nobody; retry after backoff.
-                        self.maint
-                            .lock()
-                            .queue
-                            .push(item.tenant, item.item, item.cost);
-                    }
-                    break;
-                }
-            }
-        }
-        let tenants: Vec<Arc<Tenant>> = self.tenants.lock().values().cloned().collect();
-        for t in tenants {
-            if t.detached.load(Ordering::Acquire) {
-                continue;
-            }
-            if !t.compaction.is_disabled() && !t.compaction_disarmed.load(Ordering::Relaxed) {
-                let mut cycle = MaintenanceStats::default();
-                match compact_if_due(t.backend.as_ref(), t.compaction, &mut cycle) {
-                    Ok(_) => {
-                        let mut ms = t.maint.lock();
-                        ms.compactions += cycle.compactions;
-                        ms.segments_removed += cycle.segments_removed;
-                        ms.bytes_reclaimed += cycle.bytes_reclaimed;
-                        ms.bytes_compacted += cycle.bytes_compacted;
-                    }
-                    Err(_) => {
-                        t.maint.lock().failures += 1;
-                        if !t.backend.supports_compaction() {
-                            // One recorded failure, then disarm — standalone
-                            // maintenance-worker behaviour.
-                            t.compaction_disarmed.store(true, Ordering::Relaxed);
-                        } else {
-                            had_failure = true;
-                        }
-                    }
-                }
-            }
-            // Advance the tenant's at-rest integrity scrub by one paced
-            // step, after the fold above so the settled chain is what gets
-            // verified. Corrupt findings are repaired or quarantined inside
-            // the scrubber (the tenant's restores share the quarantine
-            // set); only unrecovered transient/permanent read errors count
-            // as cycle failures.
-            if t.retry
-                .run(|| t.scrubber.cycle(t.backend.as_ref()))
-                .is_err()
-            {
-                t.maint.lock().failures += 1;
-                had_failure = true;
-            }
-        }
-        had_failure
-    }
-
-    fn maintenance_loop(self: &Arc<Self>) {
-        ai_ckpt_mem::alloc::exempt_thread_from_tracking(true);
-        loop {
-            let (target, shutting_down) = {
-                let mut m = self.maint.lock();
-                loop {
-                    if m.shutdown && m.queue.is_empty() && m.kicks == m.served {
-                        return;
-                    }
-                    if m.kicks != m.served || !m.queue.is_empty() || m.shutdown {
-                        break;
-                    }
-                    self.maint_wake.wait(&mut m);
-                }
-                (m.kicks, m.shutdown)
-            };
-            let had_failure = self.maintenance_cycle(shutting_down);
-            {
-                let mut m = self.maint.lock();
-                m.served = m.served.max(target);
-                drop(m);
-                self.maint_done.notify_all();
-            }
-            if had_failure {
-                std::thread::sleep(MAINT_RETRY);
-            }
-        }
-    }
-}
-
-impl FlushHost for Inner {
-    fn admit(&self, tenant: u64) -> io::Result<()> {
-        if self.sched.lock().shutdown {
-            self.admission_rejections.fetch_add(1, Ordering::Relaxed);
+impl TenantHook for Tenant {
+    fn admit(&self) -> io::Result<()> {
+        if self.counters.shutdown.load(Ordering::Acquire) {
+            self.counters
+                .admission_rejections
+                .fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::other("checkpoint service is shut down"));
         }
-        let t = self
-            .tenants
-            .lock()
-            .get(&tenant)
-            .cloned()
-            .ok_or_else(|| io::Error::other("unknown tenant"))?;
-        let mut st = t.state.lock();
+        let mut st = self.state.lock();
         // At (or past) either cap no epoch may begin: a zero quota rejects
         // everything, and an exactly-full tenant cannot start an epoch it
         // could only abort.
         if st.committed_pages >= st.quota.max_pages || st.committed_bytes >= st.quota.max_bytes {
             st.quota_failures += 1;
             drop(st);
-            self.admission_rejections.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .admission_rejections
+                .fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::other(
                 "tenant quota exhausted: checkpoint rejected at admission",
             ));
@@ -489,66 +129,39 @@ impl FlushHost for Inner {
         Ok(())
     }
 
-    fn submit(&self, request: FlushRequest) -> io::Result<()> {
-        {
-            let mut sched = self.sched.lock();
-            if !sched.shutdown {
-                sched.queue.push_back(request);
-                drop(sched);
-                self.work.notify_all();
-                return Ok(());
-            }
-        }
-        // Shut down between admit and submit: resolve the request here
-        // (contract: an Err from submit means the host already rejected).
-        self.admission_rejections.fetch_add(1, Ordering::Relaxed);
-        request.reject("checkpoint service is shut down");
-        Err(io::Error::other("checkpoint service is shut down"))
+    fn may_claim(&self) -> bool {
+        self.state.lock().bucket.allow()
     }
 
-    fn detach(&self, tenant: u64) {
-        let removed = self.tenants.lock().remove(&tenant);
-        if let Some(t) = removed {
-            t.detached.store(true, Ordering::Release);
-        }
-        self.maint.lock().queue.remove_tenant(tenant);
-    }
-
-    fn maintenance_barrier(&self, tenant: u64) -> io::Result<()> {
-        // Top up the drain queue from the backend's authoritative backlog:
-        // closes the finalise/push race (the app can reach this barrier
-        // after `wait_checkpoint` wakes but before the finalising worker
-        // pushed the drain item) and covers backlog inherited from a
-        // previous process.
-        if let Some(t) = self.tenants.lock().get(&tenant).cloned() {
-            let mut m = self.maint.lock();
-            let owed = t.backend.drain_backlog();
-            let queued = m.queue.backlog(tenant);
-            for _ in queued..owed {
-                m.queue.push(tenant, 0, 1);
-            }
-        }
-        let target = {
-            let mut m = self.maint.lock();
-            m.kicks += 1;
-            let target = m.kicks;
-            drop(m);
-            self.maint_wake.notify_all();
-            target
-        };
-        let mut m = self.maint.lock();
-        while m.served < target && !m.shutdown {
-            self.maint_done.wait(&mut m);
+    /// Mid-epoch quota enforcement: charge the bandwidth bucket, then kill
+    /// the epoch (once) if it crossed the tenant's storage caps.
+    fn on_claim(&self, claim_bytes: u64, epoch_pages: u64, epoch_bytes: u64) -> Result<(), String> {
+        let mut st = self.state.lock();
+        st.bucket.charge(claim_bytes);
+        let over = st.committed_pages.saturating_add(epoch_pages) > st.quota.max_pages
+            || st.committed_bytes.saturating_add(epoch_bytes) > st.quota.max_bytes;
+        if over && !st.epoch_killed {
+            st.epoch_killed = true;
+            st.quota_failures += 1;
+            return Err("tenant quota exceeded: epoch aborted".into());
         }
         Ok(())
     }
 
-    fn maintenance_stats(&self, tenant: u64) -> MaintenanceStats {
-        self.tenants
-            .lock()
-            .get(&tenant)
-            .map(|t| *t.maint.lock())
-            .unwrap_or_default()
+    /// Committed totals are charged only here, on success, so an aborted
+    /// epoch charges nothing.
+    fn on_commit(&self, result: &io::Result<()>, pages: u64, bytes: u64) {
+        let mut st = self.state.lock();
+        st.epoch_killed = false;
+        if result.is_ok() {
+            st.committed_pages = st.committed_pages.saturating_add(pages);
+            st.committed_bytes = st.committed_bytes.saturating_add(bytes);
+            self.counters
+                .flushes_completed
+                .fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.counters.flushes_failed.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -578,63 +191,28 @@ impl FlushHost for Inner {
 /// mgr.checkpoint().unwrap();
 /// ```
 pub struct CkptService {
-    inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
-    maint: Option<JoinHandle<()>>,
+    pool: Arc<FlushPool>,
+    /// Registry keyed by the pool's tenant ids. The pool holds the only
+    /// strong reference (as the tenant's hook), so a dropped manager leaves
+    /// just a dead entry here, swept by [`CkptService::live_tenants`].
+    tenants: Mutex<BTreeMap<u64, Weak<Tenant>>>,
+    counters: Arc<Counters>,
 }
 
 impl CkptService {
-    /// Spawn the shared pools: `cfg.workers` flush workers plus one
+    /// Build the shared pool: `cfg.workers` flush workers plus one
     /// maintenance worker. No further threads are ever created, no matter
     /// how many tenants attach.
     pub fn new(cfg: ServiceConfig) -> Self {
-        let cfg = ServiceConfig {
-            workers: cfg.workers.max(1),
-            drain: cfg.drain,
-        };
-        let inner = Arc::new(Inner {
-            cfg,
-            tenants: Mutex::new(BTreeMap::new()),
-            sched: Mutex::new(Sched::default()),
-            work: Condvar::new(),
-            maint: Mutex::new(MaintState {
-                queue: DrainQueue::new(cfg.drain),
-                kicks: 0,
-                served: 0,
-                shutdown: false,
-            }),
-            maint_wake: Condvar::new(),
-            maint_done: Condvar::new(),
-            next_id: AtomicU64::new(0),
-            flushes_completed: AtomicU64::new(0),
-            flushes_failed: AtomicU64::new(0),
-            admission_rejections: AtomicU64::new(0),
-        });
-        let workers = (0..cfg.workers)
-            .map(|slot| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("ckpt-svc-worker-{slot}"))
-                    .spawn(move || inner.worker_loop(slot))
-                    .expect("spawn service worker")
-            })
-            .collect();
-        let maint = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("ckpt-svc-maint".into())
-                .spawn(move || inner.maintenance_loop())
-                .expect("spawn service maintenance worker")
-        };
         Self {
-            inner,
-            workers,
-            maint: Some(maint),
+            pool: FlushPool::new(cfg.workers, cfg.drain).expect("spawn service pool threads"),
+            tenants: Mutex::new(BTreeMap::new()),
+            counters: Arc::new(Counters::default()),
         }
     }
 
     /// Register a tenant: build a [`PageManager`] attached to the shared
-    /// pools, namespaced to `backend`, limited by `quota`. The returned
+    /// pool, namespaced to `backend`, limited by `quota`. The returned
     /// manager has the full standalone API (allocate, checkpoint, restore,
     /// stats); dropping it detaches the tenant after its last checkpoint
     /// settles.
@@ -673,105 +251,76 @@ impl CkptService {
         quota: TenantQuota,
         policy: Option<PolicyBackend>,
     ) -> io::Result<PageManager> {
-        if self.inner.sched.lock().shutdown {
+        if self.counters.shutdown.load(Ordering::Acquire) {
             return Err(io::Error::other("checkpoint service is shut down"));
-        }
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let compaction = cfg.compaction;
-        let retry = cfg.retry;
-        let manager = PageManager::attached(
-            cfg,
-            Arc::clone(&backend),
-            Arc::clone(&self.inner) as Arc<dyn FlushHost>,
-            id,
-        )?;
-        let mut maint = MaintenanceStats::default();
-        let mut disarmed = false;
-        if !compaction.is_disabled() && !backend.supports_compaction() {
-            // Record the impossible policy once and disarm, like the
-            // standalone worker would on its first cycle.
-            maint.failures = 1;
-            disarmed = true;
         }
         let tenant = Arc::new(Tenant {
             name: name.to_string(),
-            probe: manager.stats_probe(),
             backend: Arc::clone(&backend),
             policy,
-            compaction,
-            scrubber: Arc::clone(manager.scrubber()),
-            retry,
             state: Mutex::new(TenantState {
                 quota,
                 bucket: TokenBucket::new(quota.flush_bandwidth),
                 committed_pages: 0,
                 committed_bytes: 0,
                 quota_failures: 0,
+                epoch_killed: false,
             }),
-            maint: Mutex::new(maint),
-            detached: AtomicBool::new(false),
-            compaction_disarmed: AtomicBool::new(disarmed),
+            counters: Arc::clone(&self.counters),
         });
-        self.inner.tenants.lock().insert(id, tenant);
-        // Inherited backlog (a tiered backend reopened over a previous
-        // process's undrained epochs) joins the fair queue immediately.
-        let backlog = backend.drain_backlog();
-        if backlog > 0 {
-            let mut m = self.inner.maint.lock();
-            for _ in 0..backlog {
-                m.queue.push(id, 0, 1);
-            }
-            drop(m);
-            self.inner.maint_wake.notify_all();
-        }
+        let weak = Arc::downgrade(&tenant);
+        let manager = self.pool.attach(cfg, backend, tenant)?;
+        let mut tenants = self.tenants.lock();
+        tenants.retain(|_, t| t.strong_count() > 0);
+        tenants.insert(manager.tenant_id(), weak);
         Ok(manager)
+    }
+
+    /// The registered tenants whose managers are still attached to the
+    /// pool, forgetting the rest.
+    fn live_tenants(&self) -> Vec<(u64, Arc<Tenant>)> {
+        let mut tenants = self.tenants.lock();
+        tenants.retain(|_, t| t.strong_count() > 0);
+        tenants
+            .iter()
+            .filter_map(|(id, t)| Some((*id, t.upgrade()?)))
+            .collect()
     }
 
     /// Replace a tenant's quota at runtime. Takes effect immediately:
     /// raised storage caps admit the next `checkpoint()` call, and a
     /// raised bandwidth rate starts paying down the tenant's token-bucket
-    /// debt at the new speed (workers are woken to re-check parked
-    /// tenants).
+    /// debt at the new speed.
     pub fn set_quota(&self, tenant: u64, quota: TenantQuota) -> io::Result<()> {
-        let t = self
-            .inner
-            .tenants
-            .lock()
-            .get(&tenant)
-            .cloned()
+        let live = self.live_tenants();
+        let (_, t) = live
+            .iter()
+            .find(|(id, _)| *id == tenant)
             .ok_or_else(|| io::Error::other("unknown tenant"))?;
         let mut st = t.state.lock();
         st.quota = quota;
         st.bucket.set_rate(quota.flush_bandwidth);
-        drop(st);
-        self.inner.work.notify_all();
         Ok(())
     }
 
-    /// Snapshot service-wide stats: per-tenant runtime rollups (with the
-    /// shared maintenance ledger folded in) plus pool counters.
+    /// Snapshot service-wide stats: per-tenant runtime rollups plus pool
+    /// counters.
     pub fn stats(&self) -> ServiceStats {
-        let tenants: Vec<(u64, Arc<Tenant>)> = self
-            .inner
-            .tenants
-            .lock()
-            .iter()
-            .map(|(id, t)| (*id, Arc::clone(t)))
-            .collect();
+        let (queued_flushes, active_flushes) = self.pool.depths();
         let mut out = ServiceStats {
-            workers: self.inner.cfg.workers,
-            flushes_completed: self.inner.flushes_completed.load(Ordering::Relaxed),
-            flushes_failed: self.inner.flushes_failed.load(Ordering::Relaxed),
-            admission_rejections: self.inner.admission_rejections.load(Ordering::Relaxed),
+            workers: self.pool.workers(),
+            flushes_completed: self.counters.flushes_completed.load(Ordering::Relaxed),
+            flushes_failed: self.counters.flushes_failed.load(Ordering::Relaxed),
+            admission_rejections: self.counters.admission_rejections.load(Ordering::Relaxed),
+            queued_flushes,
+            active_flushes,
             ..ServiceStats::default()
         };
-        {
-            let sched = self.inner.sched.lock();
-            out.queued_flushes = sched.queue.len();
-            out.active_flushes = sched.active.len();
-        }
-        for (id, t) in tenants {
-            let mut runtime = t.probe.stats();
+        for (id, t) in self.live_tenants() {
+            // Detached between the listing and here: skip.
+            let Some(runtime) = self.pool.tenant_stats(id) else {
+                continue;
+            };
             let integrity = runtime.integrity;
             out.integrity.cycles += integrity.cycles;
             out.integrity.epochs_verified += integrity.epochs_verified;
@@ -782,8 +331,7 @@ impl CkptService {
             out.integrity.pages_repaired += integrity.pages_repaired;
             out.integrity.repair_failures += integrity.repair_failures;
             out.integrity.epochs_quarantined += integrity.epochs_quarantined;
-            let maint = *t.maint.lock();
-            runtime.maintenance = maint;
+            let maint = runtime.maintenance;
             out.maintenance.compactions += maint.compactions;
             out.maintenance.segments_removed += maint.segments_removed;
             out.maintenance.bytes_reclaimed += maint.bytes_reclaimed;
@@ -815,7 +363,7 @@ impl CkptService {
     /// The number of shared flush workers (constant for the service's
     /// lifetime).
     pub fn workers(&self) -> usize {
-        self.inner.cfg.workers
+        self.pool.workers()
     }
 
     /// Stop accepting checkpoints, drain every queued and active flush to
@@ -826,26 +374,8 @@ impl CkptService {
     /// Tenants must not submit after this — their `checkpoint()` calls
     /// fail cleanly — but their managers stay usable for restores.
     pub fn shutdown(&mut self) {
-        {
-            let mut sched = self.inner.sched.lock();
-            if sched.shutdown && self.workers.is_empty() {
-                return;
-            }
-            sched.shutdown = true;
-        }
-        self.inner.work.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        {
-            let mut m = self.inner.maint.lock();
-            m.shutdown = true;
-        }
-        self.inner.maint_wake.notify_all();
-        self.inner.maint_done.notify_all();
-        if let Some(m) = self.maint.take() {
-            let _ = m.join();
-        }
+        self.counters.shutdown.store(true, Ordering::Release);
+        self.pool.shutdown();
     }
 }
 

@@ -3,20 +3,18 @@
 use ai_ckpt::{MaintenanceStats, RuntimeStats};
 use ai_ckpt_storage::{IntegrityStats, LevelStats};
 
-/// One tenant's slice of the service: its full runtime stats (the same
-/// shape a standalone [`PageManager::stats`](ai_ckpt::PageManager::stats)
-/// reports, with the maintenance section filled from the shared worker)
-/// plus the service-side accounting the quota machinery keeps.
+/// One tenant's slice of the service: its full runtime stats (exactly what
+/// the tenant's own [`PageManager::stats`](ai_ckpt::PageManager::stats)
+/// reports) plus the service-side accounting the quota machinery keeps.
 #[derive(Debug, Clone)]
 pub struct TenantStats {
     /// The tenant id handed out by `add_tenant`.
     pub tenant: u64,
     /// The name the tenant registered under.
     pub name: String,
-    /// Runtime counters snapshotted from the tenant's engine, with
-    /// `maintenance` filled from the shared maintenance worker's per-tenant
-    /// ledger (`streams` stays empty — stream work is pooled and reported
-    /// service-wide instead).
+    /// Runtime counters of the tenant's manager: `streams` has one entry
+    /// per shared worker counting this tenant's pages only, `maintenance`
+    /// is its share of the shared maintenance worker.
     pub runtime: RuntimeStats,
     /// Pages committed across all successful epochs (what page quotas
     /// charge; clean-dirty skips and aborted epochs are free).

@@ -1,14 +1,13 @@
 //! Quota enforcement edges and lifecycle ordering of the multi-tenant
 //! service: zero quotas, mid-epoch exhaustion, runtime quota raises, and
-//! dropping a manager while its flush is still in the shared pool.
+//! a tenant in bandwidth debt whose checkpoint ends through a buffer drop.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use ai_ckpt::{restore_latest, CkptConfig};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_service::{CkptService, ServiceConfig, TenantQuota};
-use ai_ckpt_storage::{MemoryRoot, StorageBackend, ThrottledBackend};
+use ai_ckpt_storage::{MemoryRoot, StorageBackend};
 
 fn cfg() -> CkptConfig {
     CkptConfig::ai_ckpt(4 * page_size()).with_max_pages(64)
@@ -27,7 +26,7 @@ fn zero_quota_rejects_at_begin_and_raise_unblocks() {
             TenantQuota::capped(0, 0),
         )
         .unwrap();
-    let tenant = mgr.tenant_id().unwrap();
+    let tenant = mgr.tenant_id();
 
     let mut buf = mgr.alloc_protected_named("state", 2 * page_size()).unwrap();
     buf.as_mut_slice()[0] = 7;
@@ -72,7 +71,7 @@ fn mid_epoch_exhaustion_aborts_cleanly_and_keeps_backend_restorable() {
             TenantQuota::default(),
         )
         .unwrap();
-    let tenant = mgr.tenant_id().unwrap();
+    let tenant = mgr.tenant_id();
 
     // Epoch 1 under no quota: 2 pages committed.
     let mut buf = mgr.alloc_protected_named("state", 16 * ps).unwrap();
@@ -127,7 +126,7 @@ fn quota_raise_recovers_a_mid_epoch_kill() {
             TenantQuota::capped(2, u64::MAX),
         )
         .unwrap();
-    let tenant = mgr.tenant_id().unwrap();
+    let tenant = mgr.tenant_id();
 
     // 8 dirty pages against a 2-page cap: admitted (nothing committed
     // yet), killed mid-epoch.
@@ -162,26 +161,26 @@ fn quota_raise_recovers_a_mid_epoch_kill() {
 }
 
 #[test]
-fn dropping_a_manager_mid_flush_settles_before_detach() {
+fn buffer_drop_under_bandwidth_debt_settles_before_detach() {
     let root = MemoryRoot::new();
-    let svc = CkptService::new(ServiceConfig::default());
+    // One worker: claim-then-debt lets concurrent workers each take a
+    // batch before the first charge lands.
+    let svc = CkptService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
     let ps = page_size();
-    // Throttle the backend so the flush is demonstrably still in the
-    // shared pool when the manager drops.
-    let slow = ThrottledBackend::new(
-        root.open("dropper"),
-        (4 * ps) as f64 * 10.0, // ~40 pages/sec
-        Duration::ZERO,
-    );
-    // Tiny claim batches: most of the buffer is still unclaimed when it
-    // drops, so the checkpoint genuinely completes through the discard
-    // path rather than a final claim.
+    let backend = root.open("debtor");
+    // One byte per second: the first claim rides on a zero balance, then
+    // the tenant is in debt for the rest of the test and no further claim
+    // can run. (The plain mid-flush drop is in the root
+    // `front_door_conformance` script, for every front door.)
     let mgr = svc
         .add_tenant(
-            "dropper",
+            "debtor",
             cfg().with_flush_batch_pages(2),
-            Arc::new(slow),
-            TenantQuota::default(),
+            Arc::new(backend.clone()),
+            TenantQuota::bandwidth(1),
         )
         .unwrap();
     let mut buf = mgr.alloc_protected_named("state", 8 * ps).unwrap();
@@ -189,12 +188,19 @@ fn dropping_a_manager_mid_flush_settles_before_detach() {
         buf.as_mut_slice()[page * ps] = 9;
     }
     mgr.checkpoint().unwrap();
+    let claimed = || mgr.stats().streams.iter().map(|s| s.pages).sum::<u64>();
+    while claimed() < 2 {
+        std::thread::yield_now();
+    }
 
-    // Dropping the buffer mid-flush discards its unflushed pages — the
-    // checkpoint can now complete *without any claim observing it*, which
-    // only the workers' timed drained-poll catches. Then dropping the
-    // manager must wait for that settlement before detaching.
+    // Dropping the buffer discards the six unclaimed pages: the checkpoint
+    // completes *without any claim observing it*, and only the drop's
+    // notification gets it finalised. Dropping the manager then waits for
+    // that settlement before detaching.
     drop(buf);
+    mgr.wait_checkpoint().unwrap();
+    assert_eq!(claimed(), 2, "the debt held: one claim only");
+    assert_eq!(backend.epochs().unwrap(), vec![1]);
     drop(mgr);
 
     // The service survived and is still fully functional for new tenants.
@@ -214,7 +220,7 @@ fn dropping_a_manager_mid_flush_settles_before_detach() {
     assert_eq!(backend2.epochs().unwrap().len(), 1);
 
     let stats = svc.stats();
-    assert_eq!(stats.tenants.len(), 1, "dropper detached, after remains");
+    assert_eq!(stats.tenants.len(), 1, "debtor detached, after remains");
     assert_eq!(stats.tenants[0].name, "after");
 }
 
@@ -251,4 +257,23 @@ fn shutdown_rejects_new_work_but_leaves_committed_state() {
         .is_err());
     // Epoch 1 is intact and restorable after shutdown.
     assert_eq!(backend.epochs().unwrap(), vec![1]);
+}
+
+/// The service keeps nothing of a dropped tenant alive — in particular not
+/// its backend handle — even when nobody ever polls `stats()`.
+#[test]
+fn dropped_tenant_releases_its_backend_unpolled() {
+    let svc = CkptService::new(ServiceConfig::default());
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemoryRoot::new().open("gone"));
+    let mgr = svc
+        .add_tenant("gone", cfg(), Arc::clone(&backend), TenantQuota::default())
+        .unwrap();
+    let mut buf = mgr.alloc_protected(page_size()).unwrap();
+    buf.as_mut_slice()[0] = 1;
+    mgr.checkpoint().unwrap();
+    mgr.wait_maintenance_idle().unwrap();
+    assert!(Arc::strong_count(&backend) > 1);
+    drop(buf);
+    drop(mgr);
+    assert_eq!(Arc::strong_count(&backend), 1);
 }

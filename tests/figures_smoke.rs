@@ -5,11 +5,28 @@
 use ai_ckpt_bench::presets;
 use ai_ckpt_bench::{fig2, Fig2Config};
 use ai_ckpt_sim::Strategy;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The one wall-clock test of this binary must not share the CPUs with the
+/// CPU-bound simulator tests beside it: `fig2::run` measures each pattern's
+/// baseline first and its three strategies after it, so sibling threads
+/// that finish in between make the later runs (sync last) look cheaper
+/// than the earlier ones (ours first), and the ordering asserts flip.
+static CPUS: RwLock<()> = RwLock::new(());
+
+fn cpus_alone() -> RwLockWriteGuard<'static, ()> {
+    CPUS.write().unwrap_or_else(|e| e.into_inner())
+}
+
+fn cpus_shared() -> RwLockReadGuard<'static, ()> {
+    CPUS.read().unwrap_or_else(|e| e.into_inner())
+}
 
 const STRATEGIES: [Strategy; 3] = [Strategy::Sync, Strategy::AsyncNoPattern, Strategy::AiCkpt];
 
 #[test]
 fn fig2_shape_real_runtime() {
+    let _alone = cpus_alone();
     // Tiny but real: mprotect faults, background committer, throttle.
     let cfg = Fig2Config {
         region_bytes: 8 << 20,
@@ -58,6 +75,7 @@ fn fig2_shape_real_runtime() {
 
 #[test]
 fn fig3_shape_ordering_and_scaling() {
+    let _shared = cpus_shared();
     let small = presets::quick::cm1(2, 16 << 20, 1).compare(&STRATEGIES);
     let large = presets::quick::cm1(8, 16 << 20, 1).compare(&STRATEGIES);
     for cmp in [&small, &large] {
@@ -78,6 +96,7 @@ fn fig3_shape_ordering_and_scaling() {
 
 #[test]
 fn fig4_shape_cow_monotonicity_and_convergence() {
+    let _shared = cpus_shared();
     let reductions: Vec<(f64, f64)> = [0u64, 1 << 20, 16 << 20, 256 << 20]
         .iter()
         .map(|&cow| {
@@ -108,6 +127,7 @@ fn fig4_shape_cow_monotonicity_and_convergence() {
 
 #[test]
 fn fig5_shape_local_disks() {
+    let _shared = cpus_shared();
     let cmp = presets::quick::milc(20, 0, 1).compare(&STRATEGIES);
     let sync = cmp.row(Strategy::Sync).unwrap();
     let nop = cmp.row(Strategy::AsyncNoPattern).unwrap();
@@ -128,6 +148,7 @@ fn fig5_shape_local_disks() {
 
 #[test]
 fn simulation_is_deterministic_per_seed() {
+    let _shared = cpus_shared();
     let a = presets::quick::cm1(3, 4 << 20, 9).run(Strategy::AiCkpt);
     let b = presets::quick::cm1(3, 4 << 20, 9).run(Strategy::AiCkpt);
     assert_eq!(a.completion, b.completion);
