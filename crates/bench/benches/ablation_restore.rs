@@ -1,10 +1,11 @@
 //! Restore ablation: eager versus demand-paged restart.
 //!
 //! Part 1 measures *time to first instruction* — how long a restarting
-//! process waits before it can touch its state. Eager restore replays the
-//! whole image first, so TTFI grows linearly with image size; lazy restore
-//! maps the layout `PROT_NONE` and faults the first page in on demand, so
-//! TTFI stays flat across a 16x image-size sweep.
+//! process waits before it can touch its state. Both restores prepare the
+//! same way (layout replay, pages mapped `PROT_NONE`) and fill through the
+//! same filler; eager waits for the whole fill, so TTFI grows linearly with
+//! image size, while lazy returns first and faults the first page in on
+//! demand, so TTFI stays flat across a 16x image-size sweep.
 //!
 //! Part 2 is the restore storm: N processes restarting from the same
 //! checkpoint (the common failure mode — a whole job restarts at once)

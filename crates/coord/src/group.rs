@@ -63,7 +63,7 @@ use std::sync::Arc;
 
 use ai_ckpt::restore::{restore_at, RestoredState};
 use ai_ckpt::{CkptConfig, CompactionPolicy, DrainPolicy, FlushPool, PageManager};
-use ai_ckpt_storage::{EpochKind, FileBackend, StorageBackend};
+use ai_ckpt_storage::{FileBackend, StorageBackend};
 
 use crate::global::{self, GlobalRecord};
 use crate::stats::GroupStats;
@@ -395,14 +395,7 @@ impl CheckpointGroup {
                     continue;
                 }
             };
-            let since_full = chain
-                .iter()
-                .rposition(|c| c.kind == EpochKind::Full)
-                .map(|i| chain.len() - 1 - i)
-                .unwrap_or(chain.len());
-            let over_len = self.policy.max_chain_len > 0 && chain.len() > self.policy.max_chain_len;
-            let full_due = self.policy.full_every_n > 0 && since_full >= self.policy.full_every_n;
-            if !(over_len || full_due) {
+            if !self.policy.is_due(&chain) {
                 continue;
             }
             match cell.backend().compact(g) {

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use ai_ckpt_core::{DrainPolicy, DrainQueue};
-use ai_ckpt_storage::{EpochKind, RetryPolicy, Scrubber, StorageBackend};
+use ai_ckpt_storage::{RetryPolicy, Scrubber, StorageBackend};
 
 use crate::config::{CkptConfig, CompactionPolicy};
 use crate::manager::{
@@ -220,22 +220,10 @@ fn compact_chain_if_due(
         return Ok(None);
     }
     let chain = backend.chain()?;
-    let Some(head) = chain.last().map(|c| c.epoch) else {
-        return Ok(None);
-    };
-    // Segments a restore of `head` would replay: everything after (and
-    // including) the newest full segment.
-    let since_full = chain
-        .iter()
-        .rposition(|c| c.kind == EpochKind::Full)
-        .map(|i| chain.len() - 1 - i)
-        .unwrap_or(chain.len());
-    let over_len = policy.max_chain_len > 0 && chain.len() > policy.max_chain_len;
-    let full_due = policy.full_every_n > 0 && since_full >= policy.full_every_n;
-    if !(over_len || full_due) {
-        return Ok(None);
+    match chain.last() {
+        Some(head) if policy.is_due(&chain) => Ok(Some(backend.compact(head.epoch)?)),
+        _ => Ok(None),
     }
-    Ok(Some(backend.compact(head)?))
 }
 
 /// A begun checkpoint handed to the pool: the engine holds a scheduled

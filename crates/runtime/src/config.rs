@@ -3,7 +3,7 @@
 
 use ai_ckpt_core::SchedulerKind;
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::{RetryPolicy, ScrubPolicy};
+use ai_ckpt_storage::{ChainEntry, EpochKind, RetryPolicy, ScrubPolicy};
 
 /// How `CHECKPOINT` behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +54,19 @@ impl CompactionPolicy {
     pub fn is_disabled(&self) -> bool {
         self.max_chain_len == 0 && self.full_every_n == 0
     }
+
+    /// True when `chain` (a backend's live chain, ascending) should be
+    /// folded: it is longer than `max_chain_len`, or a restore of its head
+    /// would replay `full_every_n` or more segments past the newest full one.
+    pub fn is_due(&self, chain: &[ChainEntry]) -> bool {
+        let since_full = chain
+            .iter()
+            .rev()
+            .take_while(|c| c.kind != EpochKind::Full)
+            .count();
+        (self.max_chain_len > 0 && chain.len() > self.max_chain_len)
+            || (self.full_every_n > 0 && since_full >= self.full_every_n)
+    }
 }
 
 /// Configuration for a [`PageManager`](crate::PageManager).
@@ -102,8 +115,8 @@ pub struct CkptConfig {
     /// storage already holds (same-value stores, page-granularity false
     /// sharing) before any I/O. Skips are counted in
     /// [`RuntimeStats::pages_skipped_clean`](crate::RuntimeStats). Restore
-    /// seeds the table from the restored image, so the first post-restore
-    /// checkpoint stays incremental instead of near-full. Disabled by
+    /// seeds the table page by page as it fills, so a page rewritten with
+    /// its restored bytes is recognised as clean-dirty too. Disabled by
     /// default (the paper's byte-oblivious behaviour); costs one CRC-64
     /// pass per flushed page plus 9 bytes of table per tracked page.
     pub content_filter: bool,

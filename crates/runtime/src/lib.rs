@@ -74,8 +74,8 @@ pub use buffer::ProtectedBuffer;
 pub use config::{CkptConfig, CkptMode, CompactionPolicy};
 pub use manager::PageManager;
 pub use restore::{
-    restore_at, restore_at_cached, restore_latest, restore_latest_cached, restore_latest_lazy,
-    restore_lazy, LazyRestore, RestoreStats, RestoredState,
+    restore_at, restore_latest, restore_latest_cached, restore_latest_lazy, restore_lazy,
+    LazyRestore, RestoreStats, RestoredState,
 };
 pub use stats::{CheckpointRecord, MaintenanceStats, RuntimeStats};
 

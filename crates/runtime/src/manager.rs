@@ -321,8 +321,7 @@ pub(crate) const DIGEST_SHARDS: usize = 16;
 /// ([`FlushJob::digest_updates`]); the finaliser merges the buffers into
 /// the shards only after the epoch's `finish` succeeded — an aborted epoch
 /// must leave the table describing what storage still holds. Restore seeds
-/// the table from the restored image
-/// ([`PageManager::seed_content_digests`]).
+/// the table page by page as it fills (`restore::filler_loop`).
 pub(crate) struct ContentFilter {
     shards: Box<[Mutex<DigestTable>]>,
     skipped_pages: AtomicU64,
@@ -861,35 +860,6 @@ impl PageManager {
         self.wait_checkpoint()?;
         self.pool.inner.maintenance_barrier(&self.tenant);
         Ok(())
-    }
-
-    /// Seed the content-filter digest table from the *current* content of
-    /// every registered protected buffer — i.e. declare that storage
-    /// already holds exactly these bytes. Restore calls this after filling
-    /// the buffers from the checkpoint image, so the first post-restore
-    /// checkpoint (whose dirty set is near-full, because the restore copies
-    /// fault) skips everything the restart did not actually change and
-    /// stays incremental. No-op when the filter is disabled.
-    ///
-    /// Caller contract: no concurrent writers to protected memory (the
-    /// restore context), and no checkpoint in flight.
-    pub fn seed_content_digests(&self) {
-        let Some(filter) = &self.ctl.filter else {
-            return;
-        };
-        let page_bytes = self.ctl.shared.page_bytes;
-        let regions = self.regions.lock();
-        for e in regions.live() {
-            for i in 0..e.pages {
-                let addr = e.addr + i * page_bytes;
-                // SAFETY: a registered region's pages are mapped and at
-                // least PROT_READ for their whole registered lifetime;
-                // `regions` is locked, so the region cannot be freed under
-                // us.
-                let page = unsafe { std::slice::from_raw_parts(addr as *const u8, page_bytes) };
-                filter.set((e.base_page + i) as u64, crc64(page));
-            }
-        }
     }
 
     /// Number of checkpoints requested so far.

@@ -2,45 +2,42 @@
 //! chain (the "Restart" half of Checkpoint-Restart).
 //!
 //! The committer stores, with every epoch, a layout blob describing the live
-//! buffers (name, base page, length). Restore replays that layout against a
-//! *fresh* [`PageManager`] — same allocation order ⇒ same page ids — then
-//! fills the buffers from the latest-wins page image.
+//! buffers (name, base page, length). Every restore — eager or lazy — is the
+//! same two steps. **Prepare** refuses quarantined epochs, replays the
+//! layout against a *fresh* [`PageManager`] (same allocation order ⇒ same
+//! page ids; page-table work, no payload I/O), resolves every page to the
+//! newest epoch holding it through a [`PageLocator`], and maps every
+//! to-be-restored page `PROT_NONE`. **Fill** is one loop, `filler_loop`: it
+//! reads each page with `read_page_at` (through the shared [`PageCache`]
+//! when given one, so N concurrent restores of one checkpoint hit disk once
+//! per page; transient faults retried, a corrupt read repaired in place and
+//! re-read), writes it through `/proc/self/mem` (which bypasses page
+//! protections) while the page stays `PROT_NONE`, seeds the content-filter
+//! digest, then drops the protection to `PROT_READ` and publishes the fill —
+//! so no window exists in which a thread could observe a half-filled page,
+//! and the fill itself never faults. Pages the application never wrote are
+//! absent from every epoch and remain zero, which is exactly their
+//! pre-crash content (regions are zero-filled).
 //!
-//! Pages the application never wrote are absent from every epoch and remain
-//! zero, which is exactly their pre-crash content (regions are zero-filled).
+//! The two doors differ only in *who runs the fill*. [`restore_at`] /
+//! [`restore_latest`] run it to completion on the calling thread and return
+//! the filled buffers. [`restore_lazy`] hands it to a background thread and
+//! returns at once — time-to-first-instruction is layout work only,
+//! independent of image size: the filler streams pages in predicted-access
+//! order (the checkpoint's recorded first-write order, replayed through the
+//! same [`EpochRecord`] machinery the tracker uses), and an application
+//! access that outruns it faults, posts a priority hint to the filler's
+//! demand ring, and blocks only for that single page's read.
 //!
-//! The copies performed during restore fault like ordinary writes, so the
-//! restored data is automatically part of the *next* checkpoint's dirty set
-//! — the first checkpoint after a restart is close to full, which is the
-//! conservative, correct behaviour. With `CkptConfig::content_filter`
-//! enabled, restore additionally seeds the digest table from the restored
-//! image ([`PageManager::seed_content_digests`]), so the committer drops
-//! the pages the restart did not actually change and that first checkpoint
-//! stays incremental in bytes while remaining full in coverage.
+//! ## After a restore
 //!
-//! ## Lazy (demand-paged) restore
-//!
-//! [`restore_at`] pays the whole image before the application runs a single
-//! instruction — time-to-restart grows linearly with image size.
-//! [`restore_lazy`] inverts that: it replays only the layout (page-table
-//! work, no payload I/O), maps every to-be-restored page `PROT_NONE`, and
-//! returns immediately. A background *filler* thread then streams pages in
-//! predicted-access order (the checkpoint's recorded first-write order,
-//! replayed through the same [`EpochRecord`] machinery the tracker uses),
-//! resolving each page through a [`PageLocator`] and — when given one — a
-//! shared [`PageCache`], so N concurrent restores of one checkpoint hit
-//! disk once per page. An application access that outruns the prefetcher
-//! faults, posts a priority hint to the filler's demand ring, and blocks
-//! only for that single page's read.
-//!
-//! The filler writes payloads through `/proc/self/mem` (which bypasses page
-//! protections) while the page stays `PROT_NONE`, then drops the protection
-//! to `PROT_READ` and publishes the fill — so no window exists in which a
-//! concurrent application thread could observe a half-filled page, and the
-//! fill itself never faults: the first post-restore checkpoint sees exactly
-//! the pages the application actually wrote. Content-filter digests are
-//! seeded per page at fill time, keeping that checkpoint incremental in
-//! bytes, identical to the eager path.
+//! Restored pages are clean, read-only and digest-seeded at fill time, so
+//! the first checkpoint after any restore sees exactly the pages the
+//! application actually wrote: it is incremental in coverage as well as in
+//! bytes. That rests on one contract both doors share: the manager's own
+//! backend must hold the chain being restored (the next delta is only
+//! meaningful on top of it), and restoring a `seq` below the chain head and
+//! then checkpointing requires retiring the newer epochs first.
 
 use std::collections::HashMap;
 use std::io;
@@ -49,9 +46,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ai_ckpt_core::{AccessType, EpochRecord, PageId};
+use ai_ckpt_mem::Protection;
 use ai_ckpt_storage::{
-    classify, crc64, quarantined_error, CheckpointImage, EpochKind, FaultClass, PageCache,
-    PageLocator, RetryPolicy, StorageBackend,
+    classify, crc64, quarantined_error, replay_window, FaultClass, PageCache, PageLocator,
+    RetryPolicy, StorageBackend,
 };
 
 use crate::layout;
@@ -80,16 +78,16 @@ pub fn restore_latest(
 }
 
 /// [`restore_latest`] with page payloads resolved through the shared
-/// [`PageCache`]: eager restores keyed identically to the lazy path, so a
-/// restart storm — N processes restoring the same checkpoint, eagerly or
-/// lazily — reads every page from the backend once, not N times.
+/// [`PageCache`], keyed exactly as [`restore_lazy`] keys them, so a restart
+/// storm — N processes restoring the same checkpoint, eagerly or lazily —
+/// reads every page from the backend once, not N times.
 pub fn restore_latest_cached(
     manager: &PageManager,
     backend: &dyn StorageBackend,
     cache: Option<&PageCache>,
 ) -> io::Result<Option<RestoredState>> {
     match backend.epochs()?.last() {
-        Some(&seq) => restore_at_cached(manager, backend, seq, cache).map(Some),
+        Some(&seq) => restore_eager(manager, backend, seq, cache).map(Some),
         None => Ok(None),
     }
 }
@@ -101,74 +99,28 @@ pub fn restore_at(
     backend: &dyn StorageBackend,
     seq: u64,
 ) -> io::Result<RestoredState> {
-    restore_at_cached(manager, backend, seq, None)
+    restore_eager(manager, backend, seq, None)
 }
 
-/// [`restore_at`] through the shared [`PageCache`] (see
-/// [`restore_latest_cached`] for the dedupe semantics; `None` bypasses the
-/// cache entirely).
-pub fn restore_at_cached(
+/// Eager restore: prepare, then run the fill to completion right here — no
+/// thread, nothing shared. A failed fill drops the half-restored buffers
+/// with the error.
+fn restore_eager(
     manager: &PageManager,
     backend: &dyn StorageBackend,
     seq: u64,
     cache: Option<&PageCache>,
 ) -> io::Result<RestoredState> {
-    refuse_quarantined(manager, backend, seq)?;
-    let blob = backend.get_blob(&layout::blob_name(seq))?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no layout blob for checkpoint {seq}"),
-        )
-    })?;
-    let layouts = layout::decode(&blob)?;
-    let image = CheckpointImage::load_cached(backend, seq, cache)?;
-    let page_bytes = ai_ckpt_mem::page_size();
-
-    let mut buffers = Vec::with_capacity(layouts.len());
-    let mut by_name = HashMap::new();
-    for l in &layouts {
-        let mut buf = manager.alloc_protected_named(&l.name, l.len_bytes as usize)?;
-        if buf.base_page() as u64 != l.base_page {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "layout replay diverged: buffer '{}' expected base page {}, got {} \
-                     (restore requires a fresh PageManager)",
-                    l.name,
-                    l.base_page,
-                    buf.base_page()
-                ),
-            ));
-        }
-        // Fill from the image; writes fault + record, making the restored
-        // content part of the next dirty set.
-        {
-            let slice = buf.as_mut_slice();
-            for page in l.base_page..l.base_page + l.pages {
-                if let Some(data) = image.page(page) {
-                    let off = (page - l.base_page) as usize * page_bytes;
-                    let n = data.len().min(slice.len().saturating_sub(off));
-                    slice[off..off + n].copy_from_slice(&data[..n]);
-                }
-            }
-        }
-        if !l.name.is_empty() {
-            by_name.insert(l.name.clone(), buffers.len());
-        }
-        buffers.push(buf);
-    }
-    // Content filter: declare that storage already holds exactly the bytes
-    // just restored. The restore copies faulted, so the next checkpoint's
-    // dirty set is near-full — without this seeding it would be flushed
-    // near-fully too; with it, only pages the restart actually changes are
-    // written and the chain stays incremental. No-op when the filter is
-    // disabled.
-    manager.seed_content_digests();
-    Ok(RestoredState {
-        buffers,
-        by_name,
-        checkpoint: seq,
-    })
+    let (state, plan) = prepare(manager, backend, seq)?;
+    filler_loop(
+        &manager.ctl,
+        backend,
+        cache,
+        &plan,
+        &AtomicBool::new(false),
+        &FillCounters::default(),
+    )?;
+    Ok(state)
 }
 
 /// Refuse to serve a checkpoint whose replay chain includes a quarantined
@@ -176,9 +128,8 @@ pub fn restore_at_cached(
 /// restore would either fail midway or deliver damaged bytes. Failing up
 /// front is the loud, greppable alternative
 /// ([`quarantined_error`](ai_ckpt_storage::quarantined_error)). Only the
-/// segments a restore of `seq` actually replays — everything after (and
-/// including) the newest full segment at or before `seq` — can disqualify
-/// it; older quarantined history is already superseded.
+/// segments a restore of `seq` actually replays can disqualify it; older
+/// quarantined history is already superseded.
 fn refuse_quarantined(
     manager: &PageManager,
     backend: &dyn StorageBackend,
@@ -189,18 +140,13 @@ fn refuse_quarantined(
         return Ok(());
     }
     let chain = backend.chain()?;
-    let replay_floor = chain
+    match replay_window(&chain, seq)?
         .iter()
-        .filter(|c| c.epoch <= seq && c.kind == EpochKind::Full)
-        .map(|c| c.epoch)
-        .max()
-        .unwrap_or(0);
-    for c in &chain {
-        if c.epoch >= replay_floor && c.epoch <= seq && quarantined.contains(&c.epoch) {
-            return Err(quarantined_error(c.epoch));
-        }
+        .find(|c| quarantined.contains(&c.epoch))
+    {
+        Some(c) => Err(quarantined_error(c.epoch)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Per-restore metrics of a lazy restore (snapshot via
@@ -252,14 +198,12 @@ pub struct LazyRestore {
     ctl: Arc<Ctl>,
     stop: Arc<AtomicBool>,
     filler: Option<std::thread::JoinHandle<io::Result<()>>>,
-    /// Every page the filler owes (newest-first prefetch order); also the
-    /// poison set on abort.
-    order: Arc<Vec<u64>>,
+    /// What the filler owes; its `order` is also the poison set on abort.
+    plan: Arc<FillPlan>,
     counters: Arc<FillCounters>,
     /// `Shared::lazy_demand_faults` at restore start (the shared counter is
     /// cumulative across restores on one manager).
     fault_baseline: u64,
-    zero_pages: u64,
 }
 
 impl LazyRestore {
@@ -274,7 +218,7 @@ impl LazyRestore {
                 .saturating_sub(self.fault_baseline),
             demanded_pages: self.counters.demanded_pages.load(Ordering::Relaxed),
             prefetched_pages: self.counters.prefetched_pages.load(Ordering::Relaxed),
-            zero_pages: self.zero_pages,
+            zero_pages: self.plan.zero_pages,
             pages_from_cache: self.counters.pages_from_cache.load(Ordering::Relaxed),
             bytes_from_cache: self.counters.bytes_from_cache.load(Ordering::Relaxed),
             bytes_filled: self.counters.bytes_filled.load(Ordering::Relaxed),
@@ -309,7 +253,7 @@ impl Drop for LazyRestore {
         // could observe as silently zero must instead fault loudly. (A
         // restore that ran to completion has nothing left to poison; the
         // buffers dropping right after this resolve the states for good.)
-        for &page in self.order.iter() {
+        for &page in &self.plan.order {
             self.ctl.shared.lazy_poison(page as usize);
         }
     }
@@ -328,11 +272,9 @@ pub fn restore_latest_lazy(
     }
 }
 
-/// Demand-paged restore of checkpoint `seq` (see the module docs): replays
-/// the layout without reading any payload, maps to-be-restored pages
-/// `PROT_NONE`, and starts a background filler. Returns as soon as the
-/// buffers exist — time-to-first-instruction is layout work only,
-/// independent of image size.
+/// Demand-paged restore of checkpoint `seq` (see the module docs): prepares
+/// exactly as [`restore_at`] does, then starts the fill on a background
+/// thread and returns as soon as the buffers exist.
 ///
 /// `manager` must be fresh (same contract as [`restore_at`]); `cache`, when
 /// given, is shared across concurrent restores of the same checkpoint so
@@ -343,7 +285,60 @@ pub fn restore_lazy(
     seq: u64,
     cache: Option<Arc<PageCache>>,
 ) -> io::Result<LazyRestore> {
-    refuse_quarantined(manager, backend.as_ref(), seq)?;
+    let ctl = Arc::clone(&manager.ctl);
+    let fault_baseline = ctl.shared.lazy_demand_faults.load(Ordering::Relaxed);
+    let (state, plan) = prepare(manager, backend.as_ref(), seq)?;
+    let plan = Arc::new(plan);
+    let stop = Arc::new(AtomicBool::new(false));
+    let counters = Arc::new(FillCounters::default());
+    let filler = {
+        let (ctl, plan) = (Arc::clone(&ctl), Arc::clone(&plan));
+        let (stop, counters) = (Arc::clone(&stop), Arc::clone(&counters));
+        std::thread::Builder::new()
+            .name("ai-ckpt-restore".into())
+            .spawn(move || {
+                filler_loop(
+                    &ctl,
+                    backend.as_ref(),
+                    cache.as_deref(),
+                    &plan,
+                    &stop,
+                    &counters,
+                )
+            })?
+    };
+    Ok(LazyRestore {
+        state,
+        ctl,
+        stop,
+        filler: Some(filler),
+        plan,
+        counters,
+        fault_baseline,
+    })
+}
+
+/// What a prepared restore still owes, read-only to whoever runs the fill.
+struct FillPlan {
+    /// Page → newest epoch holding it.
+    locator: PageLocator,
+    /// Every page marked for fill, in prefetch (predicted-access) order.
+    order: Vec<u64>,
+    /// Buffer pages the image never held (left zero and readable).
+    zero_pages: u64,
+    retry: RetryPolicy,
+}
+
+/// Everything a restore does before the first payload byte moves: quarantine
+/// check, layout replay, page → epoch resolution, `PROT_NONE` marking in
+/// prefetch order, zero-page digests. Returns the rebuilt, still-empty
+/// buffers and what the fill owes them.
+fn prepare(
+    manager: &PageManager,
+    backend: &dyn StorageBackend,
+    seq: u64,
+) -> io::Result<(RestoredState, FillPlan)> {
+    refuse_quarantined(manager, backend, seq)?;
     // Setup reads ride the same transient-retry schedule as the filler:
     // a fabric hiccup during locator construction must not abort a
     // restore the very next read would have served.
@@ -359,17 +354,15 @@ pub fn restore_lazy(
     let layouts = layout::decode(&blob)?;
     // Resolve page → owning epoch up front (manifest metadata only; no
     // payload is materialised).
-    let locator = retry.run(|| PageLocator::build(backend.as_ref(), seq))?;
+    let locator = retry.run(|| PageLocator::build(backend, seq))?;
     let page_bytes = ai_ckpt_mem::page_size();
-    let ctl = Arc::clone(&manager.ctl);
-    let shared = &ctl.shared;
+    let shared = &manager.ctl.shared;
     debug_assert_eq!(
         shared.lazy_unfilled.load(Ordering::Acquire),
         0,
-        "one lazy restore per manager at a time"
+        "one restore per manager at a time"
     );
     shared.lazy_poisoned.store(false, Ordering::Release);
-    let fault_baseline = shared.lazy_demand_faults.load(Ordering::Relaxed);
 
     let mut buffers = Vec::with_capacity(layouts.len());
     let mut by_name = HashMap::new();
@@ -397,9 +390,8 @@ pub fn restore_lazy(
     // any access traps, fill state UNFILLED so the handler knows to wait
     // rather than treat the trap as a tracked write. Image pages outside
     // every layout (allocation shrank before the crash) are unreachable and
-    // simply skipped, exactly as the eager path skips them.
+    // simply skipped.
     let max_pages = manager.config().max_pages;
-    let mut marked = 0u64;
     // Derive the prefetch order by replaying the image's newest-first page
     // sequence — per epoch, the segment's *recorded first-write order* —
     // through the tracker's own first-wins machinery.
@@ -413,35 +405,22 @@ pub fn restore_lazy(
         if predicted.record(idx as PageId, AccessType::After) {
             shared.lazy_mark_unfilled(idx);
             marked_addrs.push(shared.page_addr[idx].load(Ordering::Acquire));
-            marked += 1;
         }
     }
+    let marked = marked_addrs.len() as u64;
     // Apply PROT_NONE in address order, one mprotect per contiguous run —
     // time-to-first-instruction must not scale with per-page syscalls.
     marked_addrs.sort_unstable();
-    let mut i = 0;
-    while i < marked_addrs.len() {
-        let start = marked_addrs[i];
-        let mut end = start + page_bytes;
-        i += 1;
-        while i < marked_addrs.len() && marked_addrs[i] == end {
-            end += page_bytes;
-            i += 1;
-        }
-        // SAFETY: registered pages of buffers we just allocated; nothing
-        // can access them before this function returns.
-        unsafe {
-            ai_ckpt_mem::set_protection(start, end - start, ai_ckpt_mem::Protection::None)?;
-        }
-    }
-    let order: Arc<Vec<u64>> = Arc::new(predicted.dirty().iter().map(|&p| p as u64).collect());
+    // SAFETY: registered pages of buffers we just allocated; nothing can
+    // access them before this function returns.
+    unsafe { protect_runs(marked_addrs.iter().copied(), page_bytes, Protection::None)? };
+    let order: Vec<u64> = predicted.dirty().iter().map(|&p| p as u64).collect();
 
     // Pages the image never held stay zero and readable; seed their
-    // digests now (pure arithmetic — no page is touched) so the first
-    // post-restore checkpoint matches the eager path's incrementality.
+    // digests now (pure arithmetic — no page is touched), as the filler
+    // seeds every page it writes.
     let total_pages: u64 = layouts.iter().map(|l| l.pages).sum();
-    let zero_pages = total_pages - marked;
-    if let Some(filter) = &ctl.filter {
+    if let Some(filter) = &manager.ctl.filter {
         let zero_digest = crc64(&vec![0u8; page_bytes]);
         for l in &layouts {
             for page in l.base_page..l.base_page + l.pages {
@@ -451,34 +430,41 @@ pub fn restore_lazy(
             }
         }
     }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let counters = Arc::new(FillCounters::default());
-    let filler = {
-        let ctl = Arc::clone(&ctl);
-        let order = Arc::clone(&order);
-        let stop = Arc::clone(&stop);
-        let counters = Arc::clone(&counters);
-        std::thread::Builder::new()
-            .name("ai-ckpt-restore".into())
-            .spawn(move || {
-                filler_loop(ctl, backend, cache, locator, order, stop, counters, retry)
-            })?
+    let state = RestoredState {
+        buffers,
+        by_name,
+        checkpoint: seq,
     };
-    Ok(LazyRestore {
-        state: RestoredState {
-            buffers,
-            by_name,
-            checkpoint: seq,
-        },
-        ctl,
-        stop,
-        filler: Some(filler),
+    let plan = FillPlan {
+        locator,
         order,
-        counters,
-        fault_baseline,
-        zero_pages,
-    })
+        zero_pages: total_pages - marked,
+        retry,
+    };
+    Ok((state, plan))
+}
+
+/// Set `prot` on every page in `addrs` (ascending page addresses), one
+/// `mprotect` per address-contiguous run.
+///
+/// # Safety
+/// Every address must be a live page of a registered region that no other
+/// thread is relying on staying at its current protection.
+unsafe fn protect_runs(
+    addrs: impl Iterator<Item = usize>,
+    page_bytes: usize,
+    prot: Protection,
+) -> io::Result<()> {
+    let mut addrs = addrs.peekable();
+    while let Some(start) = addrs.next() {
+        let mut end = start + page_bytes;
+        while addrs.next_if_eq(&end).is_some() {
+            end += page_bytes;
+        }
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { ai_ckpt_mem::set_protection(start, end - start, prot)? };
+    }
+    Ok(())
 }
 
 /// Sweep fills whose content is written but whose publication (mprotect +
@@ -515,21 +501,10 @@ impl PendingPublish {
         // recorded first-write order, which is near-sequential for the
         // array sweeps this library targets).
         self.pages.sort_unstable_by_key(|&(_, addr, _)| addr);
-        let mut i = 0;
-        while i < self.pages.len() {
-            let start = self.pages[i].1;
-            let mut end = start + page_bytes;
-            i += 1;
-            while i < self.pages.len() && self.pages[i].1 == end {
-                end += page_bytes;
-                i += 1;
-            }
-            // SAFETY: live registered pages, each pinned by its FILLING
-            // state until `lazy_finish_fill` below.
-            unsafe {
-                ai_ckpt_mem::set_protection(start, end - start, ai_ckpt_mem::Protection::ReadOnly)?;
-            }
-        }
+        let addrs = self.pages.iter().map(|&(_, addr, _)| addr);
+        // SAFETY: live registered pages, each pinned by its FILLING state
+        // until `lazy_finish_fill` below.
+        unsafe { protect_runs(addrs, page_bytes, Protection::ReadOnly)? };
         for &(idx, _, len) in &self.pages {
             shared.lazy_finish_fill(idx);
             counters.bytes_filled.fetch_add(len, Ordering::Relaxed);
@@ -540,31 +515,37 @@ impl PendingPublish {
     }
 }
 
-/// The background filler: demand hints first, then the prefetch sweep in
-/// predicted-access order. Runs until every marked page is filled, the
-/// handle asks it to stop, or storage fails (remaining pages are then
-/// poisoned — silent zeroes are not an option).
+/// The fill: demand hints first, then the prefetch sweep in
+/// predicted-access order. Runs until every marked page is filled, `stop`
+/// is raised, or storage fails (remaining pages are then poisoned — silent
+/// zeroes are not an option). Lazy restore runs it on a background thread,
+/// eager restore on the caller's.
 ///
 /// Faults on the payload-read path follow the error taxonomy: transient
 /// errors retry with bounded backoff, a corrupt read triggers
 /// `repair_epoch` on the backend (replica/parity/policy wrappers self-heal
 /// in place) and one final read, and only a permanent fault — or damage
 /// with no surviving redundant source — poisons the remaining pages.
-#[allow(clippy::too_many_arguments)]
 fn filler_loop(
-    ctl: Arc<Ctl>,
-    backend: Arc<dyn StorageBackend>,
-    cache: Option<Arc<PageCache>>,
-    locator: PageLocator,
-    order: Arc<Vec<u64>>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<FillCounters>,
-    retry: RetryPolicy,
+    ctl: &Ctl,
+    backend: &dyn StorageBackend,
+    cache: Option<&PageCache>,
+    plan: &FillPlan,
+    stop: &AtomicBool,
+    counters: &FillCounters,
 ) -> io::Result<()> {
     // Checkpointing-machinery exemption, same as the committer threads: the
-    // filler's allocations must never route into protected regions.
+    // filler's allocations must never route into protected regions. Put
+    // back on exit — an eager restore runs on an application thread.
+    let was_exempt = ai_ckpt_mem::alloc::thread_exempt();
     ai_ckpt_mem::alloc::exempt_thread_from_tracking(true);
     let shared = &ctl.shared;
+    let FillPlan {
+        locator,
+        order,
+        retry,
+        ..
+    } = plan;
     let result = (|| -> io::Result<()> {
         // FOLL_FORCE semantics: writes through /proc/self/mem land in our
         // anonymous mappings regardless of page protection, so a page can
@@ -585,7 +566,7 @@ fn filler_loop(
             if stop.load(Ordering::Acquire) {
                 // Publish what is already written — strictly fewer pages
                 // for the abort path to poison.
-                pending.publish(shared, &counters, page_bytes)?;
+                pending.publish(shared, counters, page_bytes)?;
                 return Ok(());
             }
             // Demand hints outrank the sweep: a hinted page has an
@@ -594,7 +575,7 @@ fn filler_loop(
             // a page whose content is written but not yet published.
             let hint = shared.lazy_next_demand(&mut tail);
             if hint.is_some() || pending.pages.len() >= SWEEP_PUBLISH_BATCH {
-                pending.publish(shared, &counters, page_bytes)?;
+                pending.publish(shared, counters, page_bytes)?;
             }
             let (page, demanded) = match hint {
                 Some(p) => (p, true),
@@ -607,7 +588,7 @@ fn filler_loop(
                     // claimant is this thread), so the restore is complete;
                     // leftover ring hints are stale by construction.
                     None => {
-                        pending.publish(shared, &counters, page_bytes)?;
+                        pending.publish(shared, counters, page_bytes)?;
                         return Ok(());
                     }
                 },
@@ -639,7 +620,13 @@ fn filler_loop(
                     other => other,
                 }
             };
-            let payload: &[u8] = match &cache {
+            let vanished = || {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("page {page} vanished from epoch {epoch}"),
+                )
+            };
+            let payload: &[u8] = match cache {
                 Some(cache) => {
                     let mut loaded = false;
                     let data = cache
@@ -647,12 +634,7 @@ fn filler_loop(
                             loaded = true;
                             read_healed(epoch, page)
                         })?
-                        .ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("page {page} vanished from epoch {epoch}"),
-                            )
-                        })?;
+                        .ok_or_else(vanished)?;
                     if !loaded {
                         counters.pages_from_cache.fetch_add(1, Ordering::Relaxed);
                         counters
@@ -664,12 +646,7 @@ fn filler_loop(
                     &scratch
                 }
                 None => {
-                    let data = read_healed(epoch, page)?.ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("page {page} vanished from epoch {epoch}"),
-                        )
-                    })?;
+                    let data = read_healed(epoch, page)?.ok_or_else(vanished)?;
                     scratch.clear();
                     scratch.extend_from_slice(&data);
                     &scratch
@@ -696,11 +673,7 @@ fn filler_loop(
                 // SAFETY: a live registered page (pinned by FILLING, see
                 // above).
                 unsafe {
-                    ai_ckpt_mem::set_protection(
-                        addr,
-                        page_bytes,
-                        ai_ckpt_mem::Protection::ReadOnly,
-                    )?;
+                    ai_ckpt_mem::set_protection(addr, page_bytes, Protection::ReadOnly)?;
                 }
                 shared.lazy_finish_fill(idx);
                 counters
@@ -717,9 +690,10 @@ fn filler_loop(
         // hang and silent zeroes must not masquerade as restored state:
         // poison everything still owed (including the page left FILLING by
         // the error path above).
-        for &page in order.iter() {
+        for &page in order {
             shared.lazy_poison(page as usize);
         }
     }
+    ai_ckpt_mem::alloc::exempt_thread_from_tracking(was_exempt);
     result
 }

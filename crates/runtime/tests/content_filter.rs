@@ -149,30 +149,53 @@ fn restore_seeds_digests_so_first_checkpoint_stays_incremental() {
     let mut restored = restore_latest(&mgr, &view).unwrap().expect("a checkpoint");
     assert_eq!(restored.checkpoint, 1);
     let buf = &mut restored.buffers[0];
+    let ps = page_size();
     // The restart changes exactly one page before its first checkpoint.
     buf.as_mut_slice()[0] = 0xEE;
     let plan = mgr.checkpoint().unwrap();
     assert_eq!(
-        plan.scheduled_pages, pages as u64,
-        "restore copies fault: the dirty set is near-full"
+        plan.scheduled_pages, 1,
+        "restored pages are clean: only the written page is dirty"
     );
     mgr.wait_checkpoint().unwrap();
-    let stats = mgr.stats();
+    assert_eq!(mgr.stats().pages_skipped_clean, 0);
     assert_eq!(
-        stats.pages_skipped_clean,
-        pages as u64 - 1,
-        "digest seeding keeps the post-restore checkpoint incremental"
-    );
-    let epoch = *view.epochs().unwrap().last().unwrap();
-    assert_eq!(
-        view.epoch_records(epoch).unwrap().len(),
+        view.epoch_records(2).unwrap().len(),
         1,
         "only the changed page was flushed"
     );
-    let img = CheckpointImage::load(&view, epoch).unwrap();
+
+    // What fill-time seeding is for: a page rewritten with its *restored*
+    // bytes faults, is scheduled, and is dropped by the filter — storage
+    // already holds exactly those bytes.
+    buf.as_mut_slice()[5 * ps] = 6;
+    let plan = mgr.checkpoint().unwrap();
+    assert_eq!(plan.scheduled_pages, 1, "the rewritten page is dirty");
+    mgr.wait_checkpoint().unwrap();
+    assert_eq!(
+        mgr.stats().pages_skipped_clean,
+        1,
+        "restore seeded the digest of the bytes it filled"
+    );
+    assert!(view.epoch_records(3).unwrap().is_empty());
+    let live = buf.as_slice().to_vec();
+
+    // Chain continuity across "eager restore -> incremental checkpoints":
+    // the head restores, through both the runtime and the reference
+    // replay, to exactly the bytes the restarted application holds.
+    let img = CheckpointImage::load(&view, 3).unwrap();
     let base = buf.base_page() as u64;
     assert_eq!(img.page(base).unwrap()[0], 0xEE);
     for p in 1..pages as u64 {
         assert_eq!(img.page(base + p).unwrap()[0], p as u8 + 1);
     }
+    let fresh = PageManager::new(cfg(true), Box::new(backend.clone())).unwrap();
+    let again = restore_latest(&fresh, &view)
+        .unwrap()
+        .expect("a checkpoint");
+    assert_eq!(again.checkpoint, 3);
+    assert!(
+        again.buffers[0].as_slice() == live,
+        "restore of the post-restart epoch diverged from the live bytes"
+    );
 }

@@ -1,13 +1,16 @@
-//! Demand-paged restore: lazy/eager equivalence, restore storms over a
-//! shared page cache, demand-fault prioritisation, the `CHECKPOINT` drain
-//! barrier, and failure/abort semantics.
+//! Demand-paged restore: both restore doors against the reference replay
+//! (`CheckpointImage::load`), restore storms over a shared page cache,
+//! demand-fault prioritisation, the `CHECKPOINT` drain barrier, and
+//! failure/abort semantics.
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ai_ckpt::{restore_at, restore_lazy, CkptConfig, CompactionPolicy, LazyRestore, PageManager};
+use ai_ckpt::{
+    restore_at, restore_lazy, CkptConfig, CompactionPolicy, LazyRestore, PageManager, RestoredState,
+};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
     CheckpointImage, EpochWriter, FileBackend, MemoryBackend, PageCache, StorageBackend,
@@ -28,29 +31,42 @@ fn small_cfg() -> CkptConfig {
     CkptConfig::ai_ckpt(1 << 20).with_max_pages(512)
 }
 
-/// Restore `seq` both ways over the same backend and assert byte-identical
-/// buffers; returns the lazy handle's final stats.
-fn assert_lazy_matches_eager(
+/// Assert `state` holds exactly the reference replay of its checkpoint:
+/// every buffer page equals the image's page, or zeros where the image has
+/// none.
+fn assert_matches_reference(state: &RestoredState, image: &CheckpointImage, door: &str) {
+    assert_eq!(state.checkpoint, image.checkpoint());
+    let zeros = vec![0u8; page_size()];
+    for buf in &state.buffers {
+        for (i, got) in buf.as_slice().chunks(page_size()).enumerate() {
+            let want = image.page((buf.base_page() + i) as u64).unwrap_or(&zeros);
+            assert!(
+                got == &want[..got.len()],
+                "{door} restore: page {i} of '{}' diverged from the reference replay",
+                buf.name()
+            );
+        }
+    }
+}
+
+/// Restore `seq` through both doors over the same backend and compare each
+/// with `CheckpointImage::load` — the two doors share one fill path, so
+/// comparing them with each other would prove nothing. Returns the lazy
+/// handle's final stats.
+fn assert_both_doors_match_reference(
     backend: Arc<dyn StorageBackend>,
     cfg: &CkptConfig,
     seq: u64,
 ) -> ai_ckpt::RestoreStats {
+    let image = CheckpointImage::load(backend.as_ref(), seq).unwrap();
     let eager_mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
     let eager = restore_at(&eager_mgr, backend.as_ref(), seq).unwrap();
+    assert_matches_reference(&eager, &image, "eager");
     let lazy_mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
     let mut lr = restore_lazy(&lazy_mgr, Arc::clone(&backend), seq, None).unwrap();
     let stats = lr.wait().unwrap();
     assert!(lr.is_complete());
-    assert_eq!(eager.checkpoint, lr.state.checkpoint);
-    assert_eq!(eager.buffers.len(), lr.state.buffers.len());
-    for (e, l) in eager.buffers.iter().zip(lr.state.buffers.iter()) {
-        assert_eq!(e.name(), l.name());
-        assert!(
-            e.as_slice() == l.as_slice(),
-            "buffer '{}' diverged between eager and lazy restore",
-            e.name()
-        );
-    }
+    assert_matches_reference(&lr.state, &image, "lazy");
     stats
 }
 
@@ -78,7 +94,7 @@ fn lazy_matches_eager_after_incremental_chain() {
     drop((a, b, mgr));
 
     let backend: Arc<dyn StorageBackend> = Arc::new(view);
-    let stats = assert_lazy_matches_eager(backend, &cfg, 3);
+    let stats = assert_both_doors_match_reference(backend, &cfg, 3);
     assert_eq!(
         stats.prefetched_pages + stats.demanded_pages,
         9,
@@ -120,7 +136,7 @@ fn lazy_matches_eager_under_compaction_and_compression() {
         "compaction should have folded the 8-epoch chain, got {}",
         chain.len()
     );
-    assert_lazy_matches_eager(backend, &cfg, 8);
+    assert_both_doors_match_reference(backend, &cfg, 8);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -155,7 +171,7 @@ fn lazy_matches_eager_through_tiered_drain() {
     // Fresh tiered stack over the same slow tier (the fast tier's memory
     // died with the "process"): reads must fall through to the slow tier.
     let backend = make_backend();
-    assert_lazy_matches_eager(backend, &cfg, 4);
+    assert_both_doors_match_reference(backend, &cfg, 4);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

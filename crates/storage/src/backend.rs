@@ -103,6 +103,27 @@ pub struct ChainEntry {
     pub kind: EpochKind,
 }
 
+/// The segments a restore of checkpoint `up_to` replays, oldest first: the
+/// newest full segment at or below `up_to` and every delta after it, up to
+/// and including `up_to` (everything earlier is already folded in and may no
+/// longer exist). `chain` is ascending, as [`StorageBackend::chain`] returns
+/// it. `NotFound` when `up_to` is not a live epoch — never committed, or
+/// compacted away.
+pub fn replay_window(chain: &[ChainEntry], up_to: u64) -> io::Result<&[ChainEntry]> {
+    let live = &chain[..chain.partition_point(|c| c.epoch <= up_to)];
+    if live.last().map(|c| c.epoch) != Some(up_to) {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("checkpoint {up_to} was never committed (or was compacted away)"),
+        ));
+    }
+    let start = live
+        .iter()
+        .rposition(|c| c.kind == EpochKind::Full)
+        .unwrap_or(0);
+    Ok(&live[start..])
+}
+
 /// Outcome of one [`StorageBackend::compact`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompactionStats {

@@ -1,6 +1,13 @@
 //! Incremental restore: materialise the memory image of a checkpoint from a
 //! chain of incremental epochs.
 //!
+//! This is the *reference replay* used by tests and offline tooling: it
+//! reads whole segments in chain order and lets later epochs overwrite
+//! earlier ones. The runtime restores through [`crate::PageLocator`] +
+//! `read_page_at` instead (one page-resolution path for eager and lazy
+//! restore alike), and its tests compare every restore against this
+//! independent implementation.
+//!
 //! Incremental checkpointing (§2) stores only the pages that changed since
 //! the previous checkpoint, so the state at checkpoint `n` is the
 //! *latest-wins* union of epochs `1..=n`. [`CheckpointImage::load`] performs
@@ -15,18 +22,13 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::Arc;
 
-use crate::backend::{EpochKind, StorageBackend};
-use crate::cache::PageCache;
-use crate::locator::PageLocator;
+use crate::backend::{replay_window, StorageBackend};
 
-/// A reconstructed page image at some checkpoint. Payloads are
-/// reference-counted so an image loaded through the shared [`PageCache`]
-/// aliases the cached bytes instead of copying them.
+/// A reconstructed page image at some checkpoint.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CheckpointImage {
-    pages: BTreeMap<u64, Arc<[u8]>>,
+    pages: BTreeMap<u64, Vec<u8>>,
     checkpoint: u64,
 }
 
@@ -34,86 +36,18 @@ impl CheckpointImage {
     /// Reconstruct the image as of checkpoint `up_to` (inclusive). Fails if
     /// `up_to` was never committed (or was compacted away).
     pub fn load<B: StorageBackend + ?Sized>(backend: &B, up_to: u64) -> io::Result<Self> {
-        let chain: Vec<_> = backend
-            .chain()?
-            .into_iter()
-            .filter(|c| c.epoch <= up_to)
-            .collect();
-        if chain.last().map(|c| c.epoch) != Some(up_to) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("checkpoint {up_to} was never committed (or was compacted away)"),
-            ));
-        }
-        // Replay from the newest full segment: everything before it is
-        // already folded in (and may no longer exist on storage).
-        let start = chain
-            .iter()
-            .rposition(|c| c.kind == EpochKind::Full)
-            .unwrap_or(0);
-        let mut pages: BTreeMap<u64, Arc<[u8]>> = BTreeMap::new();
-        for c in &chain[start..] {
+        let chain = backend.chain()?;
+        let mut pages: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for c in replay_window(&chain, up_to)? {
             backend.read_epoch(c.epoch, &mut |p, d| {
                 // Later epochs overwrite earlier versions (epochs ascend).
-                pages.insert(p, Arc::from(d));
+                pages.insert(p, d.to_vec());
             })?;
         }
         Ok(Self {
             pages,
             checkpoint: up_to,
         })
-    }
-
-    /// Like [`CheckpointImage::load`], but resolve every page through the
-    /// shared [`PageCache`] under the same `(checkpoint, page)` keys the
-    /// lazy restore path uses — eager and lazy restores (and repeated eager
-    /// restores in a storm) of one checkpoint then dedupe their disk reads:
-    /// each page is read from `backend` once per storm, every other reader
-    /// aliases the cached payload.
-    ///
-    /// Latest-wins resolution goes through a [`PageLocator`] (manifest
-    /// metadata only), so on a warm cache this touches no payload I/O at
-    /// all. With `cache == None` this is exactly [`CheckpointImage::load`].
-    pub fn load_cached(
-        backend: &dyn StorageBackend,
-        up_to: u64,
-        cache: Option<&PageCache>,
-    ) -> io::Result<Self> {
-        let Some(cache) = cache else {
-            return Self::load(backend, up_to);
-        };
-        let locator = PageLocator::build(backend, up_to)?;
-        let mut pages: BTreeMap<u64, Arc<[u8]>> = BTreeMap::new();
-        for &page in locator.pages_newest_first() {
-            let epoch = locator
-                .epoch_of(page)
-                .expect("locator lists only resolved pages");
-            let data = cache
-                .get_or_load(up_to, page, || backend.read_page_at(epoch, page))?
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("page {page} vanished from epoch {epoch}"),
-                    )
-                })?;
-            pages.insert(page, data);
-        }
-        Ok(Self {
-            pages,
-            checkpoint: up_to,
-        })
-    }
-
-    /// [`CheckpointImage::load_cached`] for the most recent committed
-    /// checkpoint, or `None` on a fresh backend.
-    pub fn load_latest_cached(
-        backend: &dyn StorageBackend,
-        cache: Option<&PageCache>,
-    ) -> io::Result<Option<Self>> {
-        match backend.epochs()?.last() {
-            Some(&last) => Ok(Some(Self::load_cached(backend, last, cache)?)),
-            None => Ok(None),
-        }
     }
 
     /// Reconstruct the image at the most recent committed checkpoint, or
@@ -212,32 +146,6 @@ mod tests {
         // Below the compaction horizon: clean failure, not silent garbage.
         let err = CheckpointImage::load(&b, 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
-    }
-
-    #[test]
-    fn load_cached_matches_load_and_dedupes_reads() {
-        use crate::cache::PageCache;
-        let b = MemoryBackend::new();
-        write_epoch(&b, 1, vec![(0, vec![1; 8]), (1, vec![1; 8])]).unwrap();
-        write_epoch(&b, 2, vec![(1, vec![2; 8]), (3, vec![2; 8])]).unwrap();
-        let cache = PageCache::new(1 << 20);
-        let eager = CheckpointImage::load(&b, 2).unwrap();
-        let cached = CheckpointImage::load_cached(&b, 2, Some(&cache)).unwrap();
-        assert_eq!(eager, cached, "cache routing must not change the image");
-        let after_first = cache.stats();
-        assert_eq!(after_first.misses, 3, "one backend read per image page");
-        // A second load (an eager restore storm, or a lazy restore of the
-        // same checkpoint) is served from the cache entirely.
-        let again = CheckpointImage::load_cached(&b, 2, Some(&cache)).unwrap();
-        assert_eq!(again, eager);
-        let after_second = cache.stats();
-        assert_eq!(after_second.misses, after_first.misses, "no new reads");
-        assert_eq!(after_second.hits, after_first.hits + 3);
-        // `None` falls back to the uncached path.
-        let latest = CheckpointImage::load_latest_cached(&b, None)
-            .unwrap()
-            .unwrap();
-        assert_eq!(latest, eager);
     }
 
     #[test]

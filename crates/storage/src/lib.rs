@@ -30,10 +30,10 @@
 //! * [`manifest`] / [`checksum`] — the commit log and integrity primitives;
 //! * [`codec`] — per-record payload encodings (raw / RLE / vendored LZ)
 //!   for `AICKSEG2` segments, CRC-verified over the uncompressed bytes;
-//! * [`image`] — latest-wins reconstruction for restart, starting from the
-//!   newest full (compacted) segment;
+//! * [`image`] — latest-wins reference replay, starting from the newest
+//!   full (compacted) segment; what tests compare restores against;
 //! * [`locator`] — page→epoch resolution without payload I/O, the index
-//!   behind demand-paged (lazy) restore;
+//!   behind the runtime's restores (eager and lazy);
 //! * [`cache`] — shared sharded LRU page cache with single-flight loading,
 //!   so N concurrent restores of one checkpoint hit disk once per page;
 //! * [`scrub`] — at-rest integrity scrubbing: incremental verification,
@@ -75,8 +75,8 @@ pub mod throttle;
 pub mod tiered;
 
 pub use backend::{
-    compact_latest_wins, layout_blob_name, write_epoch, ChainEntry, CompactionStats, EpochKind,
-    EpochWriter, StorageBackend,
+    compact_latest_wins, layout_blob_name, replay_window, write_epoch, ChainEntry, CompactionStats,
+    EpochKind, EpochWriter, StorageBackend,
 };
 pub use cache::{CacheStats, PageCache};
 pub use checksum::{crc64, crc64_update};

@@ -1,22 +1,22 @@
 //! Page-to-epoch resolution for demand-paged restore.
 //!
-//! Eager restore materialises the whole chain into memory before the
-//! application runs ([`crate::image::CheckpointImage`]). The lazy path
-//! instead builds a [`PageLocator`]: a map from page id to the *newest*
-//! chain epoch holding that page, computed from per-epoch page-id listings
-//! ([`crate::StorageBackend::epoch_page_ids`]) without touching a single
-//! payload byte. Page contents are then fetched one record at a time with
-//! [`crate::StorageBackend::read_page_at`], on demand or ahead of demand by
-//! the prefetcher.
+//! The reference replay materialises the whole chain into memory
+//! ([`crate::image::CheckpointImage`]). The runtime's restores — eager and
+//! lazy — instead build a [`PageLocator`]: a map from page id to the
+//! *newest* chain epoch holding that page, computed from per-epoch page-id
+//! listings ([`crate::StorageBackend::epoch_page_ids`]) without touching a
+//! single payload byte. Page contents are then fetched one record at a time
+//! with [`crate::StorageBackend::read_page_at`], on demand or ahead of
+//! demand by the prefetcher.
 //!
-//! The chain-walk rules mirror `CheckpointImage::load` exactly — same
-//! full-segment cut-off, same latest-wins resolution — so a lazy restore
-//! that faults in every page is byte-identical to an eager one.
+//! Both walk the same [`replay_window`] — same full-segment cut-off, same
+//! latest-wins resolution — so a restore that fills every page is
+//! byte-identical to the reference image.
 
 use std::collections::HashMap;
 use std::io;
 
-use crate::backend::{EpochKind, StorageBackend};
+use crate::backend::{replay_window, StorageBackend};
 
 /// Index resolving `page id → newest epoch holding it` for one checkpoint
 /// of a backend's chain, built without materialising any payload.
@@ -38,28 +38,13 @@ impl PageLocator {
     /// `up_to` is not a live chain epoch (same contract as
     /// `CheckpointImage::load`).
     pub fn build(backend: &dyn StorageBackend, up_to: u64) -> io::Result<Self> {
-        let chain: Vec<_> = backend
-            .chain()?
-            .into_iter()
-            .filter(|c| c.epoch <= up_to)
-            .collect();
-        if chain.last().map(|c| c.epoch) != Some(up_to) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("checkpoint {up_to} is not a live epoch"),
-            ));
-        }
-        // Restore starts at the newest full segment at or below the target;
-        // everything before it is superseded.
-        let start = chain
-            .iter()
-            .rposition(|c| c.kind == EpochKind::Full)
-            .unwrap_or(0);
+        let chain = backend.chain()?;
+        let window = replay_window(&chain, up_to)?;
         let mut map = HashMap::new();
         let mut order = Vec::new();
         // Walk newest-first: the first sighting of a page is its newest
         // version, so one pass resolves latest-wins without any payload I/O.
-        for entry in chain[start..].iter().rev() {
+        for entry in window.iter().rev() {
             for page in backend.epoch_page_ids(entry.epoch)? {
                 if let std::collections::hash_map::Entry::Vacant(e) = map.entry(page) {
                     e.insert(entry.epoch);

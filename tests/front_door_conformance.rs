@@ -129,10 +129,14 @@ fn scribble(buf: &mut ProtectedBuffer, pages: std::ops::Range<usize>, val: u8) {
     }
 }
 
-/// Rebuild "state" from `view` through a fresh standalone manager.
+/// Rebuild "state" from `view` through a fresh standalone manager. Eager
+/// restore fills on the calling thread: the process gains no task across it
+/// (a spawned-and-joined filler would still be listed right after its join).
 fn restored_state(view: &dyn StorageBackend) -> Vec<u8> {
     let fresh = PageManager::new(cfg(), Box::new(MemoryBackend::new())).unwrap();
+    let tasks = thread_count();
     let restored = restore_latest(&fresh, view).unwrap().unwrap();
+    assert!(thread_count() <= tasks, "eager restore spawned a thread");
     restored.buffers[restored.by_name["state"]]
         .as_slice()
         .to_vec()

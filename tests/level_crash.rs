@@ -69,8 +69,10 @@ fn drain_tolerant(policy: &PolicyBackend) {
     }
 }
 
-/// Both restore paths — eager `restore_latest` and the lazy demand-paged
-/// filler — must produce exactly `expect` from whatever levels are alive.
+/// Both restore doors — eager `restore_latest` and the lazy demand-paged
+/// restore, one filler behind both — must produce exactly `expect` (the
+/// live bytes at commit, an oracle independent of either) from whatever
+/// levels are alive.
 fn assert_restores(policy: &PolicyBackend, expect: &[u8], ctx: &str) {
     let fresh = PageManager::new(cfg(), Box::new(policy.clone())).unwrap();
     let eager = restore_latest(&fresh, policy).unwrap().unwrap();

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use ai_ckpt::{restore_latest, restore_latest_lazy, CkptConfig, PageManager};
+use ai_ckpt::{restore_at, restore_latest, restore_latest_lazy, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
     classify, errors::transient, FailingBackend, FaultClass, FaultOp, FileBackend, MemoryRoot,
@@ -198,9 +198,9 @@ fn maintenance_drain_absorbs_transient_burst() {
     assert!(buf.as_slice() == expect, "drained bytes intact");
 }
 
-/// The lazy-restore demand-fault path rides the retry layer too: a read
-/// burst during page fill is absorbed and the restored image is
-/// byte-identical — no poisoned buffer, no surfaced error.
+/// The restore filler rides the retry layer too, behind both doors: a read
+/// burst during a lazy or an eager restore is absorbed and the restored
+/// image is byte-identical — no poisoned buffer, no surfaced error.
 #[test]
 fn lazy_restore_fill_absorbs_transient_read_burst() {
     let (backend, ctl) = FailingBackend::new(MemoryRoot::new().open("lazy-burst"));
@@ -220,6 +220,57 @@ fn lazy_restore_fill_absorbs_transient_read_burst() {
     let buf = &lazy.state.buffers[lazy.state.by_name["state"]];
     assert!(buf.as_slice() == expect, "healed fill is byte-identical");
     assert_eq!(ctl.transient_remaining(FaultOp::Read), 0, "burst spent");
+
+    // The eager door is the same filler on the caller's thread: same burst,
+    // same outcome.
+    ctl.fail_next_n(FaultOp::Read, 2);
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
+    let eager = restore_latest(&mgr, backend.as_ref())
+        .expect("burst absorbed by the retry schedule")
+        .unwrap();
+    let buf = &eager.buffers[eager.by_name["state"]];
+    assert!(buf.as_slice() == expect, "healed fill is byte-identical");
+    assert_eq!(ctl.transient_remaining(FaultOp::Read), 0, "burst spent");
+}
+
+/// A burst longer than the budget surfaces the transient error from the
+/// eager restore itself; so does rot with no redundant source, which hits
+/// mid-fill, after earlier pages were already published. Neither leaves a
+/// half-restored buffer behind: the manager holds no protected memory and
+/// checkpoints again.
+#[test]
+fn eager_restore_surfaces_faults_and_leaves_nothing_behind() {
+    let (backend, ctl) = FailingBackend::new(MemoryRoot::new().open("eager-oversized"));
+    let backend: Arc<dyn StorageBackend> = Arc::new(backend);
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
+    fill_and_checkpoint(&mgr, 0x6E);
+    mgr.wait_maintenance_idle().unwrap();
+    drop(mgr);
+
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
+    ctl.fail_next_n(FaultOp::Read, 100);
+    let err = restore_at(&mgr, backend.as_ref(), 1).err().unwrap();
+    assert_eq!(
+        classify(&err),
+        FaultClass::Transient,
+        "burst outlasts the budget"
+    );
+    assert_eq!(mgr.protected_bytes(), 0);
+    ctl.fail_next_n(FaultOp::Read, 0);
+
+    // Pages fill in first-write order, so the last page fails last.
+    ctl.corrupt_read_payload(1, PAGES as u64 - 1, 9);
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
+    let err = restore_at(&mgr, backend.as_ref(), 1).err().unwrap();
+    assert_eq!(classify(&err), FaultClass::Corrupt);
+    assert_eq!(
+        mgr.protected_bytes(),
+        0,
+        "half-restored buffers were dropped"
+    );
+    mgr.checkpoint()
+        .expect("no poisoned page blocks the manager");
+    mgr.wait_checkpoint().unwrap();
 }
 
 /// Sanity on the jitter schedule itself: deterministic per seed, bounded

@@ -28,7 +28,7 @@ use ai_ckpt::{restore_latest, restore_latest_lazy, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
     corrupt_manifest_count, corrupt_segment_region, FileBackend, ParityBackend, PolicyBuilder,
-    ReplicatedBackend, ResilienceSpec, SegmentRegion, StorageBackend,
+    ReplicatedBackend, ResilienceSpec, SegmentRegion, StorageBackend, TieredBackend,
 };
 
 const PAGES: usize = 4;
@@ -305,6 +305,48 @@ fn maintenance_worker_heals_damage_under_a_new_checkpoint() {
 
     // The heal is in place on disk: a fresh scrubber finds nothing.
     assert_detect_repair_restore_clean(backend, &expect, "chain/maintenance-heal");
+}
+
+#[test]
+fn eager_restore_repairs_a_rotted_copy_nobody_scrubbed() {
+    // No scrub cycle ever runs here. A tiered stack holds the epoch on both
+    // tiers (`drain_one`'s crash window: copied out, never evicted) and the
+    // fast copy rots. Tiered reads do not step over rot, so the restore's
+    // own fill must hit the CRC failure, repair the fast copy from the
+    // replica one tier down, read it again and return the baseline bytes —
+    // the eager twin of `restore_lazy.rs::demand_fault_on_rotted_fast_tier…`.
+    let fast_dir = tmpdir("eager-heal-fast");
+    let slow_dir = tmpdir("eager-heal-slow");
+    let open = || -> Arc<dyn StorageBackend> {
+        Arc::new(
+            TieredBackend::new(
+                Box::new(FileBackend::open(&fast_dir).unwrap()),
+                Box::new(FileBackend::open(&slow_dir).unwrap()),
+                8,
+            )
+            .unwrap(),
+        )
+    };
+    let expect = commit(&open(), 0xB7);
+    for entry in fs::read_dir(&slow_dir).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), fast_dir.join(entry.file_name())).unwrap();
+    }
+    corrupt_segment_region(&fast_dir, 1, SegmentRegion::Payload { byte: 5 }).unwrap();
+
+    let backend = open();
+    assert!(!backend.verify_epoch(1).unwrap().is_clean(), "rot armed");
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
+    let eager = restore_latest(&mgr, backend.as_ref())
+        .expect("a surviving replica means the restore heals, not fails")
+        .unwrap();
+    let buf = &eager.buffers[eager.by_name["state"]];
+    assert!(
+        buf.as_slice() == expect,
+        "eager restore diverged from the pre-corruption baseline"
+    );
+    // The heal is durable, not a read-side patch.
+    assert!(backend.verify_epoch(1).unwrap().is_clean());
 }
 
 /// Like [`assert_detect_repair_restore`] but for a chain that was already
