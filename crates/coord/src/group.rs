@@ -38,11 +38,11 @@
 //!
 //! ```text
 //! root/GLOBAL             the AICKGLB1 global manifest (phase-2 commits)
-//! root/rank_0000/         rank 0's segments + AICKMAN2 manifest + blobs
+//! root/rank_0000/         rank 0's segments + AICKMAN2 manifest
 //! root/rank_0001/         rank 1's ...
 //! ```
 //!
-//! so segment and blob names can never collide across ranks, and each
+//! so segment names can never collide across ranks, and each
 //! rank's manifest/commit machinery is reused unchanged. Custom layouts
 //! (memory tiers, throttled fabrics, failure injection) plug in through the
 //! factory form of [`CheckpointGroup::open`].

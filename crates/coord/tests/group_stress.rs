@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use ai_ckpt::{CkptConfig, CompactionPolicy};
 use ai_ckpt_coord::{rank_dir, CheckpointGroup, GroupConfig, GLOBAL_MANIFEST_FILE};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::{FileBackend, MemoryBackend, StorageBackend, TieredBackend};
+use ai_ckpt_storage::{FileBackend, MemoryBackend, StorageBackend, TieredBackend, META_RECORD};
 
 const RANKS: usize = 2;
 const PAGES: usize = 8;
@@ -126,9 +126,12 @@ fn two_ranks_share_a_root_under_drain_and_compaction() {
             let stream_bytes: u64 = rank_stats.streams.iter().map(|s| s.bytes).sum();
             let stream_pages: u64 = rank_stats.streams.iter().map(|s| s.pages).sum();
             let backend = group.rank_backend(rank);
+            // Besides its pages every epoch carries one layout record; the
+            // buffers never change, so each is the size of the newest.
+            let layout = backend.read_page_at(EPOCHS, META_RECORD).unwrap().unwrap();
             assert_eq!(
                 backend.bytes_written(),
-                stream_bytes,
+                stream_bytes + EPOCHS * layout.len() as u64,
                 "rank {rank}: backend accounting matches the stream counters"
             );
             assert!(

@@ -235,7 +235,7 @@ struct Request {
     /// The absolute epoch number being committed.
     seq: u64,
     started: Instant,
-    layout_blob: Vec<u8>,
+    layout: Vec<u8>,
 }
 
 /// A checkpoint whose epoch session is open and draining.
@@ -425,7 +425,7 @@ impl PoolInner {
             }
         };
         let t = &req.tenant;
-        let result = finalize_flush(&t.ctl, t.backend.as_ref(), &job, req.seq, &req.layout_blob);
+        let result = finalize_flush(&t.ctl, &job, &req.layout);
         let (pages, bytes) = job.written();
         drop(job);
         t.hook.on_commit(&result, pages, bytes);
@@ -549,13 +549,13 @@ impl PoolInner {
         tenant: Arc<Tenant>,
         seq: u64,
         started: Instant,
-        layout_blob: Vec<u8>,
+        layout: Vec<u8>,
     ) -> io::Result<()> {
         let req = Request {
             tenant,
             seq,
             started,
-            layout_blob,
+            layout,
         };
         {
             let mut sched = self.sched.lock();

@@ -1,5 +1,7 @@
-//! Region-layout metadata persisted alongside every checkpoint so restore
-//! can rebuild the protected buffers of a fresh process and refill them.
+//! Region-layout metadata, persisted as a reserved record of its epoch
+//! (`META_RECORD`) so restore can rebuild the protected buffers of a fresh
+//! process and refill them. Integrity, redundancy and retirement are the
+//! epoch's: the layout has no storage life of its own.
 //!
 //! Format: one line per buffer, `name base_page pages len_bytes`, with names
 //! percent-escaped for whitespace. Hand-rolled (it is four fields) to avoid
@@ -55,7 +57,7 @@ fn unescape(s: &str) -> io::Result<String> {
 }
 
 fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("layout blob: {msg}"))
+    io::Error::new(io::ErrorKind::InvalidData, format!("layout record: {msg}"))
 }
 
 /// Serialise a layout list.
@@ -104,13 +106,6 @@ pub fn decode(data: &[u8]) -> io::Result<Vec<BufferLayout>> {
     Ok(out)
 }
 
-/// Blob name for the layout as of checkpoint `seq`. Delegates to the
-/// storage crate's naming so backend-side blob retirement (compaction, epoch
-/// removal, orphan sweeps) recognises layout blobs by the same convention.
-pub fn blob_name(seq: u64) -> String {
-    ai_ckpt_storage::layout_blob_name(seq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,12 +148,6 @@ mod tests {
     fn empty_is_fine() {
         assert!(decode(b"").unwrap().is_empty());
         assert!(decode(b"\n\n").unwrap().is_empty());
-    }
-
-    #[test]
-    fn blob_names_sort_with_epoch() {
-        assert!(blob_name(2) > blob_name(1));
-        assert_eq!(blob_name(3), "layout_0000000003");
     }
 
     #[test]

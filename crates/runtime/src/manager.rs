@@ -70,7 +70,7 @@ use ai_ckpt_core::{
     WriteOutcome,
 };
 use ai_ckpt_mem::{page_size, registry, sigsegv, MappedRegion, Protection, RegionHit};
-use ai_ckpt_storage::{crc64, EpochWriter, Scrubber, StorageBackend};
+use ai_ckpt_storage::{crc64, EpochWriter, Scrubber, StorageBackend, META_RECORD};
 
 use crate::attach::{FlushPool, PoolInner, Tenant};
 use crate::config::{CkptConfig, CkptMode};
@@ -571,6 +571,17 @@ impl PageManager {
         pool: &Arc<PoolInner>,
         tenant: u64,
     ) -> io::Result<(Arc<Ctl>, u64)> {
+        // Page ids double as storage record ids; the top of that space is
+        // reserved (the epoch's layout record, parity groups).
+        if cfg.max_pages as u64 > META_RECORD {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "max_pages {} reaches the reserved record ids",
+                    cfg.max_pages
+                ),
+            ));
+        }
         sigsegv::install(fault_entry)?;
         // Resume epoch numbering above everything the backend has ever
         // accounted for — committed *or* retired: a chain whose newest
@@ -756,7 +767,7 @@ impl PageManager {
             return Err(e);
         }
         let started = Instant::now();
-        let (mut info, layout_blob) = {
+        let (mut info, layout) = {
             let regions = self.regions.lock();
             let mut eng = self.ctl.shared.engine();
             let info = eng
@@ -787,12 +798,9 @@ impl PageManager {
         // On `Err` the pool has already resolved the request (engine
         // drained, busy cleared, record stamped failed) — the error
         // returned here is the whole story.
-        self.pool.inner.submit(
-            Arc::clone(&self.tenant),
-            info.checkpoint,
-            started,
-            layout_blob,
-        )?;
+        self.pool
+            .inner
+            .submit(Arc::clone(&self.tenant), info.checkpoint, started, layout)?;
         if self.cfg.mode == CkptMode::Sync {
             self.wait_checkpoint()?;
         }
@@ -1049,17 +1057,14 @@ fn fault_entry(hit: RegionHit, _addr: usize) -> bool {
 /// caller provides the completion barrier: `job.drained` observed, and no
 /// worker still inside a claim). On success, merges the per-slot digest
 /// updates and skip counts into the content filter.
-pub(crate) fn finalize_flush(
-    ctl: &Ctl,
-    backend: &dyn StorageBackend,
-    job: &FlushJob,
-    seq: u64,
-    layout_blob: &[u8],
-) -> io::Result<()> {
+pub(crate) fn finalize_flush(ctl: &Ctl, job: &FlushJob, layout: &[u8]) -> io::Result<()> {
     let error = job.error.lock().take();
     match (&job.writer, error) {
         (Some(writer), None) => {
-            if let Err(e) = backend.put_blob(&layout::blob_name(seq), layout_blob) {
+            // The layout rides inside its epoch as a reserved record: it
+            // commits, and is protected and retired, with the pages it
+            // describes.
+            if let Err(e) = writer.write_pages(&[(META_RECORD, layout)]) {
                 // Abort explicitly rather than relying on the writer Arc's
                 // last drop: a worker may still hold its FlushJob clone for
                 // a moment, and the next checkpoint's begin_epoch must not
@@ -1067,14 +1072,7 @@ pub(crate) fn finalize_flush(
                 let _ = writer.abort();
                 return Err(e);
             }
-            if let Err(e) = writer.finish() {
-                // The layout blob landed but its epoch never committed:
-                // delete it, or it would sit orphaned until the backend's
-                // open-time sweep (restore never reads it — there is no
-                // epoch to restore).
-                let _ = backend.delete_blob(&layout::blob_name(seq));
-                return Err(e);
-            }
+            writer.finish()?;
             // The epoch is durable: the digest table may now describe its
             // payloads, and the epoch's skips count. (On any failure path
             // above, both die with the job — the table keeps describing

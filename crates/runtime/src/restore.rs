@@ -1,11 +1,12 @@
 //! Restart: rebuild a fresh process's protected buffers from a checkpoint
 //! chain (the "Restart" half of Checkpoint-Restart).
 //!
-//! The committer stores, with every epoch, a layout blob describing the live
-//! buffers (name, base page, length). Every restore — eager or lazy — is the
-//! same two steps. **Prepare** refuses quarantined epochs, replays the
-//! layout against a *fresh* [`PageManager`] (same allocation order ⇒ same
-//! page ids; page-table work, no payload I/O), resolves every page to the
+//! The committer stores the layout of the live buffers (name, base page,
+//! length) as a reserved record of every epoch — committed, checksummed,
+//! replicated and retired with the pages it describes. Every restore —
+//! eager or lazy — is the same two steps. **Prepare** refuses quarantined
+//! epochs, replays the layout against a *fresh* [`PageManager`] (same
+//! allocation order ⇒ same page ids; no payload I/O), resolves every page to the
 //! newest epoch holding it through a [`PageLocator`], and maps every
 //! to-be-restored page `PROT_NONE`. **Fill** is one loop, `filler_loop`: it
 //! reads each page with `read_page_at` (through the shared [`PageCache`]
@@ -49,7 +50,7 @@ use ai_ckpt_core::{AccessType, EpochRecord, PageId};
 use ai_ckpt_mem::Protection;
 use ai_ckpt_storage::{
     classify, crc64, quarantined_error, replay_window, FaultClass, PageCache, PageLocator,
-    RetryPolicy, StorageBackend,
+    RetryPolicy, StorageBackend, META_RECORD,
 };
 
 use crate::layout;
@@ -343,15 +344,13 @@ fn prepare(
     // a fabric hiccup during locator construction must not abort a
     // restore the very next read would have served.
     let retry = manager.config().retry;
-    let blob = retry
-        .run(|| backend.get_blob(&layout::blob_name(seq)))?
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no layout blob for checkpoint {seq}"),
-            )
-        })?;
-    let layouts = layout::decode(&blob)?;
+    let record = read_healed(backend, &retry, seq, META_RECORD)?.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("checkpoint {seq} holds no layout record"),
+        )
+    })?;
+    let layouts = layout::decode(&record)?;
     // Resolve page → owning epoch up front (manifest metadata only; no
     // payload is materialised).
     let locator = retry.run(|| PageLocator::build(backend, seq))?;
@@ -442,6 +441,25 @@ fn prepare(
         retry,
     };
     Ok((state, plan))
+}
+
+/// Read one record the way every restore read goes: never fail while a
+/// redundant source survives. Transient faults back off and retry; a corrupt
+/// read asks the backend to repair the epoch in place, then reads the healed
+/// bytes once more.
+fn read_healed(
+    backend: &dyn StorageBackend,
+    retry: &RetryPolicy,
+    epoch: u64,
+    id: u64,
+) -> io::Result<Option<Vec<u8>>> {
+    match retry.run(|| backend.read_page_at(epoch, id)) {
+        Err(e) if classify(&e) == FaultClass::Corrupt => {
+            backend.repair_epoch(epoch).map_err(|_| e)?;
+            backend.read_page_at(epoch, id)
+        }
+        other => other,
+    }
 }
 
 /// Set `prot` on every page in `addrs` (ascending page addresses), one
@@ -606,20 +624,8 @@ fn filler_loop(
             let epoch = locator
                 .epoch_of(page)
                 .expect("only image pages are marked for fill");
-            // Demand-fault reads never poison while a redundant source
-            // survives: transient faults back off and retry; a corrupt read
-            // asks the backend to repair the epoch in place, then reads the
-            // healed bytes once more. Errors never enter the cache (failed
-            // fills are not memoised), so a later retry re-reads storage.
-            let read_healed = |epoch: u64, page: u64| -> io::Result<Option<Vec<u8>>> {
-                match retry.run(|| backend.read_page_at(epoch, page)) {
-                    Err(e) if classify(&e) == FaultClass::Corrupt => {
-                        backend.repair_epoch(epoch).map_err(|_| e)?;
-                        backend.read_page_at(epoch, page)
-                    }
-                    other => other,
-                }
-            };
+            // Errors never enter the cache (failed fills are not
+            // memoised), so a later retry re-reads storage.
             let vanished = || {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -632,7 +638,7 @@ fn filler_loop(
                     let data = cache
                         .get_or_load(ns, page, || {
                             loaded = true;
-                            read_healed(epoch, page)
+                            read_healed(backend, retry, epoch, page)
                         })?
                         .ok_or_else(vanished)?;
                     if !loaded {
@@ -646,7 +652,7 @@ fn filler_loop(
                     &scratch
                 }
                 None => {
-                    let data = read_healed(epoch, page)?.ok_or_else(vanished)?;
+                    let data = read_healed(backend, retry, epoch, page)?.ok_or_else(vanished)?;
                     scratch.clear();
                     scratch.extend_from_slice(&data);
                     &scratch

@@ -5,6 +5,7 @@
 
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -246,12 +247,6 @@ impl<B: StorageBackend> StorageBackend for SlowReads<B> {
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         self.inner.begin_epoch(epoch)
     }
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.inner.put_blob(name, data)
-    }
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        self.inner.get_blob(name)
-    }
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.inner.epochs()
     }
@@ -267,9 +262,10 @@ impl<B: StorageBackend> StorageBackend for SlowReads<B> {
     }
 }
 
-/// Test wrapper: single-page reads always fail (a backend that dies after
-/// the checkpoint was taken).
-struct FailReads<B>(B);
+/// Test wrapper: a backend that dies after the checkpoint was taken — the
+/// counter is how many single-record reads still succeed; every later one
+/// fails.
+struct FailReads<B>(B, AtomicU64);
 
 impl<B: StorageBackend> StorageBackend for FailReads<B> {
     fn inner(&self) -> Option<&dyn StorageBackend> {
@@ -277,12 +273,6 @@ impl<B: StorageBackend> StorageBackend for FailReads<B> {
     }
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         self.0.begin_epoch(epoch)
-    }
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.0.put_blob(name, data)
-    }
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        self.0.get_blob(name)
     }
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.0.epochs()
@@ -293,8 +283,15 @@ impl<B: StorageBackend> StorageBackend for FailReads<B> {
     fn bytes_written(&self) -> u64 {
         self.0.bytes_written()
     }
-    fn read_page_at(&self, _epoch: u64, _page: u64) -> io::Result<Option<Vec<u8>>> {
-        Err(io::Error::other("storage died"))
+    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
+        let healthy = |n: u64| n.checked_sub(1);
+        match self
+            .1
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, healthy)
+        {
+            Ok(_) => self.0.read_page_at(epoch, page),
+            Err(_) => Err(io::Error::other("storage died")),
+        }
     }
 }
 
@@ -393,7 +390,18 @@ fn failed_restore_poisons_checkpoint_until_buffers_drop() {
     let cfg = small_cfg();
     seed_sixteen_pages(Box::new(backend), &cfg);
 
-    let failing: Arc<dyn StorageBackend> = Arc::new(FailReads(view));
+    // A store that is already dead fails the restore call itself, loudly,
+    // before any buffer exists: the layout is the first record read.
+    let dead: Arc<dyn StorageBackend> = Arc::new(FailReads(view.clone(), AtomicU64::new(0)));
+    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&dead)).unwrap();
+    let err = restore_lazy(&mgr, dead, 1, None).err().expect("dead store");
+    assert!(err.to_string().contains("storage died"), "{err}");
+    assert_eq!(mgr.protected_bytes(), 0, "no buffer was rebuilt");
+    drop(mgr);
+
+    // One that dies right after prepare (the layout read is its last good
+    // one) fails in the filler instead.
+    let failing: Arc<dyn StorageBackend> = Arc::new(FailReads(view, AtomicU64::new(1)));
     let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&failing)).unwrap();
     let mut lr = restore_lazy(&mgr, Arc::clone(&failing), 1, None).unwrap();
     let err = lr.wait().unwrap_err();
@@ -494,7 +502,7 @@ fn lazy_restore_falls_through_a_dying_fast_level() {
         }
     }
 
-    // Fully degraded from the start: even the layout blob read has to fall
+    // Fully degraded from the start: even the layout record read has to fall
     // through the dead fast level.
     {
         let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&shared)).unwrap();

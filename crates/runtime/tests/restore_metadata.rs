@@ -1,14 +1,15 @@
-//! Restore-metadata regressions: layout-blob retirement across a long
-//! compacted run, non-ASCII buffer names end-to-end, crash-durable blob
-//! commits, and layout-blob cleanup on an aborted checkpoint.
+//! Restore-metadata regressions: the layout rides inside its epoch as a
+//! reserved record, so it must commit, fold, drain, retire, rot and heal
+//! exactly as the pages around it do — and never live anywhere else.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ai_ckpt::{restore_at, restore_lazy, CkptConfig, CompactionPolicy, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    layout_blob_name, FailingBackend, FileBackend, MemoryBackend, StorageBackend,
+    corrupt_segment_region, is_page, FailingBackend, FileBackend, MemoryBackend, ParityBackend,
+    ReplicatedBackend, SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -21,24 +22,60 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn count_on_disk(dir: &std::path::Path, prefix: &str) -> usize {
-    std::fs::read_dir(dir)
+/// File names in `dir`, sorted.
+fn dir_listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
-        .filter(|e| {
-            e.as_ref()
-                .unwrap()
-                .file_name()
-                .to_string_lossy()
-                .starts_with(prefix)
-        })
-        .count()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
 }
 
-/// Satellite 1 regression: a 50-epoch run under compaction must not leak
-/// one `blob_layout_*` file per epoch — retired epochs take their layout
-/// blob with them, keeping on-disk metadata proportional to the live chain.
+fn cfg() -> CkptConfig {
+    CkptConfig::ai_ckpt(1 << 20)
+        .with_max_pages(64)
+        .with_committer_streams(1)
+}
+
+const PAGES: usize = 4;
+
+/// Commit one checkpoint of "state" (every page filled with `val ^ page`)
+/// through the real runtime; returns the bytes a restore must reproduce.
+fn commit(backend: &Arc<dyn StorageBackend>, val: u8) -> Vec<u8> {
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(backend)).unwrap();
+    let mut buf = mgr
+        .alloc_protected_named("state", PAGES * page_size())
+        .unwrap();
+    for (p, chunk) in buf.as_mut_slice().chunks_mut(page_size()).enumerate() {
+        chunk.fill(val ^ p as u8);
+    }
+    let snap = buf.as_slice().to_vec();
+    mgr.checkpoint().unwrap();
+    mgr.wait_checkpoint().unwrap();
+    mgr.wait_maintenance_idle().unwrap();
+    snap
+}
+
+/// Both restore doors over `backend` at `seq`, each through a fresh manager.
+fn restore_both(backend: &Arc<dyn StorageBackend>, seq: u64) -> [std::io::Result<Vec<u8>>; 2] {
+    let state_of = |s: &ai_ckpt::RestoredState| s.buffers[s.by_name["state"]].as_slice().to_vec();
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(backend)).unwrap();
+    let eager = restore_at(&mgr, backend.as_ref(), seq).map(|s| state_of(&s));
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(backend)).unwrap();
+    let lazy = restore_lazy(&mgr, Arc::clone(backend), seq, None).and_then(|mut l| {
+        l.wait()?;
+        Ok(state_of(&l.state))
+    });
+    [eager, lazy]
+}
+
+/// A 50-epoch run under compaction: the directory holds the manifest and
+/// the live chain's segments, nothing per retired epoch, and the folded
+/// head still carries the layout a restore needs (latest-wins keeps the
+/// newest epoch's record).
 #[test]
-fn fifty_epoch_compacted_run_retires_layout_blobs() {
+fn fifty_epoch_compacted_run_keeps_one_layout_per_live_epoch() {
     let dir = tmpdir("leak");
     let cfg = CkptConfig::ai_ckpt(1 << 20)
         .with_max_pages(256)
@@ -62,28 +99,30 @@ fn fifty_epoch_compacted_run_retires_layout_blobs() {
         "compaction should bound the chain, got {} epochs",
         chain.len()
     );
-    let layout_files = count_on_disk(&dir, "blob_layout_");
-    assert!(
-        layout_files <= chain.len(),
-        "{layout_files} layout blobs on disk for a {}-epoch chain — \
-         retired epochs leaked their metadata",
-        chain.len()
-    );
-    // Every blob the backend reports must belong to a live epoch.
-    let live: Vec<String> = chain.iter().map(|c| layout_blob_name(c.epoch)).collect();
-    for blob in backend.list_blobs().unwrap() {
-        assert!(live.contains(&blob), "orphaned blob '{blob}' survived");
+    for name in dir_listing(&dir) {
+        assert!(
+            name == "MANIFEST" || name.ends_with(".seg"),
+            "'{name}': only the manifest and segments live in the directory"
+        );
     }
-    // And the surviving metadata still restores.
-    let cfg2 = cfg.clone();
-    let mgr = PageManager::new(cfg2, Box::new(FileBackend::open(&dir).unwrap())).unwrap();
-    let restored = restore_at(&mgr, &FileBackend::open(&dir).unwrap(), 50).unwrap();
+    for c in &chain {
+        let ids = backend.epoch_page_ids(c.epoch).unwrap();
+        assert_eq!(
+            ids.iter().filter(|&&id| !is_page(id)).count(),
+            1,
+            "epoch {}: exactly one layout record",
+            c.epoch
+        );
+    }
+    // The folded head restores: its layout survived every fold.
+    let mgr = PageManager::new(cfg, Box::new(FileBackend::open(&dir).unwrap())).unwrap();
+    let restored = restore_at(&mgr, &backend, 50).unwrap();
     assert_eq!(restored.buffers[0].as_slice()[7 * page_size()], 47);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Satellite 2 regression, end to end: non-ASCII buffer names must survive
-/// the layout round-trip through a real backend into BOTH restore paths.
+/// Non-ASCII buffer names must survive the layout round-trip through a real
+/// backend into BOTH restore paths.
 #[test]
 fn non_ascii_buffer_names_survive_both_restore_paths() {
     let names = ["网格-höhe", "état-😀", "δx"];
@@ -122,14 +161,13 @@ fn non_ascii_buffer_names_survive_both_restore_paths() {
     }
 }
 
-/// Satellite 3 regression: committing an epoch on the file backend must
-/// fsync the directory, or the rename that publishes the segment can
-/// vanish in a crash.
+/// Committing an epoch on the file backend must fsync the directory, or the
+/// new segment's directory entry can vanish in a crash the manifest
+/// survives.
 #[test]
 fn epoch_commit_fsyncs_directory() {
     let dir = tmpdir("fsync");
-    let cfg = CkptConfig::ai_ckpt(1 << 20).with_max_pages(64);
-    let mgr = PageManager::new(cfg, Box::new(FileBackend::open(&dir).unwrap())).unwrap();
+    let mgr = PageManager::new(cfg(), Box::new(FileBackend::open(&dir).unwrap())).unwrap();
     let mut buf = mgr.alloc_protected_named("d", page_size()).unwrap();
     buf.as_mut_slice()[0] = 1;
     mgr.checkpoint().unwrap();
@@ -140,20 +178,23 @@ fn epoch_commit_fsyncs_directory() {
         "publishing a segment must fsync the directory (dir_fsyncs {})",
         io.dir_fsyncs
     );
+    // One epoch, one stream: three sync points and no fourth.
+    assert_eq!(
+        (io.segment_fsyncs, io.dir_fsyncs, io.manifest_fsyncs),
+        (1, 1, 1)
+    );
     drop(buf);
     drop(mgr);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Satellite 1, abort path: a checkpoint whose segment commit fails must
-/// delete the layout blob it already wrote — otherwise every failed
-/// attempt leaks one blob and restore can find metadata for an epoch that
-/// does not exist.
+/// A checkpoint whose commit fails leaves nothing: no epoch, no record, no
+/// file — there is no second artefact to clean up.
 #[test]
-fn failed_checkpoint_deletes_its_layout_blob() {
-    let (failing, ctl) = FailingBackend::new(MemoryBackend::new());
-    let cfg = CkptConfig::sync().with_max_pages(64);
-    let mgr = PageManager::new(cfg, Box::new(failing)).unwrap();
+fn failed_checkpoint_leaves_nothing_behind() {
+    let dir = tmpdir("failed");
+    let (failing, ctl) = FailingBackend::new(FileBackend::open(&dir).unwrap());
+    let mgr = PageManager::new(CkptConfig::sync().with_max_pages(64), Box::new(failing)).unwrap();
     let backend = mgr.backend();
     let ps = page_size();
     let mut buf = mgr.alloc_protected_named("s", 2 * ps).unwrap();
@@ -161,21 +202,147 @@ fn failed_checkpoint_deletes_its_layout_blob() {
 
     ctl.fail_finish(true);
     mgr.checkpoint().unwrap_err();
+    assert!(backend.epochs().unwrap().is_empty());
     assert!(
-        backend.list_blobs().unwrap().is_empty(),
-        "aborted checkpoint left its layout blob behind"
+        dir_listing(&dir).iter().all(|n| n == "MANIFEST"),
+        "aborted checkpoint left a file behind: {:?}",
+        dir_listing(&dir)
     );
 
     ctl.heal();
     buf.as_mut_slice()[0] = 10;
     mgr.checkpoint().unwrap();
     mgr.wait_checkpoint().unwrap();
-    let blobs = backend.list_blobs().unwrap();
+    assert_eq!(backend.epochs().unwrap(), vec![2]);
+    assert_eq!(dir_listing(&dir), ["MANIFEST", "epoch_0000000002.seg"]);
+    assert!(backend.read_page_at(2, META_RECORD).unwrap().is_some());
+    drop(buf);
+    drop(mgr);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One flipped byte in the layout record of a plain file backend: both
+/// restore doors fail with `InvalidData` — never a diverged or garbled
+/// layout parsed from rotten bytes.
+#[test]
+fn flipped_layout_byte_fails_both_restore_doors_loudly() {
+    let dir = tmpdir("rot-plain");
+    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+    commit(&backend, 0x5A);
+    let rot = SegmentRegion::PayloadOf {
+        page: META_RECORD,
+        byte: 7,
+    };
+    corrupt_segment_region(&dir, 1, rot).unwrap();
     assert_eq!(
-        blobs.len(),
-        1,
-        "exactly the committed epoch's blob: {blobs:?}"
+        backend.verify_epoch(1).unwrap().corrupt_pages,
+        vec![META_RECORD]
     );
-    let epochs = backend.epochs().unwrap();
-    assert_eq!(blobs[0], layout_blob_name(*epochs.last().unwrap()));
+    for (door, result) in ["eager", "lazy"].iter().zip(restore_both(&backend, 1)) {
+        let err = result.expect_err("a rotten layout must not restore");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{door}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same flip under `replica*2` and under `parity*4`: verification names
+/// the record, both doors restore the baseline bytes regardless, and a
+/// repair leaves the epoch clean on disk.
+#[test]
+fn flipped_layout_byte_heals_under_replica_and_parity() {
+    let dirs = [tmpdir("rot-rep0"), tmpdir("rot-rep1"), tmpdir("rot-par")];
+    let open = |i: usize| FileBackend::open(&dirs[i]).unwrap();
+    let stacks: [(&str, Arc<dyn StorageBackend>, &Path); 2] = [
+        (
+            "replica*2",
+            Arc::new(ReplicatedBackend::new(vec![
+                Box::new(open(0)),
+                Box::new(open(1)),
+            ])),
+            &dirs[0],
+        ),
+        (
+            "parity*4",
+            Arc::new(ParityBackend::new(open(2), 4)),
+            &dirs[2],
+        ),
+    ];
+    for (ctx, backend, rot_dir) in stacks {
+        let expect = commit(&backend, 0xC3);
+        let rot = SegmentRegion::PayloadOf {
+            page: META_RECORD,
+            byte: 11,
+        };
+        corrupt_segment_region(rot_dir, 1, rot).unwrap();
+        assert_eq!(
+            backend.verify_epoch(1).unwrap().corrupt_pages,
+            vec![META_RECORD],
+            "{ctx}: the scrub surface sees the layout like any record"
+        );
+        for (door, result) in ["eager", "lazy"].iter().zip(restore_both(&backend, 1)) {
+            assert!(result.unwrap() == expect, "{ctx}/{door}: restore diverged");
+        }
+        backend.repair_epoch(1).unwrap();
+        assert!(backend.verify_epoch(1).unwrap().is_clean(), "{ctx}: healed");
+    }
+    for dir in dirs {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The layout is gone with its epoch: retiring an epoch leaves no trace of
+/// it, and the survivors still restore.
+#[test]
+fn layout_retires_with_its_epoch() {
+    let dir = tmpdir("retire");
+    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+    commit(&backend, 0x11);
+    let expect = commit(&backend, 0x22);
+    backend.compact(2).unwrap();
+    let newest = commit(&backend, 0x33);
+    backend.remove_epochs(&[3]).unwrap();
+    assert_eq!(dir_listing(&dir), ["MANIFEST", "full_0000000002.seg"]);
+    assert!(backend.read_page_at(3, META_RECORD).is_err());
+    for result in restore_both(&backend, 2) {
+        assert!(result.unwrap() == expect);
+    }
+    assert_ne!(newest, expect);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A volatile fast tier over a file slow tier: the drain carries the layout
+/// with the pages, so after a crash the slow tier alone restores — and each
+/// drained epoch paid the file commit's three sync points.
+#[test]
+fn layout_drains_with_its_epoch_to_the_durable_tier() {
+    let dir = tmpdir("drain");
+    let slow = FileBackend::open(&dir).unwrap();
+    let tiered: Arc<dyn StorageBackend> =
+        Arc::new(TieredBackend::new(Box::new(MemoryBackend::new()), Box::new(slow), 8).unwrap());
+    commit(&tiered, 0x44);
+    let expect = commit(&tiered, 0x55);
+    let io = tiered.io_stats();
+    assert_eq!(
+        (io.segment_fsyncs, io.dir_fsyncs, io.manifest_fsyncs),
+        (2, 2, 2),
+        "two drained epochs, three sync points each"
+    );
+    drop(tiered); // the fast tier dies with the process
+    let slow: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+    assert_eq!(slow.epochs().unwrap(), vec![1, 2]);
+    for result in restore_both(&slow, 2) {
+        assert!(result.unwrap() == expect);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Page ids double as record ids, so a page-id space that could reach the
+/// reserved ones is refused at construction — before anything is allocated.
+#[test]
+fn max_pages_reaching_a_reserved_id_is_rejected() {
+    let cfg = CkptConfig::ai_ckpt(1 << 20).with_max_pages(META_RECORD as usize + 1);
+    let err = PageManager::new(cfg, Box::new(MemoryBackend::new()))
+        .err()
+        .expect("reserved ids are not pages");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }

@@ -55,9 +55,9 @@
 //!
 //! ## Required core, provided rest, one delegate
 //!
-//! Six methods are required; everything else is provided, and every
+//! Four methods are required; everything else is provided, and every
 //! provided default forwards to [`StorageBackend::inner`] when the backend
-//! names one. A transparent wrapper is therefore the six required methods
+//! names one. A transparent wrapper is therefore the four required methods
 //! plus `inner()`; whatever else it overrides is, by construction, what it
 //! changes — there is no forwarding to forget. Only multi-child composites
 //! (`ReplicatedBackend`, `TieredBackend`, `PolicyBackend`), for which no
@@ -69,6 +69,20 @@ use std::io;
 use crate::errors::{classify, FaultClass};
 use crate::io::IoStats;
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
+
+/// Reserved record id under which an epoch carries its writer's metadata
+/// (the runtime stores its region layout there). It is a record like any
+/// other — committed, checksummed, replicated, parity-covered, scrubbed,
+/// folded latest-wins and retired with its epoch — so backends never look
+/// at it; only consumers that want *pages* skip it, through [`is_page`].
+/// The bit above it is [`crate::parity::PARITY_FLAG`].
+pub const META_RECORD: u64 = 1 << 62;
+
+/// Whether a record id names an application page, as opposed to a reserved
+/// record ([`META_RECORD`], parity groups).
+pub fn is_page(id: u64) -> bool {
+    id < META_RECORD
+}
 
 /// One open epoch-commit session. See the module docs for the contract.
 pub trait EpochWriter: Send + Sync {
@@ -151,8 +165,8 @@ impl CompactionStats {
 /// one backend between the checkpoint requester, N committer streams and
 /// restore.
 ///
-/// Six methods are **required** (`begin_epoch`, `put_blob`, `get_blob`,
-/// `epochs`, `read_epoch`, `bytes_written`). Every other method is
+/// Four methods are **required** (`begin_epoch`, `epochs`, `read_epoch`,
+/// `bytes_written`). Every other method is
 /// **provided**, and every provided default has the same shape: forward to
 /// [`StorageBackend::inner`] when there is one, else the leaf behaviour its
 /// doc describes. A leaf backend overrides what it can do better than the
@@ -161,13 +175,6 @@ pub trait StorageBackend: Send + Sync {
     /// Open the commit session for a new epoch. Epoch numbers must be
     /// strictly increasing; at most one epoch may be open at a time.
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>>;
-
-    /// Store a named metadata blob (e.g. the runtime's region layout),
-    /// overwriting any previous value. Durable once written.
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()>;
-
-    /// Retrieve a named metadata blob.
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>>;
 
     /// All *finished* epochs, ascending.
     fn epochs(&self) -> io::Result<Vec<u64>>;
@@ -183,7 +190,7 @@ pub trait StorageBackend: Send + Sync {
 
     /// The single backend this one wraps, if it is a transparent wrapper.
     /// Returning `Some` turns every provided method below into a forward to
-    /// that backend, so a wrapper is the six required methods, `inner`, and
+    /// that backend, so a wrapper is the four required methods, `inner`, and
     /// the methods whose behaviour it actually changes. Leaf backends and
     /// multi-child composites (replicas, tiers, policy levels — no single
     /// child can answer for them) keep the default `None`.
@@ -236,26 +243,6 @@ pub trait StorageBackend: Send + Sync {
             }
         })?;
         Ok(hit)
-    }
-
-    /// Delete a named metadata blob. Deleting a blob that does not exist is
-    /// not an error (retirement paths race benignly with sweeps). The leaf
-    /// default is a no-op for backends that never persist blobs.
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        match self.inner() {
-            Some(inner) => inner.delete_blob(name),
-            None => Ok(()),
-        }
-    }
-
-    /// Names of all stored metadata blobs, ascending. Used by the open-time
-    /// orphan sweep and by retirement tests. Leaf backends that never
-    /// persist blobs report none.
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        match self.inner() {
-            Some(inner) => inner.list_blobs(),
-            None => Ok(Vec::new()),
-        }
     }
 
     /// Physical payload bytes stored after per-record encoding
@@ -490,14 +477,6 @@ impl StorageBackend for Box<dyn StorageBackend> {
         (**self).begin_epoch(epoch)
     }
 
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        (**self).put_blob(name, data)
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        (**self).get_blob(name)
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         (**self).epochs()
     }
@@ -589,19 +568,6 @@ pub fn compact_latest_wins<B: StorageBackend + ?Sized>(
 /// [`StorageBackend::rewrite_epoch`] take.
 pub(crate) fn as_batch(records: &[(u64, Vec<u8>)]) -> Vec<(u64, &[u8])> {
     records.iter().map(|(p, d)| (*p, d.as_slice())).collect()
-}
-
-/// Canonical name of the per-checkpoint layout metadata blob. The zero
-/// padding keeps lexicographic blob order equal to epoch order, and backends
-/// use the shared prefix to retire layout blobs together with their epochs.
-pub fn layout_blob_name(checkpoint: u64) -> String {
-    format!("layout_{checkpoint:010}")
-}
-
-/// Inverse of [`layout_blob_name`]: the epoch a layout blob belongs to, or
-/// `None` for blobs with other names.
-pub(crate) fn layout_blob_epoch(name: &str) -> Option<u64> {
-    name.strip_prefix("layout_")?.parse::<u64>().ok()
 }
 
 /// Convenience: write a full epoch from an iterator through a single stream

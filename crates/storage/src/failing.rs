@@ -24,8 +24,6 @@ pub enum FaultOp {
     BeginEpoch,
     /// `EpochWriter::finish` (the commit barrier).
     Finish,
-    /// `put_blob`.
-    PutBlob,
     /// `remove_epochs`.
     RemoveEpoch,
     /// `drain_one` (the maintenance drain path).
@@ -38,7 +36,7 @@ pub enum FaultOp {
 }
 
 impl FaultOp {
-    const COUNT: usize = 7;
+    const COUNT: usize = 6;
 
     fn idx(self) -> usize {
         self as usize
@@ -50,8 +48,8 @@ impl FaultOp {
 /// streams write concurrently.
 ///
 /// Beyond the original page-write budget and `finish` switch, every other
-/// mutating entry point can be failed individually — epoch opens, blob
-/// writes, and the whole chain API (`remove_epochs`, `drain_one`,
+/// mutating entry point can be failed individually — epoch opens and the
+/// whole chain API (`remove_epochs`, `drain_one`,
 /// `install_compacted`), so manifest-append paths and the maintenance
 /// worker are testable under fault too.
 #[derive(Debug, Clone, Default)]
@@ -63,17 +61,15 @@ pub struct FailureControl {
     fail_finish: Arc<AtomicU64>,
     /// When set, `begin_epoch` fails (the session never opens).
     fail_begin_epoch: Arc<AtomicU64>,
-    /// When set, `put_blob` fails.
-    fail_put_blob: Arc<AtomicU64>,
     /// When set, `remove_epochs` fails (tier eviction / group abort path).
     fail_remove_epoch: Arc<AtomicU64>,
     /// When set, `drain_one` fails (maintenance drain path).
     fail_drain_one: Arc<AtomicU64>,
     /// When set, `install_compacted` fails (the compaction commit point).
     fail_install_compacted: Arc<AtomicU64>,
-    /// When set, every read entry point fails (`get_blob`, `epochs`,
-    /// `high_water`, `read_epoch`, `epoch_page_ids`, `read_page_at`,
-    /// `chain`, `list_blobs`) — the degraded-read half of losing a device.
+    /// When set, every read entry point fails (`epochs`, `high_water`,
+    /// `read_epoch`, `epoch_page_ids`, `read_page_at`, `chain`) — the
+    /// degraded-read half of losing a device.
     fail_reads: Arc<AtomicU64>,
     /// When set, *everything* fails — the whole store is gone. This is the
     /// policy layer's whole-level fault: one shared control wrapped around
@@ -111,7 +107,6 @@ impl FailureControl {
         for flag in [
             &self.fail_finish,
             &self.fail_begin_epoch,
-            &self.fail_put_blob,
             &self.fail_remove_epoch,
             &self.fail_drain_one,
             &self.fail_install_compacted,
@@ -229,11 +224,6 @@ impl FailureControl {
     /// Make `begin_epoch` fail.
     pub fn fail_begin_epoch(&self, yes: bool) {
         self.fail_begin_epoch.store(yes as u64, Ordering::SeqCst);
-    }
-
-    /// Make `put_blob` fail.
-    pub fn fail_put_blob(&self, yes: bool) {
-        self.fail_put_blob.store(yes as u64, Ordering::SeqCst);
     }
 
     /// Make `remove_epochs` fail.
@@ -383,17 +373,6 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
         }))
     }
 
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.control.gate(&self.control.fail_put_blob)?;
-        self.control.take_transient(FaultOp::PutBlob)?;
-        self.inner.put_blob(name, data)
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        self.control.read_gate()?;
-        self.inner.get_blob(name)
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.control.read_gate()?;
         self.inner.epochs()
@@ -425,21 +404,6 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
             return Err(corrupt_injected(epoch, page, byte));
         }
         self.inner.read_page_at(epoch, page)
-    }
-
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        // A kill takes the delete path down too (it is a mutation), but
-        // there is no individual flag for it: retirement failures are
-        // injected through `fail_remove_epoch` where they matter.
-        if self.control.is_killed() {
-            return Err(injected());
-        }
-        self.inner.delete_blob(name)
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        self.control.read_gate()?;
-        self.inner.list_blobs()
     }
 
     fn bytes_written(&self) -> u64 {
@@ -555,16 +519,12 @@ mod tests {
     }
 
     #[test]
-    fn begin_epoch_and_blob_injection() {
+    fn begin_epoch_injection() {
         let (b, ctl) = FailingBackend::new(MemoryBackend::new());
         ctl.fail_begin_epoch(true);
         assert!(b.begin_epoch(1).is_err());
-        ctl.fail_put_blob(true);
-        assert!(b.put_blob("layout", b"x").is_err());
         ctl.heal();
         b.begin_epoch(1).unwrap().finish().unwrap();
-        b.put_blob("layout", b"x").unwrap();
-        assert_eq!(b.get_blob("layout").unwrap().unwrap(), b"x");
     }
 
     #[test]
@@ -601,16 +561,13 @@ mod tests {
         use crate::backend::write_epoch;
         let (b, ctl) = FailingBackend::new(MemoryBackend::new());
         write_epoch(&b, 1, vec![(0, vec![7])]).unwrap();
-        b.put_blob("meta", b"m").unwrap();
         ctl.fail_reads(true);
-        assert!(b.get_blob("meta").is_err());
         assert!(b.epochs().is_err());
         assert!(b.high_water().is_err());
         assert!(b.read_epoch(1, &mut |_, _| {}).is_err());
         assert!(b.epoch_page_ids(1).is_err());
         assert!(b.read_page_at(1, 0).is_err());
         assert!(b.chain().is_err());
-        assert!(b.list_blobs().is_err());
         // Writes still land: the store lost its read path, not its media.
         write_epoch(&b, 2, vec![(1, vec![8])]).unwrap();
         ctl.heal();
@@ -626,11 +583,9 @@ mod tests {
         assert!(ctl.is_killed());
         assert!(b.begin_epoch(2).is_err());
         assert!(b.epochs().is_err(), "liveness probe observes the kill");
-        assert!(b.put_blob("x", b"y").is_err());
         assert!(b.read_page_at(1, 0).is_err());
         assert!(b.remove_epochs(&[1]).is_err());
         assert!(b.drain_one().is_err());
-        assert!(b.delete_blob("x").is_err());
         // An open writer dies with the store too.
         ctl.heal();
         let w = b.begin_epoch(2).unwrap();

@@ -13,7 +13,6 @@
 //!                           created only under committer-stream contention
 //! epoch_0000000002.seg      ...
 //! full_0000000005.seg       compacted full image as of checkpoint 5
-//! blob_layout               named metadata blobs (`put_blob`)
 //! ```
 //!
 //! ## Segment format
@@ -85,9 +84,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{
-    layout_blob_epoch, layout_blob_name, ChainEntry, EpochKind, EpochWriter, StorageBackend,
-};
+use crate::backend::{is_page, ChainEntry, EpochKind, EpochWriter, StorageBackend};
 use crate::checksum::crc64;
 use crate::codec::{self, Compression, Encoding};
 use crate::io::{pwritev_full, AlignedBuf, IoCounters, IoStats};
@@ -160,6 +157,15 @@ impl FileShared {
         }
         Ok(())
     }
+
+    /// Make directory-entry changes in `dir` (new segment files, a
+    /// compacted-segment rename) durable by fsyncing the directory itself:
+    /// a file is only crash-safe once its directory entry is on disk.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        File::open(dir)?.sync_all()?;
+        self.io.dir_fsyncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
 }
 
 /// File-system storage backend.
@@ -167,8 +173,8 @@ impl FileShared {
 pub struct FileBackend {
     dir: PathBuf,
     shared: Arc<FileShared>,
-    /// `fsync` on epoch finish (and blob writes). Disable only for
-    /// throughput experiments where durability is irrelevant.
+    /// `fsync` on epoch finish (segments, directory, manifest). Disable
+    /// only for throughput experiments where durability is irrelevant.
     pub sync_on_finish: bool,
     /// Per-record payload encoding policy for new segments (v2 framing
     /// either way; see the module docs).
@@ -279,7 +285,7 @@ fn delta_shard_files(dir: &Path, epoch: u64) -> io::Result<Vec<PathBuf>> {
 impl FileBackend {
     /// Open (creating if needed) a checkpoint directory, sweeping orphaned
     /// files left by a crashed or killed predecessor (uncommitted segments,
-    /// `*.tmp` blobs/compactions, segments superseded by a committed
+    /// `*.tmp` compaction images, segments superseded by a committed
     /// compaction whose GC never ran).
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
@@ -332,16 +338,6 @@ impl FileBackend {
         self.dir.join(MANIFEST_FILE)
     }
 
-    fn blob_path(&self, name: &str) -> PathBuf {
-        // Restrict names to something path-safe.
-        debug_assert!(
-            name.bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-'),
-            "blob name must be path-safe: {name}"
-        );
-        self.dir.join(format!("blob_{name}"))
-    }
-
     fn manifest_records(&self) -> io::Result<Vec<ManifestRecord>> {
         manifest::read(&self.manifest_path())
     }
@@ -365,7 +361,7 @@ impl FileBackend {
                 continue;
             };
             let doomed = if name.ends_with(".tmp") {
-                // Half-written blob or compaction image.
+                // Half-written compaction or rewrite image.
                 true
             } else if let Some((epoch, _shard)) = parse_segment_name(name, "epoch_") {
                 // A delta shard is live only while its manifest record is
@@ -376,12 +372,6 @@ impl FileBackend {
             } else if let Some((epoch, shard)) = parse_segment_name(name, "full_") {
                 // Full images are never sharded.
                 shard != 0 || live.get(&epoch) != Some(&RecordKind::Full)
-            } else if let Some(blob) = name.strip_prefix("blob_") {
-                // A layout blob whose epoch is no longer live is garbage: a
-                // crash between `put_blob` and the epoch's manifest commit
-                // orphans it, and retirement GC may have died before the
-                // unlink. Blobs with non-layout names are never touched.
-                layout_blob_epoch(blob).is_some_and(|epoch| !live.contains_key(&epoch))
             } else {
                 false
             };
@@ -600,6 +590,10 @@ impl EpochWriter for FileEpochWriter {
                     .io
                     .segment_fsyncs
                     .fetch_add(shards.len() as u64, Ordering::Relaxed);
+                // The shard files were created during this session: their
+                // directory entries must be durable before the manifest
+                // names the epoch.
+                self.shared.sync_dir(&self.dir)?;
             }
             // Commit point: the manifest record makes the epoch visible.
             self.shared.commit(
@@ -695,66 +689,6 @@ impl StorageBackend for FileBackend {
         Ok(Box::new(self.begin_epoch_impl(epoch)?))
     }
 
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        let path = self.blob_path(name);
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(data)?;
-            if self.sync_on_finish {
-                f.sync_all()?;
-            }
-        }
-        fs::rename(&tmp, &path)?;
-        // The rename only becomes crash-durable once the directory entry
-        // itself reaches disk. Without this, a crash after the epoch's
-        // manifest commit could lose the layout blob of a committed epoch
-        // and turn a clean restart into a restore error.
-        if self.sync_on_finish {
-            self.sync_dir()?;
-        }
-        Ok(())
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(self.blob_path(name)) {
-            Ok(data) => Ok(Some(data)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        match fs::remove_file(self.blob_path(name)) {
-            Ok(()) => {
-                if self.sync_on_finish {
-                    self.sync_dir()?;
-                }
-                Ok(())
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let Some(name) = entry.file_name().to_str().map(str::to_owned) else {
-                continue;
-            };
-            if name.ends_with(".tmp") {
-                continue;
-            }
-            if let Some(blob) = name.strip_prefix("blob_") {
-                names.push(blob.to_owned());
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         Ok(self.live_records()?.iter().map(|r| r.epoch).collect())
     }
@@ -813,7 +747,10 @@ impl StorageBackend for FileBackend {
         };
         let mut stored = vec![0u8; loc.stored_len as usize];
         index.files[loc.file as usize].read_exact_at(&mut stored, loc.offset)?;
-        self.shared.io.page_reads.fetch_add(1, Ordering::Relaxed);
+        if is_page(page) {
+            // The epoch's metadata record is not a page (see `IoCounters`).
+            self.shared.io.page_reads.fetch_add(1, Ordering::Relaxed);
+        }
         let enc = Encoding::from_u8(loc.enc)?;
         let decoded = codec::decode(enc, &stored, loc.raw_len as usize)?;
         let payload = decoded.unwrap_or(stored);
@@ -885,11 +822,8 @@ impl StorageBackend for FileBackend {
                 from,
             )],
         )?;
-        // 4. GC the superseded segments — and the layout blobs of epochs
-        //    below the new horizon (restore can no longer target them; the
-        //    blob at `into` itself stays, restore needs it). A crash in
-        //    here leaves orphans that the next `open` sweeps; restore is
-        //    already correct.
+        // 4. GC the superseded segments. A crash in here leaves orphans
+        //    that the next `open` sweeps; restore is already correct.
         self.invalidate_index(superseded.iter().map(|r| r.epoch));
         for r in superseded {
             match r.kind {
@@ -897,9 +831,6 @@ impl StorageBackend for FileBackend {
                     let _ = fs::remove_file(Self::full_path(&self.dir, r.epoch));
                 }
                 _ => remove_delta_files(&self.dir, r.epoch),
-            }
-            if r.epoch < into {
-                let _ = fs::remove_file(self.blob_path(&layout_blob_name(r.epoch)));
             }
         }
         Ok(())
@@ -930,10 +861,6 @@ impl StorageBackend for FileBackend {
                 }
                 _ => remove_delta_files(&self.dir, rec.epoch),
             }
-            // A retired epoch can never be restored again, so its layout
-            // blob is garbage too (this was the historical leak: blobs
-            // accumulated one per checkpoint, forever).
-            let _ = fs::remove_file(self.blob_path(&layout_blob_name(rec.epoch)));
         }
         Ok(())
     }
@@ -1418,17 +1345,8 @@ impl FileBackend {
     fn publish_staged(&self, tmp: &Path, final_path: &Path) -> io::Result<()> {
         fs::rename(tmp, final_path)?;
         if self.sync_on_finish {
-            self.sync_dir()?;
+            self.shared.sync_dir(&self.dir)?;
         }
-        Ok(())
-    }
-
-    /// Make a directory-entry change (blob rename/unlink, compacted-segment
-    /// rename) durable by fsyncing the checkpoint directory itself — the
-    /// rename is only crash-safe once its directory entry is on disk.
-    fn sync_dir(&self) -> io::Result<()> {
-        File::open(&self.dir)?.sync_all()?;
-        self.shared.io.dir_fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -1473,6 +1391,14 @@ pub enum SegmentRegion {
     /// A byte of the first record's stored CRC-64 field: the payload is
     /// intact but can no longer prove it.
     Crc,
+    /// A byte of the *stored* payload of the record with id `page`
+    /// (wherever it sits in the segment).
+    PayloadOf {
+        /// Record id to damage.
+        page: u64,
+        /// Byte offset within the stored payload (modulo its length).
+        byte: u64,
+    },
 }
 
 /// Flip one byte of the given `region` of `epoch`'s segment file — at-rest
@@ -1491,21 +1417,34 @@ pub fn corrupt_segment_region(dir: &Path, epoch: u64, region: SegmentRegion) -> 
         return flip_byte_at(&mut f, 0);
     }
     read_segment_header(&mut f, epoch)?;
-    let frame = read_frame(&mut f)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "segment holds no record"))?;
-    let first = SEGMENT_HEADER_LEN as u64;
+    // Walk to the target record: the first one, or the one named.
+    let named = match region {
+        SegmentRegion::PayloadOf { page, .. } => Some(page),
+        _ => None,
+    };
+    let mut at = SEGMENT_HEADER_LEN as u64;
+    let frame = loop {
+        let frame = read_frame(&mut f)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "segment holds no such record")
+        })?;
+        if named.is_none_or(|page| page == frame.page) {
+            break frame;
+        }
+        at += FRAME_LEN_V2 as u64 + frame.stored_len as u64;
+        f.seek(SeekFrom::Start(at))?;
+    };
     let pos = match region {
         SegmentRegion::Header => unreachable!(),
-        SegmentRegion::Encoding => first + 8,
-        SegmentRegion::Crc => first + 17,
-        SegmentRegion::Payload { byte } => {
+        SegmentRegion::Encoding => at + 8,
+        SegmentRegion::Crc => at + 17,
+        SegmentRegion::Payload { byte } | SegmentRegion::PayloadOf { byte, .. } => {
             if frame.stored_len == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    "first record has an empty payload",
+                    "target record has an empty payload",
                 ));
             }
-            first + FRAME_LEN_V2 as u64 + byte % frame.stored_len as u64
+            at + FRAME_LEN_V2 as u64 + byte % frame.stored_len as u64
         }
     };
     flip_byte_at(&mut f, pos)
@@ -1824,8 +1763,7 @@ mod tests {
             w.write_pages(&[(1, &[4, 5, 6])]).unwrap();
             // Killed process: neither finish nor the implicit-drop abort.
             std::mem::forget(w);
-            // Crash mid-blob-write and mid-compaction leave temp files too.
-            fs::write(dir.join("blob_layout.tmp"), b"half").unwrap();
+            // A crash mid-compaction leaves a temp file too.
             fs::write(dir.join("full_0000000009.seg.tmp"), b"half").unwrap();
         }
         let b = FileBackend::open(&dir).unwrap();
@@ -1834,7 +1772,6 @@ mod tests {
             !FileBackend::segment_path(&dir, 2).exists(),
             "uncommitted segment swept at reopen"
         );
-        assert!(!dir.join("blob_layout.tmp").exists(), "tmp blob swept");
         assert!(
             !dir.join("full_0000000009.seg.tmp").exists(),
             "tmp compaction image swept"
@@ -1919,19 +1856,6 @@ mod tests {
         let b = FileBackend::open(&dir).unwrap();
         assert_eq!(b.epochs().unwrap(), vec![2], "retirement survived reopen");
         assert!(b.begin_epoch(1).is_err(), "retired numbers are not reused");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn blobs_survive_reopen() {
-        let dir = tmpdir("blob");
-        {
-            let b = FileBackend::open(&dir).unwrap();
-            b.put_blob("layout", b"hello").unwrap();
-        }
-        let b = FileBackend::open(&dir).unwrap();
-        assert_eq!(b.get_blob("layout").unwrap().unwrap(), b"hello");
-        assert_eq!(b.get_blob("missing").unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2142,68 +2066,33 @@ mod tests {
     }
 
     #[test]
-    fn blob_delete_list_and_orphan_sweep() {
-        let dir = tmpdir("bloblife");
-        {
-            let b = FileBackend::open(&dir).unwrap();
-            write_epoch(&b, 1, vec![(0, vec![1])]).unwrap();
-            b.put_blob(&crate::backend::layout_blob_name(1), b"live")
-                .unwrap();
-            b.put_blob(&crate::backend::layout_blob_name(7), b"orphan")
-                .unwrap();
-            b.put_blob("custom-name", b"keep").unwrap();
-            assert_eq!(
-                b.list_blobs().unwrap(),
-                vec![
-                    "custom-name".to_owned(),
-                    "layout_0000000001".to_owned(),
-                    "layout_0000000007".to_owned()
-                ]
-            );
-            b.delete_blob("custom-name").unwrap();
-            b.delete_blob("custom-name").unwrap(); // idempotent
-            assert!(b.io_stats().dir_fsyncs > 0, "renames/unlinks fsync the dir");
-        }
-        // Reopen: epoch 7 was never committed, so its blob is swept; the
-        // live epoch's blob survives.
+    fn epoch_commit_syncs_shards_then_directory_then_manifest() {
+        let dir = tmpdir("commitsync");
         let b = FileBackend::open(&dir).unwrap();
-        assert_eq!(
-            b.list_blobs().unwrap(),
-            vec!["layout_0000000001".to_owned()]
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn retirement_and_compaction_remove_layout_blobs() {
-        let dir = tmpdir("blobgc");
-        let b = FileBackend::open(&dir).unwrap();
-        for e in 1..=4u64 {
-            write_epoch(&b, e, vec![(e, vec![e as u8; 16])]).unwrap();
-            b.put_blob(&crate::backend::layout_blob_name(e), &[e as u8])
-                .unwrap();
+        for epoch in 1..=3u64 {
+            let before = b.io_stats();
+            write_epoch(&b, epoch, vec![(0, vec![epoch as u8; 64])]).unwrap();
+            let after = b.io_stats();
+            // One sync point each: the new segment's directory entry is
+            // durable before the manifest names the epoch.
+            assert_eq!(after.segment_fsyncs - before.segment_fsyncs, 1);
+            assert_eq!(after.dir_fsyncs - before.dir_fsyncs, 1);
+            assert_eq!(after.manifest_fsyncs - before.manifest_fsyncs, 1);
         }
-        b.remove_epochs(&[1]).unwrap();
+        // Nothing but the manifest and the segments lives in the directory.
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
         assert_eq!(
-            b.list_blobs().unwrap(),
-            (2..=4)
-                .map(crate::backend::layout_blob_name)
-                .collect::<Vec<_>>(),
-            "retired epoch's blob removed"
-        );
-        b.compact(3).unwrap();
-        assert_eq!(
-            b.list_blobs().unwrap(),
-            (3..=4)
-                .map(crate::backend::layout_blob_name)
-                .collect::<Vec<_>>(),
-            "blobs below the horizon gone, the horizon's blob kept"
-        );
-        assert_eq!(
-            b.get_blob(&crate::backend::layout_blob_name(3))
-                .unwrap()
-                .unwrap(),
-            vec![3u8]
+            names,
+            vec![
+                "MANIFEST",
+                "epoch_0000000001.seg",
+                "epoch_0000000002.seg",
+                "epoch_0000000003.seg"
+            ]
         );
         fs::remove_dir_all(&dir).unwrap();
     }

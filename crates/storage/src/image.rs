@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::io;
 
-use crate::backend::{replay_window, StorageBackend};
+use crate::backend::{is_page, replay_window, StorageBackend};
 
 /// A reconstructed page image at some checkpoint.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -41,7 +41,10 @@ impl CheckpointImage {
         for c in replay_window(&chain, up_to)? {
             backend.read_epoch(c.epoch, &mut |p, d| {
                 // Later epochs overwrite earlier versions (epochs ascend).
-                pages.insert(p, d.to_vec());
+                // Reserved records (the epoch's metadata) are not pages.
+                if is_page(p) {
+                    pages.insert(p, d.to_vec());
+                }
             })?;
         }
         Ok(Self {

@@ -225,12 +225,15 @@ pub struct IoCounters {
     /// `fsync` calls paid for those appends; batched appends commit many
     /// records under one fsync, so this lags `manifest_appends`.
     pub manifest_fsyncs: AtomicU64,
-    /// Directory `fsync` calls (durability points after renames/unlinks of
-    /// blobs and compacted segments).
+    /// Directory `fsync` calls: one per epoch commit (new segment files
+    /// must be durable entries before the manifest names them) and one per
+    /// compacted/rewritten segment rename.
     pub dir_fsyncs: AtomicU64,
     /// Single-page random reads served by the demand-paged restore path
-    /// (`read_page_at`). One count per record actually fetched from disk —
-    /// cache hits upstream do not reach this counter.
+    /// (`read_page_at`). One count per *page* record actually fetched from
+    /// disk — cache hits upstream do not reach this counter, and neither
+    /// does a restore's read of the epoch's reserved metadata record
+    /// (`META_RECORD`): that is metadata, not a page.
     pub page_reads: AtomicU64,
 }
 
@@ -265,9 +268,11 @@ pub struct IoStats {
     pub manifest_appends: u64,
     /// Manifest `fsync` calls paid for those appends.
     pub manifest_fsyncs: u64,
-    /// Directory `fsync` calls after blob/segment renames and unlinks.
+    /// Directory `fsync` calls: one per epoch commit, one per compacted or
+    /// rewritten segment rename.
     pub dir_fsyncs: u64,
-    /// Single-page random reads served by `read_page_at`.
+    /// Single-page random reads served by `read_page_at` — pages only; the
+    /// per-restore read of an epoch's metadata record is not counted.
     pub page_reads: u64,
 }
 

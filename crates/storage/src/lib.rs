@@ -6,7 +6,7 @@
 //! that turns a chain of epochs back into a memory image.
 //!
 //! * [`backend`] — the `StorageBackend` trait (epoch-structured page sink +
-//!   source with named metadata blobs);
+//!   source; an epoch's metadata rides inside it as a reserved record);
 //! * [`file`](mod@file) — POSIX file-system backend: per-epoch segment files with
 //!   CRC-64-protected records and an append-only commit manifest (covers
 //!   both local disks and PVFS-style parallel file systems, which mount as
@@ -75,8 +75,8 @@ pub mod throttle;
 pub mod tiered;
 
 pub use backend::{
-    compact_latest_wins, layout_blob_name, replay_window, write_epoch, ChainEntry, CompactionStats,
-    EpochKind, EpochWriter, StorageBackend,
+    compact_latest_wins, is_page, replay_window, write_epoch, ChainEntry, CompactionStats,
+    EpochKind, EpochWriter, StorageBackend, META_RECORD,
 };
 pub use cache::{CacheStats, PageCache};
 pub use checksum::{crc64, crc64_update};

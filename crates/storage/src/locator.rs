@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::io;
 
-use crate::backend::{replay_window, StorageBackend};
+use crate::backend::{is_page, replay_window, StorageBackend};
 
 /// Index resolving `page id → newest epoch holding it` for one checkpoint
 /// of a backend's chain, built without materialising any payload.
@@ -46,6 +46,9 @@ impl PageLocator {
         // version, so one pass resolves latest-wins without any payload I/O.
         for entry in window.iter().rev() {
             for page in backend.epoch_page_ids(entry.epoch)? {
+                if !is_page(page) {
+                    continue; // the epoch's metadata record, not a page
+                }
                 if let std::collections::hash_map::Entry::Vacant(e) = map.entry(page) {
                     e.insert(entry.epoch);
                     order.push(page);

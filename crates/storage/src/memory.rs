@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{
-    layout_blob_epoch, layout_blob_name, ChainEntry, EpochKind, EpochWriter, StorageBackend,
-};
+use crate::backend::{ChainEntry, EpochKind, EpochWriter, StorageBackend};
 use crate::checksum::crc64;
 use crate::codec::{self, Compression, Encoding};
 use crate::scrub::RecordMeta;
@@ -72,7 +70,6 @@ struct Store {
     /// must not be reused (mirrors the file backend's manifest history).
     high_water: Option<u64>,
     open: Option<(u64, Records)>,
-    blobs: BTreeMap<String, Vec<u8>>,
 }
 
 #[derive(Debug)]
@@ -319,28 +316,6 @@ impl StorageBackend for MemoryBackend {
         }))
     }
 
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.shared
-            .store
-            .lock()
-            .blobs
-            .insert(name.to_string(), data.to_vec());
-        Ok(())
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.shared.store.lock().blobs.get(name).cloned())
-    }
-
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        self.shared.store.lock().blobs.remove(name);
-        Ok(())
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        Ok(self.shared.store.lock().blobs.keys().cloned().collect())
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         Ok(self.shared.store.lock().finished.keys().copied().collect())
     }
@@ -470,10 +445,6 @@ impl StorageBackend for MemoryBackend {
         s.full.retain(|&e| e > into);
         s.finished.insert(into, encoded);
         s.full.insert(into);
-        // Layout blobs below the new horizon refer to unreachable restore
-        // points; the blob at `into` stays (restore needs it).
-        s.blobs
-            .retain(|name, _| layout_blob_epoch(name).is_none_or(|e| e >= into));
         Ok(())
     }
 
@@ -490,7 +461,6 @@ impl StorageBackend for MemoryBackend {
         for epoch in epochs {
             s.finished.remove(epoch);
             s.full.remove(epoch);
-            s.blobs.remove(&layout_blob_name(*epoch));
         }
         // Retired numbers stay burned (high_water already covers them).
         Ok(())
@@ -615,15 +585,6 @@ mod tests {
         assert_eq!(b.epochs().unwrap(), vec![2]);
         assert!(b.remove_epochs(&[1]).is_err());
         assert!(b.begin_epoch(1).is_err(), "retired number not reusable");
-    }
-
-    #[test]
-    fn blobs_round_trip_and_overwrite() {
-        let b = MemoryBackend::new();
-        assert_eq!(b.get_blob("layout").unwrap(), None);
-        b.put_blob("layout", b"v1").unwrap();
-        b.put_blob("layout", b"v2").unwrap();
-        assert_eq!(b.get_blob("layout").unwrap().unwrap(), b"v2");
     }
 
     #[test]

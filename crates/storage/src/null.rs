@@ -118,14 +118,6 @@ impl StorageBackend for NullBackend {
         }))
     }
 
-    fn put_blob(&self, _name: &str, _data: &[u8]) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn get_blob(&self, _name: &str) -> io::Result<Option<Vec<u8>>> {
-        Ok(None)
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         Ok(self.shared.epochs.lock().clone())
     }
@@ -156,7 +148,6 @@ mod tests {
         assert_eq!(b.bytes_written(), 150);
         assert_eq!(b.epochs().unwrap(), vec![1]);
         assert!(b.read_epoch(1, &mut |_, _| {}).is_err());
-        assert_eq!(b.get_blob("x").unwrap(), None);
     }
 
     #[test]

@@ -254,14 +254,6 @@ impl<B: StorageBackend> StorageBackend for ParityBackend<B> {
         }))
     }
 
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.inner.put_blob(name, data)
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        self.inner.get_blob(name)
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.inner.epochs()
     }

@@ -32,10 +32,9 @@
 //! the maintenance barrier is never wedged by a dead level. Every
 //! `drain_one`/`drain_backlog` call first re-probes suspect levels; a
 //! level that answers again is *reconciled* — deferred copies re-queued
-//! as **rebuilds**, epochs retired while it was dead removed, missing
-//! blobs mirrored from the lowest alive level — and resumes normal
-//! service. Levels with a capacity evict their oldest epoch once a
-//! higher (slower) level holds a durable copy.
+//! as **rebuilds**, epochs retired while it was dead removed — and
+//! resumes normal service. Levels with a capacity evict their oldest
+//! epoch once a higher (slower) level holds a durable copy.
 //!
 //! ## Degraded reads
 //!
@@ -307,13 +306,6 @@ struct PolicyState {
     /// the retirement drops them on reconcile instead of resurrecting
     /// them).
     retired: BTreeSet<u64>,
-    /// Blob names deleted through the policy. Reconcile needs this to
-    /// tell "the healing level missed a delete" (drop it there too) from
-    /// "the healing level is the *sole holder* of a blob written while
-    /// every other level was down" (mirror it back out — dropping it
-    /// would destroy the only copy, e.g. the layout of the newest
-    /// checkpoint). Cleared once every level is back in service.
-    deleted_blobs: BTreeSet<String>,
     high_water: Option<u64>,
 }
 
@@ -415,7 +407,6 @@ impl PolicyBuilder {
                     queues: (0..n).map(|_| VecDeque::new()).collect(),
                     deferred: (0..n).map(|_| Vec::new()).collect(),
                     retired: BTreeSet::new(),
-                    deleted_blobs: BTreeSet::new(),
                     high_water,
                 }),
                 drain_lock: Mutex::new(()),
@@ -544,14 +535,12 @@ impl PolicyBackend {
             // hold. (A suspect level that just answered its probe is not
             // a reference until reconciled.)
             let mut reference: BTreeSet<u64> = BTreeSet::new();
-            let mut ref_level: Option<usize> = None;
             for (o, other) in self.shared.levels.iter().enumerate() {
                 if o == l || other.is_suspect() {
                     continue;
                 }
                 if let Ok(eps) = other.store().epochs() {
                     reference.extend(eps);
-                    ref_level.get_or_insert(o);
                 }
             }
             // Drop epochs retired while the level was down.
@@ -566,47 +555,6 @@ impl PolicyBackend {
             };
             if !stale.is_empty() && level.store().remove_epochs(&stale).is_err() {
                 continue; // went down again mid-reconcile; retry later
-            }
-            // Mirror blobs against the lowest alive level. Everything the
-            // reference holds is refreshed onto the healing level (a blob
-            // rewritten under the same name while this level slept would
-            // otherwise stay stale here and win a fall-through read).
-            // What only the healing level holds is either a delete it
-            // missed (the policy's delete ledger says so — drop it) or a
-            // blob it is the *sole holder* of, written while every other
-            // level was down — mirror that back out instead of destroying
-            // the only copy.
-            if let Some(r) = ref_level {
-                let reference_store = self.shared.levels[r].store();
-                let deleted = {
-                    let state = self.shared.state.lock().unwrap();
-                    state.deleted_blobs.clone()
-                };
-                let ok = (|| -> io::Result<()> {
-                    let want: BTreeSet<String> =
-                        reference_store.list_blobs()?.into_iter().collect();
-                    let have: BTreeSet<String> = level.store().list_blobs()?.into_iter().collect();
-                    for name in &want {
-                        if let Some(data) = reference_store.get_blob(name)? {
-                            level.store().put_blob(name, &data)?;
-                        }
-                    }
-                    for name in have.difference(&want) {
-                        if deleted.contains(name) {
-                            level.store().delete_blob(name)?;
-                        } else if let Some(data) = level.store().get_blob(name)? {
-                            for (o, other) in self.shared.levels.iter().enumerate() {
-                                if o != l && !other.is_suspect() {
-                                    other.store().put_blob(name, &data)?;
-                                }
-                            }
-                        }
-                    }
-                    Ok(())
-                })();
-                if ok.is_err() {
-                    continue;
-                }
             }
             // Re-queue deferred copies as rebuilds, plus anything the
             // level is missing against the reference window.
@@ -643,14 +591,6 @@ impl PolicyBackend {
                 .collect();
             state.deferred[l].clear();
             level.suspect.store(false, Ordering::SeqCst);
-        }
-        // Once every level is back in service all recorded deletions have
-        // been applied everywhere; a level that misses a future delete is
-        // marked suspect by `delete_blob` itself, so the ledger can only
-        // be pruned when nothing is pending.
-        if self.shared.levels.iter().all(|l| !l.is_suspect()) {
-            let mut state = self.shared.state.lock().unwrap();
-            state.deleted_blobs.clear();
         }
     }
 
@@ -892,55 +832,6 @@ impl StorageBackend for PolicyBackend {
         }))
     }
 
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        let mut wrote = false;
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            match level.store().put_blob(name, data) {
-                Ok(()) => wrote = true,
-                Err(e) => {
-                    level.suspect.store(true, Ordering::SeqCst);
-                    last_err = Some(e);
-                }
-            }
-        }
-        if wrote {
-            // A re-created name is no longer deleted: reconcile must copy
-            // it toward healing levels, not scrub it off them.
-            let mut state = self.shared.state.lock().unwrap();
-            state.deleted_blobs.remove(name);
-            Ok(())
-        } else {
-            Err(last_err.unwrap())
-        }
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        let mut last_err = None;
-        let mut any_ok = false;
-        for level in &self.shared.levels {
-            match level.store().get_blob(name) {
-                Ok(Some(data)) => {
-                    level.counters.read_hits.fetch_add(1, Ordering::SeqCst);
-                    return Ok(Some(data));
-                }
-                Ok(None) => any_ok = true,
-                Err(e) => {
-                    level
-                        .counters
-                        .read_fallthroughs
-                        .fetch_add(1, Ordering::SeqCst);
-                    last_err = Some(e);
-                }
-            }
-        }
-        if any_ok {
-            Ok(None)
-        } else {
-            Err(last_err.unwrap())
-        }
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         let mut union = BTreeSet::new();
         let mut any_ok = false;
@@ -1048,6 +939,12 @@ impl StorageBackend for PolicyBackend {
                 Ok(true) => {}
                 Ok(false) => continue,
                 Err(e) => {
+                    // A level that cannot even be probed should have held
+                    // the epoch: the read falls through past it.
+                    level
+                        .counters
+                        .read_fallthroughs
+                        .fetch_add(1, Ordering::SeqCst);
                     last_err = Some(e);
                     continue;
                 }
@@ -1074,49 +971,6 @@ impl StorageBackend for PolicyBackend {
                 format!("epoch {epoch} not found on any level"),
             )
         }))
-    }
-
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        let mut deleted = false;
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            match level.store().delete_blob(name) {
-                Ok(()) => deleted = true,
-                Err(e) => {
-                    level.suspect.store(true, Ordering::SeqCst);
-                    last_err = Some(e);
-                }
-            }
-        }
-        if deleted {
-            // Remember the deletion so a level that slept through it drops
-            // the blob on reconcile instead of resurrecting it.
-            let mut state = self.shared.state.lock().unwrap();
-            state.deleted_blobs.insert(name.to_string());
-            Ok(())
-        } else {
-            Err(last_err.unwrap())
-        }
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        let mut union = BTreeSet::new();
-        let mut any_ok = false;
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            match level.store().list_blobs() {
-                Ok(names) => {
-                    union.extend(names);
-                    any_ok = true;
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if any_ok {
-            Ok(union.into_iter().collect())
-        } else {
-            Err(last_err.unwrap())
-        }
     }
 
     fn bytes_written(&self) -> u64 {
@@ -1674,29 +1528,6 @@ mod tests {
     }
 
     #[test]
-    fn blobs_mirror_to_all_levels_and_reconcile_after_heal() {
-        let (policy, controls) = build_injected(SPEC);
-        policy.put_blob("layout_0000000001", b"v1").unwrap();
-        controls[2].kill();
-        policy.put_blob("layout_0000000002", b"v2").unwrap();
-        policy.delete_blob("layout_0000000001").unwrap();
-        controls[2].heal();
-        // A drain tick reconciles the cold level's blob namespace.
-        policy.drain_backlog();
-        assert_eq!(policy.list_blobs().unwrap(), vec!["layout_0000000002"]);
-        assert!(!policy.stats().levels[2].suspect);
-        // Read the blob with only the healed level alive: it must hold
-        // the mirrored copy.
-        controls[0].kill();
-        controls[1].kill();
-        assert_eq!(
-            policy.get_blob("layout_0000000002").unwrap().unwrap(),
-            b"v2"
-        );
-        assert_eq!(policy.get_blob("layout_0000000001").unwrap(), None);
-    }
-
-    #[test]
     fn retirement_while_a_level_is_down_sticks_after_heal() {
         let (policy, controls) = build_injected(SPEC);
         for epoch in 1..=3u64 {
@@ -1802,12 +1633,6 @@ mod tests {
         }
         fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
             self.inner.begin_epoch(epoch)
-        }
-        fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-            self.inner.put_blob(name, data)
-        }
-        fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-            self.inner.get_blob(name)
         }
         fn epochs(&self) -> io::Result<Vec<u64>> {
             self.inner.epochs()

@@ -89,17 +89,6 @@ impl StorageBackend for ReplicatedBackend {
         Ok(Box::new(ReplicatedEpochWriter { writers }))
     }
 
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        for r in &self.replicas {
-            r.put_blob(name, data)?;
-        }
-        Ok(())
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        self.read_fallback(|r| r.get_blob(name))
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.read_fallback(|r| r.epochs())
     }
@@ -134,17 +123,6 @@ impl StorageBackend for ReplicatedBackend {
 
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
         self.read_fallback(|r| r.read_page_at(epoch, page))
-    }
-
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        for r in &self.replicas {
-            r.delete_blob(name)?;
-        }
-        Ok(())
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        self.read_fallback(|r| r.list_blobs())
     }
 
     fn bytes_written(&self) -> u64 {

@@ -210,8 +210,8 @@ impl EpochWriter for ThrottledEpochWriter {
     }
 }
 
-// Only the checkpoint channel is throttled: page writes always, blob and
-// page reads when a read throttle is set. Everything else — compaction,
+// Only the checkpoint channel is throttled: record writes always, record
+// reads when a read throttle is set. Everything else — compaction,
 // retirement, drains, integrity maintenance — is out-of-band traffic that
 // paces itself, and reaches the wrapped backend through `inner()`.
 impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
@@ -224,18 +224,6 @@ impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
             inner: self.inner.begin_epoch(epoch)?,
             params: Arc::clone(&self.params),
         }))
-    }
-
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.inner.put_blob(name, data)
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        let blob = self.inner.get_blob(name)?;
-        if let Some(data) = &blob {
-            self.pay_read(1, data.len() as u64);
-        }
-        Ok(blob)
     }
 
     fn epochs(&self) -> io::Result<Vec<u64>> {
@@ -392,13 +380,11 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_reads_and_blobs() {
+    fn passthrough_reads() {
         let b = ThrottledBackend::new(MemoryBackend::new(), 1e9, Duration::ZERO);
         let w = b.begin_epoch(1).unwrap();
         w.write_pages(&[(5, &[1, 2, 3])]).unwrap();
         w.finish().unwrap();
-        b.put_blob("x", b"y").unwrap();
-        assert_eq!(b.get_blob("x").unwrap().unwrap(), b"y");
         assert_eq!(b.epochs().unwrap(), vec![1]);
         let mut seen = 0;
         b.read_epoch(1, &mut |p, d| {

@@ -178,20 +178,6 @@ impl StorageBackend for TieredBackend {
         }))
     }
 
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        // Blobs are small metadata: write them straight through to the
-        // durable tier (and the fast one for symmetric reads).
-        self.slow.put_blob(name, data)?;
-        self.fast.put_blob(name, data)
-    }
-
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        match self.fast.get_blob(name)? {
-            Some(v) => Ok(Some(v)),
-            None => self.slow.get_blob(name),
-        }
-    }
-
     fn epochs(&self) -> io::Result<Vec<u64>> {
         // Read the FAST tier first: a concurrent drain commits an epoch to
         // the slow tier *before* evicting it from the fast one, so
@@ -246,23 +232,6 @@ impl StorageBackend for TieredBackend {
             Err(e) if e.kind() == io::ErrorKind::NotFound => self.slow.read_page_at(epoch, page),
             Err(e) => Err(e),
         }
-    }
-
-    fn delete_blob(&self, name: &str) -> io::Result<()> {
-        // Blobs are written to both tiers; retire them from both.
-        self.fast.delete_blob(name)?;
-        self.slow.delete_blob(name)
-    }
-
-    fn list_blobs(&self) -> io::Result<Vec<String>> {
-        let mut all = self.fast.list_blobs()?;
-        for name in self.slow.list_blobs()? {
-            if !all.contains(&name) {
-                all.push(name);
-            }
-        }
-        all.sort();
-        Ok(all)
     }
 
     fn high_water(&self) -> io::Result<Option<u64>> {
@@ -539,13 +508,5 @@ mod tests {
         assert!(t.pending_drain().is_empty());
         // The union view never showed the epoch twice.
         assert_eq!(t.epochs().unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn blobs_reach_the_durable_tier() {
-        let (t, _fast, slow) = tiered(0);
-        t.put_blob("layout", b"x").unwrap();
-        assert_eq!(slow.get_blob("layout").unwrap().unwrap(), b"x");
-        assert_eq!(t.get_blob("layout").unwrap().unwrap(), b"x");
     }
 }

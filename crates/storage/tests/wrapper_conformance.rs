@@ -1,21 +1,26 @@
 //! Wrapper conformance: every `StorageBackend` wrapper must be
 //! *observably transparent* over the store it wraps — same epoch listing,
-//! same chain, same per-page random reads, same blob namespace, same
-//! restored image. Single-child wrappers get every provided method
+//! same chain, same per-record random reads (every generated epoch carries
+//! a `META_RECORD`, as every runtime epoch does), same restored image.
+//! Single-child wrappers get every provided method
 //! forwarded through `StorageBackend::inner()`, so for them this suite
-//! proves the delegate itself (the `bare-*` rows: six required methods plus
+//! proves the delegate itself (the `bare-*` rows: four required methods plus
 //! `inner()`, nothing else) and that each override still agrees with what
 //! it overrides. Multi-child composites (replicated, tiered, policy) have
 //! no single `inner()` and still spell every operation out — there a
 //! forgotten method silently degrades to the leaf default, which is what
 //! pinning each one against a plain `MemoryBackend` twin executing the same
-//! deterministic (seed-pinned `SplitMix64`) operation log catches.
+//! deterministic (seed-pinned `SplitMix64`) operation log catches. The
+//! composites also each get one "the meta record survives" row: metadata
+//! has no namespace of its own, so this is the proof it travels with its
+//! epoch through drains, level copies, repairs, rewrites and folds.
 
 use ai_ckpt_core::rng::SplitMix64;
 use ai_ckpt_storage::{
     write_epoch, CheckpointImage, EpochKind, EpochWriter, FailingBackend, FileBackend,
-    MemoryBackend, MemoryRoot, ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec,
-    ScrubPolicy, Scrubber, StorageBackend, ThrottledBackend, TieredBackend,
+    MemoryBackend, MemoryRoot, PageLocator, ParityBackend, PolicyBuilder, ReplicatedBackend,
+    ResilienceSpec, ScrubPolicy, Scrubber, StorageBackend, ThrottledBackend, TieredBackend,
+    META_RECORD,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -23,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// The whole cost of a transparent wrapper: the six required methods plus
+/// The whole cost of a transparent wrapper: the four required methods plus
 /// `inner()`. Everything else must reach the wrapped backend by itself.
 /// (The optional path is a checkpoint directory to delete on drop.)
 struct Bare<B>(B, Option<PathBuf>);
@@ -34,12 +39,6 @@ impl<B: StorageBackend> StorageBackend for Bare<B> {
     }
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         self.0.begin_epoch(epoch)
-    }
-    fn put_blob(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.0.put_blob(name, data)
-    }
-    fn get_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        self.0.get_blob(name)
     }
     fn epochs(&self) -> io::Result<Vec<u64>> {
         self.0.epochs()
@@ -76,7 +75,8 @@ fn bare_file() -> Bare<FileBackend> {
 }
 
 /// An arbitrary epoch with *unique* page ids (checkpoint epochs commit
-/// each page at most once; XOR parity groups rely on that).
+/// each page at most once; XOR parity groups rely on that), closed by its
+/// metadata record the way the runtime closes every epoch.
 fn gen_epoch(rng: &mut SplitMix64) -> Vec<(u64, Vec<u8>)> {
     let mut set: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for _ in 0..rng.next_below(20) {
@@ -84,7 +84,13 @@ fn gen_epoch(rng: &mut SplitMix64) -> Vec<(u64, Vec<u8>)> {
         let len = 1 + rng.next_below(63) as usize;
         set.insert(page, (0..len).map(|_| rng.next_u64() as u8).collect());
     }
-    set.into_iter().collect()
+    let mut records: Vec<_> = set.into_iter().collect();
+    let len = 1 + rng.next_below(40) as usize;
+    records.push((
+        META_RECORD,
+        (0..len).map(|_| rng.next_u64() as u8).collect(),
+    ));
+    records
 }
 
 fn gen_epochs(rng: &mut SplitMix64, max: u64) -> Vec<Vec<(u64, Vec<u8>)>> {
@@ -200,8 +206,9 @@ fn assert_agree(name: &str, case: u64, wrapper: &dyn StorageBackend, reference: 
             reference.epoch_page_ids(epoch).unwrap(),
             "{name} case {case}: epoch_page_ids({epoch})"
         );
-        // Present pages, absent pages, and a far-out id all agree.
-        for page in (0..24).chain([1 << 40]) {
+        // Present pages, absent pages, a far-out id and the epoch's
+        // metadata record all agree.
+        for page in (0..24).chain([1 << 40, META_RECORD]) {
             assert_eq!(
                 wrapper.read_page_at(epoch, page).unwrap(),
                 reference.read_page_at(epoch, page).unwrap(),
@@ -214,11 +221,18 @@ fn assert_agree(name: &str, case: u64, wrapper: &dyn StorageBackend, reference: 
         CheckpointImage::load_latest(reference).unwrap(),
         "{name} case {case}: restored image"
     );
-    assert_eq!(
-        wrapper.list_blobs().unwrap(),
-        reference.list_blobs().unwrap(),
-        "{name} case {case}: blob listing"
-    );
+    if let Some(&last) = epochs.last() {
+        assert_meta_hidden(wrapper, last);
+    }
+}
+
+/// The two readers of *pages* never surface the reserved id.
+fn assert_meta_hidden(backend: &dyn StorageBackend, epoch: u64) {
+    let image = CheckpointImage::load(backend, epoch).unwrap();
+    assert_eq!(image.page(META_RECORD), None);
+    let locator = PageLocator::build(backend, epoch).unwrap();
+    assert_eq!(locator.epoch_of(META_RECORD), None);
+    assert_eq!(locator.len(), image.len());
 }
 
 #[test]
@@ -289,45 +303,122 @@ fn bare_delegate_forwards_every_provided_method() {
     assert_eq!((bare.drain_one().unwrap(), bare.drain_backlog()), (None, 0));
 }
 
+/// One epoch of four 32-byte pages filled with `v`, plus its meta record.
+fn with_meta(v: u8) -> Vec<(u64, Vec<u8>)> {
+    let mut records: Vec<_> = (0..4u64).map(|p| (p, vec![v ^ p as u8; 32])).collect();
+    records.push((META_RECORD, meta(v)));
+    records
+}
+
+fn meta(v: u8) -> Vec<u8> {
+    format!("state 0 4 {v}\n").into_bytes()
+}
+
+fn read_meta(backend: &dyn StorageBackend, epoch: u64) -> Vec<u8> {
+    backend.read_page_at(epoch, META_RECORD).unwrap().unwrap()
+}
+
 #[test]
-fn wrappers_agree_on_blob_lifecycle() {
-    for (name, build) in wrappers() {
-        let wrapper = build();
-        let reference = MemoryBackend::new();
-        for (blob, data) in [
-            ("layout_0000000001", b"one".as_slice()),
-            ("layout_0000000002", b"two"),
-            ("meta", b"m"),
-        ] {
-            wrapper.put_blob(blob, data).unwrap();
-            reference.put_blob(blob, data).unwrap();
-        }
-        assert_eq!(
-            wrapper.list_blobs().unwrap(),
-            reference.list_blobs().unwrap(),
-            "{name}: listing after puts"
-        );
-        wrapper.delete_blob("layout_0000000001").unwrap();
-        reference.delete_blob("layout_0000000001").unwrap();
-        // Deleting a missing blob is not an error, on either side.
-        wrapper.delete_blob("never-existed").unwrap();
-        reference.delete_blob("never-existed").unwrap();
-        assert_eq!(
-            wrapper.list_blobs().unwrap(),
-            reference.list_blobs().unwrap(),
-            "{name}: listing after delete"
-        );
-        assert_eq!(
-            wrapper.get_blob("layout_0000000001").unwrap(),
-            None,
-            "{name}: deleted blob gone"
-        );
-        assert_eq!(
-            wrapper.get_blob("layout_0000000002").unwrap().as_deref(),
-            Some(b"two".as_slice()),
-            "{name}: surviving blob intact"
-        );
+fn meta_record_survives_a_tiered_drain() {
+    let (slow, slow_view) = MemoryBackend::shared();
+    let tiered = TieredBackend::new(Box::new(MemoryBackend::new()), Box::new(slow), 2).unwrap();
+    write_epoch(&tiered, 1, with_meta(1)).unwrap();
+    write_epoch(&tiered, 2, with_meta(2)).unwrap();
+    assert_eq!(tiered.drain_all().unwrap(), 2);
+    assert!(tiered.fast().epochs().unwrap().is_empty());
+    for (epoch, v) in [(1, 1), (2, 2)] {
+        assert_eq!(read_meta(&tiered, epoch), meta(v));
+        assert_eq!(read_meta(&slow_view, epoch), meta(v), "slow tier alone");
     }
+    assert_meta_hidden(&slow_view, 2);
+}
+
+#[test]
+fn meta_record_survives_policy_copy_evict_and_rebuild() {
+    let spec = ResilienceSpec::parse("hot=plain#1 -> partner=replica*2 -> cold=parity*4").unwrap();
+    let (policy, controls) = PolicyBuilder::new(spec)
+        .unwrap()
+        .build_injected(|_, _| Box::new(MemoryBackend::new()))
+        .unwrap();
+    let drain = |policy: &dyn StorageBackend| {
+        for _ in 0..64 {
+            if matches!(policy.drain_one(), Ok(None)) {
+                break;
+            }
+        }
+    };
+    // The partner level sleeps through both copies: they reach the cold
+    // level only, and the capacity-1 hot level evicts epoch 1.
+    controls[1].kill();
+    write_epoch(&policy, 1, with_meta(1)).unwrap();
+    write_epoch(&policy, 2, with_meta(2)).unwrap();
+    drain(&policy);
+    assert_eq!(policy.stats().levels[0].evictions, 1);
+    // Heal: the partner level is rebuilt from the others.
+    controls[1].heal();
+    drain(&policy);
+    assert_eq!(policy.copies_owed(), 0);
+    assert!(policy.stats().levels[1].rebuilds_in >= 2);
+    // The rebuilt level alone serves both epochs' metadata.
+    controls[0].kill();
+    controls[2].kill();
+    for (epoch, v) in [(1, 1), (2, 2)] {
+        assert_eq!(read_meta(&policy, epoch), meta(v));
+    }
+    assert_meta_hidden(&policy, 2);
+}
+
+#[test]
+fn meta_record_survives_a_replica_repair() {
+    let (rotten, rotten_view) = MemoryBackend::shared();
+    let replicated = ReplicatedBackend::new(vec![Box::new(rotten), Box::new(MemoryBackend::new())]);
+    write_epoch(&replicated, 1, with_meta(7)).unwrap();
+    rotten_view.corrupt_stored_page(1, META_RECORD, 3).unwrap();
+    assert!(rotten_view.read_page_at(1, META_RECORD).is_err());
+    assert_eq!(
+        replicated.verify_epoch(1).unwrap().corrupt_pages,
+        vec![META_RECORD]
+    );
+    assert_eq!(read_meta(&replicated, 1), meta(7), "degraded read");
+    replicated.repair_epoch(1).unwrap();
+    assert_eq!(read_meta(&rotten_view, 1), meta(7), "healed in place");
+    assert_meta_hidden(&replicated, 1);
+}
+
+#[test]
+fn meta_record_survives_parity_rewrite_and_compaction() {
+    let parity = ParityBackend::new(MemoryBackend::new(), 3);
+    for epoch in 1..=3u8 {
+        write_epoch(&parity, epoch as u64, with_meta(epoch)).unwrap();
+    }
+    // A rewrite (the repair install path) re-emits parity over data *and*
+    // metadata; the group covering the meta record reconstructs it.
+    let records = with_meta(9);
+    let batch: Vec<(u64, &[u8])> = records.iter().map(|(p, d)| (*p, d.as_slice())).collect();
+    parity.rewrite_epoch(1, &batch).unwrap();
+    assert_eq!(read_meta(&parity, 1), meta(9));
+    let rebuilt = parity.recover_page(1, META_RECORD).unwrap();
+    assert_eq!(&rebuilt[..meta(9).len()], &meta(9)[..]);
+    // A fold keeps the newest epoch's metadata: latest-wins, like any id.
+    parity.compact(3).unwrap();
+    assert_eq!(parity.epochs().unwrap(), vec![3]);
+    assert_eq!(read_meta(&parity, 3), meta(3));
+    let rebuilt = parity.recover_page(3, META_RECORD).unwrap();
+    assert_eq!(&rebuilt[..meta(3).len()], &meta(3)[..]);
+    assert_meta_hidden(&parity, 3);
+}
+
+/// The meta id passes the parity wrapper's id guard; a parity-flagged data
+/// id still does not.
+#[test]
+#[should_panic(expected = "collides with parity flag")]
+fn parity_still_rejects_flagged_data_ids() {
+    let parity = ParityBackend::new(MemoryBackend::new(), 3);
+    let _ = write_epoch(
+        &parity,
+        1,
+        vec![(ai_ckpt_storage::parity::PARITY_FLAG | 1, vec![0u8; 8])],
+    );
 }
 
 #[test]

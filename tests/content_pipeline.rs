@@ -14,7 +14,7 @@ use ai_ckpt::{CkptConfig, CompactionPolicy, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
     CheckpointImage, Compression, EpochKind, FileBackend, MemoryBackend, ParityBackend,
-    StorageBackend, TieredBackend,
+    StorageBackend, TieredBackend, META_RECORD,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -42,7 +42,9 @@ fn scribble(buf: &mut ai_ckpt::ProtectedBuffer, epoch: u8) {
     }
 }
 
-fn run_workload(filter: bool, compression: Compression) -> (u64, u64, CheckpointImage) {
+/// Returns (bytes written, bytes stored, restored image, bytes of the
+/// epochs' layout records — which both byte counters include).
+fn run_workload(filter: bool, compression: Compression) -> (u64, u64, CheckpointImage, u64) {
     let store = MemoryBackend::with_compression(compression);
     let view = store.clone();
     let cfg = CkptConfig::ai_ckpt(1 << 20)
@@ -59,22 +61,31 @@ fn run_workload(filter: bool, compression: Compression) -> (u64, u64, Checkpoint
     }
     drop(mgr);
     let image = CheckpointImage::load_latest(&view).unwrap().unwrap();
-    (view.bytes_written(), view.bytes_stored(), image)
+    let layout_bytes: usize = (1..=EPOCHS as u64)
+        .map(|e| view.read_page_at(e, META_RECORD).unwrap().unwrap().len())
+        .sum();
+    (
+        view.bytes_written(),
+        view.bytes_stored(),
+        image,
+        layout_bytes as u64,
+    )
 }
 
 #[test]
 fn flushed_bytes_drop_at_least_2x_with_byte_identical_restore() {
-    let (base_written, base_stored, base_image) = run_workload(false, Compression::None);
+    let (base_written, base_stored, base_image, layout_bytes) =
+        run_workload(false, Compression::None);
     assert_eq!(
         base_written, base_stored,
         "no compression: stored == written"
     );
     assert_eq!(
         base_written,
-        (PAGES * EPOCHS as usize * page_size()) as u64,
+        (PAGES * EPOCHS as usize * page_size()) as u64 + layout_bytes,
         "byte-oblivious pipeline flushes every dirty page in full"
     );
-    let (aware_written, aware_stored, aware_image) = run_workload(true, Compression::Auto);
+    let (aware_written, aware_stored, aware_image, _) = run_workload(true, Compression::Auto);
     assert_eq!(
         base_image, aware_image,
         "content awareness must never change restored bytes"
@@ -85,7 +96,7 @@ fn flushed_bytes_drop_at_least_2x_with_byte_identical_restore() {
     let full = (PAGES * page_size()) as u64;
     assert_eq!(
         aware_written,
-        full + (EPOCHS as u64 - 1) * full / 2,
+        full + (EPOCHS as u64 - 1) * full / 2 + layout_bytes,
         "digest filter drops exactly the clean-dirty half per epoch"
     );
     assert!(

@@ -17,7 +17,8 @@ use ai_ckpt_coord::{CheckpointGroup, GroupConfig};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_service::{CkptService, ServiceConfig, TenantQuota};
 use ai_ckpt_storage::{
-    FailingBackend, MemoryBackend, StorageBackend, ThrottledBackend, TieredBackend,
+    is_page, FailingBackend, FileBackend, MemoryBackend, StorageBackend, ThrottledBackend,
+    TieredBackend, META_RECORD,
 };
 
 /// Flush workers behind every door; each pool adds one maintenance worker.
@@ -190,7 +191,12 @@ fn run_script(door: Door) {
             tag("streams count this manager's pages")
         );
         assert_eq!(bytes, pages * ps as u64);
-        assert_eq!(view.bytes_written(), bytes);
+        // Each epoch carries its layout as one more record; nothing else.
+        let layout_bytes: usize = [1, 2]
+            .iter()
+            .map(|&e| view.read_page_at(e, META_RECORD).unwrap().unwrap().len())
+            .sum();
+        assert_eq!(view.bytes_written(), bytes + layout_bytes as u64);
         assert_eq!(stats.checkpoints.len(), 2);
         assert!(stats
             .checkpoints
@@ -234,12 +240,18 @@ fn run_script(door: Door) {
 
     // 3. A failed `begin_epoch` and a failed `finish`: the epoch drains
     //    without committing, the error surfaces exactly once, and the next
-    //    checkpoint succeeds.
+    //    checkpoint succeeds. On a file backend, so "left nothing behind"
+    //    covers the directory too.
     {
-        let (mem, view) = MemoryBackend::shared();
-        let (failing, ctl) = FailingBackend::new(mem);
+        let dir = std::env::temp_dir().join(format!(
+            "aickpt-front-door-faults-{}-{door:?}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (failing, ctl) = FailingBackend::new(FileBackend::open(&dir).unwrap());
         let front = Front::open(door, Box::new(failing));
         let mgr = front.mgr();
+        let view = Arc::clone(mgr.backend());
         let mut buf = mgr.alloc_protected_named("state", 4 * ps).unwrap();
 
         scribble(&mut buf, 0..4, 0x55);
@@ -260,7 +272,20 @@ fn run_script(door: Door) {
         mgr.checkpoint().unwrap();
         settle(mgr, &tag("failed finish")).unwrap_err();
         assert_eq!(view.epochs().unwrap(), vec![2]);
-        assert_eq!(view.list_blobs().unwrap().len(), 1, "no orphan layout");
+        // The failed epoch left no record and no file behind; the committed
+        // one holds exactly one layout record.
+        assert!(view.read_page_at(3, META_RECORD).is_err());
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            assert!(
+                name == "MANIFEST" || name.starts_with("epoch_0000000002."),
+                "{}",
+                tag(&format!("orphan file {name}"))
+            );
+        }
+        let ids = view.epoch_page_ids(2).unwrap();
+        assert_eq!(ids.iter().filter(|&&id| !is_page(id)).count(), 1);
+        assert!(ids.contains(&META_RECORD));
 
         ctl.heal();
         scribble(&mut buf, 1..3, 0x88);
@@ -274,8 +299,11 @@ fn run_script(door: Door) {
         assert_eq!(failed, [true, false, true, false], "{}", tag("records"));
         let expected = buf.as_slice().to_vec();
         drop(buf);
+        drop(view);
         drop(front);
+        let view = FileBackend::open(&dir).unwrap();
         assert_eq!(restored_state(&view), expected, "{}", tag("restore"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     // 4. `wait_maintenance_idle` on a tiered backend: the fast tier is

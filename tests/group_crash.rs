@@ -1,6 +1,6 @@
 //! The deterministic group crash/fault matrix: for every phase of the
 //! two-phase global commit — a rank failing mid-flush, at `finish`, at the
-//! layout-blob write, at `begin_epoch`; a coordinator dying between phase 1
+//! layout-record write, at `begin_epoch`; a coordinator dying between phase 1
 //! and phase 2; a tear mid-global-manifest-append — kill or fail one
 //! participant and assert that `CheckpointGroup` restores **every** rank to
 //! the last globally committed epoch, byte-identical, never a mix.
@@ -81,6 +81,16 @@ fn alloc_all(group: &CheckpointGroup) -> Vec<ai_ckpt::ProtectedBuffer> {
         .collect()
 }
 
+/// File names in `dir`, sorted.
+fn dir_listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
 /// Reopen the group plainly (no failure wrappers) and assert every rank
 /// restores to `want_epoch` with exactly `model`'s bytes.
 fn assert_group_restores(root: &Path, ranks: usize, want_epoch: u64, model: &[Vec<u8>]) {
@@ -136,7 +146,9 @@ fn rank_failure_matrix_aborts_the_group_epoch() {
         ("mid-flush", |ctl| ctl.fail_writes_after(1)),
         ("finish", |ctl| ctl.fail_finish(true)),
         ("begin-epoch", |ctl| ctl.fail_begin_epoch(true)),
-        ("put-blob", |ctl| ctl.fail_put_blob(true)),
+        // Epoch 2 dirties two pages per rank: a budget of exactly its data
+        // records fails the layout record, the last write before `finish`.
+        ("layout-record", |ctl| ctl.fail_writes_after(2)),
     ];
     for (name, arm) in modes {
         let root = tmpdir(&format!("fault-{name}"));
@@ -162,6 +174,11 @@ fn rank_failure_matrix_aborts_the_group_epoch() {
                     group.rank_backend(r).epochs().unwrap(),
                     vec![1],
                     "{name}: rank {r} holds only the globally committed epoch"
+                );
+                assert_eq!(
+                    dir_listing(&rank_dir(&root, r)),
+                    ["MANIFEST", "epoch_0000000001.seg"],
+                    "{name}: rank {r} keeps no orphan file of the aborted epoch"
                 );
             }
 

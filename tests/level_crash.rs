@@ -249,7 +249,9 @@ fn every_injection_point_on_the_partner_level_converges_after_heal() {
         ("fail_begin_epoch", |c| c.fail_begin_epoch(true)),
         ("fail_finish", |c| c.fail_finish(true)),
         ("fail_writes_after_0", |c| c.fail_writes_after(0)),
-        ("fail_put_blob", |c| c.fail_put_blob(true)),
+        // The drain copy carries the epoch's data records, then its layout
+        // record: this budget fails exactly the latter.
+        ("fail_layout_write", |c| c.fail_writes_after(PAGES as u64)),
         ("fail_drain_one", |c| c.fail_drain_one(true)),
         ("fail_install_compacted", |c| c.fail_install_compacted(true)),
     ];

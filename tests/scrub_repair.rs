@@ -1,6 +1,7 @@
 //! At-rest corruption matrix (ISSUE 10 headline): flip one byte in every
 //! structural region of a committed epoch's on-disk state — segment header,
-//! record encoding byte, payload byte, stored CRC, manifest record-count —
+//! record encoding byte, payload byte, stored CRC, the epoch's layout
+//! record, manifest record-count —
 //! under every redundancy source the storage stack offers (a replica
 //! member, a parity group, another level of a resilience policy), then
 //! assert the full integrity lifecycle:
@@ -17,7 +18,7 @@
 //! rotted bytes is the one unacceptable outcome.
 //!
 //! Epochs are committed through the real runtime (`PageManager` over the
-//! wrapped `FileBackend`s) so the layout blobs, shard layout and manifest
+//! wrapped `FileBackend`s) so the layout records, shard layout and manifest
 //! are exactly what production writes.
 
 use std::fs;
@@ -28,7 +29,7 @@ use ai_ckpt::{restore_latest, restore_latest_lazy, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
     corrupt_manifest_count, corrupt_segment_region, FileBackend, ParityBackend, PolicyBuilder,
-    ReplicatedBackend, ResilienceSpec, SegmentRegion, StorageBackend, TieredBackend,
+    ReplicatedBackend, ResilienceSpec, SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
 };
 
 const PAGES: usize = 4;
@@ -89,6 +90,14 @@ fn regions() -> Vec<(&'static str, Corruptor)> {
     fn crc(dir: &Path) {
         corrupt_segment_region(dir, 1, SegmentRegion::Crc).unwrap();
     }
+    /// The layout rots like any page — and must be found and healed like one.
+    fn layout(dir: &Path) {
+        let region = SegmentRegion::PayloadOf {
+            page: META_RECORD,
+            byte: 5,
+        };
+        corrupt_segment_region(dir, 1, region).unwrap();
+    }
     fn manifest(dir: &Path) {
         corrupt_manifest_count(dir, 1).unwrap();
     }
@@ -97,6 +106,7 @@ fn regions() -> Vec<(&'static str, Corruptor)> {
         ("encoding", encoding),
         ("payload", payload),
         ("crc", crc),
+        ("layout", layout),
         ("manifest", manifest),
     ]
 }

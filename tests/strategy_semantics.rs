@@ -5,7 +5,7 @@
 
 use ai_ckpt::{CkptConfig, PageManager, SchedulerKind};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::{CheckpointImage, MemoryBackend, StorageBackend};
+use ai_ckpt_storage::{is_page, CheckpointImage, MemoryBackend, StorageBackend};
 
 fn run_with(cfg: CkptConfig) -> (Vec<(u64, Vec<u8>)>, u64) {
     let (backend, view) = MemoryBackend::shared();
@@ -83,8 +83,12 @@ fn incremental_sets_match_across_strategies() {
         mgr.checkpoint().unwrap();
         mgr.wait_checkpoint().unwrap();
         let mut dirty2 = Vec::new();
-        view.read_epoch(2, &mut |p, _| dirty2.push(p - buf.base_page() as u64))
-            .unwrap();
+        view.read_epoch(2, &mut |p, _| {
+            if is_page(p) {
+                dirty2.push(p - buf.base_page() as u64);
+            }
+        })
+        .unwrap();
         dirty2.sort_unstable();
         let want: Vec<u64> = (0..pages as u64).step_by(3).collect();
         assert_eq!(dirty2, want);
