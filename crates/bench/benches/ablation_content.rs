@@ -7,7 +7,7 @@
 //! * **Runtime** — the real mprotect runtime against a throttled in-memory
 //!   backend, on a 50% clean-dirty, RLE-friendly workload: the digest
 //!   filter (`CkptConfig::content_filter`) drops the clean-dirty half
-//!   before any I/O, and `AICKSEG2` encoding shrinks what remains. The
+//!   before any I/O, and `AICKSEG3` encoding shrinks what remains. The
 //!   headline acceptance bound (≥ 2× flushed-byte reduction with a
 //!   byte-identical restore) is asserted by `tests/content_pipeline.rs`;
 //!   this bench prints the actual numbers.

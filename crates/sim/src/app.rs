@@ -69,7 +69,7 @@ pub trait AppModel: Send {
     }
 
     /// Content model: bytes a flush of `page` actually moves after payload
-    /// encoding (`AICKSEG2` compression). Default: the full page
+    /// encoding (`AICKSEG3` compression). Default: the full page
     /// (incompressible content).
     fn flush_bytes(&self, _page: PageId) -> u64 {
         self.page_bytes() as u64

@@ -371,9 +371,10 @@ pub trait StorageBackend: Send + Sync {
     ///
     /// The leaf default streams [`StorageBackend::read_epoch`]; when that
     /// trips an integrity error it falls back to per-page random reads to
-    /// localise which records are damaged. Backends with a frame index
-    /// override this to walk frames directly and to keep going past
-    /// damage the streaming path cannot step over.
+    /// localise which records are damaged. Backends with a record index
+    /// (the file backend's segment trailers) override this to walk records
+    /// directly and to keep going past damage the streaming path cannot
+    /// step over.
     fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
         if let Some(inner) = self.inner() {
             return inner.verify_epoch(epoch);
@@ -396,7 +397,7 @@ pub trait StorageBackend: Send + Sync {
         let ids = match self.epoch_page_ids(epoch) {
             Ok(ids) => ids,
             Err(_) => {
-                // Not even the frame walk survives: structural damage.
+                // Not even the page listing survives: structural damage.
                 report.structural.push(err.to_string());
                 return Ok(report);
             }

@@ -1,4 +1,4 @@
-//! Per-record payload encodings for `AICKSEG2` segments.
+//! Per-record payload encodings for `AICKSEG3` segments.
 //!
 //! The paper's premise is that checkpoint cost is dominated by moving page
 //! payloads to storage; VELOC structures exactly this stage as pluggable
@@ -24,7 +24,7 @@
 
 use std::io;
 
-/// Wire value of a record's payload encoding (one byte in the v2 frame).
+/// Wire value of a record's payload encoding (one byte in the record frame).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
     /// Verbatim payload.

@@ -390,7 +390,8 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
     }
 
     fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        // The frame walk survives payload rot (ids live in frames), so
+        // The page listing survives payload rot (ids come from the
+        // segment index, not the payloads), so
         // armed corruption does not fire here — only gates and bursts.
         self.control.read_gate()?;
         self.control.take_transient(FaultOp::Read)?;

@@ -17,14 +17,35 @@
 //!
 //! ## Segment format
 //!
-//! One format, `AICKSEG2` (any other magic is rejected loudly, naming what
-//! was found). All integers little-endian: a 16-byte header (`AICKSEG2` +
-//! epoch), then per page
-//! `[page u64][enc u8][raw_len u32][stored_len u32][crc64 u64][stored]`
-//! where `enc` is a [`codec::Encoding`] and `crc64` covers the
+//! One format, `AICKSEG3` (any other magic is rejected loudly, naming what
+//! was found). All integers little-endian:
+//!
+//! ```text
+//! header   AICKSEG3 | epoch u64                                   16 bytes
+//! records  n x [page u64][enc u8][raw_len u32][stored_len u32]
+//!              [crc64 u64][stored payload]                   25 + stored
+//! trailer  n x [page u64][record offset u64]        one per record, in
+//!              record order; the offset is that of the record's frame
+//!          n u64 | crc64(entries ‖ n) u64 | AICKTRL1              24 bytes
+//! ```
+//!
+//! `enc` is a [`codec::Encoding`] and a record's `crc64` covers the
 //! *uncompressed* payload — restore verification is independent of the
 //! encoding, and a corrupt compressed stream surfaces as `InvalidData`
 //! either from the decoder or from the CRC check.
+//!
+//! The trailer only says *where* each record is. Indexing an epoch
+//! (`epoch_page_ids`, the first `read_page_at`) reads the header and the
+//! trailer — `16·n + 40` bytes per segment, never a payload — and a random
+//! read is one `preadv` of the record's extent (its offset up to the next
+//! record's, or to the trailer), scattered into the frame and a payload
+//! buffer of exactly the stored size. Frames stay the single source of truth for
+//! `enc`, the lengths and the payload CRC: every read re-checks the frame
+//! it fetched against the trailer entry that led to it (page id, extent),
+//! so a flipped page id — which the payload CRC does not cover — fails the
+//! read instead of silently renaming the page. A missing, torn or
+//! CRC-failing trailer fails every read of the segment with `InvalidData`
+//! and is structural damage to the scrubber; there is no fallback walk.
 //!
 //! CRCs are verified on read; a mismatch fails the restore rather than
 //! silently resurrecting corrupt state. The per-record encoding is chosen
@@ -50,7 +71,7 @@
 //! ## The vectored zero-copy write path
 //!
 //! An open epoch is a small set of per-stream **shard files**, each an
-//! independent `AICKSEG2` chain: shard 0 keeps the legacy
+//! independent `AICKSEG3` segment: shard 0 keeps the legacy
 //! `epoch_N.seg` name, shards `k >= 1` are `epoch_N.sK.seg`. A committer
 //! stream claims the first momentarily uncontended shard slot (`try_lock`
 //! scan), lazily creating its file on first touch — a single-stream
@@ -65,14 +86,16 @@
 //! ([`crate::io::AlignedBuf`]), so the steady state allocates nothing.
 //!
 //! `finish` is a group commit: each shard is truncated to its last
-//! complete batch (excising any torn tail a failed vectored write left)
+//! complete batch (excising any torn tail a failed vectored write left),
+//! sealed with its trailer (one more `pwritev`; entries are appended only
+//! after their batch's write succeeded, so a torn batch never reaches it)
 //! and fsynced exactly once — fsyncs per epoch equal the shards actually
 //! created (= 1 per active stream, 1 total when serial), never the batch
 //! count — and then the single manifest record commits the epoch. The
-//! manifest record's `records` count is the total across shards; the
-//! reader walks every shard file of the epoch to end-of-file and
-//! cross-checks that total, so a missing shard or torn frame fails restore
-//! loudly instead of silently dropping pages.
+//! manifest record's `records` count is the total across shards; every
+//! reader sums the shards' record counts and cross-checks that total, so a
+//! missing shard or torn segment fails restore loudly instead of silently
+//! dropping pages.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -85,14 +108,17 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::backend::{is_page, ChainEntry, EpochKind, EpochWriter, StorageBackend};
-use crate::checksum::crc64;
+use crate::checksum::{crc64, crc64_update};
 use crate::codec::{self, Compression, Encoding};
-use crate::io::{pwritev_full, AlignedBuf, IoCounters, IoStats};
+use crate::io::{preadv_exact, pwritev_full, AlignedBuf, IoCounters, IoStats};
 use crate::manifest::{self, ManifestRecord, RecordKind};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
-/// Magic prefix of a segment file (per-record encodings).
-pub const SEGMENT_MAGIC_V2: &[u8; 8] = b"AICKSEG2";
+/// Magic prefix of a segment file (per-record encodings, trailer).
+pub const SEGMENT_MAGIC: &[u8; 8] = b"AICKSEG3";
+
+/// Magic closing a segment's trailer: the last 8 bytes of the file.
+const TRAILER_MAGIC: &[u8; 8] = b"AICKTRL1";
 
 /// Name of the append-only commit log inside the checkpoint directory
 /// (shared by the read path and the epoch writer's commit point).
@@ -101,8 +127,14 @@ const MANIFEST_FILE: &str = "MANIFEST";
 /// Length of a segment header (magic + epoch).
 const SEGMENT_HEADER_LEN: usize = 16;
 
-/// Length of a v2 record frame (page, encoding, lengths, CRC).
-const FRAME_LEN_V2: usize = 25;
+/// Length of a record frame (page, encoding, lengths, CRC).
+const FRAME_LEN: usize = 25;
+
+/// Length of one trailer entry (page, record offset).
+const TRAILER_ENTRY_LEN: usize = 16;
+
+/// Length of the trailer's fixed footer (count, CRC, magic).
+const TRAILER_FOOTER_LEN: usize = 24;
 
 /// Upper bound (and default) on per-epoch stream shard files. Shards are
 /// created lazily under actual contention, so a high default costs a
@@ -130,7 +162,7 @@ struct FileShared {
     /// Syscall-level I/O accounting (see [`IoStats`]).
     io: IoCounters,
     /// Lazily built per-epoch segment indexes for the random-access read
-    /// path (`read_page_at`): page → record location, payloads untouched.
+    /// path (`read_page_at`): page → record extent, from the trailers.
     /// Entries are dropped when compaction or retirement removes the epoch.
     page_index: Mutex<HashMap<u64, Arc<EpochIndex>>>,
 }
@@ -193,7 +225,7 @@ enum PayloadSrc {
     Staged(usize, usize),
 }
 
-/// One per-stream shard of an open epoch: an `AICKSEG2` file owned
+/// One per-stream shard of an open epoch: an `AICKSEG3` file owned
 /// exclusively by whichever stream holds the slot lock.
 #[derive(Debug)]
 struct Shard {
@@ -204,6 +236,9 @@ struct Shard {
     offset: u64,
     records: u64,
     payload_bytes: u64,
+    /// Trailer entries of every record in a *completed* batch (a failed
+    /// vectored write appends nothing, so its torn tail is never named).
+    trailer: Vec<u8>,
     /// Reusable staging for record frames (25 bytes per record).
     frames: AlignedBuf,
     /// Reusable staging for compressed payloads.
@@ -221,7 +256,7 @@ impl Shard {
             .truncate(true)
             .open(shard_path(dir, epoch, index))?;
         let mut header = [0u8; SEGMENT_HEADER_LEN];
-        header[..8].copy_from_slice(SEGMENT_MAGIC_V2);
+        header[..8].copy_from_slice(SEGMENT_MAGIC);
         header[8..].copy_from_slice(&epoch.to_le_bytes());
         let mut iov = [libc::iovec {
             iov_base: header.as_ptr() as *mut _,
@@ -233,11 +268,48 @@ impl Shard {
             offset: SEGMENT_HEADER_LEN as u64,
             records: 0,
             payload_bytes: 0,
+            trailer: Vec::new(),
             frames: AlignedBuf::new(),
             staged: AlignedBuf::new(),
             plan: Vec::new(),
         })
     }
+
+    /// Seal the shard: excise any torn tail a failed vectored write left
+    /// past the last complete batch, append the trailer, and (when `sync`)
+    /// fsync once — the only fsync this shard ever pays.
+    fn seal(&mut self, sync: bool, io: &IoCounters) -> io::Result<()> {
+        self.file.set_len(self.offset)?;
+        write_trailer(&self.file, &mut self.trailer, self.offset, io)?;
+        if sync {
+            self.file.sync_all()?;
+        }
+        Ok(())
+    }
+}
+
+/// Append one trailer entry (`page`, offset of its record's frame).
+fn push_trailer_entry(entries: &mut Vec<u8>, page: u64, record_at: u64) {
+    entries.extend_from_slice(&page.to_le_bytes());
+    entries.extend_from_slice(&record_at.to_le_bytes());
+}
+
+/// Close `entries` (see [`push_trailer_entry`]) with the footer — count,
+/// CRC-64 over entries ‖ count, trailer magic — and write the trailer at
+/// `at`, the end of the segment's last record. The one trailer writer:
+/// delta shards and staged full images both seal through it.
+fn write_trailer(file: &File, entries: &mut Vec<u8>, at: u64, io: &IoCounters) -> io::Result<()> {
+    let count = (entries.len() / TRAILER_ENTRY_LEN) as u64;
+    entries.extend_from_slice(&count.to_le_bytes());
+    let crc = crc64(entries);
+    entries.extend_from_slice(&crc.to_le_bytes());
+    entries.extend_from_slice(TRAILER_MAGIC);
+    let mut iov = [libc::iovec {
+        iov_base: entries.as_ptr() as *mut _,
+        iov_len: entries.len(),
+    }];
+    pwritev_full(file, &mut iov, at, io)?;
+    Ok(())
 }
 
 /// Path of shard `index` of a delta epoch (index 0 keeps the legacy
@@ -326,6 +398,12 @@ impl FileBackend {
         &self.dir
     }
 
+    /// Bytes read so far to build epoch indexes (segment headers and
+    /// trailers; see [`IoCounters::index_bytes_read`]).
+    pub fn index_bytes_read(&self) -> u64 {
+        self.shared.io.index_bytes_read.load(Ordering::Relaxed)
+    }
+
     fn segment_path(dir: &Path, epoch: u64) -> PathBuf {
         dir.join(format!("epoch_{epoch:010}.seg"))
     }
@@ -393,9 +471,9 @@ fn parse_segment_name(name: &str, prefix: &str) -> Option<(u64, u32)> {
     }
 }
 
-/// Append one v2 page record under `compression`, returning the stored
+/// Append one page record under `compression`, returning the stored
 /// (post-encoding) payload length. The CRC covers the uncompressed payload.
-fn write_record_v2(
+fn write_record(
     w: &mut impl Write,
     page: u64,
     data: &[u8],
@@ -484,7 +562,7 @@ impl FileEpochWriter {
             let stored_len = match src {
                 PayloadSrc::Caller(len) | PayloadSrc::Staged(_, len) => len,
             };
-            let mut frame = [0u8; FRAME_LEN_V2];
+            let mut frame = [0u8; FRAME_LEN];
             frame[0..8].copy_from_slice(&page.to_le_bytes());
             frame[8] = enc as u8;
             frame[9..13].copy_from_slice(&(data.len() as u32).to_le_bytes());
@@ -501,8 +579,8 @@ impl FileEpochWriter {
         let mut iov: Vec<libc::iovec> = Vec::with_capacity(batch.len() * 2);
         for (i, src) in shard.plan.iter().enumerate() {
             iov.push(libc::iovec {
-                iov_base: unsafe { frames_base.add(i * FRAME_LEN_V2) } as *mut _,
-                iov_len: FRAME_LEN_V2,
+                iov_base: unsafe { frames_base.add(i * FRAME_LEN) } as *mut _,
+                iov_len: FRAME_LEN,
             });
             match *src {
                 PayloadSrc::Caller(len) if len > 0 => iov.push(libc::iovec {
@@ -517,6 +595,12 @@ impl FileEpochWriter {
             }
         }
         let written = pwritev_full(&shard.file, &mut iov, shard.offset, &self.shared.io)?;
+        let mut record_at = shard.offset;
+        for (&(page, _), src) in batch.iter().zip(&shard.plan) {
+            push_trailer_entry(&mut shard.trailer, page, record_at);
+            let (PayloadSrc::Caller(len) | PayloadSrc::Staged(_, len)) = *src;
+            record_at += (FRAME_LEN + len) as u64;
+        }
         shard.offset += written;
         shard.records += batch.len() as u64;
         shard.payload_bytes += payload_bytes;
@@ -548,37 +632,26 @@ impl EpochWriter for FileEpochWriter {
         let result = (|| {
             // The finish contract says every write_pages call has
             // returned, so these locks are uncontended.
-            let shards: Vec<Shard> = self
+            let mut shards: Vec<Shard> = self
                 .shards
                 .iter()
                 .filter_map(|slot| slot.lock().take())
                 .collect();
             let records: u64 = shards.iter().map(|s| s.records).sum();
             let payload_bytes: u64 = shards.iter().map(|s| s.payload_bytes).sum();
-            // Group commit: excise any torn tail a failed vectored write
-            // left past the last complete batch, then one fsync per shard
-            // touched — none were paid on the write path. Multi-shard
-            // epochs issue the fsyncs concurrently: they wait on the same
-            // device, so overlapping them costs the epoch one flush
-            // latency, not one per shard.
-            let sync = self.sync_on_finish;
-            let seal = move |file: &File, offset: u64| -> io::Result<()> {
-                file.set_len(offset)?;
-                if sync {
-                    file.sync_all()?;
-                }
-                Ok(())
-            };
-            match &shards[..] {
+            // Group commit: seal every shard touched (truncate → trailer →
+            // one fsync) — no fsync was paid on the write path. Multi-shard
+            // epochs seal concurrently: the fsyncs wait on the same device,
+            // so overlapping them costs the epoch one flush latency, not
+            // one per shard.
+            let (sync, io) = (self.sync_on_finish, &self.shared.io);
+            match &mut shards[..] {
                 [] => {}
-                [shard] => seal(&shard.file, shard.offset)?,
+                [shard] => shard.seal(sync, io)?,
                 many => std::thread::scope(|scope| {
                     let waves: Vec<_> = many
-                        .iter()
-                        .map(|shard| {
-                            let (file, offset) = (&shard.file, shard.offset);
-                            scope.spawn(move || seal(file, offset))
-                        })
+                        .iter_mut()
+                        .map(|shard| scope.spawn(move || shard.seal(sync, io)))
                         .collect();
                     waves
                         .into_iter()
@@ -704,9 +777,7 @@ impl StorageBackend for FileBackend {
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
         let rec = self.live_record(epoch)?;
         let total = match rec.kind {
-            RecordKind::Full => {
-                read_segment_to_eof(&Self::full_path(&self.dir, epoch), epoch, visit)?
-            }
+            RecordKind::Full => read_segment(&Self::full_path(&self.dir, epoch), epoch, visit)?,
             _ => {
                 let shards = delta_shard_files(&self.dir, epoch)?;
                 if shards.is_empty() {
@@ -717,7 +788,7 @@ impl StorageBackend for FileBackend {
                 }
                 let mut total = 0u64;
                 for path in shards {
-                    total += read_segment_to_eof(&path, epoch, visit)?;
+                    total += read_segment(&path, epoch, visit)?;
                 }
                 total
             }
@@ -745,16 +816,22 @@ impl StorageBackend for FileBackend {
         let Some(loc) = index.by_page.get(&page) else {
             return Ok(None);
         };
-        let mut stored = vec![0u8; loc.stored_len as usize];
-        index.files[loc.file as usize].read_exact_at(&mut stored, loc.offset)?;
+        // One positioned read of the record's extent, scattered into the
+        // frame and a payload buffer of exactly the stored size.
+        let mut frame = [0u8; FRAME_LEN];
+        let mut stored = vec![0u8; loc.len as usize - FRAME_LEN];
+        let file = &index.files[loc.file as usize];
+        preadv_exact(file, &mut frame, &mut stored, loc.offset)?;
         if is_page(page) {
             // The epoch's metadata record is not a page (see `IoCounters`).
             self.shared.io.page_reads.fetch_add(1, Ordering::Relaxed);
         }
-        let enc = Encoding::from_u8(loc.enc)?;
-        let decoded = codec::decode(enc, &stored, loc.raw_len as usize)?;
+        let frame = Frame::parse(&frame);
+        frame.check_against_trailer(page, loc.len, epoch)?;
+        let enc = Encoding::from_u8(frame.enc)?;
+        let decoded = codec::decode(enc, &stored, frame.raw_len as usize)?;
         let payload = decoded.unwrap_or(stored);
-        if crc64(&payload) != loc.crc {
+        if crc64(&payload) != frame.crc {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("CRC mismatch for page {page} in epoch {epoch}"),
@@ -980,9 +1057,16 @@ impl StorageBackend for FileBackend {
 
     fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
         let index = self.epoch_index(epoch)?;
-        Ok(index.by_page.get(&page).map(|loc| RecordMeta {
-            raw_len: loc.raw_len,
-            crc: loc.crc,
+        let Some(loc) = index.by_page.get(&page) else {
+            return Ok(None);
+        };
+        let mut frame = [0u8; FRAME_LEN];
+        index.files[loc.file as usize].read_exact_at(&mut frame, loc.offset)?;
+        let frame = Frame::parse(&frame);
+        frame.check_against_trailer(page, loc.len, epoch)?;
+        Ok(Some(RecordMeta {
+            raw_len: frame.raw_len,
+            crc: frame.crc,
         }))
     }
 
@@ -991,16 +1075,16 @@ impl StorageBackend for FileBackend {
     }
 }
 
-/// Read and validate a segment header: `AICKSEG2` magic (anything else is
+/// Read and validate a segment header: `AICKSEG3` magic (anything else is
 /// rejected by name — there is exactly one format) and the expected epoch.
 fn read_segment_header(reader: &mut impl Read, epoch: u64) -> io::Result<()> {
     let mut header = [0u8; SEGMENT_HEADER_LEN];
     reader.read_exact(&mut header)?;
-    if &header[..8] != SEGMENT_MAGIC_V2 {
+    if &header[..8] != SEGMENT_MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
-                "bad segment magic {:?} (expected \"AICKSEG2\")",
+                "bad segment magic {:?} (expected \"AICKSEG3\")",
                 String::from_utf8_lossy(&header[..8])
             ),
         ));
@@ -1013,6 +1097,107 @@ fn read_segment_header(reader: &mut impl Read, epoch: u64) -> io::Result<()> {
         ));
     }
     Ok(())
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// A segment's decoded trailer: where every record starts and where the
+/// records end. CRC-verified and bounds-checked by [`open_segment`], so
+/// every extent derived from it lies inside the file.
+#[derive(Debug)]
+struct Trailer {
+    /// `(page, offset of the record's frame)` in record order.
+    entries: Vec<(u64, u64)>,
+    /// Offset just past the last record = where the trailer starts.
+    records_end: u64,
+}
+
+impl Trailer {
+    /// Bytes a trailer of this many entries occupies on disk.
+    fn disk_len(&self) -> u64 {
+        (self.entries.len() * TRAILER_ENTRY_LEN + TRAILER_FOOTER_LEN) as u64
+    }
+
+    /// Each entry with the end of its record's extent (the next record's
+    /// offset, or the trailer's start).
+    fn extents(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let ends = self.entries.iter().skip(1).map(|&(_, at)| at);
+        self.entries
+            .iter()
+            .zip(ends.chain([self.records_end]))
+            .map(|(&(page, at), end)| (page, at, end))
+    }
+}
+
+/// Open one segment (shard) file of `epoch`: validate the header, then
+/// read the fixed-size footer from the tail, bounds-check its count
+/// against the file length, read the entries with one `pread`, verify
+/// their CRC and check that they tile `header..trailer` with room for a
+/// frame each. No record byte is touched. The handle comes back positioned
+/// at the first record.
+fn open_segment(path: &Path, epoch: u64) -> io::Result<(File, Trailer)> {
+    let file = File::open(path)?;
+    read_segment_header(&mut &file, epoch)?;
+    let len = file.metadata()?.len();
+    let torn = || invalid(format!("epoch {epoch}: segment trailer missing or torn"));
+    let footer_at = len
+        .checked_sub(TRAILER_FOOTER_LEN as u64)
+        .filter(|&at| at >= SEGMENT_HEADER_LEN as u64)
+        .ok_or_else(torn)?;
+    let mut footer = [0u8; TRAILER_FOOTER_LEN];
+    file.read_exact_at(&mut footer, footer_at)?;
+    if &footer[16..] != TRAILER_MAGIC {
+        return Err(torn());
+    }
+    let count = u64::from_le_bytes(footer[..8].try_into().unwrap());
+    let records_end = count
+        .checked_mul(TRAILER_ENTRY_LEN as u64)
+        .and_then(|bytes| footer_at.checked_sub(bytes))
+        .filter(|&at| at >= SEGMENT_HEADER_LEN as u64)
+        .ok_or_else(|| {
+            invalid(format!(
+                "epoch {epoch}: trailer claims {count} records in a {len}-byte segment"
+            ))
+        })?;
+    let mut raw = vec![0u8; (footer_at - records_end) as usize];
+    file.read_exact_at(&mut raw, records_end)?;
+    if crc64_update(crc64(&raw), &footer[..8])
+        != u64::from_le_bytes(footer[8..16].try_into().unwrap())
+    {
+        return Err(invalid(format!(
+            "epoch {epoch}: segment trailer CRC mismatch"
+        )));
+    }
+    let entries: Vec<(u64, u64)> = raw
+        .chunks_exact(TRAILER_ENTRY_LEN)
+        .map(|e| {
+            (
+                u64::from_le_bytes(e[..8].try_into().unwrap()),
+                u64::from_le_bytes(e[8..].try_into().unwrap()),
+            )
+        })
+        .collect();
+    // Walking back from the trailer, every record must leave room for its
+    // frame, and the first must start right after the header.
+    let first = entries.iter().rev().try_fold(records_end, |end, &(_, at)| {
+        at.checked_add(FRAME_LEN as u64)
+            .filter(|&frame_end| frame_end <= end)
+            .map(|_| at)
+    });
+    if first != Some(SEGMENT_HEADER_LEN as u64) {
+        return Err(invalid(format!(
+            "epoch {epoch}: trailer offsets do not tile the segment"
+        )));
+    }
+    Ok((
+        file,
+        Trailer {
+            entries,
+            records_end,
+        },
+    ))
 }
 
 /// One record frame, decoded field by field (nothing validated: an at-rest
@@ -1028,63 +1213,62 @@ struct Frame {
     crc: u64,
 }
 
-/// Read the next record frame from `r`, distinguishing a clean end-of-file
-/// at a frame boundary (`Ok(None)`) from a torn frame mid-read
-/// (`InvalidData`).
-fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
-    let mut buf = [0u8; FRAME_LEN_V2];
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "torn record frame at segment tail",
-                ))
-            }
-            n => filled += n,
+impl Frame {
+    /// Decode the frame heading `record` (at least [`FRAME_LEN`] bytes:
+    /// every trailer-derived extent is, see [`open_segment`]).
+    fn parse(record: &[u8]) -> Frame {
+        let buf = &record[..FRAME_LEN];
+        Frame {
+            page: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
+            enc: buf[8],
+            raw_len: u32::from_le_bytes(buf[9..13].try_into().unwrap()),
+            stored_len: u32::from_le_bytes(buf[13..17].try_into().unwrap()),
+            crc: u64::from_le_bytes(buf[17..25].try_into().unwrap()),
         }
     }
-    Ok(Some(Frame {
-        page: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
-        enc: buf[8],
-        raw_len: u32::from_le_bytes(buf[9..13].try_into().unwrap()),
-        stored_len: u32::from_le_bytes(buf[13..17].try_into().unwrap()),
-        crc: u64::from_le_bytes(buf[17..25].try_into().unwrap()),
-    }))
+
+    /// Fail unless this frame is the record its trailer entry promised:
+    /// the same page id, and a stored length filling exactly the entry's
+    /// extent. The payload CRC covers neither field.
+    fn check_against_trailer(&self, page: u64, extent_len: u64, epoch: u64) -> io::Result<()> {
+        if self.page == page && FRAME_LEN as u64 + self.stored_len as u64 == extent_len {
+            return Ok(());
+        }
+        Err(invalid(format!(
+            "epoch {epoch}: record frame (page {}, {} stored bytes) disagrees with its \
+             trailer entry (page {page}, {extent_len}-byte extent)",
+            self.page, self.stored_len
+        )))
+    }
 }
 
-/// Stream one segment (shard) file to end-of-file, verifying magic, epoch
-/// and per-record CRCs — always computed over the uncompressed payload, so
-/// a compressed record that decodes wrongly can never pass verification.
-/// Returns the record count read; the caller cross-checks the total against
-/// the manifest.
-fn read_segment_to_eof(
-    path: &Path,
-    epoch: u64,
-    visit: &mut dyn FnMut(u64, &[u8]),
-) -> io::Result<u64> {
-    let mut reader = BufReader::with_capacity(1 << 20, File::open(path)?);
-    read_segment_header(&mut reader, epoch)?;
-    let mut stored = Vec::new();
-    let mut count = 0u64;
-    while let Some(frame) = read_frame(&mut reader)? {
+/// Stream one segment (shard) file's records — the reference replay —
+/// verifying magic, epoch, trailer and per-record CRCs (always computed
+/// over the uncompressed payload, so a compressed record that decodes
+/// wrongly can never pass verification), and cross-checking every walked
+/// frame against its trailer entry. Returns the record count read; the
+/// caller cross-checks the total against the manifest.
+fn read_segment(path: &Path, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<u64> {
+    let (file, trailer) = open_segment(path, epoch)?;
+    let mut reader = BufReader::with_capacity(1 << 20, file);
+    let mut record = Vec::new();
+    for (page, at, end) in trailer.extents() {
+        record.resize((end - at) as usize, 0);
+        reader.read_exact(&mut record)?;
+        let frame = Frame::parse(&record);
+        frame.check_against_trailer(page, end - at, epoch)?;
+        let stored = &record[FRAME_LEN..];
         let enc = Encoding::from_u8(frame.enc)?;
-        stored.resize(frame.stored_len as usize, 0);
-        reader.read_exact(&mut stored)?;
-        let decoded = codec::decode(enc, &stored, frame.raw_len as usize)?;
-        let payload = decoded.as_deref().unwrap_or(&stored);
+        let decoded = codec::decode(enc, stored, frame.raw_len as usize)?;
+        let payload = decoded.as_deref().unwrap_or(stored);
         if crc64(payload) != frame.crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("CRC mismatch for page {} in epoch {epoch}", frame.page),
-            ));
+            return Err(invalid(format!(
+                "CRC mismatch for page {page} in epoch {epoch}"
+            )));
         }
-        visit(frame.page, payload);
-        count += 1;
+        visit(page, payload);
     }
-    Ok(count)
+    Ok(trailer.entries.len() as u64)
 }
 
 /// Damage inventory of one segment (shard) file, from
@@ -1094,103 +1278,82 @@ struct SegmentVerify {
     records: u64,
     /// Sum of the walked records' uncompressed payload lengths.
     payload_bytes: u64,
-    /// Pages whose stored record failed decode or CRC verification.
+    /// Pages whose stored record failed decode or CRC verification, or
+    /// whose frame no longer matches its trailer entry.
     corrupt: Vec<u64>,
-    /// Damage that ended the walk early (bad header, torn frame, a frame
-    /// overrunning the file) — the rest of the file is unaccounted for.
+    /// Damage that leaves (the rest of) the file unaccounted for: a bad
+    /// header, a missing, torn or CRC-failing trailer.
     structural: Option<String>,
 }
 
 /// Walk one segment file end-to-end verifying every record but — unlike
-/// [`read_segment_to_eof`] — continuing past per-record damage: a flipped
-/// payload, CRC or encoding byte condemns that page alone, because the
-/// frame's `stored_len` still tells the walk where the next record starts.
-/// Only structural damage (an unwalkable frame chain) stops the scan.
-/// `Err` is reserved for environmental failures (the file vanishing
-/// mid-walk), so scrub pacing can distinguish "damaged" from "unreadable".
+/// [`read_segment`] — continuing past per-record damage: a flipped
+/// payload, CRC, encoding, length or page-id byte condemns that page alone
+/// (named by its CRC-protected trailer entry), because the trailer still
+/// tells the walk where the next record starts. Only structural damage (an
+/// unreadable header or trailer) ends the scan. `Err` is reserved for
+/// environmental failures (the file vanishing mid-walk), so scrub pacing
+/// can distinguish "damaged" from "unreadable".
 fn verify_segment_file(path: &Path, epoch: u64) -> io::Result<SegmentVerify> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut reader = BufReader::with_capacity(1 << 20, file);
     let mut out = SegmentVerify {
         records: 0,
         payload_bytes: 0,
         corrupt: Vec::new(),
         structural: None,
     };
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("segment");
-    match read_segment_header(&mut reader, epoch) {
-        Ok(()) => {}
+    let (file, trailer) = match open_segment(path, epoch) {
+        Ok(opened) => opened,
         Err(e)
             if e.kind() == io::ErrorKind::InvalidData
                 || e.kind() == io::ErrorKind::UnexpectedEof =>
         {
+            let name = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or("segment");
             out.structural = Some(format!("{name}: {e}"));
             return Ok(out);
         }
         Err(e) => return Err(e),
-    }
-    let mut offset = SEGMENT_HEADER_LEN as u64;
-    let mut stored = Vec::new();
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(None) => break,
-            Ok(Some(frame)) => frame,
-            Err(e) => {
-                out.structural = Some(format!("{name}: {e}"));
-                break;
-            }
-        };
-        offset += FRAME_LEN_V2 as u64;
-        if offset + frame.stored_len as u64 > file_len {
-            // A corrupted length field would otherwise desync the walk (or
-            // ask for gigabytes); everything past here is unaccounted.
-            out.structural = Some(format!(
-                "{name}: record for page {} overruns the segment",
-                frame.page
-            ));
-            break;
-        }
-        stored.resize(frame.stored_len as usize, 0);
-        reader.read_exact(&mut stored)?;
-        offset += frame.stored_len as u64;
+    };
+    let mut reader = BufReader::with_capacity(1 << 20, file);
+    let mut record = Vec::new();
+    for (page, at, end) in trailer.extents() {
+        record.resize((end - at) as usize, 0);
+        reader.read_exact(&mut record)?;
+        let frame = Frame::parse(&record);
+        let stored = &record[FRAME_LEN..];
         out.records += 1;
         out.payload_bytes += frame.raw_len as u64;
-        let verified = Encoding::from_u8(frame.enc)
-            .and_then(|enc| codec::decode(enc, &stored, frame.raw_len as usize))
-            .map(|decoded| crc64(decoded.as_deref().unwrap_or(&stored)) == frame.crc)
+        let verified = frame
+            .check_against_trailer(page, end - at, epoch)
+            .and_then(|()| Encoding::from_u8(frame.enc))
+            .and_then(|enc| codec::decode(enc, stored, frame.raw_len as usize))
+            .map(|decoded| crc64(decoded.as_deref().unwrap_or(stored)) == frame.crc)
             .unwrap_or(false);
         if !verified {
-            out.corrupt.push(frame.page);
+            out.corrupt.push(page);
         }
     }
     Ok(out)
 }
 
-/// Location of one page record inside an epoch's segment files: enough to
-/// read and verify the payload with a single positioned read, no streaming.
+/// Location of one page record inside an epoch's segment files: the extent
+/// (frame + stored payload) a single positioned read fetches. Everything
+/// else — encoding, lengths, CRC — is read from the frame itself.
 #[derive(Debug, Clone, Copy)]
 struct RecordLoc {
     /// Index into [`EpochIndex::files`].
     file: u32,
-    /// Byte offset of the *stored* payload (the frame precedes it).
+    /// Byte offset of the record's frame.
     offset: u64,
-    /// Raw encoding byte from the frame, validated only when the record is
-    /// actually read — an at-rest flip of one record's encoding byte must
-    /// surface as that page's `InvalidData`, not break indexing the epoch.
-    enc: u8,
-    raw_len: u32,
-    stored_len: u32,
-    /// CRC-64 over the uncompressed payload, from the record frame.
-    crc: u64,
+    /// Extent length: up to the next record, or to the trailer.
+    len: u64,
 }
 
-/// Frame-walked index of one committed epoch: every record's location, no
-/// payload bytes materialised. File handles stay open so `read_page_at`
-/// is one `pread` + decode, immune to concurrent renames of the paths.
+/// Trailer-built index of one committed epoch: every record's extent, no
+/// record byte read. File handles stay open so `read_page_at` is one
+/// positioned read + decode, immune to concurrent renames of the paths.
 #[derive(Debug)]
 struct EpochIndex {
     files: Vec<File>,
@@ -1199,37 +1362,6 @@ struct EpochIndex {
     pages: Vec<u64>,
     /// Latest-wins location per page.
     by_page: HashMap<u64, RecordLoc>,
-}
-
-/// Walk one segment file's frames (skipping payloads with relative seeks)
-/// into `pages`/`by_page`, returning the open handle for positioned reads.
-fn index_segment(
-    path: &Path,
-    epoch: u64,
-    file_idx: u32,
-    pages: &mut Vec<u64>,
-    by_page: &mut HashMap<u64, RecordLoc>,
-) -> io::Result<File> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::with_capacity(1 << 16, &file);
-    read_segment_header(&mut reader, epoch)?;
-    let mut offset = SEGMENT_HEADER_LEN as u64;
-    while let Some(frame) = read_frame(&mut reader)? {
-        offset += FRAME_LEN_V2 as u64;
-        let loc = RecordLoc {
-            file: file_idx,
-            offset,
-            enc: frame.enc,
-            raw_len: frame.raw_len,
-            stored_len: frame.stored_len,
-            crc: frame.crc,
-        };
-        offset += frame.stored_len as u64;
-        reader.seek_relative(frame.stored_len as i64)?;
-        pages.push(frame.page);
-        by_page.insert(frame.page, loc);
-    }
-    Ok(file)
 }
 
 impl FileBackend {
@@ -1258,13 +1390,21 @@ impl FileBackend {
         let mut pages = Vec::new();
         let mut by_page = HashMap::new();
         for (i, path) in paths.iter().enumerate() {
-            files.push(index_segment(
-                path,
-                epoch,
-                i as u32,
-                &mut pages,
-                &mut by_page,
-            )?);
+            let (file, trailer) = open_segment(path, epoch)?;
+            self.shared.io.index_bytes_read.fetch_add(
+                SEGMENT_HEADER_LEN as u64 + trailer.disk_len(),
+                Ordering::Relaxed,
+            );
+            for (page, at, end) in trailer.extents() {
+                pages.push(page);
+                let loc = RecordLoc {
+                    file: i as u32,
+                    offset: at,
+                    len: end - at,
+                };
+                by_page.insert(page, loc);
+            }
+            files.push(file);
         }
         if pages.len() as u64 != rec.records {
             return Err(io::Error::new(
@@ -1320,16 +1460,21 @@ impl FileBackend {
     ) -> io::Result<(PathBuf, u64)> {
         let tmp = final_path.with_extension("seg.tmp");
         let mut w = BufWriter::with_capacity(1 << 20, File::create(&tmp)?);
-        w.write_all(SEGMENT_MAGIC_V2)?;
+        w.write_all(SEGMENT_MAGIC)?;
         w.write_all(&epoch.to_le_bytes())?;
         let mut payload_bytes = 0u64;
+        let mut trailer =
+            Vec::with_capacity(records.len() * TRAILER_ENTRY_LEN + TRAILER_FOOTER_LEN);
+        let mut record_at = SEGMENT_HEADER_LEN as u64;
         for &(page, data) in records {
-            write_record_v2(&mut w, page, data, self.compression)?;
+            push_trailer_entry(&mut trailer, page, record_at);
+            record_at += FRAME_LEN as u64 + write_record(&mut w, page, data, self.compression)?;
             payload_bytes += data.len() as u64;
         }
         let file = w
             .into_inner()
             .map_err(|e| io::Error::other(e.to_string()))?;
+        write_trailer(&file, &mut trailer, record_at, &self.shared.io)?;
         if self.sync_on_finish {
             file.sync_all()?;
             self.shared
@@ -1377,8 +1522,11 @@ fn flip_byte_at(f: &mut File, pos: u64) -> io::Result<()> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentRegion {
     /// The segment header magic: structural damage, the whole shard
-    /// becomes unwalkable (`verify_epoch` reports it in `structural`).
+    /// becomes unreadable (`verify_epoch` reports it in `structural`).
     Header,
+    /// The first record's page id: the payload and its CRC are intact, but
+    /// the record no longer is the page its trailer entry names.
+    PageId,
     /// The first record's encoding byte: per-record damage localized to
     /// that page.
     Encoding,
@@ -1399,12 +1547,19 @@ pub enum SegmentRegion {
         /// Byte offset within the stored payload (modulo its length).
         byte: u64,
     },
+    /// A byte of the trailer (entries, count, CRC or magic): structural
+    /// damage, no record of the shard can be located any more.
+    Trailer {
+        /// Byte offset within the trailer (modulo its length).
+        byte: u64,
+    },
 }
 
 /// Flip one byte of the given `region` of `epoch`'s segment file — at-rest
 /// corruption injection for integrity tests (the counterpart the scrubber
 /// is built to catch). Targets the delta shard-0 file when present, else
-/// the compacted `full_` image.
+/// the compacted `full_` image. The segment must be intact (the target is
+/// found through its trailer).
 pub fn corrupt_segment_region(dir: &Path, epoch: u64, region: SegmentRegion) -> io::Result<()> {
     let delta = FileBackend::segment_path(dir, epoch);
     let path = if delta.exists() {
@@ -1412,42 +1567,42 @@ pub fn corrupt_segment_region(dir: &Path, epoch: u64, region: SegmentRegion) -> 
     } else {
         FileBackend::full_path(dir, epoch)
     };
-    let mut f = OpenOptions::new().read(true).write(true).open(path)?;
-    if region == SegmentRegion::Header {
-        return flip_byte_at(&mut f, 0);
-    }
-    read_segment_header(&mut f, epoch)?;
-    // Walk to the target record: the first one, or the one named.
+    let (_, trailer) = open_segment(&path, epoch)?;
+    // The target record: the first one, or the one named.
     let named = match region {
         SegmentRegion::PayloadOf { page, .. } => Some(page),
         _ => None,
     };
-    let mut at = SEGMENT_HEADER_LEN as u64;
-    let frame = loop {
-        let frame = read_frame(&mut f)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "segment holds no such record")
-        })?;
-        if named.is_none_or(|page| page == frame.page) {
-            break frame;
-        }
-        at += FRAME_LEN_V2 as u64 + frame.stored_len as u64;
-        f.seek(SeekFrom::Start(at))?;
+    let record = || {
+        trailer
+            .extents()
+            .find(|&(page, ..)| named.is_none_or(|n| n == page))
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "segment holds no such record")
+            })
     };
     let pos = match region {
-        SegmentRegion::Header => unreachable!(),
-        SegmentRegion::Encoding => at + 8,
-        SegmentRegion::Crc => at + 17,
+        SegmentRegion::Header => 0,
+        SegmentRegion::Trailer { byte } => trailer.records_end + byte % trailer.disk_len(),
+        SegmentRegion::PageId => record()?.1,
+        SegmentRegion::Encoding => record()?.1 + 8,
+        SegmentRegion::Crc => record()?.1 + 17,
         SegmentRegion::Payload { byte } | SegmentRegion::PayloadOf { byte, .. } => {
-            if frame.stored_len == 0 {
+            let (_, at, end) = record()?;
+            let stored_len = end - at - FRAME_LEN as u64;
+            if stored_len == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     "target record has an empty payload",
                 ));
             }
-            at + FRAME_LEN_V2 as u64 + byte % frame.stored_len as u64
+            at + FRAME_LEN as u64 + byte % stored_len
         }
     };
-    flip_byte_at(&mut f, pos)
+    flip_byte_at(
+        &mut OpenOptions::new().read(true).write(true).open(path)?,
+        pos,
+    )
 }
 
 /// Flip one byte of the committed record-count field of `epoch`'s latest
@@ -1504,6 +1659,11 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[track_caller]
+    fn assert_invalid(e: io::Error) {
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
     }
 
     #[test]
@@ -1629,6 +1789,7 @@ mod tests {
             SegmentRegion::Payload { byte: 10 },
             SegmentRegion::Crc,
             SegmentRegion::Encoding,
+            SegmentRegion::PageId,
         ] {
             let dir = tmpdir("verify-local");
             let b = FileBackend::open(&dir).unwrap();
@@ -1644,14 +1805,95 @@ mod tests {
     }
 
     #[test]
-    fn verify_reports_structural_damage_for_header_flips() {
-        let dir = tmpdir("verify-hdr");
+    fn verify_reports_structural_damage_for_header_and_trailer_flips() {
+        // Trailer bytes: 0 = first entry's page, 8 = its offset, then (one
+        // record) 16 = count, 24 = CRC, 32 = magic.
+        let trailer = [0, 8, 16, 24, 32].map(|byte| SegmentRegion::Trailer { byte });
+        for region in [SegmentRegion::Header].into_iter().chain(trailer) {
+            let dir = tmpdir("verify-hdr");
+            let b = FileBackend::open(&dir).unwrap();
+            write_epoch(&b, 1, vec![(0, vec![7u8; 32])]).unwrap();
+            corrupt_segment_region(&dir, 1, region).unwrap();
+            let report = b.verify_epoch(1).unwrap();
+            assert!(!report.structural.is_empty(), "{region:?} is structural");
+            assert!(report.corrupt_pages.is_empty(), "{region:?}");
+            assert_invalid(b.read_epoch(1, &mut |_, _| {}).unwrap_err());
+            assert_invalid(b.epoch_page_ids(1).unwrap_err());
+            assert_invalid(b.read_page_at(1, 0).unwrap_err());
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn flipped_page_id_fails_every_read_door() {
+        // The payload CRC does not cover the record's page id and the
+        // record count still matches the manifest: only the cross-check
+        // against the CRC'd trailer entry stands between a flipped id and
+        // a restore that silently renames page 3.
+        let dir = tmpdir("pageid");
         let b = FileBackend::open(&dir).unwrap();
-        write_epoch(&b, 1, vec![(0, vec![7u8; 32])]).unwrap();
-        corrupt_segment_region(&dir, 1, SegmentRegion::Header).unwrap();
-        let report = b.verify_epoch(1).unwrap();
-        assert!(!report.structural.is_empty(), "bad magic is structural");
-        assert!(report.corrupt_pages.is_empty());
+        write_epoch(&b, 1, vec![(3, vec![9u8; 64]), (4, vec![8u8; 64])]).unwrap();
+        corrupt_segment_region(&dir, 1, SegmentRegion::PageId).unwrap();
+        assert_eq!(b.verify_epoch(1).unwrap().corrupt_pages, vec![3]);
+        assert_invalid(b.read_page_at(1, 3).unwrap_err());
+        assert_invalid(b.record_meta(1, 3).unwrap_err());
+        assert_invalid(b.read_epoch(1, &mut |_, _| {}).unwrap_err());
+        assert_invalid(crate::image::CheckpointImage::load(&b, 1).unwrap_err());
+        // The locator resolves pages from the trailer, so it still names
+        // page 3; the fill is what fails.
+        let locator = crate::locator::PageLocator::build(&b, 1).unwrap();
+        assert_eq!(locator.pages_newest_first(), [3, 4]);
+        assert_invalid(b.read_page_at(locator.epoch_of(3).unwrap(), 3).unwrap_err());
+        assert_eq!(b.read_page_at(1, 4).unwrap().unwrap(), vec![8u8; 64]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_batch_never_reaches_the_trailer() {
+        let dir = tmpdir("failbatch");
+        let b = FileBackend::open(&dir).unwrap();
+        let w = b.begin_epoch_impl(1).unwrap();
+        w.write_pages(&[(0, &[1u8; 64])]).unwrap();
+        // Swap in a handle `pwritev` must refuse (read-only: EBADF).
+        let read_only = File::open(shard_path(&dir, 1, 0)).unwrap();
+        let good = std::mem::replace(&mut w.shards[0].lock().as_mut().unwrap().file, read_only);
+        assert!(w.write_pages(&[(1, &[2u8; 64])]).is_err());
+        w.shards[0].lock().as_mut().unwrap().file = good;
+        w.write_pages(&[(2, &[3u8; 64])]).unwrap();
+        w.finish().unwrap();
+        assert_eq!(b.epoch_page_ids(1).unwrap(), vec![0, 2]);
+        let mut seen = Vec::new();
+        b.read_epoch(1, &mut |p, d| seen.push((p, d[0]))).unwrap();
+        assert_eq!(seen, vec![(0, 1), (2, 3)]);
+        assert_eq!(b.read_page_at(1, 2).unwrap().unwrap(), vec![3u8; 64]);
+        assert_eq!(b.read_page_at(1, 1).unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn indexing_an_epoch_reads_its_trailer_not_its_payload() {
+        const N: u64 = 512;
+        let dir = tmpdir("indexbytes");
+        {
+            let b = FileBackend::open(&dir)
+                .unwrap()
+                .with_compression(Compression::None);
+            write_epoch(&b, 1, (0..N).map(|p| (p, vec![p as u8; 4096]))).unwrap();
+        }
+        let b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.index_bytes_read(), 0);
+        assert_eq!(b.epoch_page_ids(1).unwrap().len(), N as usize);
+        let indexed = b.index_bytes_read();
+        assert!(
+            (16 * N..=16 * N + 64).contains(&indexed),
+            "one shard, {N} records: {indexed} bytes"
+        );
+        for p in 0..N {
+            assert_eq!(b.read_page_at(1, p).unwrap().unwrap(), vec![p as u8; 4096]);
+        }
+        b.epoch_page_ids(1).unwrap();
+        assert_eq!(b.index_bytes_read(), indexed, "the index is built once");
+        assert_eq!(b.io_stats().page_reads, N);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,11 +8,14 @@
 //! kernel copies each payload exactly once, from its home into the page
 //! cache.
 //!
-//! Three pieces live here:
+//! Four pieces live here:
 //!
 //! * [`pwritev_full`] — a positioned vectored write that survives partial
 //!   writes, `EINTR` and `IOV_MAX` chunking, the way `write_all` does for
 //!   plain writes;
+//! * [`preadv_exact`] — its read-side twin for the random-access path: a
+//!   record's frame and stored payload in one positioned read, each into
+//!   its own exactly-sized buffer;
 //! * [`AlignedBuf`] — a reusable page-aligned growable buffer for staging
 //!   record frames and compressed payloads (reused across batches, so the
 //!   steady state allocates nothing);
@@ -96,6 +99,54 @@ pub fn pwritev_full(
         }
     }
     Ok(total)
+}
+
+/// Fill `head`, then `tail`, from `file` at `offset` with one positioned
+/// vectored read (`preadv(2)`), retrying on `EINTR` and short reads the
+/// way `read_exact_at` does for one buffer. End-of-file before both are
+/// full is `UnexpectedEof`.
+///
+/// The read path uses it to fetch a record's frame and its stored payload
+/// in one syscall while the payload lands in a buffer of exactly its own
+/// size — no frame prefix to strip, no oversized allocation handed on.
+pub fn preadv_exact(file: &File, head: &mut [u8], tail: &mut [u8], offset: u64) -> io::Result<()> {
+    let (head_len, total) = (head.len(), head.len() + tail.len());
+    let mut done = 0usize;
+    while done < total {
+        let head_rest = &mut head[done.min(head_len)..];
+        let tail_rest = &mut tail[done.saturating_sub(head_len)..];
+        let iov = [
+            libc::iovec {
+                iov_base: head_rest.as_mut_ptr() as *mut _,
+                iov_len: head_rest.len(),
+            },
+            libc::iovec {
+                iov_base: tail_rest.as_mut_ptr() as *mut _,
+                iov_len: tail_rest.len(),
+            },
+        ];
+        // SAFETY: both entries point at live, exclusively borrowed slices
+        // of exactly the stated lengths, and `iov` outlives the call.
+        let n = unsafe {
+            libc::preadv(
+                file.as_raw_fd(),
+                iov.as_ptr(),
+                iov.len() as libc::c_int,
+                (offset + done as u64) as libc::off_t,
+            )
+        };
+        match n {
+            n if n > 0 => done += n as usize,
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            _ => {
+                let err = io::Error::last_os_error();
+                if err.kind() != io::ErrorKind::Interrupted {
+                    return Err(err);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A growable byte buffer whose allocation is always [`BUF_ALIGN`]-aligned.
@@ -213,9 +264,10 @@ impl Drop for AlignedBuf {
 /// Shared atomic syscall accounting for one backend (see [`IoStats`]).
 #[derive(Debug, Default)]
 pub struct IoCounters {
-    /// `pwritev` calls issued by the segment write path.
+    /// `pwritev` calls issued by the segment write path: one per batch,
+    /// plus one per sealed segment for its trailer.
     pub vectored_writes: AtomicU64,
-    /// Bytes pushed through those calls (frames + payloads).
+    /// Bytes pushed through those calls (frames + payloads + trailers).
     pub write_syscall_bytes: AtomicU64,
     /// `fsync` calls on segment/shard files (group commit: one per shard
     /// per epoch, none on the write hot path).
@@ -235,6 +287,12 @@ pub struct IoCounters {
     /// does a restore's read of the epoch's reserved metadata record
     /// (`META_RECORD`): that is metadata, not a page.
     pub page_reads: AtomicU64,
+    /// Bytes read to build per-epoch segment indexes: each shard's 16-byte
+    /// header plus its trailer (`16·n + 24` bytes for `n` records) — never
+    /// a payload byte. Surfaced by `FileBackend::index_bytes_read`, not by
+    /// [`IoStats`]: the repository benchmark builds `IoStats` from an
+    /// exhaustive field list, so that struct cannot grow.
+    pub index_bytes_read: AtomicU64,
 }
 
 impl IoCounters {
@@ -258,9 +316,10 @@ impl IoCounters {
 /// runtime surfaces the backend's snapshot in `RuntimeStats::io`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Vectored (`pwritev`) segment writes issued.
+    /// Vectored (`pwritev`) segment writes issued (batches + one trailer
+    /// per sealed segment).
     pub vectored_writes: u64,
-    /// Bytes written through them (framing + payload).
+    /// Bytes written through them (framing + payload + trailers).
     pub write_syscall_bytes: u64,
     /// Segment/shard `fsync` calls (≈ one per stream shard per epoch).
     pub segment_fsyncs: u64,
@@ -371,6 +430,20 @@ mod tests {
             counters.snapshot().vectored_writes >= 3,
             "at least one syscall per IOV_MAX chunk"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn preadv_scatters_one_extent_into_two_buffers() {
+        let (path, file) = tmpfile("scatter");
+        std::fs::write(&path, b"..frame-payload").unwrap();
+        let (mut head, mut tail) = ([0u8; 6], vec![0u8; 7]);
+        preadv_exact(&file, &mut head, &mut tail, 2).unwrap();
+        assert_eq!((&head[..], &tail[..]), (&b"frame-"[..], &b"payload"[..]));
+        preadv_exact(&file, &mut head, &mut [], 9).unwrap();
+        assert_eq!(&head, b"ayload");
+        let err = preadv_exact(&file, &mut head, &mut tail, 3).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "extent past EOF");
         std::fs::remove_file(&path).unwrap();
     }
 

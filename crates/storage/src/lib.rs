@@ -29,7 +29,7 @@
 //!   I/O counters surfaced as [`IoStats`];
 //! * [`manifest`] / [`checksum`] — the commit log and integrity primitives;
 //! * [`codec`] — per-record payload encodings (raw / RLE / vendored LZ)
-//!   for `AICKSEG2` segments, CRC-verified over the uncompressed bytes;
+//!   for `AICKSEG3` segments, CRC-verified over the uncompressed bytes;
 //! * [`image`] — latest-wins reference replay, starting from the newest
 //!   full (compacted) segment; what tests compare restores against;
 //! * [`locator`] — page→epoch resolution without payload I/O, the index

@@ -18,13 +18,13 @@ use crate::codec::{self, Compression, Encoding};
 use crate::scrub::RecordMeta;
 
 /// One stored page payload: kept in its encoded form (same codec as the
-/// file backend's `AICKSEG2` records), decoded — and CRC-verified, same as
+/// file backend's `AICKSEG3` records), decoded — and CRC-verified, same as
 /// a segment frame — on read.
 #[derive(Debug, Clone)]
 struct StoredPayload {
     enc: Encoding,
     raw_len: usize,
-    /// CRC-64 over the *uncompressed* payload, mirroring `AICKSEG2`.
+    /// CRC-64 over the *uncompressed* payload, mirroring `AICKSEG3`.
     crc: u64,
     stored: Vec<u8>,
 }
@@ -104,7 +104,7 @@ pub struct MemoryBackend {
 
 impl MemoryBackend {
     /// Fresh, empty backend (records stored raw; see
-    /// [`MemoryBackend::with_compression`] to opt into the `AICKSEG2`
+    /// [`MemoryBackend::with_compression`] to opt into the `AICKSEG3`
     /// codec).
     pub fn new() -> Self {
         Self::default()

@@ -133,9 +133,9 @@ impl<B: StorageBackend> ParityBackend<B> {
     pub fn recover_page(&self, epoch: u64, lost: u64) -> io::Result<Vec<u8>> {
         // Random access only — never a full-epoch stream: the reason this
         // runs at all is usually that one record of the epoch is corrupt,
-        // and `read_epoch` would fail at exactly that record. The frame
-        // walk (`epoch_page_ids`) does not decode payloads, and seeks skip
-        // the bad record entirely.
+        // and `read_epoch` would fail at exactly that record. The page
+        // listing (`epoch_page_ids`) touches no payload, and positioned
+        // reads skip the bad record entirely.
         //
         // Pass 1: find the parity group containing `lost`.
         let parity_ids: Vec<u64> = self
@@ -267,7 +267,7 @@ impl<B: StorageBackend> StorageBackend for ParityBackend<B> {
     }
 
     fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        // The inner backend's frame walk, minus the parity ids.
+        // The inner backend's page listing, minus the parity ids.
         let mut ids = self.inner.epoch_page_ids(epoch)?;
         ids.retain(|id| id & PARITY_FLAG == 0);
         Ok(ids)

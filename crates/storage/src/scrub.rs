@@ -35,11 +35,13 @@ pub struct VerifyReport {
     /// Uncompressed payload bytes verified.
     pub bytes: u64,
     /// Page ids whose stored record is damaged (CRC mismatch, bad
-    /// encoding, undecodable payload). Parity-flagged ids may appear here
+    /// encoding, undecodable payload, a frame that no longer matches its
+    /// trailer entry). Parity-flagged ids may appear here
     /// for backends that store parity records inline.
     pub corrupt_pages: Vec<u64>,
-    /// Damage not attributable to a single record: bad segment magic,
-    /// torn frames, manifest↔segment record-count disagreement. Each
+    /// Damage not attributable to a single record: bad segment magic, a
+    /// missing, torn or CRC-failing segment trailer, manifest↔segment
+    /// record-count disagreement. Each
     /// entry is a human-readable description.
     pub structural: Vec<String>,
 }

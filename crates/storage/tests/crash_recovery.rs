@@ -15,7 +15,7 @@ use std::fs::{self, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use ai_ckpt_storage::{write_epoch, CheckpointImage, FileBackend, StorageBackend};
+use ai_ckpt_storage::{write_epoch, CheckpointImage, FileBackend, PageLocator, StorageBackend};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -135,7 +135,11 @@ fn truncated_segment_fails_cleanly() {
     f.set_len(len - 7).unwrap();
     drop(f);
     let b = FileBackend::open(&dir).unwrap();
-    assert!(CheckpointImage::load(&b, 2).is_err(), "truncated payload");
+    assert!(CheckpointImage::load(&b, 2).is_err(), "truncated segment");
+    // The cut lands in the trailer, so the runtime's restore door fails
+    // before it resolves a single page — not midway through the fill.
+    let err = PageLocator::build(&b, 2).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     assert_image_matches(&b, 1);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Crash-consistency harness for the vectored per-stream I/O engine: torn
-//! gathered writes, crashes between the group-commit segment fsync and the
-//! manifest append, and concurrent-stream shard interleavings. The commit
+//! gathered writes, torn trailers, crashes between the group-commit segment
+//! fsync and the manifest append, and concurrent-stream shard interleavings. The commit
 //! point is the manifest record — everything before it must be invisible
 //! (and swept) on reopen, everything after it byte-identical.
 
@@ -9,7 +9,7 @@ use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ai_ckpt_storage::{Compression, FileBackend, StorageBackend};
+use ai_ckpt_storage::{Compression, FileBackend, PageLocator, StorageBackend};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -151,6 +151,83 @@ fn crash_between_segment_fsync_and_manifest_append_is_invisible() {
         manifest_before,
         "recovery rewrites no history"
     );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A vectored write that fails part-way leaves a torn tail past the
+/// shard's last complete batch. The next good batch overwrites it from the
+/// same offset and `finish` seals truncate → trailer, so the trailer names
+/// the committed records only and sits flush at end-of-file — however much
+/// longer than the good batch the torn tail was.
+#[test]
+fn torn_batch_then_a_good_one_seals_a_trailer_of_committed_records_only() {
+    let dir = tmpdir("torn-then-good");
+    let b = FileBackend::open(&dir)
+        .unwrap()
+        .with_compression(Compression::None);
+    let w = b.begin_epoch(1).unwrap();
+    let first = payload(1, 1, 0);
+    w.write_pages(&[(1, &first)]).unwrap();
+    // What an ill-timed partial `pwritev` leaves: bytes past the shard's
+    // logical offset that no completed batch accounts for — here far more
+    // than the next batch plus the trailer will cover.
+    let seg = dir.join("epoch_0000000001.seg");
+    OpenOptions::new()
+        .append(true)
+        .open(&seg)
+        .unwrap()
+        .write_all(&[0xAB; 10_000])
+        .unwrap();
+    let second = payload(3, 1, 0);
+    w.write_pages(&[(3, &second)]).unwrap();
+    w.finish().unwrap();
+    // header + 2 × (frame + 256) + 2 entries + footer: the tail is gone.
+    assert_eq!(
+        fs::metadata(&seg).unwrap().len(),
+        16 + 2 * (25 + 256) + 2 * 16 + 24
+    );
+    for backend in [&b, &FileBackend::open(&dir).unwrap()] {
+        assert_eq!(backend.epoch_page_ids(1).unwrap(), vec![1, 3]);
+        assert_eq!(
+            read_all(backend, 1),
+            BTreeMap::from([(1, first.clone()), (3, second.clone())])
+        );
+        assert_eq!(backend.read_page_at(1, 1).unwrap().unwrap(), first);
+        assert_eq!(backend.read_page_at(1, 3).unwrap().unwrap(), second);
+        assert!(backend.verify_epoch(1).unwrap().is_clean());
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A committed segment whose trailer is cut anywhere — inside the magic,
+/// the CRC, the count or the entries — locates nothing: every read door
+/// fails with `InvalidData` (there is no fallback frame walk), the scrubber
+/// calls it structural, and the epochs below stay byte-identical.
+#[test]
+fn every_cut_of_the_trailer_fails_every_read_loudly() {
+    let dir = tmpdir("torn-trailer");
+    {
+        let b = FileBackend::open(&dir).unwrap();
+        commit_epoch(&b, 1, 0..4);
+        commit_epoch(&b, 2, 2..6);
+    }
+    let seg = dir.join("epoch_0000000002.seg");
+    let whole = fs::read(&seg).unwrap();
+    let trailer_len = 4 * 16 + 24;
+    for cut in 1..=trailer_len {
+        fs::write(&seg, &whole[..whole.len() - cut]).unwrap();
+        let b = FileBackend::open(&dir).unwrap();
+        let invalid = |e: std::io::Error| {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "cut {cut}: {e}")
+        };
+        invalid(b.read_epoch(2, &mut |_, _| {}).unwrap_err());
+        invalid(b.epoch_page_ids(2).unwrap_err());
+        invalid(b.read_page_at(2, 3).unwrap_err());
+        invalid(PageLocator::build(&b, 2).unwrap_err());
+        let report = b.verify_epoch(2).unwrap();
+        assert!(!report.structural.is_empty(), "cut {cut}: {report:?}");
+        assert_eq!(read_all(&b, 1).len(), 4, "cut {cut}: epoch 1 untouched");
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
 

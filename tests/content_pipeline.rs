@@ -1,7 +1,7 @@
 //! End-to-end acceptance for the content-aware payload pipeline (ISSUE 3):
 //!
 //! * on a 50% clean-dirty, RLE-friendly workload, the digest filter plus
-//!   `AICKSEG2` compression cut flushed bytes by at least 2× while the
+//!   `AICKSEG3` compression cut flushed bytes by at least 2× while the
 //!   restored image stays byte-identical;
 //! * a parity + tiered + compaction stack compacts under
 //!   `CompactionPolicy` and `recover_page` still works on a

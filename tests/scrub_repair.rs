@@ -1,7 +1,7 @@
 //! At-rest corruption matrix (ISSUE 10 headline): flip one byte in every
 //! structural region of a committed epoch's on-disk state — segment header,
-//! record encoding byte, payload byte, stored CRC, the epoch's layout
-//! record, manifest record-count —
+//! record page id, encoding byte, payload byte, stored CRC, the epoch's
+//! layout record, segment trailer, manifest record-count —
 //! under every redundancy source the storage stack offers (a replica
 //! member, a parity group, another level of a resilience policy), then
 //! assert the full integrity lifecycle:
@@ -81,6 +81,10 @@ fn regions() -> Vec<(&'static str, Corruptor)> {
     fn header(dir: &Path) {
         corrupt_segment_region(dir, 1, SegmentRegion::Header).unwrap();
     }
+    /// Covered by no payload CRC: only the trailer cross-check sees it.
+    fn page_id(dir: &Path) {
+        corrupt_segment_region(dir, 1, SegmentRegion::PageId).unwrap();
+    }
     fn encoding(dir: &Path) {
         corrupt_segment_region(dir, 1, SegmentRegion::Encoding).unwrap();
     }
@@ -98,15 +102,21 @@ fn regions() -> Vec<(&'static str, Corruptor)> {
         };
         corrupt_segment_region(dir, 1, region).unwrap();
     }
+    /// An entry's offset field: the trailer's own CRC condemns the shard.
+    fn trailer(dir: &Path) {
+        corrupt_segment_region(dir, 1, SegmentRegion::Trailer { byte: 8 }).unwrap();
+    }
     fn manifest(dir: &Path) {
         corrupt_manifest_count(dir, 1).unwrap();
     }
     vec![
         ("header", header),
+        ("page-id", page_id),
         ("encoding", encoding),
         ("payload", payload),
         ("crc", crc),
         ("layout", layout),
+        ("trailer", trailer),
         ("manifest", manifest),
     ]
 }
@@ -178,12 +188,12 @@ fn replica_member_heals_every_region() {
 
 #[test]
 fn parity_group_heals_record_level_regions() {
-    // Header damage is excluded here: parity records live in the *same*
-    // segment file as the data they protect, so a destroyed header takes
-    // the parity down with it — that combination is the quarantine case
-    // covered below, not a repair case.
+    // Header and trailer damage are excluded here: parity records live in
+    // the *same* segment file as the data they protect, so a shard nothing
+    // can be located in takes the parity down with it — those combinations
+    // are the quarantine cases covered below, not repair cases.
     for (region, corrupt) in regions() {
-        if region == "header" {
+        if region == "header" || region == "trailer" {
             continue;
         }
         let dir = tmpdir(&format!("par-{region}"));
@@ -218,14 +228,17 @@ fn outer_policy_level_heals_every_region() {
 #[test]
 fn unrecoverable_damage_quarantines_and_restores_fail_loudly() {
     // No redundancy anywhere: a plain file backend with a flipped payload
-    // byte, and a parity stack whose shared segment header is destroyed.
+    // byte, and parity stacks whose shared segment lost its header or its
+    // trailer.
     let plain_dir = tmpdir("quarantine-plain");
     let plain: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&plain_dir).unwrap());
-    let parity_dir = tmpdir("quarantine-parity");
-    let parity: Arc<dyn StorageBackend> = Arc::new(ParityBackend::new(
-        FileBackend::open(&parity_dir).unwrap(),
-        3,
-    ));
+    let parity = |tag: &str| -> (Arc<dyn StorageBackend>, PathBuf) {
+        let dir = tmpdir(tag);
+        let backend = ParityBackend::new(FileBackend::open(&dir).unwrap(), 3);
+        (Arc::new(backend), dir)
+    };
+    let (parity_hdr, parity_hdr_dir) = parity("quarantine-parity-hdr");
+    let (parity_trl, parity_trl_dir) = parity("quarantine-parity-trl");
     for (backend, dir, region, ctx) in [
         (
             plain,
@@ -233,7 +246,18 @@ fn unrecoverable_damage_quarantines_and_restores_fail_loudly() {
             SegmentRegion::Payload { byte: 3 },
             "plain/payload",
         ),
-        (parity, parity_dir, SegmentRegion::Header, "parity/header"),
+        (
+            parity_hdr,
+            parity_hdr_dir,
+            SegmentRegion::Header,
+            "parity/header",
+        ),
+        (
+            parity_trl,
+            parity_trl_dir,
+            SegmentRegion::Trailer { byte: 8 },
+            "parity/trailer",
+        ),
     ] {
         commit(&backend, 0xD4);
         corrupt_segment_region(&dir, 1, region).unwrap();
