@@ -1,38 +1,30 @@
-//! The global commit manifest (`AICKGLB1`): a tiny append-only binary log
-//! recording which *group* epochs are globally consistent — the phase-2
-//! commit point of the two-phase protocol in
-//! [`CheckpointGroup`](crate::CheckpointGroup).
+//! The global commit manifest — the `AICKGLB1` schema of the storage
+//! crate's [commit log](ai_ckpt_storage::log): which *group* epochs are
+//! globally consistent, the phase-2 commit point of the two-phase protocol
+//! in [`CheckpointGroup`](crate::CheckpointGroup).
 //!
 //! A group epoch only "counts" once its [`GlobalRecordKind::Commit`] record
 //! exists: the record is appended *after* every rank durably finished the
 //! epoch, so a crash at any instant leaves either the previous globally
 //! consistent epoch (no record yet — the ranks' newer local epochs are
-//! orphans that open-time recovery retires) or the new one. This is the
-//! same write-ahead discipline as the per-rank `AICKMAN2` manifest, with
-//! one addition: every record carries a CRC-64, so a torn or scribbled
-//! tail is detected even when the tear happens to be record-aligned.
+//! orphans that open-time recovery retires) or the new one. It is the same
+//! log as the per-rank manifest, byte for byte: creation, appends, torn
+//! tails and corrupt records are [`log`]'s business, and a corrupt record
+//! fails the read — and so the group's open, before any rank epoch is
+//! retired — instead of shortening the log.
 //!
-//! ## Wire format
-//!
-//! `AICKGLB1` magic, then 29-byte records, all integers little-endian:
+//! ## Payload (21 bytes, integers little-endian)
 //!
 //! ```text
-//! [kind u8][epoch u64][ranks u32][aux u64][crc64 u64]
+//! [kind u8][epoch u64][ranks u32][aux u64]
 //! ```
-//!
-//! `crc64` covers the preceding 21 bytes. Readers return the longest valid
-//! prefix: parsing stops at the first incomplete or CRC-mismatched record
-//! (a crash mid-append can only tear the tail; anything after a tear is
-//! unreachable by the append protocol). [`append`] truncates that tear away
-//! before committing the new record, so the log never misaligns.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 
-use ai_ckpt_storage::crc64;
+use ai_ckpt_storage::log;
 
-/// Magic prefix of a version-1 global manifest.
+/// Magic prefix of the global manifest.
 pub const GLOBAL_MAGIC: &[u8; 8] = b"AICKGLB1";
 
 /// What a global record says about its group epoch.
@@ -54,11 +46,14 @@ impl GlobalRecordKind {
         }
     }
 
-    fn from_wire(b: u8) -> Option<Self> {
+    fn from_wire(b: u8) -> io::Result<Self> {
         match b {
-            0 => Some(GlobalRecordKind::Commit),
-            1 => Some(GlobalRecordKind::Abort),
-            _ => None,
+            0 => Ok(GlobalRecordKind::Commit),
+            1 => Ok(GlobalRecordKind::Abort),
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown global record kind {other}"),
+            )),
         }
     }
 }
@@ -99,34 +94,21 @@ impl GlobalRecord {
             aux: failed_rank,
         }
     }
+}
 
-    /// Record size on the wire.
-    pub const WIRE_LEN: usize = 29;
+impl log::Record for GlobalRecord {
+    const MAGIC: &'static [u8; 8] = GLOBAL_MAGIC;
+    const PAYLOAD_LEN: usize = 21;
 
-    /// XOR-folded into the stored CRC so an all-zero region (fallocate'd
-    /// tail, zero-page scribble) can never self-validate — the plain CRC-64
-    /// of all-zero input is 0.
-    const CRC_SALT: u64 = u64::from_le_bytes(*GLOBAL_MAGIC);
-
-    fn to_bytes(self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
+    fn encode(&self, out: &mut [u8]) {
         out[0] = self.kind.to_wire();
         out[1..9].copy_from_slice(&self.epoch.to_le_bytes());
         out[9..13].copy_from_slice(&self.ranks.to_le_bytes());
         out[13..21].copy_from_slice(&self.aux.to_le_bytes());
-        let crc = crc64(&out[..21]) ^ Self::CRC_SALT;
-        out[21..29].copy_from_slice(&crc.to_le_bytes());
-        out
     }
 
-    /// `None` when the bytes fail validation (torn/corrupt record).
-    fn from_bytes(b: &[u8]) -> Option<Self> {
-        debug_assert_eq!(b.len(), Self::WIRE_LEN);
-        let crc = u64::from_le_bytes(b[21..29].try_into().unwrap());
-        if crc64(&b[..21]) ^ Self::CRC_SALT != crc {
-            return None;
-        }
-        Some(Self {
+    fn decode(b: &[u8]) -> io::Result<Self> {
+        Ok(Self {
             kind: GlobalRecordKind::from_wire(b[0])?,
             epoch: u64::from_le_bytes(b[1..9].try_into().unwrap()),
             ranks: u32::from_le_bytes(b[9..13].try_into().unwrap()),
@@ -135,137 +117,14 @@ impl GlobalRecord {
     }
 }
 
-/// Parse the longest valid record prefix of a raw log body (after the
-/// magic). Returns the records plus the byte length of the valid region.
-fn parse_prefix(body: &[u8]) -> (Vec<GlobalRecord>, usize) {
-    let mut records = Vec::new();
-    let mut valid = 0;
-    for chunk in body.chunks_exact(GlobalRecord::WIRE_LEN) {
-        match GlobalRecord::from_bytes(chunk) {
-            Some(r) => {
-                records.push(r);
-                valid += GlobalRecord::WIRE_LEN;
-            }
-            None => break,
-        }
-    }
-    (records, valid)
-}
-
-fn read_raw(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    let mut f = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    Ok(Some(buf))
-}
-
-/// Read the valid record prefix of a global manifest. A missing file is an
-/// empty log; so is one shorter than the magic — under the append protocol
-/// that can only be the remains of a crashed *first* append, so treating it
-/// as foreign would brick the group forever over a torn 8-byte write. A
-/// torn or corrupt record tail is dropped (the record's epoch never became
-/// consistent). Only a full-length wrong magic is a foreign file.
+/// Every committed record of the global manifest at `path`.
 pub fn read(path: &Path) -> io::Result<Vec<GlobalRecord>> {
-    match read_raw(path)? {
-        None => Ok(Vec::new()),
-        Some(buf) if buf.len() < GLOBAL_MAGIC.len() => Ok(Vec::new()),
-        Some(buf) => {
-            if &buf[..GLOBAL_MAGIC.len()] != GLOBAL_MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad global manifest magic",
-                ));
-            }
-            Ok(parse_prefix(&buf[GLOBAL_MAGIC.len()..]).0)
-        }
-    }
+    log::read(path)
 }
 
-/// Truncate the log to its longest valid prefix and return that prefix —
-/// the once-per-open repair pass. After it, the file ends on a record
-/// boundary with every record CRC-valid, so [`append`] can realign by
-/// length alone (O(1) in log size) instead of re-validating the whole file
-/// on the latency-critical phase-2 commit path.
-pub fn repair(path: &Path) -> io::Result<Vec<GlobalRecord>> {
-    let Some(buf) = read_raw(path)? else {
-        return Ok(Vec::new());
-    };
-    if buf.len() < GLOBAL_MAGIC.len() {
-        // Torn first append: restart the log.
-        if !buf.is_empty() {
-            OpenOptions::new().write(true).open(path)?.set_len(0)?;
-        }
-        return Ok(Vec::new());
-    }
-    if &buf[..GLOBAL_MAGIC.len()] != GLOBAL_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad global manifest magic",
-        ));
-    }
-    let (records, valid) = parse_prefix(&buf[GLOBAL_MAGIC.len()..]);
-    let keep = (GLOBAL_MAGIC.len() + valid) as u64;
-    if keep < buf.len() as u64 {
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(keep)?;
-        f.sync_all()?;
-    }
-    Ok(records)
-}
-
-/// Append one record, durably (write + fsync), creating the manifest with
-/// its magic header on first use. O(1) in log size: only the magic is
-/// peeked and a torn tail is excised by length modulo — complete within a
-/// process lifetime because [`repair`] already removed any record-aligned
-/// corruption a previous life could have left (a crashed `write_all` of one
-/// record can only leave a *short* tail, which the modulo catches).
+/// Durably append one record (the phase-2 commit point, or an abort).
 pub fn append(path: &Path, record: GlobalRecord) -> io::Result<()> {
-    let len = match File::open(path) {
-        Ok(mut f) => {
-            let mut magic = [0u8; 8];
-            match f.read_exact(&mut magic) {
-                Ok(()) if magic == *GLOBAL_MAGIC => Some(f.metadata()?.len()),
-                Ok(()) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "bad global manifest magic",
-                    ))
-                }
-                // Shorter than the magic: torn first append, restart.
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => None,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-        Err(e) => return Err(e),
-    };
-    match len {
-        None => {
-            let mut f = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(path)?;
-            f.write_all(GLOBAL_MAGIC)?;
-            f.write_all(&record.to_bytes())?;
-            f.sync_all()
-        }
-        Some(len) => {
-            let torn = (len - GLOBAL_MAGIC.len() as u64) % GlobalRecord::WIRE_LEN as u64;
-            if torn != 0 {
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(len - torn)?;
-                f.sync_all()?;
-            }
-            let mut f = OpenOptions::new().append(true).open(path)?;
-            f.write_all(&record.to_bytes())?;
-            f.sync_all()
-        }
-    }
+    log::append(path, &[record]).map(drop)
 }
 
 /// The newest globally consistent epoch of a record log, if any.
@@ -299,33 +158,23 @@ pub fn high_water(records: &[GlobalRecord]) -> Option<u64> {
 mod tests {
     use super::*;
 
-    fn tmp() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "aickpt-global-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("GLOBAL")
-    }
+    use ai_ckpt_storage::log::Record;
 
     #[test]
-    fn append_and_read_round_trip() {
-        let path = tmp();
-        let _ = std::fs::remove_file(&path);
-        assert!(read(&path).unwrap().is_empty(), "missing file = empty log");
-        let records = vec![
+    fn both_kinds_round_trip_through_their_payload() {
+        for record in [
             GlobalRecord::commit(1, 4),
             GlobalRecord::abort(2, 4, 3),
-            GlobalRecord::commit(3, 4),
-        ];
-        for r in &records {
-            append(&path, *r).unwrap();
+            GlobalRecord::abort(u64::MAX, u32::MAX, u64::MAX),
+        ] {
+            let mut payload = [0u8; GlobalRecord::PAYLOAD_LEN];
+            record.encode(&mut payload);
+            assert_eq!(GlobalRecord::decode(&payload).unwrap(), record);
         }
-        assert_eq!(read(&path).unwrap(), records);
-        assert_eq!(last_committed(&records), Some(3));
-        assert_eq!(high_water(&records), Some(3));
-        std::fs::remove_file(&path).unwrap();
+        let mut payload = [0u8; GlobalRecord::PAYLOAD_LEN];
+        payload[0] = 2;
+        let err = GlobalRecord::decode(&payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "unknown kind");
     }
 
     #[test]
@@ -354,66 +203,5 @@ mod tests {
         // same number never happens in practice, but order must decide).
         let records = vec![GlobalRecord::abort(3, 2, 0), GlobalRecord::commit(3, 2)];
         assert_eq!(last_committed(&records), Some(3));
-    }
-
-    #[test]
-    fn torn_tail_is_dropped_and_excised_on_append() {
-        let path = tmp();
-        let _ = std::fs::remove_file(&path);
-        let r1 = GlobalRecord::commit(1, 2);
-        append(&path, r1).unwrap();
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&[0xAB; 11]).unwrap(); // crash mid-append
-        }
-        assert_eq!(read(&path).unwrap(), vec![r1], "tear ignored");
-        let r2 = GlobalRecord::commit(2, 2);
-        append(&path, r2).unwrap();
-        assert_eq!(read(&path).unwrap(), vec![r1, r2], "tear excised");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn crc_catches_record_aligned_corruption() {
-        let path = tmp();
-        let _ = std::fs::remove_file(&path);
-        append(&path, GlobalRecord::commit(1, 2)).unwrap();
-        // A record-aligned scribble (29 zero bytes would even parse as a
-        // kind-0 record without the CRC).
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&[0u8; GlobalRecord::WIRE_LEN]).unwrap();
-        }
-        assert_eq!(read(&path).unwrap(), vec![GlobalRecord::commit(1, 2)]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn torn_first_append_self_heals() {
-        // The process died mid-way through writing the very magic of a
-        // fresh log: the group must be able to restart, not brick.
-        let path = tmp();
-        let _ = std::fs::remove_file(&path);
-        std::fs::write(&path, &GLOBAL_MAGIC[..3]).unwrap();
-        assert!(read(&path).unwrap().is_empty(), "torn magic = empty log");
-        assert!(repair(&path).unwrap().is_empty());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "restarted");
-        let r = GlobalRecord::commit(1, 2);
-        append(&path, r).unwrap();
-        assert_eq!(read(&path).unwrap(), vec![r]);
-        // Same for a direct append over the torn magic.
-        std::fs::write(&path, &GLOBAL_MAGIC[..5]).unwrap();
-        append(&path, r).unwrap();
-        assert_eq!(read(&path).unwrap(), vec![r]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bad_magic_is_an_error() {
-        let path = tmp();
-        std::fs::write(&path, b"NOTMAGIC________________________").unwrap();
-        assert!(read(&path).is_err());
-        assert!(append(&path, GlobalRecord::commit(1, 1)).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 }

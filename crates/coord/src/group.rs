@@ -38,7 +38,7 @@
 //!
 //! ```text
 //! root/GLOBAL             the AICKGLB1 global manifest (phase-2 commits)
-//! root/rank_0000/         rank 0's segments + AICKMAN2 manifest
+//! root/rank_0000/         rank 0's segments + AICKMAN3 manifest
 //! root/rank_0001/         rank 1's ...
 //! ```
 //!
@@ -178,10 +178,11 @@ impl CheckpointGroup {
             ));
         }
         let global_path = global_manifest.into();
-        // Repair (not just read): truncating any torn/corrupt tail here,
-        // once, is what lets every later phase-2 append realign by length
-        // alone instead of re-validating a growing log per checkpoint.
-        let records = global::repair(&global_path)?;
+        // Read before touching any rank: a corrupt global log fails the
+        // open here, with every rank's epochs still in place — recovery
+        // below retires whatever the log does not vouch for, so it must
+        // never run on a log that merely *reads* shorter than it is.
+        let records = global::read(&global_path)?;
         let committed = global::last_committed(&records);
         // The numbering floor starts at the global log's high-water mark:
         // aborted group epochs burned their number on every rank that got

@@ -12,8 +12,8 @@
 //!
 //! * [`group`] — the coordinator: two-phase `checkpoint()`, open-time crash
 //!   recovery, group-driven chain compaction, [`GroupRestore`];
-//! * [`global`] — the `AICKGLB1` global manifest (CRC'd append-only commit
-//!   log, torn-tail truncation — the phase-2 commit point);
+//! * [`global`] — the `AICKGLB1` global manifest, the phase-2 commit
+//!   point (a schema of the storage crate's one commit log);
 //! * [`stats`] — [`GroupStats`], the per-rank
 //!   [`RuntimeStats`](ai_ckpt::RuntimeStats) rollup;
 //! * [`topology`] — [`PartnerMap`], the ring partner assignment behind a

@@ -1,14 +1,14 @@
-//! Properties of the `AICKGLB1` global manifest: arbitrary commit/abort
-//! interleavings round-trip exactly, and truncating the file at *every*
-//! byte offset recovers a readable prefix (mirrors the per-rank
-//! `codec_props.rs` style: seeded SplitMix64 cases, exhaustive structural
-//! sweeps).
+//! Properties of the `AICKGLB1` schema: arbitrary commit/abort
+//! interleavings round-trip exactly through the commit log and fold to the
+//! right views. What the *log* does with cuts, tears and flipped bytes is
+//! schema-independent and lives with it
+//! (`crates/storage/tests/log_props.rs`, run at this schema's 21-byte
+//! payload size among others).
 
-use std::fs::OpenOptions;
 use std::path::PathBuf;
 
 use ai_ckpt_coord::global::{self, GlobalRecord};
-use ai_ckpt_coord::{GlobalRecordKind, GLOBAL_MAGIC};
+use ai_ckpt_coord::GlobalRecordKind;
 use ai_ckpt_core::rng::SplitMix64;
 
 fn tmpfile(tag: &str) -> PathBuf {
@@ -64,101 +64,4 @@ fn arbitrary_interleavings_round_trip() {
         );
         std::fs::remove_file(&path).unwrap();
     }
-}
-
-#[test]
-fn truncation_at_every_byte_offset_recovers_a_prefix() {
-    let path = tmpfile("trunc");
-    let _ = std::fs::remove_file(&path);
-    let mut rng = SplitMix64::new(0x7C07_7A11);
-    let log = random_log(&mut rng);
-    for r in &log {
-        global::append(&path, *r).unwrap();
-    }
-    let full = std::fs::read(&path).unwrap();
-    assert_eq!(
-        full.len(),
-        GLOBAL_MAGIC.len() + log.len() * GlobalRecord::WIRE_LEN
-    );
-    for cut in 0..=full.len() {
-        std::fs::write(&path, &full[..cut]).unwrap();
-        // A cut inside the magic is a torn *first* append: an empty log
-        // (treating it as foreign would brick the group forever).
-        let complete = cut.saturating_sub(GLOBAL_MAGIC.len()) / GlobalRecord::WIRE_LEN;
-        assert_eq!(
-            global::read(&path).unwrap(),
-            log[..complete],
-            "cut at byte {cut} must yield the {complete}-record prefix"
-        );
-        // And the repair pass leaves exactly that prefix on disk, ending on
-        // a record boundary.
-        assert_eq!(global::repair(&path).unwrap(), log[..complete]);
-        let repaired = std::fs::metadata(&path).unwrap().len() as usize;
-        let expect_len = if cut < GLOBAL_MAGIC.len() {
-            0
-        } else {
-            GLOBAL_MAGIC.len() + complete * GlobalRecord::WIRE_LEN
-        };
-        assert_eq!(repaired, expect_len, "cut {cut} repaired to a boundary");
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn append_after_any_truncation_realigns() {
-    // A crash mid-append followed by a successful append: the tear is
-    // excised and the new record lands record-aligned, whatever the tear's
-    // length was.
-    let probe = GlobalRecord::commit(1, 3);
-    for tear in 1..GlobalRecord::WIRE_LEN {
-        let path = tmpfile(&format!("realign-{tear}"));
-        let _ = std::fs::remove_file(&path);
-        global::append(&path, probe).unwrap();
-        {
-            use std::io::Write;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&vec![0xEE; tear]).unwrap();
-        }
-        let next = GlobalRecord::commit(2, 3);
-        global::append(&path, next).unwrap();
-        assert_eq!(global::read(&path).unwrap(), vec![probe, next]);
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len() as usize,
-            GLOBAL_MAGIC.len() + 2 * GlobalRecord::WIRE_LEN,
-            "tear of {tear} bytes excised, log aligned"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-}
-
-#[test]
-fn corrupting_any_single_byte_never_yields_a_wrong_record() {
-    // Flip each byte of a two-record log in turn: the reader may shorten
-    // the log (CRC rejects the record) or, for bytes in the magic, refuse
-    // the file — but it must never deliver a record that was not written.
-    let path = tmpfile("flip");
-    let _ = std::fs::remove_file(&path);
-    let log = vec![GlobalRecord::commit(7, 2), GlobalRecord::abort(9, 2, 1)];
-    for r in &log {
-        global::append(&path, *r).unwrap();
-    }
-    let pristine = std::fs::read(&path).unwrap();
-    for i in 0..pristine.len() {
-        let mut bytes = pristine.clone();
-        bytes[i] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        match global::read(&path) {
-            Err(_) => assert!(i < GLOBAL_MAGIC.len(), "only the magic errors"),
-            Ok(records) => {
-                assert!(
-                    records == log || records.len() < log.len(),
-                    "byte {i}: corrupt read returned {records:?}"
-                );
-                for r in &records {
-                    assert!(log.contains(r), "byte {i}: fabricated record {r:?}");
-                }
-            }
-        }
-    }
-    std::fs::remove_file(&path).unwrap();
 }

@@ -168,3 +168,56 @@ fn orphaned_phase1_epochs_retire_in_one_batch_per_rank() {
     }
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+#[test]
+fn a_corrupt_global_record_fails_the_open_before_any_rank_is_touched() {
+    // Three committed group epochs, then one bit of the *first* commit
+    // record rots. Read as "longest valid prefix" that is an empty log:
+    // `last_committed() == None`, so open-time recovery would take every
+    // rank epoch for a phase-1 orphan and retire epochs 1–3 on every rank —
+    // and the repair pass would truncate the evidence. The open must fail
+    // instead, with the log and every rank exactly as they were.
+    let root = tmpdir("global-rot");
+    let ps = page_size();
+    {
+        let mut group = CheckpointGroup::open_dir(cfg(), &root).unwrap();
+        let mut bufs: Vec<_> = (0..RANKS)
+            .map(|r| {
+                group
+                    .rank(r)
+                    .alloc_protected_named("state", PAGES * ps)
+                    .unwrap()
+            })
+            .collect();
+        for epoch in 1..=3u64 {
+            for (rank, buf) in bufs.iter_mut().enumerate() {
+                buf.as_mut_slice()[..ps].fill(value(rank, 0, epoch));
+            }
+            assert_eq!(group.checkpoint().unwrap(), epoch);
+        }
+    }
+    let global_path = root.join(GLOBAL_MANIFEST_FILE);
+    let mut bytes = std::fs::read(&global_path).unwrap();
+    assert_eq!(bytes.len(), 8 + 3 * 29, "magic + three 29-byte records");
+    bytes[8 + 1] ^= 0x01; // record 1's epoch field
+    std::fs::write(&global_path, &bytes).unwrap();
+
+    let err = CheckpointGroup::open_dir(cfg(), &root)
+        .err()
+        .expect("open over a corrupt global log must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(
+        std::fs::read(&global_path).unwrap(),
+        bytes,
+        "the log is left as found, not truncated to its valid prefix"
+    );
+    for rank in 0..RANKS {
+        let backend = FileBackend::open(rank_dir(&root, rank)).unwrap();
+        assert_eq!(
+            backend.epochs().unwrap(),
+            vec![1, 2, 3],
+            "rank {rank}: no committed epoch was retired"
+        );
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}

@@ -178,10 +178,12 @@ fn epoch_commit_fsyncs_directory() {
         "publishing a segment must fsync the directory (dir_fsyncs {})",
         io.dir_fsyncs
     );
-    // One epoch, one stream: three sync points and no fourth.
+    // One epoch, one stream: three sync points — and, this being the
+    // first commit of a fresh directory, one more directory fsync for the
+    // manifest's own entry.
     assert_eq!(
         (io.segment_fsyncs, io.dir_fsyncs, io.manifest_fsyncs),
-        (1, 1, 1)
+        (1, 2, 1)
     );
     drop(buf);
     drop(mgr);
@@ -324,8 +326,9 @@ fn layout_drains_with_its_epoch_to_the_durable_tier() {
     let io = tiered.io_stats();
     assert_eq!(
         (io.segment_fsyncs, io.dir_fsyncs, io.manifest_fsyncs),
-        (2, 2, 2),
-        "two drained epochs, three sync points each"
+        (2, 3, 2),
+        "two drained epochs, three sync points each, plus the fresh \
+         directory's first-commit fsync of the manifest entry"
     );
     drop(tiered); // the fast tier dies with the process
     let slow: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());

@@ -639,7 +639,7 @@ pub struct SimOutcome {
     /// Total storage requests served.
     pub storage_requests: u64,
     /// Total payload bytes moved to storage (post clean-dirty filtering,
-    /// post compression — the flushed-byte metric of `ablation_content`).
+    /// post compression).
     pub storage_bytes: u64,
 }
 

@@ -16,8 +16,6 @@
 //! * [`cluster`] — barrier-coupled ranks with per-rank engines and
 //!   flushers, and the event loop;
 //! * [`experiment`] — strategy comparisons and the paper's metrics;
-//! * [`tenants`] — multi-tenant drain arbitration model (the service
-//!   crate's shared maintenance worker as a queueing system);
 //! * [`levels`] — the resilience policy's level cascade as a pipeline of
 //!   leaky buckets (drain lag vs level-bandwidth ratio, degraded-read
 //!   pricing);
@@ -38,7 +36,6 @@ pub mod report;
 pub mod stencil;
 pub mod storage;
 pub mod synthetic;
-pub mod tenants;
 pub mod time;
 
 pub use app::AppModel;
@@ -50,7 +47,6 @@ pub use report::Table;
 pub use stencil::{StencilApp, StencilConfig};
 pub use storage::{Routing, ServiceParams, StorageModel, TierParams};
 pub use synthetic::{Pattern, SyntheticApp};
-pub use tenants::{simulate_drain, DrainSimConfig, TenantDrainStats, TenantLoad};
 pub use time::SimTime;
 
 // Re-export the engine vocabulary the strategies are configured with.

@@ -111,7 +111,7 @@ pub struct StorageModel {
     requests: u64,
     /// Total payload bytes moved through the service points (diagnostics:
     /// with a content-aware flusher this is the *post-filter, post-
-    /// compression* traffic, the quantity `ablation_content` sweeps).
+    /// compression* traffic).
     bytes_served: u64,
     /// Deterministic stream for routing hashes and service jitter.
     rng: SplitMix64,

@@ -7,7 +7,8 @@
 //! Layout inside the checkpoint directory:
 //!
 //! ```text
-//! MANIFEST                  append-only commit log (see `manifest`)
+//! MANIFEST                  the commit log: `AICKMAN3` records (see
+//!                           `manifest`) in the one log format (see `log`)
 //! epoch_0000000001.seg      page records of checkpoint 1 (stream shard 0)
 //! epoch_0000000001.s1.seg   further stream shards of the same epoch,
 //!                           created only under committer-stream contention
@@ -91,11 +92,13 @@
 //! after their batch's write succeeded, so a torn batch never reaches it)
 //! and fsynced exactly once — fsyncs per epoch equal the shards actually
 //! created (= 1 per active stream, 1 total when serial), never the batch
-//! count — and then the single manifest record commits the epoch. The
-//! manifest record's `records` count is the total across shards; every
-//! reader sums the shards' record counts and cross-checks that total, so a
-//! missing shard or torn segment fails restore loudly instead of silently
-//! dropping pages.
+//! count — then the directory is fsynced (the shard files' entries) and
+//! the single manifest record commits the epoch; the very first commit of
+//! a fresh directory pays one more directory fsync, for the manifest's own
+//! entry (see `log::append`). The manifest record's `records` count is the
+//! total across shards; every reader sums the shards' record counts and
+//! cross-checks that total, so a missing shard or torn segment fails
+//! restore loudly instead of silently dropping pages.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -111,6 +114,7 @@ use crate::backend::{is_page, ChainEntry, EpochKind, EpochWriter, StorageBackend
 use crate::checksum::{crc64, crc64_update};
 use crate::codec::{self, Compression, Encoding};
 use crate::io::{preadv_exact, pwritev_full, AlignedBuf, IoCounters, IoStats};
+use crate::log;
 use crate::manifest::{self, ManifestRecord, RecordKind};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
@@ -136,9 +140,8 @@ const TRAILER_ENTRY_LEN: usize = 16;
 /// Length of the trailer's fixed footer (count, CRC, magic).
 const TRAILER_FOOTER_LEN: usize = 24;
 
-/// Upper bound (and default) on per-epoch stream shard files. Shards are
-/// created lazily under actual contention, so a high default costs a
-/// serial workload nothing.
+/// Per-epoch stream shard slots. Shard files are created lazily under
+/// actual contention, so a serial workload only ever sees shard 0.
 pub const MAX_STREAM_SHARDS: usize = 8;
 
 #[derive(Debug, Default)]
@@ -179,7 +182,11 @@ impl FileShared {
     /// account for it.
     fn commit(&self, path: &Path, records: &[ManifestRecord]) -> io::Result<()> {
         let _manifest = self.manifest_lock.lock();
-        manifest::append_batch(path, records)?;
+        if log::append(path, records)? {
+            // First commit of a fresh directory: creating the log fsynced
+            // the directory once more, for the manifest's own entry.
+            self.io.dir_fsyncs.fetch_add(1, Ordering::Relaxed);
+        }
         self.io
             .manifest_appends
             .fetch_add(records.len() as u64, Ordering::Relaxed);
@@ -211,9 +218,6 @@ pub struct FileBackend {
     /// Per-record payload encoding policy for new segments (v2 framing
     /// either way; see the module docs).
     pub compression: Compression,
-    /// Shard-slot count per epoch session (1 = the pre-shard single-file
-    /// layout, always serialised).
-    stream_shards: usize,
 }
 
 /// Where one record's stored payload lives during batch staging.
@@ -367,7 +371,6 @@ impl FileBackend {
             shared: Arc::new(FileShared::default()),
             sync_on_finish: true,
             compression: Compression::default(),
-            stream_shards: MAX_STREAM_SHARDS,
         };
         // One manifest read seeds both the orphan sweep and the cached
         // high-water mark; `begin_epoch` never reads the manifest again.
@@ -382,14 +385,6 @@ impl FileBackend {
     /// Set the payload-encoding policy for subsequently written segments.
     pub fn with_compression(mut self, compression: Compression) -> Self {
         self.compression = compression;
-        self
-    }
-
-    /// Cap the per-epoch stream shard count (clamped to
-    /// `1..=MAX_STREAM_SHARDS`; 1 reproduces the serialized single-file
-    /// writer, useful as an ablation baseline).
-    pub fn with_stream_shards(mut self, shards: usize) -> Self {
-        self.stream_shards = shards.clamp(1, MAX_STREAM_SHARDS);
         self
     }
 
@@ -417,7 +412,7 @@ impl FileBackend {
     }
 
     fn manifest_records(&self) -> io::Result<Vec<ManifestRecord>> {
-        manifest::read(&self.manifest_path())
+        log::read(&self.manifest_path())
     }
 
     /// The live chain as full manifest records (commit counts included).
@@ -733,9 +728,9 @@ impl FileBackend {
         })();
         match open_or_err {
             Ok(shard0) => {
-                let mut slots = Vec::with_capacity(self.stream_shards);
+                let mut slots = Vec::with_capacity(MAX_STREAM_SHARDS);
                 slots.push(Mutex::new(Some(shard0)));
-                for _ in 1..self.stream_shards {
+                for _ in 1..MAX_STREAM_SHARDS {
                     slots.push(Mutex::new(None));
                 }
                 Ok(FileEpochWriter {
@@ -1605,45 +1600,39 @@ pub fn corrupt_segment_region(dir: &Path, epoch: u64, region: SegmentRegion) -> 
     )
 }
 
-/// Flip one byte of the committed record-count field of `epoch`'s latest
-/// manifest record — at-rest damage to the commit log itself rather than
-/// to a segment, which `verify_epoch` reports as a structural
-/// manifest↔segment disagreement and `repair_epoch` heals by recounting.
+/// Rewrite the manifest so `epoch`'s latest commit record carries a wrong
+/// record count under a *valid* CRC — a miscounted commit rather than rot,
+/// which `verify_epoch` reports as a structural manifest↔segment
+/// disagreement and `repair_epoch` heals by recounting. (Rot of the log's
+/// own bytes is [`corrupt_manifest_byte`].)
 pub fn corrupt_manifest_count(dir: &Path, epoch: u64) -> io::Result<()> {
-    let mut f = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(dir.join(MANIFEST_FILE))?;
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic)?;
-    if &magic != manifest::MANIFEST_MAGIC_V2 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "manifest is not version 2",
-        ));
-    }
-    let len = f.metadata()?.len();
-    const REC: u64 = 33;
-    let mut latest: Option<u64> = None;
-    let mut off = 8u64;
-    while off + REC <= len {
-        let mut rec = [0u8; REC as usize];
-        f.read_exact_at(&mut rec, off)?;
-        // Wire layout: [0]=kind (2 = retirement), [1..9]=epoch LE,
-        // [9..17]=records LE. The latest non-retirement record for the
-        // epoch is the one the folded view serves.
-        if u64::from_le_bytes(rec[1..9].try_into().unwrap()) == epoch && rec[0] != 2 {
-            latest = Some(off);
-        }
-        off += REC;
-    }
-    let off = latest.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no manifest record for epoch {epoch}"),
-        )
-    })?;
-    flip_byte_at(&mut f, off + 9)
+    let path = dir.join(MANIFEST_FILE);
+    let mut records: Vec<ManifestRecord> = log::read(&path)?;
+    // The latest non-retirement record for the epoch is the one the folded
+    // view serves.
+    let target = records
+        .iter_mut()
+        .rev()
+        .find(|r| r.epoch == epoch && r.kind != RecordKind::CompactedInto)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no manifest record for epoch {epoch}"),
+            )
+        })?;
+    target.records ^= 0xFF;
+    fs::remove_file(&path)?;
+    log::append(&path, &records).map(drop)
+}
+
+/// Flip the manifest byte at `offset` (magic included) — at-rest rot of
+/// the commit log itself, which no record CRC survives.
+pub fn corrupt_manifest_byte(dir: &Path, offset: u64) -> io::Result<()> {
+    let path = dir.join(MANIFEST_FILE);
+    flip_byte_at(
+        &mut OpenOptions::new().read(true).write(true).open(path)?,
+        offset,
+    )
 }
 
 #[cfg(test)]
@@ -2316,9 +2305,15 @@ mod tests {
             write_epoch(&b, epoch, vec![(0, vec![epoch as u8; 64])]).unwrap();
             let after = b.io_stats();
             // One sync point each: the new segment's directory entry is
-            // durable before the manifest names the epoch.
+            // durable before the manifest names the epoch. A fresh
+            // directory's first commit also creates the manifest, whose
+            // own entry costs one more directory fsync — or the commit
+            // would return `Ok` behind a name a power loss can drop.
             assert_eq!(after.segment_fsyncs - before.segment_fsyncs, 1);
-            assert_eq!(after.dir_fsyncs - before.dir_fsyncs, 1);
+            assert_eq!(
+                after.dir_fsyncs - before.dir_fsyncs,
+                if epoch == 1 { 2 } else { 1 }
+            );
             assert_eq!(after.manifest_fsyncs - before.manifest_fsyncs, 1);
         }
         // Nothing but the manifest and the segments lives in the directory.

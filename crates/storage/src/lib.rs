@@ -27,7 +27,11 @@
 //! * [`io`] — the vectored zero-copy write engine: a partial-write-safe
 //!   `pwritev` wrapper, reusable aligned staging buffers and syscall-level
 //!   I/O counters surfaced as [`IoStats`];
-//! * [`manifest`] / [`checksum`] — the commit log and integrity primitives;
+//! * [`log`] — the one CRC'd commit log (create, append, tear-vs-corruption
+//!   rule) that the file backend's `MANIFEST` and the group coordinator's
+//!   `GLOBAL` are both schemas of;
+//! * [`manifest`] / [`checksum`] — the `AICKMAN3` record schema and the
+//!   integrity primitives;
 //! * [`codec`] — per-record payload encodings (raw / RLE / vendored LZ)
 //!   for `AICKSEG3` segments, CRC-verified over the uncompressed bytes;
 //! * [`image`] — latest-wins reference replay, starting from the newest
@@ -63,6 +67,7 @@ pub mod file;
 pub mod image;
 pub mod io;
 pub mod locator;
+pub mod log;
 pub mod manifest;
 pub mod memory;
 pub mod namespace;
@@ -83,7 +88,10 @@ pub use checksum::{crc64, crc64_update};
 pub use codec::{Compression, Encoding};
 pub use errors::{classify, FaultClass, RetryPolicy};
 pub use failing::{FailingBackend, FailureControl, FaultOp};
-pub use file::{corrupt_manifest_count, corrupt_segment_region, FileBackend, SegmentRegion};
+pub use file::{
+    corrupt_manifest_byte, corrupt_manifest_count, corrupt_segment_region, FileBackend,
+    SegmentRegion,
+};
 pub use image::CheckpointImage;
 pub use io::{IoCounters, IoStats};
 pub use locator::PageLocator;

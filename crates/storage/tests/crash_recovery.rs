@@ -15,7 +15,10 @@ use std::fs::{self, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use ai_ckpt_storage::{write_epoch, CheckpointImage, FileBackend, PageLocator, StorageBackend};
+use ai_ckpt_storage::{
+    corrupt_manifest_byte, log, write_epoch, CheckpointImage, FileBackend, ManifestRecord,
+    PageLocator, StorageBackend,
+};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -69,7 +72,7 @@ fn truncated_manifest_restores_the_surviving_prefix() {
     populate(&dir, 5);
     let manifest = dir.join("MANIFEST");
     let full_len = fs::metadata(&manifest).unwrap().len();
-    // Chop the manifest mid-record: epoch 5's commit (v2 records are 33
+    // Chop the manifest mid-record: epoch 5's commit (a wire record is 41
     // bytes) loses its last 12 bytes.
     let f = OpenOptions::new().write(true).open(&manifest).unwrap();
     f.set_len(full_len - 12).unwrap();
@@ -387,18 +390,102 @@ fn v1_magics_are_rejected_loudly_never_read_as_empty() {
     assert!(CheckpointImage::load(&b, 2).is_err(), "restore refuses");
     drop(b);
 
-    // A v1 manifest: open, read and append all fail.
+    // A v1 manifest, or the un-CRC'd v2 one: open, read and append all
+    // fail, and nothing in the directory is swept on the way.
     let manifest = dir.join("MANIFEST");
-    stamp_magic(&manifest, b"AICKMAN1");
-    expect(FileBackend::open(&dir).unwrap_err(), "AICKMAN1");
-    expect(
-        ai_ckpt_storage::manifest::read(&manifest).unwrap_err(),
-        "AICKMAN1",
-    );
-    let record = ai_ckpt_storage::ManifestRecord::delta(3, 0, 0);
-    expect(
-        ai_ckpt_storage::manifest::append(&manifest, record).unwrap_err(),
-        "AICKMAN1",
-    );
+    let before = listing(&dir);
+    for old in [b"AICKMAN1", b"AICKMAN2"] {
+        let name = std::str::from_utf8(old).unwrap();
+        stamp_magic(&manifest, old);
+        expect(FileBackend::open(&dir).unwrap_err(), name);
+        expect(log::read::<ManifestRecord>(&manifest).unwrap_err(), name);
+        let record = ManifestRecord::delta(3, 0, 0);
+        expect(log::append(&manifest, &[record]).unwrap_err(), name);
+        assert_eq!(listing(&dir), before, "{name}: nothing swept");
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// File names of `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    snapshot(dir).into_keys().collect()
+}
+
+fn assert_invalid<T>(result: std::io::Result<T>, ctx: &str) {
+    match result {
+        Ok(_) => panic!("{ctx}: succeeded on a corrupt manifest"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{ctx}: {e}"),
+    }
+}
+
+/// Bytes of the manifest magic and of one wire record (33 + CRC).
+const MAGIC: u64 = 8;
+const WIRE: u64 = 41;
+
+#[test]
+fn a_flipped_kind_bit_mid_manifest_fails_the_open_and_sweeps_nothing() {
+    // One bit of record 2's kind byte: `Delta` (0) becomes `CompactedInto`
+    // (2). Without a record CRC that reads as "epoch 2 was retired": the
+    // open succeeds, lists [1, 3], restores a chain with a hole in it as
+    // "latest", verifies clean — and sweeps epoch 2's segment as an orphan.
+    let dir = tmpdir("kind-flip");
+    drop(populate(&dir, 3));
+    let before = listing(&dir);
+    let mut f = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dir.join("MANIFEST"))
+        .unwrap();
+    let kind_at = MAGIC + WIRE;
+    let mut kind = [0u8; 1];
+    f.seek(SeekFrom::Start(kind_at)).unwrap();
+    f.read_exact(&mut kind).unwrap();
+    assert_eq!(kind[0], 0, "record 2 is a delta commit");
+    f.seek(SeekFrom::Start(kind_at)).unwrap();
+    f.write_all(&[2]).unwrap();
+    drop(f);
+    assert_invalid(FileBackend::open(&dir), "open");
+    assert_eq!(listing(&dir), before, "a failed open deletes nothing");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_flipped_manifest_byte_is_loud_or_the_documented_tail_tear() {
+    let dir = tmpdir("flip-all");
+    // A handle opened before the rot: it must not keep serving the chain
+    // from a log it could no longer open.
+    let live = populate(&dir, 3);
+    let before = listing(&dir);
+    let len = fs::metadata(dir.join("MANIFEST")).unwrap().len();
+    assert_eq!(len, MAGIC + 3 * WIRE);
+    for at in 0..len {
+        corrupt_manifest_byte(&dir, at).unwrap();
+        let ctx = format!("byte {at}");
+        if at < MAGIC + 2 * WIRE {
+            // The magic, or a record with a good record after it.
+            assert_invalid(FileBackend::open(&dir), &ctx);
+            assert_eq!(listing(&dir), before, "{ctx}: nothing swept");
+            assert_invalid(live.epochs(), &ctx);
+            assert_invalid(live.chain(), &ctx);
+            assert_invalid(live.read_epoch(3, &mut |_, _| {}), &ctx);
+            assert_invalid(PageLocator::build(&live, 3), &ctx);
+            assert_invalid(CheckpointImage::load(&live, 3), &ctx);
+        } else {
+            // Rot confined to the last record cannot be told from a torn
+            // append of it: epoch 3 "never committed", 1–2 are intact. (On
+            // a copy — the open sweeps epoch 3's now-orphaned segment.)
+            let copy = tmpdir("flip-tail");
+            fs::create_dir_all(&copy).unwrap();
+            for (name, data) in snapshot(&dir) {
+                fs::write(copy.join(name), data).unwrap();
+            }
+            let b = FileBackend::open(&copy).unwrap();
+            assert_eq!(b.epochs().unwrap(), vec![1, 2], "{ctx}");
+            assert_image_matches(&b, 2);
+            fs::remove_dir_all(&copy).unwrap();
+        }
+        corrupt_manifest_byte(&dir, at).unwrap(); // flip it back
+    }
+    assert_image_matches(&live, 3);
     fs::remove_dir_all(&dir).unwrap();
 }

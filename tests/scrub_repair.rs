@@ -28,8 +28,9 @@ use std::sync::Arc;
 use ai_ckpt::{restore_latest, restore_latest_lazy, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    corrupt_manifest_count, corrupt_segment_region, FileBackend, ParityBackend, PolicyBuilder,
-    ReplicatedBackend, ResilienceSpec, SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
+    corrupt_manifest_byte, corrupt_manifest_count, corrupt_segment_region, FileBackend,
+    ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec, SegmentRegion, StorageBackend,
+    TieredBackend, META_RECORD,
 };
 
 const PAGES: usize = 4;
@@ -149,7 +150,14 @@ fn assert_detect_repair_restore(backend: Arc<dyn StorageBackend>, expect: &[u8],
         0,
         "{ctx}: repair left residual damage"
     );
+    drop(mgr);
+    assert_both_restores_serve(&backend, expect, ctx);
+}
 
+/// Both restore doors, each on a fresh manager, return `expect` for the
+/// newest checkpoint.
+fn assert_both_restores_serve(backend: &Arc<dyn StorageBackend>, expect: &[u8], ctx: &str) {
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(backend)).unwrap();
     let eager = restore_latest(&mgr, backend.as_ref()).unwrap().unwrap();
     let buf = &eager.buffers[eager.by_name["state"]];
     assert!(
@@ -159,8 +167,8 @@ fn assert_detect_repair_restore(backend: Arc<dyn StorageBackend>, expect: &[u8],
     drop(eager);
     drop(mgr);
 
-    let fresh = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
-    let mut lazy = restore_latest_lazy(&fresh, Arc::clone(&backend), None)
+    let fresh = PageManager::with_shared_backend(cfg(), Arc::clone(backend)).unwrap();
+    let mut lazy = restore_latest_lazy(&fresh, Arc::clone(backend), None)
         .unwrap()
         .unwrap();
     lazy.wait().unwrap();
@@ -296,6 +304,55 @@ fn unrecoverable_damage_quarantines_and_restores_fail_loudly() {
             "{ctx}: lazy restore error is not the loud quarantine error: {msg}"
         );
     }
+
+    // file/manifest-record: the commit log itself rots, mid-log (record 1
+    // of 2). There is no epoch list left to quarantine anything in — the
+    // scrub pass and both restore doors fail `InvalidData` outright rather
+    // than working from a log that reads shorter than it is.
+    let ctx = "file/manifest-record";
+    let dir = tmpdir("manifest-record");
+    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+    commit(&backend, 0xD4);
+    commit(&backend, 0xD5);
+    corrupt_manifest_byte(&dir, MANIFEST_RECORD_1_EPOCH).unwrap();
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
+    let loud = |result: std::io::Result<()>, door: &str| {
+        let err = result
+            .err()
+            .unwrap_or_else(|| panic!("{ctx}: {door} succeeded over a corrupt manifest"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{ctx}: {err}");
+    };
+    loud(
+        mgr.scrubber().full_pass(backend.as_ref()).map(drop),
+        "scrub",
+    );
+    loud(restore_latest(&mgr, backend.as_ref()).map(drop), "eager");
+    loud(
+        restore_latest_lazy(&mgr, Arc::clone(&backend), None).map(drop),
+        "lazy",
+    );
+}
+
+/// Offset of the first manifest record's epoch field (magic 8 + kind 1).
+const MANIFEST_RECORD_1_EPOCH: u64 = 9;
+
+#[test]
+fn replica_serves_the_newest_epoch_past_a_member_with_a_rotted_manifest() {
+    // The same mid-log manifest rot, but on replica 0 of a `replica*2`
+    // level: every read door of that member fails loudly, so reads fall
+    // through and the restore serves the newest epoch, byte-identical,
+    // from replica 1.
+    let dirs = [tmpdir("manrot-rep0"), tmpdir("manrot-rep1")];
+    let spec = ResilienceSpec::parse("r=replica*2").unwrap();
+    let policy = PolicyBuilder::new(spec)
+        .unwrap()
+        .build(|_, replica| Box::new(FileBackend::open(&dirs[replica]).unwrap()))
+        .unwrap();
+    let backend: Arc<dyn StorageBackend> = Arc::new(policy);
+    commit(&backend, 0xA6);
+    let expect = commit(&backend, 0xA7);
+    corrupt_manifest_byte(&dirs[0], MANIFEST_RECORD_1_EPOCH).unwrap();
+    assert_both_restores_serve(&backend, &expect, "replica*2/manifest-record");
 }
 
 #[test]
@@ -394,16 +451,6 @@ fn assert_detect_repair_restore_clean(backend: Arc<dyn StorageBackend>, expect: 
         stats.corrupt_epochs, 0,
         "{ctx}: background heal left residual damage: {stats:?}"
     );
-    let eager = restore_latest(&mgr, backend.as_ref()).unwrap().unwrap();
-    let buf = &eager.buffers[eager.by_name["state"]];
-    assert!(buf.as_slice() == expect, "{ctx}: eager restore diverged");
-    drop(eager);
     drop(mgr);
-    let fresh = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
-    let mut lazy = restore_latest_lazy(&fresh, Arc::clone(&backend), None)
-        .unwrap()
-        .unwrap();
-    lazy.wait().unwrap();
-    let buf = &lazy.state.buffers[lazy.state.by_name["state"]];
-    assert!(buf.as_slice() == expect, "{ctx}: lazy restore diverged");
+    assert_both_restores_serve(&backend, expect, ctx);
 }
