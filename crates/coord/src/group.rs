@@ -62,7 +62,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ai_ckpt::restore::{restore_at, RestoredState};
-use ai_ckpt::{CkptConfig, CompactionPolicy, DrainPolicy, FlushPool, PageManager};
+use ai_ckpt::{CkptConfig, CompactionPolicy, FlushPool, PageManager};
 use ai_ckpt_storage::{FileBackend, StorageBackend};
 
 use crate::global::{self, GlobalRecord};
@@ -210,7 +210,7 @@ impl CheckpointGroup {
         rank_cfg.epoch_floor = floor;
         // One pool hosts every rank: `committer_streams + 1` threads
         // whatever the rank count. The ranks' handles keep it alive.
-        let pool = FlushPool::new(rank_cfg.committer_streams, DrainPolicy::OldestFirst)?;
+        let pool = FlushPool::new(rank_cfg.committer_streams)?;
         let mut ranks = Vec::with_capacity(cfg.ranks);
         for backend in backends {
             ranks.push(RankCell {

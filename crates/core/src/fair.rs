@@ -1,5 +1,5 @@
 //! Fair multi-tenant drain arbitration: deficit round-robin over per-tenant
-//! backlogs, with an oldest-first baseline for ablation.
+//! backlogs.
 //!
 //! The multi-tenant service commits every tenant's epochs into a fast tier
 //! and drains them to the durable tier from **one** shared maintenance
@@ -10,28 +10,19 @@
 //! calls block on synchronous eviction), while deficit round-robin (DRR,
 //! Shreedhar & Varghese) gives each tenant a byte budget per round so a
 //! light tenant's occasional epoch is drained promptly no matter how deep
-//! the heavy backlog is.
+//! the heavy backlog is. Over a single tenant — a private pool — DRR *is*
+//! FIFO, so there is one policy and no switch.
 //!
-//! [`DrainQueue`] is a pure data structure (no threads, no clocks) so the
-//! runtime service and the discrete-time simulator arbitrate identically.
+//! [`DrainQueue`] is a pure data structure (no threads, no clocks).
 
 use std::collections::{HashMap, VecDeque};
 
-/// Arbitration policy of a [`DrainQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrainPolicy {
-    /// Serve entries strictly in arrival order, regardless of tenant — the
-    /// single-tenant behaviour generalised naively; the ablation baseline.
-    OldestFirst,
-    /// Deficit round-robin over tenant backlogs: each round, a tenant's
-    /// deficit grows by `quantum` bytes and it may serve entries while the
-    /// deficit covers their cost.
-    DeficitRoundRobin {
-        /// Byte budget added per tenant per round. Larger quanta approach
-        /// per-tenant FIFO bursts; smaller quanta interleave more finely.
-        quantum: u64,
-    },
-}
+/// Byte budget a tenant's deficit grows by per round (1 MiB): a few
+/// hundred pages, so one round moves a useful batch per tenant while a
+/// light tenant still waits at most one quantum per heavy neighbour. Costs
+/// far above it are handled by the fast-forward in [`DrainQueue::pop`], so
+/// the value shapes interleaving granularity, never termination.
+pub const QUANTUM: u64 = 1 << 20;
 
 /// One backlog entry handed back by [`DrainQueue::pop`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,80 +35,48 @@ pub struct DrainItem {
     pub cost: u64,
 }
 
-/// Entry as stored: `(item, cost, arrival stamp)`.
-type Entry = (u64, u64, u64);
+/// Entry as stored: `(item, cost)`.
+type Entry = (u64, u64);
 
-/// Multi-tenant drain backlog with pluggable arbitration.
+/// Multi-tenant drain backlog arbitrated by deficit round-robin.
 ///
 /// Entries are pushed per tenant in FIFO order (matching a tiered backend's
-/// internal oldest-first drain) and popped according to the configured
-/// [`DrainPolicy`]. Within one tenant, order is always FIFO; the policy
-/// only decides *which tenant* goes next.
-#[derive(Debug)]
+/// internal oldest-first drain). Within one tenant, order is always FIFO;
+/// the round-robin only decides *which tenant* goes next: each round, a
+/// tenant's deficit grows by [`QUANTUM`] bytes and it may serve entries
+/// while the deficit covers their cost.
+#[derive(Debug, Default)]
 pub struct DrainQueue {
-    policy: DrainPolicy,
     queues: HashMap<u64, VecDeque<Entry>>,
-    /// Tenants with a non-empty queue, in round order (DRR only).
+    /// Tenants with a non-empty queue, in round order.
     ring: VecDeque<u64>,
     deficit: HashMap<u64, u64>,
     /// Tenant whose current front-of-ring visit already received its
     /// quantum (DRR grants once per arrival, not once per pop).
     visit: Option<u64>,
-    next_stamp: u64,
     len: usize,
 }
 
 impl DrainQueue {
-    /// An empty queue arbitrated by `policy`.
-    pub fn new(policy: DrainPolicy) -> Self {
-        Self {
-            policy,
-            queues: HashMap::new(),
-            ring: VecDeque::new(),
-            deficit: HashMap::new(),
-            visit: None,
-            next_stamp: 0,
-            len: 0,
-        }
-    }
-
-    /// The policy this queue arbitrates with.
-    pub fn policy(&self) -> DrainPolicy {
-        self.policy
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Append an entry to `tenant`'s backlog. A zero cost is clamped to 1
     /// so an all-clean epoch cannot starve the round-robin accounting.
     pub fn push(&mut self, tenant: u64, item: u64, cost: u64) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
         let q = self.queues.entry(tenant).or_default();
         if q.is_empty() && !self.ring.contains(&tenant) {
             self.ring.push_back(tenant);
         }
-        q.push_back((item, cost.max(1), stamp));
+        q.push_back((item, cost.max(1)));
         self.len += 1;
     }
 
-    /// Remove and return the next entry per the policy, or `None` when
-    /// every backlog is empty.
+    /// Remove and return the next entry in deficit round-robin order, or
+    /// `None` when every backlog is empty.
     pub fn pop(&mut self) -> Option<DrainItem> {
-        match self.policy {
-            DrainPolicy::OldestFirst => self.pop_oldest(),
-            DrainPolicy::DeficitRoundRobin { quantum } => self.pop_drr(quantum.max(1)),
-        }
-    }
-
-    fn pop_oldest(&mut self) -> Option<DrainItem> {
-        let (&tenant, _) = self
-            .queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .min_by_key(|(_, q)| q.front().map(|&(_, _, s)| s).unwrap_or(u64::MAX))?;
-        self.take_front(tenant)
-    }
-
-    fn pop_drr(&mut self, quantum: u64) -> Option<DrainItem> {
         if self.len == 0 {
             return None;
         }
@@ -129,10 +88,10 @@ impl DrainQueue {
             // the remaining deficit without re-granting, so a tenant that
             // exhausts its budget rotates away instead of monopolising.
             if self.visit != Some(tenant) {
-                *self.deficit.entry(tenant).or_insert(0) += quantum;
+                *self.deficit.entry(tenant).or_insert(0) += QUANTUM;
                 self.visit = Some(tenant);
             }
-            let cost = self.queues[&tenant].front().map(|&(_, c, _)| c)?;
+            let cost = self.queues[&tenant].front().map(|&(_, c)| c)?;
             let deficit = self.deficit.entry(tenant).or_insert(0);
             if *deficit >= cost {
                 *deficit -= cost;
@@ -148,15 +107,15 @@ impl DrainQueue {
                     .ring
                     .iter()
                     .map(|t| {
-                        let c = self.queues[t].front().map(|&(_, c, _)| c).unwrap_or(0);
+                        let c = self.queues[t].front().map(|&(_, c)| c).unwrap_or(0);
                         let d = self.deficit.get(t).copied().unwrap_or(0);
-                        (c.saturating_sub(d)).div_ceil(quantum)
+                        (c.saturating_sub(d)).div_ceil(QUANTUM)
                     })
                     .min()
                     .unwrap_or(1)
                     .max(1);
                 for t in &self.ring {
-                    *self.deficit.entry(*t).or_insert(0) += rounds.saturating_mul(quantum);
+                    *self.deficit.entry(*t).or_insert(0) += rounds.saturating_mul(QUANTUM);
                 }
                 rotations = 0;
             }
@@ -165,7 +124,7 @@ impl DrainQueue {
 
     fn take_front(&mut self, tenant: u64) -> Option<DrainItem> {
         let q = self.queues.get_mut(&tenant)?;
-        let (item, cost, _) = q.pop_front()?;
+        let (item, cost) = q.pop_front()?;
         self.len -= 1;
         if q.is_empty() {
             self.queues.remove(&tenant);
@@ -214,29 +173,15 @@ mod tests {
     }
 
     #[test]
-    fn oldest_first_is_arrival_order_across_tenants() {
-        let mut q = DrainQueue::new(DrainPolicy::OldestFirst);
-        q.push(1, 10, 100);
-        q.push(2, 20, 100);
-        q.push(1, 11, 100);
-        q.push(3, 30, 100);
-        assert_eq!(
-            drain_order(&mut q),
-            vec![(1, 10), (2, 20), (1, 11), (3, 30)]
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn drr_interleaves_a_heavy_backlog_with_light_tenants() {
-        let mut q = DrainQueue::new(DrainPolicy::DeficitRoundRobin { quantum: 100 });
+        let mut q = DrainQueue::new();
         // Heavy tenant arrives first with a deep backlog...
         for i in 0..8 {
-            q.push(0, i, 100);
+            q.push(0, i, QUANTUM);
         }
         // ...then two light tenants with one entry each.
-        q.push(1, 100, 100);
-        q.push(2, 200, 100);
+        q.push(1, 100, QUANTUM);
+        q.push(2, 200, QUANTUM);
         let order = drain_order(&mut q);
         let light1 = order.iter().position(|&(t, _)| t == 1).unwrap();
         let light2 = order.iter().position(|&(t, _)| t == 2).unwrap();
@@ -251,12 +196,12 @@ mod tests {
     fn drr_shares_bytes_not_entry_counts() {
         // Tenant 0 queues big entries, tenant 1 small ones: per round,
         // tenant 1 should serve ~4x as many entries.
-        let mut q = DrainQueue::new(DrainPolicy::DeficitRoundRobin { quantum: 400 });
+        let mut q = DrainQueue::new();
         for i in 0..4 {
-            q.push(0, i, 400);
+            q.push(0, i, QUANTUM);
         }
         for i in 0..16 {
-            q.push(1, i, 100);
+            q.push(1, i, QUANTUM / 4);
         }
         let order = drain_order(&mut q);
         let first_8: Vec<u64> = order[..8].iter().map(|&(t, _)| t).collect();
@@ -270,9 +215,9 @@ mod tests {
 
     #[test]
     fn drr_fast_forwards_when_costs_exceed_the_quantum() {
-        let mut q = DrainQueue::new(DrainPolicy::DeficitRoundRobin { quantum: 1 });
-        q.push(7, 1, 1_000_000);
-        q.push(8, 2, 500_000);
+        let mut q = DrainQueue::new();
+        q.push(7, 1, 1_000_000 * QUANTUM);
+        q.push(8, 2, 500_000 * QUANTUM);
         // Must terminate promptly despite costs ≫ quantum (fast-forward).
         let order = drain_order(&mut q);
         assert_eq!(order.len(), 2);
@@ -281,7 +226,7 @@ mod tests {
 
     #[test]
     fn zero_cost_entries_are_clamped_and_within_tenant_order_is_fifo() {
-        let mut q = DrainQueue::new(DrainPolicy::DeficitRoundRobin { quantum: 10 });
+        let mut q = DrainQueue::new();
         q.push(1, 1, 0);
         q.push(1, 2, 0);
         q.push(1, 3, 0);
@@ -291,7 +236,7 @@ mod tests {
 
     #[test]
     fn remove_tenant_drops_its_backlog_and_deficit() {
-        let mut q = DrainQueue::new(DrainPolicy::DeficitRoundRobin { quantum: 10 });
+        let mut q = DrainQueue::new();
         q.push(1, 1, 10);
         q.push(2, 2, 10);
         q.push(1, 3, 10);

@@ -71,7 +71,7 @@ pub mod stats;
 pub use config::EngineConfig;
 pub use cow::{CowSlab, CowSlotStore};
 pub use engine::{EngineError, EpochEngine, WriteOutcome};
-pub use fair::{DrainItem, DrainPolicy, DrainQueue};
+pub use fair::{DrainItem, DrainQueue};
 pub use hist::{LatencyHistogram, LatencySnapshot};
 pub use history::{EpochHistory, EpochRecord};
 pub use page::{AccessType, FlushItem, FlushSource, PageId, PageState, StateTable, NO_SLOT};

@@ -39,8 +39,9 @@
 //! One low-priority worker serves every tenant. Each finalised epoch (and
 //! each [`PageManager::wait_maintenance_idle`] call) marks its tenant due
 //! and kicks the worker; a cycle first drains tier backlogs in the pool's
-//! [`DrainPolicy`] order (committed epochs queue with their byte cost, so a
-//! shared pool can share drain bandwidth fairly), then for every due tenant
+//! [`DrainQueue`] order (committed epochs queue with their byte cost, so a
+//! shared pool shares drain bandwidth fairly; over one tenant it is plain
+//! FIFO), then for every due tenant
 //! settles what is left of its backlog, folds its chain if its
 //! [`CompactionPolicy`] fires and advances its integrity scrub one paced
 //! step. Errors are counted and retried after a backoff, never fatal: a
@@ -58,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use ai_ckpt_core::{DrainPolicy, DrainQueue};
+use ai_ckpt_core::DrainQueue;
 use ai_ckpt_storage::{RetryPolicy, Scrubber, StorageBackend};
 
 use crate::config::{CkptConfig, CompactionPolicy};
@@ -641,9 +642,9 @@ pub struct FlushPool {
 
 impl FlushPool {
     /// Spawn `workers` flush workers (at least one) and the maintenance
-    /// worker, whose shared tier drain is arbitrated by `drain`. No further
-    /// threads are ever created, however many managers attach.
-    pub fn new(workers: usize, drain: DrainPolicy) -> io::Result<Arc<Self>> {
+    /// worker. No further threads are ever created, however many managers
+    /// attach.
+    pub fn new(workers: usize) -> io::Result<Arc<Self>> {
         let workers = workers.max(1);
         let inner = Arc::new(PoolInner {
             workers,
@@ -652,7 +653,7 @@ impl FlushPool {
             sched: Mutex::new(Sched::default()),
             work: Condvar::new(),
             maint: Mutex::new(MaintState {
-                queue: DrainQueue::new(drain),
+                queue: DrainQueue::new(),
                 kicks: 0,
                 served: 0,
                 shutdown: false,

@@ -3,7 +3,7 @@
 
 use ai_ckpt_core::SchedulerKind;
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::{ChainEntry, EpochKind, RetryPolicy, ScrubPolicy};
+use ai_ckpt_storage::{ChainEntry, RetryPolicy, ScrubPolicy};
 
 /// How `CHECKPOINT` behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,51 +21,34 @@ pub enum CkptMode {
 ///
 /// An incremental chain grows one segment per checkpoint; without bounds,
 /// restore replays the job's entire history. The maintenance worker
-/// compacts the committed chain into a single full segment whenever either
-/// trigger fires, so on-disk segment count stays ≤ `max_chain_len` (+ the
+/// compacts the committed chain into a single full segment whenever it
+/// outgrows the bound, so on-disk segment count stays ≤ `max_chain_len` (+ the
 /// epochs committed while a fold is in flight) and restore replays at most
 /// that many segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompactionPolicy {
     /// Fold when the live chain exceeds this many segments (0 = never).
     pub max_chain_len: usize,
-    /// Fold when more than this many epochs accumulated since the newest
-    /// full segment (0 = never). Subsumed by `max_chain_len` unless
-    /// segments are also retired by tier draining.
-    pub full_every_n: usize,
 }
 
 impl CompactionPolicy {
     /// No automatic compaction (the pre-compaction behaviour).
-    pub const DISABLED: Self = Self {
-        max_chain_len: 0,
-        full_every_n: 0,
-    };
+    pub const DISABLED: Self = Self { max_chain_len: 0 };
 
     /// Keep the live chain at or below `len` segments.
     pub fn chain_len(len: usize) -> Self {
-        Self {
-            max_chain_len: len,
-            full_every_n: 0,
-        }
+        Self { max_chain_len: len }
     }
 
-    /// True when neither trigger can ever fire.
+    /// True when the trigger can never fire.
     pub fn is_disabled(&self) -> bool {
-        self.max_chain_len == 0 && self.full_every_n == 0
+        self.max_chain_len == 0
     }
 
     /// True when `chain` (a backend's live chain, ascending) should be
-    /// folded: it is longer than `max_chain_len`, or a restore of its head
-    /// would replay `full_every_n` or more segments past the newest full one.
+    /// folded: it is longer than `max_chain_len`.
     pub fn is_due(&self, chain: &[ChainEntry]) -> bool {
-        let since_full = chain
-            .iter()
-            .rev()
-            .take_while(|c| c.kind != EpochKind::Full)
-            .count();
-        (self.max_chain_len > 0 && chain.len() > self.max_chain_len)
-            || (self.full_every_n > 0 && since_full >= self.full_every_n)
+        self.max_chain_len > 0 && chain.len() > self.max_chain_len
     }
 }
 

@@ -81,5 +81,5 @@ pub use stats::{CheckpointRecord, MaintenanceStats, RuntimeStats};
 
 // Re-export the vocabulary types users need alongside the runtime.
 pub use ai_ckpt_core::{
-    AccessType, CheckpointPlanInfo, DrainPolicy, EpochStats, LatencySnapshot, SchedulerKind,
+    AccessType, CheckpointPlanInfo, EpochStats, LatencySnapshot, SchedulerKind,
 };

@@ -65,9 +65,8 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use ai_ckpt_core::{
-    CheckpointPlanInfo, CowSlotStore, DrainPolicy, EngineConfig, EpochEngine, FlushItem,
-    FlushSource, LatencyHistogram, PageId, PageState, SpinGuard, SpinLock, StateTable,
-    WriteOutcome,
+    CheckpointPlanInfo, CowSlotStore, EngineConfig, EpochEngine, FlushItem, FlushSource,
+    LatencyHistogram, PageId, PageState, SpinGuard, SpinLock, StateTable, WriteOutcome,
 };
 use ai_ckpt_mem::{page_size, registry, sigsegv, MappedRegion, Protection, RegionHit};
 use ai_ckpt_storage::{crc64, EpochWriter, Scrubber, StorageBackend, META_RECORD};
@@ -539,11 +538,7 @@ impl PageManager {
         cfg: CkptConfig,
         backend: Arc<dyn StorageBackend>,
     ) -> io::Result<Self> {
-        FlushPool::new(cfg.committer_streams, DrainPolicy::OldestFirst)?.attach(
-            cfg,
-            backend,
-            Arc::new(()),
-        )
+        FlushPool::new(cfg.committer_streams)?.attach(cfg, backend, Arc::new(()))
     }
 
     /// The manager half of [`FlushPool::attach`].

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ai_ckpt::{CkptConfig, DrainPolicy, FlushPool, TenantHook};
+use ai_ckpt::{CkptConfig, FlushPool, TenantHook};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{is_page, EpochWriter, MemoryBackend, StorageBackend};
 
@@ -40,7 +40,7 @@ impl TenantHook for Gate {
 #[test]
 fn buffer_drop_that_ends_a_checkpoint_wakes_the_finaliser() {
     let (mem, view) = MemoryBackend::shared();
-    let pool = FlushPool::new(2, DrainPolicy::OldestFirst).unwrap();
+    let pool = FlushPool::new(2).unwrap();
     let gate = Arc::new(Gate::default());
     let mgr = pool
         .attach(cfg(), Arc::new(mem), Arc::clone(&gate) as _)
@@ -104,7 +104,7 @@ fn checkpoint_that_ends_before_its_epoch_opens_is_finalised() {
         inner: mem,
         hold: Arc::clone(&hold),
     };
-    let pool = FlushPool::new(1, DrainPolicy::OldestFirst).unwrap();
+    let pool = FlushPool::new(1).unwrap();
     let gate = Arc::new(Gate::default());
     gate.closed.store(true, Ordering::Release);
     let mgr = pool.attach(cfg(), Arc::new(backend), gate).unwrap();
@@ -122,7 +122,7 @@ fn checkpoint_that_ends_before_its_epoch_opens_is_finalised() {
 /// worker slot and counts its own pages only.
 #[test]
 fn per_manager_stream_counters_on_a_shared_pool() {
-    let pool = FlushPool::new(3, DrainPolicy::OldestFirst).unwrap();
+    let pool = FlushPool::new(3).unwrap();
     let ps = page_size();
     let managers: Vec<_> = (0..2)
         .map(|_| {
@@ -169,7 +169,7 @@ fn late_drop_notice_never_finalises_the_next_checkpoint() {
     const STATE_PAGES: usize = 8;
     const SCRATCH_PAGES: usize = 100_000;
     let ps = page_size();
-    let pool = FlushPool::new(2, DrainPolicy::OldestFirst).unwrap();
+    let pool = FlushPool::new(2).unwrap();
     let waker = pool
         .attach(cfg(), Arc::new(MemoryBackend::new()), Arc::new(()))
         .unwrap();

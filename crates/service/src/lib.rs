@@ -13,10 +13,11 @@
 //! does not know about, entering the pool through one
 //! [`TenantHook`](ai_ckpt::TenantHook) per tenant:
 //!
-//! - **Fair drain arbitration** — committed epochs queue into an
-//!   [`ai_ckpt_core::DrainQueue`] and move to the durable tier in
-//!   [`DrainPolicy`] order (deficit round-robin by default), so one
-//!   tenant's burst cannot starve the others' tier drains.
+//! - **Fair drain arbitration** — committed epochs queue into the pool's
+//!   [`ai_ckpt_core::DrainQueue`] and move to the durable tier in deficit
+//!   round-robin order, so one tenant's burst cannot starve the others'
+//!   tier drains. (The runtime's mechanism; listed here because only a
+//!   shared pool has more than one tenant for it to arbitrate.)
 //! - **Per-tenant quotas** ([`TenantQuota`]) — page/byte storage caps
 //!   enforced at admission and at claim time, plus a token-bucket flush
 //!   bandwidth governor.
@@ -38,9 +39,6 @@ mod stats;
 pub use quota::TenantQuota;
 pub use service::{CkptService, ServiceConfig};
 pub use stats::{ServiceStats, TenantStats};
-
-// Policy types that appear in this crate's API surface.
-pub use ai_ckpt_core::{DrainPolicy, DrainQueue};
 
 use std::path::{Path, PathBuf};
 

@@ -18,11 +18,10 @@
 //!
 //! # Fair drain arbitration
 //!
-//! Tiered backends accumulate a committed-but-undrained backlog. A private
-//! pool drains its one tenant oldest-first; a shared worker doing that
-//! would let one tenant's burst starve everyone else's tier. The service
-//! builds its pool with the configured [`DrainPolicy`] — deficit
-//! round-robin by default — so tenants share drain bandwidth by bytes
+//! Tiered backends accumulate a committed-but-undrained backlog. A shared
+//! worker draining it in arrival order would let one tenant's burst starve
+//! everyone else's tier, so the pool's drain queue is deficit round-robin
+//! ([`ai_ckpt_core::fair`]): tenants share drain bandwidth by bytes
 //! committed, not by arrival order.
 //!
 //! # Quotas
@@ -43,28 +42,23 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use ai_ckpt::{CkptConfig, FlushPool, PageManager, TenantHook};
-use ai_ckpt_core::DrainPolicy;
 use ai_ckpt_storage::{PolicyBackend, StorageBackend};
 
 use crate::quota::{TenantQuota, TokenBucket};
 use crate::stats::{ServiceStats, TenantStats};
 
-/// Service-wide tuning: pool width and drain arbitration policy.
+/// Service-wide tuning: the pool width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Shared flush workers. Defaults to the standalone default stream
     /// count (`min(4, cores)`), clamped to at least 1.
     pub workers: usize,
-    /// Arbitration order for the shared tier-drain backlog. Defaults to
-    /// deficit round-robin with a 1 MiB quantum.
-    pub drain: DrainPolicy,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             workers: ai_ckpt::config::default_committer_streams(),
-            drain: DrainPolicy::DeficitRoundRobin { quantum: 1 << 20 },
         }
     }
 }
@@ -205,7 +199,7 @@ impl CkptService {
     /// how many tenants attach.
     pub fn new(cfg: ServiceConfig) -> Self {
         Self {
-            pool: FlushPool::new(cfg.workers, cfg.drain).expect("spawn service pool threads"),
+            pool: FlushPool::new(cfg.workers).expect("spawn service pool threads"),
             tenants: Mutex::new(BTreeMap::new()),
             counters: Arc::new(Counters::default()),
         }

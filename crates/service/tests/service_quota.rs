@@ -165,10 +165,7 @@ fn buffer_drop_under_bandwidth_debt_settles_before_detach() {
     let root = MemoryRoot::new();
     // One worker: claim-then-debt lets concurrent workers each take a
     // batch before the first charge lands.
-    let svc = CkptService::new(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    });
+    let svc = CkptService::new(ServiceConfig { workers: 1 });
     let ps = page_size();
     let backend = root.open("debtor");
     // One byte per second: the first claim rides on a zero balance, then

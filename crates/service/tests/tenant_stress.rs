@@ -31,10 +31,7 @@ fn tenant_cfg() -> CkptConfig {
 #[test]
 fn stress_128_skewed_tenants_share_one_pool() {
     let root = MemoryRoot::new();
-    let svc = CkptService::new(ServiceConfig {
-        workers: 4,
-        ..ServiceConfig::default()
-    });
+    let svc = CkptService::new(ServiceConfig { workers: 4 });
 
     let threads_with_service = thread_count();
 

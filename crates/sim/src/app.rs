@@ -58,23 +58,6 @@ pub trait AppModel: Send {
     /// Default: stable pattern.
     fn reseed_epoch(&mut self, _epoch: u64) {}
 
-    /// Content model: is `page`'s first write of `epoch` *clean-dirty* —
-    /// faulted, but byte-identical to its last committed version (stores of
-    /// the same value, page-granularity false sharing)? A content-aware
-    /// flusher (`CkptConfig::content_filter` in the real runtime) drops
-    /// such pages before any I/O. Default: never (the byte-oblivious
-    /// model).
-    fn page_clean(&self, _page: PageId, _epoch: u64) -> bool {
-        false
-    }
-
-    /// Content model: bytes a flush of `page` actually moves after payload
-    /// encoding (`AICKSEG3` compression). Default: the full page
-    /// (incompressible content).
-    fn flush_bytes(&self, _page: PageId) -> u64 {
-        self.page_bytes() as u64
-    }
-
     /// Total bytes touched per iteration (diagnostics).
     fn touched_bytes(&self) -> u64 {
         self.touch_order().len() as u64 * self.page_bytes() as u64

@@ -171,10 +171,6 @@ pub struct RankStats {
     pub writes: u64,
     /// Total time spent blocked on pages.
     pub wait_ns: u64,
-    /// Clean-dirty pages the content-aware flusher dropped without any
-    /// storage request (zero unless the app model declares a clean
-    /// fraction).
-    pub pages_skipped_clean: u64,
     /// (start, end) of every checkpoint flush.
     pub checkpoints: Vec<(SimTime, SimTime)>,
     /// Closed epoch statistics (epoch k = interference while checkpoint k
@@ -332,7 +328,6 @@ impl Cluster {
             completion,
             ranks: self.ranks.into_iter().map(|r| r.stats).collect(),
             storage_requests: self.storage.requests(),
-            storage_bytes: self.storage.bytes_served(),
         }
     }
 
@@ -530,12 +525,6 @@ impl Cluster {
 
     /// Top up rank `r`'s committer streams: issue one storage request per
     /// idle stream while the engine still yields selectable pages.
-    ///
-    /// Content awareness: a page the app model declares clean-dirty for
-    /// this epoch completes immediately with no storage request (the real
-    /// committer's digest filter), and a written page moves
-    /// [`AppModel::flush_bytes`] — not the raw page size — through the
-    /// storage fabric (payload compression).
     fn issue_flush(&mut self, r: usize, now: SimTime) {
         loop {
             let rank = &mut self.ranks[r];
@@ -548,19 +537,9 @@ impl Cluster {
             let Some(item) = eng.select_next() else {
                 return; // nothing selectable right now
             };
-            let epoch = eng.checkpoints();
             rank.inflight[slot] = Some(item);
-            if rank.app.page_clean(item.page, epoch) {
-                // Dropped before any I/O: the completion is immediate (the
-                // digest comparison is nanoseconds against ms-scale
-                // storage) and goes through the ordinary event path so all
-                // checkpoint-done bookkeeping stays in one place.
-                rank.stats.pages_skipped_clean += 1;
-                self.push(now, Ev::FlushDone(r, slot));
-                continue;
-            }
             let app_running = rank.state == RankState::Running;
-            let bytes = rank.app.flush_bytes(item.page);
+            let bytes = rank.app.page_bytes() as u64;
             let seq = rank.io_seq;
             rank.io_seq += 1;
             let node = rank.node;
@@ -638,9 +617,6 @@ pub struct SimOutcome {
     pub ranks: Vec<RankStats>,
     /// Total storage requests served.
     pub storage_requests: u64,
-    /// Total payload bytes moved to storage (post clean-dirty filtering,
-    /// post compression).
-    pub storage_bytes: u64,
 }
 
 impl SimOutcome {
@@ -826,50 +802,6 @@ mod tests {
             t4 < t1 * 0.6,
             "4 streams must overlap service time: {t4:.6}s vs {t1:.6}s"
         );
-    }
-
-    #[test]
-    fn content_model_shrinks_flushed_bytes_and_requests() {
-        let run = |clean: f64, ratio: f64| {
-            let mut cfg = tiny_cfg(Strategy::AiCkpt);
-            cfg.jitter = 0.0;
-            Cluster::new(cfg, tiny_storage(), move |_r| {
-                Box::new(
-                    SyntheticApp::new(32, 4096, Pattern::Ascending, 2_000, 10_000)
-                        .with_content(clean, ratio),
-                ) as Box<dyn crate::app::AppModel>
-            })
-            .run()
-        };
-        let base = run(0.0, 1.0);
-        assert_eq!(base.storage_bytes, base.storage_requests * 4096);
-        assert!(base.ranks.iter().all(|r| r.pages_skipped_clean == 0));
-
-        // 50% clean-dirty: about half the pages never reach storage.
-        let filtered = run(0.5, 1.0);
-        let skipped: u64 = filtered.ranks.iter().map(|r| r.pages_skipped_clean).sum();
-        assert!(skipped > 0);
-        assert_eq!(
-            filtered.storage_requests + skipped,
-            base.storage_requests,
-            "every scheduled page either flushed or was skipped"
-        );
-        assert!(
-            (filtered.storage_bytes as f64) < base.storage_bytes as f64 * 0.75,
-            "flushed bytes shrink with the clean fraction"
-        );
-
-        // Compression alone: same requests, a quarter of the bytes.
-        let compressed = run(0.0, 0.25);
-        assert_eq!(compressed.storage_requests, base.storage_requests);
-        assert_eq!(compressed.storage_bytes, base.storage_bytes / 4);
-
-        // Both knobs compose, and the run stays deterministic.
-        let both = run(0.5, 0.25);
-        assert!(both.storage_bytes < compressed.storage_bytes);
-        let twin = run(0.5, 0.25);
-        assert_eq!(both.completion, twin.completion);
-        assert_eq!(both.storage_bytes, twin.storage_bytes);
     }
 
     #[test]

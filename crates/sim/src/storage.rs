@@ -109,10 +109,6 @@ pub struct StorageModel {
     pub interference: f64,
     /// Total requests served (diagnostics).
     requests: u64,
-    /// Total payload bytes moved through the service points (diagnostics:
-    /// with a content-aware flusher this is the *post-filter, post-
-    /// compression* traffic).
-    bytes_served: u64,
     /// Deterministic stream for routing hashes and service jitter.
     rng: SplitMix64,
     /// Optional two-tier drain model.
@@ -141,7 +137,6 @@ impl StorageModel {
             client_overhead_ns,
             interference,
             requests: 0,
-            bytes_served: 0,
             rng: SplitMix64::new(0x5707_A6E5_u64),
             tier: None,
             tier_ranks: Vec::new(),
@@ -212,11 +207,6 @@ impl StorageModel {
         self.requests
     }
 
-    /// Payload bytes served so far.
-    pub fn bytes_served(&self) -> u64 {
-        self.bytes_served
-    }
-
     /// Effective client overhead for a rank whose application is currently
     /// computing (`true`) or blocked (`false`).
     pub fn client_overhead(&self, app_running: bool) -> u64 {
@@ -260,7 +250,6 @@ impl StorageModel {
         let done = start + service;
         self.busy_until[s] = done;
         self.requests += 1;
-        self.bytes_served += bytes;
         done
     }
 

@@ -36,14 +36,6 @@ pub struct SyntheticApp {
     page_bytes: usize,
     per_write_ns: u64,
     tail_ns: u64,
-    /// Fraction of first writes that are clean-dirty (same bytes as the
-    /// committed version); deterministic per `(page, epoch)`.
-    clean_fraction: f64,
-    /// Stored-bytes-per-page ratio after payload compression (1.0 =
-    /// incompressible).
-    compress_ratio: f64,
-    /// Seed of the clean-dirty decision stream.
-    content_seed: u64,
 }
 
 impl SyntheticApp {
@@ -67,27 +59,7 @@ impl SyntheticApp {
             page_bytes,
             per_write_ns,
             tail_ns,
-            clean_fraction: 0.0,
-            compress_ratio: 1.0,
-            content_seed: 0x00C7_E7A5,
         }
-    }
-
-    /// Layer a content model on top of the access pattern:
-    /// `clean_fraction` of the dirty set is byte-identical to the committed
-    /// version each epoch (droppable by a content-aware flusher), and the
-    /// pages that *are* written compress to `compress_ratio` of their size.
-    /// Both clamped to sensible ranges (`0..=1`, resp. `> 0..=1`).
-    pub fn with_content(mut self, clean_fraction: f64, compress_ratio: f64) -> Self {
-        self.clean_fraction = clean_fraction.clamp(0.0, 1.0);
-        self.compress_ratio = compress_ratio.clamp(f64::EPSILON, 1.0);
-        self
-    }
-
-    /// Reseed the clean-dirty decision stream (per-rank decorrelation).
-    pub fn with_content_seed(mut self, seed: u64) -> Self {
-        self.content_seed = seed;
-        self
     }
 }
 
@@ -110,24 +82,6 @@ impl AppModel for SyntheticApp {
 
     fn tail_compute_ns(&self) -> u64 {
         self.tail_ns
-    }
-
-    fn page_clean(&self, page: PageId, epoch: u64) -> bool {
-        if self.clean_fraction <= 0.0 {
-            return false;
-        }
-        // One deterministic draw per (page, epoch): independent across both
-        // axes, stable across runs.
-        let mix = self
-            .content_seed
-            .wrapping_add((page as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(epoch.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        SplitMix64::new(mix).next_f64() < self.clean_fraction
-    }
-
-    fn flush_bytes(&self, _page: PageId) -> u64 {
-        ((self.page_bytes as f64 * self.compress_ratio).round() as u64)
-            .clamp(1, self.page_bytes as u64)
     }
 }
 
@@ -153,45 +107,6 @@ mod tests {
         let mut sorted = a.touch_order().to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn content_model_is_deterministic_and_calibrated() {
-        use crate::app::AppModel;
-        let app = SyntheticApp::new(1024, 4096, Pattern::Ascending, 10, 0).with_content(0.5, 0.25);
-        let twin = SyntheticApp::new(1024, 4096, Pattern::Ascending, 10, 0).with_content(0.5, 0.25);
-        let clean: usize = (0..1024)
-            .filter(|&p| app.page_clean(p as PageId, 3))
-            .count();
-        assert!(
-            (410..=615).contains(&clean),
-            "~50% of 1024 pages clean, got {clean}"
-        );
-        for p in 0..1024 {
-            assert_eq!(
-                app.page_clean(p, 7),
-                twin.page_clean(p, 7),
-                "deterministic per (page, epoch)"
-            );
-        }
-        // Decisions vary across epochs (a page is not clean forever).
-        let always_clean = (0..1024u64)
-            .filter(|&p| (0..8).all(|e| app.page_clean(p as PageId, e)))
-            .count();
-        assert!(always_clean < 64, "decisions redraw per epoch");
-        assert_eq!(app.flush_bytes(0), 1024, "4096 * 0.25");
-    }
-
-    #[test]
-    fn content_model_defaults_off() {
-        use crate::app::AppModel;
-        let app = SyntheticApp::new(8, 4096, Pattern::Ascending, 10, 0);
-        assert!((0..8).all(|p| !app.page_clean(p, 1)));
-        assert_eq!(app.flush_bytes(3), 4096);
-        let degenerate =
-            SyntheticApp::new(8, 4096, Pattern::Ascending, 10, 0).with_content(2.0, 0.0);
-        assert!(degenerate.page_clean(0, 1), "fraction clamps to 1");
-        assert_eq!(degenerate.flush_bytes(0), 1, "ratio clamps above zero");
     }
 
     #[test]

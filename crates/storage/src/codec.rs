@@ -21,8 +21,15 @@
 //! [`encode`] never grows a record: it picks the smallest candidate the
 //! [`Compression`] mode allows and falls back to `Raw` otherwise, so the
 //! worst case over incompressible data stores the payload bytes unchanged.
+//!
+//! [`seal`] and [`Sealed::open`] are the one place a payload is sealed
+//! (encode + CRC) and the one place it is opened (decode + CRC check):
+//! the segment frame ([`crate::segment`]) and the in-memory backend both
+//! store a [`Sealed`] next to the stored bytes and nothing else.
 
 use std::io;
+
+use crate::checksum::crc64;
 
 /// Wire value of a record's payload encoding (one byte in the record frame).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,6 +153,52 @@ pub fn decode(enc: Encoding, stored: &[u8], raw_len: usize) -> io::Result<Option
             .map(Some)
             .map_err(|e| corrupt(&e.to_string())),
     }
+}
+
+/// What a stored payload needs to be opened again: how it was encoded, how
+/// long it is uncompressed, and the CRC-64 of those uncompressed bytes.
+/// `enc` is the wire byte as stored — validated by [`Sealed::open`], not
+/// before, so an at-rest flip of it condemns the record when it is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sealed {
+    /// Wire byte of the payload's [`Encoding`].
+    pub enc: u8,
+    /// Uncompressed payload length.
+    pub raw_len: u32,
+    /// CRC-64 over the uncompressed payload.
+    pub crc: u64,
+}
+
+/// Seal one record payload under `mode`: [`encode`] it and checksum the
+/// uncompressed bytes. The `None` payload means "store `data` verbatim".
+pub fn seal(data: &[u8], mode: Compression) -> (Sealed, Option<Vec<u8>>) {
+    let (enc, encoded) = encode(data, mode);
+    let sealed = Sealed {
+        enc: enc as u8,
+        raw_len: u32::try_from(data.len()).expect("record payload under 4 GiB"),
+        crc: crc64(data),
+    };
+    (sealed, encoded)
+}
+
+impl Sealed {
+    /// Open `stored`: [`decode`] it and verify the CRC over the
+    /// uncompressed bytes, so a record that decodes wrongly can never pass.
+    /// `None` means `stored` *is* the verified payload (a raw record crosses
+    /// without a copy). Every failure is `InvalidData`.
+    pub fn open(&self, stored: &[u8]) -> io::Result<Option<Vec<u8>>> {
+        let enc = Encoding::from_u8(self.enc)?;
+        let decoded = decode(enc, stored, self.raw_len as usize)?;
+        if crc64(decoded.as_deref().unwrap_or(stored)) != self.crc {
+            return Err(corrupt("CRC mismatch"));
+        }
+        Ok(decoded)
+    }
+}
+
+/// Name the record a failed [`Sealed::open`] belongs to (for `map_err`).
+pub(crate) fn in_record(epoch: u64, page: u64) -> impl FnOnce(io::Error) -> io::Error {
+    move |e| io::Error::new(e.kind(), format!("page {page} in epoch {epoch}: {e}"))
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Low-level vectored I/O engine behind the [`crate::file`] backend.
+//! Low-level vectored I/O engine behind the [`crate::segment`] writer and reader.
 //!
 //! The write path built on this module is zero-copy for raw payloads: each
 //! page record becomes two iovec entries — a 25-byte frame staged in a
@@ -25,9 +25,11 @@
 //!   re-exports in its `RuntimeStats`.
 
 use std::alloc::{self, Layout};
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::os::unix::io::AsRawFd;
+use std::path::Path;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -149,6 +151,16 @@ pub fn preadv_exact(file: &File, head: &mut [u8], tail: &mut [u8], offset: u64) 
     Ok(())
 }
 
+/// XOR the byte of the file at `path` at `pos` with `0xFF` — the one
+/// at-rest rot injector behind the segment and manifest corruption helpers.
+pub(crate) fn flip_byte_at(path: &Path, pos: u64) -> io::Result<()> {
+    let file = OpenOptions::new().read(true).write(true).open(path)?;
+    let mut b = [0u8; 1];
+    file.read_exact_at(&mut b, pos)?;
+    b[0] ^= 0xFF;
+    file.write_all_at(&b, pos)
+}
+
 /// A growable byte buffer whose allocation is always [`BUF_ALIGN`]-aligned.
 ///
 /// Used as reusable staging for record frames and compressed payloads:
@@ -264,8 +276,9 @@ impl Drop for AlignedBuf {
 /// Shared atomic syscall accounting for one backend (see [`IoStats`]).
 #[derive(Debug, Default)]
 pub struct IoCounters {
-    /// `pwritev` calls issued by the segment write path: one per batch,
-    /// plus one per sealed segment for its trailer.
+    /// `pwritev` calls issued by the segment writer: one per segment
+    /// header, one per batch, one per sealed segment's trailer — delta
+    /// shards and staged images (compaction, rewrite, repair) alike.
     pub vectored_writes: AtomicU64,
     /// Bytes pushed through those calls (frames + payloads + trailers).
     pub write_syscall_bytes: AtomicU64,
@@ -316,8 +329,8 @@ impl IoCounters {
 /// runtime surfaces the backend's snapshot in `RuntimeStats::io`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Vectored (`pwritev`) segment writes issued (batches + one trailer
-    /// per sealed segment).
+    /// Vectored (`pwritev`) segment writes issued (a header, the batches
+    /// and a trailer per segment written, staged images included).
     pub vectored_writes: u64,
     /// Bytes written through them (framing + payload + trailers).
     pub write_syscall_bytes: u64,

@@ -7,10 +7,13 @@
 //!
 //! * [`backend`] — the `StorageBackend` trait (epoch-structured page sink +
 //!   source; an epoch's metadata rides inside it as a reserved record);
-//! * [`file`](mod@file) — POSIX file-system backend: per-epoch segment files with
-//!   CRC-64-protected records and an append-only commit manifest (covers
-//!   both local disks and PVFS-style parallel file systems, which mount as
-//!   directories);
+//! * [`file`](mod@file) — POSIX file-system backend: the commit engine over
+//!   per-epoch segment files and an append-only commit manifest — naming,
+//!   stream shards, group commit, compaction, GC (covers both local disks
+//!   and PVFS-style parallel file systems, which mount as directories);
+//! * [`segment`] — the `AICKSEG3` segment file, owned whole: record
+//!   framing, header and CRC'd trailer, the one vectored zero-copy writer
+//!   and the one record walk;
 //! * [`memory`] — in-RAM reference backend for tests and experiments;
 //! * [`throttle`] — bandwidth/latency emulation (the paper's 55 MB/s SATA
 //!   disks, on modern hardware);
@@ -24,16 +27,18 @@
 //! * [`policy`] — declarative multi-level resilience policies
 //!   (`ResilienceSpec`): local → partner-replica → parity levels with
 //!   async drain, background rebuild and graceful degraded reads;
-//! * [`io`] — the vectored zero-copy write engine: a partial-write-safe
-//!   `pwritev` wrapper, reusable aligned staging buffers and syscall-level
-//!   I/O counters surfaced as [`IoStats`];
+//! * [`io`] — the syscall layer under [`segment`]: a partial-write-safe
+//!   `pwritev` wrapper, its `preadv` twin, reusable aligned staging buffers
+//!   and syscall-level I/O counters surfaced as [`IoStats`];
 //! * [`log`] — the one CRC'd commit log (create, append, tear-vs-corruption
 //!   rule) that the file backend's `MANIFEST` and the group coordinator's
 //!   `GLOBAL` are both schemas of;
 //! * [`manifest`] / [`checksum`] — the `AICKMAN3` record schema and the
 //!   integrity primitives;
 //! * [`codec`] — per-record payload encodings (raw / RLE / vendored LZ)
-//!   for `AICKSEG3` segments, CRC-verified over the uncompressed bytes;
+//!   and the one seal/open pair (encode + CRC over the uncompressed bytes,
+//!   decode + CRC check) that segment records and the in-memory backend
+//!   both go through;
 //! * [`image`] — latest-wins reference replay, starting from the newest
 //!   full (compacted) segment; what tests compare restores against;
 //! * [`locator`] — page→epoch resolution without payload I/O, the index
@@ -76,6 +81,7 @@ pub mod parity;
 pub mod policy;
 pub mod replicate;
 pub mod scrub;
+pub mod segment;
 pub mod throttle;
 pub mod tiered;
 

@@ -27,6 +27,7 @@
 //! any foreign magic.
 
 use std::io;
+use std::path::Path;
 
 use crate::log;
 
@@ -167,6 +168,28 @@ pub fn fold_live(records: &[ManifestRecord]) -> Vec<ManifestRecord> {
         }
     }
     live.into_values().collect()
+}
+
+/// Rewrite the log at `path` so `epoch`'s latest commit record carries a
+/// wrong record count under a *valid* CRC — the body of the file backend's
+/// `corrupt_manifest_count` test helper, kept beside the schema it damages.
+pub(crate) fn miscount(path: &Path, epoch: u64) -> io::Result<()> {
+    let mut records: Vec<ManifestRecord> = log::read(path)?;
+    // The latest non-retirement record for the epoch is the one the folded
+    // view serves.
+    let target = records
+        .iter_mut()
+        .rev()
+        .find(|r| r.epoch == epoch && r.kind != RecordKind::CompactedInto)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no manifest record for epoch {epoch}"),
+            )
+        })?;
+    target.records ^= 0xFF;
+    std::fs::remove_file(path)?;
+    log::append(path, &records).map(drop)
 }
 
 #[cfg(test)]

@@ -13,47 +13,34 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::backend::{ChainEntry, EpochKind, EpochWriter, StorageBackend};
-use crate::checksum::crc64;
-use crate::codec::{self, Compression, Encoding};
+use crate::codec::{self, Compression, Sealed};
 use crate::scrub::RecordMeta;
 
-/// One stored page payload: kept in its encoded form (same codec as the
-/// file backend's `AICKSEG3` records), decoded — and CRC-verified, same as
-/// a segment frame — on read.
+/// One stored page payload: kept in its encoded form and sealed exactly
+/// like an `AICKSEG3` record ([`codec::seal`]), so it is decoded and
+/// CRC-verified on read by the same [`Sealed::open`] a segment frame goes
+/// through — simulated at-rest corruption (see
+/// [`MemoryBackend::corrupt_stored_page`]) fails exactly like a damaged
+/// segment record would.
 #[derive(Debug, Clone)]
 struct StoredPayload {
-    enc: Encoding,
-    raw_len: usize,
-    /// CRC-64 over the *uncompressed* payload, mirroring `AICKSEG3`.
-    crc: u64,
+    sealed: Sealed,
     stored: Vec<u8>,
 }
 
 impl StoredPayload {
-    fn encode(data: &[u8], compression: Compression) -> Self {
-        let (enc, encoded) = codec::encode(data, compression);
+    fn seal(data: &[u8], compression: Compression) -> Self {
+        let (sealed, encoded) = codec::seal(data, compression);
         Self {
-            enc,
-            raw_len: data.len(),
-            crc: crc64(data),
+            sealed,
             stored: encoded.unwrap_or_else(|| data.to_vec()),
         }
     }
 
-    /// Decoded payload bytes, verified against the CRC taken at write
-    /// time — simulated at-rest corruption (see
-    /// [`MemoryBackend::corrupt_stored_page`]) fails here exactly like a
-    /// damaged segment frame would.
-    fn decode(&self, epoch: u64, page: u64) -> io::Result<Vec<u8>> {
-        let decoded = codec::decode(self.enc, &self.stored, self.raw_len)?
-            .unwrap_or_else(|| self.stored.clone());
-        if crc64(&decoded) != self.crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("CRC mismatch for page {page} in epoch {epoch}"),
-            ));
-        }
-        Ok(decoded)
+    fn open(&self, epoch: u64, page: u64) -> io::Result<Vec<u8>> {
+        let opened = self.sealed.open(&self.stored);
+        let decoded = opened.map_err(codec::in_record(epoch, page))?;
+        Ok(decoded.unwrap_or_else(|| self.stored.clone()))
     }
 }
 
@@ -139,7 +126,7 @@ impl MemoryBackend {
             .map(|records| {
                 records
                     .iter()
-                    .map(|(p, d)| (*p, d.decode(epoch, *p).expect("record decodes")))
+                    .map(|(p, d)| (*p, d.open(epoch, *p).expect("record decodes")))
                     .collect()
             })
     }
@@ -266,7 +253,7 @@ impl EpochWriter for MemoryEpochWriter {
             Some((epoch, records)) if *epoch == self.epoch => {
                 let mut stored_bytes = 0u64;
                 records.extend(batch.iter().map(|&(p, d)| {
-                    let rec = StoredPayload::encode(d, compression);
+                    let rec = StoredPayload::seal(d, compression);
                     stored_bytes += rec.stored.len() as u64;
                     (p, rec)
                 }));
@@ -334,7 +321,7 @@ impl StorageBackend for MemoryBackend {
             .get(&epoch)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("epoch {epoch}")))?;
         for (page, data) in records {
-            let decoded = data.decode(epoch, *page)?;
+            let decoded = data.open(epoch, *page)?;
             visit(*page, &decoded);
         }
         Ok(())
@@ -360,7 +347,7 @@ impl StorageBackend for MemoryBackend {
             .iter()
             .rev()
             .find(|(p, _)| *p == page)
-            .map(|(_, d)| d.decode(epoch, page))
+            .map(|(_, d)| d.open(epoch, page))
             .transpose()
     }
 
@@ -375,8 +362,8 @@ impl StorageBackend for MemoryBackend {
             .rev()
             .find(|(p, _)| *p == page)
             .map(|(_, d)| RecordMeta {
-                raw_len: d.raw_len as u32,
-                crc: d.crc,
+                raw_len: d.sealed.raw_len,
+                crc: d.sealed.crc,
             }))
     }
 
@@ -393,7 +380,7 @@ impl StorageBackend for MemoryBackend {
         let compression = self.shared.compression;
         let encoded: Records = records
             .iter()
-            .map(|(p, d)| (*p, StoredPayload::encode(d, compression)))
+            .map(|(p, d)| (*p, StoredPayload::seal(d, compression)))
             .collect();
         s.finished.insert(epoch, encoded);
         Ok(())
@@ -439,7 +426,7 @@ impl StorageBackend for MemoryBackend {
         let compression = self.shared.compression;
         let encoded: Records = records
             .iter()
-            .map(|(p, d)| (*p, StoredPayload::encode(d, compression)))
+            .map(|(p, d)| (*p, StoredPayload::seal(d, compression)))
             .collect();
         s.finished.retain(|&e, _| e > into);
         s.full.retain(|&e| e > into);

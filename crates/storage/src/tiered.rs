@@ -290,12 +290,32 @@ impl StorageBackend for TieredBackend {
     }
 
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        // Partition once (one fast-tier `epochs()` probe), then batch per
-        // tier: the slow tier's retirement stays one manifest fsync for the
-        // whole batch on the file backend.
+        // A drain commits an epoch to the slow tier before evicting it from
+        // the fast one, so an epoch can sit on both (mid-drain, or after a
+        // failed eviction). Hold the drain lock so no epoch changes tiers
+        // underfoot, then retire from *each* tier that lists the epoch —
+        // still one batched call per tier, so the slow tier's retirement
+        // stays one manifest fsync for the whole batch on the file backend.
+        let _serial = self.drain_lock.lock();
         let on_fast = self.fast.epochs()?;
-        let (fast_part, slow_part): (Vec<u64>, Vec<u64>) =
-            epochs.iter().copied().partition(|e| on_fast.contains(e));
+        let on_slow = self.slow.epochs()?;
+        if let Some(epoch) = epochs
+            .iter()
+            .find(|e| !on_fast.contains(e) && !on_slow.contains(e))
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("epoch {epoch} not live on either tier"),
+            ));
+        }
+        let held_by = |tier: &[u64]| -> Vec<u64> {
+            epochs
+                .iter()
+                .copied()
+                .filter(|e| tier.contains(e))
+                .collect()
+        };
+        let (fast_part, slow_part) = (held_by(&on_fast), held_by(&on_slow));
         if !fast_part.is_empty() {
             self.fast.remove_epochs(&fast_part)?;
             self.state.lock().pending.retain(|e| !fast_part.contains(e));
@@ -508,5 +528,26 @@ mod tests {
         assert!(t.pending_drain().is_empty());
         // The union view never showed the epoch twice.
         assert_eq!(t.epochs().unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn retirement_reaches_an_epoch_both_tiers_hold() {
+        // The same both-tiers state, met by a retirement (group abort,
+        // orphan sweep) instead of a drain retry: the epoch must be gone
+        // from every view, not just from the fast tier and the queue.
+        let (t, fast, slow) = tiered(0);
+        write_epoch(&t, 1, vec![(0, vec![1])]).unwrap();
+        write_epoch(&slow, 1, vec![(0, vec![1])]).unwrap();
+        write_epoch(&t, 2, vec![(0, vec![2])]).unwrap();
+        t.remove_epochs(&[1]).unwrap();
+        assert_eq!(t.epochs().unwrap(), vec![2]);
+        assert!(slow.epochs().unwrap().is_empty());
+        assert_eq!(fast.epochs().unwrap(), vec![2]);
+        assert_eq!(t.pending_drain(), vec![2]);
+        // Neither tier holds it any more: the batch fails before touching
+        // the epoch that is live.
+        let err = t.remove_epochs(&[2, 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert_eq!(t.epochs().unwrap(), vec![2]);
     }
 }

@@ -9,7 +9,10 @@ use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ai_ckpt_storage::{Compression, FileBackend, PageLocator, StorageBackend};
+use ai_ckpt_storage::{
+    corrupt_segment_region, write_epoch, Compression, FileBackend, MemoryBackend, PageLocator,
+    ReplicatedBackend, SegmentRegion, StorageBackend,
+};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -342,5 +345,117 @@ fn batched_retirement_coalesces_manifest_fsyncs() {
     assert_eq!(after.manifest_appends - before.manifest_appends, 2);
     assert_eq!(after.manifest_fsyncs - before.manifest_fsyncs, 1);
     assert_eq!(b.epochs().unwrap(), vec![3]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The reference replay and the scrubber are two visitors of one segment
+/// walk, and `read_page_at` opens records through the same seal: for every
+/// region of the format flipped in turn, the three must tell one story.
+#[test]
+fn the_strict_and_the_forgiving_visitor_agree_on_every_region() {
+    const PAGES: u64 = 4;
+    let regions = [
+        SegmentRegion::Header,
+        SegmentRegion::PageId,
+        SegmentRegion::Encoding,
+        SegmentRegion::Payload { byte: 7 },
+        SegmentRegion::Crc,
+        SegmentRegion::PayloadOf { page: 3, byte: 200 },
+        SegmentRegion::Trailer { byte: 0 },
+        SegmentRegion::Trailer { byte: 16 * PAGES }, // the count
+        SegmentRegion::Trailer {
+            byte: 16 * PAGES + 8,
+        }, // the CRC
+        SegmentRegion::Trailer {
+            byte: 16 * PAGES + 16,
+        }, // the magic
+    ];
+    for region in regions {
+        let dir = tmpdir("visitors");
+        let b = FileBackend::open(&dir).unwrap();
+        commit_epoch(&b, 1, 0..PAGES);
+        assert!(b.verify_epoch(1).unwrap().is_clean());
+        corrupt_segment_region(&dir, 1, region).unwrap();
+
+        let report = b.verify_epoch(1).unwrap();
+        assert!(!report.is_clean(), "{region:?} went unnoticed");
+        let replay = b.read_epoch(1, &mut |_, _| {});
+        assert_eq!(replay.is_err(), !report.is_clean(), "{region:?}");
+        let failing: Vec<u64> = (0..PAGES)
+            .filter(|&p| b.read_page_at(1, p).is_err())
+            .collect();
+        if report.structural.is_empty() {
+            assert_eq!(failing, report.corrupt_pages, "{region:?}");
+        } else {
+            // No record of the segment can be located any more.
+            assert!(report.corrupt_pages.is_empty(), "{region:?}");
+            assert_eq!(failing, (0..PAGES).collect::<Vec<_>>(), "{region:?}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // The in-memory backend opens its records through the same seal: the
+    // same flip in the same stored bytes is the same error, word for word.
+    let pages = || (0..PAGES).map(|p| (p, payload(p, 1, 0)));
+    let dir = tmpdir("visitors-mem");
+    let file = FileBackend::open(&dir).unwrap();
+    let memory = MemoryBackend::with_compression(file.compression);
+    write_epoch(&file, 1, pages()).unwrap();
+    write_epoch(&memory, 1, pages()).unwrap();
+    corrupt_segment_region(&dir, 1, SegmentRegion::Payload { byte: 7 }).unwrap();
+    memory.corrupt_stored_page(1, 0, 7).unwrap();
+    let from_file = file.read_page_at(1, 0).unwrap_err();
+    let from_memory = memory.read_page_at(1, 0).unwrap_err();
+    assert_eq!(from_memory.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(from_memory.kind(), from_file.kind());
+    assert_eq!(from_memory.to_string(), from_file.to_string());
+    assert!(from_file.to_string().starts_with("page 0 in epoch 1: "));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Compacted, rewritten and repaired images go through the same vectored
+/// writer a delta epoch does — their syscalls are counted — but they are
+/// internal traffic: nothing the application committed, so nothing in
+/// `bytes_written` / `bytes_stored`.
+#[test]
+fn staged_images_stay_out_of_the_byte_ledger() {
+    #[track_caller]
+    fn staged(b: &dyn StorageBackend, ledger: (u64, u64), writes: &mut u64) {
+        let now = b.io_stats().vectored_writes;
+        assert!(now > *writes, "the image went through the vectored writer");
+        *writes = now;
+        assert_eq!((b.bytes_written(), b.bytes_stored()), ledger);
+    }
+
+    let dir = tmpdir("ledger");
+    let b = FileBackend::open(&dir).unwrap();
+    for e in 1..=3u64 {
+        commit_epoch(&b, e, 0..8);
+    }
+    let ledger = (b.bytes_written(), b.bytes_stored());
+    assert_eq!(ledger.0, 3 * 8 * 256);
+    let mut writes = b.io_stats().vectored_writes;
+    b.compact(2).unwrap();
+    staged(&b, ledger, &mut writes);
+    let image: Vec<(u64, Vec<u8>)> = read_all(&b, 3).into_iter().collect();
+    let batch: Vec<(u64, &[u8])> = image.iter().map(|(p, d)| (*p, d.as_slice())).collect();
+    b.rewrite_epoch(3, &batch).unwrap();
+    staged(&b, ledger, &mut writes);
+    assert_eq!(read_all(&b, 3), image.into_iter().collect());
+    fs::remove_dir_all(&dir).unwrap();
+
+    // A scrub repair: the file replica is rewritten from its healthy twin.
+    let dir = tmpdir("ledger-repair");
+    let pair = ReplicatedBackend::new(vec![
+        Box::new(FileBackend::open(&dir).unwrap()),
+        Box::new(MemoryBackend::new()),
+    ]);
+    commit_epoch(&pair, 1, 0..8);
+    let ledger = (pair.bytes_written(), pair.bytes_stored());
+    let mut writes = pair.io_stats().vectored_writes;
+    corrupt_segment_region(&dir, 1, SegmentRegion::Header).unwrap();
+    assert!(pair.repair_epoch(1).unwrap().rewrote_segment);
+    staged(&pair, ledger, &mut writes);
+    assert!(pair.verify_epoch(1).unwrap().is_clean());
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -446,6 +446,34 @@ fn wrappers_agree_on_batched_retirement() {
 }
 
 #[test]
+fn tiered_retirement_reaches_an_epoch_left_on_both_tiers() {
+    // A drain whose fast-tier eviction failed leaves its epoch on both
+    // tiers, still pending. Retiring it must clear every view — a
+    // retirement that only evicts the fast copy "retires" an epoch that
+    // restore still lists.
+    let (fast, control) = FailingBackend::new(MemoryBackend::new());
+    let tiered = TieredBackend::new(Box::new(fast), Box::new(MemoryBackend::new()), 0).unwrap();
+    let reference = MemoryBackend::new();
+    let mut rng = SplitMix64::new(0x7E);
+    for epoch in 1..=3u64 {
+        let records = gen_epoch(&mut rng);
+        write_epoch(&tiered, epoch, records.clone()).unwrap();
+        write_epoch(&reference, epoch, records).unwrap();
+    }
+    control.fail_remove_epoch(true);
+    assert!(tiered.drain_one().is_err(), "copy commits, eviction fails");
+    control.fail_remove_epoch(false);
+    assert_eq!(tiered.slow().epochs().unwrap(), vec![1]);
+    assert_eq!(tiered.pending_drain(), vec![1, 2, 3]);
+
+    tiered.remove_epochs(&[1, 2]).unwrap();
+    reference.remove_epochs(&[1, 2]).unwrap();
+    assert_agree("tiered", 0, &tiered, &reference);
+    assert!(tiered.slow().epochs().unwrap().is_empty());
+    assert_eq!(tiered.pending_drain(), vec![3]);
+}
+
+#[test]
 fn verify_epoch_reports_clean_on_every_undamaged_wrapper() {
     for (name, build) in wrappers() {
         let mut rng = SplitMix64::new(0x9D);

@@ -72,10 +72,7 @@ impl Front {
         match door {
             Door::Standalone => front.own = Some(PageManager::new(cfg(), backend).unwrap()),
             Door::ServiceTenant => {
-                let svc = CkptService::new(ServiceConfig {
-                    workers: WORKERS,
-                    ..ServiceConfig::default()
-                });
+                let svc = CkptService::new(ServiceConfig { workers: WORKERS });
                 let mgr = svc.add_tenant("t", cfg(), Arc::from(backend), TenantQuota::default());
                 front.own = Some(mgr.unwrap());
                 front.svc = Some(svc);
