@@ -15,9 +15,7 @@
 //! * [`global`] — the `AICKGLB1` global manifest, the phase-2 commit
 //!   point (a schema of the storage crate's one commit log);
 //! * [`stats`] — [`GroupStats`], the per-rank
-//!   [`RuntimeStats`](ai_ckpt::RuntimeStats) rollup;
-//! * [`topology`] — [`PartnerMap`], the ring partner assignment behind a
-//!   resilience policy's partner-replica level.
+//!   [`RuntimeStats`](ai_ckpt::RuntimeStats) rollup.
 //!
 //! ## Quickstart
 //!
@@ -57,9 +55,7 @@
 pub mod global;
 pub mod group;
 pub mod stats;
-pub mod topology;
 
 pub use global::{GlobalRecord, GlobalRecordKind, GLOBAL_MAGIC};
 pub use group::{rank_dir, CheckpointGroup, GroupConfig, GroupRestore, GLOBAL_MANIFEST_FILE};
 pub use stats::GroupStats;
-pub use topology::PartnerMap;

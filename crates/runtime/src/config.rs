@@ -216,27 +216,6 @@ impl CkptConfig {
         self
     }
 
-    /// Raise the checkpoint-numbering floor (see
-    /// [`CkptConfig::epoch_floor`]).
-    pub fn with_epoch_floor(mut self, floor: u64) -> Self {
-        self.epoch_floor = floor;
-        self
-    }
-
-    /// Override the background scrub pacing (or disable scrubbing with
-    /// [`ScrubPolicy::disabled`]).
-    pub fn with_scrub(mut self, scrub: ScrubPolicy) -> Self {
-        self.scrub = scrub;
-        self
-    }
-
-    /// Override the transient-fault retry schedule (or turn retries off
-    /// with [`RetryPolicy::none`]).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// CoW slots implied by `cow_bytes` at the OS page size.
     pub fn cow_slots(&self) -> u32 {
         (self.cow_bytes / page_size()) as u32

@@ -47,27 +47,40 @@
 //!   toward a slower durable tier (see `TieredBackend`); it is a no-op for
 //!   single-tier backends.
 //!
-//! The leaf default of `compact` ([`compact_latest_wins`]) materialises the
-//! merged image in memory and hands it to
-//! [`StorageBackend::install_compacted`] — the one primitive a backend must
-//! implement (atomically: after a crash either the old chain or the new full
-//! segment is visible, never neither) to opt into compaction.
+//! `compact` has **one body and no overrides**: it materialises the merged
+//! image in memory over the backend's *own* view (`chain`/`read_epoch` — a
+//! parity wrapper's filtered view, a composite's union of its children) and
+//! hands it to the backend's own [`StorageBackend::install_compacted`] — the
+//! one primitive a backend must implement (atomically: after a crash either
+//! the old chain or the new full segment is visible, never neither) to opt
+//! into compaction. Whatever a backend needs to hold before a fold may
+//! commit (a tier's "drained first", a policy's "full redundancy or
+//! refuse") is a precondition of its `install_compacted`.
 //!
-//! ## Required core, provided rest, one delegate
+//! ## Required core, provided rest, one delegate, named children
 //!
 //! Four methods are required; everything else is provided, and every
 //! provided default forwards to [`StorageBackend::inner`] when the backend
 //! names one. A transparent wrapper is therefore the four required methods
 //! plus `inner()`; whatever else it overrides is, by construction, what it
-//! changes — there is no forwarding to forget. Only multi-child composites
-//! (`ReplicatedBackend`, `TieredBackend`, `PolicyBackend`), for which no
-//! single child can answer, still spell out every operation.
+//! changes — there is no forwarding to forget.
+//!
+//! A multi-child composite (`ReplicatedBackend`, `TieredBackend`,
+//! `PolicyBackend`), for which no single child can answer, names its
+//! children instead: [`StorageBackend::children`], in read-preference
+//! order. Every provided default then applies the one routing rule of
+//! the `route` module — reads ask the children in order, healing rot a peer
+//! can repair before stepping over it; listings aggregate; everything else
+//! reaches every child that holds the epoch; repair is one two-pass
+//! algorithm. A composite is the four required methods, `children()`, and
+//! what it adds (a drain queue, a retirement ledger).
 
 use std::collections::BTreeMap;
 use std::io;
 
 use crate::errors::{classify, FaultClass};
 use crate::io::IoStats;
+use crate::route;
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
 /// Reserved record id under which an epoch carries its writer's metadata
@@ -168,9 +181,10 @@ impl CompactionStats {
 /// Four methods are **required** (`begin_epoch`, `epochs`, `read_epoch`,
 /// `bytes_written`). Every other method is
 /// **provided**, and every provided default has the same shape: forward to
-/// [`StorageBackend::inner`] when there is one, else the leaf behaviour its
-/// doc describes. A leaf backend overrides what it can do better than the
-/// leaf default; a wrapper overrides only what it changes.
+/// [`StorageBackend::inner`] when there is one, else route through
+/// [`StorageBackend::children`] when there are any, else the leaf behaviour
+/// its doc describes. A leaf backend overrides what it can do better than
+/// the leaf default; a wrapper or composite overrides only what it changes.
 pub trait StorageBackend: Send + Sync {
     /// Open the commit session for a new epoch. Epoch numbers must be
     /// strictly increasing; at most one epoch may be open at a time.
@@ -192,10 +206,20 @@ pub trait StorageBackend: Send + Sync {
     /// Returning `Some` turns every provided method below into a forward to
     /// that backend, so a wrapper is the four required methods, `inner`, and
     /// the methods whose behaviour it actually changes. Leaf backends and
-    /// multi-child composites (replicas, tiers, policy levels — no single
-    /// child can answer for them) keep the default `None`.
+    /// multi-child composites (which name [`StorageBackend::children`]
+    /// instead) keep the default `None`.
     fn inner(&self) -> Option<&dyn StorageBackend> {
         None
+    }
+
+    /// The backends a multi-child composite (replicas, tiers, policy
+    /// levels) is made of, in read-preference order, each with the name
+    /// reports use for it. Consulted only when [`StorageBackend::inner`] is
+    /// `None`; naming any turns every provided method below into the one
+    /// routing rule of the `route` module. Empty (the default) for leaves and
+    /// one-child wrappers.
+    fn children(&self) -> Vec<(&str, &dyn StorageBackend)> {
+        Vec::new()
     }
 
     /// The highest epoch number this backend has ever *accounted for* —
@@ -204,10 +228,14 @@ pub trait StorageBackend: Send + Sync {
     /// only correct for backends that never burn numbers; backends with a
     /// retirement history (manifest, high-water mark) override it so a
     /// fresh process resumes numbering above retired epochs instead of
-    /// colliding with them. `None` means the backend is untouched.
+    /// colliding with them. A composite reports the highest mark of its
+    /// children. `None` means the backend is untouched.
     fn high_water(&self) -> io::Result<Option<u64>> {
-        match self.inner() {
-            Some(inner) => inner.high_water(),
+        if let Some(inner) = self.inner() {
+            return inner.high_water();
+        }
+        match route::composite(self) {
+            Some(kids) => route::high_water(&kids),
             None => Ok(self.epochs()?.last().copied()),
         }
     }
@@ -216,10 +244,14 @@ pub trait StorageBackend: Send + Sync {
     /// *without* materialising payloads. The demand-paged restore path uses
     /// this to build its locator and to derive the prefetch order. The
     /// leaf default streams the epoch and discards payloads; backends with a
-    /// segment index override it to walk frames only.
+    /// segment index override it to walk frames only. A composite applies
+    /// the read rule.
     fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
         if let Some(inner) = self.inner() {
             return inner.epoch_page_ids(epoch);
+        }
+        if let Some(kids) = route::composite(self) {
+            return route::read(self, &kids, epoch, |child| child.epoch_page_ids(epoch));
         }
         let mut pages = Vec::new();
         self.read_epoch(epoch, &mut |p, _| pages.push(p))?;
@@ -231,10 +263,14 @@ pub trait StorageBackend: Send + Sync {
     /// record for `page`. When an epoch somehow carries duplicate records
     /// for a page the latest one wins, matching `read_epoch` replay
     /// semantics. The leaf default streams the whole epoch; backends with a
-    /// segment index override it to seek straight to the record.
+    /// segment index override it to seek straight to the record. A
+    /// composite applies the read rule.
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
         if let Some(inner) = self.inner() {
             return inner.read_page_at(epoch, page);
+        }
+        if let Some(kids) = route::composite(self) {
+            return route::read(self, &kids, epoch, |child| child.read_page_at(epoch, page));
         }
         let mut hit: Option<Vec<u8>> = None;
         self.read_epoch(epoch, &mut |p, d| {
@@ -249,19 +285,28 @@ pub trait StorageBackend: Send + Sync {
     /// (diagnostics). Leaf backends without a compression stage report
     /// [`StorageBackend::bytes_written`]. `bytes_stored <= bytes_written`
     /// whenever compression is active (the encoder never grows a record).
+    /// A composite reports its first child's: logical bytes, not
+    /// multiplied by the copies it keeps.
     fn bytes_stored(&self) -> u64 {
-        match self.inner() {
-            Some(inner) => inner.bytes_stored(),
+        if let Some(inner) = self.inner() {
+            return inner.bytes_stored();
+        }
+        match self.children().first() {
+            Some((_, first)) => first.bytes_stored(),
             None => self.bytes_written(),
         }
     }
 
     /// The live chain with per-epoch kinds, ascending. The leaf default
     /// derives it from [`StorageBackend::epochs`]: all deltas
-    /// (pre-compaction semantics — restore replays everything).
+    /// (pre-compaction semantics — restore replays everything). A composite
+    /// reports the union of its children's chains, `Full` winning.
     fn chain(&self) -> io::Result<Vec<ChainEntry>> {
         if let Some(inner) = self.inner() {
             return inner.chain();
+        }
+        if let Some(kids) = route::composite(self) {
+            return route::chain(&kids);
         }
         Ok(self
             .epochs()?
@@ -278,42 +323,56 @@ pub trait StorageBackend: Send + Sync {
     /// epoch. Restore to epochs below `up_to` becomes impossible; restore
     /// to `up_to` and beyond is byte-identical to the uncompacted chain.
     ///
-    /// The leaf default is [`compact_latest_wins`]. Safe to call while a
-    /// *later* epoch session is open — the open epoch is not part of the
-    /// committed chain yet.
+    /// One body, never overridden and never forwarded: the latest-wins
+    /// merge runs over *this* backend's own `chain`/`read_epoch` and
+    /// commits through its own [`StorageBackend::install_compacted`], so a
+    /// wrapper's view (parity ids filtered out and re-emitted, an injected
+    /// fault at the install, a throttled read) and a composite's union view
+    /// are what gets folded, and the complete image is what every child
+    /// installs. Refused *before* anything is read — "requires full
+    /// redundancy" — while a child of a composite below cannot be asked: the
+    /// install would refuse anyway, and a degraded stack is asked again
+    /// after every checkpoint. Safe to call while a *later* epoch session is
+    /// open — the open epoch is not part of the committed chain yet.
     fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
-        match self.inner() {
-            Some(inner) => inner.compact(up_to),
-            None => compact_latest_wins(self, up_to),
-        }
+        compact_latest_wins(self, up_to)
     }
 
     /// Whether this backend can fold its chain (cheap capability probe
-    /// [`compact_latest_wins`] checks before doing any work, and
+    /// [`StorageBackend::compact`] checks before doing any work, and
     /// policy-driven callers check before scheduling folds at all). Leaf
     /// backends override it to `true` together with
-    /// [`StorageBackend::install_compacted`].
+    /// [`StorageBackend::install_compacted`]; a composite can when all its
+    /// children can.
     fn supports_compaction(&self) -> bool {
-        self.inner()
-            .is_some_and(|inner| inner.supports_compaction())
+        if let Some(inner) = self.inner() {
+            return inner.supports_compaction();
+        }
+        let kids = self.children();
+        !kids.is_empty() && kids.iter().all(|(_, child)| child.supports_compaction())
     }
 
-    /// Compaction primitive behind [`compact_latest_wins`]: atomically
+    /// Compaction primitive behind [`StorageBackend::compact`]: atomically
     /// replace the live epochs `from ..= into` with one full segment at
     /// `into` containing `records` (borrowed, the same batch shape
     /// [`EpochWriter::write_pages`] takes, so a wrapper can append records
     /// of its own without copying the image), then reclaim the superseded
     /// segments. Unsupported on leaves by default — implementing this (plus
     /// [`StorageBackend::supports_compaction`]) opts a backend into
-    /// latest-wins compaction.
+    /// latest-wins compaction. A composite installs on every child that
+    /// holds `into`, and refuses before touching any unless every child can
+    /// be asked.
     fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
-        match self.inner() {
-            Some(inner) => inner.install_compacted(from, into, records),
-            None => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "backend does not support compaction",
-            )),
+        if let Some(inner) = self.inner() {
+            return inner.install_compacted(from, into, records);
         }
+        if let Some(kids) = route::composite(self) {
+            return route::install_compacted(&kids, from, into, records);
+        }
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "backend does not support compaction",
+        ))
     }
 
     /// Retire a batch of committed epochs from this backend (tier
@@ -321,45 +380,74 @@ pub trait StorageBackend: Send + Sync {
     /// point. The caller must guarantee the epochs are durable elsewhere or
     /// dispensable: dropping a delta from the middle of a single-tier chain
     /// corrupts restore. Backends with a commit log append all retirement
-    /// records under **one** log fsync. The batch is not atomic across
-    /// backends: on error, part of `epochs` may already be retired.
-    /// Unsupported on leaves by default.
+    /// records under **one** log fsync; a composite hands each child that
+    /// lists any of them its share as one batch, and refuses before
+    /// anything is retired when a child cannot be asked (it would come back
+    /// listing what its peers retired) or, `NotFound`, when no child lists
+    /// one of them. The batch is not
+    /// atomic across backends: on error, part of `epochs` may already be
+    /// retired. Unsupported on leaves by default.
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        match self.inner() {
-            Some(inner) => inner.remove_epochs(epochs),
-            None if epochs.is_empty() => Ok(()),
-            None => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("backend cannot retire epochs {epochs:?}"),
-            )),
+        if let Some(inner) = self.inner() {
+            return inner.remove_epochs(epochs);
         }
+        if let Some(kids) = route::composite(self) {
+            return route::remove_epochs(&kids, epochs, false);
+        }
+        if epochs.is_empty() {
+            return Ok(());
+        }
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!("backend cannot retire epochs {epochs:?}"),
+        ))
     }
 
     /// Move the oldest not-yet-drained epoch one tier outward (see
     /// `TieredBackend`), returning it, or `None` when there is no backlog.
-    /// Single-tier leaves have no backlog.
+    /// Single-tier leaves have no backlog; a composite drains each child
+    /// once.
     fn drain_one(&self) -> io::Result<Option<u64>> {
-        match self.inner() {
-            Some(inner) => inner.drain_one(),
-            None => Ok(None),
+        if let Some(inner) = self.inner() {
+            return inner.drain_one();
         }
+        let mut drained = None;
+        let mut first_err = None;
+        for (_, child) in self.children() {
+            match child.drain_one() {
+                Ok(epoch) => drained = drained.or(epoch),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(drained), Err)
     }
 
     /// Epochs currently waiting in the drain backlog (committed to a fast
     /// tier but not yet evicted to the durable one). Always 0 for
-    /// single-tier leaves; a drain scheduler reads this to seed and
-    /// balance its arbitration. Best-effort: the value may be stale by the
-    /// time the caller acts on it.
+    /// single-tier leaves, the longest child backlog for a composite; a
+    /// drain scheduler reads this to seed and balance its arbitration.
+    /// Best-effort: the value may be stale by the time the caller acts on
+    /// it.
     fn drain_backlog(&self) -> usize {
-        self.inner().map_or(0, |inner| inner.drain_backlog())
+        if let Some(inner) = self.inner() {
+            return inner.drain_backlog();
+        }
+        let backlogs = self.children().into_iter().map(|(_, c)| c.drain_backlog());
+        backlogs.max().unwrap_or(0)
     }
 
     /// Syscall-level I/O accounting (vectored writes, fsyncs, manifest
     /// append coalescing). Zero for leaves without a syscall path (memory,
-    /// null); composites sum their children.
+    /// null); composites sum their children — every copy pays its own
+    /// syscalls and fsyncs, unlike `bytes_written`, which stays logical.
     fn io_stats(&self) -> IoStats {
-        self.inner()
-            .map_or_else(IoStats::default, |inner| inner.io_stats())
+        if let Some(inner) = self.inner() {
+            return inner.io_stats();
+        }
+        let each = self.children().into_iter().map(|(_, c)| c.io_stats());
+        each.fold(IoStats::default(), IoStats::merged)
     }
 
     /// Validate every stored record of a finished epoch — per-record CRCs,
@@ -374,10 +462,14 @@ pub trait StorageBackend: Send + Sync {
     /// localise which records are damaged. Backends with a record index
     /// (the file backend's segment trailers) override this to walk records
     /// directly and to keep going past damage the streaming path cannot
-    /// step over.
+    /// step over. A composite merges the findings of every child that
+    /// holds the epoch.
     fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
         if let Some(inner) = self.inner() {
             return inner.verify_epoch(epoch);
+        }
+        if let Some(kids) = route::composite(self) {
+            return route::verify_epoch(&kids, epoch);
         }
         let mut report = VerifyReport::new(epoch);
         let stream = self.read_epoch(epoch, &mut |_, d| {
@@ -431,42 +523,55 @@ pub trait StorageBackend: Send + Sync {
     /// [`StorageBackend::install_compacted`], which folds to a full
     /// segment). This is the rewrite primitive repair paths install
     /// healed bytes through; it must work even when the existing segment
-    /// is unreadable. Unsupported on leaves by default.
+    /// is unreadable. Unsupported on leaves by default; a composite
+    /// rewrites every child that holds the epoch.
     fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
-        match self.inner() {
-            Some(inner) => inner.rewrite_epoch(epoch, records),
-            None => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("backend cannot rewrite epoch {epoch}"),
-            )),
+        if let Some(inner) = self.inner() {
+            return inner.rewrite_epoch(epoch, records);
         }
+        if let Some(kids) = route::composite(self) {
+            let rewrite = |(_, child): route::Child<'_>| child.rewrite_epoch(epoch, records);
+            return route::each_holder(&kids, epoch, rewrite).map(drop);
+        }
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!("backend cannot rewrite epoch {epoch}"),
+        ))
     }
 
     /// Repair a damaged epoch from the best surviving redundant source
-    /// (replica member, parity reconstruction, another policy level),
-    /// rewriting the damaged bytes in place via
-    /// [`StorageBackend::rewrite_epoch`]. Leaves with no redundancy fail
-    /// by default — the scrubber then quarantines the epoch rather than
-    /// serving bad bytes.
+    /// (replica member, parity reconstruction, another tier or policy
+    /// level), rewriting the damaged bytes in place via
+    /// [`StorageBackend::rewrite_epoch`]. A composite runs the two-pass
+    /// repair of the `route` module over its children. Leaves with no
+    /// redundancy fail by default — the scrubber then quarantines the epoch
+    /// rather than serving bad bytes.
     fn repair_epoch(&self, epoch: u64) -> io::Result<RepairReport> {
-        match self.inner() {
-            Some(inner) => inner.repair_epoch(epoch),
-            None => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("no redundant source to repair epoch {epoch}"),
-            )),
+        if let Some(inner) = self.inner() {
+            return inner.repair_epoch(epoch);
         }
+        if let Some(kids) = route::composite(self) {
+            return route::repair_epoch(&kids, epoch);
+        }
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!("no redundant source to repair epoch {epoch}"),
+        ))
     }
 
     /// Frame metadata (uncompressed length, stored CRC) of a page's record
     /// in a finished epoch, without reading or validating its payload.
     /// `None` when the epoch has no record for the page, or when the leaf
-    /// keeps no per-record metadata (the default).
+    /// keeps no per-record metadata (the default). A composite applies the
+    /// read rule.
     fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
-        match self.inner() {
-            Some(inner) => inner.record_meta(epoch, page),
-            None => Ok(None),
+        if let Some(inner) = self.inner() {
+            return inner.record_meta(epoch, page);
         }
+        if let Some(kids) = route::composite(self) {
+            return route::read(self, &kids, epoch, |child| child.record_meta(epoch, page));
+        }
+        Ok(None)
     }
 }
 
@@ -495,26 +600,27 @@ impl StorageBackend for Box<dyn StorageBackend> {
     }
 }
 
-/// Latest-wins compaction over `backend`'s *own* view: merge the live chain
-/// prefix `..= up_to` through its `chain`/`read_epoch` and commit the image
-/// through its `install_compacted`. This is the leaf default of
-/// [`StorageBackend::compact`]; a wrapper whose view or commit point
-/// differs from its inner backend's (parity ids filtered out and re-emitted,
-/// an injected fault at the install) overrides `compact` to call this on
-/// itself instead of forwarding.
-pub fn compact_latest_wins<B: StorageBackend + ?Sized>(
+/// The body of [`StorageBackend::compact`]: merge the live chain prefix
+/// `..= up_to` through `backend`'s own `chain`/`read_epoch` and commit the
+/// image through its own `install_compacted`.
+fn compact_latest_wins<B: StorageBackend + ?Sized>(
     backend: &B,
     up_to: u64,
 ) -> io::Result<CompactionStats> {
-    // Probe capability *before* materialising the merge: without this, an
-    // unsupported backend would buffer the entire chain in memory on every
-    // call only to fail at the final install.
+    // Probe what would refuse the install *before* materialising the
+    // merge: without this, an unsupported backend — or, after every
+    // checkpoint of a degraded run, a composite with a child out of service
+    // — would buffer the entire chain in memory only to fail at the end.
     if !backend.supports_compaction() {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "backend does not support compaction",
         ));
     }
+    route::in_service(backend).map_err(|e| {
+        let why = format!("compact({up_to}) requires full redundancy: {e}");
+        io::Error::new(e.kind(), why)
+    })?;
     let live: Vec<ChainEntry> = backend
         .chain()?
         .into_iter()

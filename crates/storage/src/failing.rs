@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{compact_latest_wins, CompactionStats, EpochWriter, StorageBackend};
+use crate::backend::{EpochWriter, StorageBackend};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
 /// Operations a [`FailureControl`] can arm a *transient* burst against:
@@ -416,14 +416,9 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
         self.inner.chain()
     }
 
-    // `compact` is deliberately NOT forwarded: the merge runs over this
-    // wrapper's gated `chain`/`read_epoch` and commits through
-    // `install_compacted` below, so an armed `fail_install_compacted` hits
-    // the compaction commit point exactly as it would on the real backend.
-    fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
-        compact_latest_wins(self, up_to)
-    }
-
+    // A fold (`compact`) runs over this wrapper's gated `chain`/`read_epoch`
+    // and commits here, so an armed `fail_install_compacted` hits the
+    // compaction commit point exactly as it would on the real backend.
     fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         self.control.gate(&self.control.fail_install_compacted)?;
         self.control.take_transient(FaultOp::InstallCompacted)?;

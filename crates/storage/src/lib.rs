@@ -27,6 +27,11 @@
 //! * [`policy`] — declarative multi-level resilience policies
 //!   (`ResilienceSpec`): local → partner-replica → parity levels with
 //!   async drain, background rebuild and graceful degraded reads;
+//! * `route` (private) — the one routing rule behind every multi-child
+//!   composite above: a composite names its
+//!   [`children`](StorageBackend::children) and the trait's provided half
+//!   decides which child reads, which children a mutation reaches, and how
+//!   a damaged epoch is repaired;
 //! * [`io`] — the syscall layer under [`segment`]: a partial-write-safe
 //!   `pwritev` wrapper, its `preadv` twin, reusable aligned staging buffers
 //!   and syscall-level I/O counters surfaced as [`IoStats`];
@@ -80,14 +85,15 @@ pub mod null;
 pub mod parity;
 pub mod policy;
 pub mod replicate;
+mod route;
 pub mod scrub;
 pub mod segment;
 pub mod throttle;
 pub mod tiered;
 
 pub use backend::{
-    compact_latest_wins, is_page, replay_window, write_epoch, ChainEntry, CompactionStats,
-    EpochKind, EpochWriter, StorageBackend, META_RECORD,
+    is_page, replay_window, write_epoch, ChainEntry, CompactionStats, EpochKind, EpochWriter,
+    StorageBackend, META_RECORD,
 };
 pub use cache::{CacheStats, PageCache};
 pub use checksum::{crc64, crc64_update};

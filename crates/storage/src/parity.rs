@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{as_batch, compact_latest_wins, CompactionStats, EpochWriter, StorageBackend};
+use crate::backend::{as_batch, EpochWriter, StorageBackend};
 use crate::scrub::RepairReport;
 
 /// Page-id flag marking parity records inside the wrapped backend.
@@ -301,17 +301,12 @@ impl<B: StorageBackend> StorageBackend for ParityBackend<B> {
         self.inner.bytes_written()
     }
 
-    // `compact` is NOT forwarded to the inner backend: its merge would
-    // fold raw records latest-wins, and parity ids collide across epochs
-    // (`PARITY_FLAG | group`), so old groups would silently overwrite each
-    // other while covering superseded page versions. Instead the merge
-    // runs over *this* backend's parity-filtered view (data records only)
-    // and commits through `install_compacted` below, which re-emits fresh
-    // groups over the folded image.
-    fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
-        compact_latest_wins(self, up_to)
-    }
-
+    // A fold (`compact`) never merges the inner backend's raw records:
+    // parity ids collide across epochs (`PARITY_FLAG | group`), so old
+    // groups would silently overwrite each other while covering superseded
+    // page versions. The merge runs over *this* backend's parity-filtered
+    // view (data records only) and commits here, where fresh groups are
+    // re-emitted over the folded image.
     fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         self.install_with_parity(records, |all| self.inner.install_compacted(from, into, all))
     }

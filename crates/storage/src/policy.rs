@@ -26,8 +26,8 @@
 //! *copy* of that epoch toward every outer level. [`PolicyBackend::drain_one`]
 //! — driven by the service maintenance worker through its per-tenant
 //! `DrainQueue` — performs one copy per call: smallest pending epoch
-//! first, read from the lowest alive level that holds it, written through
-//! the destination level's protection wrapper. A failed copy marks the
+//! first, read through the policy's own read rule, written through the
+//! destination level's protection wrapper. A failed copy marks the
 //! destination level *suspect* and parks the item on a deferred list so
 //! the maintenance barrier is never wedged by a dead level. Every
 //! `drain_one`/`drain_backlog` call first re-probes suspect levels; a
@@ -36,29 +36,45 @@
 //! resumes normal service. Levels with a capacity evict their oldest
 //! epoch once a higher (slower) level holds a durable copy.
 //!
-//! ## Degraded reads
+//! ## Levels are children
 //!
-//! Every read falls through levels in order — fast tier first, partner
-//! next, cold parity last. A level that errors (or no longer holds the
-//! epoch) is skipped; inside a parity level a single corrupt record is
-//! reconstructed from its XOR group. Reads fail only when **no** level
-//! can serve them, so `restore_latest` and demand-paged (lazy) restore
-//! both keep working on a degraded stack.
+//! The policy names its levels as its [`StorageBackend::children`],
+//! fastest first, and everything it does not add itself is the routing rule
+//! of the `route` module: reads fall through levels in order — fast tier
+//! first, partner next, cold parity last — healing rot a peer level can
+//! repair before stepping over it, and fail only when **no** level can
+//! serve them, so `restore_latest` and demand-paged (lazy) restore both
+//! keep working on a degraded stack; verification, rewrites, repair and
+//! folds reach every level that holds the epoch. What a *level* adds —
+//! bounded retry of transient read faults, hit/fall-through counters, going
+//! suspect when it cannot list its epochs or fails a mutation, and, while
+//! suspect, still being listed and read (it may hold the only copy of an
+//! undrained epoch) but holding nothing as far as verification and
+//! mutations are concerned (reconcile rebuilds it wholesale) — lives in one
+//! private wrapper around each level's store instead of in every operation.
+//!
+//! What the policy itself adds, and therefore still overrides: the commit
+//! (level 0 only, under its own high-water mark), the drain queues,
+//! `install_compacted`'s precondition — a fold commits only under full
+//! redundancy: every copy toward the target drained and every level in
+//! service, else it refuses — and the retirement ledger: `epochs`/`chain`
+//! never list a retired epoch a level not reconciled yet still holds, and
+//! `remove_epochs` is the one retirement that skips a level that cannot be
+//! asked and takes an epoch no level lists without error (a level that is
+//! out of service may still hold it; reconcile removes it there).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{
-    as_batch, ChainEntry, CompactionStats, EpochKind, EpochWriter, StorageBackend,
-};
-use crate::errors::{classify, FaultClass, RetryPolicy};
+use crate::backend::{ChainEntry, EpochWriter, StorageBackend};
+use crate::errors::RetryPolicy;
 use crate::failing::{FailingBackend, FailureControl};
-use crate::io::IoStats;
 use crate::parity::ParityBackend;
 use crate::replicate::ReplicatedBackend;
-use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
+use crate::route;
+use crate::scrub::VerifyReport;
 
 /// Redundancy scheme *inside* one level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,23 +219,6 @@ enum CopyKind {
     Rebuild,
 }
 
-/// The protection wrapper actually instantiated for one level.
-enum Protection {
-    Plain(Box<dyn StorageBackend>),
-    Replicated(ReplicatedBackend),
-    Parity(ParityBackend<Box<dyn StorageBackend>>),
-}
-
-impl Protection {
-    fn store(&self) -> &dyn StorageBackend {
-        match self {
-            Protection::Plain(b) => &**b,
-            Protection::Replicated(r) => r,
-            Protection::Parity(p) => p,
-        }
-    }
-}
-
 #[derive(Default)]
 struct LevelCounters {
     drains_in: AtomicU64,
@@ -231,10 +230,13 @@ struct LevelCounters {
     read_fallthroughs: AtomicU64,
 }
 
+/// One level: its store behind the level's protection wrapper, and — as a
+/// transparent [`StorageBackend`] wrapper around that store — what being a
+/// *level* adds to it. The policy hands these out as its children.
 struct Level {
     name: String,
     capacity: usize,
-    protection: Protection,
+    store: Box<dyn StorageBackend>,
     /// Set when an operation against this level failed; cleared once a
     /// liveness probe succeeds and the level has been reconciled.
     suspect: AtomicBool,
@@ -242,18 +244,96 @@ struct Level {
 }
 
 impl Level {
-    fn store(&self) -> &dyn StorageBackend {
-        self.protection.store()
-    }
-
     fn is_suspect(&self) -> bool {
         self.suspect.load(Ordering::SeqCst)
     }
 
-    /// Whether the level currently lists `epoch`; `Err` when it cannot
-    /// even be probed.
-    fn holds(&self, epoch: u64) -> io::Result<bool> {
-        Ok(self.store().epochs()?.contains(&epoch))
+    /// A failed mutation (or liveness probe) takes the level out of
+    /// service until reconcile has brought it back in line with its peers.
+    fn suspect_on_err<T>(&self, result: io::Result<T>) -> io::Result<T> {
+        if result.is_err() {
+            self.suspect.store(true, Ordering::SeqCst);
+        }
+        result
+    }
+
+    /// While suspect the level holds nothing as far as verification and
+    /// mutations go — `NotFound`, which the routing rule skips like any
+    /// non-holder: reconcile rebuilds its copies wholesale instead.
+    fn in_service(&self) -> io::Result<()> {
+        if !self.is_suspect() {
+            return Ok(());
+        }
+        let what = format!("level {} is out of service until reconciled", self.name);
+        Err(io::Error::new(io::ErrorKind::NotFound, what))
+    }
+
+    /// A read under the default retry schedule (transient faults only;
+    /// corrupt ones go to repair), counted as a hit, or as a fall-through
+    /// when the level held (or should have held) the epoch.
+    fn read<T>(&self, op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        let result = RetryPolicy::default().run(op);
+        let counter = match &result {
+            Ok(_) => &self.counters.read_hits,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return result,
+            Err(_) => &self.counters.read_fallthroughs,
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+        result
+    }
+}
+
+impl StorageBackend for Level {
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&*self.store)
+    }
+
+    fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
+        self.store.begin_epoch(epoch)
+    }
+
+    fn epochs(&self) -> io::Result<Vec<u64>> {
+        self.suspect_on_err(self.store.epochs())
+    }
+
+    fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
+        // Buffered per attempt: a retried stream must not visit twice.
+        for (page, data) in self.read(|| route::read_records(&*self.store, epoch))? {
+            visit(page, &data);
+        }
+        Ok(())
+    }
+
+    fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
+        self.read(|| self.store.epoch_page_ids(epoch))
+    }
+
+    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
+        self.read(|| self.store.read_page_at(epoch, page))
+    }
+
+    fn bytes_written(&self) -> u64 {
+        self.store.bytes_written()
+    }
+
+    fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
+        self.in_service()?;
+        self.store.verify_epoch(epoch)
+    }
+
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        self.in_service()?;
+        self.suspect_on_err(self.store.install_compacted(from, into, records))
+    }
+
+    fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
+        self.in_service()?;
+        self.suspect_on_err(self.store.remove_epochs(epochs))
+    }
+
+    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        self.in_service()?;
+        self.suspect_on_err(self.store.rewrite_epoch(epoch, records))
     }
 }
 
@@ -315,10 +395,6 @@ struct Shared {
     /// Serialises drain/reconcile I/O so `drain_one` callers from the
     /// maintenance worker and direct callers never interleave copies.
     drain_lock: Mutex<()>,
-    /// Backoff schedule applied to transient faults during copies and
-    /// fall-through reads. Permanent faults keep the suspect/deferred
-    /// semantics untouched; corrupt faults go to repair, never retry.
-    retry: Mutex<RetryPolicy>,
 }
 
 /// Builder for a [`PolicyBackend`]: a spec plus a store factory.
@@ -375,19 +451,19 @@ impl PolicyBuilder {
     {
         let mut levels = Vec::with_capacity(self.spec.levels.len());
         for (l, spec) in self.spec.levels.iter().enumerate() {
-            let protection = match spec.protection {
-                LevelProtection::None => Protection::Plain(factory(l, 0)),
-                LevelProtection::Replicated { copies } => Protection::Replicated(
-                    ReplicatedBackend::new((0..copies).map(|r| factory(l, r)).collect()),
-                ),
+            let store: Box<dyn StorageBackend> = match spec.protection {
+                LevelProtection::None => factory(l, 0),
+                LevelProtection::Replicated { copies } => Box::new(ReplicatedBackend::new(
+                    (0..copies).map(|r| factory(l, r)).collect(),
+                )),
                 LevelProtection::Parity { group } => {
-                    Protection::Parity(ParityBackend::new(factory(l, 0), group))
+                    Box::new(ParityBackend::new(factory(l, 0), group))
                 }
             };
             levels.push(Level {
                 name: spec.name.clone(),
                 capacity: spec.capacity,
-                protection,
+                store,
                 suspect: AtomicBool::new(false),
                 counters: LevelCounters::default(),
             });
@@ -395,7 +471,7 @@ impl PolicyBuilder {
         // Resume numbering above anything the level stores already hold.
         let mut high_water = None;
         for level in &levels {
-            if let Ok(hw) = level.store().high_water() {
+            if let Ok(hw) = level.store.high_water() {
                 high_water = high_water.max(hw);
             }
         }
@@ -410,7 +486,6 @@ impl PolicyBuilder {
                     high_water,
                 }),
                 drain_lock: Mutex::new(()),
-                retry: Mutex::new(RetryPolicy::default()),
             }),
         })
     }
@@ -424,21 +499,6 @@ pub struct PolicyBackend {
     shared: Arc<Shared>,
 }
 
-/// One epoch's `(page, payload)` records, buffered.
-type EpochRecords = Vec<(u64, Vec<u8>)>;
-
-/// Buffered records of one epoch read through a level's protection view.
-fn try_read_epoch(store: &dyn StorageBackend, epoch: u64) -> io::Result<Option<EpochRecords>> {
-    match store.epochs() {
-        Ok(eps) if !eps.contains(&epoch) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(e),
-    }
-    let mut records = Vec::new();
-    store.read_epoch(epoch, &mut |p, d| records.push((p, d.to_vec())))?;
-    Ok(Some(records))
-}
-
 impl PolicyBackend {
     /// Number of levels in the policy.
     pub fn level_count(&self) -> usize {
@@ -448,17 +508,6 @@ impl PolicyBackend {
     /// Names of the levels, fastest-first.
     pub fn level_names(&self) -> Vec<String> {
         self.shared.levels.iter().map(|l| l.name.clone()).collect()
-    }
-
-    /// Replace the transient-fault backoff schedule (copies and
-    /// fall-through reads). Takes effect on the next operation.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.shared.retry.lock().unwrap() = policy;
-    }
-
-    /// The transient-fault backoff schedule currently in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.shared.retry.lock().unwrap()
     }
 
     /// Point-in-time per-level statistics.
@@ -474,7 +523,7 @@ impl PolicyBackend {
                 let resident = if level.is_suspect() {
                     0
                 } else {
-                    level.store().epochs().map(|e| e.len()).unwrap_or(0)
+                    level.store.epochs().map(|e| e.len()).unwrap_or(0)
                 };
                 LevelStats {
                     name: level.name.clone(),
@@ -519,7 +568,7 @@ impl PolicyBackend {
                 continue;
             }
             let level = &self.shared.levels[l];
-            let Ok(present) = level.store().epochs() else {
+            let Ok(present) = level.store.epochs() else {
                 // Still down: park anything queued for this level. The
                 // items cannot progress until the level answers a probe,
                 // and leaving them queued would both hide them from the
@@ -539,7 +588,7 @@ impl PolicyBackend {
                 if o == l || other.is_suspect() {
                     continue;
                 }
-                if let Ok(eps) = other.store().epochs() {
+                if let Ok(eps) = other.store.epochs() {
                     reference.extend(eps);
                 }
             }
@@ -553,7 +602,7 @@ impl PolicyBackend {
                     .collect();
                 (stale, state.retired.clone())
             };
-            if !stale.is_empty() && level.store().remove_epochs(&stale).is_err() {
+            if !stale.is_empty() && level.store.remove_epochs(&stale).is_err() {
                 continue; // went down again mid-reconcile; retry later
             }
             // Re-queue deferred copies as rebuilds, plus anything the
@@ -625,7 +674,7 @@ impl PolicyBackend {
                 continue;
             }
             let level = &self.shared.levels[dest];
-            let dest_store = level.store();
+            let dest_store = &*level.store;
             // Already there (reconcile raced a queued drain): done.
             match dest_store.epochs() {
                 Ok(eps) if eps.contains(&epoch) => {
@@ -646,64 +695,29 @@ impl PolicyBackend {
                     continue;
                 }
             }
-            // Source: lowest alive level that still holds the epoch.
-            // Transient read hiccups are retried with backoff before the
-            // level is written off as suspect.
-            let retry = self.retry_policy();
-            let mut records: Option<Vec<(u64, Vec<u8>)>> = None;
-            let mut last_err: Option<io::Error> = None;
-            for (src, source) in self.shared.levels.iter().enumerate() {
-                if src == dest || source.is_suspect() {
-                    continue;
+            // Source: the policy's own read rule — the fastest level in
+            // service that holds the epoch (the destination does not).
+            let records = match route::read_records(self, epoch) {
+                Ok(records) => records,
+                Err(e) => {
+                    // No readable source right now. Put the item back at
+                    // the front (order preserved) and surface the error so
+                    // the maintenance worker backs off and retries.
+                    let mut state = self.shared.state.lock().unwrap();
+                    state.queues[dest].push_front((epoch, kind));
+                    return Err(e);
                 }
-                match retry.run(|| try_read_epoch(source.store(), epoch)) {
-                    Ok(Some(recs)) => {
-                        records = Some(recs);
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        source
-                            .counters
-                            .read_fallthroughs
-                            .fetch_add(1, Ordering::SeqCst);
-                        source.suspect.store(true, Ordering::SeqCst);
-                        last_err = Some(e);
-                    }
-                }
-            }
-            let Some(records) = records else {
-                // No readable source right now. Put the item back at the
-                // front (order preserved) and surface the error so the
-                // maintenance worker backs off and retries.
-                let mut state = self.shared.state.lock().unwrap();
-                state.queues[dest].push_front((epoch, kind));
-                return Err(last_err.unwrap_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!("no level holds epoch {epoch} to copy from"),
-                    )
-                }));
             };
-            // Copy through the destination's protection wrapper. Each
-            // step retries transient faults independently (a burst on
-            // `finish` must not replay `begin_epoch` against a
-            // half-written epoch); permanent faults still park the item
-            // and mark the destination suspect exactly as before.
-            let outcome = (|| -> io::Result<u64> {
-                let writer = retry.run(|| dest_store.begin_epoch(epoch))?;
-                let mut bytes = 0u64;
-                for (page, data) in &records {
-                    retry.run(|| writer.write_pages(&[(*page, data.as_slice())]))?;
-                    bytes += data.len() as u64;
-                }
-                retry.run(|| writer.finish())?;
-                Ok(bytes)
-            })();
+            // Copy through the destination's protection wrapper. Transient
+            // faults retry per step; permanent faults park the item and
+            // mark the destination suspect.
+            let outcome =
+                route::write_records(dest_store, epoch, &records, &RetryPolicy::default());
             match outcome {
-                Ok(bytes) => {
+                Ok(()) => {
                     let c = &level.counters;
-                    c.copy_bytes.fetch_add(bytes, Ordering::SeqCst);
+                    let bytes: usize = records.iter().map(|(_, d)| d.len()).sum();
+                    c.copy_bytes.fetch_add(bytes as u64, Ordering::SeqCst);
                     match kind {
                         CopyKind::Drain => c.drains_in.fetch_add(1, Ordering::SeqCst),
                         CopyKind::Rebuild => c.rebuilds_in.fetch_add(1, Ordering::SeqCst),
@@ -717,30 +731,6 @@ impl PolicyBackend {
                     return Err(e);
                 }
             }
-        }
-    }
-
-    /// Run one level's read with the fault taxonomy applied: transient
-    /// errors retry with backoff, and a *corrupt* result triggers the
-    /// level's own in-place repair (replica member, XOR group) followed by
-    /// one final attempt. A level that cannot repair keeps its original
-    /// error and the caller falls through to the next level — degraded
-    /// reads never got worse, they just heal in place when they can.
-    fn level_read<T>(
-        &self,
-        level: &Level,
-        epoch: u64,
-        op: impl Fn() -> io::Result<T>,
-    ) -> io::Result<T> {
-        match self.retry_policy().run(&op) {
-            Err(e) if classify(&e) == FaultClass::Corrupt => {
-                if level.store().repair_epoch(epoch).is_ok() {
-                    op()
-                } else {
-                    Err(e)
-                }
-            }
-            other => other,
         }
     }
 
@@ -762,20 +752,20 @@ impl PolicyBackend {
             if l == last || level.capacity == 0 || level.is_suspect() {
                 continue;
             }
-            let Ok(mut present) = level.store().epochs() else {
+            let Ok(mut present) = level.store.epochs() else {
                 continue;
             };
             present.sort_unstable();
             let mut idx = 0;
             while present.len() - idx > level.capacity && idx < present.len() {
                 let oldest = present[idx];
-                let held_higher = self.shared.levels[l + 1..]
-                    .iter()
-                    .any(|higher| !higher.is_suspect() && higher.holds(oldest).unwrap_or(false));
+                let held_higher = self.shared.levels[l + 1..].iter().any(|higher| {
+                    !higher.is_suspect() && higher.store.epochs().is_ok_and(|e| e.contains(&oldest))
+                });
                 if !held_higher {
                     break; // never drop the sole durable copy
                 }
-                if level.store().remove_epochs(&[oldest]).is_err() {
+                if level.store.remove_epochs(&[oldest]).is_err() {
                     break;
                 }
                 level.counters.evictions.fetch_add(1, Ordering::SeqCst);
@@ -811,7 +801,65 @@ impl EpochWriter for PolicyWriter {
     }
 }
 
+impl PolicyBackend {
+    /// `install_compacted`'s precondition: every copy toward an epoch
+    /// `<= into` drained and every level in service, or refuse. Folding
+    /// while copies are still owed would destroy the only consistent
+    /// source, and a level that sleeps through a fold would wake up serving
+    /// a delta where its peers hold the full image. Caller holds
+    /// `drain_lock`.
+    fn settle_through(&self, into: u64) -> io::Result<()> {
+        let refuse = |kind, why: String| {
+            let what = format!("compact({into}) requires full redundancy: {why}");
+            io::Error::new(kind, what)
+        };
+        self.reconcile_suspects();
+        loop {
+            let pending = {
+                let state = self.shared.state.lock().unwrap();
+                let mut fronts = state.queues.iter().filter_map(|q| q.front());
+                fronts.any(|&(e, _)| e <= into)
+            };
+            if !pending {
+                break;
+            }
+            self.copy_step()
+                .map_err(|e| refuse(e.kind(), e.to_string()))?;
+        }
+        let state = self.shared.state.lock().unwrap();
+        if state.deferred.iter().flatten().any(|&(e, _)| e <= into) {
+            let why = "copies deferred to a down level".to_owned();
+            return Err(refuse(io::ErrorKind::Other, why));
+        }
+        match self.shared.levels.iter().find(|l| l.is_suspect()) {
+            Some(level) => {
+                let why = format!("level {} is out of service", level.name);
+                Err(refuse(io::ErrorKind::Other, why))
+            }
+            None => Ok(()),
+        }
+    }
+}
+
+impl PolicyBackend {
+    /// `listed` less what the ledger retired: a healed level that has not
+    /// been reconciled yet may still hold epochs retired while it was down
+    /// — never list them.
+    fn unretired<T>(&self, mut listed: Vec<T>, epoch_of: impl Fn(&T) -> u64) -> Vec<T> {
+        let state = self.shared.state.lock().unwrap();
+        listed.retain(|entry| !state.retired.contains(&epoch_of(entry)));
+        listed
+    }
+}
+
 impl StorageBackend for PolicyBackend {
+    fn children(&self) -> Vec<(&str, &dyn StorageBackend)> {
+        let levels = self.shared.levels.iter();
+        levels
+            .map(|l| (l.name.as_str(), l as &dyn StorageBackend))
+            .collect()
+    }
+
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         {
             let state = self.shared.state.lock().unwrap();
@@ -824,7 +872,7 @@ impl StorageBackend for PolicyBackend {
                 }
             }
         }
-        let inner = self.shared.levels[0].store().begin_epoch(epoch)?;
+        let inner = self.shared.levels[0].store.begin_epoch(epoch)?;
         Ok(Box::new(PolicyWriter {
             shared: Arc::clone(&self.shared),
             inner,
@@ -833,301 +881,44 @@ impl StorageBackend for PolicyBackend {
     }
 
     fn epochs(&self) -> io::Result<Vec<u64>> {
-        let mut union = BTreeSet::new();
-        let mut any_ok = false;
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            match level.store().epochs() {
-                Ok(eps) => {
-                    union.extend(eps);
-                    any_ok = true;
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if any_ok {
-            // A healed level that has not been reconciled yet may still
-            // hold epochs retired while it was down — never list them.
-            let state = self.shared.state.lock().unwrap();
-            Ok(union
-                .into_iter()
-                .filter(|e| !state.retired.contains(e))
-                .collect())
-        } else {
-            Err(last_err.unwrap())
-        }
+        Ok(self.unretired(route::epochs(&self.children())?, |e| *e))
     }
 
-    fn high_water(&self) -> io::Result<Option<u64>> {
-        let mut hw = self.shared.state.lock().unwrap().high_water;
-        for level in &self.shared.levels {
-            if let Ok(level_hw) = level.store().high_water() {
-                hw = hw.max(level_hw);
-            }
-        }
-        Ok(hw)
+    fn chain(&self) -> io::Result<Vec<ChainEntry>> {
+        Ok(self.unretired(route::chain(&self.children())?, |c| c.epoch))
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            // Buffer before replay so a level failing mid-stream never
-            // leaks a partial visit to the caller.
-            match self.level_read(level, epoch, || try_read_epoch(level.store(), epoch)) {
-                Ok(Some(records)) => {
-                    level.counters.read_hits.fetch_add(1, Ordering::SeqCst);
-                    for (page, data) in records {
-                        visit(page, &data);
-                    }
-                    return Ok(());
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    level
-                        .counters
-                        .read_fallthroughs
-                        .fetch_add(1, Ordering::SeqCst);
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("epoch {epoch} not found on any level"),
-            )
-        }))
-    }
-
-    fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            match level.holds(epoch) {
-                Ok(true) => {}
-                Ok(false) => continue,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            }
-            match self.level_read(level, epoch, || level.store().epoch_page_ids(epoch)) {
-                Ok(ids) => {
-                    level.counters.read_hits.fetch_add(1, Ordering::SeqCst);
-                    return Ok(ids);
-                }
-                Err(e) => {
-                    level
-                        .counters
-                        .read_fallthroughs
-                        .fetch_add(1, Ordering::SeqCst);
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("epoch {epoch} not found on any level"),
-            )
-        }))
-    }
-
-    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            match level.holds(epoch) {
-                Ok(true) => {}
-                Ok(false) => continue,
-                Err(e) => {
-                    // A level that cannot even be probed should have held
-                    // the epoch: the read falls through past it.
-                    level
-                        .counters
-                        .read_fallthroughs
-                        .fetch_add(1, Ordering::SeqCst);
-                    last_err = Some(e);
-                    continue;
-                }
-            }
-            // Inside a parity level this already reconstructs a corrupt
-            // record from its XOR group before we ever fall through.
-            match self.level_read(level, epoch, || level.store().read_page_at(epoch, page)) {
-                Ok(hit) => {
-                    level.counters.read_hits.fetch_add(1, Ordering::SeqCst);
-                    return Ok(hit);
-                }
-                Err(e) => {
-                    level
-                        .counters
-                        .read_fallthroughs
-                        .fetch_add(1, Ordering::SeqCst);
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("epoch {epoch} not found on any level"),
-            )
-        }))
+        route::read_epoch(self, epoch, visit)
     }
 
     fn bytes_written(&self) -> u64 {
         // Logical ingest: what the application committed, not the N
         // redundant copies maintenance fanned out.
-        self.shared.levels[0].store().bytes_written()
+        self.shared.levels[0].store.bytes_written()
     }
 
-    fn bytes_stored(&self) -> u64 {
-        self.shared.levels[0].store().bytes_stored()
-    }
-
-    fn chain(&self) -> io::Result<Vec<ChainEntry>> {
-        let mut merged: BTreeMap<u64, EpochKind> = BTreeMap::new();
-        let mut any_ok = false;
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            match level.store().chain() {
-                Ok(chain) => {
-                    any_ok = true;
-                    for entry in chain {
-                        let kind = merged.entry(entry.epoch).or_insert(entry.kind);
-                        if entry.kind == EpochKind::Full {
-                            *kind = EpochKind::Full;
-                        }
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if any_ok {
-            let state = self.shared.state.lock().unwrap();
-            Ok(merged
-                .into_iter()
-                .filter(|(epoch, _)| !state.retired.contains(epoch))
-                .map(|(epoch, kind)| ChainEntry { epoch, kind })
-                .collect())
-        } else {
-            Err(last_err.unwrap())
-        }
-    }
-
-    fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
-        // Compaction rewrites every level's chain; doing that while
-        // copies toward `up_to` are still owed would destroy the only
-        // consistent source. Drain first, cleanly, or refuse.
-        let _drain = self.shared.drain_lock.lock().unwrap();
-        self.reconcile_suspects();
-        loop {
-            let pending = {
-                let state = self.shared.state.lock().unwrap();
-                state
-                    .queues
-                    .iter()
-                    .any(|q| q.front().map(|&(e, _)| e <= up_to).unwrap_or(false))
-            };
-            if !pending {
-                break;
-            }
-            if let Err(e) = self.copy_step() {
-                return Err(io::Error::new(
-                    e.kind(),
-                    format!("compact({up_to}) requires full redundancy: {e}"),
-                ));
-            }
-        }
-        {
-            let state = self.shared.state.lock().unwrap();
-            if state
-                .deferred
-                .iter()
-                .any(|d| d.iter().any(|&(e, _)| e <= up_to))
-            {
-                return Err(io::Error::other(format!(
-                    "compact({up_to}) requires full redundancy: \
-                     copies deferred to a down level"
-                )));
-            }
-        }
-        let mut stats: Option<CompactionStats> = None;
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            if level.is_suspect() {
-                continue;
-            }
-            if !level.holds(up_to).unwrap_or(false) {
-                continue; // e.g. capacity-evicted past the fold point
-            }
-            match level.store().compact(up_to) {
-                Ok(s) => {
-                    if stats.is_none() {
-                        stats = Some(s);
-                    }
-                }
-                Err(e) => {
-                    level.suspect.store(true, Ordering::SeqCst);
-                    last_err = Some(e);
-                }
-            }
-        }
-        match (stats, last_err) {
-            (Some(s), None) => Ok(s),
-            (_, Some(e)) => Err(e),
-            (None, None) => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("compact({up_to}): no live epoch at or below it"),
-            )),
-        }
-    }
-
-    fn supports_compaction(&self) -> bool {
-        self.shared
-            .levels
-            .iter()
-            .all(|l| l.store().supports_compaction())
+    fn high_water(&self) -> io::Result<Option<u64>> {
+        // The policy's own mark covers what was committed through it even
+        // while the levels that hold it are out of service.
+        let own = self.shared.state.lock().unwrap().high_water;
+        Ok(own.max(route::high_water(&self.children()).ok().flatten()))
     }
 
     fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            if let Err(e) = level.store().install_compacted(from, into, records) {
-                level.suspect.store(true, Ordering::SeqCst);
-                last_err = Some(e);
-            }
-        }
-        last_err.map_or(Ok(()), Err)
+        let _drain = self.shared.drain_lock.lock().unwrap();
+        self.settle_through(into)?;
+        route::install_compacted(&self.children(), from, into, records)
     }
 
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        // Partition once per level (one `epochs()` probe) and retire each
-        // healthy level's share as ONE batch — one manifest fsync per
-        // file-backed level however many epochs go.
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            if level.is_suspect() {
-                continue; // cleaned up on reconcile via the retired set
-            }
-            let Ok(present) = level.store().epochs() else {
-                // The level is down: it cannot act now, but the retired
-                // set below guarantees the epochs are dropped when it
-                // reconciles — not an error for the caller.
-                level.suspect.store(true, Ordering::SeqCst);
-                continue;
-            };
-            let held: Vec<u64> = epochs
-                .iter()
-                .copied()
-                .filter(|e| present.contains(e))
-                .collect();
-            if held.is_empty() {
-                continue;
-            }
-            if let Err(e) = level.store().remove_epochs(&held) {
-                level.suspect.store(true, Ordering::SeqCst);
-                last_err = Some(e);
-            }
-        }
+        // Under the drain lock, so no copy lands a retired epoch on a
+        // level behind the ledger's back. Each level in service retires
+        // its share as ONE batch — one manifest fsync per file-backed
+        // level however many epochs go; a level that cannot be asked goes
+        // suspect and drops them, through the ledger, when it reconciles.
+        let _drain = self.shared.drain_lock.lock().unwrap();
+        let result = route::remove_epochs(&self.children(), epochs, true);
         let mut state = self.shared.state.lock().unwrap();
         state.retired.extend(epochs);
         for queue in &mut state.queues {
@@ -1136,7 +927,7 @@ impl StorageBackend for PolicyBackend {
         for deferred in &mut state.deferred {
             deferred.retain(|(e, _)| !epochs.contains(e));
         }
-        last_err.map_or(Ok(()), Err)
+        result
     }
 
     fn drain_one(&self) -> io::Result<Option<u64>> {
@@ -1157,203 +948,13 @@ impl StorageBackend for PolicyBackend {
         let state = self.shared.state.lock().unwrap();
         state.queues.iter().map(|q| q.len()).sum()
     }
-
-    fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
-        // Union of the damage across every alive level that holds the
-        // epoch. Suspect levels are skipped — their copies are rebuilt
-        // wholesale on reconcile, not patched record-by-record — and a
-        // level that errors mid-verify contributes its error only if no
-        // level could be verified at all.
-        let mut merged: Option<VerifyReport> = None;
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            if level.is_suspect() {
-                continue;
-            }
-            match level.holds(epoch) {
-                Ok(true) => {}
-                Ok(false) => continue,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            }
-            match level.store().verify_epoch(epoch) {
-                Ok(report) => match &mut merged {
-                    Some(m) => m.merge(&report),
-                    None => merged = Some(report),
-                },
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match (merged, last_err) {
-            (Some(m), _) => Ok(m),
-            (None, Some(e)) => Err(e),
-            (None, None) => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("epoch {epoch} not found on any level"),
-            )),
-        }
-    }
-
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
-        // Rewrite every alive holder. A level that fails the rewrite is
-        // marked suspect: reconcile rebuilds it wholesale from a clean
-        // peer, which is itself a repair.
-        let mut rewrote = false;
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            if level.is_suspect() {
-                continue;
-            }
-            if !level.holds(epoch).unwrap_or(false) {
-                continue;
-            }
-            match level.store().rewrite_epoch(epoch, records) {
-                Ok(()) => rewrote = true,
-                Err(e) => {
-                    level.suspect.store(true, Ordering::SeqCst);
-                    last_err = Some(e);
-                }
-            }
-        }
-        if rewrote {
-            Ok(())
-        } else {
-            Err(last_err.unwrap_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("epoch {epoch} not found on any level"),
-                )
-            }))
-        }
-    }
-
-    fn repair_epoch(&self, epoch: u64) -> io::Result<RepairReport> {
-        // Source-select, fastest-first: each damaged level first tries its
-        // own intra-level redundancy (replica member, XOR group); a level
-        // that cannot self-heal is rewritten wholesale from the lowest
-        // level that verifies clean. Only when *no* level holds a healthy
-        // image does the repair fail — and the scrubber quarantines.
-        let mut damaged: Vec<usize> = Vec::new();
-        let mut clean: Vec<usize> = Vec::new();
-        let mut pages: Vec<u64> = Vec::new();
-        for (l, level) in self.shared.levels.iter().enumerate() {
-            if level.is_suspect() {
-                continue;
-            }
-            if !level.holds(epoch).unwrap_or(false) {
-                continue;
-            }
-            match level.store().verify_epoch(epoch) {
-                Ok(r) if r.is_clean() => clean.push(l),
-                Ok(r) => {
-                    for &p in &r.corrupt_pages {
-                        if !pages.contains(&p) {
-                            pages.push(p);
-                        }
-                    }
-                    damaged.push(l);
-                }
-                Err(_) => {}
-            }
-        }
-        if damaged.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("epoch {epoch} verifies clean on every level; nothing to repair"),
-            ));
-        }
-        // Pass 1: intra-level self-heal (a replica member, an XOR group).
-        // A level that heals itself becomes a source for pass 2 — so a
-        // parity level surviving single-record rot can resurrect levels
-        // with no redundancy of their own.
-        let mut sources: Vec<String> = Vec::new();
-        let mut still_damaged: Vec<usize> = Vec::new();
-        for &l in &damaged {
-            let level = &self.shared.levels[l];
-            let self_healed = level.store().repair_epoch(epoch).ok().filter(|_| {
-                // Trust but verify before using it as a source.
-                level
-                    .store()
-                    .verify_epoch(epoch)
-                    .map(|after| after.is_clean())
-                    .unwrap_or(false)
-            });
-            match self_healed {
-                Some(rep) => {
-                    sources.push(format!("level {} ({})", level.name, rep.source));
-                    clean.push(l);
-                }
-                None => still_damaged.push(l),
-            }
-        }
-        clean.sort_unstable(); // prefer the fastest clean level as source
-                               // Pass 2: rewrite what remains from the fastest clean image.
-        for &l in &still_damaged {
-            let level = &self.shared.levels[l];
-            let mut healed_from = None;
-            for &src in &clean {
-                if let Ok(Some(records)) = try_read_epoch(self.shared.levels[src].store(), epoch) {
-                    level.store().rewrite_epoch(epoch, &as_batch(&records))?;
-                    healed_from = Some(src);
-                    break;
-                }
-            }
-            let Some(src) = healed_from else {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!(
-                        "no surviving source to repair epoch {epoch}: \
-                         level {} is damaged and no level verifies clean",
-                        level.name
-                    ),
-                ));
-            };
-            sources.push(format!("level {}", self.shared.levels[src].name));
-        }
-        Ok(RepairReport {
-            epoch,
-            pages,
-            rewrote_segment: true,
-            source: sources.join(", "),
-        })
-    }
-
-    fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
-        let mut last_err = None;
-        for level in &self.shared.levels {
-            if level.is_suspect() {
-                continue;
-            }
-            if !level.holds(epoch).unwrap_or(false) {
-                continue;
-            }
-            match level.store().record_meta(epoch, page) {
-                Ok(meta) => return Ok(meta),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_err {
-            Some(e) => Err(e),
-            None => Ok(None),
-        }
-    }
-
-    fn io_stats(&self) -> IoStats {
-        let mut total = IoStats::default();
-        for level in &self.shared.levels {
-            total = total.merged(level.store().io_stats());
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::write_epoch;
+    use crate::backend::{write_epoch, EpochKind};
+    use crate::errors::{classify, FaultClass};
     use crate::memory::MemoryBackend;
 
     const SPEC: &str = "nvme=plain#2 -> partner=replica*2 -> cold=parity*4";
@@ -1565,7 +1166,7 @@ mod tests {
             write_epoch(&policy, epoch, epoch_pages(epoch)).unwrap();
         }
         drain_all(&policy);
-        let fsyncs = |l: usize| policy.shared.levels[l].store().io_stats().manifest_fsyncs;
+        let fsyncs = |l: usize| policy.shared.levels[l].store.io_stats().manifest_fsyncs;
         let before = [fsyncs(0), fsyncs(1)];
         policy.remove_epochs(&[1, 2, 3, 4]).unwrap();
         for (l, before) in before.into_iter().enumerate() {
@@ -1616,6 +1217,38 @@ mod tests {
                 controls[l].heal();
             }
             policy.drain_backlog();
+        }
+    }
+
+    #[test]
+    fn bounded_level_folds_the_whole_chain_not_its_window() {
+        use crate::image::CheckpointImage;
+        let spec = ResilienceSpec::parse("hot=plain#2 -> cold=plain").unwrap();
+        let policy = PolicyBuilder::new(spec)
+            .unwrap()
+            .build(|_, _| Box::new(MemoryBackend::new()))
+            .unwrap();
+        for epoch in 1..=3u64 {
+            write_epoch(&policy, epoch, vec![(epoch - 1, vec![epoch as u8 * 10; 8])]).unwrap();
+        }
+        drain_all(&policy);
+        let hot = &policy.shared.levels[0].store;
+        assert_eq!(hot.epochs().unwrap(), vec![2, 3], "epoch 1 evicted");
+        policy.compact(3).unwrap();
+        // The fold read the union chain once and installed the complete
+        // image everywhere: the policy, and every level that holds epoch 3
+        // on its own, serve all three pages.
+        let serves_all = |store: &dyn StorageBackend, who: &str| {
+            let image = CheckpointImage::load(store, 3).unwrap();
+            for page in 0..3u64 {
+                let want = [(page as u8 + 1) * 10; 8];
+                assert_eq!(image.page(page), Some(&want[..]), "{who}: page {page}");
+            }
+        };
+        serves_all(&policy, "policy");
+        for level in &policy.shared.levels {
+            assert_eq!(level.store.epochs().unwrap(), vec![3], "{}", level.name);
+            serves_all(&*level.store, &level.name);
         }
     }
 
@@ -1676,7 +1309,7 @@ mod tests {
         // Ask the parity level's protection view for the corrupt page:
         // `ParityBackend::read_page_at` must reconstruct it from the XOR
         // group instead of surfacing `InvalidData` to the policy.
-        let parity_view = policy.shared.levels[1].store();
+        let parity_view = &policy.shared.levels[1].store;
         let want = epoch_pages(1);
         assert_eq!(
             parity_view.read_page_at(1, 2).unwrap().unwrap(),

@@ -166,11 +166,6 @@ impl<B: StorageBackend> ThrottledBackend<B> {
         }
     }
 
-    /// Convenience: the paper's 55 MB/s local SATA disk.
-    pub fn sata_2013(inner: B) -> Self {
-        Self::new(inner, 55.0 * 1024.0 * 1024.0, Duration::from_micros(50))
-    }
-
     /// Total time spent waiting on the emulated device (sum across
     /// streams).
     pub fn throttled_time(&self) -> Duration {

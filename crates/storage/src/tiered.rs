@@ -11,10 +11,15 @@
 //! * when the fast tier already holds `fast_capacity` undrained epochs, the
 //!   next `begin_epoch` drains synchronously first — back-pressure instead
 //!   of unbounded fast-tier growth;
-//! * reads (`epochs`/`read_epoch`/restore) see the union of both tiers, so
-//!   an epoch is visible from the moment the fast tier committed it;
-//! * `compact` drains everything up to the target first, then folds the
-//!   slow tier's chain — the long chain lives (and is bounded) there.
+//! * everything else is the routing rule of the `route` module over the
+//!   two tiers as [`StorageBackend::children`], fast first: reads and
+//!   listings see the union of both tiers, so an epoch is visible from the
+//!   moment the fast tier committed it; verification, rewrites, repair and
+//!   retirement reach *both* copies of an epoch that sits on both tiers (a
+//!   drain whose eviction failed), and either copy heals the other;
+//! * a fold ([`StorageBackend::compact`]) reads that union view and
+//!   installs on the slow tier: `install_compacted` drains everything up
+//!   to the target first — the long chain lives (and is bounded) there.
 //!
 //! Crash story: the fast tier is typically volatile
 //! ([`MemoryBackend`](crate::memory::MemoryBackend)), so
@@ -30,8 +35,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{as_batch, ChainEntry, CompactionStats, EpochWriter, StorageBackend};
-use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
+use crate::backend::{EpochWriter, StorageBackend};
+use crate::errors::RetryPolicy;
+use crate::route;
 
 struct TierState {
     /// Epochs committed to the fast tier, not yet on the slow tier;
@@ -153,6 +159,13 @@ impl EpochWriter for TieredEpochWriter {
 }
 
 impl StorageBackend for TieredBackend {
+    fn children(&self) -> Vec<(&str, &dyn StorageBackend)> {
+        // Fast first: a concurrent drain commits an epoch to the slow tier
+        // *before* evicting it from the fast one, so fast-then-slow can
+        // observe an in-flight epoch twice but never zero times.
+        vec![("fast tier", &*self.fast), ("slow tier", &*self.slow)]
+    }
+
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
         {
             let st = self.state.lock();
@@ -179,67 +192,11 @@ impl StorageBackend for TieredBackend {
     }
 
     fn epochs(&self) -> io::Result<Vec<u64>> {
-        // Read the FAST tier first: a concurrent drain commits an epoch to
-        // the slow tier *before* evicting it from the fast one, so
-        // fast-then-slow can observe an in-flight epoch twice but never
-        // zero times (slow-then-fast could miss it entirely, and a restore
-        // over that snapshot would silently drop its pages).
-        let mut all = self.fast.epochs()?;
-        for e in self.slow.epochs()? {
-            if !all.contains(&e) {
-                all.push(e);
-            }
-        }
-        all.sort_unstable();
-        Ok(all)
+        route::epochs(&self.children())
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        // Buffer the fast tier's copy rather than streaming it: if the
-        // epoch is mid-drain we must not fall back to the slow tier after
-        // having already delivered some records.
-        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-        match self
-            .fast
-            .read_epoch(epoch, &mut |p, d| records.push((p, d.to_vec())))
-        {
-            Ok(()) => {
-                for (p, d) in records {
-                    visit(p, &d);
-                }
-                Ok(())
-            }
-            // Not in the fast tier (never was, or evicted after its drain
-            // committed): the slow tier is authoritative.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => self.slow.read_epoch(epoch, visit),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        // Same routing as `read_epoch`: the fast tier first, falling back
-        // to the slow tier when the epoch drained away.
-        match self.fast.epoch_page_ids(epoch) {
-            Ok(pages) => Ok(pages),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => self.slow.epoch_page_ids(epoch),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        match self.fast.read_page_at(epoch, page) {
-            Ok(hit) => Ok(hit),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => self.slow.read_page_at(epoch, page),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn high_water(&self) -> io::Result<Option<u64>> {
-        // The in-memory mark covers everything committed through this
-        // instance; the tiers' own marks cover retirement history from
-        // previous lives (a drained epoch is burned on the fast tier).
-        let st = self.state.lock().high_water;
-        Ok(st.max(self.fast.high_water()?).max(self.slow.high_water()?))
+        route::read_epoch(self, epoch, visit)
     }
 
     fn bytes_written(&self) -> u64 {
@@ -248,145 +205,25 @@ impl StorageBackend for TieredBackend {
         self.fast.bytes_written()
     }
 
-    fn bytes_stored(&self) -> u64 {
-        self.fast.bytes_stored()
-    }
-
-    fn supports_compaction(&self) -> bool {
-        // Folds happen on the slow tier (see `compact`).
-        self.slow.supports_compaction()
-    }
-
-    fn chain(&self) -> io::Result<Vec<ChainEntry>> {
-        // Fast tier first — same drain-race reasoning as `epochs`. For an
-        // epoch present in both tiers the slow entry wins: compaction runs
-        // on the slow tier, so only it can carry a `Full` kind.
-        let fast = self.fast.chain()?;
-        let mut chain = self.slow.chain()?;
-        let on_slow: Vec<u64> = chain.iter().map(|c| c.epoch).collect();
-        for c in fast {
-            if !on_slow.contains(&c.epoch) {
-                chain.push(c);
-            }
-        }
-        chain.sort_unstable_by_key(|c| c.epoch);
-        Ok(chain)
-    }
-
-    fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
-        // The long-lived chain is the slow tier's; fold it there, draining
-        // whatever part of the target range is still in the fast tier.
-        self.drain_through(up_to)?;
-        self.slow.compact(up_to)
-    }
-
     fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
-        // A wrapper above this backend (e.g. `ParityBackend`) may run the
-        // default merge itself and install through this primitive. The full
-        // segment belongs on the durable tier, so everything it supersedes
-        // must have drained there first.
+        // The full segment belongs on the durable tier, so everything it
+        // supersedes must have drained there first.
         self.drain_through(into)?;
-        self.slow.install_compacted(from, into, records)
+        route::install_compacted(&self.children(), from, into, records)
     }
 
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
-        // A drain commits an epoch to the slow tier before evicting it from
-        // the fast one, so an epoch can sit on both (mid-drain, or after a
-        // failed eviction). Hold the drain lock so no epoch changes tiers
-        // underfoot, then retire from *each* tier that lists the epoch —
-        // still one batched call per tier, so the slow tier's retirement
-        // stays one manifest fsync for the whole batch on the file backend.
+        // Hold the drain lock so no epoch changes tiers underfoot while
+        // each tier retires its share.
         let _serial = self.drain_lock.lock();
-        let on_fast = self.fast.epochs()?;
-        let on_slow = self.slow.epochs()?;
-        if let Some(epoch) = epochs
-            .iter()
-            .find(|e| !on_fast.contains(e) && !on_slow.contains(e))
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("epoch {epoch} not live on either tier"),
-            ));
+        let result = route::remove_epochs(&self.children(), epochs, false);
+        // Whatever the outcome, the queue keeps only what the fast tier
+        // still holds: a stale entry would wedge every later drain.
+        if let Ok(on_fast) = self.fast.epochs() {
+            let gone = |e: &u64| epochs.contains(e) && !on_fast.contains(e);
+            self.state.lock().pending.retain(|e| !gone(e));
         }
-        let held_by = |tier: &[u64]| -> Vec<u64> {
-            epochs
-                .iter()
-                .copied()
-                .filter(|e| tier.contains(e))
-                .collect()
-        };
-        let (fast_part, slow_part) = (held_by(&on_fast), held_by(&on_slow));
-        if !fast_part.is_empty() {
-            self.fast.remove_epochs(&fast_part)?;
-            self.state.lock().pending.retain(|e| !fast_part.contains(e));
-        }
-        if !slow_part.is_empty() {
-            self.slow.remove_epochs(&slow_part)?;
-        }
-        Ok(())
-    }
-
-    fn io_stats(&self) -> crate::io::IoStats {
-        self.fast.io_stats().merged(self.slow.io_stats())
-    }
-
-    // Integrity surfaces route like the read path: whichever tier holds the
-    // epoch answers (fast first, slow on NotFound — a drained epoch's
-    // at-rest life is on the slow tier, which is exactly where bitrot has
-    // the most time to accumulate).
-
-    fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
-        match self.fast.verify_epoch(epoch) {
-            Ok(report) => Ok(report),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => self.slow.verify_epoch(epoch),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
-        match self.fast.rewrite_epoch(epoch, records) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.slow.rewrite_epoch(epoch, records)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn repair_epoch(&self, epoch: u64) -> io::Result<RepairReport> {
-        match self.fast.repair_epoch(epoch) {
-            Ok(report) => Ok(report),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => self.slow.repair_epoch(epoch),
-            Err(fast_err) => {
-                // The fast tier holds the epoch but cannot heal itself
-                // (plain store, or its own redundancy is exhausted). A
-                // drained copy on the durable tier is a redundant source:
-                // rebuild the fast copy wholesale from the slow tier's
-                // verified-clean records.
-                match self.slow.verify_epoch(epoch) {
-                    Ok(report) if report.is_clean() => {}
-                    _ => return Err(fast_err),
-                }
-                let mut records = Vec::new();
-                self.slow
-                    .read_epoch(epoch, &mut |page, data| records.push((page, data.to_vec())))?;
-                self.fast.rewrite_epoch(epoch, &as_batch(&records))?;
-                Ok(RepairReport {
-                    epoch,
-                    pages: records.iter().map(|(p, _)| *p).collect(),
-                    rewrote_segment: true,
-                    source: "slow tier".to_string(),
-                })
-            }
-        }
-    }
-
-    fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
-        match self.fast.record_meta(epoch, page) {
-            Ok(meta) => Ok(meta),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => self.slow.record_meta(epoch, page),
-            Err(e) => Err(e),
-        }
+        result
     }
 
     fn drain_backlog(&self) -> usize {
@@ -406,20 +243,8 @@ impl StorageBackend for TieredBackend {
             // Copy fast → slow. Buffered: the epoch is bounded by the fast
             // tier's capacity, and the slow tier wants batched writes
             // anyway.
-            let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-            self.fast
-                .read_epoch(epoch, &mut |p, d| records.push((p, d.to_vec())))?;
-            let writer = self.slow.begin_epoch(epoch)?;
-            let result = (|| {
-                for (page, data) in &records {
-                    writer.write_pages(&[(*page, data)])?;
-                }
-                writer.finish()
-            })();
-            if let Err(e) = result {
-                let _ = writer.abort();
-                return Err(e);
-            }
+            let records = route::read_records(&*self.fast, epoch)?;
+            route::write_records(&*self.slow, epoch, &records, &RetryPolicy::none())?;
         }
         // The epoch is durable on the slow tier: evict it from the fast
         // tier and release the queue slot. The queue only pops once the
@@ -549,5 +374,30 @@ mod tests {
         let err = t.remove_epochs(&[2, 1]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         assert_eq!(t.epochs().unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn integrity_reaches_an_epoch_both_tiers_hold() {
+        // The same both-tiers state, with the *slow* copy rotted: asking the
+        // first holder only would report the epoch clean, let the drain
+        // retry evict the good copy, and leave a CRC mismatch nobody can
+        // heal.
+        let (t, fast, slow) = tiered(0);
+        let pages = vec![(0, vec![1u8; 16]), (1, vec![2u8; 16])];
+        write_epoch(&t, 1, pages.clone()).unwrap();
+        write_epoch(&slow, 1, pages.clone()).unwrap();
+        slow.corrupt_stored_page(1, 0, 3).unwrap();
+        let report = t.verify_epoch(1).unwrap();
+        assert_eq!(report.corrupt_pages, vec![0], "named before any eviction");
+        assert_eq!(t.repair_epoch(1).unwrap().source, "fast tier");
+        assert_eq!(slow.epoch_records(1).unwrap(), pages, "healed in place");
+        assert!(t.verify_epoch(1).unwrap().is_clean());
+        // A rewrite reaches both copies, so whichever survives the drain
+        // retry serves the new bytes.
+        t.rewrite_epoch(1, &[(0, &[9u8; 16])]).unwrap();
+        assert_eq!(fast.epoch_records(1).unwrap(), vec![(0, vec![9u8; 16])]);
+        assert_eq!(slow.epoch_records(1).unwrap(), vec![(0, vec![9u8; 16])]);
+        assert_eq!(t.drain_one().unwrap(), Some(1));
+        assert_eq!(t.read_page_at(1, 0).unwrap().unwrap(), vec![9u8; 16]);
     }
 }

@@ -7,7 +7,8 @@
 use ai_ckpt_core::rng::SplitMix64;
 use ai_ckpt_storage::{
     write_epoch, CheckpointImage, EpochWriter, FileBackend, MemoryBackend, ParityBackend,
-    ReplicatedBackend, StorageBackend, ThrottledBackend, TieredBackend,
+    PolicyBuilder, ReplicatedBackend, ResilienceSpec, StorageBackend, ThrottledBackend,
+    TieredBackend,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -144,21 +145,25 @@ fn parity_backend_is_transparent_and_recoverable() {
 #[test]
 fn compacted_chain_image_equals_uncompacted_chain_image() {
     let mut rng = SplitMix64::new(0xC0_FFEE);
-    for case in 0..48u64 {
+    for case in 0..96u64 {
         // Twin setup: `plain` only ever appends; `folded` additionally
         // compacts/drains at random points.
         let plain = MemoryBackend::new();
-        let folded: Box<dyn StorageBackend> = if case % 2 == 0 {
-            Box::new(MemoryBackend::new())
-        } else {
-            Box::new(
-                TieredBackend::new(
-                    Box::new(MemoryBackend::new()),
-                    Box::new(MemoryBackend::new()),
-                    1 + rng.next_below(3) as usize,
-                )
-                .unwrap(),
-            )
+        let memory = || Box::new(MemoryBackend::new()) as Box<dyn StorageBackend>;
+        let folded: Box<dyn StorageBackend> = match case % 4 {
+            0 => memory(),
+            1 => Box::new(
+                TieredBackend::new(memory(), memory(), 1 + rng.next_below(3) as usize).unwrap(),
+            ),
+            // A capacity-bounded level has evicted the chain's head by the
+            // time it folds: it must install the whole image, not its window.
+            2 => Box::new(
+                PolicyBuilder::new(ResilienceSpec::parse("hot=plain#2 -> cold=plain").unwrap())
+                    .unwrap()
+                    .build(|_, _| memory())
+                    .unwrap(),
+            ),
+            _ => Box::new(ReplicatedBackend::new(vec![memory(), memory()])),
         };
         let mut committed = 0u64;
         for _ in 0..(2 + rng.next_below(12)) {
