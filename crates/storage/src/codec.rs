@@ -22,6 +22,20 @@
 //! [`Compression`] mode allows and falls back to `Raw` otherwise, so the
 //! worst case over incompressible data stores the payload bytes unchanged.
 //!
+//! What the encoders emit is part of the format: which candidate wins and
+//! every byte of an RLE stream or LZ block decide the stored size, and a
+//! past commit's files pin them. The RLE scan here and both `minilz`
+//! directions run a word at a time, and each keeps its byte-at-a-time
+//! predecessor in its test module as the reference it must equal — output
+//! for output, and `Ok(bytes)` / `Err` for every flipped or truncated
+//! stream; `tests/format_fixture.rs` re-writes a checked-in root and
+//! compares the files.
+//!
+//! [`decode`] is also where a record's declared length stops being
+//! trusted: the frame field it comes from is covered by no checksum, so a
+//! claim larger than any stream of the stored size can decode to is
+//! `InvalidData` before a decoder reserves a byte for it.
+//!
 //! [`seal`] and [`Sealed::open`] are the one place a payload is sealed
 //! (encode + CRC) and the one place it is opened (decode + CRC check):
 //! the segment frame ([`crate::segment`]) and the in-memory backend both
@@ -67,6 +81,30 @@ pub enum Compression {
     Auto,
 }
 
+/// Longest run a single RLE pair can carry (the count is one byte).
+const MAX_RUN: usize = 255;
+
+/// Most uncompressed bytes any encoding yields per stored byte: an RLE pair
+/// carries [`MAX_RUN`] in two, an LZ length-extension byte 255 in one.
+const MAX_EXPANSION: usize = 255;
+
+/// How many leading bytes of `window` equal `b`: eight per step against
+/// `b` splatted across a word, the first differing byte found by XOR +
+/// `trailing_zeros`, then a byte tail shorter than a word.
+#[inline]
+fn run_len(window: &[u8], b: u8) -> usize {
+    let splat = u64::from_ne_bytes([b; 8]);
+    let mut n = 0;
+    for word in window.chunks_exact(8) {
+        let diff = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ splat;
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + window[n..].iter().take_while(|&&x| x == b).count()
+}
+
 /// RLE-encode `data` as `(count, byte)` pairs, or `None` when the result
 /// would not be smaller than `data` (the caller then keeps raw/LZ).
 fn rle_compress(data: &[u8]) -> Option<Vec<u8>> {
@@ -77,10 +115,14 @@ fn rle_compress(data: &[u8]) -> Option<Vec<u8>> {
             return None; // cannot win any more
         }
         let b = data[i];
-        let mut run = 1usize;
-        while run < 255 && i + run < data.len() && data[i + run] == b {
-            run += 1;
-        }
+        let window = &data[i..data.len().min(i + MAX_RUN)];
+        // A page that is not one long fill is mostly singletons: those are
+        // settled by one byte compare, and only a repeated byte goes wide.
+        let run = if window.get(1) == Some(&b) {
+            2 + run_len(&window[2..], b)
+        } else {
+            1
+        };
         out.push(run as u8);
         out.push(b);
         i += run;
@@ -88,7 +130,8 @@ fn rle_compress(data: &[u8]) -> Option<Vec<u8>> {
     (out.len() < data.len()).then_some(out)
 }
 
-/// Decode an RLE payload into exactly `raw_len` bytes.
+/// Decode an RLE payload into exactly `raw_len` bytes ([`decode`] has
+/// bounded `raw_len` by the stream's length before it is reserved here).
 fn rle_decompress(stored: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
     if !stored.len().is_multiple_of(2) {
         return Err(corrupt("odd RLE stream length"));
@@ -141,6 +184,12 @@ pub fn encode(data: &[u8], mode: Compression) -> (Encoding, Option<Vec<u8>>) {
 /// `Raw` borrows nothing — the caller uses the stored bytes directly — so
 /// this returns `None` for `Raw` and the owned decoded bytes otherwise.
 pub fn decode(enc: Encoding, stored: &[u8], raw_len: usize) -> io::Result<Option<Vec<u8>>> {
+    // `raw_len` arrives from a record frame no checksum covers, and the
+    // decoders size their output by it. A claim past what `stored` could
+    // expand to is rot: refuse it here, before anything is reserved.
+    if raw_len > stored.len().saturating_mul(MAX_EXPANSION) {
+        return Err(corrupt("declared length exceeds what the record can hold"));
+    }
     match enc {
         Encoding::Raw => {
             if stored.len() != raw_len {
@@ -356,6 +405,146 @@ mod tests {
                 assert_eq!(out.len(), data.len());
             }
         }
+    }
+
+    /// `rle_compress` as it was before the word-wide scan, verbatim: the
+    /// definition of the bytes an RLE record must consist of.
+    fn reference_rle_compress(data: &[u8]) -> Option<Vec<u8>> {
+        let mut out = Vec::with_capacity(data.len() / 2);
+        let mut i = 0;
+        while i < data.len() {
+            if out.len() + 2 >= data.len() {
+                return None; // cannot win any more
+            }
+            let b = data[i];
+            let mut run = 1usize;
+            while run < 255 && i + run < data.len() && data[i + run] == b {
+                run += 1;
+            }
+            out.push(run as u8);
+            out.push(b);
+            i += run;
+        }
+        (out.len() < data.len()).then_some(out)
+    }
+
+    /// `rle_decompress` as it was when `raw_len` was trusted, verbatim.
+    fn reference_rle_decompress(stored: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
+        if !stored.len().is_multiple_of(2) {
+            return Err(corrupt("odd RLE stream length"));
+        }
+        let mut out = Vec::with_capacity(raw_len);
+        for pair in stored.chunks_exact(2) {
+            let (run, b) = (pair[0] as usize, pair[1]);
+            if run == 0 || out.len() + run > raw_len {
+                return Err(corrupt("RLE run overflows declared length"));
+            }
+            out.resize(out.len() + run, b);
+        }
+        if out.len() != raw_len {
+            return Err(corrupt("RLE decoded length mismatch"));
+        }
+        Ok(out)
+    }
+
+    /// The differential inputs: [`arbitrary_payload`]'s shapes and lengths,
+    /// the benchmark's page (1/8 noise, then 7/8 one run), runs around the
+    /// 255-byte pair limit, and 70 000-byte runs.
+    fn differential_payloads(
+        rng: &mut ai_ckpt_core::rng::SplitMix64,
+        arbitrary: usize,
+    ) -> Vec<Vec<u8>> {
+        let mut inputs: Vec<Vec<u8>> = (0..arbitrary).map(|_| arbitrary_payload(rng)).collect();
+        let mut mixed: Vec<u8> = (0..512).map(|_| rng.next_u64() as u8).collect();
+        mixed.resize(4096, 0x11);
+        inputs.push(mixed);
+        for run in [1usize, 2, 3, 8, 9, 10, 254, 255, 256, 257, 510, 511, 70_000] {
+            let mut v = vec![1u8; run];
+            v.extend(std::iter::repeat_n(2u8, run));
+            v.push(3);
+            inputs.push(v);
+        }
+        inputs
+    }
+
+    #[test]
+    fn rle_compress_emits_the_reference_bytes() {
+        let mut rng = ai_ckpt_core::rng::SplitMix64::new(0x1DE1_71CA);
+        for data in differential_payloads(&mut rng, 4000) {
+            assert_eq!(
+                rle_compress(&data),
+                reference_rle_compress(&data),
+                "{} bytes",
+                data.len()
+            );
+        }
+    }
+
+    #[test]
+    fn rle_decode_agrees_with_the_reference_on_every_flip_and_truncation() {
+        // Through `decode`, the door records come in by: its bound on
+        // `raw_len` must not change one outcome.
+        #[track_caller]
+        fn assert_agree(stored: &[u8], raw_len: usize) {
+            let got = decode(Encoding::Rle, stored, raw_len).map(|d| d.expect("RLE owns"));
+            let want = reference_rle_decompress(stored, raw_len);
+            assert_eq!(got.ok(), want.ok());
+        }
+        let mut rng = ai_ckpt_core::rng::SplitMix64::new(0xDEC0_DE5A);
+        for data in differential_payloads(&mut rng, 48) {
+            let Some(stored) = rle_compress(&data) else {
+                continue;
+            };
+            assert_eq!(rle_decompress(&stored, data.len()).unwrap(), data);
+            for raw_len in [0, data.len().saturating_sub(1), data.len() + 1] {
+                assert_agree(&stored, raw_len);
+            }
+            for cut in 0..stored.len() {
+                assert_agree(&stored[..cut], data.len());
+            }
+            let mut bad = stored.clone();
+            for i in 0..bad.len() {
+                let mask = 1 + rng.next_below(255) as u8;
+                bad[i] ^= mask;
+                assert_agree(&bad, data.len());
+                bad[i] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn declared_length_is_never_a_reservation() {
+        // `raw_len` is a frame field nothing checksums. A claim no stream of
+        // this size can decode to is `InvalidData` before any decoder sizes
+        // a buffer by it (the parent reserved 4 GiB, or overflowed capacity).
+        let data = vec![7u8; 4096];
+        let lz = minilz::compress(&data);
+        let rle = rle_compress(&data).unwrap();
+        for claim in [u32::MAX as usize, usize::MAX] {
+            for (enc, stored) in [
+                (Encoding::Rle, &rle[..]),
+                (Encoding::Lz, &lz[..]),
+                (Encoding::Raw, &data[..]),
+            ] {
+                let err = decode(enc, stored, claim).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{enc:?}: {err}");
+            }
+        }
+        // The bound is tight where it matters: the densest honest streams
+        // (255 bytes per pair; a lone fill) still decode.
+        let dense = vec![9u8; 255 * 40];
+        let stored = rle_compress(&dense).unwrap();
+        assert_eq!(stored.len(), 80);
+        assert_eq!(
+            decode(Encoding::Rle, &stored, dense.len()).unwrap(),
+            Some(dense)
+        );
+        let fill = vec![3u8; 70_000];
+        let stored = minilz::compress(&fill);
+        assert_eq!(
+            decode(Encoding::Lz, &stored, fill.len()).unwrap(),
+            Some(fill)
+        );
     }
 
     #[test]

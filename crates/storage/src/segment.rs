@@ -59,7 +59,8 @@
 //! point *straight at the caller's bytes* (live page memory, CoW slot
 //! bytes): raw records are never copied in user space. Record frames and
 //! compressed payloads stage into per-writer reusable aligned buffers
-//! ([`crate::io::AlignedBuf`]), so the steady state allocates nothing.
+//! ([`crate::io::AlignedBuf`]) and the iovec array is reused the same way,
+//! so the steady state allocates nothing.
 //!
 //! The write offset only advances past a batch whose vectored write
 //! succeeded, and trailer entries are appended only then, so a torn batch is
@@ -241,6 +242,28 @@ pub(crate) struct SegmentWriter {
     staged: AlignedBuf,
     /// Per-record payload sources of the batch being staged.
     plan: Vec<PayloadSrc>,
+    /// The batch's iovecs (reused like the staging buffers; the pointers in
+    /// it are dead once its vectored write returns).
+    iov: IovecList,
+}
+
+/// A reusable iovec array. Its entries point into a batch only between
+/// being pushed and the `pwritev` they are built for; kept across batches
+/// it is capacity and nothing else.
+#[derive(Default)]
+struct IovecList(Vec<libc::iovec>);
+
+// SAFETY: the raw pointers inside are never dereferenced by this process —
+// the kernel reads through them during the one `pwritev` of the batch that
+// pushed them, on the thread holding `&mut SegmentWriter` — and the list is
+// cleared before every use. Moving the stale values to another thread is
+// moving integers.
+unsafe impl Send for IovecList {}
+
+impl std::fmt::Debug for IovecList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "IovecList(capacity {})", self.0.capacity())
+    }
 }
 
 impl SegmentWriter {
@@ -262,6 +285,7 @@ impl SegmentWriter {
             frames: AlignedBuf::new(),
             staged: AlignedBuf::new(),
             plan: Vec::new(),
+            iov: IovecList::default(),
         })
     }
 
@@ -310,7 +334,8 @@ impl SegmentWriter {
         // Staging buffers are final — pointers are stable from here on.
         let frames = self.frames.as_slice();
         let staged = self.staged.as_slice();
-        let mut iov: Vec<libc::iovec> = Vec::with_capacity(batch.len() * 2);
+        let iov = &mut self.iov.0;
+        iov.clear();
         for (i, src) in self.plan.iter().enumerate() {
             iov.push(iovec(&frames[i * FRAME_LEN..(i + 1) * FRAME_LEN]));
             match *src {
@@ -319,7 +344,7 @@ impl SegmentWriter {
                 PayloadSrc::Staged(at, len) => iov.push(iovec(&staged[at..at + len])),
             }
         }
-        let written = pwritev_full(&self.file, &mut iov, self.offset, io)?;
+        let written = pwritev_full(&self.file, iov, self.offset, io)?;
         let mut record_at = self.offset;
         for (&(page, _), src) in batch.iter().zip(&self.plan) {
             self.trailer.extend_from_slice(&page.to_le_bytes());
@@ -524,6 +549,19 @@ pub enum SegmentRegion {
     /// The first record's encoding byte: per-record damage localized to
     /// that page.
     Encoding,
+    /// A byte of the first record's uncompressed-length field: nothing
+    /// checksums it, and the decoders size their output by it — the record
+    /// must fail to open, not take the process down with a huge reservation.
+    RawLen {
+        /// Byte offset within the 4-byte field (modulo 4).
+        byte: u64,
+    },
+    /// A byte of the first record's stored-length field: the record no
+    /// longer fills the extent its trailer entry gives it.
+    StoredLen {
+        /// Byte offset within the 4-byte field (modulo 4).
+        byte: u64,
+    },
     /// A byte of the first record's *stored* payload (offset taken modulo
     /// the stored length).
     Payload {
@@ -574,6 +612,8 @@ pub(crate) fn corrupt_region(path: &Path, epoch: u64, region: SegmentRegion) -> 
         SegmentRegion::Trailer { byte } => segment.records_end + byte % segment.trailer_len(),
         SegmentRegion::PageId => record()?.at + Frame::PAGE_AT as u64,
         SegmentRegion::Encoding => record()?.at + Frame::ENC_AT as u64,
+        SegmentRegion::RawLen { byte } => record()?.at + Frame::RAW_LEN_AT as u64 + byte % 4,
+        SegmentRegion::StoredLen { byte } => record()?.at + Frame::STORED_LEN_AT as u64 + byte % 4,
         SegmentRegion::Crc => record()?.at + Frame::CRC_AT as u64,
         SegmentRegion::Payload { byte } | SegmentRegion::PayloadOf { byte, .. } => {
             let extent = record()?;
@@ -718,6 +758,106 @@ mod tests {
             assert_eq!(report.records, 2, "both records walked ({region:?})");
             fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// One epoch per encoding, the record under test first: a noise page
+    /// (stored raw), a constant page (RLE) and a phrase page (LZ).
+    fn one_record_of_each_encoding(dir: &Path) -> FileBackend {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                x = x.wrapping_mul(0xD129_0209_3482_1899).rotate_left(23);
+                x as u8
+            })
+            .collect();
+        let phrase: Vec<u8> = b"adaptive asynchronous incremental checkpointing; "
+            .iter()
+            .copied()
+            .cycle()
+            .take(4096)
+            .collect();
+        let b = FileBackend::open(dir).unwrap();
+        for (epoch, (enc, first)) in [
+            (codec::Encoding::Raw, noise),
+            (codec::Encoding::Rle, vec![0x5A; 4096]),
+            (codec::Encoding::Lz, phrase),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let epoch = epoch as u64 + 1;
+            write_epoch(&b, epoch, vec![(3, first), (4, vec![epoch as u8; 64])]).unwrap();
+            let path = dir.join(format!("epoch_{epoch:010}.seg"));
+            let segment = Segment::open(&path, epoch).unwrap();
+            let (page, extent) = segment.extents().next().unwrap();
+            let frame = segment.read_frame(page, extent).unwrap();
+            assert_eq!(frame.sealed.enc, enc as u8, "epoch {epoch} is {enc:?}");
+        }
+        b
+    }
+
+    /// Flip `region` of each encoding's record in a fresh root and check
+    /// that every read door fails loudly on exactly that record.
+    fn assert_length_field_rot_fails_loudly(tag: &str, region: SegmentRegion) {
+        for epoch in 1..=3u64 {
+            let dir = tmpdir(tag);
+            let b = one_record_of_each_encoding(&dir);
+            corrupt_segment_region(&dir, epoch, region).unwrap();
+            let report = b.verify_epoch(epoch).unwrap();
+            assert_eq!(report.corrupt_pages, vec![3], "epoch {epoch} {region:?}");
+            assert!(report.structural.is_empty(), "epoch {epoch} {region:?}");
+            assert_eq!(report.records, 2, "epoch {epoch} {region:?}");
+            assert_invalid(b.read_page_at(epoch, 3).unwrap_err());
+            assert_invalid(crate::image::CheckpointImage::load(&b, epoch).unwrap_err());
+            assert_eq!(
+                b.read_page_at(epoch, 4).unwrap().unwrap(),
+                vec![epoch as u8; 64]
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_flipped_length_byte_fails_every_read_door() {
+        for byte in 0..4 {
+            assert_length_field_rot_fails_loudly("lenrot", SegmentRegion::RawLen { byte });
+            assert_length_field_rot_fails_loudly("lenrot", SegmentRegion::StoredLen { byte });
+        }
+    }
+
+    /// Name of the test below, as the harness filters it.
+    const RAW_LEN_CHILD: &str =
+        "segment::tests::rotted_raw_len_high_byte_under_an_address_space_limit";
+
+    /// The regression test for "a flipped `raw_len` bit aborts the process":
+    /// flipping the field's high byte makes a 4 KiB record claim ≈ 4 GiB,
+    /// and the decoders used to reserve that much before reading a byte —
+    /// harmless where memory is overcommitted, `SIGABRT` from inside the
+    /// scrubber on any memory-limited node. The body runs in a child process
+    /// under `ulimit -v` (an address-space limit is per process, and it
+    /// cannot be raised again), where that reservation cannot succeed.
+    #[test]
+    fn rotted_raw_len_high_byte_under_an_address_space_limit() {
+        const ENV: &str = "AICKPT_RAW_LEN_CHILD";
+        if std::env::var_os(ENV).is_some() {
+            assert_length_field_rot_fails_loudly("lenrot-child", SegmentRegion::RawLen { byte: 3 });
+            return;
+        }
+        let out = std::process::Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -v 1048576 && exec \"$0\" \"$@\"")
+            .arg(std::env::current_exe().unwrap())
+            .args(["--exact", RAW_LEN_CHILD, "--test-threads=1"])
+            .env(ENV, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child under a 1 GiB address-space limit: {:?}\n{stdout}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! test that builds its expectation with `crc64` itself passes for a
 //! checksum that is wrong *consistently*; these files and the literal CRCs
 //! below do not. A change to the checksum, the codec or either format keeps
-//! this test green untouched or is a format break.
+//! this test green untouched or is a format break. The last two tests run
+//! the other way: this checkout *writes* the fixture's content again and
+//! must produce the checked-in files byte for byte, because which encoding
+//! wins and every byte of an LZ block or RLE stream is the encoder's choice.
 //!
 //! The records cross every checksum path: 4 KiB and 4 KiB + 7 raw payloads
 //! (whole 64-byte blocks, and blocks plus a tail), a 100-byte raw payload
@@ -101,11 +104,27 @@ fn global_records() -> [GlobalWire; 3] {
     ]
 }
 
+/// A fresh path for this process's `tag` (nothing there yet).
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("aickpt-fixture-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The fixture's two epochs written by this checkout's writer into `root`.
+fn write_fixture_epochs(root: &Path) {
+    let b = FileBackend::open(root)
+        .unwrap()
+        .with_compression(Compression::Auto);
+    for epoch in [1, 2] {
+        write_epoch(&b, epoch, epoch_pages(epoch)).unwrap();
+    }
+}
+
 /// A private, writable copy of the fixture (opening a root may sweep it,
 /// and one test damages it).
 fn scratch_copy(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("aickpt-fixture-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
+    let dir = scratch_dir(tag);
     fs::create_dir_all(dir.join("file_root")).unwrap();
     for entry in fs::read_dir(fixtures().join("file_root")).unwrap() {
         let entry = entry.unwrap();
@@ -194,6 +213,51 @@ fn a_flipped_byte_of_the_fixture_still_fails_loudly() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The read tests above prove bytes a past commit wrote still open; this is
+/// the other direction. The encoder's choices are part of the format — which
+/// encoding wins, every token of an LZ block, every RLE pair — so a faster
+/// encoder either emits the file commit 06db052 emitted or is a format
+/// change (readable, but every committed `stored_ratio` and
+/// `flushed_bytes_per_dirty_byte` moves, and so does which pages stay raw).
+#[test]
+fn writing_the_fixture_epochs_again_reproduces_its_segments_byte_for_byte() {
+    let dir = scratch_dir("rewrite-seg");
+    write_fixture_epochs(&dir);
+    for name in ["epoch_0000000001.seg", "epoch_0000000002.seg"] {
+        let written = fs::read(dir.join(name)).unwrap();
+        let pinned = fs::read(fixtures().join("file_root").join(name)).unwrap();
+        assert!(
+            written == pinned,
+            "{name}: {} bytes written, {} pinned, first difference at {:?}",
+            written.len(),
+            pinned.len(),
+            written.iter().zip(&pinned).position(|(a, b)| a != b)
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The commit logs the same way — what the two commits and the three group
+/// records append today is the `MANIFEST` and the `GLOBAL` 06db052 appended.
+#[test]
+fn writing_the_fixture_again_reproduces_its_commit_logs_byte_for_byte() {
+    let dir = scratch_dir("rewrite-log");
+    write_fixture_epochs(&dir);
+    assert_eq!(
+        fs::read(dir.join("MANIFEST")).unwrap(),
+        fs::read(fixtures().join("file_root/MANIFEST")).unwrap(),
+        "MANIFEST"
+    );
+    let global = dir.join("GLOBAL");
+    log::append(&global, &global_records()).unwrap();
+    assert_eq!(
+        fs::read(&global).unwrap(),
+        fs::read(fixtures().join("GLOBAL")).unwrap(),
+        "GLOBAL"
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 fn file_names(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = fs::read_dir(dir)
         .unwrap()
@@ -212,11 +276,8 @@ fn file_names(dir: &Path) -> Vec<String> {
 fn regenerate() {
     let root = fixtures().join("file_root");
     let _ = fs::remove_dir_all(&root);
-    let b = FileBackend::open(&root)
-        .unwrap()
-        .with_compression(Compression::Auto);
+    write_fixture_epochs(&root);
     for epoch in [1, 2] {
-        write_epoch(&b, epoch, epoch_pages(epoch)).unwrap();
         for (page, data) in epoch_pages(epoch) {
             println!("    ({epoch}, {page}, {:#018X}),", crc64(&data));
         }

@@ -358,6 +358,9 @@ fn the_strict_and_the_forgiving_visitor_agree_on_every_region() {
         SegmentRegion::Header,
         SegmentRegion::PageId,
         SegmentRegion::Encoding,
+        SegmentRegion::RawLen { byte: 0 },
+        SegmentRegion::RawLen { byte: 3 },
+        SegmentRegion::StoredLen { byte: 1 },
         SegmentRegion::Payload { byte: 7 },
         SegmentRegion::Crc,
         SegmentRegion::PayloadOf { page: 3, byte: 200 },
