@@ -14,9 +14,11 @@
 //! per page; transient faults retried, a corrupt read repaired in place and
 //! re-read), writes it through `/proc/self/mem` (which bypasses page
 //! protections) while the page stays `PROT_NONE`, seeds the content-filter
-//! digest, then drops the protection to `PROT_READ` and publishes the fill —
-//! so no window exists in which a thread could observe a half-filled page,
-//! and the fill itself never faults. Pages the application never wrote are
+//! digest, then drops the protection to `PROT_READ` and publishes the fill
+//! (in address-contiguous runs: every 32 sweep fills under a lazy restore,
+//! once at sweep end under an eager one) — so no window exists in which a
+//! thread could observe a half-filled page, and the fill itself never
+//! faults. Pages the application never wrote are
 //! absent from every epoch and remain zero, which is exactly their
 //! pre-crash content (regions are zero-filled).
 //!
@@ -104,8 +106,9 @@ pub fn restore_at(
 }
 
 /// Eager restore: prepare, then run the fill to completion right here — no
-/// thread, nothing shared. A failed fill drops the half-restored buffers
-/// with the error.
+/// thread, nothing shared, one publication at sweep end (see
+/// [`PendingPublish`]). A failed fill drops the half-restored buffers with
+/// the error.
 fn restore_eager(
     manager: &PageManager,
     backend: &dyn StorageBackend,
@@ -118,6 +121,7 @@ fn restore_eager(
         backend,
         cache,
         &plan,
+        usize::MAX,
         &AtomicBool::new(false),
         &FillCounters::default(),
     )?;
@@ -303,6 +307,7 @@ pub fn restore_lazy(
                     backend.as_ref(),
                     cache.as_deref(),
                     &plan,
+                    SWEEP_PUBLISH_BATCH,
                     &stop,
                     &counters,
                 )
@@ -486,7 +491,8 @@ unsafe fn protect_runs(
 }
 
 /// Sweep fills whose content is written but whose publication (mprotect +
-/// `FILLED`) is deferred, at most [`SWEEP_PUBLISH_BATCH`] at a time.
+/// `FILLED`) is deferred: up to [`SWEEP_PUBLISH_BATCH`] at a time under a
+/// lazy restore, the whole sweep under an eager one.
 ///
 /// Why defer: lifting protection is an `mmap_lock`-write + TLB-shootdown
 /// per call, and a filler streaming a fast backend would issue one per
@@ -496,13 +502,17 @@ unsafe fn protect_runs(
 /// by milliseconds. Batching collapses address-contiguous runs into one
 /// `mprotect` each; a demand hint (posted by any waiter, including one
 /// stuck on a still-pending `FILLING` page) flushes the batch immediately,
-/// so the worst extra wait is one in-flight storage read.
+/// so the worst extra wait is one in-flight storage read. An eager
+/// restore has no waiter to serve (no caller holds a pointer into its
+/// buffers before it returns), and a batch cut from a random
+/// first-write order holds no contiguous run, so it publishes once, at
+/// sweep end: one `mprotect` per run of the whole image.
 struct PendingPublish {
     /// (page id, page address, payload bytes written).
     pages: Vec<(usize, usize, u64)>,
 }
 
-/// Max sweep fills held back before a forced publication.
+/// Max sweep fills a lazy restore holds back before a forced publication.
 const SWEEP_PUBLISH_BATCH: usize = 32;
 
 impl PendingPublish {
@@ -536,8 +546,9 @@ impl PendingPublish {
 /// The fill: demand hints first, then the prefetch sweep in
 /// predicted-access order. Runs until every marked page is filled, `stop`
 /// is raised, or storage fails (remaining pages are then poisoned — silent
-/// zeroes are not an option). Lazy restore runs it on a background thread,
-/// eager restore on the caller's.
+/// zeroes are not an option). Lazy restore runs it on a background thread
+/// publishing every [`SWEEP_PUBLISH_BATCH`] sweep fills, eager restore on
+/// the caller's with `publish_batch = usize::MAX` (see [`PendingPublish`]).
 ///
 /// Faults on the payload-read path follow the error taxonomy: transient
 /// errors retry with bounded backoff, a corrupt read triggers
@@ -549,6 +560,7 @@ fn filler_loop(
     backend: &dyn StorageBackend,
     cache: Option<&PageCache>,
     plan: &FillPlan,
+    publish_batch: usize,
     stop: &AtomicBool,
     counters: &FillCounters,
 ) -> io::Result<()> {
@@ -578,7 +590,7 @@ fn filler_loop(
         let mut tail = 0usize;
         let mut cursor = 0usize;
         let mut pending = PendingPublish {
-            pages: Vec::with_capacity(SWEEP_PUBLISH_BATCH),
+            pages: Vec::with_capacity(publish_batch.min(order.len())),
         };
         loop {
             if stop.load(Ordering::Acquire) {
@@ -592,7 +604,7 @@ fn filler_loop(
             // flushes the publication batch — the waiter may be blocked on
             // a page whose content is written but not yet published.
             let hint = shared.lazy_next_demand(&mut tail);
-            if hint.is_some() || pending.pages.len() >= SWEEP_PUBLISH_BATCH {
+            if hint.is_some() || pending.pages.len() >= publish_batch {
                 pending.publish(shared, counters, page_bytes)?;
             }
             let (page, demanded) = match hint {

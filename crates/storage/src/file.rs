@@ -65,17 +65,17 @@
 //! traffic: their syscalls are counted in [`IoStats`] like any other, but
 //! their bytes are not `bytes_written`/`bytes_stored`.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
 use crate::backend::{is_page, ChainEntry, EpochKind, EpochWriter, StorageBackend};
 use crate::io::{flip_byte_at, IoCounters, IoStats};
+use crate::locator::PageMap;
 use crate::log;
 use crate::manifest::{self, ManifestRecord, RecordKind};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
@@ -125,7 +125,7 @@ struct FileShared {
     /// Lazily built per-epoch segment indexes for the random-access read
     /// path (`read_page_at`): page → record extent, from the trailers.
     /// Entries are dropped when compaction or retirement removes the epoch.
-    page_index: Mutex<HashMap<u64, Arc<EpochIndex>>>,
+    page_index: Mutex<PageMap<Arc<EpochIndex>>>,
 }
 
 impl FileShared {
@@ -618,7 +618,7 @@ impl StorageBackend for FileBackend {
 
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
         let index = self.epoch_index(epoch)?;
-        let Some(loc) = index.by_page.get(&page) else {
+        let Some(loc) = index.locate(page) else {
             return Ok(None);
         };
         if is_page(page) {
@@ -805,7 +805,7 @@ impl StorageBackend for FileBackend {
 
     fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
         let index = self.epoch_index(epoch)?;
-        let Some(loc) = index.by_page.get(&page) else {
+        let Some(loc) = index.locate(page) else {
             return Ok(None);
         };
         let frame = index.segments[loc.file as usize].read_frame(page, loc.extent)?;
@@ -889,35 +889,59 @@ struct EpochIndex {
     /// every record in arrival order — possibly with duplicate pages,
     /// matching `read_epoch` visit order.
     segments: Vec<Segment>,
-    /// Latest-wins location per page.
-    by_page: HashMap<u64, RecordLoc>,
+    /// Latest-wins location per page, built by the first lookup. Listing
+    /// an epoch (`epoch_page_ids`, hence every `PageLocator::build`) reads
+    /// the trailers alone, and a restore looks pages up in only the few
+    /// epochs that still hold the newest version of something.
+    by_page: OnceLock<PageMap<RecordLoc>>,
+}
+
+impl EpochIndex {
+    /// Where `page`'s latest record of this epoch lives, if it has one.
+    fn locate(&self, page: u64) -> Option<RecordLoc> {
+        let by_page = self.by_page.get_or_init(|| {
+            let records = self.segments.iter().map(Segment::records).sum::<u64>();
+            let mut by_page =
+                PageMap::with_capacity_and_hasher(records as usize, Default::default());
+            // Shard order, then record order: the record `read_epoch`
+            // visits last wins.
+            for (file, segment) in self.segments.iter().enumerate() {
+                for (page, extent) in segment.extents() {
+                    let file = file as u32;
+                    by_page.insert(page, RecordLoc { file, extent });
+                }
+            }
+            by_page
+        });
+        by_page.get(&page).copied()
+    }
 }
 
 impl FileBackend {
     /// The cached (building on first use) segment index of a committed
     /// epoch. Fails like `read_epoch` for unknown epochs, and cross-checks
-    /// the indexed record count against the manifest's committed count.
+    /// the indexed record count against the manifest's committed count:
+    /// every shard is opened and its trailer CRC-checked here, whether or
+    /// not a page of the epoch is ever looked up.
     fn epoch_index(&self, epoch: u64) -> io::Result<Arc<EpochIndex>> {
         if let Some(idx) = self.shared.page_index.lock().get(&epoch) {
             return Ok(Arc::clone(idx));
         }
         let rec = self.live_record(epoch)?;
         let mut segments = Vec::new();
-        let mut by_page = HashMap::new();
-        for (file, path) in self.segment_files(&rec)?.iter().enumerate() {
-            let segment = Segment::open(path, epoch)?;
+        for path in self.segment_files(&rec)? {
+            let segment = Segment::open(&path, epoch)?;
             self.shared
                 .io
                 .index_bytes_read
                 .fetch_add(segment.index_bytes(), Ordering::Relaxed);
-            for (page, extent) in segment.extents() {
-                let file = file as u32;
-                by_page.insert(page, RecordLoc { file, extent });
-            }
             segments.push(segment);
         }
         Self::check_count(&rec, segments.iter().map(Segment::records).sum())?;
-        let idx = Arc::new(EpochIndex { segments, by_page });
+        let idx = Arc::new(EpochIndex {
+            segments,
+            by_page: OnceLock::new(),
+        });
         self.shared
             .page_index
             .lock()
@@ -1024,6 +1048,7 @@ mod tests {
     use super::*;
     use crate::backend::write_epoch;
     use crate::checksum::crc64;
+    use crate::locator::PageLocator;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1585,6 +1610,119 @@ mod tests {
         assert_eq!(b.read_page_at(3, 5).unwrap().unwrap(), vec![5; 32]);
         assert_eq!(b.read_page_at(3, 6).unwrap().unwrap(), vec![6; 32]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Epochs of `b` whose page map has been built, ascending.
+    fn page_maps_built(b: &FileBackend) -> Vec<u64> {
+        let cache = b.shared.page_index.lock();
+        let mut built: Vec<u64> = cache
+            .iter()
+            .filter(|(_, idx)| idx.by_page.get().is_some())
+            .map(|(&epoch, _)| epoch)
+            .collect();
+        built.sort_unstable();
+        built
+    }
+
+    #[test]
+    fn listing_an_epoch_builds_no_page_map_until_a_page_is_read() {
+        let dir = tmpdir("lazymap");
+        let b = FileBackend::open(&dir).unwrap();
+        for e in 1..=3u64 {
+            write_epoch(&b, e, (e..e + 4).map(|p| (p, vec![e as u8; 32]))).unwrap();
+        }
+        let loc = PageLocator::build(&b, 3).unwrap();
+        assert_eq!(b.shared.page_index.lock().len(), 3, "every epoch indexed");
+        assert_eq!(page_maps_built(&b), Vec::<u64>::new());
+        // Page 1 lives in epoch 1 alone: reading it builds that map only.
+        assert_eq!(loc.epoch_of(1), Some(1));
+        assert_eq!(b.read_page_at(1, 1).unwrap().unwrap(), vec![1u8; 32]);
+        assert_eq!(page_maps_built(&b), vec![1]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_page_at_returns_the_record_read_epoch_visits_last() {
+        let dir = tmpdir("lastwins");
+        let b = FileBackend::open(&dir).unwrap();
+        let w = b.begin_epoch_impl(1).unwrap();
+        // Shard 0: page 5 twice in one batch.
+        w.write_pages(&[(5, &[1u8; 32]), (7, &[2u8; 32]), (5, &[3u8; 32])])
+            .unwrap();
+        {
+            // Slot 0 held: page 7 again, in shard 1.
+            let _slot0 = w.shards[0].lock();
+            w.write_pages(&[(7, &[4u8; 32])]).unwrap();
+        }
+        w.finish().unwrap();
+        for b in [&b, &FileBackend::open(&dir).unwrap()] {
+            let mut last = std::collections::BTreeMap::new();
+            b.read_epoch(1, &mut |p, d| {
+                last.insert(p, d.to_vec());
+            })
+            .unwrap();
+            assert_eq!(last[&5], vec![3u8; 32], "later record of one shard");
+            assert_eq!(last[&7], vec![4u8; 32], "shard 1 is visited last");
+            for (page, data) in &last {
+                assert_eq!(&b.read_page_at(1, *page).unwrap().unwrap(), data);
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damage_to_a_superseded_epoch_still_fails_the_locator() {
+        use io::ErrorKind::{InvalidData, NotFound};
+        /// What was done to epoch 1, how, and the error the locator owes.
+        type Row = (&'static str, fn(&Path), io::ErrorKind);
+        let rows: [Row; 4] = [
+            (
+                "flipped trailer byte",
+                |dir| corrupt_segment_region(dir, 1, SegmentRegion::Trailer { byte: 3 }).unwrap(),
+                InvalidData,
+            ),
+            (
+                "missing shard",
+                |dir| fs::remove_file(shard_path(dir, DELTA_PREFIX, 1, 1)).unwrap(),
+                InvalidData,
+            ),
+            (
+                "every shard missing",
+                |dir| {
+                    fs::remove_file(FileBackend::segment_path(dir, 1)).unwrap();
+                    fs::remove_file(shard_path(dir, DELTA_PREFIX, 1, 1)).unwrap();
+                },
+                NotFound,
+            ),
+            (
+                "miscounted commit",
+                |dir| corrupt_manifest_count(dir, 1).unwrap(),
+                InvalidData,
+            ),
+        ];
+        for (damage, inflict, kind) in rows {
+            let dir = tmpdir("superseded");
+            {
+                // Epoch 1 (two shards) is entirely rewritten by epoch 2, so
+                // a restore of 3 reads no page from it.
+                let b = FileBackend::open(&dir).unwrap();
+                let w = b.begin_epoch_impl(1).unwrap();
+                w.write_pages(&[(0, &[1u8; 32]), (1, &[1u8; 32])]).unwrap();
+                {
+                    let _slot0 = w.shards[0].lock();
+                    w.write_pages(&[(2, &[1u8; 32])]).unwrap();
+                }
+                w.finish().unwrap();
+                assert!(shard_path(&dir, DELTA_PREFIX, 1, 1).exists());
+                write_epoch(&b, 2, (0..3).map(|p| (p, vec![2u8; 32]))).unwrap();
+                write_epoch(&b, 3, vec![(9, vec![3u8; 32])]).unwrap();
+            }
+            inflict(&dir);
+            let b = FileBackend::open(&dir).unwrap();
+            let err = PageLocator::build(&b, 3).unwrap_err();
+            assert_eq!(err.kind(), kind, "{damage}: {err}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

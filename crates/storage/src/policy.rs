@@ -29,7 +29,8 @@
 //! first, read through the policy's own read rule, written through the
 //! destination level's protection wrapper. A failed copy marks the
 //! destination level *suspect* and parks the item on a deferred list so
-//! the maintenance barrier is never wedged by a dead level. Every
+//! the maintenance barrier is never wedged by a dead level — nor cut short:
+//! the same call still performs the copies the live levels are owed. Every
 //! `drain_one`/`drain_backlog` call first re-probes suspect levels; a
 //! level that answers again is *reconciled* — deferred copies re-queued
 //! as **rebuilds**, epochs retired while it was dead removed — and
@@ -644,9 +645,14 @@ impl PolicyBackend {
     }
 
     /// One copy step: pick the smallest pending epoch across level
-    /// queues, copy it in, apply capacity eviction. Caller holds
-    /// `drain_lock`.
+    /// queues, copy it in, apply capacity eviction. A copy a level fails
+    /// parks its item and marks that level suspect, and the step goes on
+    /// with what the levels still in service are owed before it reports
+    /// the failure: a maintenance cycle stops at the first `Err`, and
+    /// stopping here would leave a live level's copy queued behind a dead
+    /// one's for the barrier to miss. Caller holds `drain_lock`.
     fn copy_step(&self) -> io::Result<Option<u64>> {
+        let mut parked: Option<io::Error> = None;
         loop {
             let picked = {
                 let mut state = self.shared.state.lock().unwrap();
@@ -667,7 +673,7 @@ impl PolicyBackend {
                 }
             };
             let Some((dest, (epoch, kind))) = picked else {
-                return Ok(None);
+                return parked.map_or(Ok(None), Err);
             };
             // Retired while queued: drop silently.
             if self.shared.state.lock().unwrap().retired.contains(&epoch) {
@@ -679,12 +685,16 @@ impl PolicyBackend {
             match dest_store.epochs() {
                 Ok(eps) if eps.contains(&epoch) => {
                     self.evict_over_capacity();
-                    return Ok(Some(epoch));
+                    if parked.is_none() {
+                        return Ok(Some(epoch));
+                    }
+                    continue;
                 }
                 Ok(_) => {}
                 Err(e) => {
                     self.park(dest, epoch, kind);
-                    return Err(e);
+                    parked.get_or_insert(e);
+                    continue;
                 }
             }
             // The destination burned this epoch number (it held and then
@@ -723,12 +733,14 @@ impl PolicyBackend {
                         CopyKind::Rebuild => c.rebuilds_in.fetch_add(1, Ordering::SeqCst),
                     };
                     self.evict_over_capacity();
-                    return Ok(Some(epoch));
+                    if parked.is_none() {
+                        return Ok(Some(epoch));
+                    }
                 }
                 Err(e) => {
                     level.counters.copy_failures.fetch_add(1, Ordering::SeqCst);
                     self.park(dest, epoch, kind);
-                    return Err(e);
+                    parked.get_or_insert(e);
                 }
             }
         }
@@ -1090,6 +1102,23 @@ mod tests {
         assert_eq!(stats.levels[1].deferred, 0);
         assert_eq!(stats.levels[1].rebuilds_in, 1);
         assert_eq!(stats.levels[1].resident_epochs, 2);
+    }
+
+    #[test]
+    fn a_dead_level_does_not_end_the_cycle_for_a_live_one() {
+        let (policy, controls) = build_injected(SPEC);
+        controls[1].kill();
+        write_epoch(&policy, 1, epoch_pages(1)).unwrap();
+        assert_eq!(policy.drain_backlog(), 2, "one epoch owed to two levels");
+        // A maintenance cycle drains until the first error, so this one
+        // call is the whole cycle. The dead partner level is picked first
+        // (same epoch, lower level) and fails.
+        assert!(policy.drain_one().is_err(), "the dead level's copy fails");
+        let stats = policy.stats();
+        assert_eq!(stats.levels[2].drains_in, 1, "the live level drained it");
+        assert!(stats.levels[1].suspect);
+        assert_eq!(stats.levels[1].deferred, 1, "parked, not lost");
+        assert_eq!(policy.drain_backlog(), 0, "nothing owed to a live level");
     }
 
     #[test]

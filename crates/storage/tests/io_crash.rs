@@ -205,7 +205,9 @@ fn torn_batch_then_a_good_one_seals_a_trailer_of_committed_records_only() {
 /// A committed segment whose trailer is cut anywhere — inside the magic,
 /// the CRC, the count or the entries — locates nothing: every read door
 /// fails with `InvalidData` (there is no fallback frame walk), the scrubber
-/// calls it structural, and the epochs below stay byte-identical.
+/// calls it structural, and the epochs below stay byte-identical. Epoch 3
+/// rewrites every page of epoch 2, so a restore of 3 reads nothing from the
+/// cut segment — and still fails.
 #[test]
 fn every_cut_of_the_trailer_fails_every_read_loudly() {
     let dir = tmpdir("torn-trailer");
@@ -213,6 +215,7 @@ fn every_cut_of_the_trailer_fails_every_read_loudly() {
         let b = FileBackend::open(&dir).unwrap();
         commit_epoch(&b, 1, 0..4);
         commit_epoch(&b, 2, 2..6);
+        commit_epoch(&b, 3, 2..6);
     }
     let seg = dir.join("epoch_0000000002.seg");
     let whole = fs::read(&seg).unwrap();
@@ -227,6 +230,7 @@ fn every_cut_of_the_trailer_fails_every_read_loudly() {
         invalid(b.epoch_page_ids(2).unwrap_err());
         invalid(b.read_page_at(2, 3).unwrap_err());
         invalid(PageLocator::build(&b, 2).unwrap_err());
+        invalid(PageLocator::build(&b, 3).unwrap_err());
         let report = b.verify_epoch(2).unwrap();
         assert!(!report.structural.is_empty(), "cut {cut}: {report:?}");
         assert_eq!(read_all(&b, 1).len(), 4, "cut {cut}: epoch 1 untouched");
