@@ -13,7 +13,8 @@
 //! when given one, so N concurrent restores of one checkpoint hit disk once
 //! per page; transient faults retried, a corrupt read repaired in place and
 //! re-read), writes it through `/proc/self/mem` (which bypasses page
-//! protections) while the page stays `PROT_NONE`, seeds the content-filter
+//! protections; one write per address-contiguous run of fills, up to 64
+//! pages) while the page stays `PROT_NONE`, seeds the content-filter
 //! digest, then drops the protection to `PROT_READ` and publishes the fill
 //! (in address-contiguous runs: every 32 sweep fills under a lazy restore,
 //! once at sweep end under an eager one) — so no window exists in which a
@@ -490,9 +491,13 @@ unsafe fn protect_runs(
     Ok(())
 }
 
-/// Sweep fills whose content is written but whose publication (mprotect +
-/// `FILLED`) is deferred: up to [`SWEEP_PUBLISH_BATCH`] at a time under a
-/// lazy restore, the whole sweep under an eager one.
+/// Sweep fills whose publication (mprotect + `FILLED`) is deferred: up to
+/// [`SWEEP_PUBLISH_BATCH`] at a time under a lazy restore, the whole sweep
+/// under an eager one. The newest address-contiguous run of page-sized
+/// payloads is held back too and written with one `/proc/self/mem` call
+/// (at most [`RUN_PAGES`] pages): when the next payload does not extend
+/// it, and before any publication — so no page is published before its
+/// bytes land. A fill's payload is copied once, into the run.
 ///
 /// Why defer: lifting protection is an `mmap_lock`-write + TLB-shootdown
 /// per call, and a filler streaming a fast backend would issue one per
@@ -508,20 +513,71 @@ unsafe fn protect_runs(
 /// first-write order holds no contiguous run, so it publishes once, at
 /// sweep end: one `mprotect` per run of the whole image.
 struct PendingPublish {
-    /// (page id, page address, payload bytes written).
+    /// (page id, page address, payload bytes).
     pages: Vec<(usize, usize, u64)>,
+    /// Payloads of the run not yet written, back to back.
+    run: Vec<u8>,
+    /// Address the run's first byte belongs at.
+    run_at: usize,
 }
 
 /// Max sweep fills a lazy restore holds back before a forced publication.
 const SWEEP_PUBLISH_BATCH: usize = 32;
 
+/// Max pages one run write carries (256 KiB of 4 KiB pages).
+const RUN_PAGES: usize = 64;
+
 impl PendingPublish {
+    fn new(pages: usize, page_bytes: usize) -> Self {
+        Self {
+            pages: Vec::with_capacity(pages),
+            run: Vec::with_capacity(RUN_PAGES * page_bytes),
+            run_at: 0,
+        }
+    }
+
+    /// Hold back the sweep fill of page `idx` at `addr`. A page-sized
+    /// payload joins the run when its address directly follows it;
+    /// otherwise the run is written and a new one starts. A short payload
+    /// is written alone, at once.
+    fn push(
+        &mut self,
+        mem: &std::fs::File,
+        idx: usize,
+        addr: usize,
+        payload: &[u8],
+        page_bytes: usize,
+    ) -> io::Result<()> {
+        if payload.len() == page_bytes {
+            if self.run_at + self.run.len() != addr || self.run.len() == RUN_PAGES * page_bytes {
+                self.submit(mem)?;
+                self.run_at = addr;
+            }
+            self.run.extend_from_slice(payload);
+        } else {
+            mem.write_all_at(payload, addr as u64)?;
+        }
+        self.pages.push((idx, addr, payload.len() as u64));
+        Ok(())
+    }
+
+    /// Write the run into place with one positioned write.
+    fn submit(&mut self, mem: &std::fs::File) -> io::Result<()> {
+        if !self.run.is_empty() {
+            mem.write_all_at(&self.run, self.run_at as u64)?;
+            self.run.clear();
+        }
+        Ok(())
+    }
+
     fn publish(
         &mut self,
+        mem: &std::fs::File,
         shared: &crate::manager::Shared,
         counters: &FillCounters,
         page_bytes: usize,
     ) -> io::Result<()> {
+        self.submit(mem)?;
         if self.pages.is_empty() {
             return Ok(());
         }
@@ -586,26 +642,23 @@ fn filler_loop(
             .open("/proc/self/mem")?;
         let page_bytes = shared.page_bytes;
         let ns = locator.checkpoint();
-        let mut scratch = vec![0u8; page_bytes];
         let mut tail = 0usize;
         let mut cursor = 0usize;
-        let mut pending = PendingPublish {
-            pages: Vec::with_capacity(publish_batch.min(order.len())),
-        };
+        let mut pending = PendingPublish::new(publish_batch.min(order.len()), page_bytes);
         loop {
             if stop.load(Ordering::Acquire) {
-                // Publish what is already written — strictly fewer pages
-                // for the abort path to poison.
-                pending.publish(shared, counters, page_bytes)?;
+                // Publish what is already read — strictly fewer pages for
+                // the abort path to poison.
+                pending.publish(&mem, shared, counters, page_bytes)?;
                 return Ok(());
             }
             // Demand hints outrank the sweep: a hinted page has an
             // application thread spinning on it right now. A hint also
             // flushes the publication batch — the waiter may be blocked on
-            // a page whose content is written but not yet published.
+            // a page that is read but not yet written or published.
             let hint = shared.lazy_next_demand(&mut tail);
             if hint.is_some() || pending.pages.len() >= publish_batch {
-                pending.publish(shared, counters, page_bytes)?;
+                pending.publish(&mem, shared, counters, page_bytes)?;
             }
             let (page, demanded) = match hint {
                 Some(p) => (p, true),
@@ -618,7 +671,7 @@ fn filler_loop(
                     // claimant is this thread), so the restore is complete;
                     // leftover ring hints are stale by construction.
                     None => {
-                        pending.publish(shared, counters, page_bytes)?;
+                        pending.publish(&mem, shared, counters, page_bytes)?;
                         return Ok(());
                     }
                 },
@@ -644,10 +697,11 @@ fn filler_loop(
                     format!("page {page} vanished from epoch {epoch}"),
                 )
             };
+            let (cached, read);
             let payload: &[u8] = match cache {
                 Some(cache) => {
                     let mut loaded = false;
-                    let data = cache
+                    cached = cache
                         .get_or_load(ns, page, || {
                             loaded = true;
                             read_healed(backend, retry, epoch, page)
@@ -657,20 +711,15 @@ fn filler_loop(
                         counters.pages_from_cache.fetch_add(1, Ordering::Relaxed);
                         counters
                             .bytes_from_cache
-                            .fetch_add(data.len() as u64, Ordering::Relaxed);
+                            .fetch_add(cached.len() as u64, Ordering::Relaxed);
                     }
-                    scratch.clear();
-                    scratch.extend_from_slice(&data);
-                    &scratch
+                    &cached
                 }
                 None => {
-                    let data = read_healed(backend, retry, epoch, page)?.ok_or_else(vanished)?;
-                    scratch.clear();
-                    scratch.extend_from_slice(&data);
-                    &scratch
+                    read = read_healed(backend, retry, epoch, page)?.ok_or_else(vanished)?;
+                    &read
                 }
             };
-            mem.write_all_at(payload, addr as u64)?;
             // Seed the content filter with the digest of the page *as it
             // now reads*: the payload, zero-padded to the page (payloads
             // from the runtime are always page-sized; padding only matters
@@ -684,10 +733,11 @@ fn filler_loop(
                     filter.set(page, crc64(&whole));
                 }
             }
-            let filled_bytes = payload.len() as u64;
             if demanded {
-                // A thread is spinning on this page right now: publish it
-                // alone, immediately.
+                // A thread is spinning on this page right now: write and
+                // publish it alone, immediately (its hint already wrote the
+                // run and published the batch).
+                mem.write_all_at(payload, addr as u64)?;
                 // SAFETY: a live registered page (pinned by FILLING, see
                 // above).
                 unsafe {
@@ -696,10 +746,10 @@ fn filler_loop(
                 shared.lazy_finish_fill(idx);
                 counters
                     .bytes_filled
-                    .fetch_add(filled_bytes, Ordering::Relaxed);
+                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
                 counters.demanded_pages.fetch_add(1, Ordering::Relaxed);
             } else {
-                pending.pages.push((idx, addr, filled_bytes));
+                pending.push(&mem, idx, addr, payload, page_bytes)?;
             }
         }
     })();

@@ -5,8 +5,9 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ai_ckpt::{
@@ -14,8 +15,8 @@ use ai_ckpt::{
 };
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    CheckpointImage, EpochWriter, FileBackend, MemoryBackend, PageCache, StorageBackend,
-    TieredBackend,
+    CheckpointImage, EpochWriter, FailingBackend, FileBackend, MemoryBackend, PageCache,
+    StorageBackend, TieredBackend,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -233,14 +234,43 @@ fn restore_storm_hits_disk_once_per_page() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Test wrapper: delays every single-page read, so the prefetch sweep is
-/// slow enough to race deterministically.
-struct SlowReads<B> {
+/// Test wrapper around single-record reads: the first `free` go straight
+/// through, and every later one runs `trip` first — a sleep (a slow store,
+/// so the prefetch sweep races deterministically), a gate (a read held
+/// mid-restore), or a failure (a store that dies after the checkpoint was
+/// taken). Every page id asked for is logged, in order.
+struct Tripwire<B> {
     inner: B,
-    delay: Duration,
+    free: AtomicU64,
+    trip: Box<dyn Fn() -> io::Result<()> + Send + Sync>,
+    log: Mutex<Vec<u64>>,
 }
 
-impl<B: StorageBackend> StorageBackend for SlowReads<B> {
+impl<B> Tripwire<B> {
+    fn new(inner: B, free: u64, trip: impl Fn() -> io::Result<()> + Send + Sync + 'static) -> Self {
+        Self {
+            inner,
+            free: AtomicU64::new(free),
+            trip: Box::new(trip),
+            log: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Every read delayed by `delay`.
+    fn slow(inner: B, delay: Duration) -> Self {
+        Self::new(inner, 0, move || {
+            std::thread::sleep(delay);
+            Ok(())
+        })
+    }
+
+    /// Page ids asked for so far.
+    fn log(&self) -> Vec<u64> {
+        self.log.lock().unwrap().clone()
+    }
+}
+
+impl<B: StorageBackend> StorageBackend for Tripwire<B> {
     fn inner(&self) -> Option<&dyn StorageBackend> {
         Some(&self.inner)
     }
@@ -257,50 +287,26 @@ impl<B: StorageBackend> StorageBackend for SlowReads<B> {
         self.inner.bytes_written()
     }
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        std::thread::sleep(self.delay);
+        self.log.lock().unwrap().push(page);
+        let spent = |n: u64| n.checked_sub(1);
+        if self.free.fetch_update(SeqCst, SeqCst, spent).is_err() {
+            (self.trip)()?;
+        }
         self.inner.read_page_at(epoch, page)
     }
 }
 
-/// Test wrapper: a backend that dies after the checkpoint was taken — the
-/// counter is how many single-record reads still succeed; every later one
-/// fails.
-struct FailReads<B>(B, AtomicU64);
-
-impl<B: StorageBackend> StorageBackend for FailReads<B> {
-    fn inner(&self) -> Option<&dyn StorageBackend> {
-        Some(&self.0)
-    }
-    fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
-        self.0.begin_epoch(epoch)
-    }
-    fn epochs(&self) -> io::Result<Vec<u64>> {
-        self.0.epochs()
-    }
-    fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        self.0.read_epoch(epoch, visit)
-    }
-    fn bytes_written(&self) -> u64 {
-        self.0.bytes_written()
-    }
-    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        let healthy = |n: u64| n.checked_sub(1);
-        match self
-            .1
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, healthy)
-        {
-            Ok(_) => self.0.read_page_at(epoch, page),
-            Err(_) => Err(io::Error::other("storage died")),
-        }
-    }
+/// A [`Tripwire`] trip: the store is gone.
+fn died() -> io::Result<()> {
+    Err(io::Error::other("storage died"))
 }
 
-/// Checkpoint a 16-page ascending workload into `backend`; page `i` is
-/// filled with `i + 1`.
-fn seed_sixteen_pages(backend: Box<dyn StorageBackend>, cfg: &CkptConfig) {
+/// Checkpoint a `pages`-page ascending workload into `backend`; page `i`
+/// is filled with `i + 1`.
+fn seed_pages(backend: Box<dyn StorageBackend>, cfg: &CkptConfig, pages: usize) {
     let mgr = PageManager::new(cfg.clone(), backend).unwrap();
     let ps = page_size();
-    let mut buf = mgr.alloc_protected_named("w", 16 * ps).unwrap();
+    let mut buf = mgr.alloc_protected_named("w", pages * ps).unwrap();
     for (i, chunk) in buf.as_mut_slice().chunks_mut(ps).enumerate() {
         chunk.fill(i as u8 + 1);
     }
@@ -312,12 +318,9 @@ fn seed_sixteen_pages(backend: Box<dyn StorageBackend>, cfg: &CkptConfig) {
 fn demand_faults_prioritise_touched_pages() {
     let (backend, view) = MemoryBackend::shared();
     let cfg = small_cfg();
-    seed_sixteen_pages(Box::new(backend), &cfg);
+    seed_pages(Box::new(backend), &cfg, 16);
 
-    let slow: Arc<dyn StorageBackend> = Arc::new(SlowReads {
-        inner: view,
-        delay: Duration::from_millis(10),
-    });
+    let slow: Arc<dyn StorageBackend> = Arc::new(Tripwire::slow(view, Duration::from_millis(10)));
     let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&slow)).unwrap();
     let mut lr = restore_lazy(&mgr, Arc::clone(&slow), 1, None).unwrap();
     let ps = page_size();
@@ -346,12 +349,9 @@ fn demand_faults_prioritise_touched_pages() {
 fn checkpoint_drains_lazy_restore_and_stays_incremental() {
     let (backend, view) = MemoryBackend::shared();
     let cfg = small_cfg();
-    seed_sixteen_pages(Box::new(backend), &cfg);
+    seed_pages(Box::new(backend), &cfg, 16);
 
-    let shared: Arc<dyn StorageBackend> = Arc::new(SlowReads {
-        inner: view,
-        delay: Duration::from_millis(5),
-    });
+    let shared: Arc<dyn StorageBackend> = Arc::new(Tripwire::slow(view, Duration::from_millis(5)));
     let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&shared)).unwrap();
     let mut lr = restore_lazy(&mgr, Arc::clone(&shared), 1, None).unwrap();
     let ps = page_size();
@@ -388,11 +388,11 @@ fn checkpoint_drains_lazy_restore_and_stays_incremental() {
 fn failed_restore_poisons_checkpoint_until_buffers_drop() {
     let (backend, view) = MemoryBackend::shared();
     let cfg = small_cfg();
-    seed_sixteen_pages(Box::new(backend), &cfg);
+    seed_pages(Box::new(backend), &cfg, 16);
 
     // A store that is already dead fails the restore call itself, loudly,
     // before any buffer exists: the layout is the first record read.
-    let dead: Arc<dyn StorageBackend> = Arc::new(FailReads(view.clone(), AtomicU64::new(0)));
+    let dead: Arc<dyn StorageBackend> = Arc::new(Tripwire::new(view.clone(), 0, died));
     let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&dead)).unwrap();
     let err = restore_lazy(&mgr, dead, 1, None).err().expect("dead store");
     assert!(err.to_string().contains("storage died"), "{err}");
@@ -401,7 +401,7 @@ fn failed_restore_poisons_checkpoint_until_buffers_drop() {
 
     // One that dies right after prepare (the layout read is its last good
     // one) fails in the filler instead.
-    let failing: Arc<dyn StorageBackend> = Arc::new(FailReads(view, AtomicU64::new(1)));
+    let failing: Arc<dyn StorageBackend> = Arc::new(Tripwire::new(view, 1, died));
     let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&failing)).unwrap();
     let mut lr = restore_lazy(&mgr, Arc::clone(&failing), 1, None).unwrap();
     let err = lr.wait().unwrap_err();
@@ -423,12 +423,9 @@ fn failed_restore_poisons_checkpoint_until_buffers_drop() {
 fn aborted_lazy_restore_leaves_backend_restorable() {
     let (backend, view) = MemoryBackend::shared();
     let cfg = small_cfg();
-    seed_sixteen_pages(Box::new(backend), &cfg);
+    seed_pages(Box::new(backend), &cfg, 16);
 
-    let slow: Arc<dyn StorageBackend> = Arc::new(SlowReads {
-        inner: view,
-        delay: Duration::from_millis(5),
-    });
+    let slow: Arc<dyn StorageBackend> = Arc::new(Tripwire::slow(view, Duration::from_millis(5)));
     {
         let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&slow)).unwrap();
         let lr: LazyRestore = restore_lazy(&mgr, Arc::clone(&slow), 1, None).unwrap();
@@ -443,6 +440,119 @@ fn aborted_lazy_restore_leaves_backend_restorable() {
     for (i, chunk) in restored.buffers[0].as_slice().chunks(ps).enumerate() {
         assert!(chunk.iter().all(|&b| b == i as u8 + 1), "page {i}");
     }
+}
+
+#[test]
+fn a_read_of_a_page_in_an_unsubmitted_run_sees_its_bytes() {
+    let (backend, view) = MemoryBackend::shared();
+    let cfg = small_cfg();
+    seed_pages(Box::new(backend), &cfg, 16);
+
+    // The layout read and six page reads pass; the seventh waits at the
+    // gate. The six pages read so far are one address-contiguous run the
+    // filler holds back: neither written nor published (the publish batch
+    // is 32).
+    let open = Arc::new(AtomicBool::new(false));
+    let gate = Arc::clone(&open);
+    let held = Arc::new(Tripwire::new(view, 7, move || {
+        while !gate.load(SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Ok(())
+    }));
+    let backend: Arc<dyn StorageBackend> = held.clone();
+    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+    let mut lr = restore_lazy(&mgr, backend, 1, None).unwrap();
+    while held.log().len() < 8 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(lr.stats().prefetched_pages, 0, "nothing published yet");
+
+    // Read the third page of the run. The access faults, hints the filler
+    // and waits; only then does the gate open, so the filler's next turn
+    // must write the run before it publishes the page.
+    let ps = page_size();
+    let base = lr.state.buffers[0].base_page() as u64;
+    let i = (held.log()[3] - base) as usize;
+    let page = &lr.state.buffers[0].as_slice()[i * ps..(i + 1) * ps];
+    let got = std::thread::scope(|s| {
+        let reader = s.spawn(|| page.to_vec());
+        while lr.stats().demand_faults == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        open.store(true, SeqCst);
+        reader.join().unwrap()
+    });
+    assert!(
+        got.iter().all(|&b| b == i as u8 + 1),
+        "page {i} read {got:?}"
+    );
+    lr.wait().unwrap();
+    for (i, chunk) in lr.state.buffers[0].as_slice().chunks(ps).enumerate() {
+        assert!(chunk.iter().all(|&b| b == i as u8 + 1), "page {i}");
+    }
+}
+
+/// Whether the page at `addr` is mapped readable (`/proc/self/maps`).
+fn readable(addr: usize) -> bool {
+    let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+    maps.lines().any(|line| {
+        let (range, rest) = line.split_once(' ').unwrap();
+        let (lo, hi) = range.split_once('-').unwrap();
+        let lo = usize::from_str_radix(lo, 16).unwrap();
+        let hi = usize::from_str_radix(hi, 16).unwrap();
+        (lo..hi).contains(&addr) && rest.starts_with('r')
+    })
+}
+
+#[test]
+fn reads_failing_after_k_pages_fail_the_restore_and_publish_no_zeros() {
+    const PAGES: usize = 80;
+    let (backend, view) = MemoryBackend::shared();
+    let cfg = small_cfg();
+    seed_pages(Box::new(backend), &cfg, PAGES);
+    // The layout read and 40 page reads succeed; then the store loses its
+    // read path.
+    let dying = || -> Arc<dyn StorageBackend> {
+        let (failing, control) = FailingBackend::new(view.clone());
+        Arc::new(Tripwire::new(failing, 41, move || {
+            control.fail_reads(true);
+            Ok(())
+        }))
+    };
+
+    let backend = dying();
+    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+    let err = restore_at(&mgr, backend.as_ref(), 1).err().expect("eager");
+    assert!(err.to_string().contains("injected"), "{err}");
+    assert_eq!(
+        mgr.protected_bytes(),
+        0,
+        "eager keeps no half-restored buffer"
+    );
+    drop(mgr);
+
+    let backend = dying();
+    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+    let mut lr = restore_lazy(&mgr, backend, 1, None).unwrap();
+    let err = lr.wait().unwrap_err();
+    assert!(err.to_string().contains("injected"), "{err}");
+    // One publish batch landed before the failure. Every other page —
+    // including the eight read into a run that was never written — stays
+    // PROT_NONE and poisoned: touching it raises a genuine SIGSEGV, and
+    // nothing reads as zero.
+    let ps = page_size();
+    let buf = &lr.state.buffers[0];
+    let published: Vec<usize> = (0..PAGES)
+        .filter(|i| readable(buf.as_ptr() as usize + i * ps))
+        .collect();
+    assert_eq!(published.len(), 32, "{published:?}");
+    for &i in &published {
+        let page = &buf.as_slice()[i * ps..(i + 1) * ps];
+        assert!(page.iter().all(|&b| b == i as u8 + 1), "page {i}");
+    }
+    let err = mgr.checkpoint().unwrap_err();
+    assert!(err.to_string().contains("lazy restore failed"), "{err}");
 }
 
 #[test]

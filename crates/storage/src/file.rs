@@ -45,6 +45,14 @@
 //! shards' record counts and cross-checks that total, so a missing shard or
 //! torn segment fails restore loudly instead of silently dropping pages.
 //!
+//! Readers find an epoch's shards by name, not by listing the directory:
+//! the writer creates them as a contiguous run of slots, so a reader opens
+//! slot 0, 1, … until an `open` fails `NotFound` — one failed `open` past
+//! the last shard per epoch read, where a directory scan would cost every
+//! file of the chain. A gap hides the shards behind it, and the count
+//! check fails the epoch loudly. Cleanup unlinks every slot name, so no gap
+//! strands a file. The one directory scan is `open`'s orphan sweep.
+//!
 //! ## Compaction and crash recovery
 //!
 //! `install_compacted` stages the merged full image in `full_N.seg.tmp`
@@ -198,28 +206,18 @@ fn parse_segment_name(name: &str, prefix: &str) -> Option<(u64, u32)> {
     }
 }
 
-/// Every `prefix`-named file of `epoch` in `dir`, ordered by shard index
-/// (a directory scan, so it also sees abnormal shard histories).
-fn shard_files(dir: &Path, prefix: &str, epoch: u64) -> io::Result<Vec<PathBuf>> {
-    let mut found: Vec<(u32, PathBuf)> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        if let Some((e, shard)) = name.to_str().and_then(|n| parse_segment_name(n, prefix)) {
-            if e == epoch {
-                found.push((shard, entry.path()));
-            }
-        }
+/// Best-effort removal of shard slots `first..MAX_STREAM_SHARDS` of the
+/// `prefix`-named `epoch`. Every slot name is unlinked whether or not its
+/// file exists, so a gap in the slots cannot strand a file behind it.
+fn remove_shards(dir: &Path, prefix: &str, epoch: u64, first: usize) {
+    for index in first..MAX_STREAM_SHARDS {
+        let _ = fs::remove_file(shard_path(dir, prefix, epoch, index));
     }
-    found.sort();
-    Ok(found.into_iter().map(|(_, p)| p).collect())
 }
 
 /// Best-effort removal of every shard file of a delta epoch.
 fn remove_delta_files(dir: &Path, epoch: u64) {
-    for path in shard_files(dir, DELTA_PREFIX, epoch).unwrap_or_default() {
-        let _ = fs::remove_file(path);
-    }
+    remove_shards(dir, DELTA_PREFIX, epoch, 0);
 }
 
 impl FileBackend {
@@ -306,25 +304,44 @@ impl FileBackend {
         }
     }
 
-    /// The segment files holding `rec`'s epoch, in shard order; `NotFound`
-    /// when there are none.
-    fn segment_files(&self, rec: &ManifestRecord) -> io::Result<Vec<PathBuf>> {
-        let files = shard_files(&self.dir, Self::prefix_of(rec), rec.epoch)?;
-        if files.is_empty() {
+    /// The shard files of `rec`'s epoch, each passed through `open`, in
+    /// shard order: slots 0, 1, … up to the first one `open` reports
+    /// `NotFound` — no directory scan. A writer creates its shards as a
+    /// contiguous run of slots, so that is every shard of an intact epoch;
+    /// shards behind a gap are not seen, and the record count then fails
+    /// the epoch loudly. `NotFound` when shard 0 is missing.
+    fn open_shards<T>(
+        &self,
+        rec: &ManifestRecord,
+        mut open: impl FnMut(&Path) -> io::Result<T>,
+    ) -> io::Result<Vec<T>> {
+        let prefix = Self::prefix_of(rec);
+        let mut shards = Vec::new();
+        for index in 0..MAX_STREAM_SHARDS {
+            match open(&shard_path(&self.dir, prefix, rec.epoch, index)) {
+                Ok(shard) => shards.push(shard),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => break,
+                Err(e) => return Err(e),
+            }
+        }
+        if shards.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("epoch {}: segment file missing", rec.epoch),
             ));
         }
-        Ok(files)
+        Ok(shards)
+    }
+
+    /// The opened segments of `rec`'s epoch, in shard order.
+    fn open_segments(&self, rec: &ManifestRecord) -> io::Result<Vec<Segment>> {
+        self.open_shards(rec, |path| Segment::open(path, rec.epoch))
     }
 
     /// Best-effort removal of the files holding `rec`'s epoch (GC after the
     /// manifest stopped naming it; leftovers are swept at the next `open`).
     fn remove_segment_files(&self, rec: &ManifestRecord) {
-        for path in self.segment_files(rec).unwrap_or_default() {
-            let _ = fs::remove_file(path);
-        }
+        remove_shards(&self.dir, Self::prefix_of(rec), rec.epoch, 0);
     }
 
     /// Fail unless the segments of `rec`'s epoch hold exactly the record
@@ -602,10 +619,16 @@ impl StorageBackend for FileBackend {
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
+        // The reference replay: each segment's strict walk, failing on the
+        // first record that does not open, then the count cross-check.
         let rec = self.live_record(epoch)?;
         let mut total = 0u64;
-        for path in self.segment_files(&rec)? {
-            total += read_segment(&path, epoch, visit)?;
+        for segment in self.open_segments(&rec)? {
+            total += segment.records();
+            segment.walk(|page, _, payload| {
+                visit(page, payload?);
+                Ok(())
+            })?;
         }
         Self::check_count(&rec, total)
     }
@@ -725,7 +748,8 @@ impl StorageBackend for FileBackend {
     fn verify_epoch(&self, epoch: u64) -> io::Result<VerifyReport> {
         let rec = self.live_record(epoch)?;
         let mut report = VerifyReport::new(epoch);
-        let paths = match self.segment_files(&rec) {
+        let exists = |path: &Path| fs::metadata(path).map(|_| path.to_owned());
+        let paths = match self.open_shards(&rec, exists) {
             Ok(paths) => paths,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 report.structural.push(e.to_string());
@@ -766,11 +790,7 @@ impl StorageBackend for FileBackend {
         //    would double-count against the corrective manifest record.
         //    A crash in here leaves the epoch detectably damaged (it
         //    already was) and the next scrub cycle repairs it again.
-        for path in self.segment_files(&rec).unwrap_or_default() {
-            if path != final_path {
-                let _ = fs::remove_file(&path);
-            }
-        }
+        remove_shards(&self.dir, Self::prefix_of(&rec), epoch, 1);
         self.publish_staged(&tmp, &final_path)?;
         // 3. Corrective commit: re-appending the epoch's record replaces it
         //    in the folded view (latest record per epoch wins), repairing a
@@ -782,12 +802,16 @@ impl StorageBackend for FileBackend {
         let rec = self.live_record(epoch)?;
         // The only damage a lone file backend can heal from its own bytes
         // is a corrupted manifest commit count: every record still
-        // verifies, so recounting the segments restores agreement. Payload
+        // verifies, so recounting the segments restores agreement. The
+        // commit's payload-byte total must still match what the segments
+        // hold — otherwise records are missing (a lost shard), and a
+        // recount would make restore serve older bytes for them. Payload
         // damage needs a redundant source (replica, parity, another level).
         let report = self.verify_epoch(epoch)?;
         let count_damage_only = report.corrupt_pages.is_empty()
             && report.structural.len() == 1
-            && report.structural[0].contains("manifest committed");
+            && report.structural[0].contains("manifest committed")
+            && report.bytes == rec.payload_bytes;
         if !count_damage_only {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
@@ -818,20 +842,6 @@ impl StorageBackend for FileBackend {
     fn io_stats(&self) -> IoStats {
         self.shared.io.snapshot()
     }
-}
-
-/// Stream one segment (shard) file's records — the reference replay: the
-/// strict visitor of [`Segment::walk`], failing on the first record that
-/// does not open. Returns the record count read; the caller cross-checks
-/// the total against the manifest.
-fn read_segment(path: &Path, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<u64> {
-    let segment = Segment::open(path, epoch)?;
-    let records = segment.records();
-    segment.walk(|page, _, payload| {
-        visit(page, payload?);
-        Ok(())
-    })?;
-    Ok(records)
 }
 
 /// Verify every record of one segment file into `report` — the forgiving
@@ -928,15 +938,12 @@ impl FileBackend {
             return Ok(Arc::clone(idx));
         }
         let rec = self.live_record(epoch)?;
-        let mut segments = Vec::new();
-        for path in self.segment_files(&rec)? {
-            let segment = Segment::open(&path, epoch)?;
-            self.shared
-                .io
-                .index_bytes_read
-                .fetch_add(segment.index_bytes(), Ordering::Relaxed);
-            segments.push(segment);
-        }
+        let segments = self.open_segments(&rec)?;
+        let index_bytes = segments.iter().map(Segment::index_bytes).sum();
+        self.shared
+            .io
+            .index_bytes_read
+            .fetch_add(index_bytes, Ordering::Relaxed);
         Self::check_count(&rec, segments.iter().map(Segment::records).sum())?;
         let idx = Arc::new(EpochIndex {
             segments,
@@ -1670,28 +1677,64 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// An open session of `epoch` holding one record per page of `pages`,
+    /// the `k`-th in shard slot `k` (earlier slots held, as contending
+    /// streams would).
+    fn sharded_session(b: &FileBackend, epoch: u64, pages: &[(u64, &[u8])]) -> FileEpochWriter {
+        let w = b.begin_epoch_impl(epoch).unwrap();
+        for (k, page) in pages.iter().enumerate() {
+            let _held: Vec<_> = w.shards[..k].iter().map(|slot| slot.lock()).collect();
+            w.write_pages(&[*page]).unwrap();
+        }
+        let slots: Vec<usize> = (0..pages.len()).collect();
+        assert_eq!(slot_files(&b.dir, DELTA_PREFIX, epoch), slots);
+        w
+    }
+
+    /// [`sharded_session`], committed.
+    fn write_sharded(b: &FileBackend, epoch: u64, pages: &[(u64, &[u8])]) {
+        sharded_session(b, epoch, pages).finish().unwrap();
+    }
+
+    /// The shard slots of `prefix`-named `epoch` that have a file.
+    fn slot_files(dir: &Path, prefix: &str, epoch: u64) -> Vec<usize> {
+        (0..MAX_STREAM_SHARDS)
+            .filter(|&k| shard_path(dir, prefix, epoch, k).exists())
+            .collect()
+    }
+
     #[test]
     fn damage_to_a_superseded_epoch_still_fails_the_locator() {
         use io::ErrorKind::{InvalidData, NotFound};
         /// What was done to epoch 1, how, and the error the locator owes.
         type Row = (&'static str, fn(&Path), io::ErrorKind);
-        let rows: [Row; 4] = [
+        fn shard(dir: &Path, k: usize) -> PathBuf {
+            shard_path(dir, DELTA_PREFIX, 1, k)
+        }
+        let rows: [Row; 6] = [
             (
                 "flipped trailer byte",
                 |dir| corrupt_segment_region(dir, 1, SegmentRegion::Trailer { byte: 3 }).unwrap(),
                 InvalidData,
             ),
             (
-                "missing shard",
-                |dir| fs::remove_file(shard_path(dir, DELTA_PREFIX, 1, 1)).unwrap(),
+                "last shard missing",
+                |dir| fs::remove_file(shard(dir, 2)).unwrap(),
                 InvalidData,
             ),
             (
+                "shard 1 missing, shard 2 present",
+                |dir| fs::remove_file(shard(dir, 1)).unwrap(),
+                InvalidData,
+            ),
+            (
+                "shard 0 missing, shards 1 and 2 present",
+                |dir| fs::remove_file(shard(dir, 0)).unwrap(),
+                NotFound,
+            ),
+            (
                 "every shard missing",
-                |dir| {
-                    fs::remove_file(FileBackend::segment_path(dir, 1)).unwrap();
-                    fs::remove_file(shard_path(dir, DELTA_PREFIX, 1, 1)).unwrap();
-                },
+                |dir| (0..3).for_each(|k| fs::remove_file(shard(dir, k)).unwrap()),
                 NotFound,
             ),
             (
@@ -1703,17 +1746,11 @@ mod tests {
         for (damage, inflict, kind) in rows {
             let dir = tmpdir("superseded");
             {
-                // Epoch 1 (two shards) is entirely rewritten by epoch 2, so
-                // a restore of 3 reads no page from it.
+                // Epoch 1 (three shards) is entirely rewritten by epoch 2,
+                // so a restore of 3 reads no page from it.
                 let b = FileBackend::open(&dir).unwrap();
-                let w = b.begin_epoch_impl(1).unwrap();
-                w.write_pages(&[(0, &[1u8; 32]), (1, &[1u8; 32])]).unwrap();
-                {
-                    let _slot0 = w.shards[0].lock();
-                    w.write_pages(&[(2, &[1u8; 32])]).unwrap();
-                }
-                w.finish().unwrap();
-                assert!(shard_path(&dir, DELTA_PREFIX, 1, 1).exists());
+                let old = [1u8; 32];
+                write_sharded(&b, 1, &[(0, &old), (1, &old), (2, &old)]);
                 write_epoch(&b, 2, (0..3).map(|p| (p, vec![2u8; 32]))).unwrap();
                 write_epoch(&b, 3, vec![(9, vec![3u8; 32])]).unwrap();
             }
@@ -1723,6 +1760,76 @@ mod tests {
             assert_eq!(err.kind(), kind, "{damage}: {err}");
             fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_lost_shard_is_not_healed_by_a_recount() {
+        use crate::image::CheckpointImage;
+        use io::ErrorKind::InvalidData;
+        let dir = tmpdir("lostshard");
+        {
+            let b = FileBackend::open(&dir).unwrap();
+            write_epoch(&b, 1, (0..3).map(|p| (p, vec![1u8; 32]))).unwrap();
+            write_sharded(&b, 2, &[(0, &[2u8; 32]), (1, &[2u8; 32])]);
+        }
+        fs::remove_file(shard_path(&dir, DELTA_PREFIX, 2, 1)).unwrap();
+        let b = FileBackend::open(&dir).unwrap();
+        let report = b.verify_epoch(2).unwrap();
+        assert_eq!(
+            report.structural,
+            vec!["epoch 2: manifest committed 2 records but segments hold 1"]
+        );
+        // The records are intact but page 1's is gone: a recount would make
+        // every read serve page 1 from epoch 1.
+        let err = b.repair_epoch(2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+        assert_eq!(
+            CheckpointImage::load(&b, 2).unwrap_err().kind(),
+            InvalidData
+        );
+        assert_eq!(PageLocator::build(&b, 2).unwrap_err().kind(), InvalidData);
+        assert_eq!(b.read_page_at(2, 0).unwrap_err().kind(), InvalidData);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn retiring_rewriting_or_folding_a_gapped_epoch_leaves_no_slot_file() {
+        let dir = tmpdir("gapgc");
+        let b = FileBackend::open(&dir).unwrap();
+        let data = [7u8; 32];
+        let image: [(u64, &[u8]); 3] = [(0, &data), (1, &data), (2, &data)];
+        for epoch in 1..=3 {
+            write_sharded(&b, epoch, &image);
+            fs::remove_file(shard_path(&dir, DELTA_PREFIX, epoch, 1)).unwrap();
+        }
+        write_epoch(&b, 4, vec![(0, vec![4u8; 32])]).unwrap();
+        let none = Vec::<usize>::new();
+        b.remove_epochs(&[1]).unwrap();
+        assert_eq!(slot_files(&dir, DELTA_PREFIX, 1), none, "retired");
+        b.rewrite_epoch(3, &image).unwrap();
+        assert_eq!(slot_files(&dir, DELTA_PREFIX, 3), vec![0], "rewritten");
+        assert!(b.verify_epoch(3).unwrap().is_clean());
+        // The fold installs the image it is handed; gapped epoch 2 is never
+        // read, only superseded.
+        b.install_compacted(2, 3, &image).unwrap();
+        assert_eq!(slot_files(&dir, DELTA_PREFIX, 2), none, "folded");
+        assert_eq!(slot_files(&dir, DELTA_PREFIX, 3), none, "folded");
+        assert_eq!(slot_files(&dir, FULL_PREFIX, 3), vec![0]);
+        assert_eq!(b.epochs().unwrap(), vec![3, 4]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn aborting_a_sharded_session_removes_every_slot() {
+        let dir = tmpdir("abortshards");
+        let b = FileBackend::open(&dir).unwrap();
+        let data = [1u8; 32];
+        let w = sharded_session(&b, 1, &[(0, &data), (1, &data), (2, &data)]);
+        w.abort().unwrap();
+        assert_eq!(slot_files(&dir, DELTA_PREFIX, 1), Vec::<usize>::new());
+        assert!(b.epochs().unwrap().is_empty());
+        write_epoch(&b, 1, vec![(0, vec![2u8; 32])]).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

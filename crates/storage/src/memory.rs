@@ -4,6 +4,14 @@
 //!
 //! [`MemoryBackend::shared`] returns a handle pair so a test can hand the
 //! backend to the committer while keeping a window into what was persisted.
+//!
+//! A finished epoch keeps its records in arrival order (what `read_epoch`
+//! replays) plus a latest-wins `page → position` index, built under the
+//! store lock by the first `read_page_at`/`record_meta` of that epoch. The
+//! index lives beside the records it points into, so whatever replaces or
+//! removes them (`rewrite_epoch`, `install_compacted`, `remove_epochs`)
+//! drops it too. A restore therefore costs one hash lookup per page, not a
+//! scan of the page's epoch.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -14,6 +22,7 @@ use parking_lot::Mutex;
 
 use crate::backend::{ChainEntry, EpochKind, EpochWriter, StorageBackend};
 use crate::codec::{self, Compression, Sealed};
+use crate::locator::PageMap;
 use crate::scrub::RecordMeta;
 
 /// One stored page payload: kept in its encoded form and sealed exactly
@@ -47,16 +56,57 @@ impl StoredPayload {
 /// Page records of one epoch, in arrival order.
 type Records = Vec<(u64, StoredPayload)>;
 
+/// One finished epoch: its records, and the index of each page's latest
+/// record, built by the first lookup.
+#[derive(Debug)]
+struct Epoch {
+    records: Records,
+    by_page: Option<PageMap<usize>>,
+}
+
+impl Epoch {
+    fn new(records: Records) -> Self {
+        Self {
+            records,
+            by_page: None,
+        }
+    }
+
+    /// `page`'s latest record — the one `read_epoch` visits last — if the
+    /// epoch holds one.
+    fn latest(&mut self, page: u64) -> Option<&mut StoredPayload> {
+        let records = &self.records;
+        let by_page = self.by_page.get_or_insert_with(|| {
+            let mut by_page = PageMap::with_capacity_and_hasher(records.len(), Default::default());
+            for (at, (page, _)) in records.iter().enumerate() {
+                by_page.insert(*page, at);
+            }
+            by_page
+        });
+        let at = *by_page.get(&page)?;
+        Some(&mut self.records[at].1)
+    }
+}
+
 #[derive(Debug, Default)]
 struct Store {
-    /// epoch -> records in arrival order.
-    finished: BTreeMap<u64, Records>,
+    /// epoch -> its records in arrival order, and their page index.
+    finished: BTreeMap<u64, Epoch>,
     /// Epochs holding a full (compacted) image instead of a delta.
     full: std::collections::BTreeSet<u64>,
     /// Highest epoch number ever committed or retired — retired numbers
     /// must not be reused (mirrors the file backend's manifest history).
     high_water: Option<u64>,
     open: Option<(u64, Records)>,
+}
+
+impl Store {
+    /// The finished `epoch`, or `NotFound`.
+    fn epoch(&mut self, epoch: u64) -> io::Result<&mut Epoch> {
+        self.finished
+            .get_mut(&epoch)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("epoch {epoch}")))
+    }
 }
 
 #[derive(Debug)]
@@ -118,17 +168,12 @@ impl MemoryBackend {
     /// panics on a corrupted store — use
     /// [`StorageBackend::verify_epoch`] to *observe* corruption).
     pub fn epoch_records(&self, epoch: u64) -> Option<Vec<(u64, Vec<u8>)>> {
-        self.shared
-            .store
-            .lock()
-            .finished
-            .get(&epoch)
-            .map(|records| {
-                records
-                    .iter()
-                    .map(|(p, d)| (*p, d.open(epoch, *p).expect("record decodes")))
-                    .collect()
-            })
+        self.shared.store.lock().finished.get(&epoch).map(|e| {
+            e.records
+                .iter()
+                .map(|(p, d)| (*p, d.open(epoch, *p).expect("record decodes")))
+                .collect()
+        })
     }
 
     /// Test hook: flip one byte of the *stored* (encoded) payload of the
@@ -138,28 +183,20 @@ impl MemoryBackend {
     /// the record is rewritten.
     pub fn corrupt_stored_page(&self, epoch: u64, page: u64, byte: usize) -> io::Result<()> {
         let mut s = self.shared.store.lock();
-        let records = s
-            .finished
-            .get_mut(&epoch)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("epoch {epoch}")))?;
-        let rec = records
-            .iter_mut()
-            .rev()
-            .find(|(p, _)| *p == page)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no record for page {page} in epoch {epoch}"),
-                )
-            })?;
-        if rec.1.stored.is_empty() {
+        let rec = s.epoch(epoch)?.latest(page).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no record for page {page} in epoch {epoch}"),
+            )
+        })?;
+        if rec.stored.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "cannot corrupt an empty payload",
             ));
         }
-        let len = rec.1.stored.len();
-        rec.1.stored[byte % len] ^= 0xFF;
+        let len = rec.stored.len();
+        rec.stored[byte % len] ^= 0xFF;
         Ok(())
     }
 
@@ -170,7 +207,7 @@ impl MemoryBackend {
             .lock()
             .finished
             .values()
-            .map(Vec::len)
+            .map(|e| e.records.len())
             .sum()
     }
 }
@@ -226,7 +263,7 @@ impl MemoryEpochWriter {
             Some((epoch, records)) => {
                 debug_assert_eq!(epoch, self.epoch);
                 if commit {
-                    s.finished.insert(epoch, records);
+                    s.finished.insert(epoch, Epoch::new(records));
                     s.high_water = Some(s.high_water.map_or(epoch, |h| h.max(epoch)));
                 }
                 Ok(())
@@ -315,12 +352,8 @@ impl StorageBackend for MemoryBackend {
         // Visit under the store lock (records are decoded one at a time,
         // never snapshot wholesale): `visit` must not reenter this backend,
         // which no restore-path consumer does.
-        let s = self.shared.store.lock();
-        let records = s
-            .finished
-            .get(&epoch)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("epoch {epoch}")))?;
-        for (page, data) in records {
+        let mut s = self.shared.store.lock();
+        for (page, data) in &s.epoch(epoch)?.records {
             let decoded = data.open(epoch, *page)?;
             visit(*page, &decoded);
         }
@@ -328,43 +361,25 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
-        let s = self.shared.store.lock();
-        let records = s
-            .finished
-            .get(&epoch)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("epoch {epoch}")))?;
-        Ok(records.iter().map(|(p, _)| *p).collect())
+        let mut s = self.shared.store.lock();
+        Ok(s.epoch(epoch)?.records.iter().map(|(p, _)| *p).collect())
     }
 
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        let s = self.shared.store.lock();
-        let records = s
-            .finished
-            .get(&epoch)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("epoch {epoch}")))?;
+        let mut s = self.shared.store.lock();
         // Latest record wins, matching `read_epoch` replay semantics.
-        records
-            .iter()
-            .rev()
-            .find(|(p, _)| *p == page)
-            .map(|(_, d)| d.open(epoch, page))
+        s.epoch(epoch)?
+            .latest(page)
+            .map(|d| d.open(epoch, page))
             .transpose()
     }
 
     fn record_meta(&self, epoch: u64, page: u64) -> io::Result<Option<RecordMeta>> {
-        let s = self.shared.store.lock();
-        let records = s
-            .finished
-            .get(&epoch)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("epoch {epoch}")))?;
-        Ok(records
-            .iter()
-            .rev()
-            .find(|(p, _)| *p == page)
-            .map(|(_, d)| RecordMeta {
-                raw_len: d.sealed.raw_len,
-                crc: d.sealed.crc,
-            }))
+        let mut s = self.shared.store.lock();
+        Ok(s.epoch(epoch)?.latest(page).map(|d| RecordMeta {
+            raw_len: d.sealed.raw_len,
+            crc: d.sealed.crc,
+        }))
     }
 
     fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
@@ -382,7 +397,7 @@ impl StorageBackend for MemoryBackend {
             .iter()
             .map(|(p, d)| (*p, StoredPayload::seal(d, compression)))
             .collect();
-        s.finished.insert(epoch, encoded);
+        s.finished.insert(epoch, Epoch::new(encoded));
         Ok(())
     }
 
@@ -430,7 +445,7 @@ impl StorageBackend for MemoryBackend {
             .collect();
         s.finished.retain(|&e, _| e > into);
         s.full.retain(|&e| e > into);
-        s.finished.insert(into, encoded);
+        s.finished.insert(into, Epoch::new(encoded));
         s.full.insert(into);
         Ok(())
     }
@@ -609,5 +624,80 @@ mod tests {
             b.record_meta(1, 1).unwrap().is_some(),
             "meta tracks the rewritten record"
         );
+    }
+
+    #[test]
+    fn read_page_at_returns_the_record_read_epoch_visits_last() {
+        let b = MemoryBackend::new();
+        write_epoch(
+            &b,
+            1,
+            vec![(5, vec![1; 8]), (7, vec![2; 8]), (5, vec![3; 9])],
+        )
+        .unwrap();
+        let mut last = BTreeMap::new();
+        b.read_epoch(1, &mut |p, d| {
+            last.insert(p, d.to_vec());
+        })
+        .unwrap();
+        assert_eq!(last[&5], vec![3; 9]);
+        for (page, data) in &last {
+            assert_eq!(&b.read_page_at(1, *page).unwrap().unwrap(), data);
+            assert_eq!(
+                b.record_meta(1, *page).unwrap().unwrap().raw_len,
+                data.len() as u32
+            );
+        }
+        assert_eq!(b.read_page_at(1, 6).unwrap(), None);
+    }
+
+    #[test]
+    fn lookups_never_serve_a_stale_position() {
+        let b = MemoryBackend::new();
+        write_epoch(&b, 1, vec![(0, vec![10]), (1, vec![11]), (2, vec![12])]).unwrap();
+        write_epoch(&b, 2, vec![(1, vec![21]), (3, vec![23])]).unwrap();
+        write_epoch(&b, 3, vec![(4, vec![34])]).unwrap();
+        let read = |epoch, page| b.read_page_at(epoch, page);
+        // Build both indexes: epoch 2 maps page 1 → 0 and page 3 → 1.
+        assert_eq!(read(1, 2).unwrap(), Some(vec![12]));
+        assert_eq!(read(2, 3).unwrap(), Some(vec![23]));
+        // Rewritten in another order: the old positions would serve the
+        // wrong record for page 3 and a record at all for page 1.
+        b.rewrite_epoch(2, &[(3, &[33]), (9, &[39])]).unwrap();
+        assert_eq!(read(2, 3).unwrap(), Some(vec![33]));
+        assert_eq!(read(2, 9).unwrap(), Some(vec![39]));
+        assert_eq!(read(2, 1).unwrap(), None);
+        // Folded: epoch 1 is gone, epoch 2 is the whole image.
+        b.compact(2).unwrap();
+        assert_eq!(read(1, 2).unwrap_err().kind(), io::ErrorKind::NotFound);
+        let image = [(0, 10), (1, 11), (2, 12), (3, 33), (9, 39)];
+        for (page, byte) in image {
+            assert_eq!(read(2, page).unwrap(), Some(vec![byte]), "page {page}");
+        }
+        assert_eq!(
+            b.record_meta(2, 9).unwrap().unwrap().crc,
+            crate::checksum::crc64(&[39])
+        );
+        b.remove_epochs(&[2]).unwrap();
+        assert_eq!(read(2, 0).unwrap_err().kind(), io::ErrorKind::NotFound);
+        assert_eq!(read(3, 4).unwrap(), Some(vec![34]));
+    }
+
+    #[test]
+    fn corrupting_an_indexed_page_still_fails_its_read() {
+        let b = MemoryBackend::new();
+        write_epoch(
+            &b,
+            1,
+            vec![(0, vec![1; 32]), (0, vec![2; 32]), (1, vec![3; 32])],
+        )
+        .unwrap();
+        assert_eq!(b.read_page_at(1, 0).unwrap().unwrap(), vec![2; 32]);
+        b.corrupt_stored_page(1, 0, 4).unwrap();
+        assert_eq!(
+            b.read_page_at(1, 0).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(b.read_page_at(1, 1).unwrap().unwrap(), vec![3; 32]);
     }
 }

@@ -6,9 +6,9 @@
 
 use ai_ckpt_core::rng::SplitMix64;
 use ai_ckpt_storage::{
-    write_epoch, CheckpointImage, EpochWriter, FileBackend, MemoryBackend, ParityBackend,
-    PolicyBuilder, ReplicatedBackend, ResilienceSpec, StorageBackend, ThrottledBackend,
-    TieredBackend,
+    write_epoch, CheckpointImage, EpochWriter, FileBackend, MemoryBackend, PageLocator,
+    ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec, StorageBackend,
+    ThrottledBackend, TieredBackend,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -138,10 +138,24 @@ fn parity_backend_is_transparent_and_recoverable() {
     }
 }
 
+/// Every page of `image`, read back the way a restore reads it: the
+/// `PageLocator` names the epoch, `read_page_at` returns the record.
+fn assert_point_reads_match(backend: &dyn StorageBackend, image: &CheckpointImage, case: u64) {
+    let locator = PageLocator::build(backend, image.checkpoint()).unwrap();
+    assert_eq!(locator.len(), image.len(), "case {case}: locator size");
+    for (page, data) in image.iter() {
+        let epoch = locator.epoch_of(page).unwrap();
+        let got = backend.read_page_at(epoch, page).unwrap();
+        assert_eq!(got.as_deref(), Some(data), "case {case}: page {page}");
+    }
+}
+
 /// The image a chain materialises must be invariant under any interleaving
 /// of compactions (fold the committed prefix), tier drains (migrate the
 /// oldest epoch outward) and further checkpoints: all of them are
-/// representation changes, never data changes.
+/// representation changes, never data changes — and every page of it reads
+/// back the same one record at a time, whatever the folds did to the
+/// epochs' indexes.
 #[test]
 fn compacted_chain_image_equals_uncompacted_chain_image() {
     let mut rng = SplitMix64::new(0xC0_FFEE);
@@ -194,6 +208,7 @@ fn compacted_chain_image_equals_uncompacted_chain_image() {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
                     assert_eq!(a, b, "case {case}: images diverged");
+                    assert_point_reads_match(folded.as_ref(), &b, case);
                 }
                 (a, b) => panic!(
                     "case {case}: presence diverged (plain {:?} vs folded {:?})",

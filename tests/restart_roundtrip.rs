@@ -2,11 +2,17 @@
 //! through every storage composition (file, replicated, parity), verifying
 //! byte-exact recovery of the protected state.
 
-use ai_ckpt::{restore_at, restore_latest, restore_latest_cached, CkptConfig, PageManager};
+use std::any::Any;
+use std::sync::Arc;
+
+use ai_ckpt::{
+    restore_at, restore_latest, restore_latest_cached, restore_lazy, CkptConfig, PageManager,
+    ProtectedBuffer,
+};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    is_page, CheckpointImage, FileBackend, MemoryBackend, PageCache, ParityBackend,
-    ReplicatedBackend, StorageBackend,
+    is_page, write_epoch, CheckpointImage, FileBackend, MemoryBackend, PageCache, ParityBackend,
+    ReplicatedBackend, StorageBackend, META_RECORD,
 };
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -137,6 +143,135 @@ fn eager_restore_of_a_randomly_ordered_image_is_exact_and_tracked() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Page `page`'s bytes in the hand-written epochs below: every byte
+/// differs from its neighbours, so a page written at the wrong offset shows.
+fn pattern(page: u64, len: usize) -> Vec<u8> {
+    (0..len).map(|j| (page as usize * 31 + j) as u8).collect()
+}
+
+/// Commit epoch 2 of `dir` by hand: epoch 1's layout record, then `pages`
+/// in the given record order — which is the fill's sweep order.
+fn hand_write_epoch_2(dir: &std::path::Path, pages: impl IntoIterator<Item = (u64, Vec<u8>)>) {
+    let backend = FileBackend::open(dir).unwrap();
+    let layout = backend.read_page_at(1, META_RECORD).unwrap().unwrap();
+    write_epoch(
+        &backend,
+        2,
+        std::iter::once((META_RECORD, layout)).chain(pages),
+    )
+    .unwrap();
+}
+
+/// Restore epoch 2 of `dir` through both doors, each into a fresh manager,
+/// and hold every buffer page to the reference replay (`CheckpointImage`;
+/// a short payload is zero-padded to its page). A door restores again,
+/// up to 8 times, until `laid_out` accepts where the buffers landed.
+fn assert_both_doors_exact(dir: &std::path::Path, laid_out: impl Fn(&[ProtectedBuffer]) -> bool) {
+    let ps = page_size();
+    let view: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(dir).unwrap());
+    let image = CheckpointImage::load(view.as_ref(), 2).unwrap();
+    let exact = |buffers: &[ProtectedBuffer], door: &str| {
+        for buf in buffers {
+            for (i, got) in buf.as_slice().chunks(ps).enumerate() {
+                let want = image.page((buf.base_page() + i) as u64).unwrap_or_default();
+                let mut want = want.to_vec();
+                want.resize(ps, 0);
+                assert!(got == want, "{door}: page {i} of '{}' differs", buf.name());
+            }
+        }
+        laid_out(buffers)
+    };
+    for door in ["eager", "lazy"] {
+        // Every attempt stays mapped until the door is done: an address
+        // hole that split one attempt's buffers is then taken, and the
+        // next attempt's land elsewhere.
+        let mut attempts: Vec<(Box<dyn Any>, PageManager)> = Vec::new();
+        let landed = (0..8).any(|_| {
+            let cfg = CkptConfig::ai_ckpt(1 << 16).with_max_pages(64);
+            let mgr = PageManager::with_shared_backend(cfg, view.clone()).unwrap();
+            let (landed, state): (bool, Box<dyn Any>) = if door == "eager" {
+                let state = restore_at(&mgr, view.as_ref(), 2).unwrap();
+                (exact(&state.buffers, door), Box::new(state))
+            } else {
+                let mut lazy = restore_lazy(&mgr, view.clone(), 2, None).unwrap();
+                lazy.wait().unwrap();
+                (exact(&lazy.state.buffers, door), Box::new(lazy))
+            };
+            attempts.push((state, mgr));
+            landed
+        });
+        assert!(landed, "{door}: buffers never laid out as the case needs");
+    }
+}
+
+/// Whether buffer `hi` starts right where buffer `lo` ends.
+fn back_to_back(lo: &ProtectedBuffer, hi: &ProtectedBuffer) -> bool {
+    lo.as_ptr() as usize + lo.pages() * page_size() == hi.as_ptr() as usize
+}
+
+/// A fill run crosses from one buffer into the next when their mappings
+/// touch: a mapping made right after another lands just below it, so the
+/// sweep writes `b` then `a`, ascending — one run over both.
+#[test]
+fn restore_runs_cross_address_adjacent_buffers_exactly() {
+    // Sizes no other test here maps, so no hole one left behind fits.
+    const A: u64 = 11;
+    const B: u64 = 5;
+    let dir = tmpdir("adjacent");
+    let (a, b) = {
+        let mgr = PageManager::new(
+            CkptConfig::ai_ckpt(1 << 16),
+            Box::new(FileBackend::open(&dir).unwrap()),
+        )
+        .unwrap();
+        let mut a = mgr
+            .alloc_protected_named("a", A as usize * page_size())
+            .unwrap();
+        let mut b = mgr
+            .alloc_protected_named("b", B as usize * page_size())
+            .unwrap();
+        fill(&mut a, &(0..A as usize).collect::<Vec<_>>(), 1);
+        fill(&mut b, &(0..B as usize).collect::<Vec<_>>(), 1);
+        mgr.checkpoint().unwrap();
+        mgr.wait_checkpoint().unwrap();
+        (a.base_page() as u64, b.base_page() as u64)
+    };
+    let whole = |p: u64| (p, pattern(p, page_size()));
+    hand_write_epoch_2(&dir, (b..b + B).chain(a..a + A).map(whole));
+    assert_both_doors_exact(&dir, |bufs| back_to_back(&bufs[1], &bufs[0]));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Short payloads (hand-written; the runtime always writes whole pages)
+/// are written alone, between runs of whole pages.
+#[test]
+fn restore_of_short_hand_written_payloads_is_exact() {
+    const PAGES: u64 = 12;
+    let dir = tmpdir("short");
+    let base = {
+        let mgr = PageManager::new(
+            CkptConfig::ai_ckpt(1 << 16),
+            Box::new(FileBackend::open(&dir).unwrap()),
+        )
+        .unwrap();
+        let mut s = mgr
+            .alloc_protected_named("s", PAGES as usize * page_size())
+            .unwrap();
+        fill(&mut s, &(0..PAGES as usize).collect::<Vec<_>>(), 1);
+        mgr.checkpoint().unwrap();
+        mgr.wait_checkpoint().unwrap();
+        s.base_page() as u64
+    };
+    let len = |p: u64| match p % 4 {
+        1 => 100,
+        3 if p > 4 => 1,
+        _ => page_size(),
+    };
+    hand_write_epoch_2(&dir, (base..base + PAGES).map(|p| (p, pattern(p, len(p)))));
+    assert_both_doors_exact(&dir, |_| true);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -28,9 +28,9 @@ use std::sync::Arc;
 use ai_ckpt::{restore_latest, restore_latest_lazy, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    corrupt_manifest_byte, corrupt_manifest_count, corrupt_segment_region, FileBackend,
-    ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec, SegmentRegion, StorageBackend,
-    TieredBackend, META_RECORD,
+    corrupt_manifest_byte, corrupt_manifest_count, corrupt_segment_region, is_page, write_epoch,
+    FileBackend, ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec, SegmentRegion,
+    StorageBackend, TieredBackend, META_RECORD,
 };
 
 const PAGES: usize = 4;
@@ -335,6 +335,64 @@ fn unrecoverable_damage_quarantines_and_restores_fail_loudly() {
 
 /// Offset of the first manifest record's epoch field (magic 8 + kind 1).
 const MANIFEST_RECORD_1_EPOCH: u64 = 9;
+
+/// Spread `epoch` of the file root `dir` over two shard files, as two
+/// contending committer streams would: its last page record moves from
+/// `epoch_N.seg` into `epoch_N.s1.seg`. A scratch root writes each part as
+/// a complete segment; the manifest's count still holds across the pair.
+fn split_off_last_page(dir: &Path, epoch: u64) {
+    let mut records = Vec::new();
+    let backend = FileBackend::open(dir).unwrap();
+    backend
+        .read_epoch(epoch, &mut |p, d| records.push((p, d.to_vec())))
+        .unwrap();
+    let last = records.iter().rposition(|&(p, _)| is_page(p)).unwrap();
+    let moved = vec![records.remove(last)];
+    for (shard, part) in [("", records), (".s1", moved)] {
+        let scratch = tmpdir(&format!("split{shard}"));
+        write_epoch(&FileBackend::open(&scratch).unwrap(), epoch, part).unwrap();
+        let name = |shard| format!("epoch_{epoch:010}{shard}.seg");
+        fs::rename(scratch.join(name("")), dir.join(name(shard))).unwrap();
+        fs::remove_dir_all(&scratch).unwrap();
+    }
+}
+
+#[test]
+fn a_lost_shard_is_quarantined_and_both_restores_refuse_it() {
+    // Epoch 2 rewrites every page over two shard files. Losing the second
+    // leaves every remaining record intact: only the commit count says a
+    // page is missing. Recounting would "heal" that, and every restore
+    // would then serve the missing page's epoch-1 bytes without a word.
+    let dir = tmpdir("lost-shard");
+    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+    commit(&backend, 0x11);
+    commit(&backend, 0x22);
+    split_off_last_page(&dir, 2);
+    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+    assert!(backend.verify_epoch(2).unwrap().is_clean(), "a whole epoch");
+    fs::remove_file(dir.join("epoch_0000000002.s1.seg")).unwrap();
+    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+
+    // Unscrubbed, both doors fail on the count, and nothing can repair it.
+    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
+    let fails = |result: std::io::Result<()>, door: &str, says: &str| {
+        let err = result
+            .err()
+            .unwrap_or_else(|| panic!("{door} restore served an epoch missing a shard"));
+        assert!(err.to_string().contains(says), "{door}: {err}");
+    };
+    let eager = |mgr: &PageManager| restore_latest(mgr, backend.as_ref()).map(drop);
+    let lazy = |mgr: &PageManager| restore_latest_lazy(mgr, Arc::clone(&backend), None).map(drop);
+    fails(eager(&mgr), "eager", "manifest committed");
+    fails(lazy(&mgr), "lazy", "manifest committed");
+
+    mgr.scrubber().full_pass(backend.as_ref()).unwrap();
+    let stats = mgr.scrubber().stats();
+    assert_eq!(stats.epochs_repaired, 0, "recounted: {stats:?}");
+    assert!(mgr.scrubber().is_quarantined(2), "{stats:?}");
+    fails(eager(&mgr), "eager", "quarantined");
+    fails(lazy(&mgr), "lazy", "quarantined");
+}
 
 #[test]
 fn replica_serves_the_newest_epoch_past_a_member_with_a_rotted_manifest() {
