@@ -76,6 +76,9 @@ const IDLE_POLL: Duration = Duration::from_millis(5);
 /// Backoff after a failed maintenance cycle before retrying it.
 const MAINT_RETRY: Duration = Duration::from_millis(50);
 
+/// Re-check period while a detaching tenant is still held by a pool thread.
+const DETACH_POLL: Duration = Duration::from_micros(100);
+
 /// The error every checkpoint gets once the pool stopped accepting work.
 const SHUT_DOWN: &str = "flush pool is shut down";
 
@@ -620,10 +623,17 @@ impl PoolInner {
         }
     }
 
-    /// The manager is dropping; forget the tenant and its queued drains.
-    pub(crate) fn detach(&self, tenant: u64) {
-        self.tenants.lock().remove(&tenant);
-        self.maint.lock().queue.remove_tenant(tenant);
+    /// The manager is dropping; forget the tenant and its queued drains,
+    /// then wait until no pool thread holds it any more: a maintenance
+    /// cycle or a finaliser may have taken a handle before the removal, and
+    /// the tenant's backend must not outlive its manager. Other tenants'
+    /// work is never waited for.
+    pub(crate) fn detach(&self, tenant: &Arc<Tenant>) {
+        self.tenants.lock().remove(&tenant.id);
+        self.maint.lock().queue.remove_tenant(tenant.id);
+        while Arc::strong_count(tenant) > 1 {
+            std::thread::sleep(DETACH_POLL);
+        }
     }
 }
 

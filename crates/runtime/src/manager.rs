@@ -880,10 +880,11 @@ impl Drop for PageManager {
     fn drop(&mut self) {
         // An in-flight flush drains on the pool's workers and holds its own
         // handles — wait it out so the epoch commits or aborts atomically
-        // before the tenant disappears, then detach. A private pool shuts
-        // down right after, when its last handle (ours) drops.
+        // before the tenant disappears, then detach (which waits out any
+        // pool thread still holding the tenant). A private pool shuts down
+        // right after, when its last handle (ours) drops.
         let _ = self.wait_checkpoint();
-        self.pool.inner.detach(self.tenant.id);
+        self.pool.inner.detach(&self.tenant);
     }
 }
 

@@ -4,7 +4,9 @@
 
 use ai_ckpt::{restore_latest, CkptConfig, CkptMode, PageManager};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::{is_page, CheckpointImage, FailingBackend, MemoryBackend, StorageBackend};
+use ai_ckpt_storage::{
+    is_page, CheckpointImage, FailingBackend, FaultOp, MemoryBackend, StorageBackend,
+};
 
 fn cfg(filter: bool) -> CkptConfig {
     CkptConfig::ai_ckpt(1 << 20)
@@ -117,7 +119,7 @@ fn digests_only_advance_on_committed_epochs() {
     mgr.checkpoint().unwrap();
 
     // Epoch 2 changes every page but its finish fails.
-    control.fail_finish(true);
+    control.fail(FaultOp::Finish, true);
     touch_all(&mut buf, |p| 0x40 + p as u8);
     assert!(mgr.checkpoint().is_err(), "finish failure surfaces");
     control.heal();

@@ -118,6 +118,90 @@ fn checkpoint_that_ends_before_its_epoch_opens_is_finalised() {
     assert_eq!(view.epochs().unwrap(), vec![1]);
 }
 
+/// A backend whose `drain_one` — the first call of every maintenance upkeep
+/// — parks while `hold` is set, raising `parked` first.
+struct HeldDrain {
+    inner: MemoryBackend,
+    hold: Arc<AtomicBool>,
+    parked: Arc<AtomicBool>,
+}
+
+impl StorageBackend for HeldDrain {
+    fn inner(&self) -> Option<&dyn StorageBackend> {
+        Some(&self.inner)
+    }
+    fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
+        self.inner.begin_epoch(epoch)
+    }
+    fn epochs(&self) -> io::Result<Vec<u64>> {
+        self.inner.epochs()
+    }
+    fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
+        self.inner.read_epoch(epoch, visit)
+    }
+    fn bytes_written(&self) -> u64 {
+        self.inner.bytes_written()
+    }
+    fn drain_one(&self) -> io::Result<Option<u64>> {
+        while self.hold.load(Ordering::Acquire) {
+            self.parked.store(true, Ordering::Release);
+            std::thread::yield_now();
+        }
+        self.inner.drain_one()
+    }
+}
+
+/// The maintenance worker takes a handle on a tenant before it runs the
+/// tenant's upkeep. Dropping the manager meanwhile must wait that upkeep
+/// out: once the drop returns, the pool holds nothing of the tenant — not
+/// its backend — and writes nothing more for it. The upkeep is parked
+/// inside the backend until a releaser lets it go; a drop that waits can
+/// only return after that, whatever the timing. The releaser's 20 ms sleep
+/// only gives a drop that does not wait the time to return first.
+#[test]
+fn dropping_a_manager_waits_for_the_upkeep_that_holds_its_tenant() {
+    let hold = Arc::new(AtomicBool::new(true));
+    let parked = Arc::new(AtomicBool::new(false));
+    let backend: Arc<dyn StorageBackend> = Arc::new(HeldDrain {
+        inner: MemoryBackend::new(),
+        hold: Arc::clone(&hold),
+        parked: Arc::clone(&parked),
+    });
+    let pool = FlushPool::new(1).unwrap();
+    let mgr = pool
+        .attach(cfg(), Arc::clone(&backend), Arc::new(()))
+        .unwrap();
+    let mut buf = mgr.alloc_protected(page_size()).unwrap();
+    buf.as_mut_slice()[0] = 1;
+    mgr.checkpoint().unwrap();
+    mgr.wait_checkpoint().unwrap();
+    while !parked.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    drop(buf);
+    let dropped = AtomicBool::new(false);
+    let dropped_first = std::thread::scope(|s| {
+        let releaser = s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(20));
+            let first = dropped.load(Ordering::Acquire);
+            hold.store(false, Ordering::Release);
+            first
+        });
+        drop(mgr);
+        dropped.store(true, Ordering::Release);
+        releaser.join().unwrap()
+    });
+    assert!(
+        !dropped_first,
+        "the drop returned while the upkeep held the tenant"
+    );
+    assert_eq!(
+        Arc::strong_count(&backend),
+        1,
+        "the pool released the backend"
+    );
+}
+
 /// Two managers on one pool: each one's `stats().streams` has one entry per
 /// worker slot and counts its own pages only.
 #[test]

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use ai_ckpt::{restore_at, restore_lazy, CkptConfig, CompactionPolicy, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    corrupt_segment_region, is_page, FailingBackend, FileBackend, MemoryBackend, ParityBackend,
-    ReplicatedBackend, SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
+    corrupt_segment_region, is_page, FailingBackend, FaultOp, FileBackend, MemoryBackend,
+    ParityBackend, ReplicatedBackend, SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -202,7 +202,7 @@ fn failed_checkpoint_leaves_nothing_behind() {
     let mut buf = mgr.alloc_protected_named("s", 2 * ps).unwrap();
     buf.as_mut_slice().fill(9);
 
-    ctl.fail_finish(true);
+    ctl.fail(FaultOp::Finish, true);
     mgr.checkpoint().unwrap_err();
     assert!(backend.epochs().unwrap().is_empty());
     assert!(

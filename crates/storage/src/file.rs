@@ -178,9 +178,6 @@ impl FileShared {
 pub struct FileBackend {
     dir: PathBuf,
     shared: Arc<FileShared>,
-    /// `fsync` on epoch finish (segments, directory, manifest). Disable
-    /// only for throughput experiments where durability is irrelevant.
-    pub sync_on_finish: bool,
     /// Per-record payload encoding policy for new segments (see
     /// [`crate::segment`]).
     pub compression: Compression,
@@ -231,7 +228,6 @@ impl FileBackend {
         let backend = Self {
             dir,
             shared: Arc::new(FileShared::default()),
-            sync_on_finish: true,
             compression: Compression::default(),
         };
         // One manifest read seeds both the orphan sweep and the cached
@@ -408,7 +404,6 @@ struct FileEpochWriter {
     shared: Arc<FileShared>,
     dir: PathBuf,
     epoch: u64,
-    sync_on_finish: bool,
     compression: Compression,
     /// Set once `finish`/`abort` ran; `write_pages` then refuses.
     closed: AtomicBool,
@@ -490,30 +485,26 @@ impl EpochWriter for FileEpochWriter {
             // epochs seal concurrently: the fsyncs wait on the same device,
             // so overlapping them costs the epoch one flush latency, not
             // one per shard.
-            let (sync, io) = (self.sync_on_finish, &self.shared.io);
+            let io = &self.shared.io;
             match &mut shards[..] {
                 [] => {}
-                [shard] => shard.seal(sync, io)?,
+                [shard] => shard.seal(io)?,
                 many => std::thread::scope(|scope| {
                     let waves: Vec<_> = many
                         .iter_mut()
-                        .map(|shard| scope.spawn(move || shard.seal(sync, io)))
+                        .map(|shard| scope.spawn(move || shard.seal(io)))
                         .collect();
                     waves
                         .into_iter()
                         .try_for_each(|wave| wave.join().expect("shard seal panicked"))
                 })?,
             }
-            if sync {
-                self.shared
-                    .io
-                    .segment_fsyncs
-                    .fetch_add(shards.len() as u64, Ordering::Relaxed);
-                // The shard files were created during this session: their
-                // directory entries must be durable before the manifest
-                // names the epoch.
-                self.shared.sync_dir(&self.dir)?;
-            }
+            io.segment_fsyncs
+                .fetch_add(shards.len() as u64, Ordering::Relaxed);
+            // The shard files were created during this session: their
+            // directory entries must be durable before the manifest names
+            // the epoch.
+            self.shared.sync_dir(&self.dir)?;
             // Commit point: the manifest record makes the epoch visible.
             self.shared.commit(
                 &self.dir.join(MANIFEST_FILE),
@@ -577,7 +568,6 @@ impl FileBackend {
             shared: Arc::clone(&self.shared),
             dir: self.dir.clone(),
             epoch,
-            sync_on_finish: self.sync_on_finish,
             compression: self.compression,
             closed: AtomicBool::new(false),
             shards: slots.into_boxed_slice(),
@@ -980,10 +970,8 @@ impl FileBackend {
         for batch in records.chunks(STAGE_BATCH) {
             writer.write_batch(batch, self.compression, io)?;
         }
-        writer.seal(self.sync_on_finish, io)?;
-        if self.sync_on_finish {
-            io.segment_fsyncs.fetch_add(1, Ordering::Relaxed);
-        }
+        writer.seal(io)?;
+        io.segment_fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok((tmp, writer.payload_bytes()))
     }
 
@@ -991,10 +979,7 @@ impl FileBackend {
     /// durable.
     fn publish_staged(&self, tmp: &Path, final_path: &Path) -> io::Result<()> {
         fs::rename(tmp, final_path)?;
-        if self.sync_on_finish {
-            self.shared.sync_dir(&self.dir)?;
-        }
-        Ok(())
+        self.shared.sync_dir(&self.dir)
     }
 
     /// Corrective commit: re-append `rec` with the counts its segments

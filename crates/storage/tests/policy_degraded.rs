@@ -4,7 +4,7 @@
 //! level holds is still listed and served.
 
 use ai_ckpt_storage::{
-    write_epoch, ChainEntry, EpochWriter, FailingBackend, FailureControl, MemoryBackend,
+    write_epoch, ChainEntry, EpochWriter, FailingBackend, FailureControl, FaultOp, MemoryBackend,
     PolicyBackend, PolicyBuilder, ResilienceSpec, StorageBackend,
 };
 use std::cell::RefCell;
@@ -131,9 +131,9 @@ fn suspect_level_is_still_listed_and_read_until_reconciled() {
     write_epoch(&policy, 2, epoch_pages(2)).unwrap();
     // The hot level fails one retirement: alive, but out of service until
     // the next drain tick reconciles it.
-    controls[0].fail_remove_epoch(true);
+    controls[0].fail(FaultOp::RemoveEpoch, true);
     assert!(policy.remove_epochs(&[1]).is_err());
-    controls[0].fail_remove_epoch(false);
+    controls[0].fail(FaultOp::RemoveEpoch, false);
     assert!(policy.stats().levels[0].suspect);
     assert_eq!(stores[0].epochs().unwrap(), vec![1, 2]);
     // In that window epoch 2, which only the suspect level holds, is still

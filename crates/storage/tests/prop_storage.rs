@@ -90,8 +90,7 @@ fn file_backend_restore_equals_log() {
     for _ in 0..24 {
         let epochs = gen_epochs(&mut rng, 4);
         let _ = std::fs::remove_dir_all(&dir);
-        let mut b = FileBackend::open(&dir).unwrap();
-        b.sync_on_finish = false; // randomized tests need not hammer fsync
+        let b = FileBackend::open(&dir).unwrap();
         check_backend(b, &epochs);
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -238,8 +237,7 @@ fn file_backend_compaction_preserves_the_image() {
     let mut rng = SplitMix64::new(0xF0_1DED);
     for case in 0..12u64 {
         let _ = std::fs::remove_dir_all(&dir);
-        let mut b = FileBackend::open(&dir).unwrap();
-        b.sync_on_finish = false;
+        let b = FileBackend::open(&dir).unwrap();
         let plain = MemoryBackend::new();
         let mut committed = 0u64;
         for _ in 0..(3 + rng.next_below(8)) {
@@ -337,8 +335,7 @@ fn crc_detects_any_single_corruption() {
         let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let flip_at = rng.next_below(payload.len() as u64 - 20);
         let _ = std::fs::remove_dir_all(&dir);
-        let mut b = FileBackend::open(&dir).unwrap();
-        b.sync_on_finish = false;
+        let b = FileBackend::open(&dir).unwrap();
         write_epoch(&b, 1, vec![(0, payload.clone())]).unwrap();
         ai_ckpt_storage::file::corrupt_record_payload(&dir, 1, flip_at).unwrap();
         let err = b.read_epoch(1, &mut |_, _| {}).unwrap_err();

@@ -22,7 +22,7 @@
 use ai_ckpt_core::rng::SplitMix64;
 use ai_ckpt_storage::{
     corrupt_manifest_byte, corrupt_segment_region, write_epoch, CheckpointImage, EpochKind,
-    EpochWriter, FailingBackend, FailureControl, FileBackend, MemoryBackend, MemoryRoot,
+    EpochWriter, FailingBackend, FailureControl, FaultOp, FileBackend, MemoryBackend, MemoryRoot,
     PageLocator, ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec, ScrubPolicy,
     Scrubber, SegmentRegion, StorageBackend, ThrottledBackend, TieredBackend, META_RECORD,
 };
@@ -74,8 +74,7 @@ fn fresh_file() -> (FileBackend, PathBuf) {
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut file = FileBackend::open(&dir).unwrap();
-    file.sync_on_finish = false;
+    let file = FileBackend::open(&dir).unwrap();
     (file, dir)
 }
 
@@ -626,13 +625,13 @@ fn two_holders_of_epoch_one(built: &Built) {
         write_epoch(built.backend.as_ref(), epoch as u64, with_meta(epoch)).unwrap();
     }
     let first = &built.children[0];
-    first.control.fail_remove_epoch(true);
+    first.control.fail(FaultOp::RemoveEpoch, true);
     for _ in 0..64 {
         if !matches!(built.backend.drain_one(), Ok(Some(_))) {
             break;
         }
     }
-    first.control.fail_remove_epoch(false);
+    first.control.fail(FaultOp::RemoveEpoch, false);
     assert!(built.children[..2].iter().all(|c| c.lists(1)));
 }
 
@@ -748,7 +747,7 @@ fn composites_route_by_one_rule() {
             let first = &built.children[0].control;
             match down {
                 true => first.kill(),
-                false => first.fail_install_compacted(true),
+                false => first.fail(FaultOp::InstallCompacted, true),
             }
             let outcome = match fold {
                 true => built.backend.compact(3).map(drop),

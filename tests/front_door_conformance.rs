@@ -17,7 +17,7 @@ use ai_ckpt_coord::{CheckpointGroup, GroupConfig};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_service::{CkptService, ServiceConfig, TenantQuota};
 use ai_ckpt_storage::{
-    is_page, FailingBackend, FileBackend, MemoryBackend, StorageBackend, ThrottledBackend,
+    is_page, FailingBackend, FaultOp, FileBackend, MemoryBackend, StorageBackend, ThrottledBackend,
     TieredBackend, META_RECORD,
 };
 
@@ -252,7 +252,7 @@ fn run_script(door: Door) {
         let mut buf = mgr.alloc_protected_named("state", 4 * ps).unwrap();
 
         scribble(&mut buf, 0..4, 0x55);
-        ctl.fail_begin_epoch(true);
+        ctl.fail(FaultOp::BeginEpoch, true);
         mgr.checkpoint().unwrap();
         settle(mgr, &tag("failed begin_epoch")).unwrap_err();
         mgr.wait_checkpoint().unwrap(); // surfaced once, not twice
@@ -265,7 +265,7 @@ fn run_script(door: Door) {
         assert_eq!(view.epochs().unwrap(), vec![2]);
 
         scribble(&mut buf, 1..3, 0x77);
-        ctl.fail_finish(true);
+        ctl.fail(FaultOp::Finish, true);
         mgr.checkpoint().unwrap();
         settle(mgr, &tag("failed finish")).unwrap_err();
         assert_eq!(view.epochs().unwrap(), vec![2]);

@@ -14,7 +14,9 @@ use std::path::{Path, PathBuf};
 use ai_ckpt::CkptConfig;
 use ai_ckpt_coord::{rank_dir, CheckpointGroup, GroupConfig, GLOBAL_MANIFEST_FILE};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::{write_epoch, FailingBackend, FailureControl, FileBackend, StorageBackend};
+use ai_ckpt_storage::{
+    write_epoch, FailingBackend, FailureControl, FaultOp, FileBackend, StorageBackend,
+};
 
 const PAGES: usize = 4;
 
@@ -144,8 +146,8 @@ fn rank_failure_matrix_aborts_the_group_epoch() {
     type Arm = fn(&FailureControl);
     let modes: [(&str, Arm); 4] = [
         ("mid-flush", |ctl| ctl.fail_writes_after(1)),
-        ("finish", |ctl| ctl.fail_finish(true)),
-        ("begin-epoch", |ctl| ctl.fail_begin_epoch(true)),
+        ("finish", |ctl| ctl.fail(FaultOp::Finish, true)),
+        ("begin-epoch", |ctl| ctl.fail(FaultOp::BeginEpoch, true)),
         // Epoch 2 dirties two pages per rank: a budget of exactly its data
         // records fails the layout record, the last write before `finish`.
         ("layout-record", |ctl| ctl.fail_writes_after(2)),
@@ -318,8 +320,8 @@ fn abort_survives_a_failing_retirement_via_reopen_recovery() {
 
         // Rank 1 fails its finish AND rank 0 cannot retire its own epoch 2:
         // the abort leaves an orphan behind on rank 0.
-        ctls[1].fail_finish(true);
-        ctls[0].fail_remove_epoch(true);
+        ctls[1].fail(FaultOp::Finish, true);
+        ctls[0].fail(FaultOp::RemoveEpoch, true);
         fill(&mut bufs, &[0], 2);
         assert!(group.checkpoint().is_err());
         assert_eq!(

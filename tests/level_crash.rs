@@ -15,7 +15,8 @@ use std::sync::Arc;
 use ai_ckpt::{restore_latest, restore_latest_lazy, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    FailureControl, MemoryBackend, PolicyBackend, PolicyBuilder, ResilienceSpec, StorageBackend,
+    FailureControl, FaultOp, MemoryBackend, PolicyBackend, PolicyBuilder, ResilienceSpec,
+    StorageBackend,
 };
 
 const PAGES: usize = 6;
@@ -246,14 +247,16 @@ fn every_injection_point_on_the_partner_level_converges_after_heal() {
     let matrix: &[(&str, Arm)] = &[
         ("kill", |c| c.kill()),
         ("fail_reads", |c| c.fail_reads(true)),
-        ("fail_begin_epoch", |c| c.fail_begin_epoch(true)),
-        ("fail_finish", |c| c.fail_finish(true)),
+        ("fail_begin_epoch", |c| c.fail(FaultOp::BeginEpoch, true)),
+        ("fail_finish", |c| c.fail(FaultOp::Finish, true)),
         ("fail_writes_after_0", |c| c.fail_writes_after(0)),
         // The drain copy carries the epoch's data records, then its layout
         // record: this budget fails exactly the latter.
         ("fail_layout_write", |c| c.fail_writes_after(PAGES as u64)),
-        ("fail_drain_one", |c| c.fail_drain_one(true)),
-        ("fail_install_compacted", |c| c.fail_install_compacted(true)),
+        ("fail_drain_one", |c| c.fail(FaultOp::DrainOne, true)),
+        ("fail_install_compacted", |c| {
+            c.fail(FaultOp::InstallCompacted, true)
+        }),
     ];
     for (name, arm) in matrix {
         let (policy, controls) = build();
@@ -285,7 +288,7 @@ fn retirement_with_a_failing_level_sticks_and_cleans_up_after_heal() {
     // remove_epochs fails on the partner level: the retirement is still
     // recorded policy-wide (the epoch disappears from every listing) and
     // the caller sees the error.
-    controls[1].fail_remove_epoch(true);
+    controls[1].fail(FaultOp::RemoveEpoch, true);
     assert!(
         policy.remove_epochs(&[1]).is_err(),
         "failing level surfaces"
