@@ -122,9 +122,11 @@ pub fn read(path: &Path) -> io::Result<Vec<GlobalRecord>> {
     log::read(path)
 }
 
-/// Durably append one record (the phase-2 commit point, or an abort).
-pub fn append(path: &Path, record: GlobalRecord) -> io::Result<()> {
-    log::append(path, &[record]).map(drop)
+/// Durably append one record (the phase-2 commit point, or an abort)
+/// through the group's handle on the log: one whose failed append could
+/// not be undone refuses every later append until the group reopens.
+pub fn append(log: &log::Log, record: GlobalRecord) -> io::Result<()> {
+    log.append(&[record]).map(drop)
 }
 
 /// The newest globally consistent epoch of a record log, if any.

@@ -63,6 +63,7 @@ use std::sync::Arc;
 
 use ai_ckpt::restore::{restore_at, RestoredState};
 use ai_ckpt::{CkptConfig, CompactionPolicy, FlushPool, PageManager};
+use ai_ckpt_storage::log::{self, Log};
 use ai_ckpt_storage::{FileBackend, StorageBackend};
 
 use crate::global::{self, GlobalRecord};
@@ -138,7 +139,8 @@ pub struct GroupRestore {
 /// protocol.
 pub struct CheckpointGroup {
     ranks: Vec<RankCell>,
-    global_path: PathBuf,
+    /// The global manifest: this group's one handle on it.
+    global: Log,
     policy: CompactionPolicy,
     /// Next group epoch number (every attempt consumes one, success or
     /// abort — each rank's engine counts requests, not commits).
@@ -183,6 +185,9 @@ impl CheckpointGroup {
         // below retires whatever the log does not vouch for, so it must
         // never run on a log that merely *reads* shorter than it is.
         let records = global::read(&global_path)?;
+        // A crash inside the log's first append leaves its staging file;
+        // the open that owns the log removes it.
+        log::remove_staging(&global_path)?;
         let committed = global::last_committed(&records);
         // The numbering floor starts at the global log's high-water mark:
         // aborted group epochs burned their number on every rank that got
@@ -219,7 +224,7 @@ impl CheckpointGroup {
         }
         Ok(Self {
             ranks,
-            global_path,
+            global: Log::new(global_path, None),
             policy: cfg.compaction,
             next_epoch: floor + 1,
             last_committed: committed,
@@ -235,8 +240,10 @@ impl CheckpointGroup {
     /// manifest and one rank-prefixed subdirectory per rank under `root`
     /// (see the module docs).
     pub fn open_dir(cfg: GroupConfig, root: impl AsRef<Path>) -> io::Result<Self> {
+        // No `create_dir_all` here: rank 0's open creates a missing root
+        // and fsyncs its parent, so the root's entry is durable before the
+        // first commit (a missing root reads as an empty global log).
         let root = root.as_ref();
-        std::fs::create_dir_all(root)?;
         CheckpointGroup::open(cfg, root.join(GLOBAL_MANIFEST_FILE), |rank| {
             Ok(Box::new(FileBackend::open(rank_dir(root, rank))?))
         })
@@ -265,7 +272,7 @@ impl CheckpointGroup {
 
     /// Path of the group's global manifest.
     pub fn global_manifest(&self) -> &Path {
-        &self.global_path
+        self.global.path()
     }
 
     /// The group `CHECKPOINT` collective: two-phase commit of one epoch
@@ -330,7 +337,7 @@ impl CheckpointGroup {
             // manifest (the rank epochs would otherwise be orphans that
             // only the next open could retire).
             if let Err(e) = global::append(
-                &self.global_path,
+                &self.global,
                 GlobalRecord::commit(expected, self.ranks.len() as u32),
             ) {
                 self.abort_epoch(expected, u64::MAX);
@@ -371,7 +378,7 @@ impl CheckpointGroup {
             }
         }
         let _ = global::append(
-            &self.global_path,
+            &self.global,
             GlobalRecord::abort(epoch, self.ranks.len() as u32, failed_rank),
         );
         self.aborts += 1;

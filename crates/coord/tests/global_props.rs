@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use ai_ckpt_coord::global::{self, GlobalRecord};
 use ai_ckpt_coord::GlobalRecordKind;
 use ai_ckpt_core::rng::SplitMix64;
+use ai_ckpt_storage::log::Log;
 
 fn tmpfile(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -46,8 +47,9 @@ fn arbitrary_interleavings_round_trip() {
         let path = tmpfile(&format!("rt-{case}"));
         let _ = std::fs::remove_file(&path);
         let log = random_log(&mut rng);
+        let handle = Log::new(path.clone(), None);
         for r in &log {
-            global::append(&path, *r).unwrap();
+            global::append(&handle, *r).unwrap();
         }
         assert_eq!(global::read(&path).unwrap(), log, "case {case}");
         // The folded views agree with a straight scan of the log.

@@ -16,6 +16,7 @@ use ai_ckpt_coord::{
     global, rank_dir, CheckpointGroup, GlobalRecord, GroupConfig, GLOBAL_MANIFEST_FILE,
 };
 use ai_ckpt_mem::page_size;
+use ai_ckpt_storage::log::Log;
 use ai_ckpt_storage::{FileBackend, StorageBackend};
 
 const RANKS: usize = 2;
@@ -86,7 +87,7 @@ fn abort_after_a_disk_reached_commit_wins_on_reopen() {
         backend.remove_epochs(&[3]).unwrap();
     }
     global::append(
-        &root.join(GLOBAL_MANIFEST_FILE),
+        &Log::new(root.join(GLOBAL_MANIFEST_FILE), None),
         GlobalRecord::abort(3, RANKS as u32, u64::MAX),
     )
     .unwrap();
@@ -113,6 +114,25 @@ fn abort_after_a_disk_reached_commit_wins_on_reopen() {
     // The burned number is never reused: the next group epoch is 4.
     assert_eq!(group.checkpoint().unwrap(), 4);
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A group root that does not exist yet is created by rank 0's open, which
+/// fsyncs the parent of each directory it creates: a power cut after the
+/// first group commit cannot drop the root, and `GLOBAL` and every rank's
+/// directory with it.
+#[test]
+fn a_fresh_root_is_a_durable_entry_before_the_first_commit() {
+    let parent = tmpdir("fresh-root");
+    let root = parent.join("group");
+    let group = CheckpointGroup::open_dir(cfg(), &root).unwrap();
+    let dir_fsyncs: Vec<u64> = (0..RANKS)
+        .map(|rank| group.rank_backend(rank).io_stats().dir_fsyncs)
+        .collect();
+    // Rank 0 created the root and its own directory, every later rank
+    // only its own.
+    assert_eq!(dir_fsyncs, [2, 1]);
+    drop(group);
+    std::fs::remove_dir_all(&parent).unwrap();
 }
 
 #[test]

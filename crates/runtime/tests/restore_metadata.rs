@@ -180,10 +180,11 @@ fn epoch_commit_fsyncs_directory() {
     );
     // One epoch, one stream: three sync points — and, this being the
     // first commit of a fresh directory, one more directory fsync for the
-    // manifest's own entry.
+    // manifest's own entry, plus the open's fsync of the parent for the
+    // directory's own entry.
     assert_eq!(
         (io.segment_fsyncs, io.dir_fsyncs, io.manifest_fsyncs),
-        (1, 2, 1)
+        (1, 3, 1)
     );
     drop(buf);
     drop(mgr);
@@ -333,9 +334,10 @@ fn layout_drains_with_its_epoch_to_the_durable_tier() {
     let io = tiered.io_stats();
     assert_eq!(
         (io.segment_fsyncs, io.dir_fsyncs, io.manifest_fsyncs),
-        (2, 3, 2),
+        (2, 4, 2),
         "two drained epochs, three sync points each, plus the fresh \
-         directory's first-commit fsync of the manifest entry"
+         directory's first-commit fsync of the manifest entry and its \
+         parent's fsync of the directory's own entry"
     );
     drop(tiered); // the fast tier dies with the process
     let slow: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());

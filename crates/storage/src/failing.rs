@@ -1,20 +1,37 @@
-//! Failure injection: a transparent wrapper whose every call passes one
-//! numbered gate, so a test can fail, burst or rot any backend operation —
-//! storage *will* fail in production, and the whole point of checkpointing
-//! is surviving that.
+//! Failure injection: one numbered gate every call passes, so a test can
+//! fail, burst, crash or rot any backend operation — and any mutating
+//! syscall of the file engine under it. Storage *will* fail in production,
+//! and the whole point of checkpointing is surviving that.
 //!
 //! # Numbering
 //!
 //! Every entry point [`FailingBackend`] spells out, and its sessions'
 //! `write_pages`, `finish` and `abort`, pass the gate of its
-//! [`FailureControl`] exactly once. The gate numbers the call — 1, 2, … on
-//! the control's counter ([`FailureControl::ops`]) — and applies what the
-//! control's one table has armed for it. A control shared through
-//! [`FailingBackend::with_control`] numbers the calls of every store it
-//! wraps, in call order; those stores are its *leaves*, numbered 0, 1, … in
-//! the order they were wrapped. The pure counters (`bytes_written`,
-//! `bytes_stored`, `io_stats`, `drain_backlog`, `supports_compaction`) are
-//! not calls: they cannot fail.
+//! [`FailureControl`] exactly once. So does every mutating syscall of a
+//! [`FileBackend`](crate::FileBackend) opened on a leaf
+//! ([`FileBackend::open_on`](crate::FileBackend::open_on)) — one call of
+//! kind [`FaultOp::Sys`] each:
+//!
+//! | [`Syscall`] | where the file engine makes it |
+//! |---|---|
+//! | `Mkdir` | `open` creating its directory (each missing level) |
+//! | `Create` | a segment shard or staged image; a commit log's staging file |
+//! | `Write` | a segment's header, batch and trailer `pwritev`; a commit-log append or create |
+//! | `SetLen` | a segment's seal; a commit log cutting a tear or undoing a failed append |
+//! | `Fsync` | a segment's seal; a commit log's append or create |
+//! | `DirSync` | an epoch commit, a staged rename, a log create, `open`'s new directory |
+//! | `Rename` | a staged segment or log moved into place |
+//! | `Unlink` | shard GC, abort, `open`'s orphan sweep |
+//!
+//! The gate numbers the call — 1, 2, … on the control's counter
+//! ([`FailureControl::ops`], every call in [`FailureControl::journal`]) —
+//! and applies what the control's one table has armed for it. A control
+//! shared by several stores numbers the calls of each, in call order; those
+//! stores are its *leaves*, numbered 0, 1, … in the order they were
+//! registered ([`FailureControl::leaf`]; a `FileBackend` and the
+//! `FailingBackend` around it share one). The pure counters
+//! (`bytes_written`, `bytes_stored`, `io_stats`, `drain_backlog`,
+//! `supports_compaction`) are not calls: they cannot fail.
 //!
 //! # Arming
 //!
@@ -24,13 +41,13 @@
 //! | [`When`] | the calls it selects |
 //! |---|---|
 //! | `At(k)` | call `k` (then the entry is gone) |
-//! | `From(k)` | call `k` and every later call: the process died at call `k`, so a session dropped after that is leaked, never aborted |
+//! | `From(k)` | call `k` and every later call: the process died at call `k`, so a session dropped after that is leaked, never aborted, and a write it stopped is kept whole ([`FailureControl::stopped_write`]) for a test to land a torn prefix of |
 //! | `Kind(op)` | every call of one [`FaultOp`] kind |
 //! | `Always` | every call (a [`kill`](FailureControl::kill)) |
 //!
 //! | [`Fault`] | what a selected call does |
 //! |---|---|
-//! | `Fail` | fails before it reaches the wrapped store ([`Permanent`](crate::FaultClass::Permanent)) |
+//! | `Fail` | fails before it reaches the wrapped store ([`Permanent`](crate::FaultClass::Permanent)); a syscall fails `EIO`, and a failed `Fsync` loses the file's unsynced bytes for good (below) |
 //! | `Burst(n)` | fails `Interrupted` ([`Transient`](crate::FaultClass::Transient)) `n` times, then the entry is spent |
 //! | `FailAfter(n)` | lets `n` more page records land, then fails: a batch that straddles the budget lands its first records |
 //! | `Corrupt` | proceeds, with the first record it writes (a page batch's, an installed image's) rotten at rest: reads of it fail `InvalidData` until its epoch is rewritten |
@@ -38,14 +55,33 @@
 //! Entries stay armed until [`FailureControl::heal`]; rot survives it —
 //! recovering the transport cannot un-flip stored bytes. The named setters
 //! (`fail`, `fail_reads`, `fail_next_n`, `kill`, …) are one-line arms.
+//!
+//! # The disk model
+//!
+//! Under a control the device is modeled, not asked: an `Fsync` or
+//! `DirSync` is recorded, never issued. The control keeps what a power cut
+//! would leave ([`FailureControl::power_cut`]): each file keeps the bytes it
+//! had at its last fsync, each directory the entries it had at its last
+//! directory fsync — creates and renames never synced vanish, unlinks never
+//! synced come back, a directory whose own entry was never synced is gone
+//! with everything in it. A failed fsync poisons its file, as on Linux: the
+//! bytes it failed to flush never become durable, whatever a later fsync
+//! reports, until a truncate cuts them off. One fault-free run records the
+//! durable state after every barrier, so it answers `power_cut(k)` for
+//! every `k`. Files and directories that existed before the control saw
+//! them count as durable.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
 use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::backend::{EpochWriter, StorageBackend};
 use crate::errors::transient;
+use crate::io::Sys;
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 
 /// The kind of a numbered call.
@@ -74,6 +110,29 @@ pub enum FaultOp {
     RewriteEpoch,
     /// `repair_epoch`.
     RepairEpoch,
+    /// One mutating syscall of the file engine (see the module docs).
+    Sys(Syscall),
+}
+
+/// A mutating syscall of the file engine (see the module docs' table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Syscall {
+    /// `mkdir` of a checkpoint directory level.
+    Mkdir,
+    /// `open(O_CREAT | O_TRUNC)` of a file the engine writes.
+    Create,
+    /// A positioned write (`pwritev` or `pwrite`).
+    Write,
+    /// `ftruncate`.
+    SetLen,
+    /// `fsync` of a file.
+    Fsync,
+    /// `fsync` of a directory.
+    DirSync,
+    /// `rename`.
+    Rename,
+    /// `unlink`.
+    Unlink,
 }
 
 /// Which calls an armed [`Fault`] selects (see the module docs).
@@ -103,7 +162,7 @@ pub enum Fault {
 }
 
 /// One numbered call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Call {
     /// Its number on the control's counter.
     pub number: u64,
@@ -111,6 +170,8 @@ pub struct Call {
     pub kind: FaultOp,
     /// The leaf it reached.
     pub leaf: usize,
+    /// The file or directory a syscall named (a rename's target).
+    pub path: Option<PathBuf>,
 }
 
 /// At-rest rot the control keeps armed: reads of the record fail
@@ -127,11 +188,181 @@ pub struct Rot {
     pub byte: u64,
 }
 
+/// The write a crash stopped: what a torn write would have landed a
+/// prefix of.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoppedWrite {
+    /// The file written.
+    pub path: PathBuf,
+    /// Where the write started.
+    pub at: u64,
+    /// Everything it would have written.
+    pub bytes: Vec<u8>,
+}
+
+/// What a power cut leaves of the files and directories a control modeled
+/// (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PowerCut {
+    /// Every file with a durable entry, and the bytes it keeps.
+    pub files: BTreeMap<PathBuf, Arc<Vec<u8>>>,
+    /// Every directory with a durable entry. One the control saw created
+    /// and is not here is gone, with everything in it.
+    pub dirs: BTreeSet<PathBuf>,
+}
+
+/// The durable half of the disk model: what a power cut keeps.
+#[derive(Debug, Clone, Default)]
+struct Durable {
+    /// Path → inode of every entry a directory fsync made durable.
+    names: BTreeMap<PathBuf, u64>,
+    /// Inode → the bytes its last fsync made durable (absent: none).
+    bytes: BTreeMap<u64, Arc<Vec<u8>>>,
+}
+
+/// The disk model behind [`FailureControl::power_cut`].
+#[derive(Debug, Default)]
+struct Disk {
+    /// Path → inode, as the process sees the tree now.
+    names: BTreeMap<PathBuf, u64>,
+    /// The inodes that are directories.
+    dirs: BTreeSet<u64>,
+    /// Inodes handed out so far.
+    inodes: u64,
+    /// Inodes whose last fsync failed, with their durable length then: the
+    /// bytes past it are lost until a truncate to that length.
+    poisoned: BTreeMap<u64, u64>,
+    durable: Durable,
+    /// The durable state after each barrier, by the barrier's number.
+    history: Vec<(u64, Durable)>,
+}
+
+impl Disk {
+    /// The inode behind `path`, adopting — durable as found — a file or
+    /// directory that existed before the control saw it.
+    fn inode(&mut self, path: &Path) -> Option<u64> {
+        if let Some(&ino) = self.names.get(path) {
+            return Some(ino);
+        }
+        let meta = fs::metadata(path).ok()?;
+        let ino = self.fresh(path);
+        if meta.is_dir() {
+            self.dirs.insert(ino);
+        } else {
+            let bytes = fs::read(path).unwrap_or_default();
+            self.durable.bytes.insert(ino, Arc::new(bytes));
+        }
+        self.durable.names.insert(path.to_owned(), ino);
+        Some(ino)
+    }
+
+    /// A new inode, named `path` from now on.
+    fn fresh(&mut self, path: &Path) -> u64 {
+        self.inodes += 1;
+        self.names.insert(path.to_owned(), self.inodes);
+        self.inodes
+    }
+
+    /// Before `sys` runs: adopt whatever it touches that already exists.
+    fn before(&mut self, sys: &Sys<'_>) {
+        self.inode(sys.path);
+        if sys.kind == Syscall::Rename {
+            self.inode(sys.from);
+        }
+    }
+
+    /// `sys` failed `EIO`: a failed fsync poisons its file.
+    fn failed(&mut self, sys: &Sys<'_>) {
+        if sys.kind == Syscall::Fsync {
+            if let Some(ino) = self.inode(sys.path) {
+                let durable = self.durable.bytes.get(&ino).map_or(0, |b| b.len() as u64);
+                self.poisoned.entry(ino).or_insert(durable);
+            }
+        }
+    }
+
+    /// After `sys`, call `number`, returned `Ok`.
+    fn after(&mut self, number: u64, sys: &Sys<'_>) {
+        let path = sys.path;
+        match sys.kind {
+            Syscall::Mkdir => {
+                let ino = self.fresh(path);
+                self.dirs.insert(ino);
+            }
+            // `O_TRUNC` cuts whatever a failed fsync left unflushed.
+            Syscall::Create => match self.names.get(path) {
+                Some(ino) => drop(self.poisoned.remove(ino)),
+                None => drop(self.fresh(path)),
+            },
+            Syscall::Write => {}
+            Syscall::SetLen => {
+                if let Some(ino) = self.names.get(path) {
+                    if self.poisoned.get(ino).is_some_and(|&good| sys.at <= good) {
+                        self.poisoned.remove(ino);
+                    }
+                }
+            }
+            Syscall::Fsync => {
+                let Some(&ino) = self.names.get(path) else {
+                    return;
+                };
+                if !self.poisoned.contains_key(&ino) {
+                    let bytes = fs::read(path).unwrap_or_default();
+                    self.durable.bytes.insert(ino, Arc::new(bytes));
+                    self.history.push((number, self.durable.clone()));
+                }
+            }
+            Syscall::DirSync => {
+                let in_dir = |entry: &&PathBuf| entry.parent() == Some(path);
+                let named: BTreeSet<PathBuf> = (self.names.keys().filter(in_dir))
+                    .chain(self.durable.names.keys().filter(in_dir))
+                    .cloned()
+                    .collect();
+                for entry in named {
+                    match self.names.get(&entry) {
+                        Some(&ino) => self.durable.names.insert(entry, ino),
+                        None => self.durable.names.remove(&entry),
+                    };
+                }
+                self.history.push((number, self.durable.clone()));
+            }
+            Syscall::Rename => {
+                if let Some(ino) = self.names.remove(sys.from) {
+                    self.names.insert(path.to_owned(), ino);
+                }
+            }
+            Syscall::Unlink => {
+                self.names.remove(path);
+            }
+        }
+    }
+
+    /// What a power cut just before call `k` leaves.
+    fn power_cut(&self, k: u64) -> PowerCut {
+        let durable = match self.history.iter().rposition(|&(at, _)| at < k) {
+            Some(i) => &self.history[i].1,
+            None => &Durable::default(),
+        };
+        let mut cut = PowerCut::default();
+        for (path, ino) in &durable.names {
+            if self.dirs.contains(ino) {
+                cut.dirs.insert(path.clone());
+            } else {
+                let bytes = durable.bytes.get(ino).cloned().unwrap_or_default();
+                cut.files.insert(path.clone(), bytes);
+            }
+        }
+        cut
+    }
+}
+
 #[derive(Debug, Default)]
 struct Table {
     /// Calls numbered so far.
     calls: u64,
-    /// Leaves wrapped so far.
+    /// Every call numbered so far, in order.
+    journal: Vec<Call>,
+    /// Leaves registered so far.
     leaves: usize,
     armed: Vec<(When, Fault)>,
     rot: Vec<Rot>,
@@ -139,10 +370,83 @@ struct Table {
     fired: Option<Call>,
     /// A `From` entry fired: sessions dropped from now on are leaked.
     crashed: bool,
+    /// The write the crash stopped, if it stopped one.
+    stopped: Option<StoppedWrite>,
+    disk: Disk,
 }
 
-/// The one gate and its arming table, shared by every [`FailingBackend`]
-/// wrapped under it (clones share it too).
+impl Table {
+    /// Number one call of `kind` on `leaf` (naming `path`), which writes
+    /// `records` page records starting with `first`, and apply what is
+    /// armed to it. `Ok` carries how many of the records may land.
+    fn gate(
+        &mut self,
+        leaf: usize,
+        kind: FaultOp,
+        path: Option<&Path>,
+        first: Option<(u64, u64)>,
+        records: usize,
+    ) -> io::Result<usize> {
+        let Table {
+            calls,
+            journal,
+            armed,
+            rot,
+            fired,
+            crashed,
+            ..
+        } = self;
+        *calls += 1;
+        let number = *calls;
+        let call = Call {
+            number,
+            kind,
+            leaf,
+            path: path.map(Path::to_owned),
+        };
+        let (mut land, mut failure) = (records, None);
+        armed.retain_mut(|(when, fault)| {
+            let selected = match *when {
+                When::At(k) => k == number,
+                When::From(k) => k <= number,
+                When::Kind(op) => op == kind,
+                When::Always => true,
+            };
+            if !selected {
+                return true;
+            }
+            if let When::At(_) | When::From(_) = when {
+                fired.get_or_insert_with(|| call.clone());
+                *crashed |= matches!(when, When::From(_));
+            }
+            match fault {
+                Fault::Fail => {
+                    failure.get_or_insert_with(|| injected(kind));
+                }
+                Fault::Burst(n) => {
+                    failure.get_or_insert_with(|| transient("injected transient fault"));
+                    *n -= 1;
+                }
+                Fault::FailAfter(n) => {
+                    land = land.min((*n).min(records as u64) as usize);
+                    *n -= land as u64;
+                }
+                Fault::Corrupt => rot.extend(first.map(|(epoch, page)| Rot {
+                    leaf: Some(leaf),
+                    epoch,
+                    page,
+                    byte: 0,
+                })),
+            }
+            !matches!(when, When::At(_)) && *fault != Fault::Burst(0)
+        });
+        journal.push(call);
+        failure.map_or(Ok(land), Err)
+    }
+}
+
+/// The one gate and its arming table, shared by every leaf registered on
+/// it (clones share it too).
 #[derive(Debug, Clone, Default)]
 pub struct FailureControl {
     table: Arc<Mutex<Table>>,
@@ -152,6 +456,16 @@ impl FailureControl {
     /// A control with nothing armed.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Register the next leaf: a store whose calls this control numbers.
+    pub fn leaf(&self) -> Leaf {
+        let mut table = self.table.lock();
+        table.leaves += 1;
+        Leaf {
+            control: self.clone(),
+            index: table.leaves - 1,
+        }
     }
 
     /// Arm `fault` for the calls `when` selects, replacing whatever was
@@ -177,9 +491,26 @@ impl FailureControl {
         self.table.lock().calls
     }
 
+    /// Every call numbered so far, in order.
+    pub fn journal(&self) -> Vec<Call> {
+        self.table.lock().journal.clone()
+    }
+
     /// The first call an `At` or `From` entry selected, if one did.
     pub fn fired(&self) -> Option<Call> {
-        self.table.lock().fired
+        self.table.lock().fired.clone()
+    }
+
+    /// The write a crash (`From`) stopped, if call `k` was a write.
+    pub fn stopped_write(&self) -> Option<StoppedWrite> {
+        self.table.lock().stopped.clone()
+    }
+
+    /// What a power cut just before call `k` would leave of the files and
+    /// directories the leaves' syscalls touched (`u64::MAX`: a power cut
+    /// now).
+    pub fn power_cut(&self, k: u64) -> PowerCut {
+        self.table.lock().disk.power_cut(k)
     }
 
     /// The rot still armed.
@@ -240,76 +571,6 @@ impl FailureControl {
         self.arm(When::Kind(op), fault);
     }
 
-    /// The gate: number one call of `kind` on `leaf`, which writes
-    /// `records` page records starting with `first`, and apply the table to
-    /// it. `Ok` carries how many of the records may land.
-    fn gate(
-        &self,
-        leaf: usize,
-        kind: FaultOp,
-        first: Option<(u64, u64)>,
-        records: usize,
-    ) -> io::Result<usize> {
-        let mut table = self.table.lock();
-        let Table {
-            calls,
-            armed,
-            rot,
-            fired,
-            crashed,
-            ..
-        } = &mut *table;
-        *calls += 1;
-        let (number, mut land, mut failure) = (*calls, records, None);
-        armed.retain_mut(|(when, fault)| {
-            let selected = match *when {
-                When::At(k) => k == number,
-                When::From(k) => k <= number,
-                When::Kind(op) => op == kind,
-                When::Always => true,
-            };
-            if !selected {
-                return true;
-            }
-            if let When::At(_) | When::From(_) = when {
-                fired.get_or_insert(Call { number, kind, leaf });
-                *crashed |= matches!(when, When::From(_));
-            }
-            match fault {
-                Fault::Fail => {
-                    failure.get_or_insert_with(injected);
-                }
-                Fault::Burst(n) => {
-                    failure.get_or_insert_with(|| transient("injected transient fault"));
-                    *n -= 1;
-                }
-                Fault::FailAfter(n) => {
-                    land = land.min((*n).min(records as u64) as usize);
-                    *n -= land as u64;
-                }
-                Fault::Corrupt => rot.extend(first.map(|(epoch, page)| Rot {
-                    leaf: Some(leaf),
-                    epoch,
-                    page,
-                    byte: 0,
-                })),
-            }
-            !matches!(when, When::At(_)) && *fault != Fault::Burst(0)
-        });
-        failure.map_or(Ok(land), Err)
-    }
-
-    /// Gate one call that writes no page record, then make it.
-    fn gated<T>(
-        &self,
-        leaf: usize,
-        kind: FaultOp,
-        call: impl FnOnce() -> io::Result<T>,
-    ) -> io::Result<T> {
-        self.gate(leaf, kind, None, 0)?;
-        call()
-    }
-
     /// The rot armed on `leaf`'s copy of `epoch`.
     fn rot_of(&self, leaf: usize, epoch: u64) -> Vec<Rot> {
         let table = self.table.lock();
@@ -326,12 +587,71 @@ impl FailureControl {
     }
 }
 
+/// One leaf of a control: the handle a store numbers its calls on.
+#[derive(Debug, Clone)]
+pub struct Leaf {
+    control: FailureControl,
+    index: usize,
+}
+
+impl Leaf {
+    /// Gate one call that writes no page record, then make it.
+    fn gated<T>(&self, kind: FaultOp, call: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
+        self.gate(kind, None, 0)?;
+        call()
+    }
+
+    /// Gate one call of `kind` that writes `records` page records starting
+    /// with `first`; `Ok` carries how many may land.
+    fn gate(&self, kind: FaultOp, first: Option<(u64, u64)>, records: usize) -> io::Result<usize> {
+        let mut table = self.control.table.lock();
+        table.gate(self.index, kind, None, first, records)
+    }
+
+    /// Gate the syscall `sys` (see [`crate::io`]): `Ok` carries its number,
+    /// for [`Leaf::done`] once it returned `Ok`.
+    pub(crate) fn enter(&self, sys: &Sys<'_>) -> io::Result<u64> {
+        let mut table = self.control.table.lock();
+        table.disk.before(sys);
+        let kind = FaultOp::Sys(sys.kind);
+        let result = table.gate(self.index, kind, Some(sys.path), None, 0);
+        let number = table.calls;
+        if result.is_err() {
+            let crashed_here =
+                table.crashed && table.fired.as_ref().map(|c| c.number) == Some(number);
+            match sys.kind {
+                Syscall::Write if crashed_here => {
+                    table.stopped = Some(StoppedWrite {
+                        path: sys.path.to_owned(),
+                        at: sys.at,
+                        bytes: sys.bytes.to_vec(),
+                    });
+                }
+                _ if !crashed_here => table.disk.failed(sys),
+                _ => {}
+            }
+        }
+        result.map(|_| number)
+    }
+
+    /// The syscall numbered `number` returned `Ok`: the disk model follows.
+    pub(crate) fn done(&self, number: u64, sys: &Sys<'_>) {
+        self.control.table.lock().disk.after(number, sys);
+    }
+}
+
+fn injected(kind: FaultOp) -> io::Error {
+    match kind {
+        FaultOp::Sys(_) => io::Error::from_raw_os_error(libc::EIO),
+        _ => io::Error::other("injected storage failure"),
+    }
+}
+
 /// Backend wrapper that fails on command: one leaf of its control.
 #[derive(Debug)]
 pub struct FailingBackend<B> {
     inner: B,
-    control: FailureControl,
-    leaf: usize,
+    leaf: Leaf,
 }
 
 impl<B: StorageBackend> FailingBackend<B> {
@@ -347,24 +667,19 @@ impl<B: StorageBackend> FailingBackend<B> {
     /// whole level down — below the level's protection wrapper, where even
     /// direct parity-recovery reads cannot sidestep the fault.
     pub fn with_control(inner: B, control: FailureControl) -> Self {
-        let mut table = control.table.lock();
-        table.leaves += 1;
-        let leaf = table.leaves - 1;
-        drop(table);
-        Self {
-            inner,
-            control,
-            leaf,
-        }
+        Self::on(inner, control.leaf())
+    }
+
+    /// Wrap `inner` as `leaf` — the leaf a `FileBackend` opened with
+    /// [`open_on`](crate::FileBackend::open_on) numbers its syscalls on, so
+    /// the store's calls and its syscalls share one leaf.
+    pub fn on(inner: B, leaf: Leaf) -> Self {
+        Self { inner, leaf }
     }
 
     fn gated<T>(&self, kind: FaultOp, call: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
-        self.control.gated(self.leaf, kind, call)
+        self.leaf.gated(kind, call)
     }
-}
-
-fn injected() -> io::Error {
-    io::Error::other("injected storage failure")
 }
 
 fn rotten(rot: &Rot) -> io::Error {
@@ -379,8 +694,7 @@ fn rotten(rot: &Rot) -> io::Error {
 struct FailingEpochWriter {
     /// Taken only by `drop`.
     inner: Option<Box<dyn EpochWriter>>,
-    control: FailureControl,
-    leaf: usize,
+    leaf: Leaf,
     epoch: u64,
 }
 
@@ -393,26 +707,22 @@ impl FailingEpochWriter {
 impl EpochWriter for FailingEpochWriter {
     fn write_pages(&self, batch: &[(u64, &[u8])]) -> io::Result<()> {
         let first = batch.first().map(|&(page, _)| (self.epoch, page));
-        let land = self
-            .control
-            .gate(self.leaf, FaultOp::Write, first, batch.len())?;
+        let land = self.leaf.gate(FaultOp::Write, first, batch.len())?;
         if land > 0 {
             self.session().write_pages(&batch[..land])?;
         }
         match land < batch.len() {
-            true => Err(injected()),
+            true => Err(injected(FaultOp::Write)),
             false => Ok(()),
         }
     }
 
     fn finish(&self) -> io::Result<()> {
-        self.control
-            .gated(self.leaf, FaultOp::Finish, || self.session().finish())
+        self.leaf.gated(FaultOp::Finish, || self.session().finish())
     }
 
     fn abort(&self) -> io::Result<()> {
-        self.control
-            .gated(self.leaf, FaultOp::Abort, || self.session().abort())
+        self.leaf.gated(FaultOp::Abort, || self.session().abort())
     }
 }
 
@@ -420,7 +730,7 @@ impl Drop for FailingEpochWriter {
     fn drop(&mut self) {
         // A dead process runs no cleanup: the session's files stay exactly
         // where the crash left them, for the next open to find.
-        if self.control.table.lock().crashed {
+        if self.leaf.control.table.lock().crashed {
             std::mem::forget(self.inner.take());
         }
     }
@@ -437,8 +747,7 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
         let session = self.gated(FaultOp::BeginEpoch, || self.inner.begin_epoch(epoch))?;
         Ok(Box::new(FailingEpochWriter {
             inner: Some(session),
-            control: self.control.clone(),
-            leaf: self.leaf,
+            leaf: self.leaf.clone(),
             epoch,
         }))
     }
@@ -451,7 +760,7 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
         self.gated(FaultOp::Read, || {
             // A stream cannot step over rot: the first rotten record of the
             // epoch fails the whole read, exactly as a CRC mismatch would.
-            match self.control.rot_of(self.leaf, epoch).first() {
+            match self.leaf.control.rot_of(self.leaf.index, epoch).first() {
                 Some(rot) => Err(rotten(rot)),
                 None => self.inner.read_epoch(epoch, visit),
             }
@@ -466,7 +775,7 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
 
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
         self.gated(FaultOp::Read, || {
-            let rot = self.control.rot_of(self.leaf, epoch);
+            let rot = self.leaf.control.rot_of(self.leaf.index, epoch);
             match rot.iter().find(|rot| rot.page == page) {
                 Some(rot) => Err(rotten(rot)),
                 None => self.inner.read_page_at(epoch, page),
@@ -487,8 +796,7 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
     // commit point exactly as it would on the real backend.
     fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         let first = records.first().map(|&(page, _)| (into, page));
-        self.control
-            .gate(self.leaf, FaultOp::InstallCompacted, first, 0)?;
+        self.leaf.gate(FaultOp::InstallCompacted, first, 0)?;
         self.inner.install_compacted(from, into, records)
     }
 
@@ -509,7 +817,7 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
             let mut report = self.inner.verify_epoch(epoch)?;
             // Armed rot is real damage as far as readers are concerned: the
             // scrub surface reports it although the stored bytes are fine.
-            for rot in self.control.rot_of(self.leaf, epoch) {
+            for rot in self.leaf.control.rot_of(self.leaf.index, epoch) {
                 report.note_corrupt(rot.page);
                 report.records = report.records.saturating_sub(1);
             }
@@ -521,7 +829,7 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
         self.gated(FaultOp::RewriteEpoch, || {
             self.inner.rewrite_epoch(epoch, records)?;
             // The stored bytes were replaced wholesale: the rot is gone.
-            self.control.clear_rot(self.leaf, epoch);
+            self.leaf.control.clear_rot(self.leaf.index, epoch);
             Ok(())
         })
     }

@@ -82,9 +82,10 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::backend::{is_page, ChainEntry, EpochKind, EpochWriter, StorageBackend};
-use crate::io::{flip_byte_at, IoCounters, IoStats};
+use crate::failing::Leaf;
+use crate::io::{self as sys, flip_byte_at, IoCounters, IoStats};
 use crate::locator::PageMap;
-use crate::log;
+use crate::log::{self, Log};
 use crate::manifest::{self, ManifestRecord, RecordKind};
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
 use crate::segment::{self, Extent, Segment, SegmentWriter};
@@ -110,7 +111,7 @@ pub const MAX_STREAM_SHARDS: usize = 8;
 /// payload iovec each, so one batch is one `pwritev` call.
 const STAGE_BATCH: usize = libc::IOV_MAX as usize / 2;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct FileShared {
     /// Payload bytes accepted across all sessions (diagnostics).
     bytes_written: AtomicU64,
@@ -119,10 +120,18 @@ struct FileShared {
     bytes_stored: AtomicU64,
     /// At most one epoch session may be open.
     epoch_open: AtomicBool,
-    /// Serialises manifest appends between the committer's `finish` and the
-    /// maintenance worker's compaction/retirement (an append first truncates
-    /// any torn tail, which must not race another append).
-    manifest_lock: Mutex<()>,
+    /// The manifest. Its handle serialises appends between the committer's
+    /// `finish` and the maintenance worker's compaction/retirement (an
+    /// append first truncates any torn tail, which must not race another
+    /// append), and refuses them once a failed one could not be undone.
+    manifest: Log,
+    /// Held by every change to a committed epoch — a fold, a retirement, a
+    /// rewrite, a recount — from reading its live record to the commit: a
+    /// retirement racing a rewrite of the same epoch must not end with the
+    /// rewrite's corrective record naming files the retirement unlinked.
+    edits: Mutex<()>,
+    /// The leaf every mutating syscall is numbered on (tests only).
+    gate: Option<Leaf>,
     /// Cached high-water mark: highest epoch the manifest has ever recorded
     /// *plus one* (0 = manifest empty). Seeded once at `open` and advanced
     /// on every successful manifest append, so `begin_epoch` never re-reads
@@ -143,12 +152,10 @@ impl FileShared {
             .fetch_max(epoch.saturating_add(1), Ordering::AcqRel);
     }
 
-    /// Durably append `records` to the manifest at `path` as one commit
-    /// (one fsync however many records), under the manifest lock, and
-    /// account for it.
-    fn commit(&self, path: &Path, records: &[ManifestRecord]) -> io::Result<()> {
-        let _manifest = self.manifest_lock.lock();
-        if log::append(path, records)? {
+    /// Durably append `records` to the manifest as one commit (one fsync
+    /// however many records) and account for it.
+    fn commit(&self, records: &[ManifestRecord]) -> io::Result<()> {
+        if self.manifest.append(records)? {
             // First commit of a fresh directory: creating the log fsynced
             // the directory once more, for the manifest's own entry.
             self.io.dir_fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -167,9 +174,19 @@ impl FileShared {
     /// compacted-segment rename) durable by fsyncing the directory itself:
     /// a file is only crash-safe once its directory entry is on disk.
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        fs::File::open(dir)?.sync_all()?;
+        sys::sync_dir(self.gate.as_ref(), dir)?;
         self.io.dir_fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Best-effort removal of shard slots `first..MAX_STREAM_SHARDS` of the
+    /// `prefix`-named `epoch` in `dir`. Every slot name is unlinked whether
+    /// or not its file exists, so a gap in the slots cannot strand a file
+    /// behind it.
+    fn remove_shards(&self, dir: &Path, prefix: &str, epoch: u64, first: usize) {
+        for index in first..MAX_STREAM_SHARDS {
+            let _ = sys::unlink(self.gate.as_ref(), &shard_path(dir, prefix, epoch, index));
+        }
     }
 }
 
@@ -203,31 +220,45 @@ fn parse_segment_name(name: &str, prefix: &str) -> Option<(u64, u32)> {
     }
 }
 
-/// Best-effort removal of shard slots `first..MAX_STREAM_SHARDS` of the
-/// `prefix`-named `epoch`. Every slot name is unlinked whether or not its
-/// file exists, so a gap in the slots cannot strand a file behind it.
-fn remove_shards(dir: &Path, prefix: &str, epoch: u64, first: usize) {
-    for index in first..MAX_STREAM_SHARDS {
-        let _ = fs::remove_file(shard_path(dir, prefix, epoch, index));
-    }
-}
-
-/// Best-effort removal of every shard file of a delta epoch.
-fn remove_delta_files(dir: &Path, epoch: u64) {
-    remove_shards(dir, DELTA_PREFIX, epoch, 0);
-}
-
 impl FileBackend {
     /// Open (creating if needed) a checkpoint directory, sweeping orphaned
     /// files left by a crashed or killed predecessor (uncommitted segments,
-    /// `*.tmp` compaction images, segments superseded by a committed
-    /// compaction whose GC never ran).
+    /// `*.tmp` compaction images, the manifest's staging file, segments
+    /// superseded by a committed compaction whose GC never ran). Creating
+    /// the directory fsyncs its parent — one directory fsync per level
+    /// created, counted in [`IoStats::dir_fsyncs`] — so a power cut after a
+    /// commit cannot drop the directory itself; reopening an existing one
+    /// pays nothing. An open that fails deletes nothing.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
+        Self::open_gated(dir.into(), None)
+    }
+
+    /// [`open`](Self::open), with every mutating syscall of the backend —
+    /// this open's included — numbered on `leaf` (see [`crate::failing`]):
+    /// crashable, failable, and durable only as the leaf's disk model says.
+    pub fn open_on(dir: impl Into<PathBuf>, leaf: Leaf) -> io::Result<Self> {
+        Self::open_gated(dir.into(), Some(leaf))
+    }
+
+    fn open_gated(dir: PathBuf, gate: Option<Leaf>) -> io::Result<Self> {
+        let shared = FileShared {
+            bytes_written: AtomicU64::new(0),
+            bytes_stored: AtomicU64::new(0),
+            epoch_open: AtomicBool::new(false),
+            manifest: Log::new(dir.join(MANIFEST_FILE), gate.clone()),
+            edits: Mutex::new(()),
+            gate,
+            high_water: AtomicU64::new(0),
+            io: IoCounters::default(),
+            page_index: Mutex::default(),
+        };
+        for made in sys::mkdir_all(shared.gate.as_ref(), &dir)? {
+            let parent = made.parent().filter(|p| !p.as_os_str().is_empty());
+            shared.sync_dir(parent.unwrap_or(Path::new(".")))?;
+        }
         let backend = Self {
             dir,
-            shared: Arc::new(FileShared::default()),
+            shared: Arc::new(shared),
             compression: Compression::default(),
         };
         // One manifest read seeds both the orphan sweep and the cached
@@ -265,12 +296,8 @@ impl FileBackend {
         shard_path(dir, FULL_PREFIX, epoch, 0)
     }
 
-    fn manifest_path(&self) -> PathBuf {
-        self.dir.join(MANIFEST_FILE)
-    }
-
     fn manifest_records(&self) -> io::Result<Vec<ManifestRecord>> {
-        log::read(&self.manifest_path())
+        log::read(self.shared.manifest.path())
     }
 
     /// The live chain as full manifest records (commit counts included).
@@ -337,7 +364,8 @@ impl FileBackend {
     /// Best-effort removal of the files holding `rec`'s epoch (GC after the
     /// manifest stopped naming it; leftovers are swept at the next `open`).
     fn remove_segment_files(&self, rec: &ManifestRecord) {
-        remove_shards(&self.dir, Self::prefix_of(rec), rec.epoch, 0);
+        self.shared
+            .remove_shards(&self.dir, Self::prefix_of(rec), rec.epoch, 0);
     }
 
     /// Fail unless the segments of `rec`'s epoch hold exactly the record
@@ -361,13 +389,15 @@ impl FileBackend {
             .iter()
             .map(|r| (r.epoch, r.kind))
             .collect();
+        let staging = log::staging_path(self.shared.manifest.path());
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            let doomed = if name.ends_with(".tmp") {
-                // Half-written compaction or rewrite image.
+            let doomed = if name.ends_with(".tmp") || path == staging {
+                // Half-written compaction or rewrite image, or a manifest
+                // whose creation never reached its rename.
                 true
             } else if let Some((epoch, _shard)) = parse_segment_name(name, DELTA_PREFIX) {
                 // A delta shard is live only while its manifest record is
@@ -382,7 +412,7 @@ impl FileBackend {
                 false
             };
             if doomed {
-                fs::remove_file(&path)?;
+                sys::unlink(self.shared.gate.as_ref(), &path)?;
             }
         }
         Ok(())
@@ -441,7 +471,13 @@ impl FileEpochWriter {
     ) -> io::Result<&'a mut SegmentWriter> {
         if slot.is_none() {
             let path = shard_path(&self.dir, DELTA_PREFIX, self.epoch, index);
-            *slot = Some(SegmentWriter::create(&path, self.epoch, &self.shared.io)?);
+            let gate = self.shared.gate.as_ref();
+            *slot = Some(SegmentWriter::create(
+                &path,
+                self.epoch,
+                &self.shared.io,
+                gate,
+            )?);
         }
         Ok(slot.as_mut().unwrap())
     }
@@ -506,15 +542,14 @@ impl EpochWriter for FileEpochWriter {
             // the epoch.
             self.shared.sync_dir(&self.dir)?;
             // Commit point: the manifest record makes the epoch visible.
-            self.shared.commit(
-                &self.dir.join(MANIFEST_FILE),
-                &[ManifestRecord::delta(self.epoch, records, payload_bytes)],
-            )
+            self.shared
+                .commit(&[ManifestRecord::delta(self.epoch, records, payload_bytes)])
         })();
         if result.is_err() {
-            // Failed commit: the manifest never saw the epoch, so drop the
-            // shard files like an abort would.
-            remove_delta_files(&self.dir, self.epoch);
+            // Failed commit: the manifest never saw the epoch (a failed
+            // append is undone), so drop the shard files like an abort would.
+            self.shared
+                .remove_shards(&self.dir, DELTA_PREFIX, self.epoch, 0);
         }
         // Win or lose, the session is over — a finish error must not wedge
         // the backend (`begin_epoch` would otherwise refuse forever).
@@ -531,7 +566,8 @@ impl EpochWriter for FileEpochWriter {
         }
         // Best-effort cleanup; the manifest never saw this epoch, so
         // leftover files would be ignored (and swept at reopen) anyway.
-        remove_delta_files(&self.dir, self.epoch);
+        self.shared
+            .remove_shards(&self.dir, DELTA_PREFIX, self.epoch, 0);
         self.release_session();
         Ok(())
     }
@@ -558,7 +594,7 @@ impl FileBackend {
             .check_epoch_rises(epoch)
             .and_then(|()| {
                 let path = Self::segment_path(&self.dir, epoch);
-                SegmentWriter::create(&path, epoch, &self.shared.io)
+                SegmentWriter::create(&path, epoch, &self.shared.io, self.shared.gate.as_ref())
             })
             .inspect_err(|_| self.shared.epoch_open.store(false, Ordering::Release))?;
         let mut slots = Vec::with_capacity(MAX_STREAM_SHARDS);
@@ -670,6 +706,7 @@ impl StorageBackend for FileBackend {
     }
 
     fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        let _edit = self.shared.edits.lock();
         let superseded: Vec<ManifestRecord> = self
             .live_records()?
             .into_iter()
@@ -693,15 +730,12 @@ impl StorageBackend for FileBackend {
         self.publish_staged(&tmp, &final_path)?;
         // 3. Commit: one durable manifest append. A crash before this line
         //    leaves the old chain intact plus one orphan file.
-        self.shared.commit(
-            &self.manifest_path(),
-            &[ManifestRecord::full(
-                into,
-                records.len() as u64,
-                payload_bytes,
-                from,
-            )],
-        )?;
+        self.shared.commit(&[ManifestRecord::full(
+            into,
+            records.len() as u64,
+            payload_bytes,
+            from,
+        )])?;
         // 4. GC the superseded segments. A crash in here leaves orphans
         //    that the next `open` sweeps; restore is already correct.
         self.invalidate_index(superseded.iter().map(|r| r.epoch));
@@ -715,6 +749,7 @@ impl StorageBackend for FileBackend {
         if epochs.is_empty() {
             return Ok(());
         }
+        let _edit = self.shared.edits.lock();
         let live = self.live_records()?;
         let mut doomed = Vec::with_capacity(epochs.len());
         let mut batch = Vec::with_capacity(epochs.len());
@@ -727,7 +762,7 @@ impl StorageBackend for FileBackend {
         }
         // One durable manifest append for the whole batch: N retirements,
         // one fsync.
-        self.shared.commit(&self.manifest_path(), &batch)?;
+        self.shared.commit(&batch)?;
         self.invalidate_index(doomed.iter().map(|r| r.epoch));
         for rec in &doomed {
             self.remove_segment_files(rec);
@@ -770,6 +805,7 @@ impl StorageBackend for FileBackend {
     }
 
     fn rewrite_epoch(&self, epoch: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        let _edit = self.shared.edits.lock();
         let rec = self.live_record(epoch)?;
         let final_path = shard_path(&self.dir, Self::prefix_of(&rec), epoch, 0);
         // 1. Stage the replacement segment and make it durable. The old
@@ -780,7 +816,8 @@ impl StorageBackend for FileBackend {
         //    would double-count against the corrective manifest record.
         //    A crash in here leaves the epoch detectably damaged (it
         //    already was) and the next scrub cycle repairs it again.
-        remove_shards(&self.dir, Self::prefix_of(&rec), epoch, 1);
+        self.shared
+            .remove_shards(&self.dir, Self::prefix_of(&rec), epoch, 1);
         self.publish_staged(&tmp, &final_path)?;
         // 3. Corrective commit: re-appending the epoch's record replaces it
         //    in the folded view (latest record per epoch wins), repairing a
@@ -789,6 +826,7 @@ impl StorageBackend for FileBackend {
     }
 
     fn repair_epoch(&self, epoch: u64) -> io::Result<RepairReport> {
+        let _edit = self.shared.edits.lock();
         let rec = self.live_record(epoch)?;
         // The only damage a lone file backend can heal from its own bytes
         // is a corrupted manifest commit count: every record still
@@ -966,7 +1004,7 @@ impl FileBackend {
     ) -> io::Result<(PathBuf, u64)> {
         let tmp = final_path.with_extension("seg.tmp");
         let io = &self.shared.io;
-        let mut writer = SegmentWriter::create(&tmp, epoch, io)?;
+        let mut writer = SegmentWriter::create(&tmp, epoch, io, self.shared.gate.as_ref())?;
         for batch in records.chunks(STAGE_BATCH) {
             writer.write_batch(batch, self.compression, io)?;
         }
@@ -978,7 +1016,7 @@ impl FileBackend {
     /// Rename a staged segment into place and make the directory entry
     /// durable.
     fn publish_staged(&self, tmp: &Path, final_path: &Path) -> io::Result<()> {
-        fs::rename(tmp, final_path)?;
+        sys::rename(self.shared.gate.as_ref(), tmp, final_path)?;
         self.shared.sync_dir(&self.dir)
     }
 
@@ -991,7 +1029,7 @@ impl FileBackend {
             payload_bytes,
             ..*rec
         };
-        self.shared.commit(&self.manifest_path(), &[fixed])?;
+        self.shared.commit(&[fixed])?;
         self.invalidate_index([rec.epoch]);
         Ok(())
     }
@@ -1224,6 +1262,42 @@ mod tests {
             io::ErrorKind::Unsupported,
             "payload rot needs a redundant source"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A tier's drain retires an epoch while a read heals the same epoch
+    /// with a rewrite. Unserialised, the rewrite's corrective record could
+    /// land after the retirement and list the epoch again, its segment
+    /// unlinked.
+    #[test]
+    fn a_retirement_racing_a_rewrite_of_the_same_epoch_stays_retired() {
+        let dir = tmpdir("edit-race");
+        let b = FileBackend::open(&dir).unwrap();
+        for epoch in 1..=8u64 {
+            let page = [epoch as u8; 64];
+            write_epoch(&b, epoch, vec![(0, page.to_vec())]).unwrap();
+            let (rewrites, retiring) = (AtomicUsize::new(0), AtomicBool::new(false));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    // The last rewrite is in flight when the retirement
+                    // starts (or, once that has committed, fails NotFound).
+                    while !retiring.load(Ordering::Acquire) {
+                        let _ = b.rewrite_epoch(epoch, &[(0, &page)]);
+                        rewrites.fetch_add(1, Ordering::Release);
+                    }
+                });
+                // Retire once a rewrite has completed: the next one runs.
+                while rewrites.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+                retiring.store(true, Ordering::Release);
+                b.remove_epochs(&[epoch]).unwrap();
+            });
+            assert!(
+                !b.epochs().unwrap().contains(&epoch),
+                "epoch {epoch} is listed again after its retirement"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1821,6 +1895,10 @@ mod tests {
     fn epoch_commit_syncs_shards_then_directory_then_manifest() {
         let dir = tmpdir("commitsync");
         let b = FileBackend::open(&dir).unwrap();
+        // Creating the directory fsyncs its parent once, for the
+        // directory's own entry; reopening it pays nothing.
+        assert_eq!(b.io_stats().dir_fsyncs, 1);
+        assert_eq!(FileBackend::open(&dir).unwrap().io_stats().dir_fsyncs, 0);
         for epoch in 1..=3u64 {
             let before = b.io_stats();
             write_epoch(&b, epoch, vec![(0, vec![epoch as u8; 64])]).unwrap();

@@ -8,8 +8,16 @@
 //! kernel copies each payload exactly once, from its home into the page
 //! cache.
 //!
-//! Four pieces live here:
+//! Five pieces live here:
 //!
+//! * the one gate of the file engine's mutating syscalls: `GatedFile`
+//!   (create, positioned writes, truncate, fsync of a file the engine
+//!   writes) and the directory calls beside it (mkdir, directory fsync,
+//!   rename, unlink). `segment`, `log` and `file` make no mutating syscall
+//!   any other way. Under a [`Leaf`] each is one numbered call of its
+//!   [`FailureControl`](crate::FailureControl) — crashable, failable, with
+//!   durability modeled (see [`crate::failing`]); production opens pass no
+//!   leaf, and pay one `Option` test per syscall;
 //! * [`pwritev_full`] — a positioned vectored write that survives partial
 //!   writes, `EINTR` and `IOV_MAX` chunking, the way `write_all` does for
 //!   plain writes;
@@ -25,18 +33,230 @@
 //!   re-exports in its `RuntimeStats`.
 
 use std::alloc::{self, Layout};
-use std::fs::{File, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::os::unix::io::AsRawFd;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::failing::{Leaf, Syscall};
 
 /// Alignment of [`AlignedBuf`] allocations: one 4 KiB page, the natural
 /// unit for page-cache-friendly staging (and a hard requirement if the
 /// backend ever opens segments with `O_DIRECT`).
 pub const BUF_ALIGN: usize = 4096;
+
+/// One mutating syscall, as the gate sees it: its kind, the file or
+/// directory it names (a rename's target) and what its kind needs besides.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sys<'a> {
+    pub(crate) kind: Syscall,
+    pub(crate) path: &'a Path,
+    /// A rename's source.
+    pub(crate) from: &'a Path,
+    /// A write's offset; a truncate's length.
+    pub(crate) at: u64,
+    /// What a write carries — gathered only under a leaf.
+    pub(crate) bytes: &'a [u8],
+}
+
+impl<'a> Sys<'a> {
+    fn new(kind: Syscall, path: &'a Path) -> Self {
+        let (from, at, bytes) = (Path::new(""), 0, &[][..]);
+        Self {
+            kind,
+            path,
+            from,
+            at,
+            bytes,
+        }
+    }
+}
+
+/// The gate: under a leaf, number `sys` on its control and apply what is
+/// armed, then make the call and tell the control's disk model; with none,
+/// just make the call.
+fn syscall<T>(
+    gate: Option<&Leaf>,
+    sys: Sys<'_>,
+    call: impl FnOnce() -> io::Result<T>,
+) -> io::Result<T> {
+    let Some(leaf) = gate else {
+        return call();
+    };
+    let number = leaf.enter(&sys)?;
+    let out = call()?;
+    leaf.done(number, &sys);
+    Ok(out)
+}
+
+/// A durability barrier through the gate: issued for real without a leaf;
+/// under one the control's disk model records it instead.
+fn barrier(
+    gate: Option<&Leaf>,
+    sys: Sys<'_>,
+    sync: impl FnOnce() -> io::Result<()>,
+) -> io::Result<()> {
+    syscall(gate, sys, || match gate {
+        Some(_) => Ok(()),
+        None => sync(),
+    })
+}
+
+/// A file the engine writes. Every mutating call on it is one syscall
+/// through the gate; reads go to [`GatedFile::file`] directly.
+#[derive(Debug)]
+pub(crate) struct GatedFile {
+    pub(crate) file: File,
+    /// The leaf its calls are numbered on, and its name for the disk model
+    /// (`None` in production: nothing is allocated for it).
+    gate: Option<(Leaf, PathBuf)>,
+}
+
+impl GatedFile {
+    /// Create (truncating) `path` for writing.
+    pub(crate) fn create(gate: Option<&Leaf>, path: &Path) -> io::Result<Self> {
+        let file = syscall(gate, Sys::new(Syscall::Create, path), || {
+            OpenOptions::new()
+                .create(true)
+                .write(true)
+                .truncate(true)
+                .open(path)
+        })?;
+        Ok(Self::wrap(gate, path, file))
+    }
+
+    /// Open the existing `path` for reading and writing (creating nothing,
+    /// so no call of the gate).
+    pub(crate) fn open(gate: Option<&Leaf>, path: &Path) -> io::Result<Self> {
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        Ok(Self::wrap(gate, path, file))
+    }
+
+    fn wrap(gate: Option<&Leaf>, path: &Path, file: File) -> Self {
+        let gate = gate.map(|leaf| (leaf.clone(), path.to_owned()));
+        Self { file, gate }
+    }
+
+    fn leaf(&self) -> Option<&Leaf> {
+        self.gate.as_ref().map(|(leaf, _)| leaf)
+    }
+
+    fn path(&self) -> &Path {
+        self.gate.as_ref().map_or(Path::new(""), |(_, path)| path)
+    }
+
+    /// [`pwritev_full`] of `iov` at `at`.
+    pub(crate) fn write_vectored_at(
+        &self,
+        iov: &mut [libc::iovec],
+        at: u64,
+        counters: &IoCounters,
+    ) -> io::Result<u64> {
+        let bytes = self.gate.as_ref().map(|_| gather(iov));
+        let bytes = bytes.as_deref().unwrap_or_default();
+        let sys = Sys {
+            at,
+            bytes,
+            ..Sys::new(Syscall::Write, self.path())
+        };
+        syscall(self.leaf(), sys, || {
+            pwritev_full(&self.file, iov, at, counters)
+        })
+    }
+
+    /// Write all of `bytes` at `at`.
+    pub(crate) fn write_at(&self, bytes: &[u8], at: u64) -> io::Result<()> {
+        let sys = Sys {
+            at,
+            bytes,
+            ..Sys::new(Syscall::Write, self.path())
+        };
+        syscall(self.leaf(), sys, || self.file.write_all_at(bytes, at))
+    }
+
+    /// Truncate (or extend) to `len` bytes.
+    pub(crate) fn truncate(&self, len: u64) -> io::Result<()> {
+        let sys = Sys {
+            at: len,
+            ..Sys::new(Syscall::SetLen, self.path())
+        };
+        syscall(self.leaf(), sys, || self.file.set_len(len))
+    }
+
+    /// fsync.
+    pub(crate) fn sync(&self) -> io::Result<()> {
+        barrier(self.leaf(), Sys::new(Syscall::Fsync, self.path()), || {
+            self.file.sync_all()
+        })
+    }
+}
+
+/// The bytes `iov` points at, in order.
+fn gather(iov: &[libc::iovec]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for v in iov {
+        // SAFETY: every entry points at `iov_len` live bytes for as long as
+        // the write it was built for, which has not started yet.
+        bytes.extend_from_slice(unsafe {
+            std::slice::from_raw_parts(v.iov_base as *const u8, v.iov_len)
+        });
+    }
+    bytes
+}
+
+/// Make the entries of `dir` durable: fsync the directory itself.
+pub(crate) fn sync_dir(gate: Option<&Leaf>, dir: &Path) -> io::Result<()> {
+    barrier(gate, Sys::new(Syscall::DirSync, dir), || {
+        File::open(dir)?.sync_all()
+    })
+}
+
+/// `rename(from, to)`.
+pub(crate) fn rename(gate: Option<&Leaf>, from: &Path, to: &Path) -> io::Result<()> {
+    let sys = Sys {
+        from,
+        ..Sys::new(Syscall::Rename, to)
+    };
+    syscall(gate, sys, || fs::rename(from, to))
+}
+
+/// `unlink(path)`.
+pub(crate) fn unlink(gate: Option<&Leaf>, path: &Path) -> io::Result<()> {
+    syscall(gate, Sys::new(Syscall::Unlink, path), || {
+        fs::remove_file(path)
+    })
+}
+
+/// Create `dir` and every missing ancestor; returns the directories it
+/// created, outermost first — each one's parent owes an fsync before its
+/// entry survives a power cut.
+pub(crate) fn mkdir_all(gate: Option<&Leaf>, dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut made = Vec::new();
+    mkdir_into(gate, dir, &mut made)?;
+    Ok(made)
+}
+
+fn mkdir_into(gate: Option<&Leaf>, dir: &Path, made: &mut Vec<PathBuf>) -> io::Result<()> {
+    let mkdir = || syscall(gate, Sys::new(Syscall::Mkdir, dir), || fs::create_dir(dir));
+    match mkdir() {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => return Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+            mkdir_into(gate, parent.ok_or(e)?, made)?;
+            match mkdir() {
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => return Ok(()),
+                other => other?,
+            }
+        }
+        Err(e) => return Err(e),
+    }
+    made.push(dir.to_owned());
+    Ok(())
+}
 
 /// Write *all* of `iov` to `file` at `offset` with positioned vectored
 /// writes, retrying on `EINTR` and short writes and chunking at `IOV_MAX`.

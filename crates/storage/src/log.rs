@@ -39,14 +39,29 @@
 //! A missing file is an empty log. Any other magic — including a file too
 //! short to hold one — is foreign data and fails every entry point with
 //! `InvalidData` naming what was found; the create path below never leaves
-//! such a file behind.
+//! such a file behind (a crash inside it leaves only the staging file,
+//! `<log>.new`, which the open that owns the log removes:
+//! [`remove_staging`]).
+//!
+//! ## A failed append commits nothing
+//!
+//! An append that fails after its write — the fsync fails, the write lands
+//! half — truncates the log back to where it started (a failed create
+//! unlinks the log it just renamed in), so readers in this process never
+//! count a record whose commit returned `Err`. If that undo fails too, a
+//! `Log` handle refuses every further append until the log is opened
+//! again. Every mutating syscall goes through the gate in [`crate::io`].
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::os::unix::fs::FileExt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+use parking_lot::Mutex;
 
 use crate::checksum::crc64;
+use crate::failing::Leaf;
+use crate::io::{self as sys, GatedFile};
 
 const MAGIC_LEN: usize = 8;
 const CRC_LEN: usize = 8;
@@ -128,8 +143,9 @@ pub fn read<R: Record>(path: &Path) -> io::Result<Vec<R>> {
 /// Append `records` as one durable commit: one write and one fsync however
 /// many records, after truncating any tear. All-or-nothing under the tear
 /// rule — a crash mid-batch leaves a tail that no reader counts — so no
-/// record of the batch is committed until this returns. Appends to one log
-/// must be serialised by the caller; readers may run concurrently.
+/// record of the batch is committed until this returns, and one that fails
+/// is undone (see the module docs). Appends to one log must be serialised by
+/// the caller (a `Log` does it); readers may run concurrently.
 ///
 /// O(1) in log size on a clean log: only the magic and the last record are
 /// read (whether *earlier* records still verify is a reader's question).
@@ -138,9 +154,78 @@ pub fn read<R: Record>(path: &Path) -> io::Result<Vec<R>> {
 /// fsync of the parent directory — until then the first commit of a fresh
 /// directory would sit behind a directory entry a power loss can drop — and
 /// callers that count directory fsyncs count that one.
+///
+/// This is a one-off append through a fresh [`Log`]: a writer that appends
+/// again holds its `Log`, so a failed undo stops it building on a record
+/// whose commit failed.
 pub fn append<R: Record>(path: &Path, records: &[R]) -> io::Result<bool> {
+    Log::new(path.to_owned(), None).append(records)
+}
+
+/// The staging file a log is created under before its rename: a crash
+/// between the two leaves it, and the open that owns the log removes it.
+pub(crate) fn staging_path(path: &Path) -> PathBuf {
+    path.with_extension("new")
+}
+
+/// Remove the staging file of the log at `path`, if a crash left one.
+pub fn remove_staging(path: &Path) -> io::Result<()> {
+    match sys::unlink(None, &staging_path(path)) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
+/// One process's handle on the commit log at a path: appends serialised,
+/// numbered on a leaf if given, and refused for good once an append failed
+/// in a way it could not undo — until the log is opened again.
+#[derive(Debug)]
+pub struct Log {
+    path: PathBuf,
+    gate: Option<Leaf>,
+    /// Appends run under this lock; `true` once the log is wedged.
+    wedged: Mutex<bool>,
+}
+
+impl Log {
+    /// A handle on the log at `path`, its syscalls numbered on `gate`.
+    pub fn new(path: PathBuf, gate: Option<Leaf>) -> Self {
+        Self {
+            path,
+            gate,
+            wedged: Mutex::new(false),
+        }
+    }
+
+    /// Where the log lives.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// [`append`] through this handle.
+    pub fn append<R: Record>(&self, records: &[R]) -> io::Result<bool> {
+        let mut wedged = self.wedged.lock();
+        if *wedged {
+            return Err(io::Error::other(format!(
+                "{}: a failed append could not be undone; reopen the log",
+                self.path.display()
+            )));
+        }
+        let (result, clean) = try_append(self.gate.as_ref(), &self.path, records);
+        *wedged = !clean;
+        result
+    }
+}
+
+/// [`append`], and whether the log is clean after it — `false` only when
+/// the append failed and its undo failed too.
+fn try_append<R: Record>(
+    gate: Option<&Leaf>,
+    path: &Path,
+    records: &[R],
+) -> (io::Result<bool>, bool) {
     if records.is_empty() {
-        return Ok(false);
+        return (Ok(false), true);
     }
     let (wire_len, salt) = (R::PAYLOAD_LEN + CRC_LEN, salt(R::MAGIC));
     let mut batch = vec![0u8; records.len() * wire_len];
@@ -149,19 +234,43 @@ pub fn append<R: Record>(path: &Path, records: &[R]) -> io::Result<bool> {
         record.encode(payload);
         crc.copy_from_slice(&(crc64(payload) ^ salt).to_le_bytes());
     }
-    let file = match OpenOptions::new().read(true).write(true).open(path) {
+    let file = match GatedFile::open(gate, path) {
         Ok(file) => file,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            create(path, R::MAGIC, &batch)?;
-            return Ok(true);
+            return create(gate, path, R::MAGIC, &batch);
         }
-        Err(e) => return Err(e),
+        Err(e) => return (Err(e), true),
     };
+    let end = match tail(&file.file, wire_len, salt, R::MAGIC) {
+        Ok(end) => end,
+        Err(e) => return (Err(e), true),
+    };
+    let appended = (|| {
+        if end.1 {
+            file.truncate(end.0)?;
+        }
+        file.write_at(&batch, end.0)?;
+        file.sync()
+    })();
+    match appended {
+        Ok(()) => (Ok(false), true),
+        // Nothing of the batch may stay for readers to count: cut the log
+        // back to where the append started, durably.
+        Err(e) => {
+            let undone = file.truncate(end.0).and_then(|()| file.sync());
+            (Err(e), undone.is_ok())
+        }
+    }
+}
+
+/// Where the log's content ends, and whether a tear follows it that an
+/// append must cut first.
+fn tail(file: &fs::File, wire_len: usize, salt: u64, magic: &[u8; 8]) -> io::Result<(u64, bool)> {
     let len = file.metadata()?.len();
     let mut head = [0u8; MAGIC_LEN];
     let head = &mut head[..len.min(MAGIC_LEN as u64) as usize];
     file.read_exact_at(head, 0)?;
-    strip_magic(head, R::MAGIC)?;
+    strip_magic(head, magic)?;
 
     let (first, wire) = (MAGIC_LEN as u64, wire_len as u64);
     let aligned = len - (len - first) % wire;
@@ -179,30 +288,39 @@ pub fn append<R: Record>(path: &Path, records: &[R]) -> io::Result<bool> {
         file.read_exact_at(&mut body, first)?;
         first + committed(&body, wire_len, salt)? as u64 * wire
     };
-    if end < len {
-        file.set_len(end)?;
-    }
-    file.write_all_at(&batch, end)?;
-    file.sync_all()?;
-    Ok(false)
+    Ok((end, end < len))
 }
 
 /// First use: build the log aside, fsync it, rename it in and fsync the
 /// directory. Creating it in place would let a concurrent reader open it
 /// between creation and the magic write and reject it as foreign; with the
-/// rename a reader sees `NotFound` (an empty log) or the complete file.
-fn create(path: &Path, magic: &[u8; 8], batch: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("new");
-    let mut file = File::create(&tmp)?;
-    file.write_all(magic)?;
-    file.write_all(batch)?;
-    file.sync_all()?;
-    fs::rename(&tmp, path)?;
+/// rename a reader sees `NotFound` (an empty log) or the complete file. If
+/// the directory fsync fails, the log just renamed in holds nothing but the
+/// failed batch: it is unlinked again.
+fn create(
+    gate: Option<&Leaf>,
+    path: &Path,
+    magic: &[u8; 8],
+    batch: &[u8],
+) -> (io::Result<bool>, bool) {
+    let tmp = staging_path(path);
+    let staged = (|| {
+        let file = GatedFile::create(gate, &tmp)?;
+        file.write_at(&[&magic[..], batch].concat(), 0)?;
+        file.sync()?;
+        sys::rename(gate, &tmp, path)
+    })();
+    if let Err(e) = staged {
+        return (Err(e), true);
+    }
     let parent = match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,
         _ => Path::new("."),
     };
-    File::open(parent)?.sync_all()
+    match sys::sync_dir(gate, parent) {
+        Ok(()) => (Ok(true), true),
+        Err(e) => (Err(e), sys::unlink(gate, path).is_ok()),
+    }
 }
 
 #[cfg(test)]
@@ -236,6 +354,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         dir.join("LOG")
     }
+
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn scribble(path: &Path, bytes: &[u8]) {
         let mut f = OpenOptions::new().append(true).open(path).unwrap();
@@ -298,6 +419,33 @@ mod tests {
             8 + 5 * WIRE,
             "untouched"
         );
+    }
+
+    #[test]
+    fn a_failed_append_is_undone_or_wedges_its_handle() {
+        use crate::failing::{FailureControl, Fault, FaultOp, Syscall, When};
+        let path = tmp("undo");
+        let ctl = FailureControl::new();
+        let log = Log::new(path.clone(), Some(ctl.leaf()));
+        let (a, b) = (Opaque([1; 5]), Opaque([2; 5]));
+        log.append(&[a]).unwrap();
+        // The fsync after the write fails: the record is cut off again.
+        ctl.arm(When::At(ctl.ops() + 2), Fault::Fail);
+        assert!(log.append(&[b]).is_err());
+        assert_eq!(
+            read::<Opaque>(&path).unwrap(),
+            vec![a],
+            "no record of a failed commit"
+        );
+        log.append(&[b]).unwrap();
+        // Every fsync fails, the undo's too: the handle refuses every append
+        // until the log is opened again.
+        ctl.fail(FaultOp::Sys(Syscall::Fsync), true);
+        assert!(log.append(&[a]).is_err());
+        ctl.heal();
+        assert!(log.append(&[a]).is_err(), "wedged");
+        Log::new(path.clone(), None).append(&[a]).unwrap();
+        assert_eq!(read::<Opaque>(&path).unwrap(), vec![a, b, a]);
     }
 
     #[test]

@@ -68,14 +68,15 @@
 //! `seal`'s truncate. `seal` is truncate → trailer (one more `pwritev`) →
 //! at most one fsync: the only fsync a segment ever pays.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, BufReader, Read};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::checksum::{crc64, crc64_update};
 use crate::codec::{self, Compression, Sealed};
-use crate::io::{flip_byte_at, preadv_exact, pwritev_full, AlignedBuf, IoCounters};
+use crate::failing::Leaf;
+use crate::io::{flip_byte_at, preadv_exact, AlignedBuf, GatedFile, IoCounters};
 
 /// Magic prefix of a segment file (per-record encodings, trailer).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"AICKSEG3";
@@ -226,7 +227,7 @@ enum PayloadSrc {
 /// exclusively by whoever holds it.
 #[derive(Debug)]
 pub(crate) struct SegmentWriter {
-    file: File,
+    file: GatedFile,
     /// Next write offset = bytes of complete batches (a failed vectored
     /// write never advances it, so its torn tail is overwritten by the
     /// next batch and excised by `seal`'s truncate).
@@ -268,14 +269,15 @@ impl std::fmt::Debug for IovecList {
 
 impl SegmentWriter {
     /// Create (truncating) the segment of `epoch` at `path` and write its
-    /// header.
-    pub(crate) fn create(path: &Path, epoch: u64, io: &IoCounters) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        pwritev_full(&file, &mut [iovec(&header(epoch))], 0, io)?;
+    /// header — every syscall through the gate, numbered on `gate` if given.
+    pub(crate) fn create(
+        path: &Path,
+        epoch: u64,
+        io: &IoCounters,
+        gate: Option<&Leaf>,
+    ) -> io::Result<Self> {
+        let file = GatedFile::create(gate, path)?;
+        file.write_vectored_at(&mut [iovec(&header(epoch))], 0, io)?;
         Ok(Self {
             file,
             offset: HEADER_LEN as u64,
@@ -344,7 +346,7 @@ impl SegmentWriter {
                 PayloadSrc::Staged(at, len) => iov.push(iovec(&staged[at..at + len])),
             }
         }
-        let written = pwritev_full(&self.file, iov, self.offset, io)?;
+        let written = self.file.write_vectored_at(iov, self.offset, io)?;
         let mut record_at = self.offset;
         for (&(page, _), src) in batch.iter().zip(&self.plan) {
             self.trailer.extend_from_slice(&page.to_le_bytes());
@@ -363,13 +365,14 @@ impl SegmentWriter {
     /// footer — count, CRC-64 over entries ‖ count, trailer magic — and
     /// append them, then fsync once.
     pub(crate) fn seal(&mut self, io: &IoCounters) -> io::Result<()> {
-        self.file.set_len(self.offset)?;
+        self.file.truncate(self.offset)?;
         self.trailer.extend_from_slice(&self.records.to_le_bytes());
         let crc = crc64(&self.trailer);
         self.trailer.extend_from_slice(&crc.to_le_bytes());
         self.trailer.extend_from_slice(TRAILER_MAGIC);
-        pwritev_full(&self.file, &mut [iovec(&self.trailer)], self.offset, io)?;
-        self.file.sync_all()
+        let trailer = &mut [iovec(&self.trailer)];
+        self.file.write_vectored_at(trailer, self.offset, io)?;
+        self.file.sync()
     }
 }
 
@@ -406,7 +409,10 @@ impl Segment {
     pub(crate) fn open(path: &Path, epoch: u64) -> io::Result<Segment> {
         let file = File::open(path)?;
         let mut head = [0u8; HEADER_LEN];
-        (&file).read_exact(&mut head)?;
+        (&file).read_exact(&mut head).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => invalid(format!("epoch {epoch}: segment header torn")),
+            _ => e,
+        })?;
         check_header(&head, epoch)?;
         let len = file.metadata()?.len();
         let torn = || invalid(format!("epoch {epoch}: segment trailer missing or torn"));
@@ -703,15 +709,15 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("epoch_0000000001.seg");
         let io = IoCounters::default();
-        let mut w = SegmentWriter::create(&path, 1, &io).unwrap();
+        let mut w = SegmentWriter::create(&path, 1, &io, None).unwrap();
         let write = |w: &mut SegmentWriter, page: u64, fill: u8| {
             w.write_batch(&[(page, &[fill; 64])], Compression::None, &io)
         };
         write(&mut w, 0, 1).unwrap();
         // Swap in a handle `pwritev` must refuse (read-only: EBADF).
-        let good = std::mem::replace(&mut w.file, File::open(&path).unwrap());
+        let good = std::mem::replace(&mut w.file.file, File::open(&path).unwrap());
         assert!(write(&mut w, 1, 2).is_err());
-        w.file = good;
+        w.file.file = good;
         write(&mut w, 2, 3).unwrap();
         w.seal(&io).unwrap();
         assert_eq!((w.records(), w.payload_bytes()), (2, 128));

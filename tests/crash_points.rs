@@ -1,49 +1,71 @@
-//! Every backend call is a crash point.
+//! Every backend call and every syscall of the file engine is a crash point.
 //!
 //! One small scenario — commit epochs 1–4, each closed by the layout record
 //! of one real `PageManager` checkpoint; drain until idle; retire epoch 4 (a
 //! rolled-back group checkpoint); fold the chain into epoch 3; commit epoch
 //! 5; one full scrub pass — runs over three stacks: a lone `FileBackend`, a
 //! `TieredBackend` over two file directories, and one of memory over file.
-//! Every leaf store is wrapped under one shared `FailureControl`, which
-//! numbers each backend call, so a fault-free run gives the scenario's call
-//! count N. The sweep reruns the scenario for **every** k in 1..=N, four
-//! ways: crash from k, fail at k, burst at k, corrupt at k. A step that
-//! returns `Err` is aborted and skipped, as the runtime would; a crash leaks
-//! its open sessions and issues no further call; the drain retries transient
-//! faults exactly as the maintenance worker does.
+//! Every leaf store is wrapped under one shared `FailureControl`, and every
+//! file leaf numbers its mutating syscalls on the same leaf (create, write,
+//! truncate, fsync, directory fsync, rename, unlink, mkdir), so a fault-free
+//! run gives the scenario's call count N. The sweep reruns the scenario for
+//! **every** k in 1..=N: crash from k and fail at k; at a backend call also
+//! burst and corrupt it; at a write, crash with each torn prefix of it
+//! landed (every byte cut of a commit-log write, each frame boundary ±1 of
+//! a segment write). A step that returns `Err` is aborted and skipped, as
+//! the runtime would; a crash leaks its open sessions and issues no further
+//! call; the drain retries transient faults exactly as the maintenance
+//! worker does.
 //!
-//! After each run the stack is reopened, without the wrapper (armed rot
+//! Durability is modeled by the control: a power cut keeps each file's
+//! bytes as of its last fsync and each directory's entries as of its last
+//! directory fsync. The fault-free run's record answers a power cut just
+//! before every k, and a failed fsync or directory fsync is followed by a
+//! power cut at the end of its run. Damage at rest rides on the files the
+//! fault-free run leaves: every byte of each file flipped, each file cut at
+//! each frame (or record) boundary and at every byte of a segment's
+//! trailer, each file removed — the segment half in a child process under
+//! `ulimit -v`.
+//!
+//! After each case the stack is reopened, without the wrapper (armed rot
 //! becomes real flipped bytes first), and one oracle judges it:
 //! * it lists what the model lists with each failed step applied or not —
-//!   never a mix; memory over file, after a crash, a prefix of that (the
-//!   memory tier is gone);
+//!   never a mix; memory over file, after a crash or power cut, a prefix of
+//!   that (the memory tier is gone);
 //! * eager and lazy restores of the newest listed epoch equal
-//!   `CheckpointImage::load` of it, which equals the model — where rot was
-//!   armed, a door may fail loudly instead;
+//!   `CheckpointImage::load` of it, which equals the model — where bytes
+//!   are damaged, a door may fail loudly instead, and over a cut segment
+//!   every door must;
+//! * a verify of a damaged segment's epoch sees the damage;
+//! * a reopen that fails deletes nothing, and only damaged bytes may make it
+//!   fail;
 //! * no directory holds a file of an epoch its store does not list;
 //! * a second reopen lists the same epochs and changes no byte, and a drain
 //!   after it leaves every epoch on the slow tier;
 //! * a burst on the drain, which is retried, changes nothing at all.
 //!
-//! A failure names its stack, mode and k, and the kind and leaf of call k.
-//! To replay one case with its step log printed:
-//! `CRASH_POINTS=file-over-file:fail:38 cargo test --test crash_points -- --nocapture`.
+//! A failure names its case — `stack:mode:k`, `stack:tear:k:b`,
+//! `stack:powercut:k`, `stack:rot|cut:FILE:b`, `stack:lose:FILE` — with the
+//! call's kind, leaf and path. To replay one case with its step log
+//! printed: `CRASH_POINTS=file-over-file:fail:38 cargo test --test
+//! crash_points -- --nocapture`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
+use std::hash::{Hash, Hasher};
 use std::io;
-use std::path::PathBuf;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use ai_ckpt::{restore_at, restore_lazy, CkptConfig, PageManager, ProtectedBuffer};
+use ai_ckpt::{restore_at, restore_lazy, CkptConfig, FlushPool, PageManager, ProtectedBuffer};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::failing::{Fault, When};
+use ai_ckpt_storage::failing::{Fault, PowerCut, StoppedWrite, Syscall, When};
 use ai_ckpt_storage::{
-    corrupt_segment_region, ChainEntry, CheckpointImage, EpochKind, FailingBackend, FailureControl,
-    FileBackend, MemoryBackend, RetryPolicy, ScrubPolicy, Scrubber, SegmentRegion, StorageBackend,
-    TieredBackend, META_RECORD,
+    corrupt_segment_region, log, write_epoch, ChainEntry, CheckpointImage, EpochKind,
+    FailingBackend, FailureControl, FaultOp, FileBackend, ManifestRecord, MemoryBackend,
+    RetryPolicy, ScrubPolicy, Scrubber, SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
 };
 
 /// Pages of the scenario's one protected buffer.
@@ -51,6 +73,22 @@ const PAGES: u64 = 6;
 
 /// Undrained epochs a fast tier may hold: commits 3 and 4 drain inline.
 const FAST_CAPACITY: usize = 2;
+
+/// The commit log's name, its magic and one wire record (33 + CRC).
+const MANIFEST: &str = "MANIFEST";
+const LOG_MAGIC: usize = 8;
+const LOG_WIRE: usize = 41;
+
+/// A segment's header, record frame, trailer entry and trailer footer.
+const SEG_HEADER: usize = 16;
+const SEG_FRAME: usize = 25;
+const SEG_ENTRY: usize = 16;
+const SEG_FOOTER: usize = 24;
+
+/// The test the segment half of the damage at rest runs in, re-run as a
+/// child under an address-space limit, and the variable that marks it.
+const SEGMENT_DAMAGE: &str = "segment_damage_at_rest_under_an_address_space_limit";
+const CHILD: &str = "AICKPT_CRASH_POINTS_CHILD";
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Stack {
@@ -60,6 +98,8 @@ enum Stack {
 }
 
 impl Stack {
+    const ALL: [Stack; 3] = [Stack::File, Stack::FileOverFile, Stack::MemoryOverFile];
+
     fn name(self) -> &'static str {
         match self {
             Stack::File => "file",
@@ -97,6 +137,12 @@ impl Mode {
             Mode::Corrupt => ctl.arm(When::At(k), Fault::Corrupt),
         }
     }
+
+    /// Whether the mode is swept at a call of `kind`: a syscall is crashed
+    /// and failed; bursts and rot are backend-call faults.
+    fn applies_to(self, kind: FaultOp) -> bool {
+        matches!(self, Mode::Crash | Mode::Fail) || !matches!(kind, FaultOp::Sys(_))
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -133,7 +179,7 @@ enum Outcome {
 }
 
 /// One step of a run: what it was, how it ended, and its calls.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Entry {
     step: Step,
     outcome: Outcome,
@@ -178,7 +224,11 @@ fn records(e: u64) -> Vec<(u64, Vec<u8>)> {
         1 => (0..PAGES).collect(),
         _ => vec![e % PAGES, (e + 3) % PAGES],
     };
-    let payload = |i: u64| (0..64).map(|j| (i * 31 + e * 7 + j) as u8).collect();
+    // Every third page is one byte repeated: its record is stored encoded.
+    let payload = |i: u64| match i % 3 {
+        0 => vec![(e * 7 + i) as u8; 64],
+        _ => (0..64).map(|j| (i * 31 + e * 7 + j) as u8).collect(),
+    };
     let data = pages.into_iter().map(|i| (layout.base + i, payload(i)));
     data.chain([(META_RECORD, layout.record.clone())]).collect()
 }
@@ -242,6 +292,21 @@ fn models(log: &[Entry]) -> Vec<Model> {
     models
 }
 
+/// The fault-free log as a power cut just before call `k` leaves it: the
+/// step holding call `k` crashed, the ones after it never ran.
+fn cut_at(log: &[Entry], k: u64) -> Vec<Entry> {
+    let outcome = |e: &Entry| match () {
+        _ if *e.calls.end() < k => Outcome::Done,
+        _ if *e.calls.start() <= k => Outcome::Crashed,
+        _ => Outcome::NotRun,
+    };
+    let cut = |e: &Entry| Entry {
+        outcome: outcome(e),
+        ..e.clone()
+    };
+    log.iter().map(cut).collect()
+}
+
 /// What a reopened stack shows: the union listing and each leaf's chain.
 #[derive(Clone, PartialEq, Eq, Debug)]
 struct Seen {
@@ -249,23 +314,84 @@ struct Seen {
     chains: Vec<Vec<ChainEntry>>,
 }
 
-/// The stores of one stack, in the order they are wrapped (leaf 0, 1).
+/// What a case allows the reopened stack to show.
+struct Rules<'a> {
+    models: Vec<Model>,
+    /// The memory tier is gone: the listing may be a prefix of a model's.
+    prefix_only: bool,
+    /// The errors a restore door may fail with instead of restoring (the
+    /// stored bytes are damaged); damage at rest may also make the reopen
+    /// refuse, with `InvalidData`.
+    loud: &'static [io::ErrorKind],
+    at_rest: bool,
+    /// Damage at rest to this epoch's segment: restores below it must not
+    /// notice, and a verify of it must.
+    intact_below: Option<u64>,
+    /// The damage cut a segment short: every door of the newest epoch
+    /// fails, and a verify of the cut epoch calls it structural.
+    cut_segment: bool,
+    /// A retried burst on the drain: the reopen must show exactly this.
+    same_as: Option<&'a Seen>,
+}
+
+impl Rules<'_> {
+    fn new(log: &[Entry]) -> Self {
+        Rules {
+            models: models(log),
+            prefix_only: false,
+            loud: &[],
+            at_rest: false,
+            intact_below: None,
+            cut_segment: false,
+            same_as: None,
+        }
+    }
+}
+
+/// The stores of one stack, in the order they are registered (leaf 0, 1).
 struct Case {
     stack: Stack,
     dirs: Vec<PathBuf>,
     memory: MemoryBackend,
+    /// Restores attach here: no thread is spawned per restore.
+    pool: Arc<FlushPool>,
+    /// The three doors' outcomes per state they read (see [`Case::key`]).
+    doors: HashMap<Vec<u8>, [Door; 3]>,
+}
+
+type Files = BTreeMap<PathBuf, Vec<u8>>;
+
+/// A restore door's outcome: a hash of the pages it restored, or its error.
+type Door = Result<u64, (io::ErrorKind, String)>;
+
+fn digest(value: &impl Hash) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Where the sweep's directories live: a tmpfs when the host has one. The
+/// sweep judges thousands of disk states, and on a journaling file system
+/// their creates and unlinks cost more than everything else; durability
+/// is modeled by the control either way.
+fn scratch() -> PathBuf {
+    let shm = Path::new("/dev/shm");
+    match shm.is_dir() {
+        true => shm.to_owned(),
+        false => std::env::temp_dir(),
+    }
 }
 
 impl Case {
-    fn new(stack: Stack) -> Self {
+    fn new(stack: Stack, tag: &str) -> Self {
         let dirs = match stack {
             Stack::FileOverFile => 2,
             _ => 1,
         };
         let dirs = (0..dirs)
             .map(|i| {
-                std::env::temp_dir().join(format!(
-                    "aickpt-points-{}-{}-{i}",
+                scratch().join(format!(
+                    "aickpt-points-{}{tag}-{}-{i}",
                     stack.name(),
                     std::process::id()
                 ))
@@ -275,7 +401,38 @@ impl Case {
             stack,
             dirs,
             memory: MemoryBackend::new(),
+            pool: FlushPool::new(1).unwrap(),
+            doors: HashMap::new(),
         }
+    }
+
+    /// Everything a restore of `top` reads: each commit log's records (a
+    /// torn tail is never read), every other file's bytes, the memory
+    /// tier's chain and records.
+    fn key(&self, top: u64) -> Vec<u8> {
+        let mut key = format!("{top}").into_bytes();
+        for (path, bytes) in self.snapshot() {
+            key.extend(path.as_os_str().as_encoded_bytes());
+            match path.file_name().unwrap() == MANIFEST {
+                true => key.extend(format!("{:?}", log::read::<ManifestRecord>(&path)).bytes()),
+                false => key.extend(bytes),
+            }
+        }
+        for entry in self.memory.chain().unwrap_or_default() {
+            let mut records = Vec::new();
+            let read = self
+                .memory
+                .read_epoch(entry.epoch, &mut |p, d| records.push((p, d.to_vec())));
+            key.extend(
+                format!(
+                    "{entry:?}{:?}{}",
+                    read.map_err(|e| e.to_string()),
+                    digest(&records)
+                )
+                .bytes(),
+            );
+        }
+        key
     }
 
     fn reset(&mut self) {
@@ -285,16 +442,23 @@ impl Case {
         self.memory = MemoryBackend::new();
     }
 
-    /// Build the stack, every leaf wrapped under `ctl` when one is given.
-    fn open(&self, ctl: Option<&FailureControl>) -> io::Result<Arc<dyn StorageBackend>> {
+    /// Build the stack, every file leaf numbering its syscalls on `ctl` and
+    /// — `wrap` — every leaf wrapped under it.
+    fn open(&self, ctl: &FailureControl, wrap: bool) -> io::Result<Arc<dyn StorageBackend>> {
         let leaf = |store: Box<dyn StorageBackend>| -> Box<dyn StorageBackend> {
-            match ctl {
-                Some(ctl) => Box::new(FailingBackend::with_control(store, ctl.clone())),
-                None => store,
+            let leaf = ctl.leaf();
+            match wrap {
+                true => Box::new(FailingBackend::on(store, leaf)),
+                false => store,
             }
         };
         let file = |i: usize| -> io::Result<Box<dyn StorageBackend>> {
-            Ok(leaf(Box::new(FileBackend::open(&self.dirs[i])?)))
+            let leaf = ctl.leaf();
+            let store = FileBackend::open_on(&self.dirs[i], leaf.clone())?;
+            Ok(match wrap {
+                true => Box::new(FailingBackend::on(store, leaf)),
+                false => Box::new(store),
+            })
         };
         Ok(match self.stack {
             Stack::File => Arc::from(file(0)?),
@@ -317,6 +481,17 @@ impl Case {
         }
     }
 
+    /// A file's name in a case id: `NAME`, or `fast/NAME` and `slow/NAME`
+    /// on a file-over-file stack.
+    fn label(&self, path: &Path) -> String {
+        let name = path.file_name().unwrap().to_string_lossy();
+        match self.stack {
+            Stack::FileOverFile if path.starts_with(&self.dirs[0]) => format!("fast/{name}"),
+            Stack::FileOverFile => format!("slow/{name}"),
+            _ => name.into_owned(),
+        }
+    }
+
     /// Run the scenario under `ctl` (armed for `mode`, if any).
     fn run(&self, ctl: &FailureControl, mode: Option<Mode>) -> Vec<Entry> {
         let dead = || mode == Some(Mode::Crash) && ctl.fired().is_some();
@@ -327,7 +502,7 @@ impl Case {
             let result = if dead() {
                 None
             } else if step == Step::Open {
-                Some(self.open(Some(ctl)).map(|opened| stack = Some(opened)))
+                Some(self.open(ctl, true).map(|opened| stack = Some(opened)))
             } else {
                 stack.as_deref().map(|b| perform(b, step, &dead))
             };
@@ -344,6 +519,48 @@ impl Case {
             });
         }
         log
+    }
+
+    /// Every file of the stack's directories.
+    fn snapshot(&self) -> Files {
+        let mut files = Files::new();
+        for dir in &self.dirs {
+            for entry in fs::read_dir(dir).into_iter().flatten() {
+                let path = entry.unwrap().path();
+                files.insert(path.clone(), fs::read(&path).unwrap());
+            }
+        }
+        files
+    }
+
+    /// Put exactly `files` back in the stack's directories.
+    fn restore(&self, files: &Files) {
+        for dir in &self.dirs {
+            let _ = fs::remove_dir_all(dir);
+            fs::create_dir_all(dir).unwrap();
+        }
+        for (path, bytes) in files {
+            fs::write(path, bytes).unwrap();
+        }
+    }
+
+    /// Leave on disk what `cut` says a power cut keeps — a directory whose
+    /// own entry was lost goes with everything in it; the memory tier is
+    /// gone.
+    fn power_cut(&mut self, cut: &PowerCut) {
+        for dir in &self.dirs {
+            let _ = fs::remove_dir_all(dir);
+            if !cut.dirs.contains(dir) {
+                continue;
+            }
+            fs::create_dir_all(dir).unwrap();
+            for (path, bytes) in &cut.files {
+                if path.parent() == Some(dir) {
+                    fs::write(path, &bytes[..]).unwrap();
+                }
+            }
+        }
+        self.memory = MemoryBackend::new();
     }
 }
 
@@ -377,7 +594,7 @@ fn perform(b: &dyn StorageBackend, step: Step, dead: &dyn Fn() -> bool) -> io::R
     }
 }
 
-/// The leaves of a reopened (unwrapped) stack, in wrap order.
+/// The leaves of a reopened (unwrapped) stack, in registration order.
 fn leaves(stack: &dyn StorageBackend) -> Vec<&dyn StorageBackend> {
     let kids: Vec<&dyn StorageBackend> = stack.children().into_iter().map(|(_, c)| c).collect();
     match kids.is_empty() {
@@ -407,21 +624,8 @@ fn belongs(name: &str, chain: &[ChainEntry]) -> bool {
     match (epoch("epoch_"), epoch("full_")) {
         (Some((e, _)), _) => listed(e, EpochKind::Delta),
         (_, Some((e, shard))) => listed(e, EpochKind::Full) && !shard,
-        _ => name == "MANIFEST",
+        _ => name == MANIFEST,
     }
-}
-
-type Files = BTreeMap<PathBuf, Vec<u8>>;
-
-fn snapshot(case: &Case) -> Files {
-    let mut files = Files::new();
-    for dir in &case.dirs {
-        for entry in fs::read_dir(dir).into_iter().flatten() {
-            let path = entry.unwrap().path();
-            files.insert(path.clone(), fs::read(&path).unwrap());
-        }
-    }
-    files
 }
 
 /// The restored buffer, page by page.
@@ -445,65 +649,73 @@ fn padded(image: &BTreeMap<u64, Vec<u8>>) -> Vec<Vec<u8>> {
     (0..PAGES).map(page).collect()
 }
 
-/// The three doors of a restore of `top`.
-fn restores(stack: &Arc<dyn StorageBackend>, top: u64) -> [io::Result<Vec<Vec<u8>>>; 3] {
+/// The three doors of a restore of `top` — run once per state they read.
+fn restores(case: &mut Case, stack: &Arc<dyn StorageBackend>, top: u64) -> [Door; 3] {
+    let key = case.key(top);
+    if let Some(doors) = case.doors.get(&key) {
+        return doors.clone();
+    }
     let load = CheckpointImage::load(stack.as_ref(), top).map(|image| {
         let image = image.iter().map(|(p, d)| (p, d.to_vec())).collect();
         padded(&image)
     });
-    let mgr = PageManager::new(cfg(), Box::new(MemoryBackend::new())).unwrap();
+    let fresh = || {
+        let backend = Arc::new(MemoryBackend::new());
+        case.pool.attach(cfg(), backend, Arc::new(())).unwrap()
+    };
+    let mgr = fresh();
     let eager = restore_at(&mgr, stack.as_ref(), top).map(|state| pages_of(&state.buffers));
-    let mgr = PageManager::new(cfg(), Box::new(MemoryBackend::new())).unwrap();
+    let mgr = fresh();
     let lazy = restore_lazy(&mgr, Arc::clone(stack), top, None).and_then(|mut lazy| {
         lazy.wait()?;
         Ok(pages_of(&lazy.state.buffers))
     });
-    [load, eager, lazy]
+    let door = |got: io::Result<Vec<Vec<u8>>>| match got {
+        Ok(pages) => Ok(digest(&pages)),
+        Err(e) => Err((e.kind(), e.to_string())),
+    };
+    let doors = [door(load), door(eager), door(lazy)];
+    case.doors.insert(key, doors.clone());
+    doors
 }
 
-/// Reopen after a run and judge it; `Ok` carries what the reopen showed.
-fn judge(
-    case: &mut Case,
-    mode: Option<Mode>,
-    log: &[Entry],
-    ctl: &FailureControl,
-    k: u64,
-    baseline: Option<&Seen>,
-) -> Result<Seen, String> {
-    let crashed = mode == Some(Mode::Crash);
-    if crashed {
-        case.memory = MemoryBackend::new(); // a crash loses the memory tier
-    }
-    // Armed rot becomes real damage before anything reopens.
-    for rot in ctl.rot() {
-        let (epoch, page, byte) = (rot.epoch, rot.page, rot.byte);
-        match rot.leaf.and_then(|leaf| case.dir_of(leaf)) {
-            Some(dir) => {
-                let region = SegmentRegion::PayloadOf { page, byte };
-                let _ = corrupt_segment_region(dir, epoch, region);
+/// Reopen after a case and judge it; `Ok` carries what the reopen showed
+/// (`None`: a reopen that refused damaged bytes).
+fn judge(case: &mut Case, rules: &Rules, replay: bool) -> Result<Option<Seen>, String> {
+    // Each file leaf of a reopen numbers its syscalls on a control of its
+    // own, so its fsyncs are modeled, never issued.
+    let reopen = |case: &Case| case.open(&FailureControl::new(), false);
+    let before = case.snapshot();
+    let stack = match reopen(case) {
+        Ok(stack) => stack,
+        Err(e) => {
+            if case.snapshot() != before {
+                return Err(format!("a reopen that failed ({e}) changed files"));
             }
-            None if !crashed => {
-                let _ = case.memory.corrupt_stored_page(epoch, page, byte as usize);
-            }
-            None => {}
+            return match rules.at_rest && e.kind() == io::ErrorKind::InvalidData {
+                true => Ok(None),
+                false => Err(format!("reopen: {e}")),
+            };
         }
-    }
-    let stack = case.open(None).map_err(|e| format!("reopen: {e}"))?;
+    };
     let now = seen(stack.as_ref())?;
+    // Recovery only deletes: it rewrites no byte of a file it keeps.
+    let files = case.snapshot();
+    if let Some((path, _)) = files.iter().find(|&(path, b)| before.get(path) != Some(b)) {
+        return Err(format!("the reopen wrote {path:?}"));
+    }
 
     // The listing: each failed step applied or not, never a mix — or,
-    // after a crash lost the memory tier, a prefix of that.
-    let prefix_only = crashed && case.stack == Stack::MemoryOverFile;
-    let models = models(log);
+    // after the memory tier was lost, a prefix of that.
     let fits = |m: &&Model| {
         let want = m.listed.iter().copied();
-        match prefix_only {
+        match rules.prefix_only {
             true => now.listed.iter().copied().eq(want.take(now.listed.len())),
             false => now.listed.iter().copied().eq(want),
         }
     };
-    let model = models.iter().find(fits).ok_or_else(|| {
-        let allowed: Vec<_> = models.iter().map(|m| &m.listed).collect();
+    let model = rules.models.iter().find(fits).ok_or_else(|| {
+        let allowed: Vec<_> = rules.models.iter().map(|m| &m.listed).collect();
         format!("lists {:?}, the model allows {allowed:?}", now.listed)
     })?;
 
@@ -520,27 +732,47 @@ fn judge(
         }
     }
 
-    // Restores of the newest listed epoch.
-    let rot_armed = !ctl.rot().is_empty();
-    if let Some(&top) = now.listed.last() {
-        let want = padded(&model.image(top));
+    // Restores of the newest listed epoch — and, below damage at rest to
+    // epoch `e`, of the newest epoch under it, which must not notice.
+    let below = rules
+        .intact_below
+        .and_then(|e| now.listed.iter().rfind(|&&x| x < e));
+    let newest = (now.listed.last()).map(|&top| (top, rules.loud, rules.cut_segment));
+    let below = below.map(|&e| (e, &[][..], false));
+    for (top, loud, must_fail) in newest.into_iter().chain(below) {
+        let want = digest(&padded(&model.image(top)));
         let doors = ["CheckpointImage::load", "restore_at", "restore_lazy"];
-        for (door, got) in doors.iter().zip(restores(&stack, top)) {
-            if only().is_some() {
-                println!("{door} of epoch {top}: {:?}", got.as_ref().map(|_| "ok"));
+        for (door, got) in doors.iter().zip(restores(case, &stack, top)) {
+            if replay {
+                println!("{door} of epoch {top}: {got:?}");
             }
             match got {
+                Ok(_) if must_fail => {
+                    return Err(format!("{door} of epoch {top} read a cut segment"))
+                }
                 Ok(pages) if pages == want => {}
                 Ok(_) => return Err(format!("{door} of epoch {top} differs from the model")),
-                Err(e) if rot_armed && e.kind() == io::ErrorKind::InvalidData => {}
-                Err(e) => return Err(format!("{door} of epoch {top} failed: {e}")),
+                Err((kind, _)) if loud.contains(&kind) => {}
+                Err((_, e)) => return Err(format!("{door} of epoch {top} failed: {e}")),
             }
         }
     }
 
+    // The scrubber sees damage at rest to a segment.
+    if let Some(e) = rules.intact_below {
+        let report = stack.verify_epoch(e);
+        let seen = match &report {
+            Ok(r) if rules.cut_segment => !r.structural.is_empty(),
+            Ok(r) => !r.is_clean(),
+            Err(_) => true,
+        };
+        if !seen {
+            return Err(format!("verify of epoch {e} missed the damage: {report:?}"));
+        }
+    }
+
     // A burst on the drain is retried away: nothing may differ.
-    let burst_step = log.iter().find(|e| e.calls.contains(&k)).map(|e| e.step);
-    if let (Some(Mode::Burst), Some(Step::Drain), Some(baseline)) = (mode, burst_step, baseline) {
+    if let Some(baseline) = rules.same_as {
         if &now != baseline {
             return Err(format!(
                 "a retried burst left {now:?}, fault-free {baseline:?}"
@@ -549,13 +781,12 @@ fn judge(
     }
 
     // A second reopen is a no-op.
-    let files = snapshot(case);
     drop(stack);
-    let again = case.open(None).map_err(|e| format!("second reopen: {e}"))?;
+    let again = reopen(case).map_err(|e| format!("second reopen: {e}"))?;
     if seen(again.as_ref())? != now {
         return Err("a second reopen lists differently".into());
     }
-    if snapshot(case) != files {
+    if case.snapshot() != files {
         return Err("a second reopen changed bytes on disk".into());
     }
 
@@ -568,67 +799,426 @@ fn judge(
     }
 
     // Nothing is stranded on a fast tier: a drain settles every epoch (a
-    // rotten one cannot move).
+    // damaged one cannot move).
+    let damaged = !rules.loud.is_empty();
     if let [(_, fast), _] = again.children()[..] {
         let drained = (|| -> io::Result<()> {
             while again.drain_one()?.is_some() {}
             Ok(())
         })();
         let (fast, listed) = (fast.epochs().unwrap(), again.epochs().unwrap());
-        if !rot_armed && (drained.is_err() || !fast.is_empty() || listed != now.listed) {
+        if !damaged && (drained.is_err() || !fast.is_empty() || listed != now.listed) {
             return Err(format!("drain {drained:?} left {fast:?} on the fast tier"));
         }
     }
-    Ok(now)
-}
 
-/// `CRASH_POINTS=stack:mode:k` narrows the sweep to that one case.
-fn only() -> Option<(String, String, u64)> {
-    let spec = std::env::var("CRASH_POINTS").ok()?;
-    let mut parts = spec.split(':');
-    let (stack, mode) = (parts.next()?.to_owned(), parts.next()?.to_owned());
-    Some((stack, mode, parts.next()?.parse().ok()?))
-}
-
-fn sweep(stack: Stack) {
-    let only = only();
-    if only.as_ref().is_some_and(|(s, _, _)| s != stack.name()) {
-        return;
+    // The store keeps working: the next epoch commits on top of whatever
+    // the case left (a torn log tail is cut, never built on) and reads back.
+    if !damaged {
+        let next = again.high_water().map_err(|e| e.to_string())?.unwrap_or(0) + 1;
+        let records = records(next);
+        write_epoch(again.as_ref(), next, records.clone())
+            .map_err(|e| format!("committing epoch {next} after the reopen: {e}"))?;
+        let (page, data) = &records[0];
+        let read = again.read_page_at(next, *page).map_err(|e| e.to_string())?;
+        if again.epochs().ok().and_then(|e| e.last().copied()) != Some(next)
+            || read.as_ref() != Some(data)
+        {
+            return Err(format!(
+                "epoch {next}, committed after the reopen, does not read back"
+            ));
+        }
     }
-    let mut case = Case::new(stack);
-    case.reset();
-    let ctl = FailureControl::new();
-    let log = case.run(&ctl, None);
-    let n = ctl.ops();
-    let baseline = judge(&mut case, None, &log, &ctl, 0, None)
-        .unwrap_or_else(|e| panic!("{}: the fault-free run: {e}\n{log:#?}", stack.name()));
+    Ok(Some(now))
+}
+
+/// One case of a sweep: its id, and what to do with a verdict.
+struct Sweep {
+    stack: Stack,
+    only: Option<Vec<String>>,
+}
+
+impl Sweep {
+    fn new(stack: Stack) -> Self {
+        let only = std::env::var("CRASH_POINTS")
+            .ok()
+            .map(|spec| spec.split(':').map(str::to_owned).collect());
+        Self { stack, only }
+    }
+
+    /// Whether the case `parts` (after the stack name) runs at all.
+    fn wants(&self, parts: &[String]) -> bool {
+        match &self.only {
+            None => true,
+            Some(only) => only[0] == self.stack.name() && only[1..] == *parts,
+        }
+    }
+
+    fn replay(&self) -> bool {
+        self.only.is_some()
+    }
+
+    /// Judge one case and fail the test, naming it, on a red verdict. In
+    /// the child each case is logged as it starts and ends, so a case that
+    /// kills the process is still named.
+    fn check(&self, case: &mut Case, id: &[String], rules: &Rules, context: &dyn Fn() -> String) {
+        let child = std::env::var_os(CHILD).is_some();
+        let name = format!("{}:{}", self.stack.name(), id.join(":"));
+        if child {
+            println!("judging {name}");
+        }
+        let verdict = judge(case, rules, self.replay());
+        if child {
+            println!("judged {name}");
+        }
+        if self.replay() {
+            println!("{}\n{verdict:?}", context());
+        }
+        if let Err(why) = verdict {
+            let id = id.join(":");
+            panic!("{}:{id} — {why}\n{}", self.stack.name(), context());
+        }
+    }
+}
+
+fn id(parts: &[&dyn std::fmt::Display]) -> Vec<String> {
+    parts.iter().map(|p| p.to_string()).collect()
+}
+
+/// The byte counts a torn `write` may land: every cut of a commit-log
+/// write, each frame boundary ±1 of a segment write.
+fn tears(write: &StoppedWrite) -> Vec<usize> {
+    let len = write.bytes.len();
+    let name = write.path.file_name().unwrap().to_string_lossy();
+    if name.starts_with(MANIFEST) {
+        return (0..len).collect();
+    }
+    let around = segment_bounds(&write.bytes, write.at == 0)
+        .into_iter()
+        .flat_map(|b| [b.saturating_sub(1), b, b + 1]);
+    let cuts: BTreeSet<usize> = around.filter(|&b| b < len).collect();
+    cuts.into_iter().collect()
+}
+
+/// The frame boundaries inside one segment write: a header's magic and
+/// epoch, a batch's frames and payloads, a trailer's entries and footer.
+fn segment_bounds(bytes: &[u8], header: bool) -> Vec<usize> {
+    let le = |at: usize, n: usize| {
+        let mut word = [0u8; 8];
+        word[..n].copy_from_slice(&bytes[at..at + n]);
+        u64::from_le_bytes(word) as usize
+    };
+    let len = bytes.len();
+    if header {
+        return vec![0, 8, SEG_HEADER.min(len)];
+    }
+    if bytes.ends_with(b"AICKTRL1") {
+        let entries = (len - SEG_FOOTER) / SEG_ENTRY;
+        let mut bounds: Vec<usize> = (0..=entries).map(|i| i * SEG_ENTRY).collect();
+        bounds.extend([len - 16, len - 8, len]);
+        return bounds;
+    }
+    let (mut bounds, mut at) = (vec![], 0);
+    while at + SEG_FRAME <= len {
+        let stored = le(at + 13, 4);
+        bounds.extend([at, at + SEG_FRAME]);
+        at += SEG_FRAME + stored;
+    }
+    bounds.push(len);
+    bounds
+}
+
+/// Where a whole segment file is cut: at the header's and every record's
+/// frame boundaries, and in the trailer at every byte (`every_byte`: the
+/// lone stack) or at its entries' and footer's boundaries (the tiers, which
+/// route the same failure).
+fn segment_file_bounds(bytes: &[u8], every_byte: bool) -> Vec<usize> {
+    let len = bytes.len();
+    let count = u64::from_le_bytes(bytes[len - SEG_FOOTER..][..8].try_into().unwrap()) as usize;
+    let trailer = len - SEG_FOOTER - count * SEG_ENTRY;
+    let mut bounds = segment_bounds(&bytes[..SEG_HEADER], true);
+    let records = segment_bounds(&bytes[SEG_HEADER..trailer], false);
+    bounds.extend(records.into_iter().map(|b| SEG_HEADER + b));
+    match every_byte {
+        true => bounds.extend(trailer..len),
+        false => bounds.extend(
+            segment_bounds(&bytes[trailer..], false)
+                .iter()
+                .map(|b| trailer + b),
+        ),
+    }
+    bounds.dedup();
+    bounds
+}
+
+/// The fault-free run of `stack`: its log, the calls it made, what the
+/// reopen showed, the files it left and what a power cut at each call
+/// would have left.
+struct Baseline {
+    log: Vec<Entry>,
+    ctl: FailureControl,
+    seen: Seen,
+    files: Files,
+    memory: MemoryBackend,
+}
+
+impl Baseline {
+    fn run(sweep: &Sweep, case: &mut Case) -> Self {
+        let stack = sweep.stack.name();
+        case.reset();
+        let ctl = FailureControl::new();
+        let log = case.run(&ctl, None);
+        let files = case.snapshot();
+        let memory = copy_of(&case.memory);
+        let seen = judge(case, &Rules::new(&log), false)
+            .unwrap_or_else(|e| panic!("{stack}: the fault-free run: {e}\n{log:#?}"))
+            .expect("a fault-free reopen");
+        Self {
+            log,
+            ctl,
+            seen,
+            files,
+            memory,
+        }
+    }
+
+    /// Put the fault-free end state back.
+    fn restore(&self, case: &mut Case) {
+        case.restore(&self.files);
+        case.memory = copy_of(&self.memory);
+    }
+
+    /// The step that wrote the last record of the log at `path`.
+    fn last_writer_of(&self, path: &Path) -> Option<usize> {
+        let writes = |c: &&ai_ckpt_storage::failing::Call| {
+            let kind = matches!(c.kind, FaultOp::Sys(Syscall::Write | Syscall::Rename));
+            kind && c.path.as_deref() == Some(path)
+        };
+        let last = self.ctl.journal().iter().rev().find(writes)?.number;
+        self.log.iter().position(|e| e.calls.contains(&last))
+    }
+}
+
+/// The epoch a segment file belongs to, from its name.
+fn epoch_of(path: &Path) -> u64 {
+    let name = path.file_name().unwrap().to_string_lossy();
+    let digits = name.trim_start_matches(|c: char| !c.is_ascii_digit());
+    digits[..10].parse().unwrap()
+}
+
+/// A memory store holding what `store` holds (its chain is all deltas).
+fn copy_of(store: &MemoryBackend) -> MemoryBackend {
+    let copy = MemoryBackend::new();
+    for entry in store.chain().unwrap() {
+        assert_eq!(entry.kind, EpochKind::Delta, "a memory tier never folds");
+        let mut records = Vec::new();
+        store
+            .read_epoch(entry.epoch, &mut |p, d| records.push((p, d.to_vec())))
+            .unwrap();
+        write_epoch(&copy, entry.epoch, records).unwrap();
+    }
+    copy
+}
+
+/// Crash, fail, burst and corrupt every call; tear every write; cut the
+/// power before every call.
+fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
+    let stack = sweep.stack;
+    let memory_tier = stack == Stack::MemoryOverFile;
+    let n = base.ctl.ops();
     println!("{}: N = {n}", stack.name());
+    let journal = base.ctl.journal();
     for mode in Mode::ALL {
-        for k in 1..=n {
-            if let Some((_, m, at)) = &only {
-                if m != mode.name() || *at != k {
-                    continue;
-                }
+        for call in &journal {
+            let k = call.number;
+            let (crash_id, tear_wanted) = (id(&[&mode.name(), &k]), mode == Mode::Crash);
+            let any_tear = tear_wanted
+                && matches!(call.kind, FaultOp::Sys(Syscall::Write))
+                && (sweep.only.as_ref()).is_none_or(|o| o[1] == "tear" && o[2] == k.to_string());
+            if !mode.applies_to(call.kind) || !(sweep.wants(&crash_id) || any_tear) {
+                continue;
             }
             case.reset();
             let ctl = FailureControl::new();
             mode.arm(&ctl, k);
             let log = case.run(&ctl, Some(mode));
             ctl.heal();
-            let verdict = judge(&mut case, Some(mode), &log, &ctl, k, Some(&baseline));
-            let call = ctl.fired();
-            if only.is_some() {
-                println!("{call:?}\n{log:#?}\n{verdict:?}");
+            let fired = ctl.fired();
+            let context = || format!("call {k} is {fired:?}\n{log:#?}");
+            // Armed rot becomes real damage before anything reopens.
+            for rot in ctl.rot() {
+                let (epoch, page, byte) = (rot.epoch, rot.page, rot.byte);
+                match rot.leaf.and_then(|leaf| case.dir_of(leaf)) {
+                    Some(dir) => {
+                        let region = SegmentRegion::PayloadOf { page, byte };
+                        let _ = corrupt_segment_region(dir, epoch, region);
+                    }
+                    None => {
+                        let _ = case.memory.corrupt_stored_page(epoch, page, byte as usize);
+                    }
+                }
             }
-            if let Err(why) = verdict {
-                panic!(
-                    "{}:{}:{k} — call {k} is {call:?}: {why}\n{log:#?}",
-                    stack.name(),
-                    mode.name()
-                );
+            let mut rules = Rules::new(&log);
+            rules.prefix_only = mode == Mode::Crash && memory_tier;
+            if !ctl.rot().is_empty() {
+                rules.loud = &[io::ErrorKind::InvalidData];
+            }
+            let burst_step = log.iter().find(|e| e.calls.contains(&k)).map(|e| e.step);
+            if (mode, burst_step) == (Mode::Burst, Some(Step::Drain)) {
+                rules.same_as = Some(&base.seen);
+            }
+            let crashed = case.snapshot();
+            if mode == Mode::Crash {
+                case.memory = MemoryBackend::new(); // a crash loses the memory tier
+            }
+            if sweep.wants(&crash_id) {
+                sweep.check(case, &crash_id, &rules, &context);
+            }
+            // A failed barrier, then the power: what did it make durable?
+            let barrier = matches!(call.kind, FaultOp::Sys(Syscall::Fsync | Syscall::DirSync));
+            if mode == Mode::Fail && barrier && sweep.wants(&crash_id) {
+                case.power_cut(&ctl.power_cut(u64::MAX));
+                rules.prefix_only = memory_tier;
+                sweep.check(case, &crash_id, &rules, &|| {
+                    format!("power cut after: {}", context())
+                });
+            }
+            // The write the crash stopped, torn at each cut.
+            let Some(write) = ctl.stopped_write().filter(|_| mode == Mode::Crash) else {
+                continue;
+            };
+            for cut in tears(&write) {
+                let tear_id = id(&[&"tear", &k, &cut]);
+                if !sweep.wants(&tear_id) {
+                    continue;
+                }
+                case.restore(&crashed);
+                let file = fs::OpenOptions::new()
+                    .write(true)
+                    .open(&write.path)
+                    .unwrap();
+                file.write_all_at(&write.bytes[..cut], write.at).unwrap();
+                case.memory = MemoryBackend::new();
+                let context = || format!("{} of {write:?}: {}", cut, context());
+                sweep.check(case, &tear_id, &rules, &context);
             }
         }
     }
+    // The power fails just before call k (k = N + 1: after the scenario).
+    for k in 1..=n + 1 {
+        let cut_id = id(&[&"powercut", &k]);
+        if !sweep.wants(&cut_id) {
+            continue;
+        }
+        let log = cut_at(&base.log, k);
+        case.power_cut(&base.ctl.power_cut(k));
+        let mut rules = Rules::new(&log);
+        rules.prefix_only = memory_tier;
+        let call = journal.get(k as usize - 1);
+        sweep.check(case, &cut_id, &rules, &|| {
+            format!("call {k} is {call:?}\n{log:#?}")
+        });
+    }
+}
+
+/// Damage at rest to the files the fault-free run left: every byte
+/// flipped, each frame (or record) boundary cut, each file lost — the
+/// commit logs when `logs`, else the segments.
+fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
+    let stack = sweep.stack;
+    let lone = stack == Stack::File;
+    // Every prefix of the scenario, each step done or not run.
+    let prefixes: Vec<Model> = (0..=base.log.len())
+        .map(|i| {
+            let done = |(j, e): (usize, &Entry)| Entry {
+                outcome: if j < i {
+                    Outcome::Done
+                } else {
+                    Outcome::NotRun
+                },
+                ..e.clone()
+            };
+            let log: Vec<Entry> = base.log.iter().enumerate().map(done).collect();
+            models(&log).remove(0)
+        })
+        .collect();
+    for (path, bytes) in &base.files {
+        let label = case.label(path);
+        let log = path.file_name().unwrap() == MANIFEST;
+        if log != logs {
+            continue;
+        }
+        let mut cases: Vec<(Vec<String>, Option<usize>, Option<usize>)> = Vec::new();
+        cases.extend((0..bytes.len()).map(|b| (id(&[&"rot", &label, &b]), Some(b), None)));
+        // A commit log cut at a record boundary is a shorter valid log — an
+        // older commit, which only a lone store can be judged against.
+        let bounds = match log {
+            true if lone => (0..=(bytes.len() - LOG_MAGIC) / LOG_WIRE)
+                .map(|r| LOG_MAGIC + r * LOG_WIRE)
+                .chain([0])
+                .collect(),
+            true => vec![],
+            false => segment_file_bounds(bytes, lone),
+        };
+        let cut = bounds.into_iter().filter(|&b| b < bytes.len());
+        cases.extend(cut.map(|b| (id(&[&"cut", &label, &b]), None, Some(b))));
+        if !log || lone {
+            cases.push((id(&[&"lose", &label]), None, None));
+        }
+        for (case_id, flip, cut) in cases {
+            if !sweep.wants(&case_id) {
+                continue;
+            }
+            base.restore(case);
+            let mut models = vec![models(&base.log).remove(0)];
+            match (flip, cut) {
+                (Some(b), _) => {
+                    let mut damaged = bytes.clone();
+                    damaged[b] ^= 0xFF;
+                    fs::write(path, damaged).unwrap();
+                    // Rot confined to a log's last record reads as a torn
+                    // append of it: that commit never happened.
+                    if log && b >= bytes.len() - LOG_WIRE {
+                        let writer = base.last_writer_of(path).expect("the log's writer");
+                        let mut log = base.log.clone();
+                        log[writer].outcome = Outcome::Failed;
+                        models.extend(self::models(&log));
+                    }
+                }
+                (None, Some(c)) => fs::write(path, &bytes[..c]).unwrap(),
+                (None, None) => fs::remove_file(path).unwrap(),
+            }
+            if log && flip.is_none() {
+                models = prefixes.clone();
+            }
+            let rules = Rules {
+                models,
+                prefix_only: false,
+                loud: match (log, flip.or(cut)) {
+                    (false, Some(_)) => &[io::ErrorKind::InvalidData],
+                    _ => &[io::ErrorKind::InvalidData, io::ErrorKind::NotFound],
+                },
+                at_rest: true,
+                intact_below: (!log).then(|| epoch_of(path)),
+                cut_segment: !log && cut.is_some(),
+                same_as: None,
+            };
+            sweep.check(case, &case_id, &rules, &|| String::new());
+        }
+    }
+}
+
+/// The sweep of one stack in this process: every call, and damage at rest
+/// to its commit logs.
+fn sweep(stack: Stack) {
+    let sweep = Sweep::new(stack);
+    if sweep.only.as_ref().is_some_and(|o| o[0] != stack.name()) {
+        return;
+    }
+    let mut case = Case::new(stack, "");
+    let base = Baseline::run(&sweep, &mut case);
+    sweep_calls(&sweep, &mut case, &base);
+    sweep_at_rest(&sweep, &mut case, &base, true);
     case.reset();
 }
 
@@ -645,4 +1235,53 @@ fn every_call_of_file_over_file_tiers_is_a_crash_point() {
 #[test]
 fn every_call_of_memory_over_file_tiers_is_a_crash_point() {
     sweep(Stack::MemoryOverFile);
+}
+
+/// Damage at rest to every segment file of every stack, in a child process
+/// under `ulimit -v` (an address-space limit is per process and cannot be
+/// raised again): a rotted length field used to make the decoders reserve
+/// what the frame claimed, an abort on any memory-limited node.
+#[test]
+fn segment_damage_at_rest_under_an_address_space_limit() {
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -v 2097152 && exec \"$0\" \"$@\"")
+            .arg(std::env::current_exe().unwrap())
+            .args(["--exact", SEGMENT_DAMAGE, "--test-threads=1", "--nocapture"])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let judged: BTreeSet<&str> = stdout
+            .lines()
+            .filter_map(|l| l.strip_prefix("judged "))
+            .collect();
+        let started = stdout.lines().filter_map(|l| l.strip_prefix("judging "));
+        let unfinished: Vec<&str> = started.filter(|id| !judged.contains(id)).collect();
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child under a 2 GiB address-space limit: {:?}, cases unfinished {unfinished:?}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        if std::env::var_os("CRASH_POINTS").is_some() {
+            println!("{stdout}");
+        }
+        return;
+    }
+    std::thread::scope(|scope| {
+        for stack in Stack::ALL {
+            let sweep = Sweep::new(stack);
+            if sweep.only.as_ref().is_some_and(|o| o[0] != stack.name()) {
+                continue;
+            }
+            scope.spawn(move || {
+                let mut case = Case::new(stack, "-rest");
+                let base = Baseline::run(&sweep, &mut case);
+                sweep_at_rest(&sweep, &mut case, &base, false);
+                case.reset();
+            });
+        }
+    });
 }

@@ -154,9 +154,11 @@ fn settle(mgr: &PageManager, what: &str) -> std::io::Result<()> {
     mgr.wait_checkpoint()
 }
 
-fn run_script(door: Door) {
+/// `idle` is the process's thread count before any door opened: a count
+/// read right after the previous door's pool joined can still include a
+/// worker that has not exited yet.
+fn run_script(door: Door, idle: usize) {
     let ps = page_size();
-    let idle = thread_count();
     let tag = |what: &str| format!("{door:?}: {what}");
 
     // 1. Checkpoint twice; restored bytes and the shape of `stats()`.
@@ -349,13 +351,13 @@ fn run_script(door: Door) {
 
 #[test]
 fn one_script_three_front_doors() {
+    let idle = thread_count();
     for door in [Door::Standalone, Door::ServiceTenant, Door::GroupRank] {
-        run_script(door);
+        run_script(door, idle);
     }
 
     // Thread count does not depend on how many managers a pool hosts: a
     // six-rank group runs on exactly as many threads as a two-rank one.
-    let idle = thread_count();
     for ranks in [2, 6] {
         let dir = std::env::temp_dir().join(format!(
             "aickpt-front-door-ranks-{}-{ranks}",

@@ -303,7 +303,12 @@ fn crash_mid_global_manifest_append_restores_previous_epoch() {
             .unwrap();
         f.write_all(&[0x5A; 13]).unwrap(); // torn mid-record
     }
+    // A crash inside a log's creation leaves its staging file: the open
+    // that owns the log removes it.
+    let staging = root.join(GLOBAL_MANIFEST_FILE).with_extension("new");
+    std::fs::write(&staging, b"AICKGLB1").unwrap();
     assert_group_restores(&root, 2, 2, &model);
+    assert!(!staging.exists(), "GLOBAL.new swept at open");
     std::fs::remove_dir_all(&root).unwrap();
 }
 
