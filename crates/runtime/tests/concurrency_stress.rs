@@ -9,8 +9,9 @@ use std::time::Duration;
 
 use ai_ckpt::{CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
+use ai_ckpt_storage::failing::{Fault, When};
 use ai_ckpt_storage::{
-    CheckpointImage, FailingBackend, MemoryBackend, StorageBackend, ThrottledBackend,
+    CheckpointImage, FailingBackend, FaultOp, MemoryBackend, StorageBackend, ThrottledBackend,
 };
 
 /// The stream counts every stress scenario is exercised with.
@@ -144,7 +145,10 @@ fn mid_epoch_stream_error_aborts_epoch_atomically() {
         buf.as_mut_slice().fill(1);
         // Fail after ~a third of the epoch's records: several streams are
         // mid-flight when the error hits.
-        control.fail_writes_after(pages as u64 / 3);
+        control.arm(
+            When::Kind(FaultOp::Write),
+            Fault::FailAfter(pages as u64 / 3),
+        );
         mgr.checkpoint().unwrap();
         // Writers racing the failing flush must not deadlock (no CoW slots:
         // every conflicting write blocks until its page is "processed").

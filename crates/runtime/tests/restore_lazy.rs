@@ -15,7 +15,7 @@ use ai_ckpt::{
 };
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    CheckpointImage, EpochWriter, FailingBackend, FileBackend, MemoryBackend, PageCache,
+    CheckpointImage, EpochWriter, FailingBackend, FaultOp, FileBackend, MemoryBackend, PageCache,
     StorageBackend, TieredBackend,
 };
 
@@ -516,7 +516,8 @@ fn reads_failing_after_k_pages_fail_the_restore_and_publish_no_zeros() {
     let dying = || -> Arc<dyn StorageBackend> {
         let (failing, control) = FailingBackend::new(view.clone());
         Arc::new(Tripwire::new(failing, 41, move || {
-            control.fail_reads(true);
+            control.fail(FaultOp::List, true);
+            control.fail(FaultOp::Read, true);
             Ok(())
         }))
     };

@@ -5,8 +5,9 @@ use std::time::Duration;
 
 use ai_ckpt::{restore_latest, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
+use ai_ckpt_storage::failing::{Fault, When};
 use ai_ckpt_storage::{
-    CheckpointImage, FailingBackend, MemoryBackend, StorageBackend, ThrottledBackend,
+    CheckpointImage, FailingBackend, FaultOp, MemoryBackend, StorageBackend, ThrottledBackend,
 };
 
 fn fill_pages(buf: &mut ai_ckpt::ProtectedBuffer, val: u8) {
@@ -132,7 +133,7 @@ fn committer_failure_surfaces_and_epoch_not_committed() {
     let mgr = PageManager::new(CkptConfig::ai_ckpt(0), Box::new(backend)).unwrap();
     let mut buf = mgr.alloc_protected(4 * page_size()).unwrap();
     fill_pages(&mut buf, 5);
-    control.fail_writes_after(2);
+    control.arm(When::Kind(FaultOp::Write), Fault::FailAfter(2));
     mgr.checkpoint().unwrap();
     let err = mgr.wait_checkpoint().unwrap_err();
     assert!(err.to_string().contains("injected"), "got: {err}");

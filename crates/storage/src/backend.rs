@@ -329,11 +329,14 @@ pub trait StorageBackend: Send + Sync {
     /// wrapper's view (parity ids filtered out and re-emitted, an injected
     /// fault at the install, a throttled read) and a composite's union view
     /// are what gets folded, and the complete image is what every child
-    /// installs. Refused *before* anything is read — "requires full
-    /// redundancy" — while a child of a composite below cannot be asked: the
-    /// install would refuse anyway, and a degraded stack is asked again
-    /// after every checkpoint. Safe to call while a *later* epoch session is
-    /// open — the open epoch is not part of the committed chain yet.
+    /// installs. The chain is read once, with every child of a composite
+    /// below answering, and that read is the probe: while a child cannot be
+    /// asked the fold is refused — "requires full redundancy" — before any
+    /// record is read (the install would refuse anyway, a degraded stack is
+    /// asked again after every checkpoint, and a union missing a child would
+    /// fold only the others' window). Safe to call while a *later* epoch
+    /// session is open — the open epoch is not part of the committed chain
+    /// yet.
     fn compact(&self, up_to: u64) -> io::Result<CompactionStats> {
         compact_latest_wins(self, up_to)
     }
@@ -607,25 +610,21 @@ fn compact_latest_wins<B: StorageBackend + ?Sized>(
     backend: &B,
     up_to: u64,
 ) -> io::Result<CompactionStats> {
-    // Probe what would refuse the install *before* materialising the
-    // merge: without this, an unsupported backend — or, after every
-    // checkpoint of a degraded run, a composite with a child out of service
-    // — would buffer the entire chain in memory only to fail at the end.
+    // Refuse what cannot install *before* materialising the merge: an
+    // unsupported backend, or — after every checkpoint of a degraded run —
+    // a composite with a child that cannot be asked. The one chain read,
+    // every child answering, is that probe.
     if !backend.supports_compaction() {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "backend does not support compaction",
         ));
     }
-    route::in_service(backend).map_err(|e| {
+    let chain = route::chain_of_all(backend).map_err(|e| {
         let why = format!("compact({up_to}) requires full redundancy: {e}");
         io::Error::new(e.kind(), why)
     })?;
-    let live: Vec<ChainEntry> = backend
-        .chain()?
-        .into_iter()
-        .filter(|c| c.epoch <= up_to)
-        .collect();
+    let live: Vec<ChainEntry> = chain.into_iter().filter(|c| c.epoch <= up_to).collect();
     let Some(&last) = live.last() else {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,

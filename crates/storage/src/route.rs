@@ -18,15 +18,18 @@
 //!   never fails while any child can serve it. When nobody answers, the
 //!   first error that was not `NotFound` wins;
 //! * **listings** aggregate ([`epochs`], [`chain`], [`high_water`]): the
-//!   union of what the children that answer list, `Full` winning;
+//!   union of what the children that answer list, `Full` winning — except
+//!   inside [`chain_of_all`] (a fold's read, and the probe before an
+//!   install or a retirement), where a child that does not answer fails
+//!   the listing instead of dropping out of it;
 //! * **everything else** reaches **every holder** ([`each_holder`]),
 //!   attempting all of them and returning the first error;
 //! * what **changes which epochs a child lists** — a fold
 //!   ([`install_compacted`]), a retirement ([`remove_epochs`]) — is refused
-//!   before any child is touched unless *every* child can be asked
-//!   ([`in_service`]): a child that slept through one would come back
-//!   serving a delta under a chain its peers call `Full`, or listing what
-//!   they retired;
+//!   before any child is touched unless *every* child, and every store
+//!   below it, can be asked ([`chain_of_all`]): a child that slept through
+//!   one would come back serving a delta under a chain its peers call
+//!   `Full`, or listing what they retired;
 //! * [`repair_epoch`] is one two-pass algorithm: each damaged holder's own
 //!   redundancy first, then an image assembled page by page from whichever
 //!   holder still reads each page, so damage scattered across holders heals
@@ -35,6 +38,7 @@
 //! The module also owns the one way to move an epoch between backends:
 //! [`read_records`] + [`write_records`].
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 
@@ -208,8 +212,31 @@ pub(crate) fn each_holder<'a, T>(
     }
 }
 
+thread_local! {
+    /// Set while [`chain_of_all`] reads: every child must answer.
+    static EVERY_CHILD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// `b`'s own chain — its wrappers' view, a policy's retirement ledger —
+/// read with every child of every composite below it answering: one that
+/// cannot be asked fails the read instead of dropping out of the union. A
+/// fold reads its chain this way and only this way, so the read is also
+/// its probe, and it never folds just the window one child holds; an
+/// install or a retirement asks each child this way before touching any.
+pub(crate) fn chain_of_all<B: StorageBackend + ?Sized>(b: &B) -> io::Result<Vec<ChainEntry>> {
+    /// Puts the flag back however the read ends, a panic included.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            EVERY_CHILD.set(self.0);
+        }
+    }
+    let _restore = Restore(EVERY_CHILD.replace(true));
+    b.chain()
+}
+
 /// Fold what the children that answer `list` report; the first error when
-/// none does.
+/// none does (inside [`chain_of_all`]: when any does not).
 fn aggregate<T>(
     kids: &[Child<'_>],
     list: impl Fn(&dyn StorageBackend) -> io::Result<T>,
@@ -217,11 +244,17 @@ fn aggregate<T>(
 ) -> io::Result<()> {
     let mut first_err = None;
     let mut answered = false;
-    for (_, child) in kids {
+    for (name, child) in kids {
         match list(*child) {
             Ok(listing) => {
                 answered = true;
                 fold(listing);
+            }
+            Err(e) if EVERY_CHILD.get() => {
+                return Err(io::Error::new(
+                    e.kind(),
+                    format!("{name} cannot be asked: {e}"),
+                ));
             }
             Err(e) => {
                 first_err.get_or_insert(e);
@@ -281,25 +314,10 @@ pub(crate) fn verify_epoch(kids: &[Child<'_>], epoch: u64) -> io::Result<VerifyR
     Ok(merged)
 }
 
-/// `child`'s listing, refused unless every store below it can be asked too.
+/// `child`'s listing, read with every store below it answering.
 fn ask((name, child): Child<'_>) -> io::Result<Vec<u64>> {
-    let asked = child.epochs().and_then(|listed| {
-        in_service(child)?;
-        Ok(listed)
-    });
-    asked.map_err(|e| io::Error::new(e.kind(), format!("{name} cannot be asked: {e}")))
-}
-
-/// Refuse unless every child of the composite at the bottom of `b`'s
-/// wrapper chain (`b` itself when it is one; a chain that ends in a leaf
-/// has nobody to ask) lists its epochs, and every child of theirs. Reads
-/// nothing but listings.
-pub(crate) fn in_service<B: StorageBackend + ?Sized>(b: &B) -> io::Result<()> {
-    let (mut kids, mut below) = (b.children(), b.inner());
-    while let Some(inner) = below {
-        (kids, below) = (inner.children(), inner.inner());
-    }
-    kids.into_iter().try_for_each(|child| ask(child).map(drop))
+    let listed = chain_of_all(child).map(|chain| chain.into_iter().map(|c| c.epoch).collect());
+    listed.map_err(|e| io::Error::new(e.kind(), format!("{name} cannot be asked: {e}")))
 }
 
 /// Install a folded image on every child that holds `into` — refused

@@ -6,8 +6,8 @@
 
 use ai_ckpt_core::rng::SplitMix64;
 use ai_ckpt_storage::{
-    write_epoch, CheckpointImage, EpochWriter, FileBackend, MemoryBackend, PageLocator,
-    ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec, StorageBackend,
+    write_epoch, CheckpointImage, EpochWriter, FailureControl, FileBackend, MemoryBackend,
+    PageLocator, ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec, StorageBackend,
     ThrottledBackend, TieredBackend,
 };
 use std::collections::BTreeMap;
@@ -15,6 +15,13 @@ use std::sync::Arc;
 
 /// An arbitrary epoch: pages (small id space to force overwrites) and
 /// payloads of 1..64 bytes.
+/// A `FileBackend` whose syscalls go through a failure control that arms
+/// nothing: its fsyncs are modeled, not issued (no property here judges
+/// durability).
+fn open(dir: &std::path::Path) -> FileBackend {
+    FileBackend::open_on(dir, FailureControl::new().leaf()).unwrap()
+}
+
 fn gen_epoch(rng: &mut SplitMix64) -> Vec<(u64, Vec<u8>)> {
     let records = rng.next_below(32) as usize;
     (0..records)
@@ -90,7 +97,7 @@ fn file_backend_restore_equals_log() {
     for _ in 0..24 {
         let epochs = gen_epochs(&mut rng, 4);
         let _ = std::fs::remove_dir_all(&dir);
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir);
         check_backend(b, &epochs);
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -237,7 +244,7 @@ fn file_backend_compaction_preserves_the_image() {
     let mut rng = SplitMix64::new(0xF0_1DED);
     for case in 0..12u64 {
         let _ = std::fs::remove_dir_all(&dir);
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir);
         let plain = MemoryBackend::new();
         let mut committed = 0u64;
         for _ in 0..(3 + rng.next_below(8)) {
@@ -255,7 +262,7 @@ fn file_backend_compaction_preserves_the_image() {
         assert_eq!(got, want, "case {case}");
         // And across a reopen (manifest + segments re-parsed from disk).
         drop(b);
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir);
         let got = CheckpointImage::load(&b, committed).unwrap();
         assert_eq!(got, want, "case {case} after reopen");
     }
@@ -335,7 +342,7 @@ fn crc_detects_any_single_corruption() {
         let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let flip_at = rng.next_below(payload.len() as u64 - 20);
         let _ = std::fs::remove_dir_all(&dir);
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir);
         write_epoch(&b, 1, vec![(0, payload.clone())]).unwrap();
         ai_ckpt_storage::file::corrupt_record_payload(&dir, 1, flip_at).unwrap();
         let err = b.read_epoch(1, &mut |_, _| {}).unwrap_err();

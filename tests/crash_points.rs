@@ -3,19 +3,23 @@
 //! One small scenario — commit epochs 1–4, each closed by the layout record
 //! of one real `PageManager` checkpoint; drain until idle; retire epoch 4 (a
 //! rolled-back group checkpoint); fold the chain into epoch 3; commit epoch
-//! 5; one full scrub pass — runs over three stacks: a lone `FileBackend`, a
-//! `TieredBackend` over two file directories, and one of memory over file.
-//! Every leaf store is wrapped under one shared `FailureControl`, and every
-//! file leaf numbers its mutating syscalls on the same leaf (create, write,
-//! truncate, fsync, directory fsync, rename, unlink, mkdir), so a fault-free
-//! run gives the scenario's call count N. The sweep reruns the scenario for
-//! **every** k in 1..=N: crash from k and fail at k; at a backend call also
-//! burst and corrupt it; at a write, crash with each torn prefix of it
-//! landed (every byte cut of a commit-log write, each frame boundary ±1 of
-//! a segment write). A step that returns `Err` is aborted and skipped, as
-//! the runtime would; a crash leaks its open sessions and issues no further
-//! call; the drain retries transient faults exactly as the maintenance
-//! worker does.
+//! 5; one full scrub pass — runs over five stacks: a lone `FileBackend`, a
+//! `TieredBackend` over two file directories, one of memory over file, a
+//! `ReplicatedBackend` over two file directories (`replica2`), and the
+//! policy [`POLICY`] — a bounded plain level over a parity level — over two
+//! (`policy`). Every leaf store is wrapped under one shared
+//! `FailureControl`, and every file leaf numbers its mutating syscalls on
+//! the same leaf (create, write, truncate, fsync, directory fsync, rename,
+//! unlink, mkdir), so a fault-free run gives the scenario's call count N.
+//! The sweep reruns the scenario for **every** k in 1..=N: crash from k and
+//! fail at k; at a backend call also burst and corrupt it, and — on a stack
+//! of several leaves — take that call's leaf L down from k while its peers
+//! keep answering (`down:L:k`); at a write, crash with each torn prefix of
+//! it landed (every byte cut of a commit-log write, each frame boundary ±1
+//! of a segment write). A step that returns `Err` is aborted and skipped,
+//! as the runtime would; a crash leaks its open sessions and issues no
+//! further call; the drain retries transient faults exactly as the
+//! maintenance worker does.
 //!
 //! Durability is modeled by the control: a power cut keeps each file's
 //! bytes as of its last fsync and each directory's entries as of its last
@@ -27,28 +31,45 @@
 //! trailer, each file removed — the segment half in a child process under
 //! `ulimit -v`.
 //!
+//! The replicated and policy stacks are made of file leaves the lone stack
+//! already sweeps, so they buy their time there: their writes are not torn
+//! again (a torn write lands in a leaf's own recovery), and their segments
+//! are flipped and cut once per field kind only.
+//!
+//! A `down` case is judged twice. First its live handle: while leaf 0 (or
+//! either replica) is still down the other leaves hold a prefix of the
+//! chain, so restores of the newest epoch they list are a model's image of
+//! it; a fold — and, outside the policy's retirement ledger, a retirement
+//! — that ran wholly under the outage was refused before it read a record,
+//! with every leaf's chain as it was; healed, the handle drains until idle
+//! (a heal always converges) and then must show what a reopen must. Then
+//! the reopen.
+//!
 //! After each case the stack is reopened, without the wrapper (armed rot
 //! becomes real flipped bytes first), and one oracle judges it:
 //! * it lists what the model lists with each failed step applied or not —
 //!   never a mix; memory over file, after a crash or power cut, a prefix of
 //!   that (the memory tier is gone);
+//! * a verify of a damaged segment's epoch sees the damage;
 //! * eager and lazy restores of the newest listed epoch equal
 //!   `CheckpointImage::load` of it, which equals the model — where bytes
-//!   are damaged, a door may fail loudly instead, and over a cut segment
-//!   every door must;
-//! * a verify of a damaged segment's epoch sees the damage;
+//!   are damaged, a door may fail loudly instead, and over a cut segment no
+//!   other leaf holds every door must; over one another leaf holds, every
+//!   door serves the model;
 //! * a reopen that fails deletes nothing, and only damaged bytes may make it
 //!   fail;
 //! * no directory holds a file of an epoch its store does not list;
-//! * a second reopen lists the same epochs and changes no byte, and a drain
-//!   after it leaves every epoch on the slow tier;
+//! * a second reopen lists the same epochs and changes no byte;
+//! * a drain to idle keeps the listing and leaves every epoch on the
+//!   outermost child — a tiered stack nothing on its fast tier, while a
+//!   policy's bounded level keeps resident copies;
 //! * a burst on the drain, which is retried, changes nothing at all.
 //!
-//! A failure names its case — `stack:mode:k`, `stack:tear:k:b`,
-//! `stack:powercut:k`, `stack:rot|cut:FILE:b`, `stack:lose:FILE` — with the
-//! call's kind, leaf and path. To replay one case with its step log
-//! printed: `CRASH_POINTS=file-over-file:fail:38 cargo test --test
-//! crash_points -- --nocapture`.
+//! A failure names its case — `stack:mode:k`, `stack:down:L:k`,
+//! `stack:tear:k:b`, `stack:powercut:k`, `stack:rot|cut:FILE:b`,
+//! `stack:lose:FILE` — with the call's kind, leaf and path. To replay one
+//! case with its step log printed: `CRASH_POINTS=policy:down:1:187 cargo
+//! test --test crash_points -- --nocapture`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
@@ -61,11 +82,12 @@ use std::time::Duration;
 
 use ai_ckpt::{restore_at, restore_lazy, CkptConfig, FlushPool, PageManager, ProtectedBuffer};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::failing::{Fault, PowerCut, StoppedWrite, Syscall, When};
+use ai_ckpt_storage::failing::{Call, Fault, PowerCut, StoppedWrite, Syscall, When};
 use ai_ckpt_storage::{
     corrupt_segment_region, log, write_epoch, ChainEntry, CheckpointImage, EpochKind,
     FailingBackend, FailureControl, FaultOp, FileBackend, ManifestRecord, MemoryBackend,
-    RetryPolicy, ScrubPolicy, Scrubber, SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
+    PolicyBuilder, ReplicatedBackend, ResilienceSpec, RetryPolicy, ScrubPolicy, Scrubber,
+    SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
 };
 
 /// Pages of the scenario's one protected buffer.
@@ -73,6 +95,9 @@ const PAGES: u64 = 6;
 
 /// Undrained epochs a fast tier may hold: commits 3 and 4 drain inline.
 const FAST_CAPACITY: usize = 2;
+
+/// The policy stack: a bounded plain level over a parity level.
+const POLICY: &str = "hot=plain#2 -> cold=parity*4";
 
 /// The commit log's name, its magic and one wire record (33 + CRC).
 const MANIFEST: &str = "MANIFEST";
@@ -95,16 +120,81 @@ enum Stack {
     File,
     FileOverFile,
     MemoryOverFile,
+    /// `ReplicatedBackend` over two file stores.
+    Replica2,
+    /// [`POLICY`] over two file stores.
+    Policy,
 }
 
 impl Stack {
-    const ALL: [Stack; 3] = [Stack::File, Stack::FileOverFile, Stack::MemoryOverFile];
+    const ALL: [Stack; 5] = [
+        Stack::File,
+        Stack::FileOverFile,
+        Stack::MemoryOverFile,
+        Stack::Replica2,
+        Stack::Policy,
+    ];
 
     fn name(self) -> &'static str {
         match self {
             Stack::File => "file",
             Stack::FileOverFile => "file-over-file",
             Stack::MemoryOverFile => "memory-over-file",
+            Stack::Replica2 => "replica2",
+            Stack::Policy => "policy",
+        }
+    }
+
+    /// Each file store's directory name in case ids, in leaf order.
+    fn dirs(self) -> &'static [&'static str] {
+        match self {
+            Stack::File | Stack::MemoryOverFile => &[""],
+            Stack::FileOverFile => &["fast", "slow"],
+            Stack::Replica2 => &["replica0", "replica1"],
+            Stack::Policy => &["hot", "cold"],
+        }
+    }
+
+    /// A stack whose leaves are file stores the lone `file` stack already
+    /// sweeps: its torn writes land in a leaf's own recovery, which `file`
+    /// tears at every cut, so it is not torn again, and its segments are
+    /// flipped and cut once per field kind, not at every byte and frame.
+    fn lean(self) -> bool {
+        matches!(self, Stack::Replica2 | Stack::Policy)
+    }
+
+    /// Drain `b` until idle: the listing stays `listed`, and every listed
+    /// epoch is on the outermost child — a tiered stack leaves nothing on
+    /// its fast tier, a policy's bounded level keeps resident copies.
+    fn drain_rule(self, b: &dyn StorageBackend, listed: &[u64]) -> Result<(), String> {
+        let drained = (|| -> io::Result<()> {
+            for _ in 0..64 {
+                if b.drain_one()?.is_none() {
+                    return Ok(());
+                }
+            }
+            Err(io::Error::other("still busy after 64 drains"))
+        })();
+        let kids = b.children();
+        let ends = kids
+            .first()
+            .zip(kids.last())
+            .filter(|_| self != Stack::Replica2);
+        let Some(((_, inner), (_, outer))) = ends else {
+            return drained.map_err(|e| format!("drain: {e}"));
+        };
+        let (left, on_outer, now) = (inner.epochs(), outer.epochs(), b.epochs());
+        let holds_all = |o: &Vec<u64>| listed.iter().all(|e| o.contains(e));
+        let emptied = self == Stack::Policy || left.as_ref().is_ok_and(Vec::is_empty);
+        match drained.is_ok()
+            && now.as_ref().is_ok_and(|now| now == listed)
+            && on_outer.as_ref().is_ok_and(holds_all)
+            && emptied
+        {
+            true => Ok(()),
+            false => Err(format!(
+                "drain {drained:?} left {left:?} inside, {on_outer:?} outermost, listing {now:?}"
+            )),
         }
     }
 }
@@ -115,17 +205,21 @@ enum Mode {
     Fail,
     Burst,
     Corrupt,
+    /// Leaf `L` is down from call k while its peers keep answering.
+    Down(usize),
 }
 
 impl Mode {
     const ALL: [Mode; 4] = [Mode::Crash, Mode::Fail, Mode::Burst, Mode::Corrupt];
 
-    fn name(self) -> &'static str {
+    /// The case id of the mode at call `k`: `mode:k`, or `down:L:k`.
+    fn id(self, k: u64) -> Vec<String> {
         match self {
-            Mode::Crash => "crash",
-            Mode::Fail => "fail",
-            Mode::Burst => "burst",
-            Mode::Corrupt => "corrupt",
+            Mode::Crash => id(&[&"crash", &k]),
+            Mode::Fail => id(&[&"fail", &k]),
+            Mode::Burst => id(&[&"burst", &k]),
+            Mode::Corrupt => id(&[&"corrupt", &k]),
+            Mode::Down(leaf) => id(&[&"down", &leaf, &k]),
         }
     }
 
@@ -135,11 +229,13 @@ impl Mode {
             Mode::Fail => ctl.arm(When::At(k), Fault::Fail),
             Mode::Burst => ctl.arm(When::At(k), Fault::Burst(1)),
             Mode::Corrupt => ctl.arm(When::At(k), Fault::Corrupt),
+            Mode::Down(leaf) => ctl.arm_on(leaf, When::From(k), Fault::Fail),
         }
     }
 
     /// Whether the mode is swept at a call of `kind`: a syscall is crashed
-    /// and failed; bursts and rot are backend-call faults.
+    /// and failed; bursts, rot and a leaf going down start at a backend
+    /// call.
     fn applies_to(self, kind: FaultOp) -> bool {
         matches!(self, Mode::Crash | Mode::Fail) || !matches!(kind, FaultOp::Sys(_))
     }
@@ -178,12 +274,14 @@ enum Outcome {
     NotRun,
 }
 
-/// One step of a run: what it was, how it ended, and its calls.
+/// One step of a run: what it was, how it ended, its calls, and whether it
+/// changed any leaf's chain.
 #[derive(Clone, Debug)]
 struct Entry {
     step: Step,
     outcome: Outcome,
     calls: std::ops::RangeInclusive<u64>,
+    touched: bool,
 }
 
 fn cfg() -> CkptConfig {
@@ -357,9 +455,15 @@ struct Case {
     pool: Arc<FlushPool>,
     /// The three doors' outcomes per state they read (see [`Case::key`]).
     doors: HashMap<Vec<u8>, [Door; 3]>,
+    /// What each reopen judged green showed, by the state it reopened and
+    /// the rules it met (see [`judge`]).
+    judged: HashMap<u64, Option<Seen>>,
 }
 
 type Files = BTreeMap<PathBuf, Vec<u8>>;
+
+/// A built stack.
+type Stacked = Arc<dyn StorageBackend>;
 
 /// A restore door's outcome: a hash of the pages it restored, or its error.
 type Door = Result<u64, (io::ErrorKind, String)>;
@@ -384,11 +488,7 @@ fn scratch() -> PathBuf {
 
 impl Case {
     fn new(stack: Stack, tag: &str) -> Self {
-        let dirs = match stack {
-            Stack::FileOverFile => 2,
-            _ => 1,
-        };
-        let dirs = (0..dirs)
+        let dirs = (0..stack.dirs().len())
             .map(|i| {
                 scratch().join(format!(
                     "aickpt-points-{}{tag}-{}-{i}",
@@ -403,19 +503,20 @@ impl Case {
             memory: MemoryBackend::new(),
             pool: FlushPool::new(1).unwrap(),
             doors: HashMap::new(),
+            judged: HashMap::new(),
         }
     }
 
     /// Everything a restore of `top` reads: each commit log's records (a
-    /// torn tail is never read), every other file's bytes, the memory
-    /// tier's chain and records.
-    fn key(&self, top: u64) -> Vec<u8> {
+    /// torn tail is never read), every other file's bytes (`files`, the
+    /// stack's snapshot), the memory tier's chain and records.
+    fn key(&self, top: u64, files: &Files) -> Vec<u8> {
         let mut key = format!("{top}").into_bytes();
-        for (path, bytes) in self.snapshot() {
+        for (path, bytes) in files {
             key.extend(path.as_os_str().as_encoded_bytes());
             match path.file_name().unwrap() == MANIFEST {
-                true => key.extend(format!("{:?}", log::read::<ManifestRecord>(&path)).bytes()),
-                false => key.extend(bytes),
+                true => key.extend(format!("{:?}", log::read::<ManifestRecord>(path)).bytes()),
+                false => key.extend(&bytes[..]),
             }
         }
         for entry in self.memory.chain().unwrap_or_default() {
@@ -444,7 +545,7 @@ impl Case {
 
     /// Build the stack, every file leaf numbering its syscalls on `ctl` and
     /// — `wrap` — every leaf wrapped under it.
-    fn open(&self, ctl: &FailureControl, wrap: bool) -> io::Result<Arc<dyn StorageBackend>> {
+    fn open(&self, ctl: &FailureControl, wrap: bool) -> io::Result<Stacked> {
         let leaf = |store: Box<dyn StorageBackend>| -> Box<dyn StorageBackend> {
             let leaf = ctl.leaf();
             match wrap {
@@ -470,6 +571,13 @@ impl Case {
                 let fast = leaf(Box::new(self.memory.clone()));
                 Arc::new(TieredBackend::new(fast, file(0)?, FAST_CAPACITY)?)
             }
+            Stack::Replica2 => Arc::new(ReplicatedBackend::new(vec![file(0)?, file(1)?])),
+            Stack::Policy => {
+                let mut levels = [Some(file(0)?), Some(file(1)?)];
+                let spec = ResilienceSpec::parse(POLICY).unwrap();
+                let take = |level: usize, _| levels[level].take().unwrap();
+                Arc::new(PolicyBuilder::new(spec)?.build(take)?)
+            }
         })
     }
 
@@ -481,24 +589,30 @@ impl Case {
         }
     }
 
-    /// A file's name in a case id: `NAME`, or `fast/NAME` and `slow/NAME`
-    /// on a file-over-file stack.
+    /// A file's name in a case id: `NAME`, or `DIR/NAME` on a stack of two
+    /// file stores (`fast/NAME`, `replica1/NAME`, `cold/NAME`, …).
     fn label(&self, path: &Path) -> String {
         let name = path.file_name().unwrap().to_string_lossy();
-        match self.stack {
-            Stack::FileOverFile if path.starts_with(&self.dirs[0]) => format!("fast/{name}"),
-            Stack::FileOverFile => format!("slow/{name}"),
-            _ => name.into_owned(),
+        let dir = self.dirs.iter().position(|d| path.starts_with(d)).unwrap();
+        match self.stack.dirs()[dir] {
+            "" => name.into_owned(),
+            dir => format!("{dir}/{name}"),
         }
     }
 
-    /// Run the scenario under `ctl` (armed for `mode`, if any).
-    fn run(&self, ctl: &FailureControl, mode: Option<Mode>) -> Vec<Entry> {
+    /// Run the scenario under `ctl` (armed for `mode`, if any): its log,
+    /// and the stack it leaves open.
+    fn run(&self, ctl: &FailureControl, mode: Option<Mode>) -> (Vec<Entry>, Option<Stacked>) {
         let dead = || mode == Some(Mode::Crash) && ctl.fired().is_some();
-        let mut stack = None;
+        let mut stack: Option<Stacked> = None;
         let mut log = Vec::new();
         for step in SCRIPT {
             let first = ctl.ops() + 1;
+            let chains = |stack: &Option<Stacked>| match step {
+                Step::Compact(_) | Step::Retire(_) => stack.as_deref().map(leaf_chains),
+                _ => None,
+            };
+            let before = chains(&stack);
             let result = if dead() {
                 None
             } else if step == Step::Open {
@@ -516,9 +630,10 @@ impl Case {
                 step,
                 outcome,
                 calls: first..=ctl.ops(),
+                touched: chains(&stack) != before,
             });
         }
-        log
+        (log, stack)
     }
 
     /// Every file of the stack's directories.
@@ -594,13 +709,21 @@ fn perform(b: &dyn StorageBackend, step: Step, dead: &dyn Fn() -> bool) -> io::R
     }
 }
 
-/// The leaves of a reopened (unwrapped) stack, in registration order.
+/// The leaf stores of a stack, in registration order: below every
+/// wrapper, through every composite.
 fn leaves(stack: &dyn StorageBackend) -> Vec<&dyn StorageBackend> {
-    let kids: Vec<&dyn StorageBackend> = stack.children().into_iter().map(|(_, c)| c).collect();
-    match kids.is_empty() {
-        true => vec![stack],
-        false => kids,
+    if let Some(inner) = stack.inner() {
+        return leaves(inner);
     }
+    match stack.children() {
+        kids if kids.is_empty() => vec![stack],
+        kids => kids.into_iter().flat_map(|(_, kid)| leaves(kid)).collect(),
+    }
+}
+
+/// Each leaf's chain, as the leaf itself (below its gate) lists it.
+fn leaf_chains(stack: &dyn StorageBackend) -> Vec<Option<Vec<ChainEntry>>> {
+    leaves(stack).into_iter().map(|l| l.chain().ok()).collect()
 }
 
 fn seen(stack: &dyn StorageBackend) -> Result<Seen, String> {
@@ -649,9 +772,27 @@ fn padded(image: &BTreeMap<u64, Vec<u8>>) -> Vec<Vec<u8>> {
     (0..PAGES).map(page).collect()
 }
 
-/// The three doors of a restore of `top` — run once per state they read.
-fn restores(case: &mut Case, stack: &Arc<dyn StorageBackend>, top: u64) -> [Door; 3] {
-    let key = case.key(top);
+/// Which handle a restore reads through.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Handle {
+    Reopened,
+    /// A `down` case's, healed.
+    Live,
+    /// A `down` case's, with its first leaf still down.
+    Degraded,
+}
+
+/// The three doors of a restore of `top` — run once per state they read
+/// (`files`, before any read healed it) and handle.
+fn restores(
+    case: &mut Case,
+    stack: &Stacked,
+    top: u64,
+    files: &Files,
+    handle: Handle,
+) -> [Door; 3] {
+    let mut key = case.key(top, files);
+    key.push(handle as u8);
     if let Some(doors) = case.doors.get(&key) {
         return doors.clone();
     }
@@ -679,13 +820,180 @@ fn restores(case: &mut Case, stack: &Arc<dyn StorageBackend>, top: u64) -> [Door
     doors
 }
 
+/// What the stack shows must fit the case: the listing one of its models
+/// (or, after the memory tier was lost, a prefix of one), a verify of a
+/// damaged segment's epoch the damage, and restores of the newest listed
+/// epoch — and below damage at rest — that model's image.
+fn judge_view(
+    case: &mut Case,
+    stack: &Stacked,
+    now: &Seen,
+    files: &Files,
+    rules: &Rules,
+    replay: bool,
+    handle: Handle,
+) -> Result<(), String> {
+    let fits = |m: &&Model| {
+        let want = m.listed.iter().copied();
+        match rules.prefix_only {
+            true => now.listed.iter().copied().eq(want.take(now.listed.len())),
+            false => now.listed.iter().copied().eq(want),
+        }
+    };
+    let model = rules.models.iter().find(fits).ok_or_else(|| {
+        let allowed: Vec<_> = rules.models.iter().map(|m| &m.listed).collect();
+        format!("lists {:?}, the model allows {allowed:?}", now.listed)
+    })?;
+
+    // The scrubber sees damage at rest to a segment (before a read heals
+    // it from a peer copy).
+    if let Some(e) = rules.intact_below {
+        let report = stack.verify_epoch(e);
+        let seen = match &report {
+            Ok(r) if rules.cut_segment => !r.structural.is_empty(),
+            Ok(r) => !r.is_clean(),
+            Err(_) => true,
+        };
+        if !seen {
+            return Err(format!("verify of epoch {e} missed the damage: {report:?}"));
+        }
+    }
+
+    // Restores of the newest listed epoch — and, below damage at rest to
+    // epoch `e`, of the newest epoch under it, which must not notice.
+    let below = rules
+        .intact_below
+        .and_then(|e| now.listed.iter().rfind(|&&x| x < e));
+    let newest = (now.listed.last()).map(|&top| (top, rules.loud, rules.cut_segment));
+    let below = below.map(|&e| (e, &[][..], false));
+    for (top, loud, must_fail) in newest.into_iter().chain(below) {
+        let want = digest(&padded(&model.image(top)));
+        let doors = ["CheckpointImage::load", "restore_at", "restore_lazy"];
+        for (door, got) in doors.iter().zip(restores(case, stack, top, files, handle)) {
+            if replay {
+                println!("{door} of epoch {top}: {got:?}");
+            }
+            match got {
+                Ok(_) if must_fail => {
+                    return Err(format!("{door} of epoch {top} read a cut segment"))
+                }
+                Ok(pages) if pages == want => {}
+                Ok(_) => return Err(format!("{door} of epoch {top} differs from the model")),
+                Err((kind, _)) if loud.contains(&kind) => {}
+                Err((_, e)) => return Err(format!("{door} of epoch {top} failed: {e}")),
+            }
+        }
+    }
+
+    Ok(())
+}
+
+/// The live handle of a `down` case, with leaf `leaf` down from call `from`
+/// until `ctl` heals it.
+struct Live<'a> {
+    stack: Stacked,
+    ctl: FailureControl,
+    leaf: usize,
+    from: u64,
+    log: &'a [Entry],
+}
+
+/// Judge the live handle of a `down` case before anything reopens. While
+/// the first leaf — or any replica — is down the others hold a prefix of
+/// the chain, so a restore of the newest epoch they list is some model's
+/// image of it. (With an outer tier or level down, an inner one's window
+/// is listed without its base: a known bug, not judged yet.) A
+/// fold — and, outside the policy's retirement ledger, a retirement — that
+/// ran wholly under the outage was refused before it read a record, with
+/// every leaf's chain as it was. Then, healed, the handle converges (it
+/// drains until idle) and shows what a reopen must.
+fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Result<(), String> {
+    if live.leaf == 0 || case.stack == Stack::Replica2 {
+        let listed = live
+            .stack
+            .epochs()
+            .map_err(|e| format!("degraded listing: {e}"))?;
+        if let Some(&top) = listed.last() {
+            let holds = |m: &&Model| listed.iter().all(|e| m.listed.contains(e));
+            let images = rules.models.iter().filter(holds);
+            let wants: Vec<u64> = images.map(|m| digest(&padded(&m.image(top)))).collect();
+            let files = case.snapshot();
+            let doors = restores(case, &live.stack, top, &files, Handle::Degraded);
+            if let Some(got) = doors
+                .iter()
+                .find(|d| !d.as_ref().is_ok_and(|d| wants.contains(d)))
+            {
+                return Err(format!(
+                    "degraded, listing {listed:?}: epoch {top} restored {got:?}"
+                ));
+            }
+        }
+    }
+    let journal = live.ctl.journal();
+    live.ctl.heal();
+    for e in live.log.iter().filter(|e| *e.calls.start() >= live.from) {
+        let refused = match e.step {
+            Step::Compact(_) => true,
+            Step::Retire(_) => case.stack != Stack::Policy,
+            _ => false,
+        };
+        let reads = |c: &&Call| e.calls.contains(&c.number) && c.kind == FaultOp::Read;
+        let read = journal.iter().any(|c| reads(&c));
+        if refused && (e.outcome == Outcome::Done || e.touched || read) {
+            let (leaf, step, outcome, touched) = (live.leaf, e.step, e.outcome, e.touched);
+            return Err(format!(
+                "{step:?} with leaf {leaf} down: {outcome:?}, read a record: {read}, \
+                 a leaf's chain changed: {touched}"
+            ));
+        }
+    }
+    let now = seen(live.stack.as_ref())?;
+    case.stack
+        .drain_rule(live.stack.as_ref(), &now.listed)
+        .map_err(|e| format!("the healed handle: {e}"))?;
+    let files = case.snapshot();
+    judge_view(case, &live.stack, &now, &files, rules, replay, Handle::Live)
+}
+
 /// Reopen after a case and judge it; `Ok` carries what the reopen showed
-/// (`None`: a reopen that refused damaged bytes).
+/// (`None`: a reopen that refused damaged bytes). A reopen reads nothing
+/// but the files and the memory tier, so a state already judged green
+/// under the same rules is not judged again.
 fn judge(case: &mut Case, rules: &Rules, replay: bool) -> Result<Option<Seen>, String> {
+    let before = case.snapshot();
+    let models: Vec<_> = rules
+        .models
+        .iter()
+        .map(|m| (&m.listed, &m.committed))
+        .collect();
+    let rules_key = format!(
+        "{models:?} {} {:?} {} {:?} {} {}",
+        rules.prefix_only,
+        rules.loud,
+        rules.at_rest,
+        rules.intact_below,
+        rules.cut_segment,
+        rules.same_as.is_some()
+    );
+    let key = digest(&(case.key(0, &before), rules_key));
+    if let Some(seen) = case.judged.get(&key).filter(|_| !replay) {
+        return Ok(seen.clone());
+    }
+    let seen = judge_reopen(case, before, rules, replay)?;
+    case.judged.insert(key, seen.clone());
+    Ok(seen)
+}
+
+/// [`judge`], on a state it has not judged yet.
+fn judge_reopen(
+    case: &mut Case,
+    before: Files,
+    rules: &Rules,
+    replay: bool,
+) -> Result<Option<Seen>, String> {
     // Each file leaf of a reopen numbers its syscalls on a control of its
     // own, so its fsyncs are modeled, never issued.
     let reopen = |case: &Case| case.open(&FailureControl::new(), false);
-    let before = case.snapshot();
     let stack = match reopen(case) {
         Ok(stack) => stack,
         Err(e) => {
@@ -705,20 +1013,6 @@ fn judge(case: &mut Case, rules: &Rules, replay: bool) -> Result<Option<Seen>, S
         return Err(format!("the reopen wrote {path:?}"));
     }
 
-    // The listing: each failed step applied or not, never a mix — or,
-    // after the memory tier was lost, a prefix of that.
-    let fits = |m: &&Model| {
-        let want = m.listed.iter().copied();
-        match rules.prefix_only {
-            true => now.listed.iter().copied().eq(want.take(now.listed.len())),
-            false => now.listed.iter().copied().eq(want),
-        }
-    };
-    let model = rules.models.iter().find(fits).ok_or_else(|| {
-        let allowed: Vec<_> = rules.models.iter().map(|m| &m.listed).collect();
-        format!("lists {:?}, the model allows {allowed:?}", now.listed)
-    })?;
-
     // No file of an epoch its store does not list.
     for (leaf, chain) in now.chains.iter().enumerate() {
         let Some(dir) = case.dir_of(leaf) else {
@@ -732,54 +1026,6 @@ fn judge(case: &mut Case, rules: &Rules, replay: bool) -> Result<Option<Seen>, S
         }
     }
 
-    // Restores of the newest listed epoch — and, below damage at rest to
-    // epoch `e`, of the newest epoch under it, which must not notice.
-    let below = rules
-        .intact_below
-        .and_then(|e| now.listed.iter().rfind(|&&x| x < e));
-    let newest = (now.listed.last()).map(|&top| (top, rules.loud, rules.cut_segment));
-    let below = below.map(|&e| (e, &[][..], false));
-    for (top, loud, must_fail) in newest.into_iter().chain(below) {
-        let want = digest(&padded(&model.image(top)));
-        let doors = ["CheckpointImage::load", "restore_at", "restore_lazy"];
-        for (door, got) in doors.iter().zip(restores(case, &stack, top)) {
-            if replay {
-                println!("{door} of epoch {top}: {got:?}");
-            }
-            match got {
-                Ok(_) if must_fail => {
-                    return Err(format!("{door} of epoch {top} read a cut segment"))
-                }
-                Ok(pages) if pages == want => {}
-                Ok(_) => return Err(format!("{door} of epoch {top} differs from the model")),
-                Err((kind, _)) if loud.contains(&kind) => {}
-                Err((_, e)) => return Err(format!("{door} of epoch {top} failed: {e}")),
-            }
-        }
-    }
-
-    // The scrubber sees damage at rest to a segment.
-    if let Some(e) = rules.intact_below {
-        let report = stack.verify_epoch(e);
-        let seen = match &report {
-            Ok(r) if rules.cut_segment => !r.structural.is_empty(),
-            Ok(r) => !r.is_clean(),
-            Err(_) => true,
-        };
-        if !seen {
-            return Err(format!("verify of epoch {e} missed the damage: {report:?}"));
-        }
-    }
-
-    // A burst on the drain is retried away: nothing may differ.
-    if let Some(baseline) = rules.same_as {
-        if &now != baseline {
-            return Err(format!(
-                "a retried burst left {now:?}, fault-free {baseline:?}"
-            ));
-        }
-    }
-
     // A second reopen is a no-op.
     drop(stack);
     let again = reopen(case).map_err(|e| format!("second reopen: {e}"))?;
@@ -790,6 +1036,17 @@ fn judge(case: &mut Case, rules: &Rules, replay: bool) -> Result<Option<Seen>, S
         return Err("a second reopen changed bytes on disk".into());
     }
 
+    judge_view(case, &again, &now, &files, rules, replay, Handle::Reopened)?;
+
+    // A burst on the drain is retried away: nothing may differ.
+    if let Some(baseline) = rules.same_as {
+        if &now != baseline {
+            return Err(format!(
+                "a retried burst left {now:?}, fault-free {baseline:?}"
+            ));
+        }
+    }
+
     // No epoch number the stack accounts for is handed out again.
     if let Some(&top) = now.listed.last() {
         if let Ok(session) = again.begin_epoch(top) {
@@ -798,18 +1055,11 @@ fn judge(case: &mut Case, rules: &Rules, replay: bool) -> Result<Option<Seen>, S
         }
     }
 
-    // Nothing is stranded on a fast tier: a drain settles every epoch (a
-    // damaged one cannot move).
+    // The stack's drain rule holds (a damaged epoch cannot move).
     let damaged = !rules.loud.is_empty();
-    if let [(_, fast), _] = again.children()[..] {
-        let drained = (|| -> io::Result<()> {
-            while again.drain_one()?.is_some() {}
-            Ok(())
-        })();
-        let (fast, listed) = (fast.epochs().unwrap(), again.epochs().unwrap());
-        if !damaged && (drained.is_err() || !fast.is_empty() || listed != now.listed) {
-            return Err(format!("drain {drained:?} left {fast:?} on the fast tier"));
-        }
+    let drained = case.stack.drain_rule(again.as_ref(), &now.listed);
+    if !damaged {
+        drained?;
     }
 
     // The store keeps working: the next epoch commits on top of whatever
@@ -858,16 +1108,25 @@ impl Sweep {
         self.only.is_some()
     }
 
-    /// Judge one case and fail the test, naming it, on a red verdict. In
-    /// the child each case is logged as it starts and ends, so a case that
-    /// kills the process is still named.
-    fn check(&self, case: &mut Case, id: &[String], rules: &Rules, context: &dyn Fn() -> String) {
+    /// Judge one case — its `live` handle first, if it kept one — and fail
+    /// the test, naming it, on a red verdict. In the child each case is
+    /// logged as it starts and ends, so a case that kills the process is
+    /// still named.
+    fn check(
+        &self,
+        case: &mut Case,
+        id: &[String],
+        rules: &Rules,
+        live: Option<Live>,
+        context: &dyn Fn() -> String,
+    ) {
         let child = std::env::var_os(CHILD).is_some();
         let name = format!("{}:{}", self.stack.name(), id.join(":"));
         if child {
             println!("judging {name}");
         }
-        let verdict = judge(case, rules, self.replay());
+        let live = live.map_or(Ok(()), |live| judge_live(case, live, rules, self.replay()));
+        let verdict = live.and_then(|()| judge(case, rules, self.replay()));
         if child {
             println!("judged {name}");
         }
@@ -951,6 +1210,26 @@ fn segment_file_bounds(bytes: &[u8], every_byte: bool) -> Vec<usize> {
     bounds
 }
 
+/// One byte of each field kind of a whole segment file: the header's magic
+/// and epoch, the first record's frame and payload, the trailer's first
+/// entry and the footer's count, CRC and magic — where a lean stack's
+/// segments are flipped and cut.
+fn segment_fields(bytes: &[u8]) -> Vec<usize> {
+    let len = bytes.len();
+    let count = u64::from_le_bytes(bytes[len - SEG_FOOTER..][..8].try_into().unwrap()) as usize;
+    let trailer = len - SEG_FOOTER - count * SEG_ENTRY;
+    let first = [SEG_HEADER, SEG_HEADER + SEG_FRAME]
+        .into_iter()
+        .filter(|&b| b < trailer);
+    let footer = [len - SEG_FOOTER, len - 16, len - 8];
+    [0, 8]
+        .into_iter()
+        .chain(first)
+        .chain([trailer])
+        .chain(footer)
+        .collect()
+}
+
 /// The fault-free run of `stack`: its log, the calls it made, what the
 /// reopen showed, the files it left and what a power cut at each call
 /// would have left.
@@ -967,7 +1246,7 @@ impl Baseline {
         let stack = sweep.stack.name();
         case.reset();
         let ctl = FailureControl::new();
-        let log = case.run(&ctl, None);
+        let (log, _) = case.run(&ctl, None);
         let files = case.snapshot();
         let memory = copy_of(&case.memory);
         let seen = judge(case, &Rules::new(&log), false)
@@ -990,7 +1269,7 @@ impl Baseline {
 
     /// The step that wrote the last record of the log at `path`.
     fn last_writer_of(&self, path: &Path) -> Option<usize> {
-        let writes = |c: &&ai_ckpt_storage::failing::Call| {
+        let writes = |c: &&Call| {
             let kind = matches!(c.kind, FaultOp::Sys(Syscall::Write | Syscall::Rename));
             kind && c.path.as_deref() == Some(path)
         };
@@ -1020,7 +1299,8 @@ fn copy_of(store: &MemoryBackend) -> MemoryBackend {
     copy
 }
 
-/// Crash, fail, burst and corrupt every call; tear every write; cut the
+/// Crash, fail, burst and corrupt every call; take each leaf of a stack of
+/// several down from each of its backend calls; tear every write; cut the
 /// power before every call.
 fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
     let stack = sweep.stack;
@@ -1028,11 +1308,14 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
     let n = base.ctl.ops();
     println!("{}: N = {n}", stack.name());
     let journal = base.ctl.journal();
-    for mode in Mode::ALL {
-        for call in &journal {
+    let several = stack != Stack::File;
+    for call in &journal {
+        let down = Mode::Down(call.leaf);
+        let downs = (several && down.applies_to(call.kind)).then_some(down);
+        for mode in Mode::ALL.into_iter().chain(downs) {
             let k = call.number;
-            let (crash_id, tear_wanted) = (id(&[&mode.name(), &k]), mode == Mode::Crash);
-            let any_tear = tear_wanted
+            let crash_id = mode.id(k);
+            let any_tear = mode == Mode::Crash
                 && matches!(call.kind, FaultOp::Sys(Syscall::Write))
                 && (sweep.only.as_ref()).is_none_or(|o| o[1] == "tear" && o[2] == k.to_string());
             if !mode.applies_to(call.kind) || !(sweep.wants(&crash_id) || any_tear) {
@@ -1041,14 +1324,26 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
             case.reset();
             let ctl = FailureControl::new();
             mode.arm(&ctl, k);
-            let log = case.run(&ctl, Some(mode));
-            ctl.heal();
+            let (log, stacked) = case.run(&ctl, Some(mode));
+            if !matches!(mode, Mode::Down(_)) {
+                ctl.heal();
+            }
             let fired = ctl.fired();
             let context = || format!("call {k} is {fired:?}\n{log:#?}");
+            let live = match mode {
+                Mode::Down(leaf) => stacked.map(|stack| Live {
+                    stack,
+                    ctl: ctl.clone(),
+                    leaf,
+                    from: k,
+                    log: &log,
+                }),
+                _ => None,
+            };
             // Armed rot becomes real damage before anything reopens.
             for rot in ctl.rot() {
                 let (epoch, page, byte) = (rot.epoch, rot.page, rot.byte);
-                match rot.leaf.and_then(|leaf| case.dir_of(leaf)) {
+                match case.dir_of(rot.leaf) {
                     Some(dir) => {
                         let region = SegmentRegion::PayloadOf { page, byte };
                         let _ = corrupt_segment_region(dir, epoch, region);
@@ -1067,24 +1362,27 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
             if (mode, burst_step) == (Mode::Burst, Some(Step::Drain)) {
                 rules.same_as = Some(&base.seen);
             }
-            let crashed = case.snapshot();
+            // The write the crash stopped, to tear once the case is judged.
+            let torn = mode == Mode::Crash && !stack.lean();
+            let stopped = ctl.stopped_write().filter(|_| torn);
+            let crashed = stopped.as_ref().map(|_| case.snapshot());
             if mode == Mode::Crash {
                 case.memory = MemoryBackend::new(); // a crash loses the memory tier
             }
             if sweep.wants(&crash_id) {
-                sweep.check(case, &crash_id, &rules, &context);
+                sweep.check(case, &crash_id, &rules, live, &context);
             }
             // A failed barrier, then the power: what did it make durable?
             let barrier = matches!(call.kind, FaultOp::Sys(Syscall::Fsync | Syscall::DirSync));
             if mode == Mode::Fail && barrier && sweep.wants(&crash_id) {
                 case.power_cut(&ctl.power_cut(u64::MAX));
                 rules.prefix_only = memory_tier;
-                sweep.check(case, &crash_id, &rules, &|| {
+                sweep.check(case, &crash_id, &rules, None, &|| {
                     format!("power cut after: {}", context())
                 });
             }
             // The write the crash stopped, torn at each cut.
-            let Some(write) = ctl.stopped_write().filter(|_| mode == Mode::Crash) else {
+            let (Some(write), Some(crashed)) = (stopped, crashed) else {
                 continue;
             };
             for cut in tears(&write) {
@@ -1100,7 +1398,7 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
                 file.write_all_at(&write.bytes[..cut], write.at).unwrap();
                 case.memory = MemoryBackend::new();
                 let context = || format!("{} of {write:?}: {}", cut, context());
-                sweep.check(case, &tear_id, &rules, &context);
+                sweep.check(case, &tear_id, &rules, None, &context);
             }
         }
     }
@@ -1115,7 +1413,7 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
         let mut rules = Rules::new(&log);
         rules.prefix_only = memory_tier;
         let call = journal.get(k as usize - 1);
-        sweep.check(case, &cut_id, &rules, &|| {
+        sweep.check(case, &cut_id, &rules, None, &|| {
             format!("call {k} is {call:?}\n{log:#?}")
         });
     }
@@ -1149,7 +1447,13 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
             continue;
         }
         let mut cases: Vec<(Vec<String>, Option<usize>, Option<usize>)> = Vec::new();
-        cases.extend((0..bytes.len()).map(|b| (id(&[&"rot", &label, &b]), Some(b), None)));
+        let lean = !log && stack.lean();
+        let flips = match lean {
+            true => segment_fields(bytes),
+            false => (0..bytes.len()).collect(),
+        };
+        let flips = flips.into_iter().filter(|&b| b < bytes.len());
+        cases.extend(flips.map(|b| (id(&[&"rot", &label, &b]), Some(b), None)));
         // A commit log cut at a record boundary is a shorter valid log — an
         // older commit, which only a lone store can be judged against.
         let bounds = match log {
@@ -1158,6 +1462,7 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
                 .chain([0])
                 .collect(),
             true => vec![],
+            false if lean => segment_fields(bytes),
             false => segment_file_bounds(bytes, lone),
         };
         let cut = bounds.into_iter().filter(|&b| b < bytes.len());
@@ -1191,19 +1496,28 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
             if log && flip.is_none() {
                 models = prefixes.clone();
             }
+            // A segment whose epoch another leaf holds too is served from
+            // that copy: every door restores the model.
+            let epoch = (!log).then(|| epoch_of(path));
+            let copy_elsewhere = |(leaf, chain): (usize, &Vec<ChainEntry>)| {
+                let elsewhere = case.dir_of(leaf).map(PathBuf::as_path) != path.parent();
+                elsewhere && chain.iter().any(|c| Some(c.epoch) == epoch)
+            };
+            let redundant = base.seen.chains.iter().enumerate().any(copy_elsewhere);
             let rules = Rules {
                 models,
                 prefix_only: false,
                 loud: match (log, flip.or(cut)) {
+                    _ if redundant => &[],
                     (false, Some(_)) => &[io::ErrorKind::InvalidData],
                     _ => &[io::ErrorKind::InvalidData, io::ErrorKind::NotFound],
                 },
                 at_rest: true,
-                intact_below: (!log).then(|| epoch_of(path)),
-                cut_segment: !log && cut.is_some(),
+                intact_below: epoch,
+                cut_segment: !log && cut.is_some() && !redundant,
                 same_as: None,
             };
-            sweep.check(case, &case_id, &rules, &|| String::new());
+            sweep.check(case, &case_id, &rules, None, &|| String::new());
         }
     }
 }
@@ -1235,6 +1549,16 @@ fn every_call_of_file_over_file_tiers_is_a_crash_point() {
 #[test]
 fn every_call_of_memory_over_file_tiers_is_a_crash_point() {
     sweep(Stack::MemoryOverFile);
+}
+
+#[test]
+fn every_call_of_two_file_replicas_is_a_crash_point() {
+    sweep(Stack::Replica2);
+}
+
+#[test]
+fn every_call_of_a_two_level_policy_is_a_crash_point() {
+    sweep(Stack::Policy);
 }
 
 /// Damage at rest to every segment file of every stack, in a child process

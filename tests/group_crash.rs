@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 use ai_ckpt::CkptConfig;
 use ai_ckpt_coord::{rank_dir, CheckpointGroup, GroupConfig, GLOBAL_MANIFEST_FILE};
 use ai_ckpt_mem::page_size;
+use ai_ckpt_storage::failing::{Fault, When};
 use ai_ckpt_storage::{
     write_epoch, FailingBackend, FailureControl, FaultOp, FileBackend, StorageBackend,
 };
@@ -145,12 +146,16 @@ fn healthy_four_rank_group_round_trips_byte_identical() {
 fn rank_failure_matrix_aborts_the_group_epoch() {
     type Arm = fn(&FailureControl);
     let modes: [(&str, Arm); 4] = [
-        ("mid-flush", |ctl| ctl.fail_writes_after(1)),
+        ("mid-flush", |ctl| {
+            ctl.arm(When::Kind(FaultOp::Write), Fault::FailAfter(1))
+        }),
         ("finish", |ctl| ctl.fail(FaultOp::Finish, true)),
         ("begin-epoch", |ctl| ctl.fail(FaultOp::BeginEpoch, true)),
         // Epoch 2 dirties two pages per rank: a budget of exactly its data
         // records fails the layout record, the last write before `finish`.
-        ("layout-record", |ctl| ctl.fail_writes_after(2)),
+        ("layout-record", |ctl| {
+            ctl.arm(When::Kind(FaultOp::Write), Fault::FailAfter(2))
+        }),
     ];
     for (name, arm) in modes {
         let root = tmpdir(&format!("fault-{name}"));

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use ai_ckpt::{restore_latest, restore_latest_lazy, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
+use ai_ckpt_storage::failing::{Fault, When};
 use ai_ckpt_storage::{
     FailureControl, FaultOp, MemoryBackend, PolicyBackend, PolicyBuilder, ResilienceSpec,
     StorageBackend,
@@ -246,13 +247,20 @@ fn every_injection_point_on_the_partner_level_converges_after_heal() {
     type Arm = fn(&FailureControl);
     let matrix: &[(&str, Arm)] = &[
         ("kill", |c| c.kill()),
-        ("fail_reads", |c| c.fail_reads(true)),
+        ("fail_reads", |c| {
+            c.fail(FaultOp::List, true);
+            c.fail(FaultOp::Read, true);
+        }),
         ("fail_begin_epoch", |c| c.fail(FaultOp::BeginEpoch, true)),
         ("fail_finish", |c| c.fail(FaultOp::Finish, true)),
-        ("fail_writes_after_0", |c| c.fail_writes_after(0)),
+        ("fail_writes_after_0", |c| {
+            c.arm(When::Kind(FaultOp::Write), Fault::FailAfter(0))
+        }),
         // The drain copy carries the epoch's data records, then its layout
         // record: this budget fails exactly the latter.
-        ("fail_layout_write", |c| c.fail_writes_after(PAGES as u64)),
+        ("fail_layout_write", |c| {
+            c.arm(When::Kind(FaultOp::Write), Fault::FailAfter(PAGES as u64))
+        }),
         ("fail_drain_one", |c| c.fail(FaultOp::DrainOne, true)),
         ("fail_install_compacted", |c| {
             c.fail(FaultOp::InstallCompacted, true)
