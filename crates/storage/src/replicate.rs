@@ -5,12 +5,15 @@
 //!
 //! Every write goes to all replicas, and a failed `finish` retires the
 //! epoch again from the replicas that had already finished it, so the
-//! handle never counts a commit that failed. When even that retirement
-//! fails the backend refuses new epochs until it is reopened; the reopen
-//! lists the epoch again, served whole by the replicas that kept it, and
-//! the replicas' chains differ until it is retired. Everything else is the
-//! routing rule of the `route` module over the replicas as
-//! [`StorageBackend::children`]:
+//! handle never counts a commit that failed. A retirement that fails is
+//! owed: the handle does not list the epoch, retries the retirement at the
+//! next `begin_epoch` and refuses new epochs while it still fails; a reopen
+//! before that lists the epoch again, served whole by the replicas that
+//! kept it. A replica that retired an epoch's number sits out a later copy
+//! of that epoch (a policy level's rebuild) while its peers take it, and a
+//! fold retires what it replaced from a replica that lacks its target.
+//! Everything else is the routing rule of the `route` module over the
+//! replicas as [`StorageBackend::children`]:
 //! reads are served by the first replica that can satisfy them (a rotted
 //! copy is healed from its peers before it is stepped over), so a restore
 //! survives the loss of any strict subset of replicas; a fold or a
@@ -18,18 +21,21 @@
 //! back holding what its peers folded away or retired.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::backend::{EpochWriter, StorageBackend};
+use crate::errors::{classify, FaultClass};
 use crate::route;
+
+/// Retirements a failed commit still owes: each replica with its epoch.
+type Owed = Arc<Mutex<Vec<(Arc<dyn StorageBackend>, u64)>>>;
 
 /// Mirrors every operation across `n` replicas.
 pub struct ReplicatedBackend {
     /// Each replica under the name reports use for it (`"replica 0"`, …).
     replicas: Vec<(String, Arc<dyn StorageBackend>)>,
-    /// A failed commit stayed on a replica that had finished it.
-    wedged: Arc<AtomicBool>,
+    owed: Owed,
 }
 
 impl ReplicatedBackend {
@@ -41,7 +47,7 @@ impl ReplicatedBackend {
             replicas: named
                 .map(|(i, r)| (format!("replica {i}"), r.into()))
                 .collect(),
-            wedged: Arc::default(),
+            owed: Owed::default(),
         }
     }
 }
@@ -51,7 +57,23 @@ struct ReplicatedEpochWriter {
     epoch: u64,
     /// Each replica with its session, in replica order.
     writers: Vec<(Arc<dyn StorageBackend>, Box<dyn EpochWriter>)>,
-    wedged: Arc<AtomicBool>,
+    /// How many of `writers`, in order, have finished.
+    finished: AtomicUsize,
+    owed: Owed,
+}
+
+impl ReplicatedEpochWriter {
+    /// Retire the epoch from every replica that finished it, owing each
+    /// retirement that fails; how many had finished.
+    fn undo(&self) -> usize {
+        let finished = self.finished.swap(0, Ordering::SeqCst);
+        for (r, _) in &self.writers[..finished] {
+            if r.remove_epochs(&[self.epoch]).is_err() {
+                self.owed.lock().unwrap().push((Arc::clone(r), self.epoch));
+            }
+        }
+        finished
+    }
 }
 
 impl EpochWriter for ReplicatedEpochWriter {
@@ -62,30 +84,36 @@ impl EpochWriter for ReplicatedEpochWriter {
         Ok(())
     }
 
-    /// Finish on every replica in order. A failure retires the epoch from
-    /// the replicas that already finished it, so no reader ever counts a
-    /// commit that failed; a replica that cannot retire it wedges the
-    /// backend.
+    /// Finish on every replica in order. A transient failure keeps what
+    /// finished, for a retried `finish` to resume (`abort` or a drop
+    /// undoes it); any other undoes it, so no reader ever counts a commit
+    /// that failed.
     fn finish(&self) -> io::Result<()> {
-        for (done, (_, w)) in self.writers.iter().enumerate() {
+        let resume = self.finished.load(Ordering::SeqCst);
+        for (_, w) in &self.writers[resume..] {
             if let Err(e) = w.finish() {
-                let finished = self.writers[..done].iter();
-                let undone: Vec<_> = finished
-                    .map(|(r, _)| r.remove_epochs(&[self.epoch]))
-                    .collect();
-                if undone.iter().any(Result::is_err) {
-                    self.wedged.store(true, Ordering::SeqCst);
+                if classify(&e) != FaultClass::Transient {
+                    self.undo();
                 }
                 return Err(e);
             }
+            self.finished.fetch_add(1, Ordering::SeqCst);
         }
+        self.finished.store(0, Ordering::SeqCst); // committed: nothing to undo
         Ok(())
     }
 
     fn abort(&self) -> io::Result<()> {
-        // Every session is aborted, whatever the first one answered.
-        let aborted: Vec<_> = self.writers.iter().map(|(_, w)| w.abort()).collect();
+        // Every unfinished session is aborted, whatever the first answered.
+        let unfinished = self.writers[self.undo()..].iter();
+        let aborted: Vec<_> = unfinished.map(|(_, w)| w.abort()).collect();
         aborted.into_iter().collect()
+    }
+}
+
+impl Drop for ReplicatedEpochWriter {
+    fn drop(&mut self) {
+        self.undo();
     }
 }
 
@@ -96,25 +124,49 @@ impl StorageBackend for ReplicatedBackend {
     }
 
     fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
-        if self.wedged.load(Ordering::SeqCst) {
-            return Err(io::Error::other(
-                "a failed commit could not be retired from every replica: reopen",
-            ));
+        // Retry what is owed (`NotFound`: already gone); refuse while any
+        // retirement still fails.
+        let mut owed = self.owed.lock().unwrap();
+        owed.retain(|(r, e)| {
+            r.remove_epochs(&[*e])
+                .is_err_and(|e| e.kind() != io::ErrorKind::NotFound)
+        });
+        if let Some((_, e)) = owed.first() {
+            return Err(io::Error::other(format!(
+                "failed commit {e} cannot be retired"
+            )));
         }
-        let writers = self
-            .replicas
-            .iter()
-            .map(|(_, r)| Ok((Arc::clone(r), r.begin_epoch(epoch)?)))
-            .collect::<io::Result<Vec<_>>>()?;
+        drop(owed);
+        let mut writers = Vec::new();
+        for (_, r) in &self.replicas {
+            match r.begin_epoch(epoch) {
+                Ok(w) => writers.push((Arc::clone(r), w)),
+                // The replica retired this number and can never take it.
+                Err(_)
+                    if r.high_water().is_ok_and(|hw| hw >= Some(epoch))
+                        && !r.epochs()?.contains(&epoch) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if writers.is_empty() {
+            return Err(io::Error::other(format!(
+                "every replica retired epoch {epoch}"
+            )));
+        }
         Ok(Box::new(ReplicatedEpochWriter {
             epoch,
             writers,
-            wedged: Arc::clone(&self.wedged),
+            finished: AtomicUsize::new(0),
+            owed: Arc::clone(&self.owed),
         }))
     }
 
     fn epochs(&self) -> io::Result<Vec<u64>> {
-        route::epochs(&self.children())
+        // A failed commit still owed a retirement is not listed.
+        let mut listed = route::epochs(&self.children())?;
+        let owed = self.owed.lock().unwrap();
+        listed.retain(|&epoch| !owed.iter().any(|(_, e)| *e == epoch));
+        Ok(listed)
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
@@ -124,6 +176,18 @@ impl StorageBackend for ReplicatedBackend {
     fn bytes_written(&self) -> u64 {
         // Logical payload bytes (not multiplied by replication factor).
         self.replicas[0].1.bytes_written()
+    }
+
+    fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
+        route::install_compacted(&self.children(), from, into, records)?;
+        // A replica that lacks `into` still lists what the fold replaced.
+        for (_, r) in &self.replicas {
+            let replaced: Vec<u64> = r.epochs()?.into_iter().filter(|&e| e < into).collect();
+            if !replaced.is_empty() {
+                r.remove_epochs(&replaced)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -144,14 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn writes_reach_all_replicas() {
-        let (r, a, b) = two_way();
-        write_epoch(&r, 1, vec![(9, vec![5, 5])]).unwrap();
-        assert_eq!(a.epoch_records(1).unwrap(), vec![(9, vec![5, 5])]);
-        assert_eq!(b.epoch_records(1).unwrap(), vec![(9, vec![5, 5])]);
-    }
-
-    #[test]
     fn abort_propagates_to_all_replicas() {
         let (r, a, b) = two_way();
         let w = r.begin_epoch(1).unwrap();
@@ -162,8 +218,8 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_finish_is_undone_or_wedges_the_backend() {
-        use crate::failing::{FailingBackend, FaultOp};
+    fn a_failed_finish_is_undone_now_or_at_the_next_epoch() {
+        use crate::failing::{FailingBackend, Fault, FaultOp, When};
         let (a, b) = (MemoryBackend::new(), MemoryBackend::new());
         let (first, first_ctl) = FailingBackend::new(a.clone());
         let (second, second_ctl) = FailingBackend::new(b.clone());
@@ -175,18 +231,33 @@ mod tests {
         assert!(r.epochs().unwrap().is_empty());
         second_ctl.heal();
         write_epoch(&r, 2, vec![(0, vec![2])]).unwrap();
-        // The undo fails too: the handle refuses every new epoch.
+        // The undo fails too: the retirement is owed, the epoch unlisted,
+        // and every new epoch refused while the retirement fails.
         second_ctl.fail(FaultOp::Finish, true);
         first_ctl.fail(FaultOp::RemoveEpoch, true);
         assert!(write_epoch(&r, 3, vec![(0, vec![3])]).is_err());
         second_ctl.heal();
-        first_ctl.heal();
-        assert!(r.begin_epoch(4).is_err(), "wedged until reopened");
-        // A reopen lists the epoch replica 0 kept, whole.
-        let reopened = ReplicatedBackend::new(vec![Box::new(a), Box::new(b)]);
+        assert_eq!(r.epochs().unwrap(), vec![2]);
+        assert!(
+            r.begin_epoch(4).is_err(),
+            "refused until the retirement succeeds"
+        );
+        // A reopen before then lists the epoch replica 0 kept, whole.
+        let reopened = ReplicatedBackend::new(vec![Box::new(a.clone()), Box::new(b)]);
         assert_eq!(reopened.epochs().unwrap(), vec![2, 3]);
         assert_eq!(reopened.read_page_at(3, 0).unwrap(), Some(vec![3]));
-        write_epoch(&reopened, 4, vec![(0, vec![4])]).unwrap();
+        first_ctl.heal();
+        write_epoch(&r, 4, vec![(0, vec![4])]).unwrap();
+        assert_eq!(a.epochs().unwrap(), vec![2, 4], "retired at the next epoch");
+        // A transient failure keeps replica 0's finish: a retried finish
+        // resumes at replica 1, and a session dropped instead undoes it.
+        second_ctl.arm(When::Kind(FaultOp::Finish), Fault::Burst(1));
+        let session = r.begin_epoch(5).unwrap();
+        assert!(session.finish().is_err());
+        session.finish().unwrap();
+        second_ctl.arm(When::Kind(FaultOp::Finish), Fault::Burst(1));
+        assert!(write_epoch(&r, 6, vec![(0, vec![6])]).is_err());
+        assert_eq!(r.epochs().unwrap(), vec![2, 4, 5], "6 undone on drop");
     }
 
     #[test]

@@ -14,22 +14,19 @@
 //! script ([`composites_route_by_one_rule`]): reads fall through a broken
 //! first child, a rotted record heals at read time, an epoch two children
 //! hold is verified, rewritten, repaired and retired on both. (A fold or
-//! retirement that cannot reach a child is the crash sweep's `down` mode,
-//! `tests/crash_points.rs`, on every composite stack; one that cannot
-//! reach a member of a composite nested in a policy level is
-//! [`refused_fold_reads_nothing_and_retirement_leaves_no_member_behind`].)
-//! The
+//! retirement that cannot reach a child, or a member of the replicated
+//! level nested in a policy, is the crash sweep's `down` mode,
+//! `tests/crash_points.rs`.) The
 //! composites also each get one "the meta record survives" row: metadata
 //! has no namespace of its own, so this is the proof it travels with its
 //! epoch through drains, level copies, repairs, rewrites and folds.
 
 use ai_ckpt_core::rng::SplitMix64;
 use ai_ckpt_storage::{
-    corrupt_manifest_byte, corrupt_segment_region, write_epoch, ChainEntry, CheckpointImage,
-    EpochKind, EpochWriter, FailingBackend, FailureControl, FaultOp, FileBackend, MemoryBackend,
-    MemoryRoot, PageLocator, ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec,
-    ScrubPolicy, Scrubber, SegmentRegion, StorageBackend, ThrottledBackend, TieredBackend,
-    META_RECORD,
+    corrupt_manifest_byte, corrupt_segment_region, write_epoch, CheckpointImage, EpochKind,
+    EpochWriter, FailingBackend, FailureControl, FaultOp, FileBackend, MemoryBackend, MemoryRoot,
+    PageLocator, ParityBackend, PolicyBuilder, ReplicatedBackend, ResilienceSpec, ScrubPolicy,
+    Scrubber, SegmentRegion, StorageBackend, ThrottledBackend, TieredBackend, META_RECORD,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -732,102 +729,6 @@ fn composites_route_by_one_rule() {
             assert_eq!(built.backend.epochs().unwrap(), vec![1, 2], "{name}");
         }
     }
-}
-
-/// Counts the stream reads that reach the store below it.
-struct CountReads {
-    inner: MemoryBackend,
-    reads: Arc<AtomicU64>,
-}
-
-impl StorageBackend for CountReads {
-    fn inner(&self) -> Option<&dyn StorageBackend> {
-        Some(&self.inner)
-    }
-    fn begin_epoch(&self, epoch: u64) -> io::Result<Box<dyn EpochWriter>> {
-        self.inner.begin_epoch(epoch)
-    }
-    fn epochs(&self) -> io::Result<Vec<u64>> {
-        self.inner.epochs()
-    }
-    fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        self.reads.fetch_add(1, Ordering::SeqCst);
-        self.inner.read_epoch(epoch, visit)
-    }
-    fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-}
-
-/// A composite nested inside a policy level: one member of the replica
-/// level is unreachable — the state the level's own union listing hides.
-/// The runtime asks for a fold after every checkpoint once the chain is
-/// long; each refusal must come before the chain is read, not after
-/// buffering all of it, and a retirement must leave no member behind.
-#[test]
-fn refused_fold_reads_nothing_and_retirement_leaves_no_member_behind() {
-    let reads = Arc::new(AtomicU64::new(0));
-    let member = FailureControl::new();
-    let stores = RefCell::new(Vec::new());
-    let spec = "nvme=plain#2 -> partner=replica*2 -> cold=parity*4";
-    let policy = PolicyBuilder::new(ResilienceSpec::parse(spec).unwrap())
-        .unwrap()
-        .build(|level, replica| {
-            let inner = MemoryBackend::new();
-            stores.borrow_mut().push(inner.clone());
-            let reads = Arc::clone(&reads);
-            let store = CountReads { inner, reads };
-            if (level, replica) == (1, 1) {
-                Box::new(FailingBackend::with_control(store, member.clone()))
-            } else {
-                Box::new(store)
-            }
-        })
-        .unwrap();
-    let epoch_pages = |e: u64| -> Vec<(u64, Vec<u8>)> {
-        (0..6u64)
-            .map(|p| (p, vec![e as u8 ^ p as u8; 32]))
-            .collect()
-    };
-    for epoch in 1..=3u64 {
-        write_epoch(&policy, epoch, epoch_pages(epoch)).unwrap();
-    }
-    let drain_all = || {
-        let converged = (0..64).any(|_| policy.drain_one().unwrap().is_none());
-        assert!(converged, "drain did not converge");
-    };
-    drain_all();
-    let stores = stores.into_inner();
-    let stored = || -> Vec<Vec<ChainEntry>> { stores.iter().map(|s| s.chain().unwrap()).collect() };
-    let before = stored();
-    member.kill();
-    reads.store(0, Ordering::SeqCst);
-    let err = policy.compact(3).unwrap_err();
-    assert!(
-        err.to_string().contains("full redundancy"),
-        "unexpected error: {err}"
-    );
-    assert_eq!(reads.load(Ordering::SeqCst), 0, "refused before any read");
-    assert_eq!(stored(), before, "no store folded");
-    // Retirement: the replica level refuses as a whole (its reachable
-    // member keeps the epoch too), goes suspect, and drops the epoch from
-    // the policy's ledger once the member is back.
-    assert!(policy.remove_epochs(&[1]).is_err());
-    assert!(policy.stats().levels[1].suspect);
-    assert_eq!(
-        stored()[1],
-        before[1],
-        "the reachable member was not left alone"
-    );
-    assert_eq!(policy.epochs().unwrap(), vec![2, 3]);
-    member.heal();
-    drain_all();
-    assert!(!policy.stats().levels[1].suspect);
-    for store in &stores {
-        assert!(!store.epochs().unwrap().contains(&1));
-    }
-    policy.compact(3).unwrap();
-    assert_eq!(policy.chain().unwrap().len(), 1);
 }
 
 #[test]

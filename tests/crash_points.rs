@@ -6,20 +6,21 @@
 //! 5; one full scrub pass — runs over five stacks: a lone `FileBackend`, a
 //! `TieredBackend` over two file directories, one of memory over file, a
 //! `ReplicatedBackend` over two file directories (`replica2`), and the
-//! policy [`POLICY`] — a bounded plain level over a parity level — over two
-//! (`policy`). Every leaf store is wrapped under one shared
-//! `FailureControl`, and every file leaf numbers its mutating syscalls on
-//! the same leaf (create, write, truncate, fsync, directory fsync, rename,
-//! unlink, mkdir), so a fault-free run gives the scenario's call count N.
-//! The sweep reruns the scenario for **every** k in 1..=N: crash from k and
-//! fail at k; at a backend call also burst and corrupt it, and — on a stack
-//! of several leaves — take that call's leaf L down from k while its peers
-//! keep answering (`down:L:k`); at a write, crash with each torn prefix of
-//! it landed (every byte cut of a commit-log write, each frame boundary ±1
-//! of a segment write). A step that returns `Err` is aborted and skipped,
-//! as the runtime would; a crash leaks its open sessions and issues no
-//! further call; the drain retries transient faults exactly as the
-//! maintenance worker does.
+//! policy [`POLICY`] — a bounded plain level, a two-replica level and a
+//! parity level — over four (`policy`). Every leaf store is wrapped under
+//! one shared `FailureControl`, and every file leaf numbers its mutating
+//! syscalls on the same leaf (create, write, truncate, fsync, directory
+//! fsync, rename, unlink, mkdir), so a fault-free run gives the scenario's
+//! call count N. The sweep reruns the scenario for **every** k in 1..=N:
+//! crash from k and fail at k; at a backend call also burst and corrupt it,
+//! and — on a stack of several leaves — take that call's leaf L down from k
+//! while its peers keep answering (`down:L:k`), and at a call on the
+//! policy's partner level both of its leaves (`down:partner:k`); at a
+//! write, crash with each torn prefix of it landed (every byte cut of a
+//! commit-log write, each frame boundary ±1 of a segment write). A step
+//! that returns `Err` is aborted and skipped, as the runtime would; a crash
+//! leaks its open sessions and issues no further call; the drain retries
+//! transient faults exactly as the maintenance worker does.
 //!
 //! Durability is modeled by the control: a power cut keeps each file's
 //! bytes as of its last fsync and each directory's entries as of its last
@@ -31,19 +32,24 @@
 //! trailer, each file removed — the segment half in a child process under
 //! `ulimit -v`.
 //!
-//! The replicated and policy stacks are made of file leaves the lone stack
-//! already sweeps, so they buy their time there: their writes are not torn
-//! again (a torn write lands in a leaf's own recovery), and their segments
-//! are flipped and cut once per field kind only.
+//! The file-over-file, replicated and policy stacks are *lean*: made of
+//! file leaves the lone stack already sweeps, they buy their time there. A
+//! syscall fault lands in a leaf's own recovery, which `file` crashes,
+//! fails and tears at every syscall, so a lean stack is crashed and failed
+//! at backend calls only, and its segments are flipped and cut once per
+//! field kind only.
 //!
-//! A `down` case is judged twice. First its live handle: while leaf 0 (or
-//! either replica) is still down the other leaves hold a prefix of the
-//! chain, so restores of the newest epoch they list are a model's image of
-//! it; a fold — and, outside the policy's retirement ledger, a retirement
-//! — that ran wholly under the outage was refused before it read a record,
-//! with every leaf's chain as it was; healed, the handle drains until idle
-//! (a heal always converges) and then must show what a reopen must. Then
-//! the reopen.
+//! A `down` case is judged twice. First its live handle, while the leaves
+//! are still down: restores of the newest epoch the others list are a
+//! model's image of it (not with a tier's slow leaf or the whole partner
+//! level down: a known bug); after a drain that ran wholly under the
+//! outage, the outermost child whose leaves are all up holds every listed
+//! epoch committed before it; a fold — and, outside the policy's retirement
+//! ledger, a retirement — that ran wholly under the outage was refused
+//! before it read a record, with every leaf's chain as it was. Healed, the
+//! handle drains until idle (a heal always converges), each unbounded
+//! policy level alone loads what the stack does, and the handle must show
+//! what a reopen must. Then the reopen.
 //!
 //! After each case the stack is reopened, without the wrapper (armed rot
 //! becomes real flipped bytes first), and one oracle judges it:
@@ -66,7 +72,7 @@
 //! * a burst on the drain, which is retried, changes nothing at all.
 //!
 //! A failure names its case — `stack:mode:k`, `stack:down:L:k`,
-//! `stack:tear:k:b`, `stack:powercut:k`, `stack:rot|cut:FILE:b`,
+//! `policy:down:partner:k`, `stack:tear:k:b`, `stack:powercut:k`, `stack:rot|cut:FILE:b`,
 //! `stack:lose:FILE` — with the call's kind, leaf and path. To replay one
 //! case with its step log printed: `CRASH_POINTS=policy:down:1:187 cargo
 //! test --test crash_points -- --nocapture`.
@@ -96,8 +102,9 @@ const PAGES: u64 = 6;
 /// Undrained epochs a fast tier may hold: commits 3 and 4 drain inline.
 const FAST_CAPACITY: usize = 2;
 
-/// The policy stack: a bounded plain level over a parity level.
-const POLICY: &str = "hot=plain#2 -> cold=parity*4";
+/// The policy stack: a bounded plain level, a replicated level and a parity
+/// level.
+const POLICY: &str = "hot=plain#2 -> partner=replica*2 -> cold=parity*4";
 
 /// The commit log's name, its magic and one wire record (33 + CRC).
 const MANIFEST: &str = "MANIFEST";
@@ -122,7 +129,7 @@ enum Stack {
     MemoryOverFile,
     /// `ReplicatedBackend` over two file stores.
     Replica2,
-    /// [`POLICY`] over two file stores.
+    /// [`POLICY`] over four file stores.
     Policy,
 }
 
@@ -151,16 +158,17 @@ impl Stack {
             Stack::File | Stack::MemoryOverFile => &[""],
             Stack::FileOverFile => &["fast", "slow"],
             Stack::Replica2 => &["replica0", "replica1"],
-            Stack::Policy => &["hot", "cold"],
+            Stack::Policy => &["hot", "partner0", "partner1", "cold"],
         }
     }
 
     /// A stack whose leaves are file stores the lone `file` stack already
-    /// sweeps: its torn writes land in a leaf's own recovery, which `file`
-    /// tears at every cut, so it is not torn again, and its segments are
-    /// flipped and cut once per field kind, not at every byte and frame.
+    /// sweeps: a syscall fault lands in a leaf's own recovery, which `file`
+    /// crashes, fails and tears at every syscall, so it is crashed and
+    /// failed at backend calls only, and its segments are flipped and cut
+    /// once per field kind, not at every byte and frame.
     fn lean(self) -> bool {
-        matches!(self, Stack::Replica2 | Stack::Policy)
+        matches!(self, Stack::FileOverFile | Stack::Replica2 | Stack::Policy)
     }
 
     /// Drain `b` until idle: the listing stays `listed`, and every listed
@@ -207,12 +215,15 @@ enum Mode {
     Corrupt,
     /// Leaf `L` is down from call k while its peers keep answering.
     Down(usize),
+    /// Both leaves of the policy's `partner` level are down from call k.
+    PartnerDown,
 }
 
 impl Mode {
     const ALL: [Mode; 4] = [Mode::Crash, Mode::Fail, Mode::Burst, Mode::Corrupt];
 
-    /// The case id of the mode at call `k`: `mode:k`, or `down:L:k`.
+    /// The case id of the mode at call `k`: `mode:k`, `down:L:k` or
+    /// `down:partner:k`.
     fn id(self, k: u64) -> Vec<String> {
         match self {
             Mode::Crash => id(&[&"crash", &k]),
@@ -220,6 +231,16 @@ impl Mode {
             Mode::Burst => id(&[&"burst", &k]),
             Mode::Corrupt => id(&[&"corrupt", &k]),
             Mode::Down(leaf) => id(&[&"down", &leaf, &k]),
+            Mode::PartnerDown => id(&[&"down", &"partner", &k]),
+        }
+    }
+
+    /// The leaves the mode takes down.
+    fn down(&self) -> &[usize] {
+        match self {
+            Mode::Down(leaf) => std::slice::from_ref(leaf),
+            Mode::PartnerDown => &[1, 2],
+            _ => &[],
         }
     }
 
@@ -229,15 +250,16 @@ impl Mode {
             Mode::Fail => ctl.arm(When::At(k), Fault::Fail),
             Mode::Burst => ctl.arm(When::At(k), Fault::Burst(1)),
             Mode::Corrupt => ctl.arm(When::At(k), Fault::Corrupt),
-            Mode::Down(leaf) => ctl.arm_on(leaf, When::From(k), Fault::Fail),
+            _ => (self.down().iter()).for_each(|&l| ctl.arm_on(l, When::From(k), Fault::Fail)),
         }
     }
 
-    /// Whether the mode is swept at a call of `kind`: a syscall is crashed
-    /// and failed; bursts, rot and a leaf going down start at a backend
-    /// call.
-    fn applies_to(self, kind: FaultOp) -> bool {
-        matches!(self, Mode::Crash | Mode::Fail) || !matches!(kind, FaultOp::Sys(_))
+    /// Whether the mode is swept at a call of `kind` on `stack`: a syscall
+    /// is crashed and failed, except on a lean stack; bursts, rot and
+    /// outages start at a backend call.
+    fn applies_to(self, kind: FaultOp, stack: Stack) -> bool {
+        let syscall = matches!(kind, FaultOp::Sys(_));
+        !syscall || (matches!(self, Mode::Crash | Mode::Fail) && !stack.lean())
     }
 }
 
@@ -573,9 +595,14 @@ impl Case {
             }
             Stack::Replica2 => Arc::new(ReplicatedBackend::new(vec![file(0)?, file(1)?])),
             Stack::Policy => {
-                let mut levels = [Some(file(0)?), Some(file(1)?)];
+                let mut leaves = (0..4)
+                    .map(|i| file(i).map(Some))
+                    .collect::<io::Result<Vec<_>>>()?;
                 let spec = ResilienceSpec::parse(POLICY).unwrap();
-                let take = |level: usize, _| levels[level].take().unwrap();
+                // Level 0 is leaf 0, the partner replicas 1 and 2, cold 3.
+                let take = |level: usize, replica: usize| {
+                    leaves[[0, 1, 3][level] + replica].take().unwrap()
+                };
                 Arc::new(PolicyBuilder::new(spec)?.build(take)?)
             }
         })
@@ -778,7 +805,7 @@ enum Handle {
     Reopened,
     /// A `down` case's, healed.
     Live,
-    /// A `down` case's, with its first leaf still down.
+    /// A `down` case's, with its leaves still down.
     Degraded,
 }
 
@@ -888,50 +915,68 @@ fn judge_view(
     Ok(())
 }
 
-/// The live handle of a `down` case, with leaf `leaf` down from call `from`
-/// until `ctl` heals it.
+/// The live handle of a `down` case: `mode`'s leaves are down from call
+/// `from` until `ctl` heals them.
 struct Live<'a> {
     stack: Stacked,
     ctl: FailureControl,
-    leaf: usize,
+    mode: Mode,
     from: u64,
     log: &'a [Entry],
 }
 
-/// Judge the live handle of a `down` case before anything reopens. While
-/// the first leaf — or any replica — is down the others hold a prefix of
-/// the chain, so a restore of the newest epoch they list is some model's
-/// image of it. (With an outer tier or level down, an inner one's window
-/// is listed without its base: a known bug, not judged yet.) A
-/// fold — and, outside the policy's retirement ledger, a retirement — that
-/// ran wholly under the outage was refused before it read a record, with
-/// every leaf's chain as it was. Then, healed, the handle converges (it
-/// drains until idle) and shows what a reopen must.
+/// Judge the live handle of a `down` case before anything reopens: while
+/// its leaves are down, then healed (see the module docs).
 fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Result<(), String> {
-    if live.leaf == 0 || case.stack == Stack::Replica2 {
-        let listed = live
-            .stack
+    let down = live.mode.down();
+    let listed = live
+        .stack
+        .epochs()
+        .map_err(|e| format!("degraded listing: {e}"))?;
+    let tiered = matches!(case.stack, Stack::FileOverFile | Stack::MemoryOverFile);
+    let known_bug = live.mode == Mode::PartnerDown || (tiered && down == [1]);
+    if let Some(&top) = listed.last().filter(|_| !known_bug) {
+        let holds = |m: &&Model| listed.iter().all(|e| m.listed.contains(e));
+        let images = rules.models.iter().filter(holds);
+        let wants: Vec<u64> = images.map(|m| digest(&padded(&m.image(top)))).collect();
+        let files = case.snapshot();
+        let doors = restores(case, &live.stack, top, &files, Handle::Degraded);
+        if let Some(got) = doors
+            .iter()
+            .find(|d| !d.as_ref().is_ok_and(|d| wants.contains(d)))
+        {
+            return Err(format!(
+                "degraded, listing {listed:?}: epoch {top} restored {got:?}"
+            ));
+        }
+    }
+    // The outermost child whose leaves are all up.
+    let mut leaf = 0;
+    let up = live.stack.children().into_iter().filter(|(_, kid)| {
+        let own = leaf..leaf + leaves(*kid).len();
+        leaf = own.end;
+        !down.iter().any(|l| own.contains(l))
+    });
+    let under = |e: &&Entry| *e.calls.start() >= live.from;
+    let drain = (live.log.iter()).position(|e| e.step == Step::Drain && under(&e));
+    if let (Some((name, outer)), Some(i)) = (up.last(), drain) {
+        let held = outer
             .epochs()
-            .map_err(|e| format!("degraded listing: {e}"))?;
-        if let Some(&top) = listed.last() {
-            let holds = |m: &&Model| listed.iter().all(|e| m.listed.contains(e));
-            let images = rules.models.iter().filter(holds);
-            let wants: Vec<u64> = images.map(|m| digest(&padded(&m.image(top)))).collect();
-            let files = case.snapshot();
-            let doors = restores(case, &live.stack, top, &files, Handle::Degraded);
-            if let Some(got) = doors
-                .iter()
-                .find(|d| !d.as_ref().is_ok_and(|d| wants.contains(d)))
-            {
-                return Err(format!(
-                    "degraded, listing {listed:?}: epoch {top} restored {got:?}"
-                ));
-            }
+            .map_err(|e| format!("degraded, {name}: {e}"))?;
+        let left = |e: &&Entry| match (e.step, e.outcome) {
+            (Step::Commit(x), Outcome::Done) => listed.contains(&x) && !held.contains(&x),
+            _ => false,
+        };
+        if let Some(e) = live.log[..i].iter().find(left) {
+            return Err(format!(
+                "degraded, listing {listed:?}: the drain left {:?} off {name}",
+                e.step
+            ));
         }
     }
     let journal = live.ctl.journal();
     live.ctl.heal();
-    for e in live.log.iter().filter(|e| *e.calls.start() >= live.from) {
+    for e in live.log.iter().filter(under) {
         let refused = match e.step {
             Step::Compact(_) => true,
             Step::Retire(_) => case.stack != Stack::Policy,
@@ -940,9 +985,9 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
         let reads = |c: &&Call| e.calls.contains(&c.number) && c.kind == FaultOp::Read;
         let read = journal.iter().any(|c| reads(&c));
         if refused && (e.outcome == Outcome::Done || e.touched || read) {
-            let (leaf, step, outcome, touched) = (live.leaf, e.step, e.outcome, e.touched);
+            let (step, outcome, touched) = (e.step, e.outcome, e.touched);
             return Err(format!(
-                "{step:?} with leaf {leaf} down: {outcome:?}, read a record: {read}, \
+                "{step:?} with leaves {down:?} down: {outcome:?}, read a record: {read}, \
                  a leaf's chain changed: {touched}"
             ));
         }
@@ -951,6 +996,17 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
     case.stack
         .drain_rule(live.stack.as_ref(), &now.listed)
         .map_err(|e| format!("the healed handle: {e}"))?;
+    // The bounded `hot` holds a window; every other level holds the chain.
+    if let Some(&top) = now.listed.last().filter(|_| case.stack == Stack::Policy) {
+        let whole = CheckpointImage::load(live.stack.as_ref(), top).ok();
+        for (name, level) in live.stack.children().into_iter().skip(1) {
+            if CheckpointImage::load(level, top).ok() != whole {
+                return Err(format!(
+                    "the healed handle: {name} alone restores epoch {top} wrong"
+                ));
+            }
+        }
+    }
     let files = case.snapshot();
     judge_view(case, &live.stack, &now, &files, rules, replay, Handle::Live)
 }
@@ -1310,36 +1366,37 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
     let journal = base.ctl.journal();
     let several = stack != Stack::File;
     for call in &journal {
-        let down = Mode::Down(call.leaf);
-        let downs = (several && down.applies_to(call.kind)).then_some(down);
-        for mode in Mode::ALL.into_iter().chain(downs) {
+        let partner = stack == Stack::Policy && matches!(call.leaf, 1 | 2);
+        let downs = [
+            several.then_some(Mode::Down(call.leaf)),
+            partner.then_some(Mode::PartnerDown),
+        ];
+        for mode in Mode::ALL.into_iter().chain(downs.into_iter().flatten()) {
             let k = call.number;
             let crash_id = mode.id(k);
             let any_tear = mode == Mode::Crash
                 && matches!(call.kind, FaultOp::Sys(Syscall::Write))
                 && (sweep.only.as_ref()).is_none_or(|o| o[1] == "tear" && o[2] == k.to_string());
-            if !mode.applies_to(call.kind) || !(sweep.wants(&crash_id) || any_tear) {
+            if !mode.applies_to(call.kind, stack) || !(sweep.wants(&crash_id) || any_tear) {
                 continue;
             }
             case.reset();
             let ctl = FailureControl::new();
             mode.arm(&ctl, k);
             let (log, stacked) = case.run(&ctl, Some(mode));
-            if !matches!(mode, Mode::Down(_)) {
+            let outage = !mode.down().is_empty();
+            if !outage {
                 ctl.heal();
             }
             let fired = ctl.fired();
             let context = || format!("call {k} is {fired:?}\n{log:#?}");
-            let live = match mode {
-                Mode::Down(leaf) => stacked.map(|stack| Live {
-                    stack,
-                    ctl: ctl.clone(),
-                    leaf,
-                    from: k,
-                    log: &log,
-                }),
-                _ => None,
-            };
+            let live = stacked.filter(|_| outage).map(|stack| Live {
+                stack,
+                ctl: ctl.clone(),
+                mode,
+                from: k,
+                log: &log,
+            });
             // Armed rot becomes real damage before anything reopens.
             for rot in ctl.rot() {
                 let (epoch, page, byte) = (rot.epoch, rot.page, rot.byte);
@@ -1363,8 +1420,7 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
                 rules.same_as = Some(&base.seen);
             }
             // The write the crash stopped, to tear once the case is judged.
-            let torn = mode == Mode::Crash && !stack.lean();
-            let stopped = ctl.stopped_write().filter(|_| torn);
+            let stopped = ctl.stopped_write();
             let crashed = stopped.as_ref().map(|_| case.snapshot());
             if mode == Mode::Crash {
                 case.memory = MemoryBackend::new(); // a crash loses the memory tier
@@ -1557,7 +1613,7 @@ fn every_call_of_two_file_replicas_is_a_crash_point() {
 }
 
 #[test]
-fn every_call_of_a_two_level_policy_is_a_crash_point() {
+fn every_call_of_a_three_level_policy_is_a_crash_point() {
     sweep(Stack::Policy);
 }
 
