@@ -21,6 +21,13 @@
 //! [`encode`] never grows a record: it picks the smallest candidate the
 //! [`Compression`] mode allows and falls back to `Raw` otherwise, so the
 //! worst case over incompressible data stores the payload bytes unchanged.
+//! RLE wins a tie with LZ. The candidates are tried in an order that lets
+//! each stop as soon as its result cannot be kept: RLE bounded at 1/64 of
+//! the payload (a constant-ish page, stored without trying LZ), then LZ,
+//! then RLE again bounded by LZ's length. LZ runs before that second RLE
+//! pass because its length is the bound: on a page of some noise and one
+//! long run, LZ wins at about half RLE's length, and the bounded scan gives
+//! up half-way through the noise instead of building a stream it discards.
 //!
 //! What the encoders emit is part of the format: which candidate wins and
 //! every byte of an RLE stream or LZ block decide the stored size, and a
@@ -28,8 +35,10 @@
 //! directions run a word at a time, and each keeps its byte-at-a-time
 //! predecessor in its test module as the reference it must equal — output
 //! for output, and `Ok(bytes)` / `Err` for every flipped or truncated
-//! stream; `tests/format_fixture.rs` re-writes a checked-in root and
-//! compares the files.
+//! stream. The candidate order has its reference too: `reference_encode`
+//! is the try-everything `encode` it replaced, and must pick the same
+//! encoding and bytes. `tests/format_fixture.rs` re-writes a checked-in
+//! root and compares the files.
 //!
 //! [`decode`] is also where a record's declared length stops being
 //! trusted: the frame field it comes from is covered by no checksum, so a
@@ -88,30 +97,15 @@ const MAX_RUN: usize = 255;
 /// carries [`MAX_RUN`] in two, an LZ length-extension byte 255 in one.
 const MAX_EXPANSION: usize = 255;
 
-/// How many leading bytes of `window` equal `b`: eight per step against
-/// `b` splatted across a word, the first differing byte found by XOR +
-/// `trailing_zeros`, then a byte tail shorter than a word.
-#[inline]
-fn run_len(window: &[u8], b: u8) -> usize {
-    let splat = u64::from_ne_bytes([b; 8]);
-    let mut n = 0;
-    for word in window.chunks_exact(8) {
-        let diff = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ splat;
-        if diff != 0 {
-            return n + (diff.trailing_zeros() / 8) as usize;
-        }
-        n += 8;
-    }
-    n + window[n..].iter().take_while(|&&x| x == b).count()
-}
-
-/// RLE-encode `data` as `(count, byte)` pairs, or `None` when the result
-/// would not be smaller than `data` (the caller then keeps raw/LZ).
-fn rle_compress(data: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len() / 2);
+/// RLE-encode `data` as `(count, byte)` pairs, or `None` when the stream
+/// would be longer than `limit` bytes or not smaller than `data`: the scan
+/// stops at the first pair that would cross that bound.
+fn rle_compress(data: &[u8], limit: usize) -> Option<Vec<u8>> {
+    let limit = limit.min(data.len().checked_sub(1)?);
+    let mut out = Vec::with_capacity(limit);
     let mut i = 0;
     while i < data.len() {
-        if out.len() + 2 >= data.len() {
+        if out.len() + 2 > limit {
             return None; // cannot win any more
         }
         let b = data[i];
@@ -119,7 +113,7 @@ fn rle_compress(data: &[u8]) -> Option<Vec<u8>> {
         // A page that is not one long fill is mostly singletons: those are
         // settled by one byte compare, and only a repeated byte goes wide.
         let run = if window.get(1) == Some(&b) {
-            2 + run_len(&window[2..], b)
+            2 + minilz::run_len(&window[2..], b)
         } else {
             1
         };
@@ -127,7 +121,7 @@ fn rle_compress(data: &[u8]) -> Option<Vec<u8>> {
         out.push(b);
         i += run;
     }
-    (out.len() < data.len()).then_some(out)
+    Some(out)
 }
 
 /// Decode an RLE payload into exactly `raw_len` bytes ([`decode`] has
@@ -157,27 +151,29 @@ fn corrupt(msg: &str) -> io::Error {
 /// Encode one record payload under `mode`. Returns the encoding byte and,
 /// for non-`Raw` choices, the owned compressed bytes (`None` payload means
 /// "store `data` verbatim" — no copy on the raw path).
+///
+/// `Auto` tries the candidates in an order that lets each stop early:
+/// 1. RLE bounded at `n/64` bytes: a stream that short is a constant-ish
+///    page, stored without trying LZ;
+/// 2. otherwise LZ;
+/// 3. then RLE again, bounded by LZ's length, so the scan stops as soon as
+///    it can no longer win; RLE wins a tie;
+/// 4. otherwise LZ if it is shorter than `n`, else raw.
 pub fn encode(data: &[u8], mode: Compression) -> (Encoding, Option<Vec<u8>>) {
     if mode == Compression::None {
         return (Encoding::Raw, None);
     }
-    let mut best: (Encoding, Option<Vec<u8>>) = (Encoding::Raw, None);
-    let mut best_len = data.len();
-    if let Some(rle) = rle_compress(data) {
-        if rle.len() < best_len {
-            best_len = rle.len();
-            best = (Encoding::Rle, Some(rle));
-        }
+    if let Some(rle) = rle_compress(data, data.len() / 64) {
+        return (Encoding::Rle, Some(rle));
     }
-    // RLE already at < 1/64 of raw means a constant-ish page; LZ cannot
-    // meaningfully beat it and is the expensive candidate — skip it.
-    if best_len * 64 > data.len() {
-        let lz = minilz::compress(data);
-        if lz.len() < best_len {
-            best = (Encoding::Lz, Some(lz));
-        }
+    let lz = minilz::compress(data);
+    if let Some(rle) = rle_compress(data, lz.len()) {
+        return (Encoding::Rle, Some(rle));
     }
-    best
+    if lz.len() < data.len() {
+        return (Encoding::Lz, Some(lz));
+    }
+    (Encoding::Raw, None)
 }
 
 /// Decode a stored record payload back to its `raw_len` uncompressed bytes.
@@ -364,7 +360,7 @@ mod tests {
             // Raw: trivially exact.
             assert!(decode(Encoding::Raw, &data, data.len()).unwrap().is_none());
             // RLE: whenever the encoder produces a stream, it must invert.
-            if let Some(rle) = rle_compress(&data) {
+            if let Some(rle) = rle_compress(&data, usize::MAX) {
                 assert!(rle.len() < data.len());
                 assert_eq!(rle_decompress(&rle, data.len()).unwrap(), data);
                 assert_eq!(
@@ -428,6 +424,32 @@ mod tests {
         (out.len() < data.len()).then_some(out)
     }
 
+    /// `encode` as it was before the candidates stopped early, verbatim
+    /// but for its RLE call (the unbounded scan, now the reference's): the
+    /// definition of which encoding a record is stored under.
+    fn reference_encode(data: &[u8], mode: Compression) -> (Encoding, Option<Vec<u8>>) {
+        if mode == Compression::None {
+            return (Encoding::Raw, None);
+        }
+        let mut best: (Encoding, Option<Vec<u8>>) = (Encoding::Raw, None);
+        let mut best_len = data.len();
+        if let Some(rle) = reference_rle_compress(data) {
+            if rle.len() < best_len {
+                best_len = rle.len();
+                best = (Encoding::Rle, Some(rle));
+            }
+        }
+        // RLE already at < 1/64 of raw means a constant-ish page; LZ cannot
+        // meaningfully beat it and is the expensive candidate — skip it.
+        if best_len * 64 > data.len() {
+            let lz = minilz::compress(data);
+            if lz.len() < best_len {
+                best = (Encoding::Lz, Some(lz));
+            }
+        }
+        best
+    }
+
     /// `rle_decompress` as it was when `raw_len` was trusted, verbatim.
     fn reference_rle_decompress(stored: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
         if !stored.len().is_multiple_of(2) {
@@ -472,11 +494,106 @@ mod tests {
         let mut rng = ai_ckpt_core::rng::SplitMix64::new(0x1DE1_71CA);
         for data in differential_payloads(&mut rng, 4000) {
             assert_eq!(
-                rle_compress(&data),
+                rle_compress(&data, usize::MAX),
                 reference_rle_compress(&data),
                 "{} bytes",
                 data.len()
             );
+        }
+    }
+
+    /// `n` bytes in `pairs` runs of near-equal length, each a byte other
+    /// than its neighbours': an RLE stream of exactly `pairs` pairs, which
+    /// LZ (a literal and a match per run) cannot beat.
+    fn runs_page(n: usize, pairs: usize) -> Vec<u8> {
+        (0..pairs)
+            .flat_map(|i| std::iter::repeat_n(i as u8, n / pairs + usize::from(i < n % pairs)))
+            .collect()
+    }
+
+    /// `blocks` copies of a 1 KiB block of four single bytes and four
+    /// 255-byte runs (an RLE stream of exactly 1/64 of its length, which LZ
+    /// beats by matching the period), then `tail` single bytes.
+    fn periodic_runs_page(blocks: usize, tail: usize) -> Vec<u8> {
+        let mut block = vec![1u8, 2, 3, 4];
+        for b in 5..9u8 {
+            block.extend([b; 255]);
+        }
+        let mut page = block.repeat(blocks);
+        page.extend((0..tail).map(|i| 9 + i as u8));
+        page
+    }
+
+    #[test]
+    fn encode_picks_the_reference_candidate() {
+        #[track_caller]
+        fn assert_same(data: &[u8]) {
+            for mode in [Compression::Auto, Compression::None] {
+                assert_eq!(
+                    encode(data, mode),
+                    reference_encode(data, mode),
+                    "{} bytes, {mode:?}",
+                    data.len()
+                );
+            }
+        }
+        let mut rng = ai_ckpt_core::rng::SplitMix64::new(0xE4C0_DE00);
+        for data in differential_payloads(&mut rng, 4000) {
+            assert_same(&data);
+        }
+        // The benchmark's page: 1/8 noise, then 7/8 one run.
+        for n in [4096usize, 4095, 8192] {
+            for _ in 0..32 {
+                let mut page: Vec<u8> = (0..n / 8).map(|_| rng.next_u64() as u8).collect();
+                page.resize(n, rng.next_u64() as u8);
+                assert_same(&page);
+            }
+        }
+        // Both sides of the rule that skips LZ: an RLE stream of exactly
+        // `n/64` bytes (or the even length just under it), and one pair more.
+        for n in [
+            64usize, 127, 128, 1000, 4095, 4096, 4097, 4160, 6400, 8192, 9216,
+        ] {
+            let at_bound = n / 64 / 2;
+            for pairs in [at_bound.saturating_sub(1), at_bound, at_bound + 1] {
+                if pairs > 0 && pairs * 255 >= n {
+                    assert_same(&runs_page(n, pairs));
+                }
+            }
+        }
+        // The same where LZ is the shorter candidate: at the bound RLE is
+        // stored anyway, one pair past it LZ is.
+        for blocks in [4, 8] {
+            for (tail, want) in [(0, Encoding::Rle), (1, Encoding::Lz)] {
+                let page = periodic_runs_page(blocks, tail);
+                let rle = reference_rle_compress(&page).expect("runs shrink").len();
+                assert_eq!(rle * 64 <= page.len(), tail == 0);
+                assert!(minilz::compress(&page).len() < rle);
+                assert_eq!(encode(&page, Compression::Auto).0, want);
+                assert_same(&page);
+            }
+        }
+        // RLE and LZ of equal length: RLE is stored.
+        let mut ties = 0;
+        for _ in 0..20_000 {
+            let pairs = 1 + rng.next_below(6) as usize;
+            let data: Vec<u8> = (0..pairs)
+                .flat_map(|_| {
+                    let b = rng.next_below(3) as u8;
+                    std::iter::repeat_n(b, 1 + rng.next_below(12) as usize)
+                })
+                .collect();
+            let rle = reference_rle_compress(&data).map(|r| r.len());
+            ties += usize::from(rle == Some(minilz::compress(&data).len()));
+            assert_same(&data);
+        }
+        assert!(ties > 0, "no tie between RLE and LZ generated");
+        // Lengths 0-2.
+        assert_same(&[]);
+        for a in 0..=255u8 {
+            assert_same(&[a]);
+            assert_same(&[a, a]);
+            assert_same(&[a, a ^ 0x81]);
         }
     }
 
@@ -492,7 +609,7 @@ mod tests {
         }
         let mut rng = ai_ckpt_core::rng::SplitMix64::new(0xDEC0_DE5A);
         for data in differential_payloads(&mut rng, 48) {
-            let Some(stored) = rle_compress(&data) else {
+            let Some(stored) = rle_compress(&data, usize::MAX) else {
                 continue;
             };
             assert_eq!(rle_decompress(&stored, data.len()).unwrap(), data);
@@ -519,7 +636,7 @@ mod tests {
         // a buffer by it (the parent reserved 4 GiB, or overflowed capacity).
         let data = vec![7u8; 4096];
         let lz = minilz::compress(&data);
-        let rle = rle_compress(&data).unwrap();
+        let rle = rle_compress(&data, usize::MAX).unwrap();
         for claim in [u32::MAX as usize, usize::MAX] {
             for (enc, stored) in [
                 (Encoding::Rle, &rle[..]),
@@ -533,7 +650,7 @@ mod tests {
         // The bound is tight where it matters: the densest honest streams
         // (255 bytes per pair; a lone fill) still decode.
         let dense = vec![9u8; 255 * 40];
-        let stored = rle_compress(&dense).unwrap();
+        let stored = rle_compress(&dense, usize::MAX).unwrap();
         assert_eq!(stored.len(), 80);
         assert_eq!(
             decode(Encoding::Rle, &stored, dense.len()).unwrap(),
@@ -553,7 +670,7 @@ mod tests {
         for (run, b) in [(300usize, 1u8), (1, 2), (2, 3), (255, 4), (256, 5)] {
             data.extend(std::iter::repeat_n(b, run));
         }
-        let out = rle_compress(&data).unwrap();
+        let out = rle_compress(&data, usize::MAX).unwrap();
         assert_eq!(rle_decompress(&out, data.len()).unwrap(), data);
     }
 }
