@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use ai_ckpt::CkptConfig;
 use ai_ckpt_coord::{CheckpointGroup, GroupConfig};
 use ai_ckpt_mem::page_size;
+use ai_ckpt_storage::log::Log;
 use ai_ckpt_storage::{NullBackend, ThrottledBackend};
 
 /// One coordinated checkpoint of `pages` dirty pages on every rank, each
@@ -37,7 +38,7 @@ fn group_flush_secs(ranks: usize, streams: usize, pages: usize) -> f64 {
             .with_max_pages(pages + 16)
             .with_committer_streams(streams),
     );
-    let mut group = CheckpointGroup::open(cfg, dir.join("GLOBAL"), |_rank| {
+    let mut group = CheckpointGroup::open(cfg, Log::new(dir.join("GLOBAL"), None), |_rank| {
         Ok(Box::new(ThrottledBackend::new(
             NullBackend::new(),
             12.0 * 1024.0 * 1024.0,

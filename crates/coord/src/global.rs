@@ -178,32 +178,4 @@ mod tests {
         let err = GlobalRecord::decode(&payload).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "unknown kind");
     }
-
-    #[test]
-    fn aborts_do_not_count_as_consistent() {
-        let records = vec![GlobalRecord::commit(1, 2), GlobalRecord::abort(2, 2, 0)];
-        assert_eq!(last_committed(&records), Some(1));
-        assert_eq!(high_water(&records), Some(2), "aborted number burned");
-        assert_eq!(last_committed(&[]), None);
-    }
-
-    #[test]
-    fn later_abort_overrides_a_disk_reached_commit() {
-        // The commit append hit the disk but its success was never
-        // observed (crash/error after the write): the coordinator appends
-        // a compensating abort and retires the ranks' epoch-3 segments.
-        // The last record per epoch is authoritative — epoch 3 must not
-        // resurrect.
-        let records = vec![
-            GlobalRecord::commit(2, 2),
-            GlobalRecord::commit(3, 2),
-            GlobalRecord::abort(3, 2, 0),
-        ];
-        assert_eq!(last_committed(&records), Some(2));
-        assert_eq!(high_water(&records), Some(3), "the number stays burned");
-        // And a re-commit after the abort wins again (fresh attempt of the
-        // same number never happens in practice, but order must decide).
-        let records = vec![GlobalRecord::abort(3, 2, 0), GlobalRecord::commit(3, 2)];
-        assert_eq!(last_committed(&records), Some(3));
-    }
 }

@@ -45,7 +45,11 @@
 //! so segment names can never collide across ranks, and each
 //! rank's manifest/commit machinery is reused unchanged. Custom layouts
 //! (memory tiers, throttled fabrics, failure injection) plug in through the
-//! factory form of [`CheckpointGroup::open`].
+//! factory form of [`CheckpointGroup::open`], which also takes the global
+//! manifest as the group's [`Log`] handle on it: `Log::new(path, None)`,
+//! or a log whose syscalls a failure-injection leaf numbers — every create,
+//! write, fsync, rename, directory fsync and unlink of `GLOBAL`, the
+//! open's staging sweep included.
 //!
 //! ## Numbering lockstep
 //!
@@ -63,7 +67,7 @@ use std::sync::Arc;
 
 use ai_ckpt::restore::{restore_at, RestoredState};
 use ai_ckpt::{CkptConfig, CompactionPolicy, FlushPool, PageManager};
-use ai_ckpt_storage::log::{self, Log};
+use ai_ckpt_storage::log::Log;
 use ai_ckpt_storage::{FileBackend, StorageBackend};
 
 use crate::global::{self, GlobalRecord};
@@ -157,7 +161,9 @@ pub struct CheckpointGroup {
 
 impl CheckpointGroup {
     /// Open a group over per-rank backends produced by `backend_for_rank`,
-    /// with the global manifest at `global_manifest`.
+    /// with `global` the group's handle on its global manifest
+    /// (`Log::new(path, None)`; a gate numbers its syscalls, as a file
+    /// backend's `open_on` does).
     ///
     /// Performs crash recovery first: rank-local epochs newer than the last
     /// globally committed epoch are retired (they are phase-1 survivors of
@@ -165,11 +171,7 @@ impl CheckpointGroup {
     /// them would mix epochs across ranks). The global manifest is
     /// authoritative: backends handed to a group must only ever be written
     /// through a group.
-    pub fn open<F>(
-        cfg: GroupConfig,
-        global_manifest: impl Into<PathBuf>,
-        mut backend_for_rank: F,
-    ) -> io::Result<Self>
+    pub fn open<F>(cfg: GroupConfig, global: Log, mut backend_for_rank: F) -> io::Result<Self>
     where
         F: FnMut(usize) -> io::Result<Box<dyn StorageBackend>>,
     {
@@ -179,15 +181,14 @@ impl CheckpointGroup {
                 "a checkpoint group needs at least one rank",
             ));
         }
-        let global_path = global_manifest.into();
         // Read before touching any rank: a corrupt global log fails the
         // open here, with every rank's epochs still in place — recovery
         // below retires whatever the log does not vouch for, so it must
         // never run on a log that merely *reads* shorter than it is.
-        let records = global::read(&global_path)?;
+        let records = global::read(global.path())?;
         // A crash inside the log's first append leaves its staging file;
         // the open that owns the log removes it.
-        log::remove_staging(&global_path)?;
+        global.remove_staging()?;
         let committed = global::last_committed(&records);
         // The numbering floor starts at the global log's high-water mark:
         // aborted group epochs burned their number on every rank that got
@@ -224,7 +225,7 @@ impl CheckpointGroup {
         }
         Ok(Self {
             ranks,
-            global: Log::new(global_path, None),
+            global,
             policy: cfg.compaction,
             next_epoch: floor + 1,
             last_committed: committed,
@@ -244,7 +245,8 @@ impl CheckpointGroup {
         // and fsyncs its parent, so the root's entry is durable before the
         // first commit (a missing root reads as an empty global log).
         let root = root.as_ref();
-        CheckpointGroup::open(cfg, root.join(GLOBAL_MANIFEST_FILE), |rank| {
+        let global = Log::new(root.join(GLOBAL_MANIFEST_FILE), None);
+        CheckpointGroup::open(cfg, global, |rank| {
             Ok(Box::new(FileBackend::open(rank_dir(root, rank))?))
         })
     }
@@ -268,11 +270,6 @@ impl CheckpointGroup {
     /// The newest globally consistent epoch, if any checkpoint committed.
     pub fn last_committed(&self) -> Option<u64> {
         self.last_committed
-    }
-
-    /// Path of the group's global manifest.
-    pub fn global_manifest(&self) -> &Path {
-        self.global.path()
     }
 
     /// The group `CHECKPOINT` collective: two-phase commit of one epoch

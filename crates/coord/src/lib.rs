@@ -22,14 +22,15 @@
 //! ```
 //! use ai_ckpt::CkptConfig;
 //! use ai_ckpt_coord::{CheckpointGroup, GroupConfig};
-//! use ai_ckpt_storage::MemoryBackend;
+//! use ai_ckpt_storage::{log::Log, MemoryBackend};
 //!
 //! # fn main() -> std::io::Result<()> {
 //! # let dir = std::env::temp_dir().join(format!("coord-doc-{}", std::process::id()));
 //! # std::fs::create_dir_all(&dir)?;
 //! // Two ranks over in-memory backends; the global manifest is a file.
 //! let cfg = GroupConfig::new(2, CkptConfig::ai_ckpt(1 << 16));
-//! let mut group = CheckpointGroup::open(cfg, dir.join("GLOBAL"), |_rank| {
+//! let global = Log::new(dir.join("GLOBAL"), None);
+//! let mut group = CheckpointGroup::open(cfg, global, |_rank| {
 //!     Ok(Box::new(MemoryBackend::new()))
 //! })?;
 //!

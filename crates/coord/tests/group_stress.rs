@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use ai_ckpt::{CkptConfig, CompactionPolicy};
 use ai_ckpt_coord::{rank_dir, CheckpointGroup, GroupConfig, GLOBAL_MANIFEST_FILE};
 use ai_ckpt_mem::page_size;
+use ai_ckpt_storage::log::Log;
 use ai_ckpt_storage::{FileBackend, MemoryBackend, StorageBackend, TieredBackend, META_RECORD};
 
 const RANKS: usize = 2;
@@ -55,16 +56,19 @@ fn value(rank: usize, page: usize, epoch: u64) -> u8 {
         .wrapping_add(epoch as u8)
 }
 
+/// The group over `root`, every rank on a tiered backend.
+fn open(root: &Path) -> CheckpointGroup {
+    let global = Log::new(root.join(GLOBAL_MANIFEST_FILE), None);
+    CheckpointGroup::open(cfg(), global, |r| tiered_backend(root, r)).unwrap()
+}
+
 #[test]
 fn two_ranks_share_a_root_under_drain_and_compaction() {
     let root = tmpdir("shared");
     let ps = page_size();
     let model: Vec<Vec<u8>>;
     {
-        let mut group = CheckpointGroup::open(cfg(), root.join(GLOBAL_MANIFEST_FILE), |r| {
-            tiered_backend(&root, r)
-        })
-        .unwrap();
+        let mut group = open(&root);
         let mut bufs: Vec<_> = (0..RANKS)
             .map(|r| {
                 group
@@ -176,10 +180,7 @@ fn two_ranks_share_a_root_under_drain_and_compaction() {
     }
     // Rebuild with *fresh* fast tiers — only the drained slow tiers
     // survive, which must be enough for the last globally committed epoch.
-    let group = CheckpointGroup::open(cfg(), root.join(GLOBAL_MANIFEST_FILE), |r| {
-        tiered_backend(&root, r)
-    })
-    .unwrap();
+    let group = open(&root);
     assert_eq!(group.last_committed(), Some(EPOCHS));
     let restored = group.restore_latest().unwrap().unwrap();
     assert_eq!(restored.checkpoint, EPOCHS);

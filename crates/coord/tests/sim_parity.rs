@@ -9,6 +9,7 @@ use ai_ckpt::CkptConfig;
 use ai_ckpt_coord::{CheckpointGroup, GroupConfig};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_sim::{Cluster, ClusterConfig, Pattern, StorageModel, Strategy, SyntheticApp};
+use ai_ckpt_storage::log::Log;
 use ai_ckpt_storage::MemoryBackend;
 
 const RANKS: usize = 4;
@@ -63,7 +64,7 @@ fn real_outcome(ckpt_at_end: bool) -> (u64, u64) {
             .with_max_pages(64)
             .with_committer_streams(2),
     );
-    let mut group = CheckpointGroup::open(cfg, dir.join("GLOBAL"), |_r| {
+    let mut group = CheckpointGroup::open(cfg, Log::new(dir.join("GLOBAL"), None), |_r| {
         Ok(Box::new(MemoryBackend::new()))
     })
     .unwrap();

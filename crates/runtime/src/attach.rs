@@ -45,7 +45,10 @@
 //! settles what is left of its backlog, folds its chain if its
 //! [`CompactionPolicy`] fires and advances its integrity scrub one paced
 //! step. Errors are counted and retried after a backoff, never fatal: a
-//! failed fold leaves the (longer) chain fully restorable.
+//! failed fold leaves the (longer) chain fully restorable. An upkeep
+//! drains only when `drain_backlog`, a counter, reports work, so a tenant
+//! with no backlog, no fold policy and no background scrub (a group's
+//! ranks) makes no backend call however often the worker wakes.
 //!
 //! Everything here is mechanism. Policy — quotas, bandwidth limits, which
 //! tenants exist — enters through [`TenantHook`].
@@ -184,15 +187,22 @@ impl Tenant {
     /// scrub by one paced step. Transient storage faults on each step retry
     /// with bounded backoff (`CkptConfig::retry`) before counting as a
     /// failure; corrupt findings never surface here — the scrubber repairs
-    /// or quarantines them internally.
+    /// or quarantines them internally. With no backlog, no fold policy and
+    /// the scrub disabled it makes no backend call, so where the worker's
+    /// cycles land in time never shows in what the backend sees.
     fn upkeep(&self) -> io::Result<()> {
         let backend = self.backend.as_ref();
         // Tier drain first: it shortens the fast tier, and compaction works
         // on the durable chain below. The fair queue has usually drained
         // everything already; this catches what it never saw (cascaded
-        // level copies, rebuilds queued by a healed level).
-        while self.retry.run(|| backend.drain_one())?.is_some() {
-            self.maint.lock().epochs_drained += 1;
+        // level copies, rebuilds queued by a healed level). Every
+        // `drain_one` answers `None` exactly when `drain_backlog` is 0, so
+        // asking the counter first skips only the call that would find
+        // nothing.
+        if backend.drain_backlog() > 0 {
+            while self.retry.run(|| backend.drain_one())?.is_some() {
+                self.maint.lock().epochs_drained += 1;
+            }
         }
         let policy = *self.compaction.lock();
         let folded = compact_chain_if_due(backend, policy);

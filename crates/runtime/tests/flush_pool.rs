@@ -119,7 +119,8 @@ fn checkpoint_that_ends_before_its_epoch_opens_is_finalised() {
 }
 
 /// A backend whose `drain_one` — the first call of every maintenance upkeep
-/// — parks while `hold` is set, raising `parked` first.
+/// that sees a backlog — parks while `hold` is set, raising `parked` first.
+/// It reports a backlog of one while held, so the upkeep makes that call.
 struct HeldDrain {
     inner: MemoryBackend,
     hold: Arc<AtomicBool>,
@@ -148,6 +149,9 @@ impl StorageBackend for HeldDrain {
             std::thread::yield_now();
         }
         self.inner.drain_one()
+    }
+    fn drain_backlog(&self) -> usize {
+        self.hold.load(Ordering::Acquire) as usize
     }
 }
 

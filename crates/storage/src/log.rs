@@ -41,7 +41,7 @@
 //! `InvalidData` naming what was found; the create path below never leaves
 //! such a file behind (a crash inside it leaves only the staging file,
 //! `<log>.new`, which the open that owns the log removes:
-//! [`remove_staging`]).
+//! [`Log::remove_staging`]).
 //!
 //! ## A failed append commits nothing
 //!
@@ -168,14 +168,6 @@ pub(crate) fn staging_path(path: &Path) -> PathBuf {
     path.with_extension("new")
 }
 
-/// Remove the staging file of the log at `path`, if a crash left one.
-pub fn remove_staging(path: &Path) -> io::Result<()> {
-    match sys::unlink(None, &staging_path(path)) {
-        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-        _ => Ok(()),
-    }
-}
-
 /// One process's handle on the commit log at a path: appends serialised,
 /// numbered on a leaf if given, and refused for good once an append failed
 /// in a way it could not undo — until the log is opened again.
@@ -200,6 +192,19 @@ impl Log {
     /// Where the log lives.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Remove the log's staging file, if a crash left one: the open that
+    /// owns the log does, through the log's gate (with none there, no call).
+    pub fn remove_staging(&self) -> io::Result<()> {
+        let staging = staging_path(&self.path);
+        if !staging.exists() {
+            return Ok(());
+        }
+        match sys::unlink(self.gate.as_ref(), &staging) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        }
     }
 
     /// [`append`] through this handle.

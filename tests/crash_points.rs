@@ -7,20 +7,30 @@
 //! `TieredBackend` over two file directories, one of memory over file, a
 //! `ReplicatedBackend` over two file directories (`replica2`), and the
 //! policy [`POLICY`] — a bounded plain level, a two-replica level and a
-//! parity level — over four (`policy`). Every leaf store is wrapped under
-//! one shared `FailureControl`, and every file leaf numbers its mutating
-//! syscalls on the same leaf (create, write, truncate, fsync, directory
-//! fsync, rename, unlink, mkdir), so a fault-free run gives the scenario's
-//! call count N. The sweep reruns the scenario for **every** k in 1..=N:
-//! crash from k and fail at k; at a backend call also burst and corrupt it,
-//! and — on a stack of several leaves — take that call's leaf L down from k
-//! while its peers keep answering (`down:L:k`), and at a call on the
-//! policy's partner level both of its leaves (`down:partner:k`); at a
-//! write, crash with each torn prefix of it landed (every byte cut of a
-//! commit-log write, each frame boundary ±1 of a segment write). A step
-//! that returns `Err` is aborted and skipped, as the runtime would; a crash
-//! leaks its open sessions and issues no further call; the drain retries
-//! transient faults exactly as the maintenance worker does.
+//! parity level — over four (`policy`). A sixth stack, `group`, is a
+//! two-rank `CheckpointGroup`: each rank a file leaf in the root's
+//! `rank_NNNN/`, `GLOBAL` on a third leaf. Its scenario drives real buffers:
+//! group checkpoints 1–5, each rank's buffer written like the epoch's
+//! records first; the group's fold after checkpoint 4; a scrub of each
+//! rank. Every leaf store is wrapped under one
+//! shared `FailureControl`, and every file leaf — `GLOBAL` too — numbers
+//! its mutating syscalls on the same leaf (create, write, truncate, fsync,
+//! directory fsync, rename, unlink, mkdir), so a fault-free run gives the
+//! scenario's call count N. A case id names one call only if every run
+//! numbers its calls the same way, so the fault-free scenario runs twice
+//! and the two journals must agree call for call, and the fault of every
+//! case must fire, at the fault-free run's call k. The sweep reruns the
+//! scenario for **every** k in 1..=N: crash from k and fail at k; at a
+//! backend call also burst it, and corrupt it if it writes records; and —
+//! on a stack of several leaves other than the group, where a rank down is
+//! a failed phase 1 — take that call's leaf L down from k while its peers
+//! keep answering (`down:L:k`), and at a call on the policy's partner level
+//! both of its leaves (`down:partner:k`); at a write, crash with each torn
+//! prefix of it landed (every byte cut of a commit-log write, each frame
+//! boundary ±1 of a segment write). A step that returns `Err` is aborted
+//! and skipped, as the runtime would; a crash leaks its open sessions and
+//! issues no further call; the drain retries transient faults exactly as
+//! the maintenance worker does.
 //!
 //! Durability is modeled by the control: a power cut keeps each file's
 //! bytes as of its last fsync and each directory's entries as of its last
@@ -32,12 +42,15 @@
 //! trailer, each file removed — the segment half in a child process under
 //! `ulimit -v`.
 //!
-//! The file-over-file, replicated and policy stacks are *lean*: made of
-//! file leaves the lone stack already sweeps, they buy their time there. A
-//! syscall fault lands in a leaf's own recovery, which `file` crashes,
+//! The file-over-file, replicated, policy and group stacks are *lean*: made
+//! of file leaves the lone stack already sweeps, they buy their time there.
+//! A syscall fault lands in a leaf's own recovery, which `file` crashes,
 //! fails and tears at every syscall, so a lean stack is crashed and failed
 //! at backend calls only, and its segments are flipped and cut once per
-//! field kind only.
+//! field kind only. No other stack has a `GLOBAL`, so its syscalls are
+//! crashed, failed and torn at every k and its every byte flipped. The
+//! ranks checkpoint synchronously with one committer stream and scrub only
+//! as a step, so a case's calls follow the scenario, not the schedule.
 //!
 //! A `down` case is judged twice. First its live handle, while the leaves
 //! are still down: restores of the newest epoch the others list are a
@@ -71,24 +84,45 @@
 //!   policy's bounded level keeps resident copies;
 //! * a burst on the drain, which is retried, changes nothing at all.
 //!
+//! On the group each rank is judged so (its bytes XORed with a salt of its
+//! own; damage to one rank lets only its doors fail), then the group's
+//! rules (see [`judge_group`]): one history on every rank, ending at the
+//! last group commit; no checkpoint that returned `Err` while the
+//! coordinator lived ever listed, nor a file of its epoch left on a rank
+//! when it returned (judged before the reopen, whose recovery would
+//! delete it); a reopen that appends nothing to a rank's log but
+//! retirements; `restore_latest` the model's; the next
+//! checkpoint numbered above every number a log names. The model counts
+//! committed records, so it does not judge that an aborted group
+//! checkpoint's buffer writes never reach a later epoch (the runtime's
+//! snapshot invariant).
+//!
 //! A failure names its case — `stack:mode:k`, `stack:down:L:k`,
 //! `policy:down:partner:k`, `stack:tear:k:b`, `stack:powercut:k`, `stack:rot|cut:FILE:b`,
 //! `stack:lose:FILE` — with the call's kind, leaf and path. To replay one
 //! case with its step log printed: `CRASH_POINTS=policy:down:1:187 cargo
-//! test --test crash_points -- --nocapture`.
+//! test --test crash_points -- --nocapture` (`group:fail:78`: rank 1's
+//! `finish` of checkpoint 2).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::io;
+use std::ops::RangeInclusive;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use ai_ckpt::{restore_at, restore_lazy, CkptConfig, FlushPool, PageManager, ProtectedBuffer};
+use ai_ckpt::{
+    layout, restore_at, restore_lazy, CkptConfig, CkptMode, CompactionPolicy, FlushPool,
+    PageManager, ProtectedBuffer,
+};
+use ai_ckpt_coord::{
+    global, rank_dir, CheckpointGroup, GroupConfig, GroupStats, GLOBAL_MANIFEST_FILE,
+};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::failing::{Call, Fault, PowerCut, StoppedWrite, Syscall, When};
+use ai_ckpt_storage::failing::{Call, Fault, Leaf, PowerCut, StoppedWrite, Syscall, When};
 use ai_ckpt_storage::{
     corrupt_segment_region, log, write_epoch, ChainEntry, CheckpointImage, EpochKind,
     FailingBackend, FailureControl, FaultOp, FileBackend, ManifestRecord, MemoryBackend,
@@ -106,10 +140,15 @@ const FAST_CAPACITY: usize = 2;
 /// level.
 const POLICY: &str = "hot=plain#2 -> partner=replica*2 -> cold=parity*4";
 
-/// The commit log's name, its magic and one wire record (33 + CRC).
+/// The commit log's name, its magic and one wire record (33 + CRC); a
+/// `GLOBAL` record is 21 + CRC.
 const MANIFEST: &str = "MANIFEST";
 const LOG_MAGIC: usize = 8;
 const LOG_WIRE: usize = 41;
+const GLOBAL_WIRE: usize = 29;
+
+/// The group stack's ranks: leaves 0 and 1, with `GLOBAL` on leaf 2.
+const RANKS: usize = 2;
 
 /// A segment's header, record frame, trailer entry and trailer footer.
 const SEG_HEADER: usize = 16;
@@ -131,15 +170,18 @@ enum Stack {
     Replica2,
     /// [`POLICY`] over four file stores.
     Policy,
+    /// A `CheckpointGroup` of [`RANKS`] file stores, `GLOBAL` beside them.
+    Group,
 }
 
 impl Stack {
-    const ALL: [Stack; 5] = [
+    const ALL: [Stack; 6] = [
         Stack::File,
         Stack::FileOverFile,
         Stack::MemoryOverFile,
         Stack::Replica2,
         Stack::Policy,
+        Stack::Group,
     ];
 
     fn name(self) -> &'static str {
@@ -149,6 +191,7 @@ impl Stack {
             Stack::MemoryOverFile => "memory-over-file",
             Stack::Replica2 => "replica2",
             Stack::Policy => "policy",
+            Stack::Group => "group",
         }
     }
 
@@ -159,6 +202,8 @@ impl Stack {
             Stack::FileOverFile => &["fast", "slow"],
             Stack::Replica2 => &["replica0", "replica1"],
             Stack::Policy => &["hot", "partner0", "partner1", "cold"],
+            // The ranks' directories live in the group's root, `GLOBAL` too.
+            Stack::Group => &["rank0", "rank1", ""],
         }
     }
 
@@ -168,7 +213,7 @@ impl Stack {
     /// failed at backend calls only, and its segments are flipped and cut
     /// once per field kind, not at every byte and frame.
     fn lean(self) -> bool {
-        matches!(self, Stack::FileOverFile | Stack::Replica2 | Stack::Policy)
+        !matches!(self, Stack::File | Stack::MemoryOverFile)
     }
 
     /// Drain `b` until idle: the listing stays `listed`, and every listed
@@ -254,12 +299,19 @@ impl Mode {
         }
     }
 
-    /// Whether the mode is swept at a call of `kind` on `stack`: a syscall
-    /// is crashed and failed, except on a lean stack; bursts, rot and
-    /// outages start at a backend call.
-    fn applies_to(self, kind: FaultOp, stack: Stack) -> bool {
-        let syscall = matches!(kind, FaultOp::Sys(_));
-        !syscall || (matches!(self, Mode::Crash | Mode::Fail) && !stack.lean())
+    /// Whether the mode is swept at `call` on `stack`: a syscall is crashed
+    /// and failed, except on a lean stack (but for the group's `GLOBAL`);
+    /// bursts and outages start at a backend call, and rot at one that
+    /// writes records (anywhere else `corrupt:k` is the fault-free run).
+    fn applies_to(self, call: &Call, stack: Stack) -> bool {
+        let global = stack == Stack::Group && call.leaf == RANKS;
+        match call.kind {
+            FaultOp::Sys(_) => {
+                matches!(self, Mode::Crash | Mode::Fail) && (!stack.lean() || global)
+            }
+            FaultOp::Write | FaultOp::InstallCompacted => true,
+            _ => self != Mode::Corrupt,
+        }
     }
 }
 
@@ -270,6 +322,9 @@ enum Step {
     Drain,
     Retire(u64),
     Compact(u64),
+    /// The group's fold after commit e: each rank whose chain is longer than
+    /// [`GROUP_FOLD`] folds into e.
+    Fold(u64),
     Scrub,
 }
 
@@ -286,6 +341,24 @@ const SCRIPT: [Step; 10] = [
     Step::Scrub,
 ];
 
+/// The group's scenario: `Commit(e)` is group checkpoint e, each rank's
+/// buffer written like `records(e)` first. The group folds a rank's chain
+/// after a commit that makes it longer than [`GROUP_FOLD`] — here after
+/// checkpoint 4 —, and [`Case::run_group`] logs that fold as a
+/// `Fold(e)` of its own.
+const GROUP_SCRIPT: [Step; 7] = [
+    Step::Open,
+    Step::Commit(1),
+    Step::Commit(2),
+    Step::Commit(3),
+    Step::Commit(4),
+    Step::Commit(5),
+    Step::Scrub,
+];
+
+/// The longest chain the group leaves unfolded.
+const GROUP_FOLD: usize = 3;
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Outcome {
     Done,
@@ -293,16 +366,20 @@ enum Outcome {
     /// The step the crash hit: whatever it returned, it may or may not
     /// have taken effect.
     Crashed,
+    /// A group checkpoint that returned `Err` while the coordinator lived:
+    /// nothing of it may be listed, ever.
+    Refused,
     NotRun,
 }
 
 /// One step of a run: what it was, how it ended, its calls, and whether it
-/// changed any leaf's chain.
+/// changed any leaf's chain (a refused group commit: whether it left a
+/// file of its epoch on a rank).
 #[derive(Clone, Debug)]
 struct Entry {
     step: Step,
     outcome: Outcome,
-    calls: std::ops::RangeInclusive<u64>,
+    calls: RangeInclusive<u64>,
     touched: bool,
 }
 
@@ -310,6 +387,22 @@ fn cfg() -> CkptConfig {
     CkptConfig::ai_ckpt(1 << 16)
         .with_max_pages(64)
         .with_committer_streams(1)
+}
+
+/// The group's ranks checkpoint synchronously, so their flushes never
+/// interleave, and scrub only as a step of the scenario.
+fn group_cfg() -> GroupConfig {
+    let mut ckpt = cfg();
+    ckpt.mode = CkptMode::Sync;
+    ckpt.scrub = ScrubPolicy::disabled();
+    ckpt.retry.base = Duration::ZERO;
+    GroupConfig::new(RANKS, ckpt).with_compaction(CompactionPolicy::chain_len(GROUP_FOLD))
+}
+
+/// What rank `rank` XORs into every byte it writes, so no rank's bytes
+/// pass for another's (0 on every other stack).
+fn salt(rank: usize) -> u8 {
+    rank as u8 * 0x5A
 }
 
 /// The layout record of one real checkpoint of a `PAGES`-page buffer, and
@@ -355,7 +448,7 @@ fn records(e: u64) -> Vec<(u64, Vec<u8>)> {
 
 /// What the storage must hold: the epochs listed, and those whose pages
 /// count (committed, folded or not, and not retired).
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
 struct Model {
     listed: BTreeSet<u64>,
     committed: BTreeSet<u64>,
@@ -373,6 +466,7 @@ impl Model {
                 self.committed.remove(&e);
             }
             Step::Compact(e) if self.listed.contains(&e) => self.listed.retain(|&x| x >= e),
+            Step::Fold(e) if self.listed.len() > GROUP_FOLD => self.apply(Step::Compact(e)),
             _ => {}
         }
     }
@@ -406,7 +500,7 @@ fn models(log: &[Entry]) -> Vec<Model> {
                     }
                 }
             }
-            Outcome::NotRun => {}
+            Outcome::Refused | Outcome::NotRun => {}
         }
     }
     models
@@ -452,6 +546,11 @@ struct Rules<'a> {
     cut_segment: bool,
     /// A retried burst on the drain: the reopen must show exactly this.
     same_as: Option<&'a Seen>,
+    /// The leaf whose stored bytes are damaged, if one is: the group's
+    /// other ranks must restore exactly.
+    damaged: Option<usize>,
+    /// What the store XORs into the bytes it holds (a group rank's salt).
+    salt: u8,
 }
 
 impl Rules<'_> {
@@ -464,6 +563,8 @@ impl Rules<'_> {
             intact_below: None,
             cut_segment: false,
             same_as: None,
+            damaged: None,
+            salt: 0,
         }
     }
 }
@@ -510,15 +611,17 @@ fn scratch() -> PathBuf {
 
 impl Case {
     fn new(stack: Stack, tag: &str) -> Self {
-        let dirs = (0..stack.dirs().len())
-            .map(|i| {
-                scratch().join(format!(
-                    "aickpt-points-{}{tag}-{}-{i}",
-                    stack.name(),
-                    std::process::id()
-                ))
-            })
-            .collect();
+        let (name, pid) = (stack.name(), std::process::id());
+        let dir = |i: usize| scratch().join(format!("aickpt-points-{name}{tag}-{pid}-{i}"));
+        let mut dirs: Vec<PathBuf> = (0..stack.dirs().len()).map(dir).collect();
+        if stack == Stack::Group {
+            // The layout of `CheckpointGroup::open_dir`, whose rank 0
+            // creates the root; the root comes last, so a file's first
+            // enclosing directory is its own.
+            let root = dirs.pop().unwrap();
+            dirs = (0..RANKS).map(|r| rank_dir(&root, r)).collect();
+            dirs.push(root);
+        }
         Self {
             stack,
             dirs,
@@ -536,10 +639,16 @@ impl Case {
         let mut key = format!("{top}").into_bytes();
         for (path, bytes) in files {
             key.extend(path.as_os_str().as_encoded_bytes());
-            match path.file_name().unwrap() == MANIFEST {
-                true => key.extend(format!("{:?}", log::read::<ManifestRecord>(path)).bytes()),
-                false => key.extend(&bytes[..]),
-            }
+            let name = path.file_name().unwrap();
+            let records = match () {
+                _ if name == MANIFEST => format!("{:?}", log::read::<ManifestRecord>(path)),
+                _ if name == GLOBAL_MANIFEST_FILE => format!("{:?}", global::read(path)),
+                _ => {
+                    key.extend(&bytes[..]);
+                    continue;
+                }
+            };
+            key.extend(records.bytes());
         }
         for entry in self.memory.chain().unwrap_or_default() {
             let mut records = Vec::new();
@@ -565,6 +674,27 @@ impl Case {
         self.memory = MemoryBackend::new();
     }
 
+    /// A file store on `dir`, its syscalls numbered on `leaf` and — `wrap`
+    /// — its calls too.
+    fn file_on(dir: &Path, leaf: Leaf, wrap: bool) -> io::Result<Box<dyn StorageBackend>> {
+        let store = FileBackend::open_on(dir, leaf.clone())?;
+        Ok(match wrap {
+            true => Box::new(FailingBackend::on(store, leaf)),
+            false => Box::new(store),
+        })
+    }
+
+    /// Open the group: each rank a file leaf, as [`Case::open`] builds
+    /// them, and `GLOBAL` on the leaf after them.
+    fn open_group(&self, ctl: &FailureControl, wrap: bool) -> io::Result<CheckpointGroup> {
+        let leaves: Vec<Leaf> = (0..=RANKS).map(|_| ctl.leaf()).collect();
+        let path = self.dirs[RANKS].join(GLOBAL_MANIFEST_FILE);
+        let global = log::Log::new(path, Some(leaves[RANKS].clone()));
+        CheckpointGroup::open(group_cfg(), global, |r| {
+            Self::file_on(&self.dirs[r], leaves[r].clone(), wrap)
+        })
+    }
+
     /// Build the stack, every file leaf numbering its syscalls on `ctl` and
     /// — `wrap` — every leaf wrapped under it.
     fn open(&self, ctl: &FailureControl, wrap: bool) -> io::Result<Stacked> {
@@ -575,14 +705,7 @@ impl Case {
                 false => store,
             }
         };
-        let file = |i: usize| -> io::Result<Box<dyn StorageBackend>> {
-            let leaf = ctl.leaf();
-            let store = FileBackend::open_on(&self.dirs[i], leaf.clone())?;
-            Ok(match wrap {
-                true => Box::new(FailingBackend::on(store, leaf)),
-                false => Box::new(store),
-            })
-        };
+        let file = |i: usize| Self::file_on(&self.dirs[i], ctl.leaf(), wrap);
         Ok(match self.stack {
             Stack::File => Arc::from(file(0)?),
             Stack::FileOverFile => {
@@ -594,6 +717,7 @@ impl Case {
                 Arc::new(TieredBackend::new(fast, file(0)?, FAST_CAPACITY)?)
             }
             Stack::Replica2 => Arc::new(ReplicatedBackend::new(vec![file(0)?, file(1)?])),
+            Stack::Group => unreachable!("a group opens with open_group"),
             Stack::Policy => {
                 let mut leaves = (0..4)
                     .map(|i| file(i).map(Some))
@@ -631,6 +755,9 @@ impl Case {
     /// and the stack it leaves open.
     fn run(&self, ctl: &FailureControl, mode: Option<Mode>) -> (Vec<Entry>, Option<Stacked>) {
         let dead = || mode == Some(Mode::Crash) && ctl.fired().is_some();
+        if self.stack == Stack::Group {
+            return (self.run_group(ctl, &dead), None);
+        }
         let mut stack: Option<Stacked> = None;
         let mut log = Vec::new();
         for step in SCRIPT {
@@ -663,46 +790,165 @@ impl Case {
         (log, stack)
     }
 
+    /// [`Case::run`] on the group. A fold the group ran after a commit is
+    /// an entry of its own: the calls after the commit's last `GLOBAL` call.
+    fn run_group(&self, ctl: &FailureControl, dead: &dyn Fn() -> bool) -> Vec<Entry> {
+        let (mut group, mut log) = (None::<Ranks>, Vec::new());
+        let stats = |g: &Option<Ranks>| g.as_ref().map(|g| g.group.stats());
+        for step in GROUP_SCRIPT {
+            let (first, before) = (ctl.ops() + 1, stats(&group));
+            let result = match (step, &mut group) {
+                _ if dead() => None,
+                (Step::Open, _) => Some(self.open_group(ctl, true).and_then(|opened| {
+                    group = Some(Ranks::new(opened)?);
+                    Ok(())
+                })),
+                (_, Some(ranks)) => Some(ranks.perform(step)),
+                (_, None) => None,
+            };
+            let end = ctl.ops();
+            let folds = |s: &GroupStats| s.group_compactions + s.compaction_failures;
+            let fold = before
+                .zip(stats(&group))
+                .filter(|(was, now)| folds(now) > folds(was));
+            let global = |c: &&Call| (first..=end).contains(&c.number) && c.leaf == RANKS;
+            let split = fold
+                .as_ref()
+                .and_then(|_| ctl.journal().iter().rfind(global).cloned());
+            let split = split.map_or(end, |c| c.number);
+            let crashed = |calls: &RangeInclusive<u64>| {
+                dead() && ctl.fired().is_some_and(|c| calls.contains(&c.number))
+            };
+            let mut push = |step, outcome, calls, touched| {
+                log.push(Entry {
+                    step,
+                    outcome,
+                    calls,
+                    touched,
+                })
+            };
+            let outcome = match result {
+                None => Outcome::NotRun,
+                _ if crashed(&(first..=split)) => Outcome::Crashed,
+                Some(Ok(())) => Outcome::Done,
+                Some(Err(_)) if matches!(step, Step::Commit(_)) => Outcome::Refused,
+                Some(Err(_)) => Outcome::Failed,
+            };
+            // The abort retires a refused epoch on every rank before the
+            // group answers; the reopen's recovery would hide a leak.
+            let of = |e: u64, path: &PathBuf| path.ends_with(format!("epoch_{e:010}.seg"));
+            let leaked = |e| self.snapshot().keys().any(|path| of(e, path));
+            let touched =
+                matches!((step, outcome), (Step::Commit(e), Outcome::Refused) if leaked(e));
+            push(step, outcome, first..=split, touched);
+            if let (Some((was, now)), Step::Commit(e)) = (fold, step) {
+                let outcome = match () {
+                    _ if crashed(&(split + 1..=end)) => Outcome::Crashed,
+                    _ if now.compaction_failures > was.compaction_failures => Outcome::Failed,
+                    _ => Outcome::Done,
+                };
+                push(Step::Fold(e), outcome, split + 1..=end, false);
+            }
+        }
+        log
+    }
+
     /// Every file of the stack's directories.
     fn snapshot(&self) -> Files {
         let mut files = Files::new();
         for dir in &self.dirs {
             for entry in fs::read_dir(dir).into_iter().flatten() {
-                let path = entry.unwrap().path();
-                files.insert(path.clone(), fs::read(&path).unwrap());
+                let entry = entry.unwrap();
+                if !entry.file_type().unwrap().is_dir() {
+                    files.insert(entry.path(), fs::read(entry.path()).unwrap());
+                }
             }
         }
         files
     }
 
-    /// Put exactly `files` back in the stack's directories.
-    fn restore(&self, files: &Files) {
-        for dir in &self.dirs {
-            let _ = fs::remove_dir_all(dir);
+    /// Put exactly `files` back in the directories `keep` keeps.
+    fn put_back<'a>(
+        &self,
+        files: impl IntoIterator<Item = (&'a PathBuf, &'a [u8])>,
+        keep: &dyn Fn(&Path) -> bool,
+    ) {
+        self.dirs
+            .iter()
+            .for_each(|dir| drop(fs::remove_dir_all(dir)));
+        for dir in self.dirs.iter().filter(|dir| keep(dir)) {
             fs::create_dir_all(dir).unwrap();
         }
         for (path, bytes) in files {
-            fs::write(path, bytes).unwrap();
+            if keep(path.parent().unwrap()) {
+                fs::write(path, bytes).unwrap();
+            }
         }
     }
 
+    /// Put exactly `files` back in the stack's directories.
+    fn restore(&self, files: &Files) {
+        self.put_back(files.iter().map(|(p, b)| (p, &b[..])), &|_| true);
+    }
+
     /// Leave on disk what `cut` says a power cut keeps — a directory whose
-    /// own entry was lost goes with everything in it; the memory tier is
-    /// gone.
+    /// own entry, or an enclosing one's, was lost goes with everything in
+    /// it; the memory tier is gone.
     fn power_cut(&mut self, cut: &PowerCut) {
-        for dir in &self.dirs {
-            let _ = fs::remove_dir_all(dir);
-            if !cut.dirs.contains(dir) {
-                continue;
+        let ours = |dir: &&Path| self.dirs.iter().any(|d| d == dir);
+        let keep = |dir: &Path| dir.ancestors().filter(ours).all(|d| cut.dirs.contains(d));
+        self.put_back(cut.files.iter().map(|(p, b)| (p, &b[..])), &keep);
+        self.memory = MemoryBackend::new();
+    }
+}
+
+/// An open group and each rank's buffer, which drops first.
+struct Ranks {
+    bufs: Vec<ProtectedBuffer>,
+    group: CheckpointGroup,
+}
+
+impl Ranks {
+    /// Each rank's buffer: restored if the group committed, else fresh.
+    fn new(group: CheckpointGroup) -> io::Result<Self> {
+        let mut bufs = Vec::new();
+        match group.restore_latest()? {
+            Some(restored) => {
+                bufs.extend(restored.ranks.into_iter().map(|mut r| r.buffers.remove(0)))
             }
-            fs::create_dir_all(dir).unwrap();
-            for (path, bytes) in &cut.files {
-                if path.parent() == Some(dir) {
-                    fs::write(path, &bytes[..]).unwrap();
+            None => {
+                for r in 0..RANKS {
+                    let len = PAGES as usize * page_size();
+                    bufs.push(group.rank(r).alloc_protected_named("state", len)?);
                 }
             }
         }
-        self.memory = MemoryBackend::new();
+        Ok(Self { bufs, group })
+    }
+
+    /// Write epoch `e`'s records into every rank's buffer, XORed with the
+    /// rank's salt.
+    fn write(&mut self, e: u64) {
+        for (rank, buf) in self.bufs.iter_mut().enumerate() {
+            for (page, data) in records(e).into_iter().filter(|&(p, _)| p != META_RECORD) {
+                let at = (page - layout().base) as usize * page_size();
+                let dst = &mut buf.as_mut_slice()[at..at + data.len()];
+                dst.iter_mut()
+                    .zip(&data)
+                    .for_each(|(d, b)| *d = b ^ salt(rank));
+            }
+        }
+    }
+
+    /// `Commit(e)` is one group checkpoint (one off the number e fails the
+    /// listing rule); a scrub scrubs each rank.
+    fn perform(&mut self, step: Step) -> io::Result<()> {
+        if let Step::Commit(e) = step {
+            self.write(e);
+            return self.group.checkpoint().map(drop);
+        }
+        let rank = |r: usize| self.group.rank_backend(r).as_ref();
+        (0..RANKS).try_for_each(|r| perform(rank(r), step, &|| false))
     }
 }
 
@@ -733,6 +979,7 @@ fn perform(b: &dyn StorageBackend, step: Step, dead: &dyn Fn() -> bool) -> io::R
         Step::Retire(epoch) => b.remove_epochs(&[epoch]),
         Step::Compact(epoch) => b.compact(epoch).map(drop),
         Step::Scrub => Scrubber::new(ScrubPolicy::default()).full_pass(b).map(drop),
+        Step::Fold(_) => unreachable!("only a group folds"),
     }
 }
 
@@ -762,7 +1009,8 @@ fn seen(stack: &dyn StorageBackend) -> Result<Seen, String> {
     Ok(Seen { listed, chains })
 }
 
-/// Whether a file of a checkpoint directory belongs to `chain`.
+/// Whether a file of a checkpoint directory belongs to `chain` (a group
+/// root's `GLOBAL` belongs to the empty chain of its leaf).
 fn belongs(name: &str, chain: &[ChainEntry]) -> bool {
     // `{prefix}{epoch}.seg`, or `{prefix}{epoch}.s{k}.seg` for a shard.
     let epoch = |prefix: &str| -> Option<(u64, bool)> {
@@ -774,7 +1022,7 @@ fn belongs(name: &str, chain: &[ChainEntry]) -> bool {
     match (epoch("epoch_"), epoch("full_")) {
         (Some((e, _)), _) => listed(e, EpochKind::Delta),
         (_, Some((e, shard))) => listed(e, EpochKind::Full) && !shard,
-        _ => name == MANIFEST,
+        _ => name == MANIFEST || name == GLOBAL_MANIFEST_FILE,
     }
 }
 
@@ -788,15 +1036,21 @@ fn pages_of(buffers: &[ProtectedBuffer]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// `image` as the buffer a restore of it must produce.
-fn padded(image: &BTreeMap<u64, Vec<u8>>) -> Vec<Vec<u8>> {
-    let base = layout().base;
+/// `image`, whose buffer starts at page `base`, as the buffer a restore of
+/// it must produce, each stored byte XORed with `salt`.
+fn padded(image: &BTreeMap<u64, Vec<u8>>, base: u64, salt: u8) -> Vec<Vec<u8>> {
     let page = |i: u64| {
-        let mut page = image.get(&(base + i)).cloned().unwrap_or_default();
+        let stored = image.get(&(base + i)).into_iter().flatten();
+        let mut page: Vec<u8> = stored.map(|b| b ^ salt).collect();
         page.resize(page_size(), 0);
         page
     };
     (0..PAGES).map(page).collect()
+}
+
+/// The model's image of epoch `top` as a store that XORs `salt` holds it.
+fn model_pages(model: &Model, top: u64, salt: u8) -> u64 {
+    digest(&padded(&model.image(top), layout().base, salt))
 }
 
 /// Which handle a restore reads through.
@@ -817,15 +1071,19 @@ fn restores(
     top: u64,
     files: &Files,
     handle: Handle,
+    salt: u8,
 ) -> [Door; 3] {
     let mut key = case.key(top, files);
-    key.push(handle as u8);
+    key.extend([handle as u8, salt]);
     if let Some(doors) = case.doors.get(&key) {
         return doors.clone();
     }
-    let load = CheckpointImage::load(stack.as_ref(), top).map(|image| {
+    // The buffer's first page, from the epoch's own layout record.
+    let load = CheckpointImage::load(stack.as_ref(), top).and_then(|image| {
+        let meta = stack.read_page_at(top, META_RECORD)?.unwrap_or_default();
+        let base = layout::decode(&meta)?.first().map_or(0, |b| b.base_page);
         let image = image.iter().map(|(p, d)| (p, d.to_vec())).collect();
-        padded(&image)
+        Ok(padded(&image, base, 0))
     });
     let fresh = || {
         let backend = Arc::new(MemoryBackend::new());
@@ -850,7 +1108,8 @@ fn restores(
 /// What the stack shows must fit the case: the listing one of its models
 /// (or, after the memory tier was lost, a prefix of one), a verify of a
 /// damaged segment's epoch the damage, and restores of the newest listed
-/// epoch — and below damage at rest — that model's image.
+/// epoch — and below damage at rest — that model's image, as the store
+/// holds it (`rules.salt`). `Ok` carries the model.
 fn judge_view(
     case: &mut Case,
     stack: &Stacked,
@@ -859,7 +1118,7 @@ fn judge_view(
     rules: &Rules,
     replay: bool,
     handle: Handle,
-) -> Result<(), String> {
+) -> Result<Model, String> {
     let fits = |m: &&Model| {
         let want = m.listed.iter().copied();
         match rules.prefix_only {
@@ -894,9 +1153,12 @@ fn judge_view(
     let newest = (now.listed.last()).map(|&top| (top, rules.loud, rules.cut_segment));
     let below = below.map(|&e| (e, &[][..], false));
     for (top, loud, must_fail) in newest.into_iter().chain(below) {
-        let want = digest(&padded(&model.image(top)));
+        let want = model_pages(model, top, rules.salt);
         let doors = ["CheckpointImage::load", "restore_at", "restore_lazy"];
-        for (door, got) in doors.iter().zip(restores(case, stack, top, files, handle)) {
+        for (door, got) in doors
+            .iter()
+            .zip(restores(case, stack, top, files, handle, rules.salt))
+        {
             if replay {
                 println!("{door} of epoch {top}: {got:?}");
             }
@@ -912,7 +1174,7 @@ fn judge_view(
         }
     }
 
-    Ok(())
+    Ok(model.clone())
 }
 
 /// The live handle of a `down` case: `mode`'s leaves are down from call
@@ -938,9 +1200,9 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
     if let Some(&top) = listed.last().filter(|_| !known_bug) {
         let holds = |m: &&Model| listed.iter().all(|e| m.listed.contains(e));
         let images = rules.models.iter().filter(holds);
-        let wants: Vec<u64> = images.map(|m| digest(&padded(&m.image(top)))).collect();
+        let wants: Vec<u64> = images.map(|m| model_pages(m, top, 0)).collect();
         let files = case.snapshot();
-        let doors = restores(case, &live.stack, top, &files, Handle::Degraded);
+        let doors = restores(case, &live.stack, top, &files, Handle::Degraded, 0);
         if let Some(got) = doors
             .iter()
             .find(|d| !d.as_ref().is_ok_and(|d| wants.contains(d)))
@@ -1008,7 +1270,7 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
         }
     }
     let files = case.snapshot();
-    judge_view(case, &live.stack, &now, &files, rules, replay, Handle::Live)
+    judge_view(case, &live.stack, &now, &files, rules, replay, Handle::Live).map(drop)
 }
 
 /// Reopen after a case and judge it; `Ok` carries what the reopen showed
@@ -1017,21 +1279,14 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
 /// under the same rules is not judged again.
 fn judge(case: &mut Case, rules: &Rules, replay: bool) -> Result<Option<Seen>, String> {
     let before = case.snapshot();
-    let models: Vec<_> = rules
-        .models
-        .iter()
-        .map(|m| (&m.listed, &m.committed))
-        .collect();
-    let rules_key = format!(
-        "{models:?} {} {:?} {} {:?} {} {}",
+    let flags = (
         rules.prefix_only,
-        rules.loud,
         rules.at_rest,
-        rules.intact_below,
         rules.cut_segment,
-        rules.same_as.is_some()
+        rules.same_as.is_some(),
     );
-    let key = digest(&(case.key(0, &before), rules_key));
+    let bounds = (rules.loud, rules.intact_below, rules.damaged);
+    let key = digest(&(case.key(0, &before), &rules.models, flags, bounds));
     if let Some(seen) = case.judged.get(&key).filter(|_| !replay) {
         return Ok(seen.clone());
     }
@@ -1040,58 +1295,90 @@ fn judge(case: &mut Case, rules: &Rules, replay: bool) -> Result<Option<Seen>, S
     Ok(seen)
 }
 
-/// [`judge`], on a state it has not judged yet.
+/// Reopen twice with `reopen`, showing `seen`: the first reopen fails only
+/// on damage at rest, and then changes no file (`Ok(None)`); its recovery
+/// only deletes (on the group it may also append retirements of orphans
+/// to a rank's log: the records read before are a prefix of the records
+/// after) and leaves no file of an epoch its store does not list; the
+/// second changes nothing. `Ok` carries the second reopen,
+/// what it shows and the files.
+fn reopen_twice<T>(
+    case: &Case,
+    before: &Files,
+    rules: &Rules,
+    reopen: impl Fn(&Case) -> io::Result<T>,
+    seen: impl Fn(&T) -> Result<Seen, String>,
+) -> Result<Option<(T, Seen, Files)>, String> {
+    let records = |path: &Path| log::read::<ManifestRecord>(path).ok();
+    let rank_log = |path: &&PathBuf| case.stack == Stack::Group && path.ends_with(MANIFEST);
+    let rank_logs = before.keys().filter(rank_log);
+    let logs: HashMap<_, _> = rank_logs.map(|p| (p, records(p))).collect();
+    let first = match reopen(case) {
+        Ok(first) => first,
+        Err(_) if case.snapshot() != *before => return Err("a failed reopen changed files".into()),
+        Err(e) if rules.at_rest && e.kind() == io::ErrorKind::InvalidData => return Ok(None),
+        Err(e) => return Err(format!("reopen: {e}")),
+    };
+    let now = seen(&first)?;
+    let files = case.snapshot();
+    let retirement = |r: &ManifestRecord| *r == ManifestRecord::compacted_into(r.epoch, 0);
+    let retired = |path: &PathBuf| match (logs.get(path), records(path)) {
+        (Some(Some(was)), Some(now)) => {
+            now.starts_with(was) && now[was.len()..].iter().all(retirement)
+        }
+        _ => false,
+    };
+    let rewritten = |(path, b): &(&PathBuf, &Vec<u8>)| before.get(*path) != Some(*b);
+    if let Some((path, _)) = files.iter().filter(rewritten).find(|(p, _)| !retired(p)) {
+        return Err(format!("the reopen wrote {path:?}"));
+    }
+    for (leaf, chain) in now.chains.iter().enumerate() {
+        let Some(dir) = case.dir_of(leaf) else {
+            continue;
+        };
+        for entry in fs::read_dir(dir).map_err(|e| format!("{dir:?}: {e}"))? {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            if !entry.file_type().unwrap().is_dir() && !belongs(&name, chain) {
+                return Err(format!("orphan {name} in leaf {leaf} (chain {chain:?})"));
+            }
+        }
+    }
+    drop(first);
+    let again = reopen(case).map_err(|e| format!("second reopen: {e}"))?;
+    if seen(&again)? != now {
+        return Err("a second reopen lists differently".into());
+    }
+    if case.snapshot() != files {
+        return Err("a second reopen changed bytes on disk".into());
+    }
+    Ok(Some((again, now, files)))
+}
+
+/// [`judge`], on a state it has not judged yet. Each file leaf of a reopen
+/// numbers its syscalls on a control of its own, so its fsyncs are
+/// modeled, never issued.
 fn judge_reopen(
     case: &mut Case,
     before: Files,
     rules: &Rules,
     replay: bool,
 ) -> Result<Option<Seen>, String> {
-    // Each file leaf of a reopen numbers its syscalls on a control of its
-    // own, so its fsyncs are modeled, never issued.
-    let reopen = |case: &Case| case.open(&FailureControl::new(), false);
-    let stack = match reopen(case) {
-        Ok(stack) => stack,
-        Err(e) => {
-            if case.snapshot() != before {
-                return Err(format!("a reopen that failed ({e}) changed files"));
+    if case.stack == Stack::Group {
+        let reopen = |case: &Case| case.open_group(&FailureControl::new(), false);
+        let reopened = reopen_twice(case, &before, rules, reopen, group_seen)?;
+        return match reopened {
+            Some((group, now, files)) => {
+                judge_group(case, group, &files, rules, replay).map(|()| Some(now))
             }
-            return match rules.at_rest && e.kind() == io::ErrorKind::InvalidData {
-                true => Ok(None),
-                false => Err(format!("reopen: {e}")),
-            };
-        }
-    };
-    let now = seen(stack.as_ref())?;
-    // Recovery only deletes: it rewrites no byte of a file it keeps.
-    let files = case.snapshot();
-    if let Some((path, _)) = files.iter().find(|&(path, b)| before.get(path) != Some(b)) {
-        return Err(format!("the reopen wrote {path:?}"));
-    }
-
-    // No file of an epoch its store does not list.
-    for (leaf, chain) in now.chains.iter().enumerate() {
-        let Some(dir) = case.dir_of(leaf) else {
-            continue;
+            None => Ok(None),
         };
-        for entry in fs::read_dir(dir).map_err(|e| format!("{dir:?}: {e}"))? {
-            let name = entry.unwrap().file_name().into_string().unwrap();
-            if !belongs(&name, chain) {
-                return Err(format!("orphan {name} in leaf {leaf} (chain {chain:?})"));
-            }
-        }
     }
-
-    // A second reopen is a no-op.
-    drop(stack);
-    let again = reopen(case).map_err(|e| format!("second reopen: {e}"))?;
-    if seen(again.as_ref())? != now {
-        return Err("a second reopen lists differently".into());
-    }
-    if case.snapshot() != files {
-        return Err("a second reopen changed bytes on disk".into());
-    }
-
+    let reopen = |case: &Case| case.open(&FailureControl::new(), false);
+    let seen_of = |stack: &Stacked| seen(stack.as_ref());
+    let Some((again, now, files)) = reopen_twice(case, &before, rules, reopen, seen_of)? else {
+        return Ok(None);
+    };
     judge_view(case, &again, &now, &files, rules, replay, Handle::Reopened)?;
 
     // A burst on the drain is retried away: nothing may differ.
@@ -1136,6 +1423,103 @@ fn judge_reopen(
         }
     }
     Ok(Some(now))
+}
+
+/// What a reopened group shows: its last commit, each rank's chain, and no
+/// chain on `GLOBAL`'s leaf (whose directory may hold `GLOBAL` alone).
+fn group_seen(group: &CheckpointGroup) -> Result<Seen, String> {
+    let ranks = (0..RANKS).map(|r| group.rank_backend(r).chain());
+    let chains = ranks.chain([Ok(vec![])]).collect::<io::Result<_>>();
+    let chains = chains.map_err(|e| format!("rank chain: {e}"))?;
+    let listed = group.last_committed().into_iter().collect();
+    Ok(Seen { listed, chains })
+}
+
+/// The highest epoch number a rank's log or `GLOBAL` names.
+fn numbers_used(case: &Case) -> io::Result<u64> {
+    let global = global::read(&case.dirs[RANKS].join(GLOBAL_MANIFEST_FILE))?;
+    let mut used = global::high_water(&global).unwrap_or(0);
+    for dir in &case.dirs[..RANKS] {
+        let records = log::read::<ManifestRecord>(&dir.join(MANIFEST))?;
+        used = used.max(records.iter().map(|r| r.epoch).max().unwrap_or(0));
+    }
+    Ok(used)
+}
+
+/// The group's half of [`judge_reopen`]. Each rank is judged as a stack of
+/// its own, with its salt and — where the damage is not — no damage. Then
+/// the group's rules: with nothing damaged, the ranks list one history
+/// above the oldest epoch they all list (a fold that failed on one rank
+/// leaves its chain longer), whose newest epoch is the group's last
+/// commit; `restore_latest` gives each rank the model's image of it; and
+/// the next checkpoint commits, on every rank, under a number above every
+/// one a log names.
+fn judge_group(
+    case: &mut Case,
+    group: CheckpointGroup,
+    files: &Files,
+    rules: &Rules,
+    replay: bool,
+) -> Result<(), String> {
+    let mut models = Vec::new();
+    let mut lists = Vec::new();
+    for rank in 0..RANKS {
+        let own = rules.damaged.is_none_or(|leaf| leaf == rank);
+        let rules = Rules {
+            models: rules.models.clone(),
+            loud: if own { rules.loud } else { &[] },
+            intact_below: rules.intact_below.filter(|_| own),
+            cut_segment: rules.cut_segment && own,
+            salt: salt(rank),
+            ..Rules::new(&[])
+        };
+        let stack = Arc::clone(group.rank_backend(rank));
+        let now = seen(stack.as_ref())?;
+        // A rank's restores read its own files only.
+        let mut mine = files.clone();
+        mine.retain(|path, _| path.parent() == Some(&case.dirs[rank]));
+        let model = judge_view(case, &stack, &now, &mine, &rules, replay, Handle::Reopened);
+        models.push(model.map_err(|e| format!("rank {rank}: {e}"))?);
+        lists.push(now.listed);
+    }
+    let last = group.last_committed();
+    let damaged = !rules.loud.is_empty();
+    let floor = lists.iter().filter_map(|l| l.first()).max().copied();
+    let above =
+        |l: &Vec<u64>| -> Vec<u64> { l.iter().copied().filter(|&e| Some(e) >= floor).collect() };
+    let one = lists
+        .iter()
+        .all(|l| above(l) == above(&lists[0]) && l.last() == last.as_ref());
+    if !damaged && !one {
+        return Err(format!("the ranks list {lists:?}, GLOBAL {last:?}"));
+    }
+
+    let mut ranks = match Ranks::new(group) {
+        Ok(ranks) => ranks,
+        Err(e) if rules.loud.contains(&e.kind()) => return Ok(()),
+        Err(e) => return Err(format!("restore_latest: {e}")),
+    };
+    if let Some(g) = last {
+        for (rank, (buf, model)) in ranks.bufs.iter().zip(&models).enumerate() {
+            let got = digest(&pages_of(std::slice::from_ref(buf)));
+            if got != model_pages(model, g, salt(rank)) {
+                return Err(format!("restore_latest of {g} differs on rank {rank}"));
+            }
+        }
+    }
+    if damaged {
+        return Ok(());
+    }
+    // The group keeps working, under a number no log has named yet.
+    let used = numbers_used(case).map_err(|e| e.to_string())?;
+    ranks.write(used + 1);
+    let next = ranks.group.checkpoint();
+    let next = next.map_err(|e| format!("next checkpoint: {e}"))?;
+    let newest = |r: usize| ranks.group.rank_backend(r).epochs().ok()?.last().copied();
+    match next > used && (0..RANKS).all(|r| newest(r) == Some(next)) {
+        true => Ok(()),
+        false => Err(format!("next checkpoint {next}, the logs name {used}")),
+    }
 }
 
 /// One case of a sweep: its id, and what to do with a verdict.
@@ -1200,12 +1584,21 @@ fn id(parts: &[&dyn std::fmt::Display]) -> Vec<String> {
     parts.iter().map(|p| p.to_string()).collect()
 }
 
+/// The wire record length of the commit log (or its staging file) at
+/// `path`: `None` for a segment.
+fn log_wire(path: &Path) -> Option<usize> {
+    match path.file_stem().unwrap().to_str() {
+        Some(MANIFEST) => Some(LOG_WIRE),
+        Some(GLOBAL_MANIFEST_FILE) => Some(GLOBAL_WIRE),
+        _ => None,
+    }
+}
+
 /// The byte counts a torn `write` may land: every cut of a commit-log
 /// write, each frame boundary ±1 of a segment write.
 fn tears(write: &StoppedWrite) -> Vec<usize> {
     let len = write.bytes.len();
-    let name = write.path.file_name().unwrap().to_string_lossy();
-    if name.starts_with(MANIFEST) {
+    if log_wire(&write.path).is_some() {
         return (0..len).collect();
     }
     let around = segment_bounds(&write.bytes, write.at == 0)
@@ -1300,9 +1693,15 @@ struct Baseline {
 impl Baseline {
     fn run(sweep: &Sweep, case: &mut Case) -> Self {
         let stack = sweep.stack.name();
+        // A case id names one call only if every run numbers its calls the
+        // same way: run the scenario twice.
+        case.reset();
+        let first = FailureControl::new();
+        drop(case.run(&first, None));
         case.reset();
         let ctl = FailureControl::new();
         let (log, _) = case.run(&ctl, None);
+        same_calls(stack, &first.journal(), &ctl.journal());
         let files = case.snapshot();
         let memory = copy_of(&case.memory);
         let seen = judge(case, &Rules::new(&log), false)
@@ -1332,6 +1731,22 @@ impl Baseline {
         let last = self.ctl.journal().iter().rev().find(writes)?.number;
         self.log.iter().position(|e| e.calls.contains(&last))
     }
+}
+
+/// Fail on the first call whose kind, leaf or path differs between two runs
+/// of the scenario, naming both, or on a run that stopped short: a case id
+/// names one call only if every run numbers its calls the same way,
+/// whatever the schedule.
+fn same_calls(what: &str, a: &[Call], b: &[Call]) {
+    let key = |c: &Call| (c.kind, c.leaf, c.path.clone());
+    if let Some((x, y)) = a.iter().zip(b).find(|(x, y)| key(x) != key(y)) {
+        panic!(
+            "{what}: call {} differs between two runs: {x:?}, then {y:?}",
+            x.number
+        );
+    }
+    let (n, m) = (a.len(), b.len());
+    assert_eq!(n, m, "{what}: one run made {n} calls, the other {m}");
 }
 
 /// The epoch a segment file belongs to, from its name.
@@ -1364,7 +1779,8 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
     let n = base.ctl.ops();
     println!("{}: N = {n}", stack.name());
     let journal = base.ctl.journal();
-    let several = stack != Stack::File;
+    // A group's rank going down is a failed phase 1, which `fail:k` is.
+    let several = !matches!(stack, Stack::File | Stack::Group);
     for call in &journal {
         let partner = stack == Stack::Policy && matches!(call.leaf, 1 | 2);
         let downs = [
@@ -1377,18 +1793,26 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
             let any_tear = mode == Mode::Crash
                 && matches!(call.kind, FaultOp::Sys(Syscall::Write))
                 && (sweep.only.as_ref()).is_none_or(|o| o[1] == "tear" && o[2] == k.to_string());
-            if !mode.applies_to(call.kind, stack) || !(sweep.wants(&crash_id) || any_tear) {
+            if !mode.applies_to(call, stack) || !(sweep.wants(&crash_id) || any_tear) {
                 continue;
             }
             case.reset();
             let ctl = FailureControl::new();
             mode.arm(&ctl, k);
             let (log, stacked) = case.run(&ctl, Some(mode));
+            // Up to the fault, a case is the fault-free run: its fault hits
+            // the fault-free run's call k.
+            let what = format!("{}:{}", stack.name(), crash_id.join(":"));
+            let fired = ctl.fired();
+            same_calls(&what, &journal[k as usize - 1..][..1], fired.as_slice());
+            let leaked = |e: &Entry| e.outcome == Outcome::Refused && e.touched;
+            if log.iter().any(leaked) {
+                panic!("{what}: a refused commit left a file\n{log:#?}");
+            }
             let outage = !mode.down().is_empty();
             if !outage {
                 ctl.heal();
             }
-            let fired = ctl.fired();
             let context = || format!("call {k} is {fired:?}\n{log:#?}");
             let live = stacked.filter(|_| outage).map(|stack| Live {
                 stack,
@@ -1412,8 +1836,9 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
             }
             let mut rules = Rules::new(&log);
             rules.prefix_only = mode == Mode::Crash && memory_tier;
-            if !ctl.rot().is_empty() {
+            if let Some(rot) = ctl.rot().first() {
                 rules.loud = &[io::ErrorKind::InvalidData];
+                rules.damaged = Some(rot.leaf);
             }
             let burst_step = log.iter().find(|e| e.calls.contains(&k)).map(|e| e.step);
             if (mode, burst_step) == (Mode::Burst, Some(Step::Drain)) {
@@ -1498,7 +1923,8 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
         .collect();
     for (path, bytes) in &base.files {
         let label = case.label(path);
-        let log = path.file_name().unwrap() == MANIFEST;
+        let wire = log_wire(path).unwrap_or(0);
+        let log = wire > 0;
         if log != logs {
             continue;
         }
@@ -1513,8 +1939,8 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
         // A commit log cut at a record boundary is a shorter valid log — an
         // older commit, which only a lone store can be judged against.
         let bounds = match log {
-            true if lone => (0..=(bytes.len() - LOG_MAGIC) / LOG_WIRE)
-                .map(|r| LOG_MAGIC + r * LOG_WIRE)
+            true if lone => (0..=(bytes.len() - LOG_MAGIC) / wire)
+                .map(|r| LOG_MAGIC + r * wire)
                 .chain([0])
                 .collect(),
             true => vec![],
@@ -1539,7 +1965,7 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
                     fs::write(path, damaged).unwrap();
                     // Rot confined to a log's last record reads as a torn
                     // append of it: that commit never happened.
-                    if log && b >= bytes.len() - LOG_WIRE {
+                    if log && b >= bytes.len() - wire {
                         let writer = base.last_writer_of(path).expect("the log's writer");
                         let mut log = base.log.clone();
                         log[writer].outcome = Outcome::Failed;
@@ -1559,7 +1985,9 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
                 let elsewhere = case.dir_of(leaf).map(PathBuf::as_path) != path.parent();
                 elsewhere && chain.iter().any(|c| Some(c.epoch) == epoch)
             };
-            let redundant = base.seen.chains.iter().enumerate().any(copy_elsewhere);
+            // A group's ranks hold their own epochs, no copies.
+            let redundant =
+                stack != Stack::Group && base.seen.chains.iter().enumerate().any(copy_elsewhere);
             let rules = Rules {
                 models,
                 prefix_only: false,
@@ -1572,6 +2000,9 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
                 intact_below: epoch,
                 cut_segment: !log && cut.is_some() && !redundant,
                 same_as: None,
+                salt: 0,
+                damaged: (0..=case.dirs.len())
+                    .find(|&l| case.dir_of(l).map(PathBuf::as_path) == path.parent()),
             };
             sweep.check(case, &case_id, &rules, None, &|| String::new());
         }
@@ -1615,6 +2046,11 @@ fn every_call_of_two_file_replicas_is_a_crash_point() {
 #[test]
 fn every_call_of_a_three_level_policy_is_a_crash_point() {
     sweep(Stack::Policy);
+}
+
+#[test]
+fn every_call_of_a_two_rank_group_is_a_crash_point() {
+    sweep(Stack::Group);
 }
 
 /// Damage at rest to every segment file of every stack, in a child process

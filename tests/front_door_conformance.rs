@@ -16,6 +16,7 @@ use ai_ckpt::{restore_latest, CkptConfig, PageManager, ProtectedBuffer};
 use ai_ckpt_coord::{CheckpointGroup, GroupConfig};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_service::{CkptService, ServiceConfig, TenantQuota};
+use ai_ckpt_storage::log::Log;
 use ai_ckpt_storage::{
     is_page, FailingBackend, FaultOp, FileBackend, MemoryBackend, StorageBackend, ThrottledBackend,
     TieredBackend, META_RECORD,
@@ -88,12 +89,12 @@ impl Front {
                 // Rank 0 gets the backend under test; rank 1 idles on the
                 // same pool.
                 let mut backend = Some(backend);
-                let group =
-                    CheckpointGroup::open(GroupConfig::new(2, cfg()), dir.join("GLOBAL"), |_| {
-                        Ok(backend
-                            .take()
-                            .unwrap_or_else(|| Box::new(MemoryBackend::new())))
-                    });
+                let global = Log::new(dir.join("GLOBAL"), None);
+                let group = CheckpointGroup::open(GroupConfig::new(2, cfg()), global, |_| {
+                    Ok(backend
+                        .take()
+                        .unwrap_or_else(|| Box::new(MemoryBackend::new())))
+                });
                 front.group = Some(group.unwrap());
                 front.dir = Some(dir);
             }
@@ -364,11 +365,11 @@ fn one_script_three_front_doors() {
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut group =
-            CheckpointGroup::open(GroupConfig::new(ranks, cfg()), dir.join("GLOBAL"), |_| {
-                Ok(Box::new(MemoryBackend::new()))
-            })
-            .unwrap();
+        let global = Log::new(dir.join("GLOBAL"), None);
+        let mut group = CheckpointGroup::open(GroupConfig::new(ranks, cfg()), global, |_| {
+            Ok(Box::new(MemoryBackend::new()))
+        })
+        .unwrap();
         let mut bufs: Vec<_> = (0..ranks)
             .map(|r| group.rank(r).alloc_protected(2 * page_size()).unwrap())
             .collect();
