@@ -7,7 +7,7 @@
 //! Metrics: increase in execution time vs. a checkpointing-free baseline
 //! (2a), pages that triggered WAIT (2b) and AVOIDED (2c).
 //!
-//! ## Calibration (documented in EXPERIMENTS.md)
+//! ## Calibration
 //!
 //! The regime that produces the paper's curves is the *ratio* between the
 //! application's page-write rate and the storage's page-flush rate

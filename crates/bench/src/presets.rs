@@ -3,7 +3,8 @@
 //!
 //! All absolute constants are calibrated against the paper's own reported
 //! numbers (checkpoint sizes, durations, hardware specs); DESIGN.md §4
-//! records each substitution, EXPERIMENTS.md the resulting measurements.
+//! records each substitution, and the `figures` binary prints the
+//! resulting measurements (README, "Reproducing the paper's figures").
 
 use ai_ckpt_sim::{
     AppKind, ClusterConfig, Experiment, Routing, ServiceParams, StorageModel, Strategy,

@@ -23,7 +23,9 @@
 //!    can always replay the newest consistent epoch.
 //!
 //! If any rank fails phase 1, the group epoch aborts: already-finished
-//! ranks retire their local epoch (`remove_epochs`), a
+//! ranks retire their local epoch (`remove_epochs`), every rank owes the
+//! epoch's pages to its next checkpoint
+//! ([`PageManager::requeue_last_checkpoint`]), a
 //! [`GlobalRecord::abort`] burns the number, and the error surfaces to the
 //! caller. A crash anywhere in the protocol is recovered at
 //! [`CheckpointGroup::open`]: rank-local epochs newer than the last global
@@ -364,6 +366,9 @@ impl CheckpointGroup {
     /// it and burn the number in the global manifest. Best-effort on
     /// purpose — any step this misses (a rank whose retirement also fails)
     /// is exactly what open-time recovery replays from the global manifest.
+    /// Either way no rank's `epoch` counts, so every rank writes its pages
+    /// again at the next checkpoint (for a rank whose own commit failed,
+    /// that already happened).
     fn abort_epoch(&mut self, epoch: u64, failed_rank: u64) {
         for cell in &self.ranks {
             if cell
@@ -373,6 +378,7 @@ impl CheckpointGroup {
             {
                 let _ = cell.backend().remove_epochs(&[epoch]);
             }
+            cell.manager.requeue_last_checkpoint();
         }
         let _ = global::append(
             &self.global,

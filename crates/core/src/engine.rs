@@ -495,6 +495,22 @@ impl EpochEngine {
         }
     }
 
+    /// The last checkpoint is known not to have committed (its `finish`
+    /// failed, or a coordinator retired its epoch): every page it scheduled
+    /// is owed again, so it joins the dirty set of the epoch being built.
+    /// A page not rewritten since stays write-protected; recording it here
+    /// sends its next fault down the [`WriteOutcome::AlreadyHandled`] path.
+    /// Call between checkpoints. Allocation-free.
+    pub fn requeue_last(&mut self) {
+        debug_assert!(!self.ckpt_active, "requeue_last during a checkpoint");
+        for i in 0..self.history.last().dirty_len() {
+            let p = self.history.last().dirty()[i];
+            if self.history.last().access_type(p) != AccessType::Untouched {
+                self.record(p, AccessType::After);
+            }
+        }
+    }
+
     /// Remove a page from checkpointing entirely (used by `free_protected`:
     /// the owning region is going away, its content no longer matters).
     ///
@@ -522,9 +538,10 @@ impl EpochEngine {
             PageState::InProgress => return false,
             PageState::Processed => {}
         }
-        // Drop the page from the current epoch's dirty set so the *next*
-        // checkpoint does not try to flush freed memory.
+        // Drop the page from both dirty sets, so neither the *next*
+        // checkpoint nor a requeue of this one flushes freed memory.
         self.history.current_mut().unrecord(p);
+        self.history.last_mut().unrecord(p);
         if self.waited == Some(p) {
             self.waited = None;
         }

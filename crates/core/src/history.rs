@@ -138,6 +138,12 @@ impl EpochHistory {
         &self.last
     }
 
+    /// Mutable access for tombstoning a freed page.
+    #[inline]
+    pub(crate) fn last_mut(&mut self) -> &mut EpochRecord {
+        &mut self.last
+    }
+
     /// Number of rollovers performed so far.
     #[inline]
     pub fn epochs(&self) -> u64 {

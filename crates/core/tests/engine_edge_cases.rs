@@ -127,8 +127,15 @@ fn tombstoned_pages_never_reach_storage() {
     }
     let info = e.begin_checkpoint().unwrap();
     assert_eq!(info.scheduled_pages, 3);
-    let order = drain(&mut e);
-    assert_eq!(order, vec![0, 2, 4]);
+    // Page 2 is freed while its epoch flushes, and that epoch then fails:
+    // the requeue owes pages 0 and 4 again, never the freed page.
+    let first = e.select_next().unwrap();
+    e.complete_flush(first);
+    assert!(e.discard_page(2));
+    assert_eq!(drain(&mut e), vec![4]);
+    e.requeue_last();
+    assert_eq!(e.begin_checkpoint().unwrap().scheduled_pages, 2);
+    assert_eq!(drain(&mut e), vec![0, 4]);
 }
 
 #[test]

@@ -6,8 +6,10 @@
 //! memory at the moment `CHECKPOINT` was called, no matter how application
 //! writes interleave with the background flushing. These tests drive the
 //! engine with arbitrary interleavings of writes, single-page flush steps
-//! and checkpoint requests against a model "memory", and assert the
-//! invariant (plus completeness and slot accounting) on every checkpoint.
+//! and checkpoint requests — some of which fail — against a model "memory",
+//! and assert the invariant (plus completeness and slot accounting) on every
+//! checkpoint: the committed image equals memory at `CHECKPOINT`, whatever
+//! checkpoints failed before it.
 
 use ai_ckpt_core::rng::SplitMix64;
 use ai_ckpt_core::{
@@ -27,19 +29,23 @@ enum Op {
     /// The application requests a checkpoint (waiting for the previous one
     /// to drain first, as Algorithm 1 does).
     Checkpoint,
+    /// A checkpoint whose commit fails: storage drops its flushes.
+    FailCheckpoint,
 }
 
 /// Seeded workload generator (stands in for the proptest strategies the
-/// original tests used; the weights are the same 4:3:1).
+/// original tests used; write, flush and checkpoint weigh 4:3:1, and one
+/// checkpoint in two fails).
 fn gen_ops(rng: &mut SplitMix64, pages: u32, len: usize) -> Vec<Op> {
     (0..len)
-        .map(|_| match rng.next_below(8) {
-            0..=3 => Op::Write {
+        .map(|_| match rng.next_below(16) {
+            0..=7 => Op::Write {
                 page: rng.next_below(pages as u64) as u32,
                 val: rng.next_u64() as u8,
             },
-            4..=6 => Op::FlushOne,
-            _ => Op::Checkpoint,
+            8..=13 => Op::FlushOne,
+            14 => Op::Checkpoint,
+            _ => Op::FailCheckpoint,
         })
         .collect()
 }
@@ -53,6 +59,13 @@ struct Harness {
     storage: HashMap<u32, Vec<u8>>,
     /// Expected snapshot (memory at CHECKPOINT time) for scheduled pages.
     expected: HashMap<u32, Vec<u8>>,
+    /// The image the committed checkpoints restore, and memory at the
+    /// active checkpoint's `CHECKPOINT`, which it must equal once that
+    /// checkpoint commits.
+    image: Vec<u8>,
+    snapshot: Vec<u8>,
+    /// The active checkpoint fails: its flushes never commit.
+    failing: bool,
     /// Pages already first-written this epoch (their protection is lifted,
     /// so subsequent writes bypass the engine).
     touched: Vec<bool>,
@@ -71,6 +84,9 @@ impl Harness {
             memory: vec![0u8; pages as usize * PAGE_BYTES],
             storage: HashMap::new(),
             expected: HashMap::new(),
+            image: vec![0u8; pages as usize * PAGE_BYTES],
+            snapshot: Vec::new(),
+            failing: false,
             touched: vec![false; pages as usize],
             pages,
             checkpoints_verified: 0,
@@ -128,7 +144,7 @@ impl Harness {
         true
     }
 
-    fn checkpoint(&mut self) {
+    fn checkpoint(&mut self, failing: bool) {
         // Algorithm 1 lines 2-4: wait (here: drive) until the previous
         // checkpoint completes.
         while self.engine.checkpoint_active() {
@@ -136,6 +152,8 @@ impl Harness {
         }
         self.storage.clear();
         self.expected.clear();
+        self.snapshot = self.memory.clone();
+        self.failing = failing;
         let info = self.engine.begin_checkpoint().unwrap();
         // The snapshot the checkpoint must capture: memory *now*, for every
         // scheduled page.
@@ -178,6 +196,19 @@ impl Harness {
         // Slot accounting: all CoW slots returned.
         assert_eq!(self.engine.cow_in_use(), 0, "CoW slots leaked");
         self.checkpoints_verified += 1;
+        if self.failing {
+            // Nothing committed: the scheduled pages are owed again.
+            self.engine.requeue_last();
+            return;
+        }
+        for (p, data) in &self.storage {
+            let s = *p as usize * PAGE_BYTES;
+            self.image[s..s + PAGE_BYTES].copy_from_slice(data);
+        }
+        assert_eq!(
+            self.image, self.snapshot,
+            "the committed image differs from memory at CHECKPOINT"
+        );
     }
 
     fn run(&mut self, ops: &[Op]) {
@@ -187,7 +218,8 @@ impl Harness {
                 Op::FlushOne => {
                     self.flush_one();
                 }
-                Op::Checkpoint => self.checkpoint(),
+                Op::Checkpoint => self.checkpoint(false),
+                Op::FailCheckpoint => self.checkpoint(true),
             }
         }
         // Drain whatever is still in flight so the last checkpoint verifies.
@@ -253,7 +285,10 @@ fn flush_completeness() {
         let mut h = Harness::new(8, 2, SchedulerKind::Adaptive, true);
         h.run(&ops);
         // If any checkpoint was requested it must have verified.
-        let requested = ops.iter().filter(|o| matches!(o, Op::Checkpoint)).count();
+        let requested = ops
+            .iter()
+            .filter(|o| matches!(o, Op::Checkpoint | Op::FailCheckpoint))
+            .count();
         assert!(h.checkpoints_verified >= requested.min(1));
     }
 }

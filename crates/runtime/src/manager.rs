@@ -302,6 +302,10 @@ impl DigestTable {
         self.present[idx] = true;
         self.digest[idx] = digest;
     }
+
+    fn forget(&mut self, idx: usize) {
+        self.present[idx] = false;
+    }
 }
 
 /// Number of digest-table shards. Page `p` lives in shard
@@ -353,6 +357,15 @@ impl ContentFilter {
         self.shards[shard]
             .lock()
             .set(page as usize / DIGEST_SHARDS, digest);
+    }
+
+    /// Forget `page`'s digest: storage no longer holds the payload it
+    /// describes.
+    fn forget(&self, page: u64) {
+        let shard = page as usize % DIGEST_SHARDS;
+        self.shards[shard]
+            .lock()
+            .forget(page as usize / DIGEST_SHARDS);
     }
 
     /// `(pages, bytes)` skipped as clean-dirty across committed epochs.
@@ -865,6 +878,28 @@ impl PageManager {
         Ok(())
     }
 
+    /// The last checkpoint's epoch was retired after it committed (a group
+    /// abort): its pages are owed again, so they join the epoch being
+    /// built, and the content filter forgets their digests — storage no
+    /// longer holds the payloads they describe. Waits for a checkpoint in
+    /// flight to finish first, and holds off the next one until done: a
+    /// page of a flush under way must not be recorded as written after it.
+    pub fn requeue_last_checkpoint(&self) {
+        let mut st = self.ctl.status.lock();
+        while st.busy {
+            self.ctl.done.wait(&mut st);
+        }
+        let pages = {
+            let mut eng = self.ctl.shared.engine();
+            eng.requeue_last();
+            eng.history().last().dirty().to_vec()
+        };
+        if let Some(filter) = &self.ctl.filter {
+            pages.into_iter().for_each(|p| filter.forget(p as u64));
+        }
+        drop(st);
+    }
+
     /// Number of checkpoints requested so far.
     pub fn checkpoints(&self) -> u64 {
         self.ctl.shared.engine().checkpoints()
@@ -1105,7 +1140,9 @@ pub(crate) fn finalize_flush(ctl: &Ctl, job: &FlushJob, layout: &[u8]) -> io::Re
 }
 
 /// Publish a finished checkpoint's verdict: stamp its stats record, clear
-/// the busy flag and wake `wait_checkpoint` callers. With `surface_error`
+/// the busy flag and wake `wait_checkpoint` callers. A failed checkpoint
+/// committed nothing, so before `busy` clears its pages rejoin the epoch
+/// being built ([`EpochEngine::requeue_last`]). With `surface_error`
 /// the failure is also parked in `Status::failed` for the next
 /// `checkpoint()`/`wait_checkpoint()` call to surface; a caller that
 /// already returned the error synchronously passes `false` so it is not
@@ -1125,6 +1162,9 @@ pub(crate) fn complete_checkpoint(
             rec.duration = Some(duration);
             rec.failed = result.is_err();
         }
+    }
+    if result.is_err() {
+        ctl.shared.engine().requeue_last();
     }
     let mut st = ctl.status.lock();
     if let Err(e) = result {

@@ -2,11 +2,9 @@
 //! fault but are byte-identical to their last committed version must be
 //! dropped before any I/O, without ever changing what a restore produces.
 
-use ai_ckpt::{restore_latest, CkptConfig, CkptMode, PageManager};
+use ai_ckpt::{restore_latest, CkptConfig, PageManager};
 use ai_ckpt_mem::page_size;
-use ai_ckpt_storage::{
-    is_page, CheckpointImage, FailingBackend, FaultOp, MemoryBackend, StorageBackend,
-};
+use ai_ckpt_storage::{is_page, CheckpointImage, MemoryBackend};
 
 fn cfg(filter: bool) -> CkptConfig {
     CkptConfig::ai_ckpt(1 << 20)
@@ -102,43 +100,6 @@ fn filter_on_and_off_restore_byte_identically() {
     assert_eq!(with, without, "filter must never change restored bytes");
     assert!(skipped_on > 0, "the alternating workload has clean epochs");
     assert_eq!(skipped_off, 0);
-}
-
-#[test]
-fn digests_only_advance_on_committed_epochs() {
-    // A checkpoint whose commit fails must not poison the digest table: the
-    // retry still writes the pages (storage never got them).
-    let (inner, view) = MemoryBackend::shared();
-    let (backend, control) = FailingBackend::new(inner);
-    let mut c = cfg(true);
-    c.mode = CkptMode::Sync;
-    let mgr = PageManager::new(c, Box::new(backend)).unwrap();
-    let mut buf = mgr.alloc_protected_named("s", 4 * page_size()).unwrap();
-
-    touch_all(&mut buf, |p| p as u8);
-    mgr.checkpoint().unwrap();
-
-    // Epoch 2 changes every page but its finish fails.
-    control.fail(FaultOp::Finish, true);
-    touch_all(&mut buf, |p| 0x40 + p as u8);
-    assert!(mgr.checkpoint().is_err(), "finish failure surfaces");
-    control.heal();
-    assert!(view.epochs().unwrap() == vec![1], "epoch 2 aborted");
-
-    // Epoch 3 re-dirties the same content: storage does NOT hold it (the
-    // commit failed), so nothing may be skipped.
-    touch_all(&mut buf, |p| 0x40 + p as u8);
-    mgr.checkpoint().unwrap();
-    let stats = mgr.stats();
-    assert_eq!(
-        stats.pages_skipped_clean, 0,
-        "aborted epoch must not seed digests"
-    );
-    let img = CheckpointImage::load_latest(&view).unwrap().unwrap();
-    let base = buf.base_page() as u64;
-    for p in 0..4u64 {
-        assert_eq!(img.page(base + p).unwrap()[0], 0x40 + p as u8);
-    }
 }
 
 #[test]

@@ -151,6 +151,30 @@ fn committer_failure_surfaces_and_epoch_not_committed() {
     assert!(!stats.checkpoints[1].failed);
 }
 
+/// A requeue asked for while its checkpoint still flushes waits for the
+/// flush: none of its pages is taken as written after `CHECKPOINT`, so a
+/// write that follows is still kept out of the flushed epoch.
+#[test]
+fn requeue_during_a_flush_waits_for_it() {
+    let (mem, view) = MemoryBackend::shared();
+    let backend = ThrottledBackend::new(mem, 8.0 * 1024.0 * 1024.0, Duration::ZERO);
+    let cfg = CkptConfig::ai_ckpt(4 * page_size()).with_committer_streams(1);
+    let mgr = PageManager::new(cfg, Box::new(backend)).unwrap();
+    let pages = 32;
+    let mut buf = mgr.alloc_protected(pages * page_size()).unwrap();
+    fill_pages(&mut buf, 7);
+    mgr.checkpoint().unwrap();
+    mgr.requeue_last_checkpoint();
+    assert!(!mgr.checkpoint_in_progress());
+    fill_pages(&mut buf, 8);
+    mgr.wait_checkpoint().unwrap();
+    let base = buf.base_page() as u64;
+    let img = CheckpointImage::load(&view, 1).unwrap();
+    assert!((0..pages as u64).all(|p| img.page(base + p).unwrap().iter().all(|&b| b == 7)));
+    assert_eq!(mgr.checkpoint().unwrap().scheduled_pages, pages as u64);
+    mgr.wait_checkpoint().unwrap();
+}
+
 #[test]
 fn restore_round_trip_two_buffers() {
     let (backend, view) = MemoryBackend::shared();

@@ -61,6 +61,12 @@
 //! recovering the transport cannot un-flip stored bytes. `kill` and `fail`
 //! are the two named arms; everything else arms through `arm` directly.
 //!
+//! [`FailureControl::on_call`] hooks a test into the numbering: its
+//! closure runs at every backend call (not a syscall), once the call is
+//! numbered and before it reaches the wrapped store, on the calling thread
+//! and outside the control's lock — so a test can act between numbered
+//! calls, e.g. write the pages a flush is about to write.
+//!
 //! # The disk model
 //!
 //! Under a control the device is modeled, not asked: an `Fsync` or
@@ -369,6 +375,16 @@ impl Disk {
     }
 }
 
+/// A test's closure run at every backend call.
+#[derive(Clone)]
+struct Hook(Arc<dyn Fn(&Call) + Send + Sync>);
+
+impl std::fmt::Debug for Hook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Hook")
+    }
+}
+
 #[derive(Debug, Default)]
 struct Table {
     /// Calls numbered so far.
@@ -388,6 +404,7 @@ struct Table {
     /// The write the crash stopped, if it stopped one.
     stopped: Option<StoppedWrite>,
     disk: Disk,
+    hook: Option<Hook>,
 }
 
 impl Table {
@@ -502,6 +519,11 @@ impl FailureControl {
         }
     }
 
+    /// Run `hook` at every backend call from now on (see the module docs).
+    pub fn on_call(&self, hook: impl Fn(&Call) + Send + Sync + 'static) {
+        self.table.lock().hook = Some(Hook(Arc::new(hook)));
+    }
+
     /// Stop injecting failures of every kind, a kill and a crash included
     /// (armed rot stays: only a rewrite clears it).
     pub fn heal(&self) {
@@ -588,7 +610,13 @@ impl Leaf {
     /// with `first`; `Ok` carries how many may land.
     fn gate(&self, kind: FaultOp, first: Option<(u64, u64)>, records: usize) -> io::Result<usize> {
         let mut table = self.control.table.lock();
-        table.gate(self.index, kind, None, first, records)
+        let result = table.gate(self.index, kind, None, first, records);
+        let hooked = (table.hook.clone()).map(|Hook(hook)| (hook, table.journal.last().cloned()));
+        drop(table);
+        if let Some((hook, Some(call))) = hooked {
+            hook(&call);
+        }
+        result
     }
 
     /// Gate the syscall `sys` (see [`crate::io`]): `Ok` carries its number,

@@ -12,7 +12,12 @@
 //! `rank_NNNN/`, `GLOBAL` on a third leaf. Its scenario drives real buffers:
 //! group checkpoints 1–5, each rank's buffer written like the epoch's
 //! records first; the group's fold after checkpoint 4; a scrub of each
-//! rank. Every leaf store is wrapped under one
+//! rank. A seventh, `buffer`, is one `PageManager` over one file leaf (one
+//! committer stream, the content filter on, two CoW slots) checkpointing
+//! a six-page buffer five times; a gate hook
+//! ([`FailureControl::on_call`]) hands a writer thread pages to write at
+//! each flush's numbered calls, so a page is hit before its flush (a CoW),
+//! during it (a WAIT) and after it. Every leaf store is wrapped under one
 //! shared `FailureControl`, and every file leaf — `GLOBAL` too — numbers
 //! its mutating syscalls on the same leaf (create, write, truncate, fsync,
 //! directory fsync, rename, unlink, mkdir), so a fault-free run gives the
@@ -42,15 +47,18 @@
 //! trailer, each file removed — the segment half in a child process under
 //! `ulimit -v`.
 //!
-//! The file-over-file, replicated, policy and group stacks are *lean*: made
-//! of file leaves the lone stack already sweeps, they buy their time there.
+//! The file-over-file, replicated, policy, group and buffer stacks are
+//! *lean*: made of file leaves the lone stack already sweeps, they buy
+//! their time there.
 //! A syscall fault lands in a leaf's own recovery, which `file` crashes,
 //! fails and tears at every syscall, so a lean stack is crashed and failed
 //! at backend calls only, and its segments are flipped and cut once per
 //! field kind only. No other stack has a `GLOBAL`, so its syscalls are
 //! crashed, failed and torn at every k and its every byte flipped. The
 //! ranks checkpoint synchronously with one committer stream and scrub only
-//! as a step, so a case's calls follow the scenario, not the schedule.
+//! as a step, so a case's calls follow the scenario, not the schedule. The
+//! buffer is crashed, failed and burst at backend calls only, with no power
+//! cut and no damage at rest.
 //!
 //! A `down` case is judged twice. First its live handle, while the leaves
 //! are still down: restores of the newest epoch the others list are a
@@ -84,6 +92,12 @@
 //!   policy's bounded level keeps resident copies;
 //! * a burst on the drain, which is retried, changes nothing at all.
 //!
+//! Where real buffers are checkpointed — the group's and `buffer` — the
+//! model is the buffer: epoch e restores the bytes it held at `CHECKPOINT`
+//! e, whatever failed before it, and every listed epoch is loaded, not
+//! just the newest (a page a failed checkpoint lost may be rewritten
+//! later).
+//!
 //! On the group each rank is judged so (its bytes XORed with a salt of its
 //! own; damage to one rank lets only its doors fail), then the group's
 //! rules (see [`judge_group`]): one history on every rank, ending at the
@@ -92,17 +106,15 @@
 //! when it returned (judged before the reopen, whose recovery would
 //! delete it); a reopen that appends nothing to a rank's log but
 //! retirements; `restore_latest` the model's; the next
-//! checkpoint numbered above every number a log names. The model counts
-//! committed records, so it does not judge that an aborted group
-//! checkpoint's buffer writes never reach a later epoch (the runtime's
-//! snapshot invariant).
+//! checkpoint numbered above every number a log names.
 //!
 //! A failure names its case — `stack:mode:k`, `stack:down:L:k`,
 //! `policy:down:partner:k`, `stack:tear:k:b`, `stack:powercut:k`, `stack:rot|cut:FILE:b`,
 //! `stack:lose:FILE` — with the call's kind, leaf and path. To replay one
 //! case with its step log printed: `CRASH_POINTS=policy:down:1:187 cargo
 //! test --test crash_points -- --nocapture` (`group:fail:78`: rank 1's
-//! `finish` of checkpoint 2).
+//! `finish` of checkpoint 2; `buffer:fail:36`: the `finish` of checkpoint
+//! 2, whose pages checkpoint 3 must carry).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
@@ -111,7 +123,8 @@ use std::io;
 use std::ops::RangeInclusive;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use ai_ckpt::{
@@ -172,6 +185,8 @@ enum Stack {
     Policy,
     /// A `CheckpointGroup` of [`RANKS`] file stores, `GLOBAL` beside them.
     Group,
+    /// One `PageManager` over one file store; its model is the buffer.
+    Buffer,
 }
 
 impl Stack {
@@ -192,13 +207,14 @@ impl Stack {
             Stack::Replica2 => "replica2",
             Stack::Policy => "policy",
             Stack::Group => "group",
+            Stack::Buffer => "buffer",
         }
     }
 
     /// Each file store's directory name in case ids, in leaf order.
     fn dirs(self) -> &'static [&'static str] {
         match self {
-            Stack::File | Stack::MemoryOverFile => &[""],
+            Stack::File | Stack::MemoryOverFile | Stack::Buffer => &[""],
             Stack::FileOverFile => &["fast", "slow"],
             Stack::Replica2 => &["replica0", "replica1"],
             Stack::Policy => &["hot", "partner0", "partner1", "cold"],
@@ -309,6 +325,7 @@ impl Mode {
             FaultOp::Sys(_) => {
                 matches!(self, Mode::Crash | Mode::Fail) && (!stack.lean() || global)
             }
+            _ if stack == Stack::Buffer => self != Mode::Corrupt,
             FaultOp::Write | FaultOp::InstallCompacted => true,
             _ => self != Mode::Corrupt,
         }
@@ -345,7 +362,8 @@ const SCRIPT: [Step; 10] = [
 /// buffer written like `records(e)` first. The group folds a rank's chain
 /// after a commit that makes it longer than [`GROUP_FOLD`] — here after
 /// checkpoint 4 —, and [`Case::run_group`] logs that fold as a
-/// `Fold(e)` of its own.
+/// `Fold(e)` of its own. The buffer's scenario is its commits: each writes
+/// a few pages, then is one checkpoint of the buffer, waited for.
 const GROUP_SCRIPT: [Step; 7] = [
     Step::Open,
     Step::Commit(1),
@@ -366,21 +384,36 @@ enum Outcome {
     /// The step the crash hit: whatever it returned, it may or may not
     /// have taken effect.
     Crashed,
-    /// A group checkpoint that returned `Err` while the coordinator lived:
-    /// nothing of it may be listed, ever.
+    /// A checkpoint of a real buffer that returned `Err` while the process
+    /// lived: nothing of it may be listed, ever.
     Refused,
     NotRun,
 }
 
-/// One step of a run: what it was, how it ended, its calls, and whether it
+/// One step of a run: what it was, how it ended, its calls, whether it
 /// changed any leaf's chain (a refused group commit: whether it left a
-/// file of its epoch on a rank).
+/// file of its epoch on a rank) and — a commit of a real buffer — the
+/// buffer at its `CHECKPOINT`.
 #[derive(Clone, Debug)]
 struct Entry {
     step: Step,
     outcome: Outcome,
     calls: RangeInclusive<u64>,
     touched: bool,
+    buffer: Option<Held>,
+}
+
+/// Pages by id.
+type Image = BTreeMap<u64, Vec<u8>>;
+
+/// A buffer's pages, shown by their hash.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Held(Arc<Image>);
+
+impl std::fmt::Debug for Held {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "pages#{:016x}", digest(&self.0))
+    }
 }
 
 fn cfg() -> CkptConfig {
@@ -392,11 +425,24 @@ fn cfg() -> CkptConfig {
 /// The group's ranks checkpoint synchronously, so their flushes never
 /// interleave, and scrub only as a step of the scenario.
 fn group_cfg() -> GroupConfig {
-    let mut ckpt = cfg();
+    let mut ckpt = cfg().with_content_filter(true);
     ckpt.mode = CkptMode::Sync;
     ckpt.scrub = ScrubPolicy::disabled();
     ckpt.retry.base = Duration::ZERO;
     GroupConfig::new(RANKS, ckpt).with_compaction(CompactionPolicy::chain_len(GROUP_FOLD))
+}
+
+/// The buffer stack's manager: two CoW slots, the content filter on, no
+/// scrub, and batches of two pages in address order — which pages a
+/// numbered call holds never depends on when the writer thread ran.
+fn buffer_cfg() -> CkptConfig {
+    let mut cfg = CkptConfig::async_no_pattern(2 * page_size())
+        .with_max_pages(64)
+        .with_committer_streams(1)
+        .with_flush_batch_pages(2)
+        .with_content_filter(true);
+    cfg.scrub = ScrubPolicy::disabled();
+    cfg
 }
 
 /// What rank `rank` XORs into every byte it writes, so no rank's bytes
@@ -446,33 +492,41 @@ fn records(e: u64) -> Vec<(u64, Vec<u8>)> {
     data.chain([(META_RECORD, layout.record.clone())]).collect()
 }
 
-/// What the storage must hold: the epochs listed, and those whose pages
-/// count (committed, folded or not, and not retired).
+/// What the storage must hold: the epochs listed, those whose pages count
+/// (committed, folded or not, and not retired) and, on a stack that
+/// checkpoints a real buffer, the buffer at each committed epoch's
+/// `CHECKPOINT` — what that epoch restores, whatever failed before it.
 #[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
 struct Model {
     listed: BTreeSet<u64>,
     committed: BTreeSet<u64>,
+    buffers: BTreeMap<u64, Held>,
 }
 
 impl Model {
-    fn apply(&mut self, step: Step) {
+    fn apply(&mut self, step: Step, buffer: Option<&Held>) {
         match step {
             Step::Commit(e) => {
                 self.listed.insert(e);
                 self.committed.insert(e);
+                self.buffers.extend(buffer.map(|b| (e, b.clone())));
             }
             Step::Retire(e) => {
                 self.listed.remove(&e);
                 self.committed.remove(&e);
             }
             Step::Compact(e) if self.listed.contains(&e) => self.listed.retain(|&x| x >= e),
-            Step::Fold(e) if self.listed.len() > GROUP_FOLD => self.apply(Step::Compact(e)),
+            Step::Fold(e) if self.listed.len() > GROUP_FOLD => self.apply(Step::Compact(e), None),
             _ => {}
         }
     }
 
-    /// The pages of `top`'s image, latest wins.
-    fn image(&self, top: u64) -> BTreeMap<u64, Vec<u8>> {
+    /// The pages of `top`'s image: the buffer at its `CHECKPOINT`, or the
+    /// committed records, latest wins.
+    fn image(&self, top: u64) -> Image {
+        if let Some(Held(buffer)) = self.buffers.get(&top) {
+            return Image::clone(buffer);
+        }
         let mut image = BTreeMap::new();
         for &e in self.committed.range(..=top) {
             image.extend(records(e).into_iter().filter(|&(p, _)| p != META_RECORD));
@@ -487,7 +541,7 @@ fn models(log: &[Entry]) -> Vec<Model> {
     for entry in log {
         let applied = |m: &Model| {
             let mut m = m.clone();
-            m.apply(entry.step);
+            m.apply(entry.step, entry.buffer.as_ref());
             m
         };
         match entry.outcome {
@@ -707,7 +761,7 @@ impl Case {
         };
         let file = |i: usize| Self::file_on(&self.dirs[i], ctl.leaf(), wrap);
         Ok(match self.stack {
-            Stack::File => Arc::from(file(0)?),
+            Stack::File | Stack::Buffer => Arc::from(file(0)?),
             Stack::FileOverFile => {
                 let fast = file(0)?;
                 Arc::new(TieredBackend::new(fast, file(1)?, FAST_CAPACITY)?)
@@ -755,8 +809,10 @@ impl Case {
     /// and the stack it leaves open.
     fn run(&self, ctl: &FailureControl, mode: Option<Mode>) -> (Vec<Entry>, Option<Stacked>) {
         let dead = || mode == Some(Mode::Crash) && ctl.fired().is_some();
-        if self.stack == Stack::Group {
-            return (self.run_group(ctl, &dead), None);
+        match self.stack {
+            Stack::Group => return (self.run_group(ctl, &dead), None),
+            Stack::Buffer => return (self.run_buffer(ctl, &dead, mode.is_none()), None),
+            _ => {}
         }
         let mut stack: Option<Stacked> = None;
         let mut log = Vec::new();
@@ -785,6 +841,7 @@ impl Case {
                 outcome,
                 calls: first..=ctl.ops(),
                 touched: chains(&stack) != before,
+                buffer: None,
             });
         }
         (log, stack)
@@ -819,14 +876,18 @@ impl Case {
             let crashed = |calls: &RangeInclusive<u64>| {
                 dead() && ctl.fired().is_some_and(|c| calls.contains(&c.number))
             };
-            let mut push = |step, outcome, calls, touched| {
+            let mut push = |step, outcome, calls, touched, buffer| {
                 log.push(Entry {
                     step,
                     outcome,
                     calls,
                     touched,
+                    buffer,
                 })
             };
+            let commit = matches!(step, Step::Commit(_)) && result.is_some();
+            let buffer = group.as_ref().filter(|_| commit);
+            let buffer = buffer.map(|g| Held(Arc::new(g.image.clone())));
             let outcome = match result {
                 None => Outcome::NotRun,
                 _ if crashed(&(first..=split)) => Outcome::Crashed,
@@ -836,21 +897,101 @@ impl Case {
             };
             // The abort retires a refused epoch on every rank before the
             // group answers; the reopen's recovery would hide a leak.
-            let of = |e: u64, path: &PathBuf| path.ends_with(format!("epoch_{e:010}.seg"));
-            let leaked = |e| self.snapshot().keys().any(|path| of(e, path));
-            let touched =
-                matches!((step, outcome), (Step::Commit(e), Outcome::Refused) if leaked(e));
-            push(step, outcome, first..=split, touched);
+            let touched = outcome == Outcome::Refused && self.leaked(step);
+            push(step, outcome, first..=split, touched, buffer);
             if let (Some((was, now)), Step::Commit(e)) = (fold, step) {
                 let outcome = match () {
                     _ if crashed(&(split + 1..=end)) => Outcome::Crashed,
                     _ if now.compaction_failures > was.compaction_failures => Outcome::Failed,
                     _ => Outcome::Done,
                 };
-                push(Step::Fold(e), outcome, split + 1..=end, false);
+                push(Step::Fold(e), outcome, split + 1..=end, false, None);
             }
         }
         log
+    }
+
+    /// [`Case::run`] on the buffer: the gate hook hands the writer thread
+    /// pages to write during each flush; a fault-free run must see both CoW
+    /// and WAIT.
+    fn run_buffer(&self, ctl: &FailureControl, dead: &dyn Fn() -> bool, clean: bool) -> Vec<Entry> {
+        let hooked = Arc::new(Mutex::new(Hooked::default()));
+        let hook = Arc::clone(&hooked);
+        ctl.on_call(move |call| hook.lock().unwrap().at(call));
+        let (mut open, mut log) = (None::<(ProtectedBuffer, PageManager)>, Vec::new());
+        for step in GROUP_SCRIPT.into_iter().filter(|&s| s != Step::Scrub) {
+            let (first, mut buffer) = (ctl.ops() + 1, None);
+            let result = match (step, &mut open) {
+                _ if dead() => None,
+                (Step::Open, _) => Some(self.open(ctl, true).and_then(|stack| {
+                    let mgr = self.pool.attach(buffer_cfg(), stack, Arc::new(()))?;
+                    let buf = mgr.alloc_protected_named("state", PAGES as usize * page_size())?;
+                    hooked.lock().unwrap().writer = Some(Writer::new(buf.as_ptr() as usize));
+                    open = Some((buf, mgr));
+                    Ok(())
+                })),
+                (Step::Commit(e), Some((buf, mgr))) => {
+                    let ps = page_size();
+                    let pages: Vec<u64> = match e {
+                        1 => (0..PAGES).collect(),
+                        _ => vec![e % PAGES, (e + 3) % PAGES],
+                    };
+                    for &p in &pages {
+                        buf.as_mut_slice()[p as usize * ps..][..ps].fill(0x80 | (e * 8 + p) as u8);
+                    }
+                    let base = layout().base;
+                    let held = buf.as_slice().chunks(ps).map(<[u8]>::to_vec);
+                    buffer = Some(Held(Arc::new((base..).zip(held).collect())));
+                    {
+                        let mut hooked = hooked.lock().unwrap();
+                        hooked.owed.extend(pages);
+                        hooked.checkpoint();
+                    }
+                    let done = mgr.checkpoint().and_then(|_| mgr.wait_checkpoint());
+                    let mut hooked = hooked.lock().unwrap();
+                    hooked.writer.as_ref().unwrap().idle();
+                    if done.is_err() {
+                        hooked.refused();
+                    }
+                    Some(done)
+                }
+                _ => None,
+            };
+            let outcome = match result {
+                None => Outcome::NotRun,
+                Some(_) if dead() => Outcome::Crashed,
+                Some(Ok(())) => Outcome::Done,
+                Some(Err(_)) if matches!(step, Step::Commit(_)) => Outcome::Refused,
+                Some(Err(_)) => Outcome::Failed,
+            };
+            log.push(Entry {
+                step,
+                outcome,
+                calls: first..=ctl.ops(),
+                touched: outcome == Outcome::Refused && self.leaked(step),
+                buffer,
+            });
+        }
+        if let (true, Some((_, mgr))) = (clean, &open) {
+            let stats = mgr.stats();
+            let epochs = stats.checkpoints.iter().map(|c| c.closed_epoch);
+            let (cow, wait) = epochs.fold((0, 0), |(c, w), e| (c + e.cow, w + e.wait));
+            assert!(
+                cow > 0 && wait > 0,
+                "buffer: {cow} CoW and {wait} WAIT pages"
+            );
+        }
+        if let Some(writer) = hooked.lock().unwrap().writer.take() {
+            writer.stop();
+        }
+        log
+    }
+
+    /// Whether a file of `step`'s epoch is on disk.
+    fn leaked(&self, step: Step) -> bool {
+        let Step::Commit(e) = step else { return false };
+        let of = |path: &PathBuf| path.ends_with(format!("epoch_{e:010}.seg"));
+        self.snapshot().keys().any(of)
     }
 
     /// Every file of the stack's directories.
@@ -902,10 +1043,12 @@ impl Case {
     }
 }
 
-/// An open group and each rank's buffer, which drops first.
+/// An open group, each rank's buffer, which drops first, and what the
+/// buffers hold, unsalted.
 struct Ranks {
     bufs: Vec<ProtectedBuffer>,
     group: CheckpointGroup,
+    image: Image,
 }
 
 impl Ranks {
@@ -923,14 +1066,23 @@ impl Ranks {
                 }
             }
         }
-        Ok(Self { bufs, group })
+        Ok(Self {
+            bufs,
+            group,
+            image: Image::new(),
+        })
     }
 
-    /// Write epoch `e`'s records into every rank's buffer, XORed with the
-    /// rank's salt.
+    /// Write epoch `e`'s records — a few pages — into every rank's buffer,
+    /// XORed with the rank's salt.
     fn write(&mut self, e: u64) {
+        let pages: Vec<_> = records(e)
+            .into_iter()
+            .filter(|&(p, _)| p != META_RECORD)
+            .collect();
+        self.image.extend(pages.iter().cloned());
         for (rank, buf) in self.bufs.iter_mut().enumerate() {
-            for (page, data) in records(e).into_iter().filter(|&(p, _)| p != META_RECORD) {
+            for (page, data) in pages.iter().cloned() {
                 let at = (page - layout().base) as usize * page_size();
                 let dst = &mut buf.as_mut_slice()[at..at + data.len()];
                 dst.iter_mut()
@@ -949,6 +1101,149 @@ impl Ranks {
         }
         let rank = |r: usize| self.group.rank_backend(r).as_ref();
         (0..RANKS).try_for_each(|r| perform(rank(r), step, &|| false))
+    }
+}
+
+/// The buffer stack's gate hook: its writer, once the buffer is there, the
+/// flushes seen, and the engine's page sets as the script makes them —
+/// pages written since the last `CHECKPOINT`, and those of the checkpoint
+/// being flushed.
+#[derive(Default)]
+struct Hooked {
+    writer: Option<Writer>,
+    begun: u64,
+    wrote: bool,
+    owed: BTreeSet<u64>,
+    flushing: BTreeSet<u64>,
+}
+
+impl Hooked {
+    /// At its n-th `BeginEpoch` a flush writes page n (its flush is ahead:
+    /// a CoW); at the epoch's first `Write` the last page (ahead in address
+    /// order: a CoW) and the flush's lowest page — its first batch, in
+    /// flight: a WAIT; at `Finish` page n + 2 (behind).
+    fn at(&mut self, call: &Call) {
+        let pages = match call.kind {
+            FaultOp::BeginEpoch => {
+                (self.begun, self.wrote) = (self.begun + 1, false);
+                vec![self.begun % PAGES]
+            }
+            FaultOp::Write if !self.wrote => {
+                self.wrote = true;
+                [PAGES - 1]
+                    .into_iter()
+                    .chain(self.flushing.first().copied())
+                    .collect()
+            }
+            FaultOp::Finish => vec![(self.begun + 2) % PAGES],
+            _ => vec![],
+        };
+        let Some(writer) = &mut self.writer else {
+            return;
+        };
+        for page in pages {
+            self.owed.insert(page);
+            writer.write(page as usize, (call.number * 29 + page) as u8);
+        }
+    }
+
+    /// `CHECKPOINT`: the pages owed are the flush's.
+    fn checkpoint(&mut self) {
+        self.flushing = std::mem::take(&mut self.owed);
+    }
+
+    /// The checkpoint did not commit: its pages are owed again.
+    fn refused(&mut self) {
+        self.owed.extend(std::mem::take(&mut self.flushing));
+    }
+}
+
+/// How long the gate hook waits for a write before it takes the writer
+/// thread to be parked in `MustWait`.
+const PARK: Duration = Duration::from_millis(5);
+
+/// The buffer stack's second application thread. The gate hook runs on
+/// the flush worker, which would deadlock waiting on a page it holds, so
+/// it hands each write to this thread and goes on once the write is done,
+/// or the thread sleeps holding it — parked in `MustWait`, the one place
+/// it sleeps then —, or [`PARK`] passed. A write merely slow, or asleep
+/// elsewhere, changes no byte a flush reads, only whether its page counts
+/// as a CoW or a WAIT.
+struct Writer {
+    /// Page indices and the byte to fill each with.
+    send: mpsc::Sender<(usize, u8)>,
+    thread: std::thread::JoinHandle<()>,
+    /// Writes sent, taken and done, and the thread's `/proc` stat file.
+    sent: u64,
+    taken: Arc<AtomicU64>,
+    done: Arc<AtomicU64>,
+    stat: PathBuf,
+}
+
+impl Writer {
+    /// The thread writing the buffer at `addr`.
+    fn new(addr: usize) -> Self {
+        let (send, recv) = mpsc::channel::<(usize, u8)>();
+        let (taken, done) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let (t, d) = (Arc::clone(&taken), Arc::clone(&done));
+        let (tell, told) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            tell.send(fs::read_link("/proc/thread-self").unwrap())
+                .unwrap();
+            for (page, value) in recv {
+                t.fetch_add(1, Ordering::Relaxed);
+                let page = (addr + page * page_size()) as *mut u8;
+                // SAFETY: a page of the run's buffer, which drops only after
+                // this thread was joined.
+                unsafe { std::ptr::write_bytes(page, value, page_size()) };
+                // Release: a reader that sees the count sees the bytes.
+                d.fetch_add(1, Ordering::Release);
+            }
+        });
+        let stat = Path::new("/proc").join(told.recv().unwrap()).join("stat");
+        Self {
+            send,
+            thread,
+            sent: 0,
+            taken,
+            done,
+            stat,
+        }
+    }
+
+    /// Fill page `page` with `value`, waiting at most [`PARK`].
+    fn write(&mut self, page: usize, value: u8) {
+        self.send.send((page, value)).unwrap();
+        self.sent += 1;
+        let sent = std::time::Instant::now();
+        while self.done.load(Ordering::Acquire) != self.sent && sent.elapsed() < PARK {
+            if self.taken.load(Ordering::Relaxed) == self.sent && self.asleep() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Whether the thread sleeps (its state in `/proc` is `S`).
+    fn asleep(&self) -> bool {
+        let stat = fs::read_to_string(&self.stat).unwrap_or_default();
+        stat.rsplit(')')
+            .next()
+            .and_then(|s| s.split_whitespace().next())
+            == Some("S")
+    }
+
+    /// Wait until every write sent is done.
+    fn idle(&self) {
+        while self.done.load(Ordering::Acquire) != self.sent {
+            std::thread::yield_now();
+        }
+    }
+
+    /// End the thread; the buffer may drop after this.
+    fn stop(self) {
+        drop(self.send);
+        self.thread.join().expect("the writer thread panicked");
     }
 }
 
@@ -1038,7 +1333,7 @@ fn pages_of(buffers: &[ProtectedBuffer]) -> Vec<Vec<u8>> {
 
 /// `image`, whose buffer starts at page `base`, as the buffer a restore of
 /// it must produce, each stored byte XORed with `salt`.
-fn padded(image: &BTreeMap<u64, Vec<u8>>, base: u64, salt: u8) -> Vec<Vec<u8>> {
+fn padded(image: &Image, base: u64, salt: u8) -> Vec<Vec<u8>> {
     let page = |i: u64| {
         let stored = image.get(&(base + i)).into_iter().flatten();
         let mut page: Vec<u8> = stored.map(|b| b ^ salt).collect();
@@ -1063,6 +1358,19 @@ enum Handle {
     Degraded,
 }
 
+/// `CheckpointImage::load` of `top` as the buffer it restores, whose first
+/// page the epoch's own layout record names.
+fn loaded(stack: &dyn StorageBackend, top: u64) -> io::Result<Vec<Vec<u8>>> {
+    let image = CheckpointImage::load(stack, top)?;
+    let meta = stack.read_page_at(top, META_RECORD)?.unwrap_or_default();
+    let base = layout::decode(&meta)?.first().map_or(0, |b| b.base_page);
+    Ok(padded(
+        &image.iter().map(|(p, d)| (p, d.to_vec())).collect(),
+        base,
+        0,
+    ))
+}
+
 /// The three doors of a restore of `top` — run once per state they read
 /// (`files`, before any read healed it) and handle.
 fn restores(
@@ -1078,13 +1386,7 @@ fn restores(
     if let Some(doors) = case.doors.get(&key) {
         return doors.clone();
     }
-    // The buffer's first page, from the epoch's own layout record.
-    let load = CheckpointImage::load(stack.as_ref(), top).and_then(|image| {
-        let meta = stack.read_page_at(top, META_RECORD)?.unwrap_or_default();
-        let base = layout::decode(&meta)?.first().map_or(0, |b| b.base_page);
-        let image = image.iter().map(|(p, d)| (p, d.to_vec())).collect();
-        Ok(padded(&image, base, 0))
-    });
+    let load = loaded(stack.as_ref(), top);
     let fresh = || {
         let backend = Arc::new(MemoryBackend::new());
         case.pool.attach(cfg(), backend, Arc::new(())).unwrap()
@@ -1174,6 +1476,17 @@ fn judge_view(
         }
     }
 
+    // A checkpointed buffer's older epochs restore its bytes at their
+    // `CHECKPOINT` too: a lost write may be rewritten before the newest.
+    let older = now.listed.iter().rev().skip(1);
+    for &e in older.filter(|e| rules.loud.is_empty() && model.buffers.contains_key(e)) {
+        let got = loaded(stack.as_ref(), e).map(|pages| digest(&pages));
+        if got.ok() != Some(model_pages(model, e, rules.salt)) {
+            return Err(format!(
+                "CheckpointImage::load of epoch {e} differs from the model"
+            ));
+        }
+    }
     Ok(model.clone())
 }
 
@@ -1780,7 +2093,7 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
     println!("{}: N = {n}", stack.name());
     let journal = base.ctl.journal();
     // A group's rank going down is a failed phase 1, which `fail:k` is.
-    let several = !matches!(stack, Stack::File | Stack::Group);
+    let several = !matches!(stack, Stack::File | Stack::Group | Stack::Buffer);
     for call in &journal {
         let partner = stack == Stack::Policy && matches!(call.leaf, 1 | 2);
         let downs = [
@@ -1883,8 +2196,9 @@ fn sweep_calls(sweep: &Sweep, case: &mut Case, base: &Baseline) {
             }
         }
     }
-    // The power fails just before call k (k = N + 1: after the scenario).
-    for k in 1..=n + 1 {
+    // The power fails just before call k (k = N + 1: after the scenario);
+    // the buffer's leaf is `file`'s.
+    for k in (1..=n + 1).filter(|_| stack != Stack::Buffer) {
         let cut_id = id(&[&"powercut", &k]);
         if !sweep.wants(&cut_id) {
             continue;
@@ -2019,7 +2333,9 @@ fn sweep(stack: Stack) {
     let mut case = Case::new(stack, "");
     let base = Baseline::run(&sweep, &mut case);
     sweep_calls(&sweep, &mut case, &base);
-    sweep_at_rest(&sweep, &mut case, &base, true);
+    if stack != Stack::Buffer {
+        sweep_at_rest(&sweep, &mut case, &base, true);
+    }
     case.reset();
 }
 
@@ -2051,6 +2367,11 @@ fn every_call_of_a_three_level_policy_is_a_crash_point() {
 #[test]
 fn every_call_of_a_two_rank_group_is_a_crash_point() {
     sweep(Stack::Group);
+}
+
+#[test]
+fn every_call_of_a_checkpointed_buffer_is_a_crash_point() {
+    sweep(Stack::Buffer);
 }
 
 /// Damage at rest to every segment file of every stack, in a child process

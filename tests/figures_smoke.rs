@@ -1,6 +1,7 @@
 //! Shape assertions on miniature versions of every figure: the qualitative
 //! claims the reproduction stands on, checked in CI time. The full-scale
-//! numbers live in EXPERIMENTS.md (regenerated by the `figures` binary).
+//! numbers are what the `figures` binary prints (README, "Reproducing the
+//! paper's figures").
 
 use ai_ckpt_bench::presets;
 use ai_ckpt_bench::{fig2, Fig2Config};
