@@ -72,7 +72,9 @@ pub struct CkptConfig {
     /// Number of concurrent committer streams draining the flush plan into
     /// the storage backend. 1 reproduces the paper's single `ASYNC_COMMIT`
     /// thread; more streams exploit backend parallelism (striped parallel
-    /// file systems, replicated fan-out, multi-channel devices). Default:
+    /// file systems, replicated fan-out, multi-channel devices). Also the
+    /// number of a restore's fillers, the read-side dual of the flush
+    /// (capped so that each fills at least one 64-page run). Default:
     /// `min(4, available cores)`. Clamped to at least 1.
     pub committer_streams: usize,
     /// Pages a committer stream claims from the flush plan per engine-lock

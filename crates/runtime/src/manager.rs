@@ -141,8 +141,9 @@ pub(crate) struct Shared {
     /// snapshots a baseline to report per-restore numbers).
     pub(crate) lazy_demand_faults: AtomicU64,
     /// Fault-to-filler priority hints: slots hold `page + 1` (0 = empty),
-    /// written at `demand_head % len` by the handler, consumed by the
-    /// filler's private tail. Purely advisory — see [`DEMAND_RING_SLOTS`].
+    /// written at `demand_head % len` by the handler, consumed through the
+    /// tail the restore's fillers share. Purely advisory — see
+    /// [`DEMAND_RING_SLOTS`].
     pub(crate) demand_ring: Box<[AtomicU64]>,
     /// Next demand-ring write position (monotonic; wraps via modulo).
     pub(crate) demand_head: AtomicUsize,
@@ -245,17 +246,31 @@ impl Shared {
         }
     }
 
-    /// Filler: pop the next demand hint, if any. `tail` is the filler's
-    /// private cursor; slots are consumed by swapping back to 0.
-    pub(crate) fn lazy_next_demand(&self, tail: &mut usize) -> Option<u64> {
-        let slot = &self.demand_ring[*tail % self.demand_ring.len()];
-        match slot.swap(0, Ordering::AcqRel) {
-            0 => None,
-            v => {
-                *tail += 1;
-                Some(v - 1)
+    /// Filler: pop the next demand hint, if any. `tail` is the read cursor
+    /// every filler of one restore shares: a filler owns the slot it
+    /// advances the cursor past and consumes it by swapping it back to 0.
+    pub(crate) fn lazy_next_demand(&self, tail: &AtomicUsize) -> Option<u64> {
+        loop {
+            let t = tail.load(Ordering::Acquire);
+            let slot = &self.demand_ring[t % self.demand_ring.len()];
+            if slot.load(Ordering::Acquire) == 0 {
+                return None;
+            }
+            if tail
+                .compare_exchange(t, t + 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                match slot.swap(0, Ordering::AcqRel) {
+                    0 => continue,
+                    v => return Some(v - 1),
+                }
             }
         }
+    }
+
+    /// Whether a filler holds `page` right now (read, not yet published).
+    pub(crate) fn lazy_filling(&self, page: usize) -> bool {
+        self.fill[page].load(Ordering::Acquire) == fill::FILLING
     }
 }
 

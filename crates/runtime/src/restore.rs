@@ -17,20 +17,28 @@
 //! pages) while the page stays `PROT_NONE`, seeds the content-filter
 //! digest, then drops the protection to `PROT_READ` and publishes the fill
 //! (in address-contiguous runs: every 32 sweep fills under a lazy restore,
-//! once at sweep end under an eager one) — so no window exists in which a
-//! thread could observe a half-filled page, and the fill itself never
-//! faults. Pages the application never wrote are
-//! absent from every epoch and remain zero, which is exactly their
-//! pre-crash content (regions are zero-filled).
+//! once at the filler's end under an eager one) — so no window exists in
+//! which a thread could observe a half-filled page, and the fill itself
+//! never faults. Pages the application never wrote are absent from every
+//! epoch and remain zero, which is exactly their pre-crash content (regions
+//! are zero-filled).
+//!
+//! The fill is the read-side dual of the flush: it runs on as many fillers
+//! as the manager has committer streams, capped so that each owns at least
+//! one 64-page run (a one-stream manager or an image under two runs spawns
+//! no thread). The fillers share one prefetch order — the checkpoint's
+//! recorded first-write order, replayed through the same [`EpochRecord`]
+//! machinery the tracker uses — and claim it 64 entries at a time from one
+//! cursor, so all of them stay near its front. Whoever pops a demand hint
+//! for a page another filler holds read-but-unpublished asks every filler
+//! to publish at once; poisoning waits until every filler has stopped.
 //!
 //! The two doors differ only in *who runs the fill*. [`restore_at`] /
-//! [`restore_latest`] run it to completion on the calling thread and return
-//! the filled buffers. [`restore_lazy`] hands it to a background thread and
-//! returns at once — time-to-first-instruction is layout work only,
-//! independent of image size: the filler streams pages in predicted-access
-//! order (the checkpoint's recorded first-write order, replayed through the
-//! same [`EpochRecord`] machinery the tracker uses), and an application
-//! access that outruns it faults, posts a priority hint to the filler's
+//! [`restore_latest`] run it to completion on the calling thread (plus the
+//! scoped helpers) and return the filled buffers. [`restore_lazy`] hands it
+//! to a background thread and returns at once — time-to-first-instruction
+//! is layout work only, independent of image size, and an application
+//! access that outruns the fillers faults, posts a priority hint to the
 //! demand ring, and blocks only for that single page's read.
 //!
 //! ## After a restore
@@ -46,7 +54,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ai_ckpt_core::{AccessType, EpochRecord, PageId};
@@ -106,10 +114,10 @@ pub fn restore_at(
     restore_eager(manager, backend, seq, None)
 }
 
-/// Eager restore: prepare, then run the fill to completion right here — no
-/// thread, nothing shared, one publication at sweep end (see
-/// [`PendingPublish`]). A failed fill drops the half-restored buffers with
-/// the error.
+/// Eager restore: prepare, then run the fill to completion right here — one
+/// filler on this thread, the rest scoped, each publishing once at its end
+/// (see [`PendingPublish`]). A failed fill drops the half-restored buffers
+/// with the error.
 fn restore_eager(
     manager: &PageManager,
     backend: &dyn StorageBackend,
@@ -117,15 +125,7 @@ fn restore_eager(
     cache: Option<&PageCache>,
 ) -> io::Result<RestoredState> {
     let (state, plan) = prepare(manager, backend, seq)?;
-    filler_loop(
-        &manager.ctl,
-        backend,
-        cache,
-        &plan,
-        usize::MAX,
-        &AtomicBool::new(false),
-        &FillCounters::default(),
-    )?;
+    fill(&manager.ctl, backend, cache, &plan, usize::MAX)?;
     Ok(state)
 }
 
@@ -189,11 +189,11 @@ struct FillCounters {
 }
 
 /// Handle to an in-flight lazy restore: the rebuilt (still-filling) buffers
-/// plus the background filler.
+/// plus the background fill.
 ///
 /// The application may use `state.buffers` immediately — accesses to pages
 /// the filler has not reached yet block for exactly that page's read.
-/// Dropping the handle **aborts** an unfinished restore: the filler stops,
+/// Dropping the handle **aborts** an unfinished restore: every filler stops,
 /// remaining pages are poisoned (touching them raises a genuine SIGSEGV,
 /// and `CHECKPOINT` refuses to run) — call [`LazyRestore::wait`] first when
 /// the restore must complete.
@@ -202,11 +202,14 @@ pub struct LazyRestore {
     /// (the bytes just arrive in the background).
     pub state: RestoredState,
     ctl: Arc<Ctl>,
-    stop: Arc<AtomicBool>,
-    filler: Option<std::thread::JoinHandle<io::Result<()>>>,
-    /// What the filler owes; its `order` is also the poison set on abort.
+    /// The background thread: one filler that also runs and joins the rest.
+    thread: Option<std::thread::JoinHandle<io::Result<()>>>,
+    /// The fill's error once joined, returned by every later [`wait`].
+    ///
+    /// [`wait`]: LazyRestore::wait
+    failed: Option<io::Error>,
+    /// What the fillers owe and share; its `order` is also the poison set.
     plan: Arc<FillPlan>,
-    counters: Arc<FillCounters>,
     /// `Shared::lazy_demand_faults` at restore start (the shared counter is
     /// cumulative across restores on one manager).
     fault_baseline: u64,
@@ -215,6 +218,7 @@ pub struct LazyRestore {
 impl LazyRestore {
     /// Point-in-time metrics of this restore.
     pub fn stats(&self) -> RestoreStats {
+        let counters = &self.plan.counters;
         RestoreStats {
             demand_faults: self
                 .ctl
@@ -222,12 +226,12 @@ impl LazyRestore {
                 .lazy_demand_faults
                 .load(Ordering::Relaxed)
                 .saturating_sub(self.fault_baseline),
-            demanded_pages: self.counters.demanded_pages.load(Ordering::Relaxed),
-            prefetched_pages: self.counters.prefetched_pages.load(Ordering::Relaxed),
+            demanded_pages: counters.demanded_pages.load(Ordering::Relaxed),
+            prefetched_pages: counters.prefetched_pages.load(Ordering::Relaxed),
             zero_pages: self.plan.zero_pages,
-            pages_from_cache: self.counters.pages_from_cache.load(Ordering::Relaxed),
-            bytes_from_cache: self.counters.bytes_from_cache.load(Ordering::Relaxed),
-            bytes_filled: self.counters.bytes_filled.load(Ordering::Relaxed),
+            pages_from_cache: counters.pages_from_cache.load(Ordering::Relaxed),
+            bytes_from_cache: counters.bytes_from_cache.load(Ordering::Relaxed),
+            bytes_filled: counters.bytes_filled.load(Ordering::Relaxed),
         }
     }
 
@@ -236,32 +240,31 @@ impl LazyRestore {
         self.ctl.shared.lazy_unfilled.load(Ordering::Acquire) == 0
     }
 
-    /// Block until the filler delivered every page (or failed), returning
-    /// the final metrics. Idempotent.
+    /// Block until the fillers delivered every page (or failed), returning
+    /// the final metrics. Idempotent: a failed fill returns its first error
+    /// on every call.
     pub fn wait(&mut self) -> io::Result<RestoreStats> {
-        if let Some(filler) = self.filler.take() {
-            match filler.join() {
-                Ok(result) => result?,
-                Err(_) => return Err(io::Error::other("restore filler thread panicked")),
-            }
+        if let Some(thread) = self.thread.take() {
+            self.failed = thread.join().unwrap_or_else(|_| Err(panicked())).err();
         }
-        Ok(self.stats())
+        match &self.failed {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(self.stats()),
+        }
     }
 }
 
 impl Drop for LazyRestore {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(filler) = self.filler.take() {
-            let _ = filler.join();
+        self.plan.stop.store(true, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
-        // Poison whatever the filler never delivered: state the application
-        // could observe as silently zero must instead fault loudly. (A
-        // restore that ran to completion has nothing left to poison; the
-        // buffers dropping right after this resolve the states for good.)
-        for &page in &self.plan.order {
-            self.ctl.shared.lazy_poison(page as usize);
-        }
+        // Poison whatever no filler delivered: state the application could
+        // observe as silently zero must instead fault loudly. (A restore
+        // that ran to completion has nothing left to poison; the buffers
+        // dropping right after this resolve the states for good.)
+        self.plan.poison_owed(&self.ctl.shared);
     }
 }
 
@@ -280,7 +283,8 @@ pub fn restore_latest_lazy(
 
 /// Demand-paged restore of checkpoint `seq` (see the module docs): prepares
 /// exactly as [`restore_at`] does, then starts the fill on a background
-/// thread and returns as soon as the buffers exist.
+/// thread (one filler, which runs the others scoped) and returns as soon as
+/// the buffers exist.
 ///
 /// `manager` must be fresh (same contract as [`restore_at`]); `cache`, when
 /// given, is shared across concurrent restores of the same checkpoint so
@@ -295,37 +299,29 @@ pub fn restore_lazy(
     let fault_baseline = ctl.shared.lazy_demand_faults.load(Ordering::Relaxed);
     let (state, plan) = prepare(manager, backend.as_ref(), seq)?;
     let plan = Arc::new(plan);
-    let stop = Arc::new(AtomicBool::new(false));
-    let counters = Arc::new(FillCounters::default());
-    let filler = {
+    let thread = {
         let (ctl, plan) = (Arc::clone(&ctl), Arc::clone(&plan));
-        let (stop, counters) = (Arc::clone(&stop), Arc::clone(&counters));
-        std::thread::Builder::new()
-            .name("ai-ckpt-restore".into())
-            .spawn(move || {
-                filler_loop(
-                    &ctl,
-                    backend.as_ref(),
-                    cache.as_deref(),
-                    &plan,
-                    SWEEP_PUBLISH_BATCH,
-                    &stop,
-                    &counters,
-                )
-            })?
+        filler_thread().spawn(move || {
+            fill(
+                &ctl,
+                backend.as_ref(),
+                cache.as_deref(),
+                &plan,
+                SWEEP_PUBLISH_BATCH,
+            )
+        })?
     };
     Ok(LazyRestore {
         state,
         ctl,
-        stop,
-        filler: Some(filler),
+        thread: Some(thread),
+        failed: None,
         plan,
-        counters,
         fault_baseline,
     })
 }
 
-/// What a prepared restore still owes, read-only to whoever runs the fill.
+/// What a prepared restore still owes, and what its fillers share.
 struct FillPlan {
     /// Page → newest epoch holding it.
     locator: PageLocator,
@@ -334,6 +330,44 @@ struct FillPlan {
     /// Buffer pages the image never held (left zero and readable).
     zero_pages: u64,
     retry: RetryPolicy,
+    /// How many fillers run: the manager's committer streams, capped so
+    /// that each owns at least one [`RUN_PAGES`] run of `order`.
+    fillers: usize,
+    /// Next unclaimed entry of `order`; a filler claims [`RUN_PAGES`] at a
+    /// time.
+    cursor: AtomicUsize,
+    /// The fillers' shared read position in the demand ring.
+    demand_tail: AtomicUsize,
+    /// Bumped by a filler that popped a hint for a page another filler
+    /// holds `FILLING`: every filler that sees it move publishes at once.
+    publish_requests: AtomicU64,
+    /// Raised by a failing filler (the others wind down) and by an abort.
+    stop: AtomicBool,
+    counters: FillCounters,
+}
+
+impl FillPlan {
+    /// The next page of this filler's claimed slice of `order`, claiming the
+    /// next [`RUN_PAGES`] entries once the slice is used up; `None` when the
+    /// whole order is claimed.
+    fn next_page(&self, mine: &mut std::ops::Range<usize>) -> Option<u64> {
+        if mine.start == mine.end {
+            // Relaxed: the cursor publishes nothing; `order` is immutable
+            // and was shared before any filler started.
+            let start = self.cursor.fetch_add(RUN_PAGES, Ordering::Relaxed);
+            let len = self.order.len();
+            *mine = start.min(len)..(start + RUN_PAGES).min(len);
+        }
+        mine.next().map(|i| self.order[i])
+    }
+
+    /// Poison every page still owed. Only once no filler runs: a page a
+    /// filler holds `FILLING` must not be poisoned under it.
+    fn poison_owed(&self, shared: &crate::manager::Shared) {
+        for &page in &self.order {
+            shared.lazy_poison(page as usize);
+        }
+    }
 }
 
 /// Everything a restore does before the first payload byte moves: quarantine
@@ -440,11 +474,18 @@ fn prepare(
         by_name,
         checkpoint: seq,
     };
+    let streams = manager.config().committer_streams;
     let plan = FillPlan {
         locator,
+        fillers: (order.len() / RUN_PAGES).min(streams).max(1),
         order,
         zero_pages: total_pages - marked,
         retry,
+        cursor: AtomicUsize::new(0),
+        demand_tail: AtomicUsize::new(shared.demand_head.load(Ordering::Acquire)),
+        publish_requests: AtomicU64::new(0),
+        stop: AtomicBool::new(false),
+        counters: FillCounters::default(),
     };
     Ok((state, plan))
 }
@@ -491,10 +532,11 @@ unsafe fn protect_runs(
     Ok(())
 }
 
-/// Sweep fills whose publication (mprotect + `FILLED`) is deferred: up to
-/// [`SWEEP_PUBLISH_BATCH`] at a time under a lazy restore, the whole sweep
-/// under an eager one. The newest address-contiguous run of page-sized
-/// payloads is held back too and written with one `/proc/self/mem` call
+/// One filler's sweep fills whose publication (mprotect + `FILLED`) is
+/// deferred: up to [`SWEEP_PUBLISH_BATCH`] at a time under a lazy restore,
+/// the filler's whole share under an eager one. The newest
+/// address-contiguous run of page-sized payloads is held back too and
+/// written with one `/proc/self/mem` call
 /// (at most [`RUN_PAGES`] pages): when the next payload does not extend
 /// it, and before any publication — so no page is published before its
 /// bytes land. A fill's payload is copied once, into the run.
@@ -506,12 +548,13 @@ unsafe fn protect_runs(
 /// the fault), delaying SIGSEGV delivery — and with it the demand hint —
 /// by milliseconds. Batching collapses address-contiguous runs into one
 /// `mprotect` each; a demand hint (posted by any waiter, including one
-/// stuck on a still-pending `FILLING` page) flushes the batch immediately,
-/// so the worst extra wait is one in-flight storage read. An eager
-/// restore has no waiter to serve (no caller holds a pointer into its
-/// buffers before it returns), and a batch cut from a random
-/// first-write order holds no contiguous run, so it publishes once, at
-/// sweep end: one `mprotect` per run of the whole image.
+/// stuck on a still-pending `FILLING` page) flushes the batch of the
+/// filler that pops it immediately, and every other filler's at its next
+/// turn when the page is theirs, so the worst extra wait is one in-flight
+/// storage read. An eager restore has no waiter to serve (no caller holds
+/// a pointer into its buffers before it returns), and a batch cut from a
+/// random first-write order holds no contiguous run, so each filler
+/// publishes once, at its end: one `mprotect` per run of its share.
 struct PendingPublish {
     /// (page id, page address, payload bytes).
     pages: Vec<(usize, usize, u64)>,
@@ -599,26 +642,71 @@ impl PendingPublish {
     }
 }
 
-/// The fill: demand hints first, then the prefetch sweep in
-/// predicted-access order. Runs until every marked page is filled, `stop`
-/// is raised, or storage fails (remaining pages are then poisoned — silent
-/// zeroes are not an option). Lazy restore runs it on a background thread
-/// publishing every [`SWEEP_PUBLISH_BATCH`] sweep fills, eager restore on
-/// the caller's with `publish_batch = usize::MAX` (see [`PendingPublish`]).
+/// Run the fill on `plan.fillers` fillers: this thread and the rest on
+/// scoped threads, all sharing the plan. Once every filler has stopped,
+/// poisons whatever is still owed if one failed or the restore was stopped
+/// — silent zeroes are not an option, and a waiter must not hang. Returns
+/// the first error.
+fn fill(
+    ctl: &Ctl,
+    backend: &dyn StorageBackend,
+    cache: Option<&PageCache>,
+    plan: &FillPlan,
+    publish_batch: usize,
+) -> io::Result<()> {
+    let run = || filler_loop(ctl, backend, cache, plan, publish_batch);
+    let result = std::thread::scope(|s| {
+        let mut helpers = Vec::with_capacity(plan.fillers - 1);
+        let mut result = Ok(());
+        for _ in 1..plan.fillers {
+            match filler_thread().spawn_scoped(s, run) {
+                Ok(helper) => helpers.push(helper),
+                Err(e) => {
+                    plan.stop.store(true, Ordering::Release);
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        result = result.and(run());
+        for helper in helpers {
+            result = result.and(helper.join().unwrap_or_else(|_| Err(panicked())));
+        }
+        result
+    });
+    if result.is_err() || plan.stop.load(Ordering::Acquire) {
+        plan.poison_owed(&ctl.shared);
+    }
+    result
+}
+
+fn filler_thread() -> std::thread::Builder {
+    std::thread::Builder::new().name("ai-ckpt-restore".into())
+}
+
+fn panicked() -> io::Error {
+    io::Error::other("restore filler thread panicked")
+}
+
+/// One filler: demand hints first, then its claimed slices of the shared
+/// prefetch order. Runs until the whole order is claimed and its own fills
+/// are published, `stop` is raised, or storage fails (then it raises
+/// `stop`, so the other fillers wind down, and [`fill`] poisons what is
+/// owed). A lazy restore's fillers publish every [`SWEEP_PUBLISH_BATCH`]
+/// sweep fills, an eager one's with `publish_batch = usize::MAX` (see
+/// [`PendingPublish`]).
 ///
 /// Faults on the payload-read path follow the error taxonomy: transient
 /// errors retry with bounded backoff, a corrupt read triggers
 /// `repair_epoch` on the backend (replica/parity/policy wrappers self-heal
 /// in place) and one final read, and only a permanent fault — or damage
-/// with no surviving redundant source — poisons the remaining pages.
+/// with no surviving redundant source — fails the fill.
 fn filler_loop(
     ctl: &Ctl,
     backend: &dyn StorageBackend,
     cache: Option<&PageCache>,
     plan: &FillPlan,
     publish_batch: usize,
-    stop: &AtomicBool,
-    counters: &FillCounters,
 ) -> io::Result<()> {
     // Checkpointing-machinery exemption, same as the committer threads: the
     // filler's allocations must never route into protected regions. Put
@@ -630,6 +718,7 @@ fn filler_loop(
         locator,
         order,
         retry,
+        counters,
         ..
     } = plan;
     let result = (|| -> io::Result<()> {
@@ -642,11 +731,11 @@ fn filler_loop(
             .open("/proc/self/mem")?;
         let page_bytes = shared.page_bytes;
         let ns = locator.checkpoint();
-        let mut tail = 0usize;
-        let mut cursor = 0usize;
+        let mut mine = 0..0;
+        let mut asked = plan.publish_requests.load(Ordering::Acquire);
         let mut pending = PendingPublish::new(publish_batch.min(order.len()), page_bytes);
         loop {
-            if stop.load(Ordering::Acquire) {
+            if plan.stop.load(Ordering::Acquire) {
                 // Publish what is already read — strictly fewer pages for
                 // the abort path to poison.
                 pending.publish(&mem, shared, counters, page_bytes)?;
@@ -655,21 +744,22 @@ fn filler_loop(
             // Demand hints outrank the sweep: a hinted page has an
             // application thread spinning on it right now. A hint also
             // flushes the publication batch — the waiter may be blocked on
-            // a page that is read but not yet written or published.
-            let hint = shared.lazy_next_demand(&mut tail);
-            if hint.is_some() || pending.pages.len() >= publish_batch {
+            // a page that is read but not yet written or published — and so
+            // does another filler's request for that.
+            let hint = shared.lazy_next_demand(&plan.demand_tail);
+            let requests = plan.publish_requests.load(Ordering::Acquire);
+            if hint.is_some() || requests != asked || pending.pages.len() >= publish_batch {
+                asked = requests;
                 pending.publish(&mem, shared, counters, page_bytes)?;
             }
             let (page, demanded) = match hint {
                 Some(p) => (p, true),
-                None => match order.get(cursor) {
-                    Some(&p) => {
-                        cursor += 1;
-                        (p, false)
-                    }
-                    // Sweep exhausted: every page was claimed (and the only
-                    // claimant is this thread), so the restore is complete;
-                    // leftover ring hints are stale by construction.
+                None => match plan.next_page(&mut mine) {
+                    Some(p) => (p, false),
+                    // Order exhausted: every page is claimed, and a page
+                    // another filler still holds is in its slice or batch,
+                    // which it fills and publishes before it stops (and
+                    // serves any hint for it meanwhile).
                     None => {
                         pending.publish(&mem, shared, counters, page_bytes)?;
                         return Ok(());
@@ -678,7 +768,13 @@ fn filler_loop(
             };
             let idx = page as usize;
             if !shared.lazy_begin_fill(idx) {
-                continue; // already filled, or the buffer went away
+                // Already filled, or its buffer went away — or another
+                // filler holds it read but unpublished while a thread waits
+                // on it: have every filler publish now.
+                if demanded && shared.lazy_filling(idx) {
+                    plan.publish_requests.fetch_add(1, Ordering::AcqRel);
+                }
+                continue;
             }
             // `begin_fill` won the page, so its buffer teardown (which
             // resolves fill states *before* clearing addresses) is blocked
@@ -754,13 +850,7 @@ fn filler_loop(
         }
     })();
     if result.is_err() {
-        // Storage died mid-restore. Threads already spin-waiting must not
-        // hang and silent zeroes must not masquerade as restored state:
-        // poison everything still owed (including the page left FILLING by
-        // the error path above).
-        for &page in order {
-            shared.lazy_poison(page as usize);
-        }
+        plan.stop.store(true, Ordering::Release);
     }
     ai_ckpt_mem::alloc::exempt_thread_from_tracking(was_exempt);
     result

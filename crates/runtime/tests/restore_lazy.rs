@@ -1,6 +1,7 @@
 //! Demand-paged restore: both restore doors against the reference replay
-//! (`CheckpointImage::load`), restore storms over a shared page cache,
-//! demand-fault prioritisation, the `CHECKPOINT` drain barrier, and
+//! (`CheckpointImage::load`) at one filler and at four, restore storms over
+//! a shared page cache, demand-fault prioritisation (a hint reaches the
+//! filler that holds the page), the `CHECKPOINT` drain barrier, and
 //! failure/abort semantics.
 
 use std::io;
@@ -11,7 +12,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ai_ckpt::{
-    restore_at, restore_lazy, CkptConfig, CompactionPolicy, LazyRestore, PageManager, RestoredState,
+    restore_at, restore_lazy, CkptConfig, CompactionPolicy, LazyRestore, PageManager,
+    ProtectedBuffer, RestoreStats, RestoredState,
 };
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
@@ -33,6 +35,23 @@ fn small_cfg() -> CkptConfig {
     CkptConfig::ai_ckpt(1 << 20).with_max_pages(512)
 }
 
+/// Pages enough for four fillers: a restore runs one per committer stream,
+/// capped so that each owns at least one 64-page run.
+const FOUR_RUNS: usize = 4 * 64;
+
+/// Allocate a [`FOUR_RUNS`]-page buffer named `runs` and write every page
+/// with bytes that differ from its neighbours'.
+fn alloc_four_runs(mgr: &PageManager) -> ProtectedBuffer {
+    let ps = page_size();
+    let mut buf = mgr.alloc_protected_named("runs", FOUR_RUNS * ps).unwrap();
+    for (i, chunk) in buf.as_mut_slice().chunks_mut(ps).enumerate() {
+        for (j, byte) in chunk.iter_mut().enumerate() {
+            *byte = (i * 31 + j) as u8;
+        }
+    }
+    buf
+}
+
 /// Assert `state` holds exactly the reference replay of its checkpoint:
 /// every buffer page equals the image's page, or zeros where the image has
 /// none.
@@ -51,24 +70,29 @@ fn assert_matches_reference(state: &RestoredState, image: &CheckpointImage, door
     }
 }
 
-/// Restore `seq` through both doors over the same backend and compare each
-/// with `CheckpointImage::load` — the two doors share one fill path, so
-/// comparing them with each other would prove nothing. Returns the lazy
-/// handle's final stats.
+/// Restore `seq` through both doors, at one stream and at four, over the
+/// same backend and compare each with `CheckpointImage::load` — the doors
+/// share one fill path, so comparing them with each other would prove
+/// nothing. Returns each lazy handle's final stats.
 fn assert_both_doors_match_reference(
     backend: Arc<dyn StorageBackend>,
     cfg: &CkptConfig,
     seq: u64,
-) -> ai_ckpt::RestoreStats {
+) -> Vec<RestoreStats> {
     let image = CheckpointImage::load(backend.as_ref(), seq).unwrap();
-    let eager_mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-    let eager = restore_at(&eager_mgr, backend.as_ref(), seq).unwrap();
-    assert_matches_reference(&eager, &image, "eager");
-    let lazy_mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-    let mut lr = restore_lazy(&lazy_mgr, Arc::clone(&backend), seq, None).unwrap();
-    let stats = lr.wait().unwrap();
-    assert!(lr.is_complete());
-    assert_matches_reference(&lr.state, &image, "lazy");
+    let mut stats = Vec::new();
+    for streams in [1, 4] {
+        let cfg = cfg.clone().with_committer_streams(streams);
+        let eager_mgr =
+            PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+        let eager = restore_at(&eager_mgr, backend.as_ref(), seq).unwrap();
+        assert_matches_reference(&eager, &image, &format!("eager ({streams} streams)"));
+        let lazy_mgr = PageManager::with_shared_backend(cfg, Arc::clone(&backend)).unwrap();
+        let mut lr = restore_lazy(&lazy_mgr, Arc::clone(&backend), seq, None).unwrap();
+        stats.push(lr.wait().unwrap());
+        assert!(lr.is_complete());
+        assert_matches_reference(&lr.state, &image, &format!("lazy ({streams} streams)"));
+    }
     stats
 }
 
@@ -80,6 +104,7 @@ fn lazy_matches_eager_after_incremental_chain() {
     let ps = page_size();
     let mut a = mgr.alloc_protected_named("a", 6 * ps).unwrap();
     let mut b = mgr.alloc_protected_named("b", 3 * ps).unwrap();
+    let mut runs = alloc_four_runs(&mgr);
     // Epoch 1: everything; epochs 2-3: sliding partial updates, so the
     // locator must stitch pages from three different epochs.
     a.as_mut_slice().fill(1);
@@ -91,18 +116,21 @@ fn lazy_matches_eager_after_incremental_chain() {
     mgr.wait_checkpoint().unwrap();
     a.as_mut_slice()[5 * ps] = 44;
     b.as_mut_slice()[0] = 55;
+    runs.as_mut_slice()[100 * ps] = 66;
     mgr.checkpoint().unwrap();
     mgr.wait_checkpoint().unwrap();
-    drop((a, b, mgr));
+    drop((a, b, runs, mgr));
 
     let backend: Arc<dyn StorageBackend> = Arc::new(view);
-    let stats = assert_both_doors_match_reference(backend, &cfg, 3);
-    assert_eq!(
-        stats.prefetched_pages + stats.demanded_pages,
-        9,
-        "all nine image pages delivered by the filler"
-    );
-    assert_eq!(stats.bytes_filled, 9 * ps as u64);
+    let pages = 9 + FOUR_RUNS as u64;
+    for stats in assert_both_doors_match_reference(backend, &cfg, 3) {
+        assert_eq!(
+            stats.prefetched_pages + stats.demanded_pages,
+            pages,
+            "every image page delivered by the fillers"
+        );
+        assert_eq!(stats.bytes_filled, pages * ps as u64);
+    }
 }
 
 #[test]
@@ -116,6 +144,7 @@ fn lazy_matches_eager_under_compaction_and_compression() {
             PageManager::new(cfg.clone(), Box::new(FileBackend::open(&dir).unwrap())).unwrap();
         let ps = page_size();
         let mut grid = mgr.alloc_protected_named("grid", 16 * ps).unwrap();
+        let runs = alloc_four_runs(&mgr);
         for e in 0..8u64 {
             let slice = grid.as_mut_slice();
             // Compressible stripe + incompressible stripe each epoch.
@@ -129,7 +158,7 @@ fn lazy_matches_eager_under_compaction_and_compression() {
             mgr.wait_checkpoint().unwrap();
         }
         mgr.wait_maintenance_idle().unwrap();
-        drop(grid);
+        drop((grid, runs));
     }
     let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
     let chain = backend.chain().unwrap();
@@ -161,6 +190,7 @@ fn lazy_matches_eager_through_tiered_drain() {
         let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
         let ps = page_size();
         let mut buf = mgr.alloc_protected_named("t", 8 * ps).unwrap();
+        let _runs = alloc_four_runs(&mgr);
         for e in 0..4u64 {
             let slice = buf.as_mut_slice();
             slice[(e as usize % 8) * ps] = e as u8 + 10;
@@ -179,14 +209,23 @@ fn lazy_matches_eager_through_tiered_drain() {
 
 #[test]
 fn restore_storm_hits_disk_once_per_page() {
+    // One filler per restore, then four: the single-flight cache still
+    // reads each page once when sixteen fillers race for it.
+    for (streams, pages) in [(1, 48), (4, FOUR_RUNS)] {
+        restore_storm(small_cfg().with_committer_streams(streams), pages);
+    }
+}
+
+/// Four concurrent lazy restores of one `pages`-page checkpoint over one
+/// shared cache, each reading its whole state mid-fill: disk sees each page
+/// once.
+fn restore_storm(cfg: CkptConfig, pages: usize) {
     let dir = tmpdir("storm");
-    let cfg = small_cfg();
     let ps = page_size();
-    const PAGES: usize = 48;
     {
         let mgr =
             PageManager::new(cfg.clone(), Box::new(FileBackend::open(&dir).unwrap())).unwrap();
-        let mut buf = mgr.alloc_protected_named("s", PAGES * ps).unwrap();
+        let mut buf = mgr.alloc_protected_named("s", pages * ps).unwrap();
         for (i, chunk) in buf.as_mut_slice().chunks_mut(ps).enumerate() {
             for (j, byte) in chunk.iter_mut().enumerate() {
                 *byte = (i * 31 + j) as u8;
@@ -222,12 +261,12 @@ fn restore_storm_hits_disk_once_per_page() {
     });
     let io = backend.io_stats();
     assert_eq!(
-        io.page_reads, PAGES as u64,
+        io.page_reads, pages as u64,
         "shared cache must collapse 4 restores to one disk read per page"
     );
     let cs = cache.stats();
     assert!(
-        cs.hits >= 2 * PAGES as u64,
+        cs.hits >= 2 * pages as u64,
         "later restores should hit the cache (hits {})",
         cs.hits
     );
@@ -235,19 +274,23 @@ fn restore_storm_hits_disk_once_per_page() {
 }
 
 /// Test wrapper around single-record reads: the first `free` go straight
-/// through, and every later one runs `trip` first — a sleep (a slow store,
-/// so the prefetch sweep races deterministically), a gate (a read held
-/// mid-restore), or a failure (a store that dies after the checkpoint was
-/// taken). Every page id asked for is logged, in order.
+/// through, and every later one runs `trip` on its page id first — a sleep
+/// (a slow store, so the prefetch sweep races deterministically), a gate (a
+/// read held mid-restore), or a failure (a store that dies after the
+/// checkpoint was taken). Every page id asked for is logged, in order.
 struct Tripwire<B> {
     inner: B,
     free: AtomicU64,
-    trip: Box<dyn Fn() -> io::Result<()> + Send + Sync>,
+    trip: Box<dyn Fn(u64) -> io::Result<()> + Send + Sync>,
     log: Mutex<Vec<u64>>,
 }
 
 impl<B> Tripwire<B> {
-    fn new(inner: B, free: u64, trip: impl Fn() -> io::Result<()> + Send + Sync + 'static) -> Self {
+    fn new(
+        inner: B,
+        free: u64,
+        trip: impl Fn(u64) -> io::Result<()> + Send + Sync + 'static,
+    ) -> Self {
         Self {
             inner,
             free: AtomicU64::new(free),
@@ -258,7 +301,7 @@ impl<B> Tripwire<B> {
 
     /// Every read delayed by `delay`.
     fn slow(inner: B, delay: Duration) -> Self {
-        Self::new(inner, 0, move || {
+        Self::new(inner, 0, move |_| {
             std::thread::sleep(delay);
             Ok(())
         })
@@ -290,25 +333,30 @@ impl<B: StorageBackend> StorageBackend for Tripwire<B> {
         self.log.lock().unwrap().push(page);
         let spent = |n: u64| n.checked_sub(1);
         if self.free.fetch_update(SeqCst, SeqCst, spent).is_err() {
-            (self.trip)()?;
+            (self.trip)(page)?;
         }
         self.inner.read_page_at(epoch, page)
     }
 }
 
 /// A [`Tripwire`] trip: the store is gone.
-fn died() -> io::Result<()> {
+fn died(_page: u64) -> io::Result<()> {
     Err(io::Error::other("storage died"))
 }
 
+/// The byte [`seed_pages`] fills page `i` with: never zero.
+fn byte_of(i: usize) -> u8 {
+    (i % 255) as u8 + 1
+}
+
 /// Checkpoint a `pages`-page ascending workload into `backend`; page `i`
-/// is filled with `i + 1`.
+/// is filled with [`byte_of`]`(i)`.
 fn seed_pages(backend: Box<dyn StorageBackend>, cfg: &CkptConfig, pages: usize) {
     let mgr = PageManager::new(cfg.clone(), backend).unwrap();
     let ps = page_size();
     let mut buf = mgr.alloc_protected_named("w", pages * ps).unwrap();
     for (i, chunk) in buf.as_mut_slice().chunks_mut(ps).enumerate() {
-        chunk.fill(i as u8 + 1);
+        chunk.fill(byte_of(i));
     }
     mgr.checkpoint().unwrap();
     mgr.wait_checkpoint().unwrap();
@@ -341,7 +389,7 @@ fn demand_faults_prioritise_touched_pages() {
     );
     assert_eq!(stats.demanded_pages + stats.prefetched_pages, 16);
     for (i, chunk) in lr.state.buffers[0].as_slice().chunks(ps).enumerate() {
-        assert!(chunk.iter().all(|&b| b == i as u8 + 1), "page {i}");
+        assert!(chunk.iter().all(|&b| b == byte_of(i)), "page {i}");
     }
 }
 
@@ -438,7 +486,7 @@ fn aborted_lazy_restore_leaves_backend_restorable() {
     let restored = restore_at(&mgr, slow.as_ref(), 1).unwrap();
     let ps = page_size();
     for (i, chunk) in restored.buffers[0].as_slice().chunks(ps).enumerate() {
-        assert!(chunk.iter().all(|&b| b == i as u8 + 1), "page {i}");
+        assert!(chunk.iter().all(|&b| b == byte_of(i)), "page {i}");
     }
 }
 
@@ -451,10 +499,11 @@ fn a_read_of_a_page_in_an_unsubmitted_run_sees_its_bytes() {
     // The layout read and six page reads pass; the seventh waits at the
     // gate. The six pages read so far are one address-contiguous run the
     // filler holds back: neither written nor published (the publish batch
-    // is 32).
+    // is 32). The log's order is one filler's, so one stream.
+    let cfg = cfg.with_committer_streams(1);
     let open = Arc::new(AtomicBool::new(false));
     let gate = Arc::clone(&open);
-    let held = Arc::new(Tripwire::new(view, 7, move || {
+    let held = Arc::new(Tripwire::new(view, 7, move |_| {
         while !gate.load(SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -484,13 +533,25 @@ fn a_read_of_a_page_in_an_unsubmitted_run_sees_its_bytes() {
         reader.join().unwrap()
     });
     assert!(
-        got.iter().all(|&b| b == i as u8 + 1),
+        got.iter().all(|&b| b == byte_of(i)),
         "page {i} read {got:?}"
     );
     lr.wait().unwrap();
     for (i, chunk) in lr.state.buffers[0].as_slice().chunks(ps).enumerate() {
-        assert!(chunk.iter().all(|&b| b == i as u8 + 1), "page {i}");
+        assert!(chunk.iter().all(|&b| b == byte_of(i)), "page {i}");
     }
+}
+
+/// Poll `done` every millisecond for up to 5 s; whether it came true.
+fn within_5s(done: impl Fn() -> bool) -> bool {
+    let t = std::time::Instant::now();
+    while !done() {
+        if t.elapsed() > Duration::from_secs(5) {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
 }
 
 /// Whether the page at `addr` is mapped readable (`/proc/self/maps`).
@@ -509,13 +570,14 @@ fn readable(addr: usize) -> bool {
 fn reads_failing_after_k_pages_fail_the_restore_and_publish_no_zeros() {
     const PAGES: usize = 80;
     let (backend, view) = MemoryBackend::shared();
-    let cfg = small_cfg();
+    // The published count below is one filler's batches.
+    let cfg = small_cfg().with_committer_streams(1);
     seed_pages(Box::new(backend), &cfg, PAGES);
     // The layout read and 40 page reads succeed; then the store loses its
     // read path.
     let dying = || -> Arc<dyn StorageBackend> {
         let (failing, control) = FailingBackend::new(view.clone());
-        Arc::new(Tripwire::new(failing, 41, move || {
+        Arc::new(Tripwire::new(failing, 41, move |_| {
             control.fail(FaultOp::List, true);
             control.fail(FaultOp::Read, true);
             Ok(())
@@ -538,6 +600,9 @@ fn reads_failing_after_k_pages_fail_the_restore_and_publish_no_zeros() {
     let mut lr = restore_lazy(&mgr, backend, 1, None).unwrap();
     let err = lr.wait().unwrap_err();
     assert!(err.to_string().contains("injected"), "{err}");
+    let again = lr.wait().unwrap_err();
+    assert_eq!(again.to_string(), err.to_string(), "wait keeps the error");
+    assert!(!lr.is_complete());
     // One publish batch landed before the failure. Every other page —
     // including the eight read into a run that was never written — stays
     // PROT_NONE and poisoned: touching it raises a genuine SIGSEGV, and
@@ -550,10 +615,139 @@ fn reads_failing_after_k_pages_fail_the_restore_and_publish_no_zeros() {
     assert_eq!(published.len(), 32, "{published:?}");
     for &i in &published {
         let page = &buf.as_slice()[i * ps..(i + 1) * ps];
-        assert!(page.iter().all(|&b| b == i as u8 + 1), "page {i}");
+        assert!(page.iter().all(|&b| b == byte_of(i)), "page {i}");
     }
     let err = mgr.checkpoint().unwrap_err();
     assert!(err.to_string().contains("lazy restore failed"), "{err}");
+}
+
+#[test]
+fn reads_failing_mid_fill_at_four_fillers_publish_no_zeros() {
+    const PAGES: usize = FOUR_RUNS + 64;
+    let (backend, view) = MemoryBackend::shared();
+    let cfg = small_cfg().with_committer_streams(4);
+    seed_pages(Box::new(backend), &cfg, PAGES);
+    // The layout read and 100 page reads succeed, spread over four fillers;
+    // then the store loses its read path.
+    let dying = || -> Arc<dyn StorageBackend> {
+        let (failing, control) = FailingBackend::new(view.clone());
+        Arc::new(Tripwire::new(failing, 101, move |_| {
+            control.fail(FaultOp::List, true);
+            control.fail(FaultOp::Read, true);
+            Ok(())
+        }))
+    };
+
+    let backend = dying();
+    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+    let err = restore_at(&mgr, backend.as_ref(), 1).err().expect("eager");
+    assert!(err.to_string().contains("injected"), "{err}");
+    assert_eq!(
+        mgr.protected_bytes(),
+        0,
+        "eager keeps no half-restored buffer"
+    );
+    drop(mgr);
+
+    let backend = dying();
+    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+    let mut lr = restore_lazy(&mgr, backend, 1, None).unwrap();
+    let err = lr.wait().unwrap_err();
+    assert!(err.to_string().contains("injected"), "{err}");
+    let again = lr.wait().unwrap_err();
+    assert_eq!(again.to_string(), err.to_string(), "wait keeps the error");
+    assert!(!lr.is_complete());
+    // A filler that failed stopped the others, and they published what they
+    // had written: every page is published with its bytes, or PROT_NONE and
+    // poisoned. Only a page that was read can be published.
+    let ps = page_size();
+    let buf = &lr.state.buffers[0];
+    let published: Vec<usize> = (0..PAGES)
+        .filter(|i| readable(buf.as_ptr() as usize + i * ps))
+        .collect();
+    assert!(published.len() <= 100, "{published:?}");
+    for &i in &published {
+        let page = &buf.as_slice()[i * ps..(i + 1) * ps];
+        assert!(page.iter().all(|&b| b == byte_of(i)), "page {i}");
+    }
+    let err = mgr.checkpoint().unwrap_err();
+    assert!(err.to_string().contains("lazy restore failed"), "{err}");
+}
+
+#[test]
+fn a_read_of_a_page_in_another_fillers_unsubmitted_run_sees_its_bytes() {
+    let (backend, view) = MemoryBackend::shared();
+    let cfg = small_cfg().with_committer_streams(4);
+    seed_pages(Box::new(backend), &cfg, FOUR_RUNS);
+
+    // The prefetch order is ascending, so whichever filler claims the first
+    // run reads pages 0-5 into it, neither written nor published, and then
+    // waits at the first gate on page 6. The other three fill their runs
+    // at 2 ms a page, turning to the demand ring between reads. Page 7
+    // waits at a second gate until the read below has its bytes. A gate
+    // left shut for 5 s opens by itself and marks the run late, so a
+    // broken rule fails the test instead of hanging it.
+    let (first, served, timed_out) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let (gate1, gate2, late) = (
+        Arc::clone(&first),
+        Arc::clone(&served),
+        Arc::clone(&timed_out),
+    );
+    let held = Arc::new(Tripwire::new(view, 1, move |page| {
+        let gate = match page {
+            6 => &gate1,
+            7 => &gate2,
+            _ => {
+                std::thread::sleep(Duration::from_millis(2));
+                return Ok(());
+            }
+        };
+        if !within_5s(|| gate.load(SeqCst)) {
+            late.store(true, SeqCst);
+        }
+        Ok(())
+    }));
+    let backend: Arc<dyn StorageBackend> = held.clone();
+    let mgr = PageManager::with_shared_backend(cfg, Arc::clone(&backend)).unwrap();
+    let mut lr = restore_lazy(&mgr, backend, 1, None).unwrap();
+    assert_eq!(lr.state.buffers[0].base_page(), 0);
+    while !held.log().contains(&6) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(lr.stats().prefetched_pages, 0, "nothing published yet");
+
+    // Read page 3. The access faults and hints; the holder is stuck on
+    // page 6, so another filler pops the hint and must have the holder
+    // write and publish its run at its next turn.
+    let ps = page_size();
+    let page = &lr.state.buffers[0].as_slice()[3 * ps..4 * ps];
+    let got = std::thread::scope(|s| {
+        let reader = s.spawn(|| page.to_vec());
+        while lr.stats().demand_faults == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Seven more reads: one of the three other fillers made two full
+        // turns since the hint was posted, so the hint is popped.
+        let posted = held.log().len();
+        within_5s(|| held.log().len() >= posted + 7);
+        first.store(true, SeqCst);
+        let got = reader.join().unwrap();
+        served.store(true, SeqCst);
+        got
+    });
+    assert!(got.iter().all(|&b| b == byte_of(3)), "page 3 read {got:?}");
+    assert!(
+        !timed_out.load(SeqCst),
+        "a gate timed out: page 3 was not served by its holder's next turn"
+    );
+    lr.wait().unwrap();
+    for (i, chunk) in lr.state.buffers[0].as_slice().chunks(ps).enumerate() {
+        assert!(chunk.iter().all(|&b| b == byte_of(i)), "page {i}");
+    }
 }
 
 #[test]
@@ -654,12 +848,13 @@ fn demand_fault_on_rotted_fast_tier_blocks_on_repair_and_heals() {
     // reads the fast copy first, fails its CRC, and must block on the
     // cross-tier repair and deliver the healed bytes; poisoning the page
     // would be a silent-loss bug, because a perfectly good copy survives
-    // one tier down.
+    // one tier down. The restore runs four fillers, so the repair races
+    // three other readers of the epoch.
     let fast_dir = tmpdir("heal-fast");
     let slow_dir = tmpdir("heal-slow");
     let cfg = small_cfg().with_committer_streams(1);
     let ps = page_size();
-    const PAGES: usize = 8;
+    const PAGES: usize = FOUR_RUNS;
     {
         let backend: Arc<dyn StorageBackend> = Arc::new(
             TieredBackend::new(
@@ -695,7 +890,8 @@ fn demand_fault_on_rotted_fast_tier_blocks_on_repair_and_heals() {
         .unwrap(),
     );
 
-    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+    let cfg = cfg.with_committer_streams(4);
+    let mgr = PageManager::with_shared_backend(cfg, Arc::clone(&backend)).unwrap();
     let mut lr = restore_latest_lazy(&mgr, Arc::clone(&backend), None)
         .unwrap()
         .unwrap();
