@@ -114,9 +114,10 @@ pub struct RuntimeStats {
     /// lock-free from the SIGSEGV handler.
     pub write_stall: LatencySnapshot,
     /// Total engine-lock acquisitions since the manager started (fault
-    /// handler, committer streams, checkpoint requests). The contention
-    /// ablation tracks this against pages flushed: the steady-state flush
-    /// path acquires the lock O(batches), never O(bytes).
+    /// handler, committer streams, checkpoint requests). The benchmark's
+    /// `core.engine_lock_acq_per_page` tracks this against pages flushed:
+    /// the steady-state flush path acquires the lock O(batches), never
+    /// O(bytes).
     pub engine_lock_acquisitions: u64,
     /// Storage-syscall counters of the backend's vectored I/O engine:
     /// gathered (`pwritev`) writes and bytes per syscall, segment fsyncs

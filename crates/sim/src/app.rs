@@ -54,7 +54,7 @@ pub trait AppModel: Send {
     fn tail_compute_ns(&self) -> u64;
 
     /// Hook called at each checkpoint request, letting a model deviate from
-    /// the previous epoch's pattern (ablation `ablation_deviation`).
+    /// the previous epoch's pattern (the CM1 stencil's per-epoch swaps).
     /// Default: stable pattern.
     fn reseed_epoch(&mut self, _epoch: u64) {}
 

@@ -16,9 +16,6 @@
 //! * [`cluster`] — barrier-coupled ranks with per-rank engines and
 //!   flushers, and the event loop;
 //! * [`experiment`] — strategy comparisons and the paper's metrics;
-//! * [`levels`] — the resilience policy's level cascade as a pipeline of
-//!   leaky buckets (drain lag vs level-bandwidth ratio, degraded-read
-//!   pricing);
 //! * [`report`] — table rendering for the figure harness.
 //!
 //! See DESIGN.md §4 for the substitution argument (what each model stands
@@ -31,7 +28,6 @@ pub mod app;
 pub mod cluster;
 pub mod experiment;
 pub mod lattice;
-pub mod levels;
 pub mod report;
 pub mod stencil;
 pub mod storage;
@@ -42,10 +38,9 @@ pub use app::AppModel;
 pub use cluster::{Cluster, ClusterConfig, RankStats, SimOutcome, Strategy};
 pub use experiment::{AppKind, Comparison, Experiment, StrategyRow};
 pub use lattice::{LatticeApp, LatticeConfig};
-pub use levels::{IngestOutcome, LevelDrainModel, LevelParams};
 pub use report::Table;
 pub use stencil::{StencilApp, StencilConfig};
-pub use storage::{Routing, ServiceParams, StorageModel, TierParams};
+pub use storage::{Routing, ServiceParams, StorageModel};
 pub use synthetic::{Pattern, SyntheticApp};
 pub use time::SimTime;
 

@@ -12,43 +12,10 @@
 //!
 //! Both reduce to the same mechanism: a set of FIFO bandwidth servers with
 //! per-request overhead, differing in how a rank's request is routed.
-//!
-//! ## Two-tier drain model
-//!
-//! [`TierParams`] layers a VELOC-style multi-level pipeline on top: each
-//! rank owns a *fast tier* of limited capacity (node-local SSD, burst
-//! buffer) that absorbs checkpoint writes at the service points' full
-//! speed, while a background drainer empties it toward the slower outer
-//! tier at `drain_bytes_per_sec`. As long as a checkpoint fits in the free
-//! fast-tier capacity, flush time is the fast tier's; once the backlog
-//! exceeds capacity, admission throttles to the outer tier's drain rate —
-//! exactly the regime a `TieredBackend` with a bounded fast tier shows.
-//! The drainer is modelled as a per-rank leaky bucket (deterministic, no
-//! extra events), so Fig-style experiments can sweep capacity and drain
-//! bandwidth cheaply.
 
 use ai_ckpt_core::rng::SplitMix64;
 
 use crate::time::SimTime;
-
-/// Per-rank two-tier drain parameters (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TierParams {
-    /// Fast-tier capacity in bytes per rank (0 = no fast tier: every write
-    /// goes straight to the service points, the single-tier model).
-    pub fast_capacity_bytes: u64,
-    /// Sustained bandwidth of the background drain toward the outer tier,
-    /// per rank.
-    pub drain_bytes_per_sec: f64,
-}
-
-/// Leaky-bucket state of one rank's fast tier.
-#[derive(Debug, Clone, Copy, Default)]
-struct TierRank {
-    /// Undrained bytes as of `as_of`.
-    backlog_bytes: f64,
-    as_of: SimTime,
-}
 
 /// Parameters of one storage service point (a PVFS server or a node-local
 /// disk).
@@ -111,13 +78,6 @@ pub struct StorageModel {
     requests: u64,
     /// Deterministic stream for routing hashes and service jitter.
     rng: SplitMix64,
-    /// Optional two-tier drain model.
-    tier: Option<TierParams>,
-    /// Per-rank fast-tier buckets (grown on demand).
-    tier_ranks: Vec<TierRank>,
-    /// Total nanoseconds requests spent stalled on fast-tier admission
-    /// (diagnostics: how hard the drain bandwidth throttles checkpoints).
-    tier_stall_ns: u64,
 }
 
 impl StorageModel {
@@ -138,29 +98,7 @@ impl StorageModel {
             interference,
             requests: 0,
             rng: SplitMix64::new(0x5707_A6E5_u64),
-            tier: None,
-            tier_ranks: Vec::new(),
-            tier_stall_ns: 0,
         }
-    }
-
-    /// Layer a per-rank two-tier drain on top of the service points.
-    pub fn with_tier(mut self, tier: TierParams) -> Self {
-        assert!(
-            tier.drain_bytes_per_sec > 0.0,
-            "drain bandwidth must be positive"
-        );
-        self.tier = if tier.fast_capacity_bytes == 0 {
-            None
-        } else {
-            Some(tier)
-        };
-        self
-    }
-
-    /// Total time requests were stalled waiting for fast-tier capacity.
-    pub fn tier_stall(&self) -> SimTime {
-        SimTime(self.tier_stall_ns)
     }
 
     /// The paper's Grid'5000 PVFS deployment: 10 storage servers, ~55 MB/s
@@ -229,9 +167,6 @@ impl StorageModel {
         seq: u64,
         bytes: u64,
     ) -> SimTime {
-        // Fast-tier admission: delay the issue until the leaky-bucket
-        // drainer has freed room for this request's bytes.
-        let issue = self.tier_admit(issue, rank, bytes);
         let s = match self.routing {
             Routing::Striped => {
                 // Hash (rank, seq) for offset-striping collisions.
@@ -251,41 +186,6 @@ impl StorageModel {
         self.busy_until[s] = done;
         self.requests += 1;
         done
-    }
-
-    /// When can `bytes` enter rank `rank`'s fast tier? Advances the rank's
-    /// leaky bucket to that instant and accounts the new bytes.
-    fn tier_admit(&mut self, issue: SimTime, rank: usize, bytes: u64) -> SimTime {
-        let Some(tier) = self.tier else {
-            return issue;
-        };
-        if rank >= self.tier_ranks.len() {
-            self.tier_ranks.resize(rank + 1, TierRank::default());
-        }
-        let st = &mut self.tier_ranks[rank];
-        // The bucket's state is defined at `as_of`; a request "arriving"
-        // earlier (possible only when a caller replays out of order) is
-        // treated as arriving then.
-        let now = issue.max(st.as_of);
-        // Drain progress since the bucket was last touched.
-        let drained =
-            (now.saturating_sub(st.as_of).as_nanos() as f64 / 1e9) * tier.drain_bytes_per_sec;
-        let mut backlog = (st.backlog_bytes - drained).max(0.0);
-        // A request larger than the whole tier degenerates to "wait until
-        // empty": admission cannot be finer-grained than a request.
-        let capacity = (tier.fast_capacity_bytes as f64).max(bytes as f64);
-        let admit = if backlog + bytes as f64 > capacity {
-            let need = backlog + bytes as f64 - capacity;
-            let wait_ns = (need / tier.drain_bytes_per_sec * 1e9).ceil() as u64;
-            self.tier_stall_ns += wait_ns;
-            backlog = capacity - bytes as f64;
-            now + wait_ns
-        } else {
-            now
-        };
-        st.backlog_bytes = backlog + bytes as f64;
-        st.as_of = admit;
-        admit
     }
 }
 
@@ -365,83 +265,6 @@ mod tests {
         assert_eq!(b.as_nanos(), 2_000, "different node, no contention");
         let c = m.submit(t0, 7, 1, 1, 1000);
         assert_eq!(c.as_nanos(), 4_000, "same node queues");
-    }
-
-    #[test]
-    fn fast_tier_absorbs_until_capacity_then_drains() {
-        // 8 KiB fast tier, 1 KiB/s drain (glacial), 1 GB/s service: the
-        // first 8 requests of 1 KiB are admitted instantly, the 9th stalls
-        // for ~1 s of drain time.
-        let tier = TierParams {
-            fast_capacity_bytes: 8 * 1024,
-            drain_bytes_per_sec: 1024.0,
-        };
-        let mut m = StorageModel::new(4, params(), Routing::NodeLocal, 0, 1.0).with_tier(tier);
-        let t0 = SimTime::ZERO;
-        for seq in 0..8 {
-            let done = m.submit(t0, 0, seq as usize % 4, seq, 1024);
-            assert!(
-                done.as_nanos() < 10_000_000,
-                "request {seq} should be absorbed by the fast tier: {done}"
-            );
-        }
-        assert_eq!(m.tier_stall(), SimTime::ZERO);
-        let done = m.submit(t0, 0, 0, 8, 1024);
-        assert!(
-            done.as_nanos() >= 1_000_000_000,
-            "9th request must wait ~1s for drain: {done}"
-        );
-        assert!(m.tier_stall().as_nanos() >= 1_000_000_000);
-    }
-
-    #[test]
-    fn saturated_tier_throttles_to_drain_bandwidth() {
-        // Sustained load far beyond capacity: steady-state admission rate
-        // equals the drain bandwidth (1 MiB/s => 1 KiB per ~1 ms).
-        let tier = TierParams {
-            fast_capacity_bytes: 4 * 1024,
-            drain_bytes_per_sec: 1024.0 * 1024.0,
-        };
-        let mut m = StorageModel::new(1, params(), Routing::NodeLocal, 0, 1.0).with_tier(tier);
-        let mut last = SimTime::ZERO;
-        for seq in 0..256 {
-            last = m.submit(SimTime::ZERO, 0, 0, seq, 1024);
-        }
-        // 256 KiB through a 1 MiB/s drain ≈ 0.25 s (minus the 4 KiB that
-        // fits in the tier); the 1 GB/s service points add microseconds.
-        let secs = last.as_secs_f64();
-        assert!(
-            (0.2..0.3).contains(&secs),
-            "drain bandwidth must set the pace: {secs}s"
-        );
-    }
-
-    #[test]
-    fn tier_ranks_are_independent() {
-        let tier = TierParams {
-            fast_capacity_bytes: 2 * 1024,
-            drain_bytes_per_sec: 1024.0,
-        };
-        let mut m = StorageModel::new(2, params(), Routing::NodeLocal, 0, 1.0).with_tier(tier);
-        // Saturate rank 0's tier.
-        for seq in 0..4 {
-            m.submit(SimTime::ZERO, 0, 0, seq, 1024);
-        }
-        // Rank 1 is unaffected.
-        let done = m.submit(SimTime::ZERO, 1, 1, 0, 1024);
-        assert!(done.as_nanos() < 10_000_000, "rank 1 stalled: {done}");
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_tier() {
-        let tier = TierParams {
-            fast_capacity_bytes: 0,
-            drain_bytes_per_sec: 1.0,
-        };
-        let mut m = StorageModel::new(1, params(), Routing::NodeLocal, 0, 1.0).with_tier(tier);
-        let done = m.submit(SimTime::ZERO, 0, 0, 0, 1_000_000);
-        assert!(done.as_nanos() < 10_000_000, "single-tier model: {done}");
-        assert_eq!(m.tier_stall(), SimTime::ZERO);
     }
 
     #[test]

@@ -50,10 +50,9 @@ impl ThrottleParams {
     ///
     /// Costs at or above the sleep quantum are paid directly by the calling
     /// stream — each stream is throttled by exactly what *it* writes, which
-    /// is what makes the per-stream channel model (and the streams
-    /// ablation's measurements) honest. Only sub-quantum dribbles go into
-    /// the shared debt pool, so cross-stream cost transfer is bounded by
-    /// one quantum (1 ms).
+    /// is what makes the per-stream channel model honest. Only sub-quantum
+    /// dribbles go into the shared debt pool, so cross-stream cost transfer
+    /// is bounded by one quantum (1 ms).
     fn pay(&self, records: u64, bytes: u64) {
         let cost_ns = self.per_op_latency.as_nanos() as u64 * records
             + (bytes as f64 / self.bytes_per_sec * 1e9) as u64;
@@ -118,10 +117,6 @@ impl ThrottleParams {
 pub struct ThrottledBackend<B> {
     inner: B,
     params: Arc<ThrottleParams>,
-    /// Read-side pipe, when the emulated device's reads cost too
-    /// (degraded restores served by a slow level). `None` = reads free,
-    /// the historical behaviour.
-    read_params: Option<Arc<ThrottleParams>>,
 }
 
 impl<B: StorageBackend> ThrottledBackend<B> {
@@ -139,30 +134,6 @@ impl<B: StorageBackend> ThrottledBackend<B> {
                 credit_ns: AtomicU64::new(0),
                 quantum_ns: 1_000_000, // 1 ms
             }),
-            read_params: None,
-        }
-    }
-
-    /// Throttle the read path too, at `bytes_per_sec` with `per_op_latency`
-    /// per bulk read (epoch replays and single-page reads both charge by
-    /// the bytes they return). Restores served by this device then pay for
-    /// it — the degraded-read half of a slow cold tier.
-    pub fn with_read_throttle(mut self, bytes_per_sec: f64, per_op_latency: Duration) -> Self {
-        assert!(bytes_per_sec > 0.0, "read bandwidth must be positive");
-        self.read_params = Some(Arc::new(ThrottleParams {
-            bytes_per_sec,
-            per_op_latency,
-            throttled_ns: AtomicU64::new(0),
-            debt_ns: AtomicU64::new(0),
-            credit_ns: AtomicU64::new(0),
-            quantum_ns: 1_000_000, // 1 ms
-        }));
-        self
-    }
-
-    fn pay_read(&self, ops: u64, bytes: u64) {
-        if let Some(read) = &self.read_params {
-            read.pay(ops, bytes);
         }
     }
 
@@ -205,10 +176,10 @@ impl EpochWriter for ThrottledEpochWriter {
     }
 }
 
-// Only the checkpoint channel is throttled: record writes always, record
-// reads when a read throttle is set. Everything else — compaction,
-// retirement, drains, integrity maintenance — is out-of-band traffic that
-// paces itself, and reaches the wrapped backend through `inner()`.
+// Only the checkpoint channel is throttled: record writes. Everything else —
+// reads, compaction, retirement, drains, integrity maintenance — is
+// out-of-band traffic that paces itself, and reaches the wrapped backend
+// through `inner()`.
 impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
     fn inner(&self) -> Option<&dyn StorageBackend> {
         Some(&self.inner)
@@ -226,23 +197,7 @@ impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        let mut bytes = 0u64;
-        let mut records = 0u64;
-        self.inner.read_epoch(epoch, &mut |page, data| {
-            bytes += data.len() as u64;
-            records += 1;
-            visit(page, data);
-        })?;
-        self.pay_read(records, bytes);
-        Ok(())
-    }
-
-    fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        let hit = self.inner.read_page_at(epoch, page)?;
-        if let Some(data) = &hit {
-            self.pay_read(1, data.len() as u64);
-        }
-        Ok(hit)
+        self.inner.read_epoch(epoch, visit)
     }
 
     fn bytes_written(&self) -> u64 {
@@ -275,50 +230,25 @@ mod tests {
     }
 
     #[test]
-    fn reads_are_free_unless_a_read_throttle_is_set() {
-        let seed = |b: &dyn StorageBackend| {
-            let w = b.begin_epoch(1).unwrap();
-            for p in 0..16u64 {
-                w.write_pages(&[(p, &[7u8; 4096])]).unwrap();
-            }
-            w.finish().unwrap();
-        };
-        let replay = |b: &dyn StorageBackend| {
-            let start = Instant::now();
-            let mut bytes = 0usize;
-            b.read_epoch(1, &mut |_, d| bytes += d.len()).unwrap();
-            assert_eq!(bytes, 16 * 4096);
-            start.elapsed()
-        };
-
-        // Default: writes pay (64 KiB at 1 MiB/s), the replay of the same
-        // bytes does not sleep at all. Judged by the device's own sleep
-        // ledger, not the wall clock — a loaded box can make any replay
-        // take 20 ms.
+    fn reads_are_never_charged() {
+        // Writes pay (64 KiB at 1 MiB/s), the replay of the same bytes does
+        // not sleep at all. Judged by the device's own sleep ledger, not
+        // the wall clock — a loaded box can make any replay take 20 ms.
         let free = ThrottledBackend::new(MemoryBackend::new(), 1024.0 * 1024.0, Duration::ZERO);
-        seed(&free);
+        let w = free.begin_epoch(1).unwrap();
+        for p in 0..16u64 {
+            w.write_pages(&[(p, &[7u8; 4096])]).unwrap();
+        }
+        w.finish().unwrap();
         let paid = free.throttled_time();
         assert!(paid >= Duration::from_millis(55), "writes pay: {paid:?}");
-        replay(&free);
-        assert_eq!(free.throttled_time(), paid, "reads were charged");
-
-        // 1 MiB/s read pipe: the same 64 KiB replay now costs ≥ ~60 ms,
-        // and single-page reads are charged by the bytes they return.
-        let slow = ThrottledBackend::new(MemoryBackend::new(), 1e12, Duration::ZERO)
-            .with_read_throttle(1024.0 * 1024.0, Duration::ZERO);
-        seed(&slow);
-        assert!(
-            replay(&slow) >= Duration::from_millis(55),
-            "read throttle not applied"
-        );
-        let start = Instant::now();
+        let mut bytes = 0usize;
+        free.read_epoch(1, &mut |_, d| bytes += d.len()).unwrap();
+        assert_eq!(bytes, 16 * 4096);
         for p in 0..16u64 {
-            assert!(slow.read_page_at(1, p).unwrap().is_some());
+            assert!(free.read_page_at(1, p).unwrap().is_some());
         }
-        assert!(
-            start.elapsed() >= Duration::from_millis(55),
-            "page reads must charge the read pipe"
-        );
+        assert_eq!(free.throttled_time(), paid, "reads were charged");
     }
 
     #[test]

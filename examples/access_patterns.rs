@@ -3,13 +3,13 @@
 //! compare how the three strategies interfere with the "application".
 //!
 //! A miniature of the paper's §4.3 benchmark (the full-scale harness is
-//! `cargo run --release -p ai-ckpt-bench --bin figures -- fig2`).
+//! `cargo run --release --bin figures -- fig2`).
 //!
 //! ```text
 //! cargo run --release --example access_patterns
 //! ```
 
-use ai_ckpt_bench::{fig2, Fig2Config};
+use ai_ckpt_repro::{fig2, Fig2Config};
 use ai_ckpt_sim::report::{pages, secs, Table};
 
 fn main() -> std::io::Result<()> {

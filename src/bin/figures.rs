@@ -8,10 +8,10 @@
 //! stated above each so the measured shape can be checked line by line.
 //! `--quick` runs scaled-down variants (same models, smaller problems).
 
-use ai_ckpt_bench::presets::{
+use ai_ckpt_repro::presets::{
     self, cm1_experiment, milc_experiment, FIG3_RANKS, FIG4_COW_BYTES, FIG5_RANKS, STRATEGIES,
 };
-use ai_ckpt_bench::{fig2, Fig2Config};
+use ai_ckpt_repro::{fig2, Fig2Config};
 use ai_ckpt_sim::report::{pages, pct, secs, Table};
 use ai_ckpt_sim::{Experiment, SchedulerKind, Strategy};
 

@@ -123,8 +123,7 @@ fn build_order(pages: usize, pattern: Pattern) -> Vec<u32> {
 /// backend's bandwidth is per stream (default `min(4, cores)` streams would
 /// quietly emulate a 4-channel device), and batched claims would delay the
 /// `WaitedPage` hint by up to a batch of throttled I/O — penalising exactly
-/// the adaptive strategy the figure measures. The streams ablation bench
-/// sweeps both knobs.
+/// the adaptive strategy the figure measures.
 fn strategies(cow_bytes: usize) -> Vec<(&'static str, CkptConfig)> {
     let pin = |cfg: CkptConfig| cfg.with_committer_streams(1).with_flush_batch_pages(1);
     vec![

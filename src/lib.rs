@@ -11,15 +11,33 @@
 //!   worker pools, fair drain arbitration, per-tenant quotas);
 //! * [`ai_ckpt_coord`] — coordinated multi-rank checkpoint groups
 //!   (two-phase global commit, group restore);
-//! * [`ai_ckpt_sim`] — the discrete-event cluster simulator;
-//! * [`ai_ckpt_bench`] — the figure harness.
+//! * [`ai_ckpt_sim`] — the discrete-event cluster simulator.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory;
-//! the `figures` binary in `ai-ckpt-bench` regenerates the paper-vs-measured
-//! record.
+//! This crate holds the figure harness itself, the code that regenerates
+//! every figure of the paper's evaluation:
+//!
+//! | figure | what | substrate |
+//! |--------|------|-----------|
+//! | Fig 2a/b/c | synthetic benchmark, 3 patterns × 3 strategies | **real** mprotect runtime + throttled storage ([`fig2`]) |
+//! | Fig 3a/b | CM1 weak scaling on PVFS | simulator ([`presets::cm1_experiment`]) |
+//! | Fig 4a/b | CoW-size sweeps (CM1 @32, MILC @280) | simulator |
+//! | Fig 5 | MILC weak scaling on local disks | simulator |
+//!
+//! The `figures` binary (`cargo run --release --bin figures -- [--quick]
+//! <fig>`) prints paper-vs-measured tables. The simulated panels are exact
+//! per seed, and `FIGURES.txt` at the repository root is their full-scale
+//! output. See `README.md` for a tour and `DESIGN.md` for the system
+//! inventory.
+
+#![warn(missing_docs)]
+#![warn(rust_2018_idioms)]
+
+pub mod fig2;
+pub mod presets;
+
+pub use fig2::{Fig2Cell, Fig2Config};
 
 pub use ai_ckpt;
-pub use ai_ckpt_bench;
 pub use ai_ckpt_coord;
 pub use ai_ckpt_core;
 pub use ai_ckpt_mem;

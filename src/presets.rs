@@ -137,7 +137,7 @@ pub const FIG5_RANKS: [usize; 5] = [10, 40, 80, 160, 280];
 /// CoW buffer sizes for the Fig. 4 sweeps, in bytes.
 pub const FIG4_COW_BYTES: [u64; 6] = [0, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20];
 
-/// Scaled-down variants for benches/CI: same models, smaller problems.
+/// Scaled-down variants for `--quick` and CI: same models, smaller problems.
 pub mod quick {
     use super::*;
 

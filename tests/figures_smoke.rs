@@ -1,10 +1,10 @@
 //! Shape assertions on miniature versions of every figure: the qualitative
 //! claims the reproduction stands on, checked in CI time. The full-scale
-//! numbers are what the `figures` binary prints (README, "Reproducing the
-//! paper's figures").
+//! numbers of the simulated figures are committed in `FIGURES.txt`, which
+//! CI regenerates with the `figures` binary and diffs exactly.
 
-use ai_ckpt_bench::presets;
-use ai_ckpt_bench::{fig2, Fig2Config};
+use ai_ckpt_repro::presets;
+use ai_ckpt_repro::{fig2, Fig2Config};
 use ai_ckpt_sim::Strategy;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
