@@ -7,8 +7,9 @@
 //! ## Spec grammar
 //!
 //! Levels are listed fastest-first, separated by `->`. Each level is
-//! `name=kind` with an optional `#capacity` suffix (maximum resident
-//! epochs; `0` or absent means unbounded; the last level never evicts):
+//! `name=kind` with an optional `#capacity` suffix — how many epochs the
+//! level may *stage*: hold while an outward level in service still lacks
+//! them (`0` or absent means unbounded; the last level is never bounded):
 //!
 //! ```text
 //! nvme=plain#4 -> partner=replica*2 -> cold=parity*4
@@ -31,16 +32,25 @@
 //! destination level *suspect* and parks the item on a deferred list so
 //! the maintenance barrier is never wedged by a dead level — nor cut short:
 //! the same call still performs the copies the live levels are owed. Every
-//! `drain_one`/`drain_backlog` call first re-probes suspect levels; a
-//! level that answers again is *reconciled* — deferred copies re-queued
-//! as **rebuilds**, epochs retired while it was dead removed — and
-//! resumes normal service. Levels with a capacity evict their oldest
-//! epoch once a higher (slower) level holds a durable copy (and never take
-//! an evicted one back); an unbounded level stays owed a copy until it
-//! holds the epoch, and a rebuild skips what a level's full image covers.
-//! A policy built
-//! over stores a previous process left queues what that process still
-//! owed: every epoch an inner level holds that an outer one lacks.
+//! `drain_one` call — and `drain_backlog` while some level is suspect —
+//! first re-probes suspect levels; a level that answers again is
+//! *reconciled* — deferred copies re-queued as **rebuilds**, epochs retired
+//! while it was dead removed — and resumes normal service.
+//!
+//! A bounded level is a staging buffer, not a window: the copy after which
+//! no outward level in service is owed an epoch any more evicts it from
+//! every bounded level below its destination, so a bounded level holds
+//! nothing its outward levels all hold, and reconcile evicts what they do.
+//! (Evicting at the *first* outward copy would strand an epoch on a level
+//! that then goes down before the next one has it.) At level 0's bound
+//! `begin_epoch` drains inline first — back-pressure on the writer — and
+//! fails when that cannot make room; a bound on a later level only evicts
+//! and never blocks a copy. An unbounded level keeps every epoch until it
+//! is retired, stays owed a copy until it holds the epoch, and a rebuild
+//! skips what a level's full image covers. A policy built over stores a
+//! previous process left queues what that process still owed: every epoch
+//! an inner level holds that an outer one lacks, and the eviction of every
+//! epoch a bounded level holds that all outer ones hold.
 //!
 //! ## Levels are children
 //!
@@ -60,7 +70,9 @@
 //! private wrapper around each level's store instead of in every operation.
 //!
 //! What the policy itself adds, and therefore still overrides: the commit
-//! (level 0 only, under its own high-water mark), the drain queues,
+//! (level 0 only, under its own high-water mark and level 0's bound), the
+//! read of a whole epoch (straight from the level that serves it), the
+//! drain queues,
 //! `install_compacted`'s precondition — a fold commits only under full
 //! redundancy: every copy toward the target drained and every level in
 //! service, else it refuses — and the retirement ledger: `epochs`/`chain`
@@ -106,8 +118,10 @@ pub struct LevelSpec {
     pub name: String,
     /// Redundancy scheme inside the level.
     pub protection: LevelProtection,
-    /// Maximum resident epochs (0 = unbounded). Ignored for the last
-    /// level, which never evicts.
+    /// Epochs the level may stage — hold while an outward level in service
+    /// still lacks them (0 = unbounded). Drains evict what every outward
+    /// level holds, and at level 0's bound a commit drains first. Ignored
+    /// for the last level, which keeps everything until it is retired.
     pub capacity: usize,
 }
 
@@ -241,6 +255,8 @@ struct LevelCounters {
 /// *level* adds to it. The policy hands these out as its children.
 struct Level {
     name: String,
+    /// Epochs the level may stage (see [`LevelSpec::capacity`]); 0 =
+    /// unbounded, always so for the last level.
     capacity: usize,
     store: Box<dyn StorageBackend>,
     /// Set when an operation against this level failed; cleared once a
@@ -287,6 +303,12 @@ impl Level {
         counter.fetch_add(1, Ordering::SeqCst);
         result
     }
+
+    /// One epoch's records, buffered per attempt: a retried stream must
+    /// not visit twice.
+    fn records(&self, epoch: u64) -> io::Result<route::Records> {
+        self.read(|| route::read_records(&*self.store, epoch))
+    }
 }
 
 impl StorageBackend for Level {
@@ -303,8 +325,7 @@ impl StorageBackend for Level {
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        // Buffered per attempt: a retried stream must not visit twice.
-        for (page, data) in self.read(|| route::read_records(&*self.store, epoch))? {
+        for (page, data) in self.records(epoch)? {
             visit(page, &data);
         }
         Ok(())
@@ -357,7 +378,7 @@ pub struct LevelStats {
     pub drains_in: u64,
     /// Rebuild copies (post-failure re-population) completed into it.
     pub rebuilds_in: u64,
-    /// Epochs evicted from this level under its capacity bound.
+    /// Epochs this bounded level evicted once its outward levels held them.
     pub evictions: u64,
     /// Payload bytes copied into this level.
     pub copy_bytes: u64,
@@ -388,6 +409,11 @@ struct PolicyState {
     queues: Vec<VecDeque<(u64, CopyKind)>>,
     /// Copies parked because their destination level was down.
     deferred: Vec<Vec<(u64, CopyKind)>>,
+    /// Per level, the epochs a bounded level stages: holds and has not
+    /// evicted yet, because an outward level in service is still owed a
+    /// copy or the eviction is (always empty for an unbounded level).
+    /// Level 0's is what its bound counts.
+    staged: Vec<BTreeSet<u64>>,
     /// Epochs retired through the policy (so a level that slept through
     /// the retirement drops them on reconcile instead of resurrecting
     /// them).
@@ -455,6 +481,7 @@ impl PolicyBuilder {
     where
         F: FnMut(usize, usize) -> Box<dyn StorageBackend>,
     {
+        let last = self.spec.levels.len() - 1;
         let mut levels = Vec::with_capacity(self.spec.levels.len());
         for (l, spec) in self.spec.levels.iter().enumerate() {
             let store: Box<dyn StorageBackend> = match spec.protection {
@@ -468,38 +495,61 @@ impl PolicyBuilder {
             };
             levels.push(Level {
                 name: spec.name.clone(),
-                capacity: spec.capacity,
+                capacity: if l == last { 0 } else { spec.capacity },
                 store,
                 suspect: AtomicBool::new(false),
                 counters: LevelCounters::default(),
             });
         }
         // Resume numbering above anything the level stores already hold,
-        // and the copies a previous process still owed: every epoch an
-        // inner level holds that an outer one lacks. A level that cannot
-        // list its epochs starts suspect, and reconcile settles it.
+        // and the work a previous process still owed: a copy of every
+        // epoch an inner level holds toward each outer level that lacks it
+        // (a bounded one only while an outer level lacks it too), and the
+        // eviction of every epoch a bounded level holds that every outer
+        // level holds — queued toward the last level, where the drain finds
+        // the copy made and evicts. A level that cannot list its epochs
+        // starts suspect, and reconcile settles it.
         let mut high_water = None;
         let mut held: Vec<BTreeSet<u64>> = Vec::new();
-        let mut queues = Vec::new();
         for level in &levels {
             if let Ok(hw) = level.store.high_water() {
                 high_water = high_water.max(hw);
             }
             let listed = level.store.epochs();
             level.suspect.store(listed.is_err(), Ordering::SeqCst);
-            let listed: BTreeSet<u64> = listed.unwrap_or_default().into_iter().collect();
-            let owed: BTreeSet<u64> = held.iter().flatten().copied().collect();
-            let owed = owed.into_iter().filter(|e| !listed.contains(e));
-            queues.push(owed.map(|e| (e, CopyKind::Drain)).collect());
-            held.push(listed);
+            held.push(listed.unwrap_or_default().into_iter().collect());
         }
         let n = levels.len();
+        let bounded = |l: usize| levels[l].capacity > 0;
+        let held_outward = |l: usize, e: &u64| (l + 1..n).all(|m| held[m].contains(e));
+        // Level `m` is owed `e` unless it holds it, or is bounded and every
+        // level outward of it does.
+        let owes = |m: usize, e: &u64| !(held[m].contains(e) || bounded(m) && held_outward(m, e));
+        let mut owed = vec![BTreeSet::new(); n];
+        let mut staged = vec![BTreeSet::new(); n];
+        for (l, mine) in held.iter().enumerate() {
+            for &e in mine {
+                if held_outward(l, &e) && bounded(l) {
+                    owed[n - 1].insert(e);
+                }
+                for m in (l + 1..n).filter(|&m| owes(m, &e)) {
+                    owed[m].insert(e);
+                }
+            }
+            if bounded(l) {
+                staged[l] = mine.clone();
+            }
+        }
+        let queues = owed
+            .into_iter()
+            .map(|epochs| epochs.into_iter().map(|e| (e, CopyKind::Drain)).collect());
         Ok(PolicyBackend {
             shared: Arc::new(Shared {
                 levels,
                 state: Mutex::new(PolicyState {
-                    queues,
+                    queues: queues.collect(),
                     deferred: (0..n).map(|_| Vec::new()).collect(),
+                    staged,
                     retired: BTreeSet::new(),
                     high_water,
                 }),
@@ -572,20 +622,31 @@ impl PolicyBackend {
             + state.deferred.iter().map(|d| d.len()).sum::<usize>()
     }
 
-    fn last_level(&self) -> usize {
-        self.shared.levels.len() - 1
+    /// Epochs waiting to drain off `level`, oldest first: what the bounded
+    /// level stages.
+    pub(crate) fn staged(&self, level: usize) -> Vec<u64> {
+        let state = self.shared.state.lock().unwrap();
+        state.staged[level].iter().copied().collect()
+    }
+
+    /// One epoch's records through the read rule, straight from the level
+    /// that serves it (no second buffering through the level's
+    /// `read_epoch`).
+    fn records(&self, epoch: u64) -> io::Result<route::Records> {
+        let levels = self.shared.levels.iter();
+        let kids: Vec<(&str, &Level)> = levels.map(|l| (l.name.as_str(), l)).collect();
+        route::read(self, &kids, epoch, |level| level.records(epoch))
     }
 
     /// Probe suspect levels; reconcile any that answer again. Called at
-    /// the top of every `drain_one`/`drain_backlog` so a healed level
-    /// re-enters service on the next maintenance tick. Caller holds
-    /// `drain_lock`.
+    /// the top of every `drain_one`, and of `drain_backlog` while a level
+    /// is suspect, so a healed level re-enters service on the next
+    /// maintenance tick. Caller holds `drain_lock`.
     fn reconcile_suspects(&self) {
-        for l in 0..self.shared.levels.len() {
-            if !self.shared.levels[l].is_suspect() {
+        for (l, level) in self.shared.levels.iter().enumerate() {
+            if !level.is_suspect() {
                 continue;
             }
-            let level = &self.shared.levels[l];
             let Ok(present) = level.store.epochs() else {
                 // Still down: park anything queued for this level. The
                 // items cannot progress until the level answers a probe,
@@ -603,78 +664,72 @@ impl PolicyBackend {
                 let full = chain.into_iter().rfind(|c| c.kind == EpochKind::Full);
                 full.map(|c| c.epoch)
             });
-            // Reference view: the union of what the other alive levels
-            // hold. (A suspect level that just answered its probe is not
-            // a reference until reconciled.)
-            let mut reference: BTreeSet<u64> = BTreeSet::new();
+            // What the other levels in service hold: inward as one set,
+            // outward level by level. (A suspect level that just answered
+            // its probe is not a reference until reconciled.)
+            let (mut inward, mut outward) = (BTreeSet::new(), Vec::new());
             for (o, other) in self.shared.levels.iter().enumerate() {
                 if o == l || other.is_suspect() {
                     continue;
                 }
-                if let Ok(eps) = other.store.epochs() {
-                    reference.extend(eps);
+                let eps = other.store.epochs().unwrap_or_default();
+                match o < l {
+                    true => inward.extend(eps),
+                    false => outward.push(eps.into_iter().collect::<BTreeSet<u64>>()),
                 }
             }
-            // Drop epochs retired while the level was down.
-            let (stale, retired_snapshot) = {
-                let state = self.shared.state.lock().unwrap();
-                let stale: Vec<u64> = present
-                    .iter()
-                    .copied()
-                    .filter(|e| state.retired.contains(e))
-                    .collect();
-                (stale, state.retired.clone())
+            // A bounded level keeps only what an outward level in service
+            // still lacks, and evicts the rest; every level drops what was
+            // retired while it was down. One batch.
+            let bounded = level.capacity > 0;
+            let retired = self.shared.state.lock().unwrap().retired.clone();
+            let drained = |e: &u64| {
+                bounded && !outward.is_empty() && outward.iter().all(|held| held.contains(e))
             };
-            if !stale.is_empty() && level.store.remove_epochs(&stale).is_err() {
+            let gone: BTreeSet<u64> = (present.iter().copied())
+                .filter(|e| retired.contains(e) || drained(e))
+                .collect();
+            let batch: Vec<u64> = gone.iter().copied().collect();
+            if !batch.is_empty() && level.store.remove_epochs(&batch).is_err() {
                 continue; // went down again mid-reconcile; retry later
             }
+            let evicted = gone.iter().filter(|e| drained(e)).count();
+            (level.counters.evictions).fetch_add(evicted as u64, Ordering::SeqCst);
             // Re-queue deferred copies as rebuilds, plus anything the
-            // level is missing against the reference window.
+            // level is missing against its peers.
             let mut state = self.shared.state.lock().unwrap();
-            let mut wanted: BTreeSet<u64> = reference
-                .iter()
-                .copied()
-                .filter(|e| !retired_snapshot.contains(e))
-                .collect();
-            if level.capacity > 0 && l != self.last_level() {
-                // Capacity-bounded levels only hold the newest window —
-                // do not resurrect epochs the policy already evicted.
-                while wanted.len() > level.capacity {
-                    let oldest = *wanted.iter().next().unwrap();
-                    wanted.remove(&oldest);
-                }
-            }
-            let queued: BTreeSet<u64> = state.queues[l].iter().map(|&(e, _)| e).collect();
-            let mut merged: BTreeMap<u64, CopyKind> = BTreeMap::new();
-            for &(e, kind) in state.queues[l].iter() {
-                merged.insert(e, kind);
-            }
-            for &(e, _) in state.deferred[l].iter() {
+            let mut merged: BTreeMap<u64, CopyKind> = state.queues[l].iter().copied().collect();
+            let outward = outward.iter().flatten().filter(|_| !bounded);
+            let peers = inward.iter().chain(outward);
+            let deferred = state.deferred[l].iter().map(|&(e, _)| e);
+            for e in deferred.chain(peers.copied()) {
                 merged.entry(e).or_insert(CopyKind::Rebuild);
             }
-            for e in wanted {
-                if !present.contains(&e) && !queued.contains(&e) {
-                    merged.entry(e).or_insert(CopyKind::Rebuild);
-                }
-            }
-            state.queues[l] = merged
-                .into_iter()
-                .filter(|(e, _)| !present.contains(e) && folded.is_none_or(|f| *e > f))
-                .collect();
+            let wanted = |e: &u64| {
+                !present.contains(e)
+                    && !retired.contains(e)
+                    && !drained(e)
+                    && folded.is_none_or(|f| *e > f)
+            };
+            state.queues[l] = merged.into_iter().filter(|(e, _)| wanted(e)).collect();
             state.deferred[l].clear();
+            if bounded {
+                state.staged[l] = present.difference(&gone).copied().collect();
+            }
             level.suspect.store(false, Ordering::SeqCst);
         }
     }
 
     /// One copy step: pick the smallest pending epoch across level
-    /// queues, copy it in, apply capacity eviction. A copy a level fails
-    /// parks its item and marks that level suspect, and the step goes on
-    /// with what the levels still in service are owed before it reports
-    /// the failure: a maintenance cycle stops at the first `Err`, and
-    /// stopping here would leave a live level's copy queued behind a dead
-    /// one's for the barrier to miss. Caller holds `drain_lock`.
+    /// queues, copy it in, evict it from the bounded levels below. A copy
+    /// a level fails parks its item and marks that level suspect, and the
+    /// step goes on with what the levels still in service are owed before
+    /// it reports the failure: a maintenance cycle stops at the first
+    /// `Err`, and stopping here would leave a live level's copy queued
+    /// behind a dead one's for the barrier to miss. Caller holds
+    /// `drain_lock`.
     fn copy_step(&self) -> io::Result<Option<u64>> {
-        let mut parked: Option<io::Error> = None;
+        let mut failed: Option<io::Error> = None;
         loop {
             let picked = {
                 let mut state = self.shared.state.lock().unwrap();
@@ -684,69 +739,62 @@ impl PolicyBackend {
                         continue;
                     }
                     if let Some(&(epoch, _)) = queue.front() {
-                        if best.map(|(e, _)| epoch < e).unwrap_or(true) {
+                        if best.is_none_or(|(e, _)| epoch < e) {
                             best = Some((epoch, l));
                         }
                     }
                 }
                 match best {
+                    // Retired while queued: dropped here.
+                    Some((epoch, l)) if state.retired.contains(&epoch) => {
+                        state.queues[l].pop_front();
+                        continue;
+                    }
                     Some((_, l)) => state.queues[l].pop_front().map(|item| (l, item)),
                     None => None,
                 }
             };
             let Some((dest, (epoch, kind))) = picked else {
-                return parked.map_or(Ok(None), Err);
+                return failed.map_or(Ok(None), Err);
             };
-            // Retired while queued: drop silently.
-            if self.shared.state.lock().unwrap().retired.contains(&epoch) {
-                continue;
-            }
             let level = &self.shared.levels[dest];
             let dest_store = &*level.store;
-            // Already there (reconcile raced a queued drain): done.
+            // Already there (reconcile raced a queued drain, or a previous
+            // process died between a copy and its eviction): only evict.
             match dest_store.epochs() {
-                Ok(eps) if eps.contains(&epoch) => {
-                    self.evict_over_capacity();
-                    if parked.is_none() {
-                        return Ok(Some(epoch));
+                Ok(eps) if eps.contains(&epoch) => {}
+                Ok(_) => {
+                    // A bounded destination burned this epoch number (it
+                    // held and then evicted it): it can never be
+                    // re-committed there. Leave it to the other levels.
+                    let burned = || dest_store.high_water().is_ok_and(|hw| hw >= Some(epoch));
+                    if level.capacity > 0 && burned() {
+                        continue;
                     }
-                    continue;
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    self.park(dest, epoch, kind);
-                    parked.get_or_insert(e);
-                    continue;
-                }
-            }
-            // A bounded destination burned this epoch number (it held and
-            // then evicted it): it can never be re-committed there. Leave
-            // it to the other levels. An unbounded one is owed the copy
-            // until it holds it.
-            let bounded = level.capacity > 0 && dest != self.last_level();
-            if bounded && dest_store.high_water().is_ok_and(|hw| hw >= Some(epoch)) {
-                continue;
-            }
-            // Source: the policy's own read rule — the fastest level in
-            // service that holds the epoch (the destination does not).
-            let records = match route::read_records(self, epoch) {
-                Ok(records) => records,
-                Err(e) => {
-                    // No readable source right now. Put the item back at
-                    // the front (order preserved) and surface the error so
-                    // the maintenance worker backs off and retries.
-                    let mut state = self.shared.state.lock().unwrap();
-                    state.queues[dest].push_front((epoch, kind));
-                    return Err(e);
-                }
-            };
-            // Copy through the destination's protection wrapper. Transient
-            // faults retry per step; permanent faults park the item and
-            // mark the destination suspect.
-            let outcome =
-                route::write_records(dest_store, epoch, &records, &RetryPolicy::default());
-            match outcome {
-                Ok(()) => {
+                    // Source: the policy's own read rule — the fastest level
+                    // that holds the epoch (the destination does not).
+                    let records = match self.records(epoch) {
+                        Ok(records) => records,
+                        Err(e) => {
+                            // No readable source right now. Put the item back
+                            // at the front (order preserved) and surface the
+                            // error so the maintenance worker backs off and
+                            // retries.
+                            let mut state = self.shared.state.lock().unwrap();
+                            state.queues[dest].push_front((epoch, kind));
+                            return Err(e);
+                        }
+                    };
+                    // Copy through the destination's protection wrapper.
+                    // Transient faults retry per step; permanent faults park
+                    // the item and mark the destination suspect.
+                    let retry = RetryPolicy::default();
+                    if let Err(e) = route::write_records(dest_store, epoch, &records, &retry) {
+                        level.counters.copy_failures.fetch_add(1, Ordering::SeqCst);
+                        self.park(dest, epoch, kind);
+                        failed.get_or_insert(e);
+                        continue;
+                    }
                     let c = &level.counters;
                     let bytes: usize = records.iter().map(|(_, d)| d.len()).sum();
                     c.copy_bytes.fetch_add(bytes as u64, Ordering::SeqCst);
@@ -754,18 +802,53 @@ impl PolicyBackend {
                         CopyKind::Drain => c.drains_in.fetch_add(1, Ordering::SeqCst),
                         CopyKind::Rebuild => c.rebuilds_in.fetch_add(1, Ordering::SeqCst),
                     };
-                    self.evict_over_capacity();
-                    if parked.is_none() {
-                        return Ok(Some(epoch));
+                    if level.capacity > 0 {
+                        self.shared.state.lock().unwrap().staged[dest].insert(epoch);
                     }
                 }
                 Err(e) => {
-                    level.counters.copy_failures.fetch_add(1, Ordering::SeqCst);
                     self.park(dest, epoch, kind);
-                    parked.get_or_insert(e);
+                    failed.get_or_insert(e);
+                    continue;
                 }
             }
+            if let Err(e) = self.evict_below(dest, epoch) {
+                failed.get_or_insert(e);
+            }
+            if failed.is_none() {
+                return Ok(Some(epoch));
+            }
         }
+    }
+
+    /// `epoch` has landed on `dest`: evict it from every bounded level
+    /// below that stages it once no level outward of that one in service
+    /// is still owed a copy. A level out of service, or whose eviction
+    /// fails (it goes suspect), keeps the epoch staged until reconcile
+    /// evicts it there.
+    fn evict_below(&self, dest: usize, epoch: u64) -> io::Result<()> {
+        let levels = &self.shared.levels;
+        let mut result = Ok(());
+        for (l, level) in levels[..dest].iter().enumerate() {
+            let due = {
+                let state = self.shared.state.lock().unwrap();
+                let owed = |m: usize| state.queues[m].iter().any(|&(e, _)| e == epoch);
+                let owed_outward =
+                    (l + 1..levels.len()).any(|m| !levels[m].is_suspect() && owed(m));
+                state.staged[l].contains(&epoch) && !owed_outward
+            };
+            if !due || level.is_suspect() {
+                continue;
+            }
+            match level.remove_epochs(&[epoch]) {
+                Ok(()) => {
+                    self.shared.state.lock().unwrap().staged[l].remove(&epoch);
+                    level.counters.evictions.fetch_add(1, Ordering::SeqCst);
+                }
+                Err(e) => result = result.and(Err(e)),
+            }
+        }
+        result
     }
 
     /// Park a failed copy on the destination's deferred list and mark the
@@ -776,36 +859,6 @@ impl PolicyBackend {
             .store(true, Ordering::SeqCst);
         let mut state = self.shared.state.lock().unwrap();
         state.deferred[dest].push((epoch, kind));
-    }
-
-    /// Evict over-capacity epochs (oldest first) from bounded levels —
-    /// only once a higher (slower) alive level holds the epoch.
-    fn evict_over_capacity(&self) {
-        let last = self.last_level();
-        for (l, level) in self.shared.levels.iter().enumerate() {
-            if l == last || level.capacity == 0 || level.is_suspect() {
-                continue;
-            }
-            let Ok(mut present) = level.store.epochs() else {
-                continue;
-            };
-            present.sort_unstable();
-            let mut idx = 0;
-            while present.len() - idx > level.capacity && idx < present.len() {
-                let oldest = present[idx];
-                let held_higher = self.shared.levels[l + 1..].iter().any(|higher| {
-                    !higher.is_suspect() && higher.store.epochs().is_ok_and(|e| e.contains(&oldest))
-                });
-                if !held_higher {
-                    break; // never drop the sole durable copy
-                }
-                if level.store.remove_epochs(&[oldest]).is_err() {
-                    break;
-                }
-                level.counters.evictions.fetch_add(1, Ordering::SeqCst);
-                idx += 1;
-            }
-        }
     }
 }
 
@@ -826,6 +879,9 @@ impl EpochWriter for PolicyWriter {
         state.high_water = state.high_water.max(Some(self.epoch));
         for l in 1..self.shared.levels.len() {
             state.queues[l].push_back((self.epoch, CopyKind::Drain));
+        }
+        if self.shared.levels[0].capacity > 0 {
+            state.staged[0].insert(self.epoch);
         }
         Ok(())
     }
@@ -906,7 +962,23 @@ impl StorageBackend for PolicyBackend {
                 }
             }
         }
-        let inner = self.shared.levels[0].store.begin_epoch(epoch)?;
+        // Back-pressure: at its bound, level 0 drains inline first.
+        let level0 = &self.shared.levels[0];
+        let staged = || self.shared.state.lock().unwrap().staged[0].len();
+        let full = || level0.capacity > 0 && staged() >= level0.capacity;
+        while full() {
+            let drained = self.drain_one();
+            if !full() {
+                break;
+            }
+            if drained?.is_none() {
+                return Err(io::Error::other(format!(
+                    "level {} stages {} epochs and none can drain",
+                    level0.name, level0.capacity
+                )));
+            }
+        }
+        let inner = level0.store.begin_epoch(epoch)?;
         Ok(Box::new(PolicyWriter {
             shared: Arc::clone(&self.shared),
             inner,
@@ -923,7 +995,10 @@ impl StorageBackend for PolicyBackend {
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        route::read_epoch(self, epoch, visit)
+        for (page, data) in self.records(epoch)? {
+            visit(page, &data);
+        }
+        Ok(())
     }
 
     fn bytes_written(&self) -> u64 {
@@ -961,6 +1036,9 @@ impl StorageBackend for PolicyBackend {
         for deferred in &mut state.deferred {
             deferred.retain(|(e, _)| !epochs.contains(e));
         }
+        for staged in &mut state.staged {
+            staged.retain(|e| !epochs.contains(e));
+        }
         result
     }
 
@@ -971,14 +1049,18 @@ impl StorageBackend for PolicyBackend {
     }
 
     fn drain_backlog(&self) -> usize {
-        // Probe-and-reconcile here too: the maintenance barrier seeds its
-        // queue from this count, so a healed level's rebuild work becomes
-        // visible on the next barrier without any drain having run.
-        // Deferred items are *excluded* — they cannot make progress until
-        // their level answers a probe, and counting them would wedge the
-        // barrier against a dead level forever.
-        let _drain = self.shared.drain_lock.lock().unwrap();
-        self.reconcile_suspects();
+        // Probe-and-reconcile here too while a level is suspect: the
+        // maintenance barrier seeds its queue from this count, so a healed
+        // level's rebuild work becomes visible on the next barrier without
+        // any drain having run. Otherwise no lock a drain holds is taken:
+        // the flush pool asks after every commit. Deferred items are
+        // *excluded* — they cannot make progress until their level answers
+        // a probe, and counting them would wedge the barrier against a dead
+        // level forever.
+        if self.shared.levels.iter().any(Level::is_suspect) {
+            let _drain = self.shared.drain_lock.lock().unwrap();
+            self.reconcile_suspects();
+        }
         let state = self.shared.state.lock().unwrap();
         state.queues.iter().map(|q| q.len()).sum()
     }
@@ -991,6 +1073,9 @@ mod tests {
     use crate::memory::MemoryBackend;
 
     const SPEC: &str = "nvme=plain#2 -> partner=replica*2 -> cold=parity*4";
+    /// [`SPEC`] with an unbounded level 0, which keeps a copy of every
+    /// epoch to damage.
+    const UNBOUNDED: &str = "nvme=plain -> partner=replica*2 -> cold=parity*4";
 
     /// The policy, one failure control per level, and each level's stores
     /// (to damage at rest).
@@ -1067,28 +1152,90 @@ mod tests {
     #[test]
     fn drain_copies_epochs_outward_and_capacity_evicts() {
         let (policy, _controls, _) = build_injected(SPEC);
-        for epoch in 1..=4u64 {
+        for epoch in 1..=2u64 {
             write_epoch(&policy, epoch, epoch_pages(epoch)).unwrap();
         }
-        assert_eq!(policy.drain_backlog(), 8, "4 epochs x 2 outer levels");
+        assert_eq!(policy.drain_backlog(), 4, "2 epochs x 2 outer levels");
+        assert_eq!(policy.staged(0), vec![1, 2]);
         drain_all(&policy);
         assert_eq!(policy.drain_backlog(), 0);
         let stats = policy.stats();
-        // Level 0 holds only the newest 2 epochs (capacity), outer levels
+        // The bounded level 0 holds no drained epoch; the outer levels
         // hold everything.
-        assert_eq!(stats.levels[0].resident_epochs, 2);
+        assert_eq!(stats.levels[0].resident_epochs, 0);
         assert_eq!(stats.levels[0].evictions, 2);
-        assert_eq!(stats.levels[1].resident_epochs, 4);
-        assert_eq!(stats.levels[2].resident_epochs, 4);
-        assert_eq!(stats.levels[1].drains_in, 4);
-        assert_eq!(stats.levels[2].drains_in, 4);
-        assert_eq!(policy.epochs().unwrap(), vec![1, 2, 3, 4]);
+        assert!(policy.staged(0).is_empty());
+        assert_eq!(stats.levels[1].resident_epochs, 2);
+        assert_eq!(stats.levels[2].resident_epochs, 2);
+        assert_eq!(stats.levels[1].drains_in, 2);
+        assert_eq!(stats.levels[2].drains_in, 2);
+        assert_eq!(policy.epochs().unwrap(), vec![1, 2]);
         // An evicted epoch still reads — from the outer levels.
         let mut seen = Vec::new();
         policy
             .read_epoch(1, &mut |p, d| seen.push((p, d.to_vec())))
             .unwrap();
         assert_eq!(seen, epoch_pages(1));
+    }
+
+    #[test]
+    fn capacity_applies_backpressure() {
+        let (policy, controls, stores) = build_injected(SPEC);
+        write_epoch(&policy, 1, epoch_pages(1)).unwrap();
+        write_epoch(&policy, 2, epoch_pages(2)).unwrap();
+        // The third commit must drain the oldest epoch inline first.
+        write_epoch(&policy, 3, epoch_pages(3)).unwrap();
+        assert_eq!(
+            stores[1][0].epochs().unwrap(),
+            vec![1],
+            "epoch 1 force-drained"
+        );
+        assert_eq!(stores[0][0].epochs().unwrap(), vec![2, 3], "and evicted");
+        assert_eq!(policy.staged(0), vec![2, 3]);
+        // With every outer level down nothing can make room: the commit
+        // fails instead of growing level 0 past its bound.
+        for ctl in &controls[1..] {
+            ctl.kill();
+        }
+        assert!(policy.begin_epoch(4).is_err());
+        assert_eq!(stores[0][0].epochs().unwrap(), vec![2, 3]);
+    }
+
+    #[test]
+    fn integrity_reaches_an_epoch_both_tiers_hold() {
+        // An epoch both tiers hold (a drain whose eviction failed), with
+        // the *slow* copy rotted: asking the first holder only would report
+        // the epoch clean, let the drain retry evict the good copy, and
+        // leave a CRC mismatch nobody can heal.
+        let (fast, fast_view) = MemoryBackend::shared();
+        let (slow, slow_view) = MemoryBackend::shared();
+        let t = crate::tiered::TieredBackend::new(Box::new(fast), Box::new(slow), 0).unwrap();
+        let pages = vec![(0, vec![1u8; 16]), (1, vec![2u8; 16])];
+        write_epoch(&t, 1, pages.clone()).unwrap();
+        write_epoch(&slow_view, 1, pages.clone()).unwrap();
+        slow_view.corrupt_stored_page(1, 0, 3).unwrap();
+        let report = t.verify_epoch(1).unwrap();
+        assert_eq!(report.corrupt_pages, vec![0], "named before any eviction");
+        assert_eq!(t.repair_epoch(1).unwrap().source, "fast");
+        assert_eq!(
+            slow_view.epoch_records(1).unwrap(),
+            pages,
+            "healed in place"
+        );
+        assert!(t.verify_epoch(1).unwrap().is_clean());
+        // A rewrite reaches both copies, so whichever survives the drain
+        // retry serves the new bytes.
+        t.rewrite_epoch(1, &[(0, &[9u8; 16])]).unwrap();
+        assert_eq!(
+            fast_view.epoch_records(1).unwrap(),
+            vec![(0, vec![9u8; 16])]
+        );
+        assert_eq!(
+            slow_view.epoch_records(1).unwrap(),
+            vec![(0, vec![9u8; 16])]
+        );
+        assert_eq!(t.drain_one().unwrap(), Some(1));
+        assert_eq!(t.read_page_at(1, 0).unwrap().unwrap(), vec![9u8; 16]);
     }
 
     #[test]
@@ -1204,7 +1351,7 @@ mod tests {
 
     #[test]
     fn verify_merges_damage_and_repair_heals_across_levels() {
-        let (policy, _controls, stores) = build_injected(SPEC);
+        let (policy, _controls, stores) = build_injected(UNBOUNDED);
         write_epoch(&policy, 1, epoch_pages(1)).unwrap();
         drain_all(&policy);
         // Rot one record at rest on the plain fast level. The level has no
@@ -1230,7 +1377,7 @@ mod tests {
 
     #[test]
     fn self_healed_parity_level_rescues_the_plain_level() {
-        let (policy, controls, stores) = build_injected(SPEC);
+        let (policy, controls, stores) = build_injected(UNBOUNDED);
         write_epoch(&policy, 1, epoch_pages(1)).unwrap();
         drain_all(&policy);
         // Kill the replica level so the only clean source candidates are
@@ -1251,7 +1398,7 @@ mod tests {
 
     #[test]
     fn damage_on_every_level_is_irreparable() {
-        let (policy, _controls, stores) = build_injected(SPEC);
+        let (policy, _controls, stores) = build_injected(UNBOUNDED);
         write_epoch(&policy, 1, epoch_pages(1)).unwrap();
         drain_all(&policy);
         // Pages 0 and 1 share a parity group (group size 4), so even the

@@ -68,7 +68,7 @@ fn not_found(epoch: u64) -> io::Error {
     )
 }
 
-fn holds(child: &dyn StorageBackend, epoch: u64) -> io::Result<bool> {
+fn holds<C: StorageBackend + ?Sized>(child: &C, epoch: u64) -> io::Result<bool> {
     Ok(child.epochs()?.contains(&epoch))
 }
 
@@ -83,11 +83,11 @@ pub(crate) fn composite<B: StorageBackend + ?Sized>(this: &B) -> Option<Vec<Chil
 /// answer from a child that still lists the epoch first runs `heal`, once,
 /// and re-asks that child when it succeeded. When nobody answers, the first
 /// error that was not `NotFound` wins.
-fn first_answer<'a, T>(
-    kids: &[Child<'a>],
+fn first_answer<'a, C: StorageBackend + ?Sized, T>(
+    kids: &[(&'a str, &'a C)],
     epoch: u64,
     heal: impl Fn() -> bool,
-    op: impl Fn(Child<'a>) -> io::Result<T>,
+    op: impl Fn((&'a str, &'a C)) -> io::Result<T>,
 ) -> io::Result<T> {
     let mut first_err = None;
     let mut healed = false;
@@ -116,11 +116,11 @@ fn first_answer<'a, T>(
 /// The read rule (see the module docs) for one operation on `epoch` over
 /// `kids`, the children of `this`: rot is healed by the composite's own
 /// `repair_epoch`.
-pub(crate) fn read<B: StorageBackend + ?Sized, T>(
+pub(crate) fn read<B: StorageBackend + ?Sized, C: StorageBackend + ?Sized, T>(
     this: &B,
-    kids: &[Child<'_>],
+    kids: &[(&str, &C)],
     epoch: u64,
-    op: impl Fn(&dyn StorageBackend) -> io::Result<T>,
+    op: impl Fn(&C) -> io::Result<T>,
 ) -> io::Result<T> {
     let heal = || this.repair_epoch(epoch).is_ok();
     first_answer(kids, epoch, heal, |(_, child)| op(child))

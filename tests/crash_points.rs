@@ -232,9 +232,19 @@ impl Stack {
         !matches!(self, Stack::File | Stack::MemoryOverFile)
     }
 
-    /// Drain `b` until idle: the listing stays `listed`, and every listed
-    /// epoch is on the outermost child — a tiered stack leaves nothing on
-    /// its fast tier, a policy's bounded level keeps resident copies.
+    /// Whether the stack retires through the policy's ledger (a tiered
+    /// stack is a policy): a retirement skips a level it cannot ask and
+    /// settles it when the level heals, where any other composite refuses.
+    fn ledger(self) -> bool {
+        matches!(
+            self,
+            Stack::FileOverFile | Stack::MemoryOverFile | Stack::Policy
+        )
+    }
+
+    /// Drain `b` until idle: the listing stays `listed`, every listed
+    /// epoch is on the outermost child, and nothing is left on the
+    /// innermost — the fast tier, the policy's bounded `hot`.
     fn drain_rule(self, b: &dyn StorageBackend, listed: &[u64]) -> Result<(), String> {
         let drained = (|| -> io::Result<()> {
             for _ in 0..64 {
@@ -244,7 +254,7 @@ impl Stack {
             }
             Err(io::Error::other("still busy after 64 drains"))
         })();
-        let kids = b.children();
+        let kids = composite(b).children();
         let ends = kids
             .first()
             .zip(kids.last())
@@ -254,11 +264,10 @@ impl Stack {
         };
         let (left, on_outer, now) = (inner.epochs(), outer.epochs(), b.epochs());
         let holds_all = |o: &Vec<u64>| listed.iter().all(|e| o.contains(e));
-        let emptied = self == Stack::Policy || left.as_ref().is_ok_and(Vec::is_empty);
         match drained.is_ok()
             && now.as_ref().is_ok_and(|now| now == listed)
             && on_outer.as_ref().is_ok_and(holds_all)
-            && emptied
+            && left.as_ref().is_ok_and(Vec::is_empty)
         {
             true => Ok(()),
             false => Err(format!(
@@ -1278,6 +1287,15 @@ fn perform(b: &dyn StorageBackend, step: Step, dead: &dyn Fn() -> bool) -> io::R
     }
 }
 
+/// The composite below a stack's one-child wrappers — a tiered stack is a
+/// policy behind one — or the leaf.
+fn composite(stack: &dyn StorageBackend) -> &dyn StorageBackend {
+    match stack.inner() {
+        Some(inner) if stack.children().is_empty() => composite(inner),
+        _ => stack,
+    }
+}
+
 /// The leaf stores of a stack, in registration order: below every
 /// wrapper, through every composite.
 fn leaves(stack: &dyn StorageBackend) -> Vec<&dyn StorageBackend> {
@@ -1527,11 +1545,14 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
     }
     // The outermost child whose leaves are all up.
     let mut leaf = 0;
-    let up = live.stack.children().into_iter().filter(|(_, kid)| {
-        let own = leaf..leaf + leaves(*kid).len();
-        leaf = own.end;
-        !down.iter().any(|l| own.contains(l))
-    });
+    let up = composite(live.stack.as_ref())
+        .children()
+        .into_iter()
+        .filter(|(_, kid)| {
+            let own = leaf..leaf + leaves(*kid).len();
+            leaf = own.end;
+            !down.iter().any(|l| own.contains(l))
+        });
     let under = |e: &&Entry| *e.calls.start() >= live.from;
     let drain = (live.log.iter()).position(|e| e.step == Step::Drain && under(&e));
     if let (Some((name, outer)), Some(i)) = (up.last(), drain) {
@@ -1554,7 +1575,7 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
     for e in live.log.iter().filter(under) {
         let refused = match e.step {
             Step::Compact(_) => true,
-            Step::Retire(_) => case.stack != Stack::Policy,
+            Step::Retire(_) => !case.stack.ledger(),
             _ => false,
         };
         let reads = |c: &&Call| e.calls.contains(&c.number) && c.kind == FaultOp::Read;
@@ -1571,7 +1592,8 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
     case.stack
         .drain_rule(live.stack.as_ref(), &now.listed)
         .map_err(|e| format!("the healed handle: {e}"))?;
-    // The bounded `hot` holds a window; every other level holds the chain.
+    // The bounded `hot` holds nothing drained; every other level holds the
+    // chain.
     if let Some(&top) = now.listed.last().filter(|_| case.stack == Stack::Policy) {
         let whole = CheckpointImage::load(live.stack.as_ref(), top).ok();
         for (name, level) in live.stack.children().into_iter().skip(1) {

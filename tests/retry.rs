@@ -2,14 +2,14 @@
 //! retry layer absorbs self-healing hiccups (EINTR-shaped bursts) on the
 //! drain and read paths, while permanent and corrupt faults keep failing
 //! exactly as fast as before. (A burst on every call of the drain is the
-//! crash sweep's `burst` mode, `tests/crash_points.rs`.)
+//! crash sweep's `burst` mode, `tests/crash_points.rs`: e.g.
+//! `memory-over-file:burst:53`, the drain's read of the memory tier, and
+//! `:59`, the slow tier's `finish` of its copy.)
 //!
 //! Attempt counts are asserted exactly — the calls the failure control
 //! journals — and the jitter stream is seeded, so the schedule is
 //! reproducible and the tests cannot flake on timing.
 
-use std::fs;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -17,22 +17,11 @@ use ai_ckpt::{restore_at, restore_latest, restore_latest_lazy, CkptConfig, PageM
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::failing::{Fault, When};
 use ai_ckpt_storage::{
-    classify, errors::transient, FailingBackend, FailureControl, FaultClass, FaultOp, FileBackend,
-    MemoryBackend, MemoryRoot, RetryPolicy, StorageBackend, TieredBackend, META_RECORD,
+    classify, errors::transient, FailingBackend, FailureControl, FaultClass, FaultOp,
+    MemoryBackend, MemoryRoot, RetryPolicy, StorageBackend, META_RECORD,
 };
 
 const PAGES: usize = 4;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "aickpt-retry-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn cfg() -> CkptConfig {
     CkptConfig::ai_ckpt(2 * page_size())
@@ -180,53 +169,6 @@ fn permanent_fault_is_never_retried() {
         1,
         "corruption is repaired, not retried"
     );
-}
-
-/// The maintenance worker's drain loop rides the retry layer: a transient
-/// burst on `drain_one` is absorbed invisibly — the backlog still reaches
-/// the durable tier and the failure counter stays at zero.
-#[test]
-fn maintenance_drain_absorbs_transient_burst() {
-    let dir = tmpdir("drain-slow");
-    let tiered = TieredBackend::new(
-        Box::new(MemoryRoot::new().open("drain-fast")),
-        Box::new(FileBackend::open(&dir).unwrap()),
-        0,
-    )
-    .unwrap();
-    let (backend, ctl) = FailingBackend::new(tiered);
-    let backend: Arc<dyn StorageBackend> = Arc::new(backend);
-
-    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&backend)).unwrap();
-    // Arm the burst *before* the checkpoint so the maintenance drain that
-    // follows the commit walks straight into it.
-    ctl.arm(When::Kind(FaultOp::DrainOne), Fault::Burst(3));
-    let expect = fill_and_checkpoint(&mgr, 0x19);
-    mgr.wait_maintenance_idle().unwrap();
-
-    let stats = mgr.stats();
-    assert!(
-        calls_of(&ctl, FaultOp::DrainOne) > 3,
-        "the burst was consumed by retries, not skipped"
-    );
-    assert!(
-        stats.maintenance.epochs_drained >= 1,
-        "backlog reached the durable tier: {:?}",
-        stats.maintenance
-    );
-    assert_eq!(
-        stats.maintenance.failures, 0,
-        "a burst inside the attempt budget must not count as a failed cycle"
-    );
-
-    // The durable tier is complete: a restore straight off the slow tier's
-    // directory reproduces the checkpoint.
-    drop(mgr);
-    let slow: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
-    let mgr = PageManager::with_shared_backend(cfg(), Arc::clone(&slow)).unwrap();
-    let image = restore_latest(&mgr, slow.as_ref()).unwrap().unwrap();
-    let buf = &image.buffers[image.by_name["state"]];
-    assert!(buf.as_slice() == expect, "drained bytes intact");
 }
 
 /// The restore filler rides the retry layer too, behind both doors: a read
