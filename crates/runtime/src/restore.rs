@@ -9,13 +9,22 @@
 //! allocation order ⇒ same page ids; no payload I/O), resolves every page to the
 //! newest epoch holding it through a [`PageLocator`], and maps every
 //! to-be-restored page `PROT_NONE`. **Fill** is one loop, `filler_loop`: it
-//! reads each page with `read_page_at` (through the shared [`PageCache`]
-//! when given one, so N concurrent restores of one checkpoint hit disk once
-//! per page; transient faults retried, a corrupt read repaired in place and
-//! re-read), writes it through `/proc/self/mem` (which bypasses page
-//! protections; one write per address-contiguous run of fills, up to 64
-//! pages) while the page stays `PROT_NONE`, seeds the content-filter
-//! digest, then drops the protection to `PROT_READ` and publishes the fill
+//! reads its pages in runs — the stretch of its 64-entry slice of the
+//! prefetch order that one epoch holds, which is that epoch's records in
+//! record order, so mostly records stored back to back — with one
+//! [`StorageBackend::read_pages_at`] each (the file backend reads a run of
+//! adjacent records with one `pread`; a demand hint is a run of one; with
+//! the shared [`PageCache`] every page is a lookup and a miss a run of one,
+//! so N concurrent restores of one checkpoint hit disk once per page;
+//! transient faults retried, a corrupt read repaired in place and re-read).
+//! A sweep page is claimed once it is read, and the filler turns to the
+//! demand ring after every page and breaks its run for a hint, so a hint
+//! waits for at most the read in flight. Each page is written through
+//! `/proc/self/mem` (which bypasses page protections; one write per
+//! address-contiguous run of fills, up to 64 pages) while the page stays
+//! `PROT_NONE`, seeds the content-filter digest (the record's CRC when it
+//! covers the whole page: one CRC pass per restored byte), then drops the
+//! protection to `PROT_READ` and publishes the fill
 //! (in address-contiguous runs: every 32 sweep fills under a lazy restore,
 //! once at the filler's end under an eager one) — so no window exists in
 //! which a thread could observe a half-filled page, and the fill itself
@@ -53,6 +62,7 @@
 
 use std::collections::HashMap;
 use std::io;
+use std::ops::{ControlFlow, Range};
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -61,11 +71,11 @@ use ai_ckpt_core::{AccessType, EpochRecord, PageId};
 use ai_ckpt_mem::Protection;
 use ai_ckpt_storage::{
     classify, crc64, quarantined_error, replay_window, FaultClass, PageCache, PageLocator,
-    RetryPolicy, StorageBackend, META_RECORD,
+    PageRead, RetryPolicy, StorageBackend, META_RECORD,
 };
 
 use crate::layout;
-use crate::manager::{Ctl, PageManager};
+use crate::manager::{ContentFilter, Ctl, PageManager, Shared};
 use crate::ProtectedBuffer;
 
 /// The outcome of a restore: the rebuilt buffers, in layout order, plus an
@@ -178,7 +188,9 @@ pub struct RestoreStats {
     pub bytes_filled: u64,
 }
 
-/// Filler-side counters behind the [`RestoreStats`] snapshot.
+/// Filler-side counters behind the [`RestoreStats`] snapshot. Every filler
+/// adds to them, so a filler sums its sweep fills and adds once per
+/// publication.
 #[derive(Default)]
 struct FillCounters {
     demanded_pages: AtomicU64,
@@ -347,10 +359,13 @@ struct FillPlan {
 }
 
 impl FillPlan {
-    /// The next page of this filler's claimed slice of `order`, claiming the
-    /// next [`RUN_PAGES`] entries once the slice is used up; `None` when the
-    /// whole order is claimed.
-    fn next_page(&self, mine: &mut std::ops::Range<usize>) -> Option<u64> {
+    /// The next run of this filler's claimed slice `mine` of `order` — its
+    /// front stretch of pages one epoch holds — with that epoch, claiming
+    /// the next [`RUN_PAGES`] entries once the slice is used up; `None` when
+    /// the whole order is claimed. The caller moves `mine` past what it
+    /// read. Within an epoch the order is record order, so a run is mostly
+    /// records stored back to back.
+    fn next_run(&self, mine: &mut Range<usize>) -> Option<(u64, &[u64])> {
         if mine.start == mine.end {
             // Relaxed: the cursor publishes nothing; `order` is immutable
             // and was shared before any filler started.
@@ -358,12 +373,17 @@ impl FillPlan {
             let len = self.order.len();
             *mine = start.min(len)..(start + RUN_PAGES).min(len);
         }
-        mine.next().map(|i| self.order[i])
+        let slice = &self.order[mine.clone()];
+        let epoch = self.locator.epoch_of(*slice.first()?).expect(MARKED);
+        let same = slice
+            .iter()
+            .take_while(|&&p| self.locator.epoch_of(p) == Some(epoch));
+        Some((epoch, &slice[..same.count()]))
     }
 
     /// Poison every page still owed. Only once no filler runs: a page a
     /// filler holds `FILLING` must not be poisoned under it.
-    fn poison_owed(&self, shared: &crate::manager::Shared) {
+    fn poison_owed(&self, shared: &Shared) {
         for &page in &self.order {
             shared.lazy_poison(page as usize);
         }
@@ -384,13 +404,26 @@ fn prepare(
     // a fabric hiccup during locator construction must not abort a
     // restore the very next read would have served.
     let retry = manager.config().retry;
-    let record = read_healed(backend, &retry, seq, META_RECORD)?.ok_or_else(|| {
+    let mut layouts = None;
+    read_healed(
+        backend,
+        &retry,
+        seq,
+        &[META_RECORD],
+        &mut Vec::new(),
+        &mut |_, record| {
+            layouts = record
+                .map(|(record, _)| layout::decode(record))
+                .transpose()?;
+            Ok(ControlFlow::Continue(()))
+        },
+    )?;
+    let layouts = layouts.ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::NotFound,
             format!("checkpoint {seq} holds no layout record"),
         )
     })?;
-    let layouts = layout::decode(&record)?;
     // Resolve page → owning epoch up front (manifest metadata only; no
     // payload is materialised).
     let locator = retry.run(|| PageLocator::build(backend, seq))?;
@@ -490,23 +523,94 @@ fn prepare(
     Ok((state, plan))
 }
 
-/// Read one record the way every restore read goes: never fail while a
-/// redundant source survives. Transient faults back off and retry; a corrupt
-/// read asks the backend to repair the epoch in place, then reads the healed
-/// bytes once more.
+/// A restore read's visitor: each page of the run with what the backend
+/// returned for it, answering whether the run goes on.
+type Visit<'v> = dyn FnMut(u64, PageRead<'_>) -> io::Result<ControlFlow<()>> + 'v;
+
+/// Read `pages` of `epoch` the way every restore read goes: never fail
+/// while a redundant source survives. One [`StorageBackend::read_pages_at`]
+/// reads the run, and its first failing page is attempt 1 of `retry`: a
+/// transient fault backs off and reads that page again, a corrupt read asks
+/// the backend to repair the epoch in place and then reads the healed bytes
+/// once more, and the run goes on after the page. `visit` gets every page
+/// in order until it breaks the run or fails.
 fn read_healed(
     backend: &dyn StorageBackend,
     retry: &RetryPolicy,
     epoch: u64,
-    id: u64,
-) -> io::Result<Option<Vec<u8>>> {
-    match retry.run(|| backend.read_page_at(epoch, id)) {
-        Err(e) if classify(&e) == FaultClass::Corrupt => {
-            backend.repair_epoch(epoch).map_err(|_| e)?;
-            backend.read_page_at(epoch, id)
+    pages: &[u64],
+    buf: &mut Vec<u8>,
+    visit: &mut Visit<'_>,
+) -> io::Result<()> {
+    let mut next = 0;
+    while next < pages.len() {
+        // The visitor's end of the run (`Ok` when it broke it), or the
+        // backend's error on page `next`.
+        let (mut ended, mut failed) = (None, None);
+        backend.read_pages_at(epoch, &pages[next..], buf, &mut |page, got| {
+            let got = match got {
+                Ok(got) => got,
+                Err(e) => {
+                    failed = Some(e);
+                    return ControlFlow::Break(());
+                }
+            };
+            next += 1;
+            match visit(page, got) {
+                Ok(ControlFlow::Continue(())) => ControlFlow::Continue(()),
+                end => {
+                    ended = Some(end.map(drop));
+                    ControlFlow::Break(())
+                }
+            }
+        });
+        if let Some(end) = ended {
+            return end;
         }
-        other => other,
+        if next == pages.len() {
+            break;
+        }
+        let page = pages[next];
+        let mut first = Some(failed.unwrap_or_else(|| short_read(epoch, page)));
+        let again = || {
+            first
+                .take()
+                .map_or_else(|| read_one(backend, epoch, page, buf), Err)
+        };
+        let got = match retry.run(again) {
+            Err(e) if classify(&e) == FaultClass::Corrupt => {
+                backend.repair_epoch(epoch).map_err(|_| e)?;
+                read_one(backend, epoch, page, buf)
+            }
+            other => other,
+        }?;
+        next += 1;
+        if visit(page, got.as_ref().map(|(d, crc)| (&d[..], *crc)))?.is_break() {
+            break;
+        }
     }
+    Ok(())
+}
+
+/// One page through [`StorageBackend::read_pages_at`] (a run of one),
+/// owned: what a retry reads.
+fn read_one(
+    backend: &dyn StorageBackend,
+    epoch: u64,
+    page: u64,
+    buf: &mut Vec<u8>,
+) -> io::Result<Option<(Vec<u8>, Option<u64>)>> {
+    let mut got = Err(short_read(epoch, page));
+    backend.read_pages_at(epoch, &[page], buf, &mut |_, read| {
+        got = read.map(|read| read.map(|(d, crc)| (d.to_vec(), crc)));
+        ControlFlow::Break(())
+    });
+    got
+}
+
+/// A backend's run that ended, without an error, before visiting `page`.
+fn short_read(epoch: u64, page: u64) -> io::Error {
+    io::Error::other(format!("a read of epoch {epoch} ended before page {page}"))
 }
 
 /// Set `prot` on every page in `addrs` (ascending page addresses), one
@@ -562,12 +666,18 @@ struct PendingPublish {
     run: Vec<u8>,
     /// Address the run's first byte belongs at.
     run_at: usize,
+    /// How many of `pages` the shared cache served, and their bytes.
+    cached: (u64, u64),
 }
+
+/// What every page of `order` is: a page the locator resolved.
+const MARKED: &str = "only image pages are marked for fill";
 
 /// Max sweep fills a lazy restore holds back before a forced publication.
 const SWEEP_PUBLISH_BATCH: usize = 32;
 
-/// Max pages one run write carries (256 KiB of 4 KiB pages).
+/// Max pages one run write carries (256 KiB of 4 KiB pages), and the
+/// entries of `order` a filler claims at a time.
 const RUN_PAGES: usize = 64;
 
 impl PendingPublish {
@@ -576,6 +686,7 @@ impl PendingPublish {
             pages: Vec::with_capacity(pages),
             run: Vec::with_capacity(RUN_PAGES * page_bytes),
             run_at: 0,
+            cached: (0, 0),
         }
     }
 
@@ -586,10 +697,10 @@ impl PendingPublish {
     fn push(
         &mut self,
         mem: &std::fs::File,
-        idx: usize,
-        addr: usize,
+        (idx, addr): (usize, usize),
         payload: &[u8],
         page_bytes: usize,
+        cached: bool,
     ) -> io::Result<()> {
         if payload.len() == page_bytes {
             if self.run_at + self.run.len() != addr || self.run.len() == RUN_PAGES * page_bytes {
@@ -600,7 +711,11 @@ impl PendingPublish {
         } else {
             mem.write_all_at(payload, addr as u64)?;
         }
-        self.pages.push((idx, addr, payload.len() as u64));
+        let len = payload.len() as u64;
+        self.pages.push((idx, addr, len));
+        if cached {
+            self.cached = (self.cached.0 + 1, self.cached.1 + len);
+        }
         Ok(())
     }
 
@@ -613,10 +728,13 @@ impl PendingPublish {
         Ok(())
     }
 
+    /// Write the run, lift protection from every held-back page, mark them
+    /// `FILLED`, and add them to the shared counters (once per publication,
+    /// not per page).
     fn publish(
         &mut self,
         mem: &std::fs::File,
-        shared: &crate::manager::Shared,
+        shared: &Shared,
         counters: &FillCounters,
         page_bytes: usize,
     ) -> io::Result<()> {
@@ -632,13 +750,235 @@ impl PendingPublish {
         // SAFETY: live registered pages, each pinned by its FILLING state
         // until `lazy_finish_fill` below.
         unsafe { protect_runs(addrs, page_bytes, Protection::ReadOnly)? };
+        let mut bytes = 0;
         for &(idx, _, len) in &self.pages {
             shared.lazy_finish_fill(idx);
-            counters.bytes_filled.fetch_add(len, Ordering::Relaxed);
-            counters.prefetched_pages.fetch_add(1, Ordering::Relaxed);
+            bytes += len;
+        }
+        let published = self.pages.len() as u64;
+        counters
+            .prefetched_pages
+            .fetch_add(published, Ordering::Relaxed);
+        counters.bytes_filled.fetch_add(bytes, Ordering::Relaxed);
+        if self.cached.0 > 0 {
+            counters
+                .pages_from_cache
+                .fetch_add(self.cached.0, Ordering::Relaxed);
+            counters
+                .bytes_from_cache
+                .fetch_add(self.cached.1, Ordering::Relaxed);
         }
         self.pages.clear();
+        self.cached = (0, 0);
         Ok(())
+    }
+}
+
+/// Where one filler's payloads come from: the backend, through the shared
+/// [`PageCache`] when the restore has one, and the scratch buffer its run
+/// reads reuse (the filler's own, freed with it).
+struct Source<'a> {
+    backend: &'a dyn StorageBackend,
+    cache: Option<&'a PageCache>,
+    retry: &'a RetryPolicy,
+    /// The cache namespace: the checkpoint being restored.
+    ns: u64,
+    /// No payload is longer than a page: a longer one would be written
+    /// past its page, into whatever mapping follows.
+    page_bytes: usize,
+    buf: Vec<u8>,
+}
+
+impl Source<'_> {
+    /// Read `pages` of `epoch` and visit each with its payload, its record
+    /// CRC when the backend reported one, and whether the cache served it,
+    /// until the visitor breaks the run. Without a cache the pages are one
+    /// [`read_healed`] run; with one, each page is a lookup and a miss
+    /// reads it as a run of one, so N concurrent restores read it once. A
+    /// page the epoch lacks, or one longer than a page, fails the read.
+    fn read(
+        &mut self,
+        epoch: u64,
+        pages: &[u64],
+        mut visit: impl FnMut(u64, &[u8], Option<u64>, bool) -> io::Result<ControlFlow<()>>,
+    ) -> io::Result<()> {
+        let Source {
+            backend,
+            cache,
+            retry,
+            ns,
+            page_bytes,
+            buf,
+        } = self;
+        let page_bytes = *page_bytes;
+        let Some(cache) = cache else {
+            return read_healed(*backend, retry, epoch, pages, buf, &mut |page, got| {
+                let (payload, crc) = fits(epoch, page, got, page_bytes)?;
+                visit(page, payload, crc, false)
+            });
+        };
+        for &page in pages {
+            // `Some(crc)` once this lookup read the page itself. Errors
+            // never enter the cache (failed fills are not memoised), so a
+            // later retry re-reads storage.
+            let mut loaded = None;
+            let payload = cache.get_or_load(*ns, page, || {
+                let mut got = None;
+                read_healed(*backend, retry, epoch, &[page], buf, &mut |_, read| {
+                    let (d, crc) = fits(epoch, page, read, page_bytes)?;
+                    got = Some((Arc::<[u8]>::from(d), crc));
+                    Ok(ControlFlow::Continue(()))
+                })?;
+                loaded = Some(got.as_ref().and_then(|&(_, crc)| crc));
+                Ok(got.map(|(d, _)| d))
+            })?;
+            let (payload, _) = fits(
+                epoch,
+                page,
+                payload.as_deref().map(|d| (d, None)),
+                page_bytes,
+            )?;
+            if visit(page, payload, loaded.flatten(), loaded.is_none())?.is_break() {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What a restore read holds for `page` of `epoch`: its payload and CRC,
+/// if the epoch has the page and its payload fits in `page_bytes`.
+fn fits(
+    epoch: u64,
+    page: u64,
+    got: PageRead<'_>,
+    page_bytes: usize,
+) -> io::Result<(&[u8], Option<u64>)> {
+    let invalid = |what| io::Error::new(io::ErrorKind::InvalidData, what);
+    match got {
+        None => Err(invalid(format!("page {page} vanished from epoch {epoch}"))),
+        Some((payload, _)) if payload.len() > page_bytes => Err(invalid(format!(
+            "page {page} in epoch {epoch} holds {} bytes, more than a page ({page_bytes})",
+            payload.len()
+        ))),
+        Some(read) => Ok(read),
+    }
+}
+
+/// One filler's write side: where fills land, what it holds back, and its
+/// place at the demand ring.
+struct Filler<'a> {
+    shared: &'a Shared,
+    filter: Option<&'a ContentFilter>,
+    plan: &'a FillPlan,
+    /// `/proc/self/mem`, open for writing.
+    mem: std::fs::File,
+    page_bytes: usize,
+    publish_batch: usize,
+    pending: PendingPublish,
+    /// `plan.publish_requests` as of this filler's last look.
+    asked: u64,
+    /// A demand hint popped mid-run, served as soon as the run stops.
+    hint: Option<u64>,
+}
+
+impl Filler<'_> {
+    /// One turn at the demand ring, taken before every run and after every
+    /// page of one: pop a hint unless one is held, and publish when a hint
+    /// came, another filler asked for it, or the batch is full. A held hint
+    /// and a stopped restore break the run.
+    fn turn(&mut self) -> io::Result<ControlFlow<()>> {
+        let mut publish = self.pending.pages.len() >= self.publish_batch;
+        if self.hint.is_none() {
+            // A hint flushes the batch: the waiter may be blocked on a page
+            // that is read but not yet written or published.
+            self.hint = self.shared.lazy_next_demand(&self.plan.demand_tail);
+            publish |= self.hint.is_some();
+        }
+        let requests = self.plan.publish_requests.load(Ordering::Acquire);
+        if publish || requests != self.asked {
+            self.asked = requests;
+            self.publish()?;
+        }
+        if self.hint.is_some() || self.plan.stop.load(Ordering::Acquire) {
+            return Ok(ControlFlow::Break(()));
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    fn publish(&mut self) -> io::Result<()> {
+        let counters = &self.plan.counters;
+        self.pending
+            .publish(&self.mem, self.shared, counters, self.page_bytes)
+    }
+
+    /// Seed the content filter with the digest of the page *as it now
+    /// reads*: the payload, zero-padded to the page (payloads from the
+    /// runtime are always page-sized; padding only matters for
+    /// hand-written epochs). A record CRC over a whole page is that digest
+    /// already.
+    fn seed_digest(&self, page: u64, payload: &[u8], crc: Option<u64>) {
+        let Some(filter) = self.filter else { return };
+        let digest = match crc {
+            Some(crc) if payload.len() == self.page_bytes => crc,
+            _ if payload.len() == self.page_bytes => crc64(payload),
+            _ => {
+                let mut whole = vec![0u8; self.page_bytes];
+                whole[..payload.len()].copy_from_slice(payload);
+                crc64(&whole)
+            }
+        };
+        filter.set(page, digest);
+    }
+
+    /// A sweep page, read: claim it — a page is anyone's until it is read,
+    /// so a demand for it is served by whoever pops the hint rather than
+    /// after this run — hold its fill back, and take a turn.
+    fn sweep(
+        &mut self,
+        page: u64,
+        payload: &[u8],
+        crc: Option<u64>,
+        cached: bool,
+    ) -> io::Result<ControlFlow<()>> {
+        let idx = page as usize;
+        if self.shared.lazy_begin_fill(idx) {
+            // `begin_fill` won the page, so its buffer teardown (which
+            // resolves fill states *before* clearing addresses) is blocked
+            // on our FILLING state: the address stays valid until
+            // `lazy_finish_fill`.
+            let addr = self.shared.page_addr[idx].load(Ordering::Acquire);
+            debug_assert_ne!(addr, 0, "FILLING pins the page's registration");
+            self.seed_digest(page, payload, crc);
+            self.pending
+                .push(&self.mem, (idx, addr), payload, self.page_bytes, cached)?;
+        }
+        self.turn()
+    }
+
+    /// A demanded page, claimed (`FILLING`) at `addr` before its read: a
+    /// thread is spinning on it right now, so write and publish it alone,
+    /// at once (its hint already wrote the run and published the batch).
+    fn demanded(
+        &mut self,
+        (idx, addr): (usize, usize),
+        payload: &[u8],
+        crc: Option<u64>,
+        cached: bool,
+    ) -> io::Result<ControlFlow<()>> {
+        self.seed_digest(idx as u64, payload, crc);
+        self.mem.write_all_at(payload, addr as u64)?;
+        // SAFETY: a live registered page, pinned by FILLING (see `sweep`).
+        unsafe { ai_ckpt_mem::set_protection(addr, self.page_bytes, Protection::ReadOnly)? };
+        self.shared.lazy_finish_fill(idx);
+        let (counters, len) = (&self.plan.counters, payload.len() as u64);
+        counters.demanded_pages.fetch_add(1, Ordering::Relaxed);
+        counters.bytes_filled.fetch_add(len, Ordering::Relaxed);
+        if cached {
+            counters.pages_from_cache.fetch_add(1, Ordering::Relaxed);
+            counters.bytes_from_cache.fetch_add(len, Ordering::Relaxed);
+        }
+        Ok(ControlFlow::Continue(()))
     }
 }
 
@@ -689,18 +1029,18 @@ fn panicked() -> io::Error {
 }
 
 /// One filler: demand hints first, then its claimed slices of the shared
-/// prefetch order. Runs until the whole order is claimed and its own fills
-/// are published, `stop` is raised, or storage fails (then it raises
-/// `stop`, so the other fillers wind down, and [`fill`] poisons what is
-/// owed). A lazy restore's fillers publish every [`SWEEP_PUBLISH_BATCH`]
-/// sweep fills, an eager one's with `publish_batch = usize::MAX` (see
-/// [`PendingPublish`]).
+/// prefetch order, one run per stretch of a slice that one epoch holds.
+/// Runs until the whole order is claimed and its own fills are published,
+/// `stop` is raised, or storage fails (then it raises `stop`, so the other
+/// fillers wind down, and [`fill`] poisons what is owed). A lazy restore's
+/// fillers publish every [`SWEEP_PUBLISH_BATCH`] sweep fills, an eager
+/// one's with `publish_batch = usize::MAX` (see [`PendingPublish`]).
 ///
-/// Faults on the payload-read path follow the error taxonomy: transient
-/// errors retry with bounded backoff, a corrupt read triggers
-/// `repair_epoch` on the backend (replica/parity/policy wrappers self-heal
-/// in place) and one final read, and only a permanent fault — or damage
-/// with no surviving redundant source — fails the fill.
+/// Faults on the payload-read path follow the error taxonomy (see
+/// [`read_healed`]): transient errors retry with bounded backoff, a corrupt
+/// read triggers `repair_epoch` on the backend (replica/parity/policy
+/// wrappers self-heal in place) and one final read, and only a permanent
+/// fault — or damage with no surviving redundant source — fails the fill.
 fn filler_loop(
     ctl: &Ctl,
     backend: &dyn StorageBackend,
@@ -713,14 +1053,7 @@ fn filler_loop(
     // back on exit — an eager restore runs on an application thread.
     let was_exempt = ai_ckpt_mem::alloc::thread_exempt();
     ai_ckpt_mem::alloc::exempt_thread_from_tracking(true);
-    let shared = &ctl.shared;
-    let FillPlan {
-        locator,
-        order,
-        retry,
-        counters,
-        ..
-    } = plan;
+    let shared = &*ctl.shared;
     let result = (|| -> io::Result<()> {
         // FOLL_FORCE semantics: writes through /proc/self/mem land in our
         // anonymous mappings regardless of page protection, so a page can
@@ -729,124 +1062,66 @@ fn filler_loop(
         let mem = std::fs::File::options()
             .write(true)
             .open("/proc/self/mem")?;
-        let page_bytes = shared.page_bytes;
-        let ns = locator.checkpoint();
+        let mut source = Source {
+            backend,
+            cache,
+            retry: &plan.retry,
+            ns: plan.locator.checkpoint(),
+            page_bytes: shared.page_bytes,
+            buf: Vec::new(),
+        };
+        let mut filler = Filler {
+            shared,
+            filter: ctl.filter.as_ref(),
+            plan,
+            mem,
+            page_bytes: shared.page_bytes,
+            publish_batch,
+            pending: PendingPublish::new(publish_batch.min(plan.order.len()), shared.page_bytes),
+            asked: plan.publish_requests.load(Ordering::Acquire),
+            hint: None,
+        };
         let mut mine = 0..0;
-        let mut asked = plan.publish_requests.load(Ordering::Acquire);
-        let mut pending = PendingPublish::new(publish_batch.min(order.len()), page_bytes);
         loop {
             if plan.stop.load(Ordering::Acquire) {
                 // Publish what is already read — strictly fewer pages for
                 // the abort path to poison.
-                pending.publish(&mem, shared, counters, page_bytes)?;
-                return Ok(());
+                return filler.publish();
             }
             // Demand hints outrank the sweep: a hinted page has an
-            // application thread spinning on it right now. A hint also
-            // flushes the publication batch — the waiter may be blocked on
-            // a page that is read but not yet written or published — and so
-            // does another filler's request for that.
-            let hint = shared.lazy_next_demand(&plan.demand_tail);
-            let requests = plan.publish_requests.load(Ordering::Acquire);
-            if hint.is_some() || requests != asked || pending.pages.len() >= publish_batch {
-                asked = requests;
-                pending.publish(&mem, shared, counters, page_bytes)?;
-            }
-            let (page, demanded) = match hint {
-                Some(p) => (p, true),
-                None => match plan.next_page(&mut mine) {
-                    Some(p) => (p, false),
-                    // Order exhausted: every page is claimed, and a page
-                    // another filler still holds is in its slice or batch,
-                    // which it fills and publishes before it stops (and
-                    // serves any hint for it meanwhile).
-                    None => {
-                        pending.publish(&mem, shared, counters, page_bytes)?;
-                        return Ok(());
+            // application thread spinning on it right now.
+            let _ = filler.turn()?;
+            if let Some(page) = filler.hint.take() {
+                let idx = page as usize;
+                if !shared.lazy_begin_fill(idx) {
+                    // Already filled, or its buffer went away — or another
+                    // filler holds it read but unpublished while a thread
+                    // waits on it: have every filler publish now.
+                    if shared.lazy_filling(idx) {
+                        plan.publish_requests.fetch_add(1, Ordering::AcqRel);
                     }
-                },
-            };
-            let idx = page as usize;
-            if !shared.lazy_begin_fill(idx) {
-                // Already filled, or its buffer went away — or another
-                // filler holds it read but unpublished while a thread waits
-                // on it: have every filler publish now.
-                if demanded && shared.lazy_filling(idx) {
-                    plan.publish_requests.fetch_add(1, Ordering::AcqRel);
+                    continue;
                 }
+                let at = (idx, shared.page_addr[idx].load(Ordering::Acquire));
+                let epoch = plan.locator.epoch_of(page).expect(MARKED);
+                source.read(epoch, &[page], |_, payload, crc, cached| {
+                    filler.demanded(at, payload, crc, cached)
+                })?;
                 continue;
             }
-            // `begin_fill` won the page, so its buffer teardown (which
-            // resolves fill states *before* clearing addresses) is blocked
-            // on our FILLING state: the address below stays valid until
-            // `lazy_finish_fill`.
-            let addr = shared.page_addr[idx].load(Ordering::Acquire);
-            debug_assert_ne!(addr, 0, "FILLING pins the page's registration");
-            let epoch = locator
-                .epoch_of(page)
-                .expect("only image pages are marked for fill");
-            // Errors never enter the cache (failed fills are not
-            // memoised), so a later retry re-reads storage.
-            let vanished = || {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("page {page} vanished from epoch {epoch}"),
-                )
+            // Order exhausted: every page is claimed, and a page another
+            // filler still holds is in its slice or batch, which it fills
+            // and publishes before it stops (and serves any hint for it
+            // meanwhile).
+            let Some((epoch, run)) = plan.next_run(&mut mine) else {
+                return filler.publish();
             };
-            let (cached, read);
-            let payload: &[u8] = match cache {
-                Some(cache) => {
-                    let mut loaded = false;
-                    cached = cache
-                        .get_or_load(ns, page, || {
-                            loaded = true;
-                            read_healed(backend, retry, epoch, page)
-                        })?
-                        .ok_or_else(vanished)?;
-                    if !loaded {
-                        counters.pages_from_cache.fetch_add(1, Ordering::Relaxed);
-                        counters
-                            .bytes_from_cache
-                            .fetch_add(cached.len() as u64, Ordering::Relaxed);
-                    }
-                    &cached
-                }
-                None => {
-                    read = read_healed(backend, retry, epoch, page)?.ok_or_else(vanished)?;
-                    &read
-                }
-            };
-            // Seed the content filter with the digest of the page *as it
-            // now reads*: the payload, zero-padded to the page (payloads
-            // from the runtime are always page-sized; padding only matters
-            // for hand-written epochs).
-            if let Some(filter) = &ctl.filter {
-                if payload.len() == page_bytes {
-                    filter.set(page, crc64(payload));
-                } else {
-                    let mut whole = vec![0u8; page_bytes];
-                    whole[..payload.len()].copy_from_slice(payload);
-                    filter.set(page, crc64(&whole));
-                }
-            }
-            if demanded {
-                // A thread is spinning on this page right now: write and
-                // publish it alone, immediately (its hint already wrote the
-                // run and published the batch).
-                mem.write_all_at(payload, addr as u64)?;
-                // SAFETY: a live registered page (pinned by FILLING, see
-                // above).
-                unsafe {
-                    ai_ckpt_mem::set_protection(addr, page_bytes, Protection::ReadOnly)?;
-                }
-                shared.lazy_finish_fill(idx);
-                counters
-                    .bytes_filled
-                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                counters.demanded_pages.fetch_add(1, Ordering::Relaxed);
-            } else {
-                pending.push(&mem, idx, addr, payload, page_bytes)?;
-            }
+            let mut read = 0;
+            source.read(epoch, run, |page, payload, crc, cached| {
+                read += 1;
+                filler.sweep(page, payload, crc, cached)
+            })?;
+            mine.start += read;
         }
     })();
     if result.is_err() {

@@ -17,8 +17,8 @@ use ai_ckpt::{
 };
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{
-    CheckpointImage, EpochWriter, FailingBackend, FaultOp, FileBackend, MemoryBackend, PageCache,
-    StorageBackend, TieredBackend,
+    corrupt_segment_region, is_page, CheckpointImage, EpochWriter, FailingBackend, FaultOp,
+    FileBackend, MemoryBackend, PageCache, SegmentRegion, StorageBackend, TieredBackend,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -839,7 +839,6 @@ fn lazy_restore_falls_through_a_dying_fast_level() {
 #[test]
 fn demand_fault_on_rotted_fast_tier_blocks_on_repair_and_heals() {
     use ai_ckpt::restore_latest_lazy;
-    use ai_ckpt_storage::{corrupt_segment_region, SegmentRegion};
 
     // A tiered stack caught in `drain_one`'s documented recovery window:
     // the epoch's copy committed to the durable tier but the fast-tier
@@ -909,4 +908,165 @@ fn demand_fault_on_rotted_fast_tier_blocks_on_repair_and_heals() {
     // The heal is durable, not a read-side patch: the fast tier's segment
     // verifies clean again for every later reader.
     assert!(backend.verify_epoch(1).unwrap().is_clean());
+}
+
+/// The page whose record sits in the middle of epoch 1's one run of
+/// records on the file store at `dir`: record 32 of 64.
+fn mid_run_page(dir: &std::path::Path) -> u64 {
+    let ids = FileBackend::open(dir).unwrap().epoch_page_ids(1).unwrap();
+    let pages: Vec<u64> = ids.into_iter().filter(|&p| is_page(p)).collect();
+    assert_eq!(pages.len(), 64);
+    pages[32]
+}
+
+/// Flip a payload byte of page `page`'s record of epoch 1 in `dir`.
+fn rot(dir: &std::path::Path, page: u64) {
+    corrupt_segment_region(dir, 1, SegmentRegion::PayloadOf { page, byte: 7 }).unwrap();
+}
+
+#[test]
+fn a_record_rotted_mid_run_fails_both_doors_of_a_lone_file_store() {
+    const PAGES: usize = 64;
+    let dir = tmpdir("runrot-file");
+    let cfg = small_cfg().with_committer_streams(1);
+    seed_pages(Box::new(FileBackend::open(&dir).unwrap()), &cfg, PAGES);
+    let rotted = mid_run_page(&dir);
+    rot(&dir, rotted);
+    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
+    let names_the_page = |e: io::Error| {
+        let text = e.to_string();
+        assert!(
+            text.contains(&format!("page {rotted} in epoch 1")),
+            "{text}"
+        );
+    };
+
+    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+    names_the_page(restore_at(&mgr, backend.as_ref(), 1).err().expect("eager"));
+    assert_eq!(
+        mgr.protected_bytes(),
+        0,
+        "eager keeps no half-restored buffer"
+    );
+    drop(mgr);
+
+    let mgr = PageManager::with_shared_backend(cfg, Arc::clone(&backend)).unwrap();
+    let mut lr = restore_lazy(&mgr, Arc::clone(&backend), 1, None).unwrap();
+    names_the_page(lr.wait().unwrap_err());
+    // Whatever was published holds its own bytes; the rotted page is not
+    // among it, and nothing reads as zero.
+    let ps = page_size();
+    let buf = &lr.state.buffers[0];
+    assert_eq!(buf.base_page(), 0);
+    let published: Vec<usize> = (0..PAGES)
+        .filter(|i| readable(buf.as_ptr() as usize + i * ps))
+        .collect();
+    assert!(!published.contains(&(rotted as usize)), "{published:?}");
+    for &i in &published {
+        let page = &buf.as_slice()[i * ps..(i + 1) * ps];
+        assert!(page.iter().all(|&b| b == byte_of(i)), "page {i}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_record_rotted_mid_run_heals_on_stacks_that_can_repair() {
+    use ai_ckpt_storage::{PolicyBuilder, ReplicatedBackend, ResilienceSpec};
+
+    type Stack = fn(&[PathBuf; 2]) -> Box<dyn StorageBackend>;
+    let replicated: Stack = |dirs| {
+        Box::new(ReplicatedBackend::new(vec![
+            Box::new(FileBackend::open(&dirs[0]).unwrap()),
+            Box::new(FileBackend::open(&dirs[1]).unwrap()),
+        ]))
+    };
+    let policy: Stack = |dirs| {
+        let spec = ResilienceSpec::parse("r=replica*2").unwrap();
+        let built = PolicyBuilder::new(spec).unwrap().build(|_, replica| {
+            Box::new(FileBackend::open(&dirs[replica]).unwrap()) as Box<dyn StorageBackend>
+        });
+        Box::new(built.unwrap())
+    };
+    let cfg = small_cfg().with_committer_streams(1);
+    for (name, stack) in [("replicated", replicated), ("policy", policy)] {
+        let dirs = [tmpdir(&format!("{name}-0")), tmpdir(&format!("{name}-1"))];
+        seed_pages(stack(&dirs), &cfg, 64);
+        let image = CheckpointImage::load(stack(&dirs).as_ref(), 1).unwrap();
+        let rotted = mid_run_page(&dirs[0]);
+        for door in ["eager", "lazy"] {
+            rot(&dirs[0], rotted);
+            let backend: Arc<dyn StorageBackend> = Arc::from(stack(&dirs));
+            let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+            let what = format!("{name} {door}");
+            if door == "eager" {
+                let state = restore_at(&mgr, backend.as_ref(), 1).unwrap();
+                assert_matches_reference(&state, &image, &what);
+            } else {
+                let mut lr = restore_lazy(&mgr, Arc::clone(&backend), 1, None).unwrap();
+                lr.wait().unwrap();
+                assert_matches_reference(&lr.state, &image, &what);
+            }
+            let healed = FileBackend::open(&dirs[0])
+                .unwrap()
+                .verify_epoch(1)
+                .unwrap();
+            assert!(
+                healed.is_clean(),
+                "{name} {door}: the rot was healed in place"
+            );
+        }
+        for dir in &dirs {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_record_longer_than_its_page_fails_both_doors_and_publishes_nothing() {
+    use ai_ckpt_storage::{write_epoch, META_RECORD};
+
+    const PAGES: usize = 4;
+    let ps = page_size();
+    let last = PAGES as u64 - 1;
+    for filter in [false, true] {
+        let (backend, view) = MemoryBackend::shared();
+        let cfg = small_cfg()
+            .with_committer_streams(1)
+            .with_content_filter(filter);
+        seed_pages(Box::new(backend), &cfg, PAGES);
+        // Epoch 2, written by hand: the layout again, and two pages' worth
+        // of bytes for the buffer's last page, which a restore would write
+        // into whatever mapping follows the buffer.
+        let layout = view.read_page_at(1, META_RECORD).unwrap().unwrap();
+        write_epoch(
+            &view,
+            2,
+            [(META_RECORD, layout), (last, vec![0xEE; 2 * ps])],
+        )
+        .unwrap();
+        let backend: Arc<dyn StorageBackend> = Arc::new(view);
+        let too_long = |e: io::Error| {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(
+                e.to_string().contains(&format!("page {last} in epoch 2")),
+                "{e}"
+            );
+        };
+
+        let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
+        too_long(restore_at(&mgr, backend.as_ref(), 2).err().expect("eager"));
+        assert_eq!(mgr.protected_bytes(), 0, "filter {filter}");
+        drop(mgr);
+
+        let mgr = PageManager::with_shared_backend(cfg, Arc::clone(&backend)).unwrap();
+        let mut lr = restore_lazy(&mgr, Arc::clone(&backend), 2, None).unwrap();
+        too_long(lr.wait().unwrap_err());
+        // The newest epoch's page is the first read, so nothing before it
+        // was published.
+        let buf = &lr.state.buffers[0];
+        assert!(
+            (0..PAGES).all(|i| !readable(buf.as_ptr() as usize + i * ps)),
+            "filter {filter}: no page is published"
+        );
+    }
 }

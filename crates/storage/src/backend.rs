@@ -77,6 +77,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::ControlFlow;
 
 use crate::errors::{classify, FaultClass};
 use crate::io::IoStats;
@@ -96,6 +97,12 @@ pub const META_RECORD: u64 = 1 << 62;
 pub fn is_page(id: u64) -> bool {
     id < META_RECORD
 }
+
+/// One page of a [`StorageBackend::read_pages_at`] run: its verified
+/// payload and, when the backend has it, the CRC-64 of exactly that payload
+/// (a restore seeds its content-filter digest from it); `None` when the
+/// epoch holds no record for the page.
+pub type PageRead<'a> = Option<(&'a [u8], Option<u64>)>;
 
 /// One open epoch-commit session. See the module docs for the contract.
 pub trait EpochWriter: Send + Sync {
@@ -279,6 +286,39 @@ pub trait StorageBackend: Send + Sync {
             }
         })?;
         Ok(hit)
+    }
+
+    /// Read `pages` of a finished epoch as one run: `visit` gets each page
+    /// in order with what [`StorageBackend::read_page_at`] would return for
+    /// it, plus the record's CRC-64 when the backend read one covering
+    /// exactly that payload, and says whether the run goes on. A page's
+    /// error is visited, not returned, and ends the run: no later page is
+    /// visited. `buf` is scratch the caller owns and reuses across runs.
+    ///
+    /// The default asks [`StorageBackend::read_page_at`] page by page (so a
+    /// wrapper's own read rule, fault gate or fallback applies to each page
+    /// exactly as before, and no CRC is reported); the file backend reads
+    /// each run of adjacent records with one positioned read into `buf`.
+    fn read_pages_at(
+        &self,
+        epoch: u64,
+        pages: &[u64],
+        buf: &mut Vec<u8>,
+        visit: &mut dyn FnMut(u64, io::Result<PageRead<'_>>) -> ControlFlow<()>,
+    ) {
+        let _ = buf;
+        for &page in pages {
+            let flow = match self.read_page_at(epoch, page) {
+                Ok(data) => visit(page, Ok(data.as_deref().map(|d| (d, None)))),
+                Err(e) => {
+                    let _ = visit(page, Err(e));
+                    ControlFlow::Break(())
+                }
+            };
+            if flow.is_break() {
+                return;
+            }
+        }
     }
 
     /// Physical payload bytes stored after per-record encoding
@@ -600,6 +640,16 @@ impl StorageBackend for Box<dyn StorageBackend> {
 
     fn inner(&self) -> Option<&dyn StorageBackend> {
         Some(&**self)
+    }
+
+    fn read_pages_at(
+        &self,
+        epoch: u64,
+        pages: &[u64],
+        buf: &mut Vec<u8>,
+        visit: &mut dyn FnMut(u64, io::Result<PageRead<'_>>) -> ControlFlow<()>,
+    ) {
+        (**self).read_pages_at(epoch, pages, buf, visit)
     }
 }
 

@@ -3,7 +3,8 @@
 //! A restore storm — N processes-worth of readers in one address space all
 //! reviving the same checkpoint — would hit storage once *per reader* per
 //! page without a shared cache. [`PageCache`] sits between the restore
-//! fillers and [`crate::StorageBackend::read_page_at`]: keyed by
+//! fillers and the backend's page reads (a miss is a run of one of
+//! [`crate::StorageBackend::read_pages_at`]): keyed by
 //! `(checkpoint, page)`, sharded to keep lock contention off the fill hot
 //! path, LRU-evicted against a byte budget, with per-key single-flight
 //! loading so concurrent misses on one page collapse into a single disk
@@ -157,11 +158,12 @@ impl PageCache {
     /// absent from the epoch) is **not** cached — the caller resolves
     /// absence through its locator before ever asking, so in practice this
     /// path only fires on caller bugs and re-probing is the safe behaviour.
-    pub fn get_or_load(
+    /// `load` may hand over any owned payload an `Arc<[u8]>` is made from.
+    pub fn get_or_load<T: Into<Arc<[u8]>>>(
         &self,
         ns: u64,
         page: u64,
-        load: impl FnOnce() -> io::Result<Option<Vec<u8>>>,
+        load: impl FnOnce() -> io::Result<Option<T>>,
     ) -> io::Result<Option<Arc<[u8]>>> {
         let key = (ns, page);
         if let Some(hit) = self.shard(key).lock().touch(key) {
@@ -192,7 +194,7 @@ impl PageCache {
         shard.loading.remove(&key);
         match loaded {
             Ok(Some(data)) => {
-                let data: Arc<[u8]> = Arc::from(data);
+                let data: Arc<[u8]> = data.into();
                 shard.insert(key, Arc::clone(&data), self.shard_budget);
                 Ok(Some(data))
             }
@@ -324,7 +326,7 @@ mod tests {
     fn error_loads_are_not_cached() {
         let c = PageCache::new(1 << 20);
         let err = c
-            .get_or_load(1, 1, || Err(io::Error::other("disk gone")))
+            .get_or_load::<Vec<u8>>(1, 1, || Err(io::Error::other("disk gone")))
             .unwrap_err();
         assert_eq!(err.to_string(), "disk gone");
         // Next attempt retries the load.
@@ -373,7 +375,7 @@ mod tests {
                 let errors = Arc::clone(&errors);
                 s.spawn(move || {
                     start.wait();
-                    let got = c.get_or_load(2, 11, || {
+                    let got = c.get_or_load::<Vec<u8>>(2, 11, || {
                         loads.fetch_add(1, Ordering::SeqCst);
                         // Widen the window so waiters stack up on the
                         // flight lock while a failing load is running.

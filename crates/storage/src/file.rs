@@ -75,13 +75,14 @@
 
 use std::fs;
 use std::io;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::backend::{is_page, ChainEntry, EpochKind, EpochWriter, StorageBackend};
+use crate::backend::{is_page, ChainEntry, EpochKind, EpochWriter, PageRead, StorageBackend};
 use crate::failing::Leaf;
 use crate::io::{self as sys, flip_byte_at, IoCounters, IoStats};
 use crate::locator::PageMap;
@@ -665,18 +666,62 @@ impl StorageBackend for FileBackend {
         Ok(pages.map(|(page, _)| page).collect())
     }
 
+    /// A run of one of [`StorageBackend::read_pages_at`], copied out.
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        let index = self.epoch_index(epoch)?;
-        let Some(loc) = index.locate(page) else {
-            return Ok(None);
+        let mut got = Ok(None);
+        self.read_pages_at(epoch, &[page], &mut Vec::new(), &mut |_, read| {
+            got = read.map(|read| read.map(|(payload, _)| payload.to_vec()));
+            ControlFlow::Break(())
+        });
+        got
+    }
+
+    fn read_pages_at(
+        &self,
+        epoch: u64,
+        pages: &[u64],
+        buf: &mut Vec<u8>,
+        visit: &mut dyn FnMut(u64, io::Result<PageRead<'_>>) -> ControlFlow<()>,
+    ) {
+        let index = match (self.epoch_index(epoch), pages.first()) {
+            (Ok(index), _) => index,
+            (Err(e), Some(&first)) => {
+                let _ = visit(first, Err(e));
+                return;
+            }
+            (Err(_), None) => return,
         };
-        if is_page(page) {
-            // The epoch's metadata record is not a page (see `IoCounters`).
-            self.shared.io.page_reads.fetch_add(1, Ordering::Relaxed);
+        // Maximal runs of records that lie back to back in one shard file,
+        // each read with one `pread`; a page the epoch lacks ends a run.
+        let mut run: Vec<(u64, Extent)> = Vec::with_capacity(pages.len());
+        let mut file = 0;
+        for &page in pages {
+            let loc = index.locate(page);
+            let extends = match (loc, run.last()) {
+                (Some(loc), Some(&(_, last))) => {
+                    loc.file == file && loc.extent.at == last.at + last.len
+                }
+                _ => false,
+            };
+            if !extends && !run.is_empty() {
+                let segment = &index.segments[file as usize];
+                if self.read_run(segment, &run, buf, visit).is_break() {
+                    return;
+                }
+                run.clear();
+            }
+            match loc {
+                Some(loc) => {
+                    file = loc.file;
+                    run.push((page, loc.extent));
+                }
+                None if visit(page, Ok(None)).is_break() => return,
+                None => {}
+            }
         }
-        index.segments[loc.file as usize]
-            .read_record(page, loc.extent)
-            .map(Some)
+        if !run.is_empty() {
+            let _ = self.read_run(&index.segments[file as usize], &run, buf, visit);
+        }
     }
 
     fn bytes_written(&self) -> u64 {
@@ -982,6 +1027,28 @@ impl FileBackend {
             .lock()
             .insert(epoch, Arc::clone(&idx));
         Ok(idx)
+    }
+
+    /// One run of [`StorageBackend::read_pages_at`] from `segment`,
+    /// counting each page it visits as one page read (the epoch's metadata
+    /// record is not a page; see `IoCounters`).
+    fn read_run(
+        &self,
+        segment: &Segment,
+        run: &[(u64, Extent)],
+        buf: &mut Vec<u8>,
+        visit: &mut dyn FnMut(u64, io::Result<PageRead<'_>>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let mut pages = 0;
+        let flow = segment.read_run(run, buf, &mut |page, got| {
+            pages += u64::from(is_page(page));
+            visit(page, got.map(|(payload, crc)| Some((payload, Some(crc)))))
+        });
+        self.shared
+            .io
+            .page_reads
+            .fetch_add(pages, Ordering::Relaxed);
+        flow
     }
 
     /// Drop cached segment indexes of epochs that no longer exist.
@@ -1733,6 +1800,154 @@ mod tests {
                 assert_eq!(&b.read_page_at(1, *page).unwrap().unwrap(), data);
             }
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One page of a read, owned: its payload (`None` when the epoch lacks
+    /// it) or the error text.
+    type Visited = (u64, Result<Option<Vec<u8>>, String>);
+
+    /// What `read_pages_at` visits for `pages`, checking that every CRC it
+    /// reports is the payload's.
+    fn run_read(b: &FileBackend, epoch: u64, pages: &[u64]) -> Vec<Visited> {
+        let mut seen = Vec::new();
+        b.read_pages_at(epoch, pages, &mut Vec::new(), &mut |page, got| {
+            let got = got.map(|read| {
+                read.map(|(payload, crc)| {
+                    assert_eq!(crc, Some(crc64(payload)), "page {page}");
+                    payload.to_vec()
+                })
+            });
+            seen.push((page, got.map_err(|e| e.to_string())));
+            ControlFlow::Continue(())
+        });
+        seen
+    }
+
+    /// What the reference replay (`read_epoch`, the segment walk) holds
+    /// for `pages`: the last record of each page, `None` for a page the
+    /// epoch lacks.
+    fn walked(b: &FileBackend, epoch: u64, pages: &[u64]) -> Vec<Visited> {
+        let mut held = std::collections::HashMap::new();
+        b.read_epoch(epoch, &mut |page, data| {
+            held.insert(page, data.to_vec());
+        })
+        .unwrap();
+        pages
+            .iter()
+            .map(|p| (*p, Ok(held.get(p).cloned())))
+            .collect()
+    }
+
+    #[test]
+    fn read_pages_at_equals_the_reference_replay_page_for_page() {
+        let dir = tmpdir("runs");
+        let b = FileBackend::open(&dir).unwrap();
+        let noise = |seed: u64| -> Vec<u8> {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            (0..4096)
+                .map(|_| {
+                    x = x.wrapping_mul(0xD129_0209_3482_1899).rotate_left(23);
+                    x as u8
+                })
+                .collect()
+        };
+        // Epochs 1 and 2, compacted into a full segment at 2.
+        write_epoch(&b, 1, (30..34).map(|p| (p, noise(p)))).unwrap();
+        write_epoch(&b, 2, vec![(31, noise(99))]).unwrap();
+        b.compact(2).unwrap();
+        // Epoch 3, compressed (Auto): raw, RLE, empty and LZ records.
+        let phrase: Vec<u8> = b"run reads ".iter().copied().cycle().take(4096).collect();
+        let three = vec![(0, noise(0)), (1, vec![1; 4096]), (2, vec![]), (3, phrase)];
+        write_epoch(&b, 3, three).unwrap();
+        // Epoch 4, sharded: pages 10 and 11 in slots 0 and 1.
+        let (p10, p11) = (noise(10), noise(11));
+        write_sharded(&b, 4, &[(10, &p10), (11, &p11)]);
+        // Epoch 5: page 20 twice (the later record wins), page 21 between.
+        let w = b.begin_epoch_impl(5).unwrap();
+        w.write_pages(&[(20, &[1u8; 64]), (21, &[2u8; 64]), (20, &[3u8; 64])])
+            .unwrap();
+        w.finish().unwrap();
+
+        let cases: [(u64, &[u64]); 7] = [
+            (2, &[30, 31, 32, 33]),
+            (2, &[33, 31, 4, 30]),
+            (3, &[0, 1, 2, 3]),
+            (3, &[3, 77, 0, 2, 1]), // an absent page; extents out of order
+            (4, &[10, 11]),
+            (4, &[11, 10, 10]),
+            (5, &[20, 21, 20]),
+        ];
+        for (epoch, pages) in cases {
+            let before = b.io_stats().page_reads;
+            let seen = run_read(&b, epoch, pages);
+            let held = seen.iter().filter(|(_, got)| got == &Ok(None)).count();
+            assert_eq!(
+                b.io_stats().page_reads - before,
+                (pages.len() - held) as u64,
+                "epoch {epoch} {pages:?}: one page read per page held"
+            );
+            assert_eq!(seen, walked(&b, epoch, pages), "epoch {epoch} {pages:?}");
+            for (page, got) in seen {
+                assert_eq!(got, b.read_page_at(epoch, page).map_err(|e| e.to_string()));
+            }
+        }
+        assert_eq!(run_read(&b, 5, &[20])[0].1, Ok(Some(vec![3u8; 64])));
+        assert!(run_read(&b, 1, &[30])[0].1.is_err(), "a folded epoch");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_byte_in_a_run_fails_its_page_alone() {
+        let dir = tmpdir("runrot");
+        let b = FileBackend::open(&dir)
+            .unwrap()
+            .with_compression(Compression::None);
+        let payload = |p: u64| vec![p as u8 ^ 0x5A; 4096];
+        write_epoch(&b, 1, (0..64).map(|p| (p, payload(p)))).unwrap();
+        let pages: Vec<u64> = (0..64).collect();
+        let k = 37;
+        corrupt_segment_region(&dir, 1, SegmentRegion::PayloadOf { page: k, byte: 100 }).unwrap();
+        let seen = run_read(&b, 1, &pages);
+        assert_eq!(seen.len(), k as usize + 1, "the run ends at page {k}");
+        for (page, got) in &seen[..k as usize] {
+            assert_eq!(got, &Ok(Some(payload(*page))), "page {page} before the rot");
+        }
+        let want = b.read_page_at(1, k).unwrap_err().to_string();
+        assert_eq!(seen[k as usize], (k, Err(want)));
+        // The pages after it read on.
+        let rest = run_read(&b, 1, &pages[k as usize + 1..]);
+        assert!(rest.iter().all(|(p, got)| got == &Ok(Some(payload(*p)))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_run_read_is_charged_to_the_record_whose_extent_fails() {
+        let dir = tmpdir("runeof");
+        let b = FileBackend::open(&dir)
+            .unwrap()
+            .with_compression(Compression::None);
+        let payload = |p: u64| vec![p as u8 ^ 0x3C; 4096];
+        write_epoch(&b, 1, (0..64).map(|p| (p, payload(p)))).unwrap();
+        let pages: Vec<u64> = (0..64).collect();
+        assert_eq!(run_read(&b, 1, &pages[..1]).len(), 1, "the index is cached");
+        // Cut the file inside record k: the one read of the whole run
+        // fails, and so does a read of record k alone.
+        let k = 21;
+        let at = b.epoch_index(1).unwrap().locate(k).unwrap().extent.at;
+        let file = fs::OpenOptions::new()
+            .write(true)
+            .open(FileBackend::segment_path(&dir, 1))
+            .unwrap();
+        file.set_len(at + 100).unwrap();
+        let seen = run_read(&b, 1, &pages);
+        assert_eq!(seen.len(), k as usize + 1, "the run ends at page {k}");
+        for (page, got) in &seen[..k as usize] {
+            assert_eq!(got, &Ok(Some(payload(*page))), "page {page} before the cut");
+        }
+        let want = b.read_page_at(1, k).unwrap_err();
+        assert_eq!(want.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(seen[k as usize], (k, Err(want.to_string())));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -21,9 +21,6 @@
 //! * [`pwritev_full`] — a positioned vectored write that survives partial
 //!   writes, `EINTR` and `IOV_MAX` chunking, the way `write_all` does for
 //!   plain writes;
-//! * [`preadv_exact`] — its read-side twin for the random-access path: a
-//!   record's frame and stored payload in one positioned read, each into
-//!   its own exactly-sized buffer;
 //! * [`AlignedBuf`] — a reusable page-aligned growable buffer for staging
 //!   record frames and compressed payloads (reused across batches, so the
 //!   steady state allocates nothing);
@@ -323,54 +320,6 @@ pub fn pwritev_full(
     Ok(total)
 }
 
-/// Fill `head`, then `tail`, from `file` at `offset` with one positioned
-/// vectored read (`preadv(2)`), retrying on `EINTR` and short reads the
-/// way `read_exact_at` does for one buffer. End-of-file before both are
-/// full is `UnexpectedEof`.
-///
-/// The read path uses it to fetch a record's frame and its stored payload
-/// in one syscall while the payload lands in a buffer of exactly its own
-/// size — no frame prefix to strip, no oversized allocation handed on.
-pub fn preadv_exact(file: &File, head: &mut [u8], tail: &mut [u8], offset: u64) -> io::Result<()> {
-    let (head_len, total) = (head.len(), head.len() + tail.len());
-    let mut done = 0usize;
-    while done < total {
-        let head_rest = &mut head[done.min(head_len)..];
-        let tail_rest = &mut tail[done.saturating_sub(head_len)..];
-        let iov = [
-            libc::iovec {
-                iov_base: head_rest.as_mut_ptr() as *mut _,
-                iov_len: head_rest.len(),
-            },
-            libc::iovec {
-                iov_base: tail_rest.as_mut_ptr() as *mut _,
-                iov_len: tail_rest.len(),
-            },
-        ];
-        // SAFETY: both entries point at live, exclusively borrowed slices
-        // of exactly the stated lengths, and `iov` outlives the call.
-        let n = unsafe {
-            libc::preadv(
-                file.as_raw_fd(),
-                iov.as_ptr(),
-                iov.len() as libc::c_int,
-                (offset + done as u64) as libc::off_t,
-            )
-        };
-        match n {
-            n if n > 0 => done += n as usize,
-            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-            _ => {
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// XOR the byte of the file at `path` at `pos` with `0xFF` — the one
 /// at-rest rot injector behind the segment and manifest corruption helpers.
 pub(crate) fn flip_byte_at(path: &Path, pos: u64) -> io::Result<()> {
@@ -514,9 +463,10 @@ pub struct IoCounters {
     /// must be durable entries before the manifest names them) and one per
     /// compacted/rewritten segment rename.
     pub dir_fsyncs: AtomicU64,
-    /// Single-page random reads served by the demand-paged restore path
-    /// (`read_page_at`). One count per *page* record actually fetched from
-    /// disk — cache hits upstream do not reach this counter, and neither
+    /// Pages read by the restore path (`read_pages_at`; `read_page_at` is
+    /// a run of one). One count per *page* record actually fetched from
+    /// disk, however many share one `pread` — cache hits upstream do not
+    /// reach this counter, and neither
     /// does a restore's read of the epoch's reserved metadata record
     /// (`META_RECORD`): that is metadata, not a page.
     pub page_reads: AtomicU64,
@@ -563,8 +513,9 @@ pub struct IoStats {
     /// Directory `fsync` calls: one per epoch commit, one per compacted or
     /// rewritten segment rename.
     pub dir_fsyncs: u64,
-    /// Single-page random reads served by `read_page_at` — pages only; the
-    /// per-restore read of an epoch's metadata record is not counted.
+    /// Pages read by `read_pages_at` (and `read_page_at`, a run of one),
+    /// counted per page, not per syscall; the per-restore read of an
+    /// epoch's metadata record is not counted.
     pub page_reads: u64,
 }
 
@@ -663,20 +614,6 @@ mod tests {
             counters.snapshot().vectored_writes >= 3,
             "at least one syscall per IOV_MAX chunk"
         );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn preadv_scatters_one_extent_into_two_buffers() {
-        let (path, file) = tmpfile("scatter");
-        std::fs::write(&path, b"..frame-payload").unwrap();
-        let (mut head, mut tail) = ([0u8; 6], vec![0u8; 7]);
-        preadv_exact(&file, &mut head, &mut tail, 2).unwrap();
-        assert_eq!((&head[..], &tail[..]), (&b"frame-"[..], &b"payload"[..]));
-        preadv_exact(&file, &mut head, &mut [], 9).unwrap();
-        assert_eq!(&head, b"ayload");
-        let err = preadv_exact(&file, &mut head, &mut tail, 3).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "extent past EOF");
         std::fs::remove_file(&path).unwrap();
     }
 

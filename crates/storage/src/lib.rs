@@ -33,7 +33,7 @@
 //!   decides which child reads, which children a mutation reaches, and how
 //!   a damaged epoch is repaired;
 //! * [`io`] — the syscall layer under [`segment`]: a partial-write-safe
-//!   `pwritev` wrapper, its `preadv` twin, reusable aligned staging buffers
+//!   `pwritev` wrapper, reusable aligned staging buffers
 //!   and syscall-level I/O counters surfaced as [`IoStats`];
 //! * [`log`] — the one CRC'd commit log (create, append, tear-vs-corruption
 //!   rule) that the file backend's `MANIFEST` and the group coordinator's
@@ -93,7 +93,7 @@ pub mod tiered;
 
 pub use backend::{
     is_page, replay_window, write_epoch, ChainEntry, CompactionStats, EpochKind, EpochWriter,
-    StorageBackend, META_RECORD,
+    PageRead, StorageBackend, META_RECORD,
 };
 pub use cache::{CacheStats, PageCache};
 pub use checksum::{crc64, crc64_update};

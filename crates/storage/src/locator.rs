@@ -5,9 +5,12 @@
 //! lazy — instead build a [`PageLocator`]: a map from page id to the
 //! *newest* chain epoch holding that page, computed from per-epoch page-id
 //! listings ([`crate::StorageBackend::epoch_page_ids`]) without touching a
-//! single payload byte. Page contents are then fetched one record at a time
-//! with [`crate::StorageBackend::read_page_at`], on demand or ahead of
-//! demand by the prefetcher.
+//! single payload byte. Page contents are then fetched in runs with
+//! [`crate::StorageBackend::read_pages_at`]: ahead of demand by the
+//! prefetcher, whose order ([`PageLocator::pages_newest_first`]) is record
+//! order within an epoch, so a run is mostly records stored back to back
+//! and the file backend reads it with one `pread`; on demand as a run of
+//! one.
 //!
 //! Both walk the same [`replay_window`] — same full-segment cut-off, same
 //! latest-wins resolution — so a restore that fills every page is

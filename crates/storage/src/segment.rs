@@ -30,11 +30,12 @@
 //!
 //! The trailer only says *where* each record is. Opening a segment
 //! (`Segment::open`) reads the header and the trailer — `16·n + 40` bytes,
-//! never a payload — and a random read (`Segment::read_record`) is one
-//! `preadv` of the record's extent (its offset up to the next record's, or
-//! to the trailer), scattered into the frame and a payload buffer of exactly
-//! the stored size. Frames stay the single source of truth for `enc`, the
-//! lengths and the payload CRC: every read re-checks the frame it fetched
+//! never a payload — and a read is a run of adjacent records
+//! (`Segment::read_run`): one `pread` of their extents (each a record's
+//! offset up to the next record's, or to the trailer) into a buffer the
+//! caller reuses, each record then opened in place; a single page is a run
+//! of one. Frames stay the single source of truth for `enc`, the lengths
+//! and the payload CRC: every read re-checks the frame it fetched
 //! against the trailer entry that led to it (page id, extent), so a flipped
 //! page id — which the payload CRC does not cover — fails the read instead
 //! of silently renaming the page. A missing, torn or CRC-failing trailer
@@ -70,13 +71,14 @@
 
 use std::fs::File;
 use std::io::{self, BufReader, Read};
+use std::ops::ControlFlow;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::checksum::{crc64, crc64_update};
 use crate::codec::{self, Compression, Sealed};
 use crate::failing::Leaf;
-use crate::io::{flip_byte_at, preadv_exact, AlignedBuf, GatedFile, IoCounters};
+use crate::io::{flip_byte_at, AlignedBuf, GatedFile, IoCounters};
 
 /// Magic prefix of a segment file (per-record encodings, trailer).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"AICKSEG3";
@@ -399,6 +401,10 @@ pub(crate) struct Segment {
     records_end: u64,
 }
 
+/// A run read's visitor: each record's page with its verified payload and
+/// CRC, or why it would not open; it answers whether the run goes on.
+pub(crate) type RecordVisit<'v> = dyn FnMut(u64, io::Result<(&[u8], u64)>) -> ControlFlow<()> + 'v;
+
 impl Segment {
     /// Open one segment (shard) file of `epoch`: validate the header, then
     /// read the fixed-size footer from the tail, bounds-check its count
@@ -499,16 +505,53 @@ impl Segment {
         Ok(frame)
     }
 
-    /// The verified payload of the record the trailer places at `extent`
-    /// for `page`: one positioned read of the extent, scattered into the
-    /// frame and a payload buffer of exactly the stored size (which a raw
-    /// record hands back as is).
-    pub(crate) fn read_record(&self, page: u64, extent: Extent) -> io::Result<Vec<u8>> {
-        let mut frame = [0u8; FRAME_LEN];
-        let mut stored = vec![0u8; extent.len as usize - FRAME_LEN];
-        preadv_exact(&self.file, &mut frame, &mut stored, extent.at)?;
-        let opened = Frame::parse(&frame).open(&stored, page, extent.len, self.epoch)?;
-        Ok(opened.unwrap_or(stored))
+    /// Read the records of `run` — pages with their extents, each extent
+    /// starting where the one before it ends — with one positioned read
+    /// into `buf` (grown, never shrunk), then open each record (frame
+    /// against trailer entry, encoding, decode, CRC) and visit its page
+    /// with the verified payload (a raw record's is a slice of `buf`) and
+    /// its CRC, in order, while `visit` continues. The first record that
+    /// does not open is visited with its error and ends the run with
+    /// `Break`. A run whose read fails is read again record by record, so
+    /// the error is charged to the record whose extent fails.
+    pub(crate) fn read_run(
+        &self,
+        run: &[(u64, Extent)],
+        buf: &mut Vec<u8>,
+        visit: &mut RecordVisit<'_>,
+    ) -> ControlFlow<()> {
+        let (Some(&(first, head)), Some(&(_, tail))) = (run.first(), run.last()) else {
+            return ControlFlow::Continue(());
+        };
+        let len = (tail.at + tail.len - head.at) as usize;
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        if let Err(e) = self.file.read_exact_at(&mut buf[..len], head.at) {
+            if run.len() == 1 {
+                let _ = visit(first, Err(e));
+                return ControlFlow::Break(());
+            }
+            return run
+                .iter()
+                .try_for_each(|record| self.read_run(std::slice::from_ref(record), buf, visit));
+        }
+        for &(page, extent) in run {
+            let record = &buf[(extent.at - head.at) as usize..][..extent.len as usize];
+            let frame = Frame::parse(record);
+            let stored = &record[FRAME_LEN..];
+            match frame.open(stored, page, extent.len, self.epoch) {
+                Ok(opened) => {
+                    let payload = opened.as_deref().unwrap_or(stored);
+                    visit(page, Ok((payload, frame.sealed.crc)))?;
+                }
+                Err(e) => {
+                    let _ = visit(page, Err(e));
+                    return ControlFlow::Break(());
+                }
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Stream the records front to back — the one walk. `visit` gets each
@@ -725,7 +768,12 @@ mod tests {
         let segment = Segment::open(&path, 1).unwrap();
         let extents: Vec<(u64, Extent)> = segment.extents().collect();
         assert_eq!(extents.iter().map(|e| e.0).collect::<Vec<_>>(), [0, 2]);
-        assert_eq!(segment.read_record(2, extents[1].1).unwrap(), vec![3u8; 64]);
+        let mut read = None;
+        let _ = segment.read_run(&extents[1..], &mut Vec::new(), &mut |page, got| {
+            read = Some((page, got.map(|(payload, _)| payload.to_vec()).unwrap()));
+            ControlFlow::Continue(())
+        });
+        assert_eq!(read, Some((2, vec![3u8; 64])));
         let mut seen = Vec::new();
         segment
             .walk(|page, _, payload| {
