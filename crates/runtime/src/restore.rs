@@ -64,6 +64,7 @@ use std::collections::HashMap;
 use std::io;
 use std::ops::{ControlFlow, Range};
 use std::os::unix::fs::FileExt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -1008,7 +1009,10 @@ fn fill(
                 }
             }
         }
-        result = result.and(run());
+        // This filler's panic fails the fill like a helper's: unwinding past
+        // the poison below would leave a page `FILLING` for ever.
+        result =
+            result.and(catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| Err(panicked())));
         for helper in helpers {
             result = result.and(helper.join().unwrap_or_else(|_| Err(panicked())));
         }

@@ -448,23 +448,76 @@ fn failed_restore_poisons_checkpoint_until_buffers_drop() {
     drop(mgr);
 
     // One that dies right after prepare (the layout read is its last good
-    // one) fails in the filler instead.
-    let failing: Arc<dyn StorageBackend> = Arc::new(Tripwire::new(view, 1, died));
-    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&failing)).unwrap();
-    let mut lr = restore_lazy(&mgr, Arc::clone(&failing), 1, None).unwrap();
-    let err = lr.wait().unwrap_err();
-    assert!(err.to_string().contains("storage died"), "{err}");
-    // The buffers hold poisoned pages: a checkpoint must refuse to capture
-    // that state rather than commit zeroes as data.
-    let err = mgr.checkpoint().unwrap_err();
-    assert!(
-        err.to_string().contains("lazy restore failed"),
-        "unexpected checkpoint error: {err}"
+    // one) fails in the filler instead; dropping the failed restore (and its
+    // buffers) lets a checkpoint run again.
+    let (mgr, lr) = both_doors_fail(
+        &cfg,
+        1,
+        || Tripwire::new(view.clone(), 1, died),
+        "storage died",
     );
-    // Dropping the failed restore (and its buffers) clears the condition.
     drop(lr);
     mgr.checkpoint().unwrap();
     mgr.wait_checkpoint().unwrap();
+}
+
+#[test]
+fn a_filler_that_panics_fails_both_doors_instead_of_hanging() {
+    let (backend, view) = MemoryBackend::shared();
+    let cfg = small_cfg();
+    seed_pages(Box::new(backend), &cfg, 16);
+    // The layout read and four page reads pass; the next read panics on the
+    // filler's own thread, which an eager restore is.
+    let trip = || Tripwire::new(view.clone(), 5, |_| panic!("the filler trips"));
+    let (mgr, lr) = both_doors_fail(&cfg, 1, trip, "panicked");
+    drop(lr);
+    mgr.checkpoint().unwrap();
+    mgr.wait_checkpoint().unwrap();
+}
+
+/// Both doors of a restore of `epoch` over a fresh `backend()` each fail
+/// with `why`: the eager one within 30 s, keeping no half-restored buffer;
+/// the lazy one's `wait`, every time, leaving it incomplete and its
+/// poisoned buffers refusing a checkpoint rather than committing zeroes as
+/// data. Returns the lazy restore and its manager.
+fn both_doors_fail<B>(
+    cfg: &CkptConfig,
+    epoch: u64,
+    backend: impl Fn() -> B,
+    why: &str,
+) -> (PageManager, LazyRestore)
+where
+    B: StorageBackend + 'static,
+{
+    let fresh = || {
+        let backend: Arc<dyn StorageBackend> = Arc::new(backend());
+        let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend));
+        (mgr.unwrap(), backend)
+    };
+    let (mgr, eager) = fresh();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let eager = std::thread::spawn(move || {
+        let err = restore_at(&mgr, eager.as_ref(), epoch).err();
+        tx.send((err, mgr.protected_bytes())).unwrap();
+    });
+    let hung = Duration::from_secs(30);
+    let (eager_err, kept) = rx.recv_timeout(hung).expect("eager hung");
+    eager.join().unwrap();
+    let eager_err = eager_err.expect("eager restored");
+    assert!(eager_err.to_string().contains(why), "eager: {eager_err}");
+    assert_eq!(kept, 0, "eager keeps no half-restored buffer");
+
+    let (mgr, lazy) = fresh();
+    let mut lr = restore_lazy(&mgr, lazy, epoch, None).unwrap();
+    let err = lr.wait().unwrap_err();
+    assert!(err.to_string().contains(why), "{err}");
+    assert_eq!(err.kind(), eager_err.kind(), "both doors fail alike");
+    let again = lr.wait().unwrap_err();
+    assert_eq!(again.to_string(), err.to_string(), "wait keeps the error");
+    assert!(!lr.is_complete());
+    let err = mgr.checkpoint().unwrap_err();
+    assert!(err.to_string().contains("lazy restore failed"), "{err}");
+    (mgr, lr)
 }
 
 #[test]
@@ -566,6 +619,31 @@ fn readable(addr: usize) -> bool {
     })
 }
 
+/// The pages of the lazy restore's only buffer that are mapped readable:
+/// each holds its [`byte_of`] bytes.
+fn published(lr: &LazyRestore, pages: usize) -> Vec<usize> {
+    let (ps, buf) = (page_size(), &lr.state.buffers[0]);
+    let published: Vec<usize> = (0..pages)
+        .filter(|i| readable(buf.as_ptr() as usize + i * ps))
+        .collect();
+    for &i in &published {
+        let page = &buf.as_slice()[i * ps..(i + 1) * ps];
+        assert!(page.iter().all(|&b| b == byte_of(i)), "page {i}");
+    }
+    published
+}
+
+/// A [`Tripwire`] over `view` whose store loses its read path after the
+/// layout read and `pages` page reads.
+fn dying(view: &MemoryBackend, pages: u64) -> Tripwire<FailingBackend<MemoryBackend>> {
+    let (failing, control) = FailingBackend::new(view.clone());
+    Tripwire::new(failing, pages + 1, move |_| {
+        control.fail(FaultOp::List, true);
+        control.fail(FaultOp::Read, true);
+        Ok(())
+    })
+}
+
 #[test]
 fn reads_failing_after_k_pages_fail_the_restore_and_publish_no_zeros() {
     const PAGES: usize = 80;
@@ -573,52 +651,13 @@ fn reads_failing_after_k_pages_fail_the_restore_and_publish_no_zeros() {
     // The published count below is one filler's batches.
     let cfg = small_cfg().with_committer_streams(1);
     seed_pages(Box::new(backend), &cfg, PAGES);
-    // The layout read and 40 page reads succeed; then the store loses its
-    // read path.
-    let dying = || -> Arc<dyn StorageBackend> {
-        let (failing, control) = FailingBackend::new(view.clone());
-        Arc::new(Tripwire::new(failing, 41, move |_| {
-            control.fail(FaultOp::List, true);
-            control.fail(FaultOp::Read, true);
-            Ok(())
-        }))
-    };
-
-    let backend = dying();
-    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-    let err = restore_at(&mgr, backend.as_ref(), 1).err().expect("eager");
-    assert!(err.to_string().contains("injected"), "{err}");
-    assert_eq!(
-        mgr.protected_bytes(),
-        0,
-        "eager keeps no half-restored buffer"
-    );
-    drop(mgr);
-
-    let backend = dying();
-    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-    let mut lr = restore_lazy(&mgr, backend, 1, None).unwrap();
-    let err = lr.wait().unwrap_err();
-    assert!(err.to_string().contains("injected"), "{err}");
-    let again = lr.wait().unwrap_err();
-    assert_eq!(again.to_string(), err.to_string(), "wait keeps the error");
-    assert!(!lr.is_complete());
+    let (_mgr, lr) = both_doors_fail(&cfg, 1, || dying(&view, 40), "injected");
     // One publish batch landed before the failure. Every other page —
     // including the eight read into a run that was never written — stays
     // PROT_NONE and poisoned: touching it raises a genuine SIGSEGV, and
     // nothing reads as zero.
-    let ps = page_size();
-    let buf = &lr.state.buffers[0];
-    let published: Vec<usize> = (0..PAGES)
-        .filter(|i| readable(buf.as_ptr() as usize + i * ps))
-        .collect();
+    let published = published(&lr, PAGES);
     assert_eq!(published.len(), 32, "{published:?}");
-    for &i in &published {
-        let page = &buf.as_slice()[i * ps..(i + 1) * ps];
-        assert!(page.iter().all(|&b| b == byte_of(i)), "page {i}");
-    }
-    let err = mgr.checkpoint().unwrap_err();
-    assert!(err.to_string().contains("lazy restore failed"), "{err}");
 }
 
 #[test]
@@ -627,51 +666,13 @@ fn reads_failing_mid_fill_at_four_fillers_publish_no_zeros() {
     let (backend, view) = MemoryBackend::shared();
     let cfg = small_cfg().with_committer_streams(4);
     seed_pages(Box::new(backend), &cfg, PAGES);
-    // The layout read and 100 page reads succeed, spread over four fillers;
-    // then the store loses its read path.
-    let dying = || -> Arc<dyn StorageBackend> {
-        let (failing, control) = FailingBackend::new(view.clone());
-        Arc::new(Tripwire::new(failing, 101, move |_| {
-            control.fail(FaultOp::List, true);
-            control.fail(FaultOp::Read, true);
-            Ok(())
-        }))
-    };
-
-    let backend = dying();
-    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-    let err = restore_at(&mgr, backend.as_ref(), 1).err().expect("eager");
-    assert!(err.to_string().contains("injected"), "{err}");
-    assert_eq!(
-        mgr.protected_bytes(),
-        0,
-        "eager keeps no half-restored buffer"
-    );
-    drop(mgr);
-
-    let backend = dying();
-    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-    let mut lr = restore_lazy(&mgr, backend, 1, None).unwrap();
-    let err = lr.wait().unwrap_err();
-    assert!(err.to_string().contains("injected"), "{err}");
-    let again = lr.wait().unwrap_err();
-    assert_eq!(again.to_string(), err.to_string(), "wait keeps the error");
-    assert!(!lr.is_complete());
+    // 100 page reads succeed, spread over four fillers.
+    let (_mgr, lr) = both_doors_fail(&cfg, 1, || dying(&view, 100), "injected");
     // A filler that failed stopped the others, and they published what they
     // had written: every page is published with its bytes, or PROT_NONE and
     // poisoned. Only a page that was read can be published.
-    let ps = page_size();
-    let buf = &lr.state.buffers[0];
-    let published: Vec<usize> = (0..PAGES)
-        .filter(|i| readable(buf.as_ptr() as usize + i * ps))
-        .collect();
+    let published = published(&lr, PAGES);
     assert!(published.len() <= 100, "{published:?}");
-    for &i in &published {
-        let page = &buf.as_slice()[i * ps..(i + 1) * ps];
-        assert!(page.iter().all(|&b| b == byte_of(i)), "page {i}");
-    }
-    let err = mgr.checkpoint().unwrap_err();
-    assert!(err.to_string().contains("lazy restore failed"), "{err}");
 }
 
 #[test]
@@ -932,40 +933,13 @@ fn a_record_rotted_mid_run_fails_both_doors_of_a_lone_file_store() {
     seed_pages(Box::new(FileBackend::open(&dir).unwrap()), &cfg, PAGES);
     let rotted = mid_run_page(&dir);
     rot(&dir, rotted);
-    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&dir).unwrap());
-    let names_the_page = |e: io::Error| {
-        let text = e.to_string();
-        assert!(
-            text.contains(&format!("page {rotted} in epoch 1")),
-            "{text}"
-        );
-    };
-
-    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-    names_the_page(restore_at(&mgr, backend.as_ref(), 1).err().expect("eager"));
-    assert_eq!(
-        mgr.protected_bytes(),
-        0,
-        "eager keeps no half-restored buffer"
-    );
-    drop(mgr);
-
-    let mgr = PageManager::with_shared_backend(cfg, Arc::clone(&backend)).unwrap();
-    let mut lr = restore_lazy(&mgr, Arc::clone(&backend), 1, None).unwrap();
-    names_the_page(lr.wait().unwrap_err());
+    let why = format!("page {rotted} in epoch 1");
+    let (_mgr, lr) = both_doors_fail(&cfg, 1, || FileBackend::open(&dir).unwrap(), &why);
     // Whatever was published holds its own bytes; the rotted page is not
     // among it, and nothing reads as zero.
-    let ps = page_size();
-    let buf = &lr.state.buffers[0];
-    assert_eq!(buf.base_page(), 0);
-    let published: Vec<usize> = (0..PAGES)
-        .filter(|i| readable(buf.as_ptr() as usize + i * ps))
-        .collect();
+    assert_eq!(lr.state.buffers[0].base_page(), 0);
+    let published = published(&lr, PAGES);
     assert!(!published.contains(&(rotted as usize)), "{published:?}");
-    for &i in &published {
-        let page = &buf.as_slice()[i * ps..(i + 1) * ps];
-        assert!(page.iter().all(|&b| b == byte_of(i)), "page {i}");
-    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1044,28 +1018,14 @@ fn a_record_longer_than_its_page_fails_both_doors_and_publishes_nothing() {
             [(META_RECORD, layout), (last, vec![0xEE; 2 * ps])],
         )
         .unwrap();
-        let backend: Arc<dyn StorageBackend> = Arc::new(view);
-        let too_long = |e: io::Error| {
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
-            assert!(
-                e.to_string().contains(&format!("page {last} in epoch 2")),
-                "{e}"
-            );
-        };
-
-        let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-        too_long(restore_at(&mgr, backend.as_ref(), 2).err().expect("eager"));
-        assert_eq!(mgr.protected_bytes(), 0, "filter {filter}");
-        drop(mgr);
-
-        let mgr = PageManager::with_shared_backend(cfg, Arc::clone(&backend)).unwrap();
-        let mut lr = restore_lazy(&mgr, Arc::clone(&backend), 2, None).unwrap();
-        too_long(lr.wait().unwrap_err());
+        let why = format!("page {last} in epoch 2");
+        let (_mgr, mut lr) = both_doors_fail(&cfg, 2, || view.clone(), &why);
+        let err = lr.wait().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         // The newest epoch's page is the first read, so nothing before it
         // was published.
-        let buf = &lr.state.buffers[0];
         assert!(
-            (0..PAGES).all(|i| !readable(buf.as_ptr() as usize + i * ps)),
+            published(&lr, PAGES).is_empty(),
             "filter {filter}: no page is published"
         );
     }

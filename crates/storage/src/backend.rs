@@ -346,7 +346,7 @@ pub trait StorageBackend: Send + Sync {
             return inner.chain();
         }
         if let Some(kids) = route::composite(self) {
-            return route::chain(&kids);
+            return route::chain(&kids).map(|(chain, _)| chain);
         }
         Ok(self
             .epochs()?

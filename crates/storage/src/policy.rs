@@ -79,7 +79,18 @@
 //! never list a retired epoch a level not reconciled yet still holds, and
 //! `remove_epochs` is the one retirement that skips a level that cannot be
 //! asked and takes an epoch no level lists without error (a level that is
-//! out of service may still hold it; reconcile removes it there).
+//! out of service may still hold it; reconcile removes it there). And the
+//! listing rule: `chain()` refuses a window with a live epoch no answering
+//! level holds. The union of the levels that answer may list a delta whose
+//! base only a silent level holds (a bounded level evicted it), and a
+//! restore would replay that delta over nothing; so the policy keeps a
+//! ledger of the epochs committed and not retired or folded away, and
+//! `chain()` fails — `Other`, neither "not here" nor damage to repair —
+//! when the newest listed epoch's replay window misses one. A policy built
+//! while a level could not list its epochs does not know what that level
+//! alone holds, so until it reconciles a window that starts at no `Full`
+//! beside a bounded level inward of a silent one is refused too. `epochs()`
+//! still lists the union.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
@@ -418,6 +429,12 @@ struct PolicyState {
     /// the retirement drops them on reconcile instead of resurrecting
     /// them).
     retired: BTreeSet<u64>,
+    /// Every epoch the policy knows is committed and neither retired nor
+    /// folded away: what a replay window must find listed.
+    live: BTreeSet<u64>,
+    /// Levels that could not list their epochs when the policy was built
+    /// and have not reconciled since: what they alone hold is not in `live`.
+    unseen: BTreeSet<usize>,
     high_water: Option<u64>,
 }
 
@@ -511,14 +528,19 @@ impl PolicyBuilder {
         // starts suspect, and reconcile settles it.
         let mut high_water = None;
         let mut held: Vec<BTreeSet<u64>> = Vec::new();
-        for level in &levels {
+        let mut unseen = BTreeSet::new();
+        for (l, level) in levels.iter().enumerate() {
             if let Ok(hw) = level.store.high_water() {
                 high_water = high_water.max(hw);
             }
             let listed = level.store.epochs();
+            if listed.is_err() {
+                unseen.insert(l);
+            }
             level.suspect.store(listed.is_err(), Ordering::SeqCst);
             held.push(listed.unwrap_or_default().into_iter().collect());
         }
+        let live = held.iter().flatten().copied().collect();
         let n = levels.len();
         let bounded = |l: usize| levels[l].capacity > 0;
         let held_outward = |l: usize, e: &u64| (l + 1..n).all(|m| held[m].contains(e));
@@ -551,6 +573,8 @@ impl PolicyBuilder {
                     deferred: (0..n).map(|_| Vec::new()).collect(),
                     staged,
                     retired: BTreeSet::new(),
+                    live,
+                    unseen,
                     high_water,
                 }),
                 drain_lock: Mutex::new(()),
@@ -716,6 +740,8 @@ impl PolicyBackend {
             if bounded {
                 state.staged[l] = present.difference(&gone).copied().collect();
             }
+            state.live.extend(present.difference(&retired));
+            state.unseen.remove(&l);
             level.suspect.store(false, Ordering::SeqCst);
         }
     }
@@ -877,6 +903,7 @@ impl EpochWriter for PolicyWriter {
         self.inner.finish()?;
         let mut state = self.shared.state.lock().unwrap();
         state.high_water = state.high_water.max(Some(self.epoch));
+        state.live.insert(self.epoch);
         for l in 1..self.shared.levels.len() {
             state.queues[l].push_back((self.epoch, CopyKind::Drain));
         }
@@ -940,6 +967,37 @@ impl PolicyBackend {
         listed.retain(|entry| !state.retired.contains(&epoch_of(entry)));
         listed
     }
+
+    /// The newest listed epoch replays from the newest listed `Full` (or
+    /// the first epoch): refuse `chain` when a live epoch in that window is
+    /// not in it, or — while a level silent at build has not reconciled —
+    /// when the window starts at no `Full`, a bounded level lies inward of
+    /// a level in `silent`, and the ledger never saw a number in it (what
+    /// the bounded level evicted, only the silent one may hold). `Other`:
+    /// neither "not here" nor damage to repair.
+    fn whole_window(&self, chain: &[ChainEntry], silent: &[usize]) -> io::Result<()> {
+        let Some(top) = chain.last().map(|c| c.epoch) else {
+            return Ok(());
+        };
+        let base = chain.iter().rfind(|c| c.kind == EpochKind::Full);
+        let levels = &self.shared.levels;
+        let state = self.shared.state.lock().unwrap();
+        let listed = |e: u64| chain.binary_search_by_key(&e, |c| c.epoch).is_ok();
+        let window = state.live.range(base.map_or(0, |c| c.epoch)..=top);
+        let evicted = |m: usize| levels[..m].iter().any(|l| l.capacity > 0);
+        let blind =
+            base.is_none() && !state.unseen.is_empty() && silent.iter().any(|&m| evicted(m));
+        let unknown = |e: &u64| !state.live.contains(e) && !state.retired.contains(e);
+        let hole = window.copied().find(|&e| !listed(e));
+        let Some(hole) = hole.or_else(|| blind.then(|| (1..=top).find(unknown)).flatten()) else {
+            return Ok(());
+        };
+        let names: Vec<&str> = silent.iter().map(|&m| levels[m].name.as_str()).collect();
+        Err(io::Error::other(format!(
+            "epoch {top} replays over epoch {hole}, which no level that answers holds \
+             (silent: {names:?})"
+        )))
+    }
 }
 
 impl StorageBackend for PolicyBackend {
@@ -991,7 +1049,10 @@ impl StorageBackend for PolicyBackend {
     }
 
     fn chain(&self) -> io::Result<Vec<ChainEntry>> {
-        Ok(self.unretired(route::chain(&self.children())?, |c| c.epoch))
+        let (chain, silent) = route::chain(&self.children())?;
+        let chain = self.unretired(chain, |c| c.epoch);
+        self.whole_window(&chain, &silent)?;
+        Ok(chain)
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
@@ -1017,7 +1078,10 @@ impl StorageBackend for PolicyBackend {
     fn install_compacted(&self, from: u64, into: u64, records: &[(u64, &[u8])]) -> io::Result<()> {
         let _drain = self.shared.drain_lock.lock().unwrap();
         self.settle_through(into)?;
-        route::install_compacted(&self.children(), from, into, records)
+        route::install_compacted(&self.children(), from, into, records)?;
+        let mut state = self.shared.state.lock().unwrap();
+        state.live = state.live.split_off(&into);
+        Ok(())
     }
 
     fn remove_epochs(&self, epochs: &[u64]) -> io::Result<()> {
@@ -1030,6 +1094,7 @@ impl StorageBackend for PolicyBackend {
         let result = route::remove_epochs(&self.children(), epochs, true);
         let mut state = self.shared.state.lock().unwrap();
         state.retired.extend(epochs);
+        state.live.retain(|e| !epochs.contains(e));
         for queue in &mut state.queues {
             queue.retain(|(e, _)| !epochs.contains(e));
         }
@@ -1070,6 +1135,7 @@ impl StorageBackend for PolicyBackend {
 mod tests {
     use super::*;
     use crate::backend::write_epoch;
+    use crate::image::CheckpointImage;
     use crate::memory::MemoryBackend;
 
     const SPEC: &str = "nvme=plain#2 -> partner=replica*2 -> cold=parity*4";
@@ -1115,6 +1181,130 @@ mod tests {
         (0..6u64)
             .map(|p| (p, vec![(epoch as u8) ^ (p as u8); 32]))
             .collect()
+    }
+
+    /// One step of a [`degraded_chains_restore_the_model_or_refuse`] row.
+    #[derive(Clone, Copy, Debug)]
+    enum Act {
+        /// Commit the next epoch: its six pages `epoch ^ page`, or one page.
+        Full,
+        Page(u64),
+        Kill(usize),
+        Heal(usize),
+        /// One `drain_one`, which must copy an epoch.
+        DrainOne,
+        /// Drain until idle; a dead level's errors never wedge it.
+        Drain,
+        /// Fold the chain into the newest epoch.
+        Fold,
+        /// Drop the policy and build it again over the same stores.
+        Rebuild,
+        /// `CheckpointImage::load` of the newest epoch is the model's image.
+        Load,
+        /// It fails, naming this epoch as the hole.
+        Refuse(u64),
+        /// Nothing is owed, every level holds every epoch, and the levels
+        /// took at least this many rebuilds.
+        Synced(u64),
+    }
+
+    /// Run `acts` over `spec` on memory stores, one failure control per
+    /// level.
+    fn run_row(spec: &str, acts: &[Act]) {
+        let spec = ResilienceSpec::parse(spec).unwrap();
+        let ctls: Vec<FailureControl> = spec.levels.iter().map(|_| FailureControl::new()).collect();
+        let mut stores = BTreeMap::new();
+        let mut build = || {
+            let builder = PolicyBuilder::new(spec.clone()).unwrap();
+            (builder.build(|l, r| {
+                let store: &MemoryBackend = stores.entry((l, r)).or_default();
+                Box::new(FailingBackend::with_control(store.clone(), ctls[l].clone()))
+            }))
+            .unwrap()
+        };
+        let (mut policy, mut top, mut image) = (build(), 0u64, BTreeMap::new());
+        let load = |policy: &PolicyBackend, top| {
+            let image = CheckpointImage::load(policy, top)?;
+            Ok::<BTreeMap<_, _>, io::Error>(image.iter().map(|(p, d)| (p, d.to_vec())).collect())
+        };
+        for (i, &act) in acts.iter().enumerate() {
+            let ctx = format!("{} step {i} {act:?}", spec.to_spec_string());
+            match act {
+                Act::Full | Act::Page(_) => {
+                    top += 1;
+                    let pages = match act {
+                        Act::Page(p) => vec![(p, vec![0x80 | top as u8; 32])],
+                        _ => epoch_pages(top),
+                    };
+                    image.extend(pages.clone());
+                    write_epoch(&policy, top, pages).unwrap();
+                }
+                Act::Kill(l) => ctls[l].kill(),
+                Act::Heal(l) => ctls[l].heal(),
+                Act::DrainOne => assert!(policy.drain_one().unwrap().is_some(), "{ctx}"),
+                Act::Drain => {
+                    for _ in 0..64 {
+                        if let Ok(None) = policy.drain_one() {
+                            break;
+                        }
+                    }
+                }
+                Act::Fold => drop(policy.compact(top).unwrap()),
+                Act::Rebuild => {
+                    drop(policy);
+                    policy = build();
+                }
+                Act::Load => assert!(load(&policy, top).ok() == Some(image.clone()), "{ctx}"),
+                Act::Refuse(hole) => {
+                    let e = load(&policy, top).expect_err(&ctx);
+                    let named = e.to_string().contains(&format!("over epoch {hole},"));
+                    assert!(e.kind() == io::ErrorKind::Other && named, "{ctx}: {e}");
+                }
+                Act::Synced(rebuilds) => {
+                    let stats = policy.stats().levels;
+                    assert_eq!(policy.copies_owed(), 0, "{ctx}");
+                    let held = stats.iter().all(|s| s.resident_epochs == top as usize);
+                    let rebuilt: u64 = stats.iter().map(|s| s.rebuilds_in).sum();
+                    assert!(held && rebuilt >= rebuilds, "{ctx}: {stats:?}");
+                }
+            }
+        }
+    }
+
+    /// Degraded and rebuilt policies restore the newest epoch exactly, or
+    /// refuse naming the hole in its replay window.
+    #[test]
+    fn degraded_chains_restore_the_model_or_refuse() {
+        use Act::*;
+        const TIERED: &str = "fast=plain#2 -> slow=plain";
+        const THREE: &str = "hot=plain#3 -> partner=replica*2 -> cold=parity*4";
+        #[rustfmt::skip]
+        let rows: [(&str, &[Act]); 7] = [
+            // Refused: the slow tier down beside the fast tier's window.
+            (TIERED, &[Full, Full, Drain, Kill(1), Page(0), Refuse(1), Heal(1), Drain, Load]),
+            // Refused: `cold` down while `hot` evicts after `partner`'s copy,
+            // then `partner` down: only `partner` holds epoch 2.
+            (THREE, &[Kill(2), Full, Drain, Page(3), Drain, Heal(2), Page(0), Kill(1), Refuse(2),
+                    Heal(1), Drain, Load]),
+            // Refused: rebuilt while the level that alone holds epoch 1 is down.
+            (TIERED, &[Full, Drain, Page(3), Kill(1), Rebuild, Refuse(1), Heal(1), Drain, Load]),
+            // Restored: a fold above the hole starts the window at its `Full`.
+            ("fast=plain#2 -> mid=plain -> slow=plain",
+             &[Full, Drain, Page(3), Fold, Page(0), Kill(2), Rebuild, Load]),
+            // Restored: an unbounded level 0 evicts nothing, so with `partner`
+            // down the levels that answer hold the whole chain.
+            (UNBOUNDED, &[Full, Page(1), Drain, Synced(0), Kill(1), Page(2), Drain, Load, Heal(1),
+                          Drain, Synced(1)]),
+            // Restored: a level killed again mid-rebuild re-parks its copies,
+            // converges once healed, and alone restores the newest epoch.
+            (UNBOUNDED, &[Full, Drain, Kill(1), Page(2), Page(4), Drain, Heal(1), DrainOne, Kill(1),
+                          Drain, Load, Heal(1), Drain, Synced(2), Kill(0), Kill(2), Load]),
+            (UNBOUNDED, &[Full, Drain, Kill(2), Page(2), Page(4), Drain, Heal(2), DrainOne, Kill(2),
+                          Drain, Load, Heal(2), Drain, Synced(2), Kill(0), Kill(1), Load]),
+        ];
+        for (spec, acts) in rows {
+            run_row(spec, acts);
+        }
     }
 
     #[test]

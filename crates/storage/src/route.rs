@@ -235,21 +235,19 @@ pub(crate) fn chain_of_all<B: StorageBackend + ?Sized>(b: &B) -> io::Result<Vec<
     b.chain()
 }
 
-/// Fold what the children that answer `list` report; the first error when
-/// none does (inside [`chain_of_all`]: when any does not).
+/// Fold what the children that answer `list` report; `Ok` names, by
+/// position, the children that did not. The first error when none does
+/// (inside [`chain_of_all`]: when any does not).
 fn aggregate<T>(
     kids: &[Child<'_>],
     list: impl Fn(&dyn StorageBackend) -> io::Result<T>,
     mut fold: impl FnMut(T),
-) -> io::Result<()> {
+) -> io::Result<Vec<usize>> {
     let mut first_err = None;
-    let mut answered = false;
-    for (name, child) in kids {
+    let mut silent = Vec::new();
+    for (i, (name, child)) in kids.iter().enumerate() {
         match list(*child) {
-            Ok(listing) => {
-                answered = true;
-                fold(listing);
-            }
+            Ok(listing) => fold(listing),
             Err(e) if EVERY_CHILD.get() => {
                 return Err(io::Error::new(
                     e.kind(),
@@ -257,12 +255,13 @@ fn aggregate<T>(
                 ));
             }
             Err(e) => {
+                silent.push(i);
                 first_err.get_or_insert(e);
             }
         }
     }
-    if answered {
-        return Ok(());
+    if silent.len() < kids.len() {
+        return Ok(silent);
     }
     Err(first_err.unwrap_or_else(|| io::Error::other("no child is in service")))
 }
@@ -274,11 +273,12 @@ pub(crate) fn epochs(kids: &[Child<'_>]) -> io::Result<Vec<u64>> {
     Ok(union.into_iter().collect())
 }
 
-/// Union of the children's chains, ascending; an epoch any child holds as
-/// a full segment is `Full`.
-pub(crate) fn chain(kids: &[Child<'_>]) -> io::Result<Vec<ChainEntry>> {
+/// Union of the children's chains, ascending (an epoch any child holds as
+/// a full segment is `Full`), and the positions of the children that did
+/// not answer.
+pub(crate) fn chain(kids: &[Child<'_>]) -> io::Result<(Vec<ChainEntry>, Vec<usize>)> {
     let mut union: BTreeMap<u64, EpochKind> = BTreeMap::new();
-    aggregate(
+    let silent = aggregate(
         kids,
         |c| c.chain(),
         |chain| {
@@ -290,10 +290,10 @@ pub(crate) fn chain(kids: &[Child<'_>]) -> io::Result<Vec<ChainEntry>> {
             }
         },
     )?;
-    Ok(union
+    let union = union
         .into_iter()
-        .map(|(epoch, kind)| ChainEntry { epoch, kind })
-        .collect())
+        .map(|(epoch, kind)| ChainEntry { epoch, kind });
+    Ok((union.collect(), silent))
 }
 
 /// The highest epoch number any child has accounted for.

@@ -61,9 +61,10 @@
 //! cut and no damage at rest.
 //!
 //! A `down` case is judged twice. First its live handle, while the leaves
-//! are still down: restores of the newest epoch the others list are a
-//! model's image of it (not with a tier's slow leaf or the whole partner
-//! level down: a known bug); after a drain that ran wholly under the
+//! are still down: every door of a restore of the newest epoch the others
+//! list fails loudly where that epoch's replay window in a model that fits
+//! the listing holds an epoch the listing lacks, and otherwise restores
+//! that model's image of it; after a drain that ran wholly under the
 //! outage, the outermost child whose leaves are all up holds every listed
 //! epoch committed before it; a fold — and, outside the policy's retirement
 //! ledger, a retirement — that ran wholly under the outage was refused
@@ -1526,20 +1527,23 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
         .stack
         .epochs()
         .map_err(|e| format!("degraded listing: {e}"))?;
-    let tiered = matches!(case.stack, Stack::FileOverFile | Stack::MemoryOverFile);
-    let known_bug = live.mode == Mode::PartnerDown || (tiered && down == [1]);
-    if let Some(&top) = listed.last().filter(|_| !known_bug) {
+    if let Some(&top) = listed.last() {
+        // Some model that fits the listing explains every door: where top's
+        // replay window in it holds an epoch the listing lacks, all fail;
+        // elsewhere all restore its image.
         let holds = |m: &&Model| listed.iter().all(|e| m.listed.contains(e));
-        let images = rules.models.iter().filter(holds);
-        let wants: Vec<u64> = images.map(|m| model_pages(m, top, 0)).collect();
         let files = case.snapshot();
         let doors = restores(case, &live.stack, top, &files, Handle::Degraded, 0);
-        if let Some(got) = doors
-            .iter()
-            .find(|d| !d.as_ref().is_ok_and(|d| wants.contains(d)))
-        {
+        if replay {
+            println!("degraded, listing {listed:?}: epoch {top}'s doors {doors:?}");
+        }
+        let explains = |m: &Model| match m.listed.range(..=top).any(|e| !listed.contains(e)) {
+            true => doors.iter().all(|d| d.is_err()),
+            false => (doors.iter()).all(|d| d.as_ref().ok() == Some(&model_pages(m, top, 0))),
+        };
+        if !rules.models.iter().filter(holds).any(explains) {
             return Err(format!(
-                "degraded, listing {listed:?}: epoch {top} restored {got:?}"
+                "degraded, listing {listed:?}: epoch {top} restored {doors:?}"
             ));
         }
     }
