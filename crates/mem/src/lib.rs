@@ -76,6 +76,18 @@ pub unsafe fn touch_pages(ptr: *mut u8, len: usize) {
     }
 }
 
+/// Ask the kernel to back `[addr, addr + len)` with transparent huge pages
+/// (`madvise(MADV_HUGEPAGE)`). Only whole 2 MiB ranges of one writable
+/// mapping get them, at their first touch; a range that a protection
+/// change splits stays on base pages. The call is advice: it changes no
+/// byte and no protection, so its error (THP off, an unaligned or unmapped
+/// range) is ignored.
+pub fn advise_huge_pages(addr: usize, len: usize) {
+    // SAFETY: MADV_HUGEPAGE only sets a paging hint on whatever is mapped
+    // in the range; it cannot change memory contents.
+    let _ = unsafe { libc::madvise(addr as *mut libc::c_void, len, libc::MADV_HUGEPAGE) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +102,16 @@ mod tests {
             touch_pages(region.as_ptr().add(5), 3 * page_size());
         }
         assert_eq!(unsafe { region.as_slice() }[10], 123);
+    }
+
+    #[test]
+    fn huge_page_advice_changes_no_byte() {
+        let region = MappedRegion::new(4 * page_size()).unwrap();
+        unsafe { region.as_ptr().add(10).write(123) };
+        advise_huge_pages(region.addr(), region.len());
+        assert_eq!(unsafe { region.as_slice() }[10], 123);
+        // Advice over nothing mapped is ignored.
+        advise_huge_pages(0x10_0000_0000, page_size());
     }
 
     #[test]

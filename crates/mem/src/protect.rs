@@ -10,9 +10,10 @@ use std::io;
 /// path, where pages with no content yet must trap on *any* access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protection {
-    /// `PROT_NONE`: any access traps with `SIGSEGV`. Used by lazy restore
-    /// for pages whose contents have not been fetched yet; the filler writes
-    /// them through `/proc/self/mem`, which bypasses page protections.
+    /// `PROT_NONE`: any access traps with `SIGSEGV`. Used by the lazy
+    /// restore door only, for pages whose contents have not been fetched
+    /// yet; its filler writes them through `/proc/self/mem`, which bypasses
+    /// page protections. (An eager restore fills writable pages in place.)
     None,
     /// `PROT_READ`: reads allowed, writes trap with `SIGSEGV`.
     ReadOnly,

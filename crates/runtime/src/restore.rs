@@ -7,8 +7,9 @@
 //! eager or lazy — is the same two steps. **Prepare** refuses quarantined
 //! epochs, replays the layout against a *fresh* [`PageManager`] (same
 //! allocation order ⇒ same page ids; no payload I/O), resolves every page to the
-//! newest epoch holding it through a [`PageLocator`], and maps every
-//! to-be-restored page `PROT_NONE`. **Fill** is one loop, `filler_loop`: it
+//! newest epoch holding it through a [`PageLocator`], and marks every
+//! to-be-restored page (how, the door decides: see [`Door`]). **Fill** is
+//! one loop, `filler_loop`: it
 //! reads its pages in runs — the stretch of its 64-entry slice of the
 //! prefetch order that one epoch holds, which is that epoch's records in
 //! record order, so mostly records stored back to back — with one
@@ -17,20 +18,32 @@
 //! the shared [`PageCache`] every page is a lookup and a miss a run of one,
 //! so N concurrent restores of one checkpoint hit disk once per page;
 //! transient faults retried, a corrupt read repaired in place and re-read).
-//! A sweep page is claimed once it is read, and the filler turns to the
-//! demand ring after every page and breaks its run for a hint, so a hint
-//! waits for at most the read in flight. Each page is written through
-//! `/proc/self/mem` (which bypasses page protections; one write per
-//! address-contiguous run of fills, up to 64 pages) while the page stays
-//! `PROT_NONE`, seeds the content-filter digest (the record's CRC when it
-//! covers the whole page: one CRC pass per restored byte), then drops the
-//! protection to `PROT_READ` and publishes the fill
-//! (in address-contiguous runs: every 32 sweep fills under a lazy restore,
-//! once at the filler's end under an eager one) — so no window exists in
-//! which a thread could observe a half-filled page, and the fill itself
-//! never faults. Pages the application never wrote are absent from every
-//! epoch and remain zero, which is exactly their pre-crash content (regions
-//! are zero-filled).
+//! A sweep page is claimed once it is read, and every fill seeds the
+//! content-filter digest (the record's CRC when it covers the whole page:
+//! one CRC pass per restored byte). Pages the application never wrote are
+//! absent from every epoch and remain zero, which is exactly their
+//! pre-crash content (regions are zero-filled).
+//!
+//! The two doors differ in who runs the fill and in how a fill lands.
+//! [`restore_at`] / [`restore_latest`] run it to completion on the calling
+//! thread (plus the scoped helpers) and return the filled buffers. No
+//! thread holds a pointer into them before that, so prepare advises huge
+//! pages on them and makes the marked pages writable, each filler copies
+//! each verified payload straight to its page, and once every filler has
+//! joined the door drops each buffer to `PROT_READ` with one `mprotect` and
+//! publishes every page `FILLED`. [`restore_lazy`] hands the fill to a
+//! background thread and returns at once — time-to-first-instruction is
+//! layout work only, independent of image size. Its marked pages are
+//! `PROT_NONE`: an application access that outruns the fillers faults,
+//! posts a priority hint to the demand ring, and blocks only for that
+//! single page's read. A lazy filler turns to the demand ring after every
+//! page and breaks its run for a hint, so a hint waits for at most the read
+//! in flight. It writes each page through `/proc/self/mem` (which bypasses
+//! page protections; one write per address-contiguous run of fills, up to
+//! 64 pages) while the page stays `PROT_NONE`, then drops the protection to
+//! `PROT_READ` and publishes the fill, every 32 sweep fills in
+//! address-contiguous runs — so no window exists in which a thread could
+//! observe a half-filled page, and the fill itself never faults.
 //!
 //! The fill is the read-side dual of the flush: it runs on as many fillers
 //! as the manager has committer streams, capped so that each owns at least
@@ -38,17 +51,10 @@
 //! no thread). The fillers share one prefetch order — the checkpoint's
 //! recorded first-write order, replayed through the same [`EpochRecord`]
 //! machinery the tracker uses — and claim it 64 entries at a time from one
-//! cursor, so all of them stay near its front. Whoever pops a demand hint
-//! for a page another filler holds read-but-unpublished asks every filler
-//! to publish at once; poisoning waits until every filler has stopped.
-//!
-//! The two doors differ only in *who runs the fill*. [`restore_at`] /
-//! [`restore_latest`] run it to completion on the calling thread (plus the
-//! scoped helpers) and return the filled buffers. [`restore_lazy`] hands it
-//! to a background thread and returns at once — time-to-first-instruction
-//! is layout work only, independent of image size, and an application
-//! access that outruns the fillers faults, posts a priority hint to the
-//! demand ring, and blocks only for that single page's read.
+//! cursor, so all of them stay near its front. Under a lazy restore,
+//! whoever pops a demand hint for a page another filler holds
+//! read-but-unpublished asks every filler to publish at once; poisoning
+//! waits until every filler has stopped.
 //!
 //! ## After a restore
 //!
@@ -126,17 +132,37 @@ pub fn restore_at(
 }
 
 /// Eager restore: prepare, then run the fill to completion right here — one
-/// filler on this thread, the rest scoped, each publishing once at its end
-/// (see [`PendingPublish`]). A failed fill drops the half-restored buffers
-/// with the error.
+/// filler on this thread, the rest scoped, each copying its fills in place
+/// — and publish every page at once (see [`Door::Eager`]). A failed fill
+/// drops the half-restored buffers with the error.
 fn restore_eager(
     manager: &PageManager,
     backend: &dyn StorageBackend,
     seq: u64,
     cache: Option<&PageCache>,
 ) -> io::Result<RestoredState> {
-    let (state, plan) = prepare(manager, backend, seq)?;
-    fill(&manager.ctl, backend, cache, &plan, usize::MAX)?;
+    let (state, plan) = prepare(manager, backend, seq, Door::Eager)?;
+    fill(&manager.ctl, backend, cache, &plan)?;
+    let shared = &manager.ctl.shared;
+    for buf in &state.buffers {
+        // SAFETY: a buffer this restore rebuilt; no thread holds a pointer
+        // into it before we return, and every filler has joined.
+        let sealed = unsafe {
+            ai_ckpt_mem::set_protection(
+                buf.as_ptr() as usize,
+                buf.pages() * shared.page_bytes,
+                Protection::ReadOnly,
+            )
+        };
+        if let Err(e) = sealed {
+            // A page left `FILLING` would hold up its buffer's teardown.
+            plan.poison_owed(shared);
+            return Err(e);
+        }
+    }
+    for &page in &plan.order {
+        shared.lazy_finish_fill(page as usize);
+    }
     Ok(state)
 }
 
@@ -310,19 +336,11 @@ pub fn restore_lazy(
 ) -> io::Result<LazyRestore> {
     let ctl = Arc::clone(&manager.ctl);
     let fault_baseline = ctl.shared.lazy_demand_faults.load(Ordering::Relaxed);
-    let (state, plan) = prepare(manager, backend.as_ref(), seq)?;
+    let (state, plan) = prepare(manager, backend.as_ref(), seq, Door::Lazy)?;
     let plan = Arc::new(plan);
     let thread = {
         let (ctl, plan) = (Arc::clone(&ctl), Arc::clone(&plan));
-        filler_thread().spawn(move || {
-            fill(
-                &ctl,
-                backend.as_ref(),
-                cache.as_deref(),
-                &plan,
-                SWEEP_PUBLISH_BATCH,
-            )
-        })?
+        filler_thread().spawn(move || fill(&ctl, backend.as_ref(), cache.as_deref(), &plan))?
     };
     Ok(LazyRestore {
         state,
@@ -334,8 +352,29 @@ pub fn restore_lazy(
     })
 }
 
+/// Which door a restore serves: it decides how a fill lands.
+#[derive(Clone, Copy)]
+enum Door {
+    /// [`restore_at`] / [`restore_latest`]: no thread holds a pointer into
+    /// the buffers before the door returns, so prepare advises huge pages on
+    /// them and makes the marked runs `PROT_READ | PROT_WRITE` — only the
+    /// marked runs, so a 2 MiB range that holds a page the image lacks stays
+    /// split from its writable neighbours, on base pages, and that page costs
+    /// no memory. Each filler copies each payload straight to its page and
+    /// publishes nothing; once every filler has joined `Ok`, the door makes
+    /// one `mprotect(PROT_READ)` call per buffer and marks every page
+    /// `FILLED`.
+    Eager,
+    /// [`restore_lazy`]: the application runs during the fill, so the
+    /// marked pages are `PROT_NONE`, written through `/proc/self/mem` and
+    /// published by the fillers (see [`PendingPublish`]).
+    Lazy,
+}
+
 /// What a prepared restore still owes, and what its fillers share.
 struct FillPlan {
+    /// How the fills land.
+    door: Door,
     /// Page → newest epoch holding it.
     locator: PageLocator,
     /// Every page marked for fill, in prefetch (predicted-access) order.
@@ -392,13 +431,15 @@ impl FillPlan {
 }
 
 /// Everything a restore does before the first payload byte moves: quarantine
-/// check, layout replay, page → epoch resolution, `PROT_NONE` marking in
-/// prefetch order, zero-page digests. Returns the rebuilt, still-empty
-/// buffers and what the fill owes them.
+/// check, layout replay, page → epoch resolution, marking in prefetch order
+/// (`PROT_NONE`, or writable for `door` [`Door::Eager`]), zero-page
+/// digests. Returns the rebuilt, still-empty buffers and what the fill owes
+/// them.
 fn prepare(
     manager: &PageManager,
     backend: &dyn StorageBackend,
     seq: u64,
+    door: Door,
 ) -> io::Result<(RestoredState, FillPlan)> {
     refuse_quarantined(manager, backend, seq)?;
     // Setup reads ride the same transient-retry schedule as the filler:
@@ -459,11 +500,11 @@ fn prepare(
         buffers.push(buf);
     }
 
-    // Mark every image page that lands in a replayed buffer: PROT_NONE so
-    // any access traps, fill state UNFILLED so the handler knows to wait
-    // rather than treat the trap as a tracked write. Image pages outside
-    // every layout (allocation shrank before the crash) are unreachable and
-    // simply skipped.
+    // Mark every image page that lands in a replayed buffer: fill state
+    // UNFILLED, and under the lazy door PROT_NONE, so any access traps and
+    // the handler knows to wait rather than treat the trap as a tracked
+    // write. Image pages outside every layout (allocation shrank before the
+    // crash) are unreachable and simply skipped.
     let max_pages = manager.config().max_pages;
     // Derive the prefetch order by replaying the image's newest-first page
     // sequence — per epoch, the segment's *recorded first-write order* —
@@ -481,12 +522,21 @@ fn prepare(
         }
     }
     let marked = marked_addrs.len() as u64;
-    // Apply PROT_NONE in address order, one mprotect per contiguous run —
+    // Protect in address order, one mprotect per contiguous run —
     // time-to-first-instruction must not scale with per-page syscalls.
     marked_addrs.sort_unstable();
+    let prot = match door {
+        Door::Eager => {
+            for buf in &buffers {
+                ai_ckpt_mem::advise_huge_pages(buf.as_ptr() as usize, buf.pages() * page_bytes);
+            }
+            Protection::ReadWrite
+        }
+        Door::Lazy => Protection::None,
+    };
     // SAFETY: registered pages of buffers we just allocated; nothing can
     // access them before this function returns.
-    unsafe { protect_runs(marked_addrs.iter().copied(), page_bytes, Protection::None)? };
+    unsafe { protect_runs(marked_addrs.iter().copied(), page_bytes, prot)? };
     let order: Vec<u64> = predicted.dirty().iter().map(|&p| p as u64).collect();
 
     // Pages the image never held stay zero and readable; seed their
@@ -510,6 +560,7 @@ fn prepare(
     };
     let streams = manager.config().committer_streams;
     let plan = FillPlan {
+        door,
         locator,
         fillers: (order.len() / RUN_PAGES).min(streams).max(1),
         order,
@@ -637,11 +688,11 @@ unsafe fn protect_runs(
     Ok(())
 }
 
-/// One filler's sweep fills whose publication (mprotect + `FILLED`) is
-/// deferred: up to [`SWEEP_PUBLISH_BATCH`] at a time under a lazy restore,
-/// the filler's whole share under an eager one. The newest
-/// address-contiguous run of page-sized payloads is held back too and
-/// written with one `/proc/self/mem` call
+/// A lazy filler's write side: its `/proc/self/mem` and its sweep fills
+/// whose publication (mprotect + `FILLED`) is deferred, up to
+/// [`SWEEP_PUBLISH_BATCH`] at a time. The newest address-contiguous run of
+/// page-sized payloads is held back too and written with one
+/// `/proc/self/mem` call
 /// (at most [`RUN_PAGES`] pages): when the next payload does not extend
 /// it, and before any publication — so no page is published before its
 /// bytes land. A fill's payload is copied once, into the run.
@@ -656,11 +707,13 @@ unsafe fn protect_runs(
 /// stuck on a still-pending `FILLING` page) flushes the batch of the
 /// filler that pops it immediately, and every other filler's at its next
 /// turn when the page is theirs, so the worst extra wait is one in-flight
-/// storage read. An eager restore has no waiter to serve (no caller holds
-/// a pointer into its buffers before it returns), and a batch cut from a
-/// random first-write order holds no contiguous run, so each filler
-/// publishes once, at its end: one `mprotect` per run of its share.
+/// storage read. An eager restore has none of this: no caller holds a
+/// pointer into its buffers before it returns, so its fillers hold nothing
+/// back and open no `/proc/self/mem` — they copy each fill in place, and the
+/// door publishes every page at once (see [`Door::Eager`]).
 struct PendingPublish {
+    /// `/proc/self/mem`, open for writing.
+    mem: std::fs::File,
     /// (page id, page address, payload bytes).
     pages: Vec<(usize, usize, u64)>,
     /// Payloads of the run not yet written, back to back.
@@ -674,7 +727,7 @@ struct PendingPublish {
 /// What every page of `order` is: a page the locator resolved.
 const MARKED: &str = "only image pages are marked for fill";
 
-/// Max sweep fills a lazy restore holds back before a forced publication.
+/// Max sweep fills a lazy filler holds back before a forced publication.
 const SWEEP_PUBLISH_BATCH: usize = 32;
 
 /// Max pages one run write carries (256 KiB of 4 KiB pages), and the
@@ -682,13 +735,21 @@ const SWEEP_PUBLISH_BATCH: usize = 32;
 const RUN_PAGES: usize = 64;
 
 impl PendingPublish {
-    fn new(pages: usize, page_bytes: usize) -> Self {
-        Self {
-            pages: Vec::with_capacity(pages),
+    fn new(page_bytes: usize) -> io::Result<Self> {
+        // FOLL_FORCE semantics: writes through /proc/self/mem land in our
+        // anonymous mappings regardless of page protection, so a page can
+        // be filled while it is still PROT_NONE — no window in which a
+        // concurrent reader could see half a page.
+        let mem = std::fs::File::options()
+            .write(true)
+            .open("/proc/self/mem")?;
+        Ok(Self {
+            mem,
+            pages: Vec::with_capacity(SWEEP_PUBLISH_BATCH),
             run: Vec::with_capacity(RUN_PAGES * page_bytes),
             run_at: 0,
             cached: (0, 0),
-        }
+        })
     }
 
     /// Hold back the sweep fill of page `idx` at `addr`. A page-sized
@@ -697,7 +758,6 @@ impl PendingPublish {
     /// is written alone, at once.
     fn push(
         &mut self,
-        mem: &std::fs::File,
         (idx, addr): (usize, usize),
         payload: &[u8],
         page_bytes: usize,
@@ -705,12 +765,12 @@ impl PendingPublish {
     ) -> io::Result<()> {
         if payload.len() == page_bytes {
             if self.run_at + self.run.len() != addr || self.run.len() == RUN_PAGES * page_bytes {
-                self.submit(mem)?;
+                self.submit()?;
                 self.run_at = addr;
             }
             self.run.extend_from_slice(payload);
         } else {
-            mem.write_all_at(payload, addr as u64)?;
+            self.mem.write_all_at(payload, addr as u64)?;
         }
         let len = payload.len() as u64;
         self.pages.push((idx, addr, len));
@@ -721,9 +781,9 @@ impl PendingPublish {
     }
 
     /// Write the run into place with one positioned write.
-    fn submit(&mut self, mem: &std::fs::File) -> io::Result<()> {
+    fn submit(&mut self) -> io::Result<()> {
         if !self.run.is_empty() {
-            mem.write_all_at(&self.run, self.run_at as u64)?;
+            self.mem.write_all_at(&self.run, self.run_at as u64)?;
             self.run.clear();
         }
         Ok(())
@@ -734,12 +794,11 @@ impl PendingPublish {
     /// not per page).
     fn publish(
         &mut self,
-        mem: &std::fs::File,
         shared: &Shared,
         counters: &FillCounters,
         page_bytes: usize,
     ) -> io::Result<()> {
-        self.submit(mem)?;
+        self.submit()?;
         if self.pages.is_empty() {
             return Ok(());
         }
@@ -872,11 +931,10 @@ struct Filler<'a> {
     shared: &'a Shared,
     filter: Option<&'a ContentFilter>,
     plan: &'a FillPlan,
-    /// `/proc/self/mem`, open for writing.
-    mem: std::fs::File,
     page_bytes: usize,
-    publish_batch: usize,
-    pending: PendingPublish,
+    /// What a lazy filler holds back; `None` under an eager restore, whose
+    /// fills land in place and take no hint.
+    pending: Option<PendingPublish>,
     /// `plan.publish_requests` as of this filler's last look.
     asked: u64,
     /// A demand hint popped mid-run, served as soon as the run stops.
@@ -885,21 +943,24 @@ struct Filler<'a> {
 
 impl Filler<'_> {
     /// One turn at the demand ring, taken before every run and after every
-    /// page of one: pop a hint unless one is held, and publish when a hint
-    /// came, another filler asked for it, or the batch is full. A held hint
-    /// and a stopped restore break the run.
+    /// page of one: a lazy filler pops a hint unless one is held, and
+    /// publishes when a hint came, another filler asked for it, or the batch
+    /// is full (an eager one holds nothing back and takes no hint). A held
+    /// hint and a stopped restore break the run.
     fn turn(&mut self) -> io::Result<ControlFlow<()>> {
-        let mut publish = self.pending.pages.len() >= self.publish_batch;
-        if self.hint.is_none() {
-            // A hint flushes the batch: the waiter may be blocked on a page
-            // that is read but not yet written or published.
-            self.hint = self.shared.lazy_next_demand(&self.plan.demand_tail);
-            publish |= self.hint.is_some();
-        }
-        let requests = self.plan.publish_requests.load(Ordering::Acquire);
-        if publish || requests != self.asked {
-            self.asked = requests;
-            self.publish()?;
+        if let Some(pending) = &self.pending {
+            let mut publish = pending.pages.len() >= SWEEP_PUBLISH_BATCH;
+            if self.hint.is_none() {
+                // A hint flushes the batch: the waiter may be blocked on a
+                // page that is read but not yet written or published.
+                self.hint = self.shared.lazy_next_demand(&self.plan.demand_tail);
+                publish |= self.hint.is_some();
+            }
+            let requests = self.plan.publish_requests.load(Ordering::Acquire);
+            if publish || requests != self.asked {
+                self.asked = requests;
+                self.publish()?;
+            }
         }
         if self.hint.is_some() || self.plan.stop.load(Ordering::Acquire) {
             return Ok(ControlFlow::Break(()));
@@ -908,9 +969,10 @@ impl Filler<'_> {
     }
 
     fn publish(&mut self) -> io::Result<()> {
-        let counters = &self.plan.counters;
-        self.pending
-            .publish(&self.mem, self.shared, counters, self.page_bytes)
+        match &mut self.pending {
+            Some(pending) => pending.publish(self.shared, &self.plan.counters, self.page_bytes),
+            None => Ok(()),
+        }
     }
 
     /// Seed the content filter with the digest of the page *as it now
@@ -951,8 +1013,20 @@ impl Filler<'_> {
             let addr = self.shared.page_addr[idx].load(Ordering::Acquire);
             debug_assert_ne!(addr, 0, "FILLING pins the page's registration");
             self.seed_digest(page, payload, crc);
-            self.pending
-                .push(&self.mem, (idx, addr), payload, self.page_bytes, cached)?;
+            match &mut self.pending {
+                Some(pending) => pending.push((idx, addr), payload, self.page_bytes, cached)?,
+                // SAFETY: an eager restore's page, made writable by
+                // `prepare` and held FILLING by this filler. No other thread
+                // reads or writes it, or changes its protection, before the
+                // door publishes it: no caller holds a pointer into an eager
+                // restore's buffers before it returns, and `checkpoint()`
+                // (the one mprotect of live regions) waits at the lazy drain
+                // barrier while any page is unfilled. `fits` bounds the
+                // payload to the page.
+                None => unsafe {
+                    std::ptr::copy_nonoverlapping(payload.as_ptr(), addr as *mut u8, payload.len())
+                },
+            }
         }
         self.turn()
     }
@@ -960,6 +1034,7 @@ impl Filler<'_> {
     /// A demanded page, claimed (`FILLING`) at `addr` before its read: a
     /// thread is spinning on it right now, so write and publish it alone,
     /// at once (its hint already wrote the run and published the batch).
+    /// Lazy only: an eager filler takes no hint.
     fn demanded(
         &mut self,
         (idx, addr): (usize, usize),
@@ -968,7 +1043,11 @@ impl Filler<'_> {
         cached: bool,
     ) -> io::Result<ControlFlow<()>> {
         self.seed_digest(idx as u64, payload, crc);
-        self.mem.write_all_at(payload, addr as u64)?;
+        let pending = self
+            .pending
+            .as_ref()
+            .expect("only a lazy filler takes hints");
+        pending.mem.write_all_at(payload, addr as u64)?;
         // SAFETY: a live registered page, pinned by FILLING (see `sweep`).
         unsafe { ai_ckpt_mem::set_protection(addr, self.page_bytes, Protection::ReadOnly)? };
         self.shared.lazy_finish_fill(idx);
@@ -993,9 +1072,8 @@ fn fill(
     backend: &dyn StorageBackend,
     cache: Option<&PageCache>,
     plan: &FillPlan,
-    publish_batch: usize,
 ) -> io::Result<()> {
-    let run = || filler_loop(ctl, backend, cache, plan, publish_batch);
+    let run = || filler_loop(ctl, backend, cache, plan);
     let result = std::thread::scope(|s| {
         let mut helpers = Vec::with_capacity(plan.fillers - 1);
         let mut result = Ok(());
@@ -1037,8 +1115,8 @@ fn panicked() -> io::Error {
 /// Runs until the whole order is claimed and its own fills are published,
 /// `stop` is raised, or storage fails (then it raises `stop`, so the other
 /// fillers wind down, and [`fill`] poisons what is owed). A lazy restore's
-/// fillers publish every [`SWEEP_PUBLISH_BATCH`] sweep fills, an eager
-/// one's with `publish_batch = usize::MAX` (see [`PendingPublish`]).
+/// fillers publish every [`SWEEP_PUBLISH_BATCH`] sweep fills (see
+/// [`PendingPublish`]); an eager one's publish nothing (see [`Door::Eager`]).
 ///
 /// Faults on the payload-read path follow the error taxonomy (see
 /// [`read_healed`]): transient errors retry with bounded backoff, a corrupt
@@ -1050,7 +1128,6 @@ fn filler_loop(
     backend: &dyn StorageBackend,
     cache: Option<&PageCache>,
     plan: &FillPlan,
-    publish_batch: usize,
 ) -> io::Result<()> {
     // Checkpointing-machinery exemption, same as the committer threads: the
     // filler's allocations must never route into protected regions. Put
@@ -1059,13 +1136,6 @@ fn filler_loop(
     ai_ckpt_mem::alloc::exempt_thread_from_tracking(true);
     let shared = &*ctl.shared;
     let result = (|| -> io::Result<()> {
-        // FOLL_FORCE semantics: writes through /proc/self/mem land in our
-        // anonymous mappings regardless of page protection, so a page can
-        // be filled while it is still PROT_NONE — no window in which a
-        // concurrent reader could see half a page.
-        let mem = std::fs::File::options()
-            .write(true)
-            .open("/proc/self/mem")?;
         let mut source = Source {
             backend,
             cache,
@@ -1074,14 +1144,16 @@ fn filler_loop(
             page_bytes: shared.page_bytes,
             buf: Vec::new(),
         };
+        let pending = match plan.door {
+            Door::Eager => None,
+            Door::Lazy => Some(PendingPublish::new(shared.page_bytes)?),
+        };
         let mut filler = Filler {
             shared,
             filter: ctl.filter.as_ref(),
             plan,
-            mem,
             page_bytes: shared.page_bytes,
-            publish_batch,
-            pending: PendingPublish::new(publish_batch.min(plan.order.len()), shared.page_bytes),
+            pending,
             asked: plan.publish_requests.load(Ordering::Acquire),
             hint: None,
         };

@@ -145,6 +145,97 @@ fn eager_restore_of_a_randomly_ordered_image_is_exact_and_tracked() {
     }
 }
 
+/// Whether the page at `addr` is backed by memory: the present bit of its
+/// `/proc/self/pagemap` entry.
+fn resident(addr: usize) -> bool {
+    use std::os::unix::fs::FileExt;
+    let pagemap = std::fs::File::open("/proc/self/pagemap").unwrap();
+    let mut entry = [0u8; 8];
+    let at = (addr / page_size() * entry.len()) as u64;
+    pagemap.read_exact_at(&mut entry, at).unwrap();
+    u64::from_le_bytes(entry) >> 63 == 1
+}
+
+/// A buffer over four 2 MiB ranges and a partial tail, with a run of pages
+/// never written (holes) inside range 1 and one short hand-written payload
+/// in range 3, comes back through both eager doors exact, with the holes
+/// zero, readable without a fault, and read-only: a write to one page in
+/// each range, a hole included, makes the next checkpoint hold exactly
+/// those pages. The eager door advises huge pages but makes only the pages
+/// it fills writable, so a 2 MiB range that holds a hole stays on base
+/// pages and the holes cost no memory: none is backed on return.
+#[test]
+fn eager_restore_across_2_mib_ranges_with_holes_is_exact_unbacked_and_tracked() {
+    let ps = page_size();
+    let range = ((2 << 20) / ps).max(4);
+    let pages = 4 * range + 3 * range / 4;
+    let holes = range + range / 2 - 2..range + range / 2 + 2;
+    let short = 3 * range + 1;
+    // One page a range apart, so every whole 2 MiB-aligned range of the
+    // buffer holds one, wherever the mapping starts; the second is a hole.
+    let written: Vec<usize> = (0..5).map(|i| i * range + range / 2).collect();
+    assert!(holes.contains(&written[1]));
+    let cfg = || CkptConfig::ai_ckpt(1 << 16);
+    for door in ["restore_at", "restore_latest_cached"] {
+        let dir = tmpdir(&format!("huge-{door}"));
+        let base = {
+            let mgr = PageManager::new(cfg(), Box::new(FileBackend::open(&dir).unwrap())).unwrap();
+            let mut buf = mgr.alloc_protected_named("state", pages * ps).unwrap();
+            let filled: Vec<usize> = (0..pages).filter(|p| !holes.contains(p)).collect();
+            fill(&mut buf, &filled, 1);
+            mgr.checkpoint().unwrap();
+            mgr.wait_checkpoint().unwrap();
+            buf.base_page() as u64
+        };
+        let short_page = base + short as u64;
+        hand_write_epoch_2(&dir, [(short_page, pattern(short_page, 100))]);
+
+        let mgr = PageManager::new(cfg(), Box::new(FileBackend::open(&dir).unwrap())).unwrap();
+        let view = FileBackend::open(&dir).unwrap();
+        let cache = PageCache::new(2 * pages * ps);
+        let restored = match door {
+            "restore_at" => restore_at(&mgr, &view, 2).unwrap(),
+            _ => restore_latest_cached(&mgr, &view, Some(&cache))
+                .unwrap()
+                .unwrap(),
+        };
+        let mut bufs = restored.buffers;
+        let buf = &bufs[restored.by_name["state"]];
+        assert_eq!(buf.base_page() as u64, base, "{door}");
+        let at = |p: usize| buf.as_ptr() as usize + p * ps;
+        for p in holes.clone() {
+            assert!(!resident(at(p)), "{door}: hole {p} is backed by memory");
+        }
+        let image = CheckpointImage::load(&view, 2).unwrap();
+        let faults = mgr.stats().write_stall.count;
+        for (p, got) in buf.as_slice().chunks(ps).enumerate() {
+            let mut want = image.page(base + p as u64).unwrap_or_default().to_vec();
+            assert_eq!(want.is_empty(), holes.contains(&p), "{door}: page {p}");
+            want.resize(ps, 0);
+            assert!(got == want, "{door}: page {p} differs");
+        }
+        assert_eq!(image.page(short_page).map(<[u8]>::len), Some(100));
+        assert_eq!(
+            mgr.stats().write_stall.count,
+            faults,
+            "{door}: reading the restored pages faulted"
+        );
+        let buf = &mut bufs[restored.by_name["state"]];
+        fill(buf, &written, 9);
+        let next = mgr.checkpoint().unwrap().checkpoint;
+        mgr.wait_checkpoint().unwrap();
+        let mut stored: Vec<u64> = view.epoch_page_ids(next).unwrap();
+        stored.retain(|&p| is_page(p));
+        stored.sort_unstable();
+        let want: Vec<u64> = written.iter().map(|&p| base + p as u64).collect();
+        assert_eq!(
+            stored, want,
+            "{door}: the next checkpoint holds exactly the pages written since"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// Page `page`'s bytes in the hand-written epochs below: every byte
 /// differs from its neighbours, so a page written at the wrong offset shows.
 fn pattern(page: u64, len: usize) -> Vec<u8> {
