@@ -8,8 +8,11 @@
 //!   async-signal-safe variant for the fault path);
 //! * [`registry`] — a lock-free, fixed-capacity table resolving fault
 //!   addresses to regions from inside the signal handler;
-//! * [`sigsegv`] — SIGSEGV installation, dispatch to the page manager's
-//!   callback, and faithful forwarding of genuine crashes;
+//! * [`sigsegv`] — SIGSEGV (and userfaultfd SIGBUS) installation, dispatch
+//!   to the page manager's callback, and faithful forwarding of genuine
+//!   crashes;
+//! * [`uffd`] — a userfaultfd that installs whole pages atomically into
+//!   read-only memory (the lazy restore's landing);
 //! * [`alloc`] — transparent capture of large allocations through a
 //!   `#[global_allocator]` wrapper (the equivalent of the paper's preloaded
 //!   jemalloc-based interposition library).
@@ -41,12 +44,14 @@ pub mod protect;
 pub mod region;
 pub mod registry;
 pub mod sigsegv;
+pub mod uffd;
 
 pub use page_size::{page_base, page_size, round_up_to_page};
 pub use protect::{set_protection, set_protection_raw, Protection};
 pub use region::MappedRegion;
 pub use registry::{RegionHandle, RegionHit, RegistryError, MAX_REGIONS};
 pub use sigsegv::{clear_callback, install, is_installed, FaultCallback};
+pub use uffd::Uffd;
 
 /// Pre-fault a byte range by performing a volatile read-modify-write of one
 /// byte per page. Use before passing protected buffers to syscalls that

@@ -7,13 +7,16 @@ use std::io;
 /// Page protection level. On the write-tracking path we never remove read
 /// permission (the committer reads live pages while they are
 /// write-protected); [`Protection::None`] exists for the demand-paged restore
-/// path, where pages with no content yet must trap on *any* access.
+/// path, where a page whose content will never arrive must trap on *any*
+/// access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protection {
-    /// `PROT_NONE`: any access traps with `SIGSEGV`. Used by the lazy
-    /// restore door only, for pages whose contents have not been fetched
-    /// yet; its filler writes them through `/proc/self/mem`, which bypasses
-    /// page protections. (An eager restore fills writable pages in place.)
+    /// `PROT_NONE`: any access traps with `SIGSEGV`. Used for poison only:
+    /// a failed or stopped restore makes every page it still owed
+    /// `PROT_NONE`, so touching one is a genuine crash rather than a read
+    /// of zeroes. (The lazy door's pages await their fill as read-only,
+    /// userfaultfd-registered memory; an eager restore fills writable pages
+    /// in place.)
     None,
     /// `PROT_READ`: reads allowed, writes trap with `SIGSEGV`.
     ReadOnly,

@@ -4,6 +4,11 @@
 //! SIGSEGV signal, which we trap using a custom signal handler that
 //! implements PROTECTED_PAGE_HANDLER").
 //!
+//! The same handler takes `SIGBUS` with `si_code` `BUS_ADRERR`: what a read
+//! of a page a [`Uffd`](crate::uffd::Uffd) registered but has not installed
+//! yet raises (the lazy restore's demand fault). The callback learns which
+//! signal it got.
+//!
 //! The installed handler is deliberately tiny and auditable:
 //!
 //! 1. save `errno`;
@@ -13,8 +18,9 @@
 //!    (the runtime's `PROTECTED_PAGE_HANDLER`), which must itself stay
 //!    async-signal-safe: atomics, spinlock, `memcpy`, `mprotect`,
 //!    `sched_yield`/`nanosleep` only;
-//! 4. otherwise forward to whatever handler was installed before ours, or
-//!    re-raise with the default disposition so genuine crashes still crash.
+//! 4. otherwise forward to whatever handler was installed before ours for
+//!    that signal, or re-raise it with the default disposition so genuine
+//!    crashes still crash.
 
 use std::io;
 use std::mem::MaybeUninit;
@@ -22,14 +28,18 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::registry::{self, RegionHit};
 
-/// The runtime's fault entry point. Returns `true` if the fault was handled
-/// (the faulting instruction will be retried), `false` to escalate.
-pub type FaultCallback = fn(hit: RegionHit, fault_addr: usize) -> bool;
+/// The runtime's fault entry point, given the signal (`SIGSEGV`, or
+/// `SIGBUS` for a registered missing page). Returns `true` if the fault was
+/// handled (the faulting instruction will be retried), `false` to escalate.
+pub type FaultCallback = fn(sig: libc::c_int, hit: RegionHit, fault_addr: usize) -> bool;
 
 static CALLBACK: AtomicUsize = AtomicUsize::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
-/// Previous SIGSEGV disposition, captured exactly once at install time.
-static mut PREVIOUS: MaybeUninit<libc::sigaction> = MaybeUninit::uninit();
+/// The signals the handler takes.
+const SIGNALS: [libc::c_int; 2] = [libc::SIGSEGV, libc::SIGBUS];
+/// Previous disposition of each of [`SIGNALS`], captured exactly once at
+/// install time.
+static mut PREVIOUS: [MaybeUninit<libc::sigaction>; 2] = [MaybeUninit::uninit(); 2];
 
 #[cfg(debug_assertions)]
 thread_local! {
@@ -71,7 +81,8 @@ impl Drop for ReentryGuard {
     }
 }
 
-/// Install the SIGSEGV handler (idempotent) and set the fault callback.
+/// Install the handler for `SIGSEGV` and `SIGBUS` (idempotent) and set the
+/// fault callback.
 ///
 /// Must be called before any region is write-protected; the runtime does
 /// this during page-manager construction.
@@ -81,16 +92,24 @@ pub fn install(callback: FaultCallback) -> io::Result<()> {
         return Ok(()); // already installed; callback swapped above
     }
     // SAFETY: standard sigaction installation; `PREVIOUS` is written only
-    // here, before any fault can possibly be routed to `forward`.
+    // here, each slot before its signal can possibly be routed to
+    // `forward`.
     unsafe {
         let mut action: libc::sigaction = std::mem::zeroed();
         action.sa_sigaction = handler as *const () as usize;
         action.sa_flags = libc::SA_SIGINFO;
         libc::sigemptyset(&mut action.sa_mask);
         let prev_ptr = &raw mut PREVIOUS;
-        if libc::sigaction(libc::SIGSEGV, &action, (*prev_ptr).as_mut_ptr()) != 0 {
-            INSTALLED.store(false, Ordering::Release);
-            return Err(io::Error::last_os_error());
+        for (i, sig) in SIGNALS.into_iter().enumerate() {
+            if libc::sigaction(sig, &action, (*prev_ptr)[i].as_mut_ptr()) != 0 {
+                let err = io::Error::last_os_error();
+                // Put back what this call already replaced.
+                for (j, done) in SIGNALS.into_iter().enumerate().take(i) {
+                    libc::sigaction(done, (*prev_ptr)[j].as_ptr(), std::ptr::null_mut());
+                }
+                INSTALLED.store(false, Ordering::Release);
+                return Err(err);
+            }
         }
     }
     Ok(())
@@ -111,15 +130,18 @@ unsafe extern "C" fn handler(sig: libc::c_int, info: *mut libc::siginfo_t, ctx: 
     // SAFETY: errno location is thread-local and always valid.
     let saved_errno = unsafe { *libc::__errno_location() };
     // SAFETY: the kernel hands us a valid siginfo for SA_SIGINFO handlers.
-    let addr = unsafe { (*info).si_addr() } as usize;
-    if let Some(hit) = registry::lookup(addr) {
+    let (addr, code) = unsafe { ((*info).si_addr() as usize, (*info).si_code) };
+    // A SIGBUS other than a missing address (a hardware memory error) is
+    // never ours: retrying its instruction would fault for ever.
+    let ours = sig == libc::SIGSEGV || code == libc::BUS_ADRERR;
+    if let Some(hit) = registry::lookup(addr).filter(|_| ours) {
         let cb = CALLBACK.load(Ordering::Acquire);
         if cb != 0 {
             // SAFETY: only ever stores a valid `FaultCallback` (or 0).
             let f: FaultCallback = unsafe { std::mem::transmute(cb) };
             #[cfg(debug_assertions)]
             let _reentry = ReentryGuard::enter();
-            if f(hit, addr) {
+            if f(sig, hit, addr) {
                 // SAFETY: restoring thread-local errno.
                 unsafe { *libc::__errno_location() = saved_errno };
                 return;
@@ -131,13 +153,14 @@ unsafe extern "C" fn handler(sig: libc::c_int, info: *mut libc::siginfo_t, ctx: 
     unsafe { forward(sig, info, ctx) };
 }
 
-/// Chain to the handler that was installed before ours, or restore the
-/// default action so the re-executed instruction terminates the process
-/// with the usual SIGSEGV semantics (core dump, crash reporters, ...).
+/// Chain to the handler that was installed before ours for `sig`, or
+/// restore `sig`'s default action so the re-executed instruction terminates
+/// the process with the usual semantics (core dump, crash reporters, ...).
 unsafe fn forward(sig: libc::c_int, info: *mut libc::siginfo_t, ctx: *mut libc::c_void) {
+    let slot = SIGNALS.iter().position(|&s| s == sig).unwrap_or(0);
     // SAFETY: PREVIOUS was initialised at install time (forward is only
-    // reachable from the installed handler).
-    let prev = unsafe { PREVIOUS.assume_init() };
+    // reachable from the installed handler, for one of `SIGNALS`).
+    let prev = unsafe { PREVIOUS[slot].assume_init() };
     let prev_fn = prev.sa_sigaction;
     if prev_fn == libc::SIG_DFL || prev_fn == libc::SIG_IGN {
         // SAFETY: reinstalling the default disposition; returning will
@@ -146,7 +169,7 @@ unsafe fn forward(sig: libc::c_int, info: *mut libc::siginfo_t, ctx: *mut libc::
             let mut dfl: libc::sigaction = std::mem::zeroed();
             dfl.sa_sigaction = libc::SIG_DFL;
             libc::sigemptyset(&mut dfl.sa_mask);
-            libc::sigaction(libc::SIGSEGV, &dfl, std::ptr::null_mut());
+            libc::sigaction(sig, &dfl, std::ptr::null_mut());
         }
         return;
     }
@@ -178,7 +201,7 @@ mod tests {
     static FAULTS: AtomicUsize = AtomicUsize::new(0);
     static LAST_PAGE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
-    fn unprotect_and_count(hit: RegionHit, _addr: usize) -> bool {
+    fn unprotect_and_count(_sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
         FAULTS.fetch_add(1, Ordering::Relaxed);
         LAST_PAGE.store(hit.page, Ordering::Relaxed);
         // SAFETY: page_addr is page-aligned inside a registered mapping.
@@ -246,6 +269,56 @@ mod tests {
         for t in 0..pages {
             assert_eq!(unsafe { region.page_slice(t) }[0], t as u8 + 1);
         }
+        region.protect(Protection::ReadWrite).unwrap();
+        registry::deregister(handle);
+        clear_callback();
+    }
+
+    /// The descriptor [`fill_missing_page`] copies through, while a test
+    /// holds it.
+    static UFFD: AtomicUsize = AtomicUsize::new(0);
+    static LAST_SIG: AtomicUsize = AtomicUsize::new(0);
+
+    /// Install the faulting page with every byte its page index + 1.
+    fn fill_missing_page(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
+        FAULTS.fetch_add(1, Ordering::Relaxed);
+        LAST_SIG.store(sig as usize, Ordering::Relaxed);
+        // SAFETY: the test stores a live `Uffd` before any access and
+        // clears it only after the last one.
+        let uffd = unsafe { &*(UFFD.load(Ordering::Acquire) as *const crate::uffd::Uffd) };
+        uffd.copy(hit.page_addr, &[hit.page as u8 + 1; 4096])
+            .is_ok()
+    }
+
+    #[test]
+    fn a_read_of_a_registered_missing_page_is_a_sigbus_the_callback_fills() {
+        let _g = FAULT_TEST_LOCK.lock().unwrap();
+        let ps = crate::page_size();
+        if ps != 4096 {
+            return; // the callback installs a fixed 4 KiB page
+        }
+        let region = MappedRegion::new(4 * ps).unwrap();
+        install(fill_missing_page).unwrap();
+        let handle = registry::register(region.addr(), region.len(), 0x33, 0).unwrap();
+        region.protect(Protection::ReadOnly).unwrap();
+        let uffd = crate::uffd::Uffd::open().unwrap();
+        uffd.register_missing(region.page_addr(1), 2 * ps).unwrap();
+        UFFD.store(&uffd as *const _ as usize, Ordering::Release);
+        FAULTS.store(0, Ordering::Relaxed);
+
+        // A page outside the registration reads zero without a fault.
+        assert_eq!(unsafe { region.page_slice(0) }[7], 0);
+        assert_eq!(FAULTS.load(Ordering::Relaxed), 0);
+        // A registered page raises SIGBUS once; the copy lands it whole.
+        let p2 = unsafe { region.page_slice(2) };
+        assert_eq!(unsafe { std::ptr::read_volatile(&p2[100]) }, 3);
+        assert_eq!(FAULTS.load(Ordering::Relaxed), 1);
+        assert_eq!(LAST_SIG.load(Ordering::Relaxed), libc::SIGBUS as usize);
+        assert!(p2.iter().all(|&b| b == 3));
+        assert_eq!(FAULTS.load(Ordering::Relaxed), 1, "installed once");
+
+        UFFD.store(0, Ordering::Release);
+        drop(uffd);
         region.protect(Protection::ReadWrite).unwrap();
         registry::deregister(handle);
         clear_callback();

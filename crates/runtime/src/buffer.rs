@@ -144,17 +144,18 @@ impl Drop for ProtectedBuffer {
                 .expect("entry taken once, by drop");
             entry.handle
         };
-        // 2. Resolve any lazy-restore fill states first: a page the filler
-        //    is writing *right now* (via /proc/self/mem) must finish before
-        //    the mapping can go away, and pages still pending fill leave
-        //    the unfilled count (or `CHECKPOINT`'s drain barrier would wait
-        //    for fills that will never happen).
+        // 2. Resolve any lazy-restore fill states first: a page a filler
+        //    holds *right now* (read, its run not yet installed with one
+        //    UFFDIO_COPY) must finish before the mapping can go away, and
+        //    pages still pending fill leave the unfilled count (or
+        //    `CHECKPOINT`'s drain barrier would wait for fills that will
+        //    never happen).
         for p in self.base_page..self.base_page + self.pages {
             let cell = &self.ctl.shared.fill[p];
             loop {
                 match cell.load(Ordering::Acquire) {
-                    // Mid-write: wait the filler out (it holds a page for
-                    // one storage read + memcpy, µs-to-ms).
+                    // Mid-fill: wait the filler out (it holds a page for
+                    // one storage read + its run's copy, µs-to-ms).
                     fill::FILLING => std::thread::yield_now(),
                     fill::NOT_LAZY | fill::FILLED => {
                         cell.store(fill::NOT_LAZY, Ordering::Release);

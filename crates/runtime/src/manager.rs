@@ -90,7 +90,9 @@ use crate::stats::{CheckpointRecord, RuntimeStats};
 pub(crate) mod fill {
     /// Page is not under lazy restore (the steady-state value).
     pub const NOT_LAZY: u8 = 0;
-    /// Content pending; the page is `PROT_NONE`, nobody asked for it yet.
+    /// Content pending; the page is read-only and not present in a range
+    /// the restore's userfaultfd registered (a read raises `SIGBUS`, a write
+    /// `SIGSEGV`), and nobody asked for it yet.
     pub const UNFILLED: u8 = 1;
     /// A fault hit the page; its id sits in the demand ring.
     pub const DEMANDED: u8 = 2;
@@ -98,7 +100,8 @@ pub(crate) mod fill {
     pub const FILLING: u8 = 3;
     /// Content present, protection `PROT_READ`: normal tracking applies.
     pub const FILLED: u8 = 4;
-    /// The restore died before this page; any access is a real fault.
+    /// The restore died before this page, which is `PROT_NONE`; any access
+    /// is a real fault.
     pub const POISONED: u8 = 5;
 }
 
@@ -189,8 +192,11 @@ impl Shared {
     }
 
     /// Put `page` under lazy restore: content pending, any access must wait
-    /// for the filler. Caller contract (restore): the page is `PROT_NONE`
-    /// before the first application access can happen.
+    /// for the filler. Caller contract (restore): before the first
+    /// application access can happen, every access to the page traps — it
+    /// is read-only, not present and registered for missing-page faults
+    /// with the restore's userfaultfd (an eager restore's pages are
+    /// reachable by no application thread until the door returns).
     pub(crate) fn lazy_mark_unfilled(&self, page: usize) {
         self.lazy_unfilled.fetch_add(1, Ordering::AcqRel);
         self.fill[page].store(fill::UNFILLED, Ordering::Release);
@@ -938,13 +944,15 @@ impl Drop for PageManager {
     }
 }
 
-/// `PROTECTED_PAGE_HANDLER` (Algorithm 2), invoked from the SIGSEGV handler.
+/// `PROTECTED_PAGE_HANDLER` (Algorithm 2), invoked from the SIGSEGV handler
+/// — and from SIGBUS, which only a read of a page a lazy restore has not
+/// installed yet raises.
 ///
 /// Async-signal-safety: engine spin lock, atomics, `memcpy`, `mprotect`,
 /// `sched_yield`/`nanosleep`, `clock_gettime` (for the write-stall
 /// histogram; AS-safe on Linux). No allocation, no ordinary mutexes, no
 /// thread-locals.
-fn fault_entry(hit: RegionHit, _addr: usize) -> bool {
+fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
     // SAFETY: the token is the address of the manager's `Shared`, kept alive
     // by the `Arc` in `Ctl` (and buffers); regions are deregistered before
     // any of that is dropped.
@@ -953,11 +961,12 @@ fn fault_entry(hit: RegionHit, _addr: usize) -> bool {
     // stall: the faulting store retries the moment we return.
     let stall_started = Instant::now();
     let p = hit.page as PageId;
-    // Demand-paged restore: a page whose content has not been fetched yet
-    // sits behind PROT_NONE with a live fill state — any access lands here
-    // *before* write tracking can apply. Demand the page from the filler
-    // and wait it out; everything used below is async-signal-safe (atomics,
-    // spin/yield/nanosleep).
+    // Demand-paged restore: a page whose content has not been installed
+    // yet is read-only, registered with the restore's userfaultfd and not
+    // present, with a live fill state — a read lands here as SIGBUS, a
+    // write as SIGSEGV, either *before* write tracking can apply. Demand
+    // the page from the filler and wait it out; everything used below is
+    // async-signal-safe (atomics, spin/yield/nanosleep).
     let fill_cell = &shared.fill[p as usize];
     let mut fill_state = fill_cell.load(Ordering::Acquire);
     if fill_state != fill::NOT_LAZY && fill_state != fill::FILLED {
@@ -1039,6 +1048,13 @@ fn fault_entry(hit: RegionHit, _addr: usize) -> bool {
         }
         // NOT_LAZY: the page left lazy restore under us (buffer teardown);
         // fall through to the normal path.
+    }
+    if sig == libc::SIGBUS {
+        // Only a page the lazy fill had not installed raises SIGBUS, and it
+        // never reaches write tracking. FILLED: the install landed between
+        // the fault and the look above, so the read retries and succeeds.
+        // NOT_LAZY: not a page under fill — decline.
+        return fill_state == fill::FILLED;
     }
     let mut must_wait = false;
     {

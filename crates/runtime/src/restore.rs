@@ -33,17 +33,28 @@
 //! joined the door drops each buffer to `PROT_READ` with one `mprotect` and
 //! publishes every page `FILLED`. [`restore_lazy`] hands the fill to a
 //! background thread and returns at once — time-to-first-instruction is
-//! layout work only, independent of image size. Its marked pages are
-//! `PROT_NONE`: an application access that outruns the fillers faults,
-//! posts a priority hint to the demand ring, and blocks only for that
-//! single page's read. A lazy filler turns to the demand ring after every
-//! page and breaks its run for a hint, so a hint waits for at most the read
-//! in flight. It writes each page through `/proc/self/mem` (which bypasses
-//! page protections; one write per address-contiguous run of fills, up to
-//! 64 pages) while the page stays `PROT_NONE`, then drops the protection to
-//! `PROT_READ` and publishes the fill, every 32 sweep fills in
-//! address-contiguous runs — so no window exists in which a thread could
-//! observe a half-filled page, and the fill itself never faults.
+//! layout work only, independent of image size. Its buffers are born
+//! read-only with no page present, and prepare registers each
+//! address-contiguous run of marked pages with a userfaultfd
+//! ([`Uffd`]) for missing-page faults: an application read that outruns
+//! the fillers raises `SIGBUS`, a write `SIGSEGV`, and either posts a
+//! priority hint to the demand ring and blocks only for that single page's
+//! read. A lazy filler turns to the demand ring after every page and breaks
+//! its run for a hint, so a hint waits for at most the read in flight. It
+//! gathers each address-contiguous run of fills, every payload zero-padded
+//! to its page, and installs it with one `UFFDIO_COPY` — at most 32 sweep
+//! fills, sooner when the next fill does not extend the run — which makes
+//! the pages present, read-only and readable in one atomic step, so no
+//! window exists in which a thread could observe a half-filled page, and
+//! no `mprotect` publishes anything. A syscall that reads a page not yet
+//! installed fails with `EFAULT`, as it would on `PROT_NONE` memory. The
+//! descriptor closes as soon as the fill ends, which drops the
+//! registrations; a failed or stopped fill first makes every page it
+//! still owes `PROT_NONE` (the poison), because once nothing is registered
+//! a page never installed reads as zero. Where userfaultfd cannot be opened
+//! (`ENOSYS`, `EPERM` under a seccomp profile, `EINVAL` before Linux 5.11)
+//! the lazy door runs the eager one and returns a restore that is already
+//! complete: the same bytes, only time-to-first-instruction is lost.
 //!
 //! The fill is the read-side dual of the flush: it runs on as many fillers
 //! as the manager has committer streams, capped so that each owns at least
@@ -65,17 +76,21 @@
 //! backend must hold the chain being restored (the next delta is only
 //! meaningful on top of it), and restoring a `seq` below the chain head and
 //! then checkpointing requires retiring the newer epochs first.
+//!
+//! One restore runs per manager at a time. A child forked during a lazy
+//! restore inherits neither its fillers nor its userfaultfd registration:
+//! a page the parent had not installed at the fork reads as zero in the
+//! child.
 
 use std::collections::HashMap;
 use std::io;
 use std::ops::{ControlFlow, Range};
-use std::os::unix::fs::FileExt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ai_ckpt_core::{AccessType, EpochRecord, PageId};
-use ai_ckpt_mem::Protection;
+use ai_ckpt_mem::{Protection, Uffd};
 use ai_ckpt_storage::{
     classify, crc64, quarantined_error, replay_window, FaultClass, PageCache, PageLocator,
     PageRead, RetryPolicy, StorageBackend, META_RECORD,
@@ -116,7 +131,7 @@ pub fn restore_latest_cached(
     cache: Option<&PageCache>,
 ) -> io::Result<Option<RestoredState>> {
     match backend.epochs()?.last() {
-        Some(&seq) => restore_eager(manager, backend, seq, cache).map(Some),
+        Some(&seq) => Ok(Some(restore_eager(manager, backend, seq, cache)?.0)),
         None => Ok(None),
     }
 }
@@ -128,21 +143,22 @@ pub fn restore_at(
     backend: &dyn StorageBackend,
     seq: u64,
 ) -> io::Result<RestoredState> {
-    restore_eager(manager, backend, seq, None)
+    Ok(restore_eager(manager, backend, seq, None)?.0)
 }
 
 /// Eager restore: prepare, then run the fill to completion right here — one
 /// filler on this thread, the rest scoped, each copying its fills in place
 /// — and publish every page at once (see [`Door::Eager`]). A failed fill
-/// drops the half-restored buffers with the error.
+/// drops the half-restored buffers with the error. Returns the plan with
+/// the buffers: nothing is owed on it.
 fn restore_eager(
     manager: &PageManager,
     backend: &dyn StorageBackend,
     seq: u64,
     cache: Option<&PageCache>,
-) -> io::Result<RestoredState> {
+) -> io::Result<(RestoredState, FillPlan)> {
     let (state, plan) = prepare(manager, backend, seq, Door::Eager)?;
-    fill(&manager.ctl, backend, cache, &plan)?;
+    fill(&manager.ctl, backend, cache, &plan, None)?;
     let shared = &manager.ctl.shared;
     for buf in &state.buffers {
         // SAFETY: a buffer this restore rebuilt; no thread holds a pointer
@@ -163,7 +179,7 @@ fn restore_eager(
     for &page in &plan.order {
         shared.lazy_finish_fill(page as usize);
     }
-    Ok(state)
+    Ok((state, plan))
 }
 
 /// Refuse to serve a checkpoint whose replay chain includes a quarantined
@@ -233,15 +249,17 @@ struct FillCounters {
 /// The application may use `state.buffers` immediately — accesses to pages
 /// the filler has not reached yet block for exactly that page's read.
 /// Dropping the handle **aborts** an unfinished restore: every filler stops,
-/// remaining pages are poisoned (touching them raises a genuine SIGSEGV,
-/// and `CHECKPOINT` refuses to run) — call [`LazyRestore::wait`] first when
-/// the restore must complete.
+/// remaining pages are poisoned (`PROT_NONE`: touching them raises a
+/// genuine SIGSEGV, and `CHECKPOINT` refuses to run) — call
+/// [`LazyRestore::wait`] first when the restore must complete.
 pub struct LazyRestore {
     /// The rebuilt buffers, exactly as [`restore_at`] would return them
     /// (the bytes just arrive in the background).
     pub state: RestoredState,
     ctl: Arc<Ctl>,
-    /// The background thread: one filler that also runs and joins the rest.
+    /// The background thread: one filler that also runs and joins the rest,
+    /// and holds the userfaultfd until the fill ends. `None` once joined,
+    /// and from the start where the eager door stood in.
     thread: Option<std::thread::JoinHandle<io::Result<()>>>,
     /// The fill's error once joined, returned by every later [`wait`].
     ///
@@ -323,7 +341,8 @@ pub fn restore_latest_lazy(
 /// Demand-paged restore of checkpoint `seq` (see the module docs): prepares
 /// exactly as [`restore_at`] does, then starts the fill on a background
 /// thread (one filler, which runs the others scoped) and returns as soon as
-/// the buffers exist.
+/// the buffers exist. Where userfaultfd is not available it restores
+/// eagerly instead and returns a restore that is already complete.
 ///
 /// `manager` must be fresh (same contract as [`restore_at`]); `cache`, when
 /// given, is shared across concurrent restores of the same checkpoint so
@@ -334,13 +353,22 @@ pub fn restore_lazy(
     seq: u64,
     cache: Option<Arc<PageCache>>,
 ) -> io::Result<LazyRestore> {
+    let Ok(uffd) = Uffd::open() else {
+        return restore_lazy_eagerly(manager, backend.as_ref(), seq, cache.as_deref());
+    };
     let ctl = Arc::clone(&manager.ctl);
     let fault_baseline = ctl.shared.lazy_demand_faults.load(Ordering::Relaxed);
-    let (state, plan) = prepare(manager, backend.as_ref(), seq, Door::Lazy)?;
+    let (state, plan) = prepare(manager, backend.as_ref(), seq, Door::Lazy(&uffd))?;
     let plan = Arc::new(plan);
     let thread = {
         let (ctl, plan) = (Arc::clone(&ctl), Arc::clone(&plan));
-        filler_thread().spawn(move || fill(&ctl, backend.as_ref(), cache.as_deref(), &plan))?
+        filler_thread().spawn(move || {
+            let filled = fill(&ctl, backend.as_ref(), cache.as_deref(), &plan, Some(&uffd));
+            // Close at once: a fill that failed or stopped poisoned what it
+            // owed first, so no page left unregistered reads as zero.
+            drop(uffd);
+            filled
+        })?
     };
     Ok(LazyRestore {
         state,
@@ -352,9 +380,31 @@ pub fn restore_lazy(
     })
 }
 
+/// The lazy door where no userfaultfd opens: the eager door, returned as a
+/// restore that is already complete — the same bytes, only
+/// time-to-first-instruction is lost. Its stats count no fill.
+fn restore_lazy_eagerly(
+    manager: &PageManager,
+    backend: &dyn StorageBackend,
+    seq: u64,
+    cache: Option<&PageCache>,
+) -> io::Result<LazyRestore> {
+    let ctl = Arc::clone(&manager.ctl);
+    let fault_baseline = ctl.shared.lazy_demand_faults.load(Ordering::Relaxed);
+    let (state, plan) = restore_eager(manager, backend, seq, cache)?;
+    Ok(LazyRestore {
+        state,
+        ctl,
+        thread: None,
+        failed: None,
+        plan: Arc::new(plan),
+        fault_baseline,
+    })
+}
+
 /// Which door a restore serves: it decides how a fill lands.
 #[derive(Clone, Copy)]
-enum Door {
+enum Door<'u> {
     /// [`restore_at`] / [`restore_latest`]: no thread holds a pointer into
     /// the buffers before the door returns, so prepare advises huge pages on
     /// them and makes the marked runs `PROT_READ | PROT_WRITE` — only the
@@ -365,16 +415,16 @@ enum Door {
     /// one `mprotect(PROT_READ)` call per buffer and marks every page
     /// `FILLED`.
     Eager,
-    /// [`restore_lazy`]: the application runs during the fill, so the
-    /// marked pages are `PROT_NONE`, written through `/proc/self/mem` and
-    /// published by the fillers (see [`PendingPublish`]).
-    Lazy,
+    /// [`restore_lazy`]: the application runs during the fill, so prepare
+    /// registers the marked runs of the still read-only, never-touched
+    /// buffers with this userfaultfd, and the fillers install and publish
+    /// each run with one copy (see [`PendingPublish`]). A page the image
+    /// lacks stays unregistered: it reads as zero and never faults.
+    Lazy(&'u Uffd),
 }
 
 /// What a prepared restore still owes, and what its fillers share.
 struct FillPlan {
-    /// How the fills land.
-    door: Door,
     /// Page → newest epoch holding it.
     locator: PageLocator,
     /// Every page marked for fill, in prefetch (predicted-access) order.
@@ -421,25 +471,48 @@ impl FillPlan {
         Some((epoch, &slice[..same.count()]))
     }
 
-    /// Poison every page still owed. Only once no filler runs: a page a
-    /// filler holds `FILLING` must not be poisoned under it.
+    /// Poison every page still owed: claim it (`FILLING` pins its address
+    /// against its buffer's teardown; a page a stopped filler held is
+    /// claimed already), make it `PROT_NONE`, then mark it `POISONED`. Only
+    /// once no filler runs: a page a filler holds must not be poisoned
+    /// under it. `PROT_NONE` first, because once the userfaultfd closes a
+    /// page never installed would read as zero: touching a poisoned page
+    /// must be a genuine SIGSEGV.
     fn poison_owed(&self, shared: &Shared) {
-        for &page in &self.order {
-            shared.lazy_poison(page as usize);
+        let owed: Vec<usize> = self
+            .order
+            .iter()
+            .map(|&page| page as usize)
+            .filter(|&idx| shared.lazy_filling(idx) || shared.lazy_begin_fill(idx))
+            .collect();
+        let mut addrs: Vec<usize> = owed
+            .iter()
+            .map(|&idx| shared.page_addr[idx].load(Ordering::Acquire))
+            .collect();
+        addrs.sort_unstable();
+        // SAFETY: live registered pages, each pinned by FILLING, that no
+        // filler touches any more. An error (no memory for the split
+        // mapping) leaves a page read-only: its `POISONED` state still
+        // refuses a checkpoint and fails a write.
+        let _ = for_each_run(addrs.into_iter(), shared.page_bytes, |start, len| unsafe {
+            ai_ckpt_mem::set_protection(start, len, Protection::None)
+        });
+        for idx in owed {
+            shared.lazy_poison(idx);
         }
     }
 }
 
 /// Everything a restore does before the first payload byte moves: quarantine
 /// check, layout replay, page → epoch resolution, marking in prefetch order
-/// (`PROT_NONE`, or writable for `door` [`Door::Eager`]), zero-page
-/// digests. Returns the rebuilt, still-empty buffers and what the fill owes
-/// them.
+/// (registered with the userfaultfd, or writable for `door`
+/// [`Door::Eager`]), zero-page digests. Returns the rebuilt, still-empty
+/// buffers and what the fill owes them.
 fn prepare(
     manager: &PageManager,
     backend: &dyn StorageBackend,
     seq: u64,
-    door: Door,
+    door: Door<'_>,
 ) -> io::Result<(RestoredState, FillPlan)> {
     refuse_quarantined(manager, backend, seq)?;
     // Setup reads ride the same transient-retry schedule as the filler:
@@ -501,10 +574,11 @@ fn prepare(
     }
 
     // Mark every image page that lands in a replayed buffer: fill state
-    // UNFILLED, and under the lazy door PROT_NONE, so any access traps and
-    // the handler knows to wait rather than treat the trap as a tracked
-    // write. Image pages outside every layout (allocation shrank before the
-    // crash) are unreachable and simply skipped.
+    // UNFILLED, and under the lazy door registered for missing-page faults,
+    // so any access traps and the handler knows to wait rather than treat
+    // the trap as a tracked write. Image pages outside every layout
+    // (allocation shrank before the crash) are unreachable and simply
+    // skipped.
     let max_pages = manager.config().max_pages;
     // Derive the prefetch order by replaying the image's newest-first page
     // sequence — per epoch, the segment's *recorded first-write order* —
@@ -522,21 +596,27 @@ fn prepare(
         }
     }
     let marked = marked_addrs.len() as u64;
-    // Protect in address order, one mprotect per contiguous run —
+    // In address order, one syscall per contiguous run —
     // time-to-first-instruction must not scale with per-page syscalls.
     marked_addrs.sort_unstable();
-    let prot = match door {
+    let runs = marked_addrs.iter().copied();
+    match door {
         Door::Eager => {
             for buf in &buffers {
                 ai_ckpt_mem::advise_huge_pages(buf.as_ptr() as usize, buf.pages() * page_bytes);
             }
-            Protection::ReadWrite
+            // SAFETY: registered pages of buffers we just allocated; nothing
+            // can access them before this function returns.
+            for_each_run(runs, page_bytes, |start, len| unsafe {
+                ai_ckpt_mem::set_protection(start, len, Protection::ReadWrite)
+            })?;
         }
-        Door::Lazy => Protection::None,
-    };
-    // SAFETY: registered pages of buffers we just allocated; nothing can
-    // access them before this function returns.
-    unsafe { protect_runs(marked_addrs.iter().copied(), page_bytes, prot)? };
+        // The buffers were born read-only and nothing has touched them, so
+        // no marked page is present: registering is all it takes.
+        Door::Lazy(uffd) => for_each_run(runs, page_bytes, |start, len| {
+            uffd.register_missing(start, len)
+        })?,
+    }
     let order: Vec<u64> = predicted.dirty().iter().map(|&p| p as u64).collect();
 
     // Pages the image never held stay zero and readable; seed their
@@ -560,7 +640,6 @@ fn prepare(
     };
     let streams = manager.config().committer_streams;
     let plan = FillPlan {
-        door,
         locator,
         fillers: (order.len() / RUN_PAGES).min(streams).max(1),
         order,
@@ -665,16 +744,12 @@ fn short_read(epoch: u64, page: u64) -> io::Error {
     io::Error::other(format!("a read of epoch {epoch} ended before page {page}"))
 }
 
-/// Set `prot` on every page in `addrs` (ascending page addresses), one
-/// `mprotect` per address-contiguous run.
-///
-/// # Safety
-/// Every address must be a live page of a registered region that no other
-/// thread is relying on staying at its current protection.
-unsafe fn protect_runs(
+/// Call `run(start, len)` once per address-contiguous run of `addrs`
+/// (ascending page addresses), stopping at the first error.
+fn for_each_run(
     addrs: impl Iterator<Item = usize>,
     page_bytes: usize,
-    prot: Protection,
+    mut run: impl FnMut(usize, usize) -> io::Result<()>,
 ) -> io::Result<()> {
     let mut addrs = addrs.peekable();
     while let Some(start) = addrs.next() {
@@ -682,43 +757,43 @@ unsafe fn protect_runs(
         while addrs.next_if_eq(&end).is_some() {
             end += page_bytes;
         }
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { ai_ckpt_mem::set_protection(start, end - start, prot)? };
+        run(start, end - start)?;
     }
     Ok(())
 }
 
-/// A lazy filler's write side: its `/proc/self/mem` and its sweep fills
-/// whose publication (mprotect + `FILLED`) is deferred, up to
-/// [`SWEEP_PUBLISH_BATCH`] at a time. The newest address-contiguous run of
-/// page-sized payloads is held back too and written with one
-/// `/proc/self/mem` call
-/// (at most [`RUN_PAGES`] pages): when the next payload does not extend
-/// it, and before any publication — so no page is published before its
-/// bytes land. A fill's payload is copied once, into the run.
+/// A lazy filler's write side: its newest address-contiguous run of sweep
+/// fills, each payload zero-padded to its page — the same bytes as the
+/// payload over a zero page — whose installation and publication are
+/// deferred: up to [`SWEEP_PUBLISH_BATCH`] pages, and only while each next
+/// fill extends the run. Publishing is one `UFFDIO_COPY` of the run, which
+/// makes its pages present and read-only in one step, then `FILLED` for
+/// each page and one add to the shared counters. A fill's payload is
+/// copied once, into the run.
 ///
-/// Why defer: lifting protection is an `mmap_lock`-write + TLB-shootdown
-/// per call, and a filler streaming a fast backend would issue one per
-/// page — hundreds of thousands per second. That write-lock storm starves
-/// the *application's* page-fault path (which needs the lock to classify
-/// the fault), delaying SIGSEGV delivery — and with it the demand hint —
-/// by milliseconds. Batching collapses address-contiguous runs into one
-/// `mprotect` each; a demand hint (posted by any waiter, including one
-/// stuck on a still-pending `FILLING` page) flushes the batch of the
-/// filler that pops it immediately, and every other filler's at its next
-/// turn when the page is theirs, so the worst extra wait is one in-flight
-/// storage read. An eager restore has none of this: no caller holds a
-/// pointer into its buffers before it returns, so its fillers hold nothing
-/// back and open no `/proc/self/mem` — they copy each fill in place, and the
-/// door publishes every page at once (see [`Door::Eager`]).
-struct PendingPublish {
-    /// `/proc/self/mem`, open for writing.
-    mem: std::fs::File,
-    /// (page id, page address, payload bytes).
-    pages: Vec<(usize, usize, u64)>,
-    /// Payloads of the run not yet written, back to back.
+/// Why defer: every publication is a syscall that takes the mmap lock for
+/// reading, and a filler streaming a fast backend would issue one per page
+/// — hundreds of thousands per second. Publishing a run at a time keeps
+/// that to one per run; it needs no `mprotect` (the mmap lock for writing
+/// and a TLB shootdown per call, which starve the application's own page
+/// faults). A demand hint (posted by any waiter, including one stuck on a
+/// still-pending `FILLING` page) publishes the run of the filler that pops
+/// it immediately, and every other filler's at its next turn when the page
+/// is theirs, so the worst extra wait is one in-flight storage read. An
+/// eager restore has none of this: no caller holds a pointer into its
+/// buffers before it returns, so its fillers hold nothing back — they copy
+/// each fill in place, and the door publishes every page at once (see
+/// [`Door::Eager`]).
+struct PendingPublish<'a> {
+    uffd: &'a Uffd,
+    shared: &'a Shared,
+    counters: &'a FillCounters,
+    page_bytes: usize,
+    /// (page id, payload bytes) of each page of the run, in address order.
+    pages: Vec<(usize, u64)>,
+    /// The run's pages, back to back.
     run: Vec<u8>,
-    /// Address the run's first byte belongs at.
+    /// Address of the run's first page.
     run_at: usize,
     /// How many of `pages` the shared cache served, and their bytes.
     cached: (u64, u64),
@@ -730,95 +805,68 @@ const MARKED: &str = "only image pages are marked for fill";
 /// Max sweep fills a lazy filler holds back before a forced publication.
 const SWEEP_PUBLISH_BATCH: usize = 32;
 
-/// Max pages one run write carries (256 KiB of 4 KiB pages), and the
-/// entries of `order` a filler claims at a time.
+/// The entries of `order` a filler claims at a time (256 KiB of 4 KiB
+/// pages), and so the most pages one run read carries.
 const RUN_PAGES: usize = 64;
 
-impl PendingPublish {
-    fn new(page_bytes: usize) -> io::Result<Self> {
-        // FOLL_FORCE semantics: writes through /proc/self/mem land in our
-        // anonymous mappings regardless of page protection, so a page can
-        // be filled while it is still PROT_NONE — no window in which a
-        // concurrent reader could see half a page.
-        let mem = std::fs::File::options()
-            .write(true)
-            .open("/proc/self/mem")?;
-        Ok(Self {
-            mem,
+impl<'a> PendingPublish<'a> {
+    fn new(uffd: &'a Uffd, shared: &'a Shared, counters: &'a FillCounters) -> Self {
+        let page_bytes = shared.page_bytes;
+        Self {
+            uffd,
+            shared,
+            counters,
+            page_bytes,
             pages: Vec::with_capacity(SWEEP_PUBLISH_BATCH),
-            run: Vec::with_capacity(RUN_PAGES * page_bytes),
+            run: Vec::with_capacity(SWEEP_PUBLISH_BATCH * page_bytes),
             run_at: 0,
             cached: (0, 0),
-        })
+        }
     }
 
-    /// Hold back the sweep fill of page `idx` at `addr`. A page-sized
-    /// payload joins the run when its address directly follows it;
-    /// otherwise the run is written and a new one starts. A short payload
-    /// is written alone, at once.
+    /// Hold back the fill of page `idx` at `addr`, publishing the run
+    /// first when `addr` does not directly follow it.
     fn push(
         &mut self,
         (idx, addr): (usize, usize),
         payload: &[u8],
-        page_bytes: usize,
         cached: bool,
     ) -> io::Result<()> {
-        if payload.len() == page_bytes {
-            if self.run_at + self.run.len() != addr || self.run.len() == RUN_PAGES * page_bytes {
-                self.submit()?;
-                self.run_at = addr;
-            }
-            self.run.extend_from_slice(payload);
-        } else {
-            self.mem.write_all_at(payload, addr as u64)?;
+        if !self.pages.is_empty() && self.run_at + self.run.len() != addr {
+            self.publish(&self.counters.prefetched_pages)?;
         }
+        if self.pages.is_empty() {
+            self.run_at = addr;
+        }
+        self.run.extend_from_slice(payload);
+        self.run
+            .resize(self.run.len() + self.page_bytes - payload.len(), 0);
         let len = payload.len() as u64;
-        self.pages.push((idx, addr, len));
+        self.pages.push((idx, len));
         if cached {
             self.cached = (self.cached.0 + 1, self.cached.1 + len);
         }
         Ok(())
     }
 
-    /// Write the run into place with one positioned write.
-    fn submit(&mut self) -> io::Result<()> {
-        if !self.run.is_empty() {
-            self.mem.write_all_at(&self.run, self.run_at as u64)?;
-            self.run.clear();
-        }
-        Ok(())
-    }
-
-    /// Write the run, lift protection from every held-back page, mark them
-    /// `FILLED`, and add them to the shared counters (once per publication,
-    /// not per page).
-    fn publish(
-        &mut self,
-        shared: &Shared,
-        counters: &FillCounters,
-        page_bytes: usize,
-    ) -> io::Result<()> {
-        self.submit()?;
+    /// Install the run with one copy, mark its pages `FILLED`, and add them
+    /// to `count` (prefetched or demanded) and the byte counters — once per
+    /// publication, not per page.
+    fn publish(&mut self, count: &AtomicU64) -> io::Result<()> {
         if self.pages.is_empty() {
             return Ok(());
         }
-        // One mprotect per address-contiguous run (prefetch order is the
-        // recorded first-write order, which is near-sequential for the
-        // array sweeps this library targets).
-        self.pages.sort_unstable_by_key(|&(_, addr, _)| addr);
-        let addrs = self.pages.iter().map(|&(_, addr, _)| addr);
-        // SAFETY: live registered pages, each pinned by its FILLING state
-        // until `lazy_finish_fill` below.
-        unsafe { protect_runs(addrs, page_bytes, Protection::ReadOnly)? };
+        // Every page of the run is FILLING, which pins its address against
+        // its buffer's teardown, and no other thread installs it.
+        self.uffd.copy(self.run_at, &self.run)?;
+        self.run.clear();
         let mut bytes = 0;
-        for &(idx, _, len) in &self.pages {
-            shared.lazy_finish_fill(idx);
+        for &(idx, len) in &self.pages {
+            self.shared.lazy_finish_fill(idx);
             bytes += len;
         }
-        let published = self.pages.len() as u64;
-        counters
-            .prefetched_pages
-            .fetch_add(published, Ordering::Relaxed);
+        let counters = self.counters;
+        count.fetch_add(self.pages.len() as u64, Ordering::Relaxed);
         counters.bytes_filled.fetch_add(bytes, Ordering::Relaxed);
         if self.cached.0 > 0 {
             counters
@@ -934,7 +982,7 @@ struct Filler<'a> {
     page_bytes: usize,
     /// What a lazy filler holds back; `None` under an eager restore, whose
     /// fills land in place and take no hint.
-    pending: Option<PendingPublish>,
+    pending: Option<PendingPublish<'a>>,
     /// `plan.publish_requests` as of this filler's last look.
     asked: u64,
     /// A demand hint popped mid-run, served as soon as the run stops.
@@ -952,7 +1000,7 @@ impl Filler<'_> {
             let mut publish = pending.pages.len() >= SWEEP_PUBLISH_BATCH;
             if self.hint.is_none() {
                 // A hint flushes the batch: the waiter may be blocked on a
-                // page that is read but not yet written or published.
+                // page that is read but not yet installed or published.
                 self.hint = self.shared.lazy_next_demand(&self.plan.demand_tail);
                 publish |= self.hint.is_some();
             }
@@ -970,7 +1018,7 @@ impl Filler<'_> {
 
     fn publish(&mut self) -> io::Result<()> {
         match &mut self.pending {
-            Some(pending) => pending.publish(self.shared, &self.plan.counters, self.page_bytes),
+            Some(pending) => pending.publish(&self.plan.counters.prefetched_pages),
             None => Ok(()),
         }
     }
@@ -1014,7 +1062,7 @@ impl Filler<'_> {
             debug_assert_ne!(addr, 0, "FILLING pins the page's registration");
             self.seed_digest(page, payload, crc);
             match &mut self.pending {
-                Some(pending) => pending.push((idx, addr), payload, self.page_bytes, cached)?,
+                Some(pending) => pending.push((idx, addr), payload, cached)?,
                 // SAFETY: an eager restore's page, made writable by
                 // `prepare` and held FILLING by this filler. No other thread
                 // reads or writes it, or changes its protection, before the
@@ -1032,48 +1080,41 @@ impl Filler<'_> {
     }
 
     /// A demanded page, claimed (`FILLING`) at `addr` before its read: a
-    /// thread is spinning on it right now, so write and publish it alone,
-    /// at once (its hint already wrote the run and published the batch).
+    /// thread is spinning on it right now, so install and publish it alone,
+    /// at once — a one-page copy (its hint already published the run).
     /// Lazy only: an eager filler takes no hint.
     fn demanded(
         &mut self,
-        (idx, addr): (usize, usize),
+        at: (usize, usize),
         payload: &[u8],
         crc: Option<u64>,
         cached: bool,
     ) -> io::Result<ControlFlow<()>> {
-        self.seed_digest(idx as u64, payload, crc);
+        self.seed_digest(at.0 as u64, payload, crc);
         let pending = self
             .pending
-            .as_ref()
+            .as_mut()
             .expect("only a lazy filler takes hints");
-        pending.mem.write_all_at(payload, addr as u64)?;
-        // SAFETY: a live registered page, pinned by FILLING (see `sweep`).
-        unsafe { ai_ckpt_mem::set_protection(addr, self.page_bytes, Protection::ReadOnly)? };
-        self.shared.lazy_finish_fill(idx);
-        let (counters, len) = (&self.plan.counters, payload.len() as u64);
-        counters.demanded_pages.fetch_add(1, Ordering::Relaxed);
-        counters.bytes_filled.fetch_add(len, Ordering::Relaxed);
-        if cached {
-            counters.pages_from_cache.fetch_add(1, Ordering::Relaxed);
-            counters.bytes_from_cache.fetch_add(len, Ordering::Relaxed);
-        }
+        pending.push(at, payload, cached)?;
+        pending.publish(&self.plan.counters.demanded_pages)?;
         Ok(ControlFlow::Continue(()))
     }
 }
 
 /// Run the fill on `plan.fillers` fillers: this thread and the rest on
-/// scoped threads, all sharing the plan. Once every filler has stopped,
-/// poisons whatever is still owed if one failed or the restore was stopped
-/// — silent zeroes are not an option, and a waiter must not hang. Returns
-/// the first error.
+/// scoped threads, all sharing the plan, installing through `uffd` under
+/// the lazy door (`None`: the eager door, in place). Once every filler has
+/// stopped, poisons whatever is still owed if one failed or the restore was
+/// stopped — silent zeroes are not an option, and a waiter must not hang.
+/// Returns the first error.
 fn fill(
     ctl: &Ctl,
     backend: &dyn StorageBackend,
     cache: Option<&PageCache>,
     plan: &FillPlan,
+    uffd: Option<&Uffd>,
 ) -> io::Result<()> {
-    let run = || filler_loop(ctl, backend, cache, plan);
+    let run = || filler_loop(ctl, backend, cache, plan, uffd);
     let result = std::thread::scope(|s| {
         let mut helpers = Vec::with_capacity(plan.fillers - 1);
         let mut result = Ok(());
@@ -1115,7 +1156,8 @@ fn panicked() -> io::Error {
 /// Runs until the whole order is claimed and its own fills are published,
 /// `stop` is raised, or storage fails (then it raises `stop`, so the other
 /// fillers wind down, and [`fill`] poisons what is owed). A lazy restore's
-/// fillers publish every [`SWEEP_PUBLISH_BATCH`] sweep fills (see
+/// fillers publish each run of sweep fills, at most
+/// [`SWEEP_PUBLISH_BATCH`] pages, with one copy through `uffd` (see
 /// [`PendingPublish`]); an eager one's publish nothing (see [`Door::Eager`]).
 ///
 /// Faults on the payload-read path follow the error taxonomy (see
@@ -1128,6 +1170,7 @@ fn filler_loop(
     backend: &dyn StorageBackend,
     cache: Option<&PageCache>,
     plan: &FillPlan,
+    uffd: Option<&Uffd>,
 ) -> io::Result<()> {
     // Checkpointing-machinery exemption, same as the committer threads: the
     // filler's allocations must never route into protected regions. Put
@@ -1144,16 +1187,12 @@ fn filler_loop(
             page_bytes: shared.page_bytes,
             buf: Vec::new(),
         };
-        let pending = match plan.door {
-            Door::Eager => None,
-            Door::Lazy => Some(PendingPublish::new(shared.page_bytes)?),
-        };
         let mut filler = Filler {
             shared,
             filter: ctl.filter.as_ref(),
             plan,
             page_bytes: shared.page_bytes,
-            pending,
+            pending: uffd.map(|uffd| PendingPublish::new(uffd, shared, &plan.counters)),
             asked: plan.publish_requests.load(Ordering::Acquire),
             hint: None,
         };
@@ -1205,4 +1244,51 @@ fn filler_loop(
     }
     ai_ckpt_mem::alloc::exempt_thread_from_tracking(was_exempt);
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CkptConfig;
+    use ai_ckpt_storage::{CheckpointImage, MemoryBackend};
+
+    #[test]
+    fn without_userfaultfd_the_lazy_door_restores_eagerly_and_complete() {
+        let ps = ai_ckpt_mem::page_size();
+        let cfg = CkptConfig::ai_ckpt(1 << 20)
+            .with_max_pages(512)
+            .with_committer_streams(2);
+        let (backend, view) = MemoryBackend::shared();
+        {
+            // Two fillers' worth of pages, every fifth one never written.
+            let mgr = PageManager::new(cfg.clone(), Box::new(backend)).unwrap();
+            let mut buf = mgr.alloc_protected_named("w", 200 * ps).unwrap();
+            for (i, page) in buf.as_mut_slice().chunks_mut(ps).enumerate() {
+                if i % 5 != 0 {
+                    page.fill(i as u8);
+                }
+            }
+            mgr.checkpoint().unwrap();
+            mgr.wait_checkpoint().unwrap();
+        }
+        let backend: Arc<dyn StorageBackend> = Arc::new(view);
+        let image = CheckpointImage::load(backend.as_ref(), 1).unwrap();
+        let mgr = PageManager::with_shared_backend(cfg, Arc::clone(&backend)).unwrap();
+
+        let mut lr = restore_lazy_eagerly(&mgr, backend.as_ref(), 1, None).unwrap();
+        assert!(lr.is_complete(), "the eager door returns every page filled");
+        let zeros = vec![0u8; ps];
+        let buf = &lr.state.buffers[0];
+        for (i, got) in buf.as_slice().chunks(ps).enumerate() {
+            let want = image.page((buf.base_page() + i) as u64).unwrap_or(&zeros);
+            assert_eq!(got, want, "page {i}");
+        }
+        let stats = lr.wait().unwrap();
+        assert_eq!(stats.zero_pages, 40);
+        assert!(lr.wait().is_ok(), "wait stays Ok");
+        // Nothing is owed, and restored pages are clean: a checkpoint right
+        // after has nothing to write.
+        assert_eq!(mgr.checkpoint().unwrap().scheduled_pages, 0);
+        mgr.wait_checkpoint().unwrap();
+    }
 }

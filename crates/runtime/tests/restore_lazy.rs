@@ -394,6 +394,39 @@ fn demand_faults_prioritise_touched_pages() {
 }
 
 #[test]
+fn a_syscall_reading_an_unfilled_page_fails_with_efault_until_it_is_filled() {
+    use std::io::Write;
+
+    let (backend, view) = MemoryBackend::shared();
+    let cfg = small_cfg();
+    seed_pages(Box::new(backend), &cfg, 16);
+
+    let slow: Arc<dyn StorageBackend> = Arc::new(Tripwire::slow(view, Duration::from_millis(10)));
+    let mgr = PageManager::with_shared_backend(cfg, Arc::clone(&slow)).unwrap();
+    let mut lr = restore_lazy(&mgr, Arc::clone(&slow), 1, None).unwrap();
+    let ps = page_size();
+    // Page 15 is ~150 ms out. A write(2) from it reads it in the kernel,
+    // which takes no demand fault: the call fails as it would on PROT_NONE
+    // memory, rather than carrying zeroes.
+    let page15 = 15 * ps..16 * ps;
+    let path = tmpdir("efault");
+    let mut file = std::fs::File::create(&path).unwrap();
+    let err = file
+        .write_all(&lr.state.buffers[0].as_slice()[page15.clone()])
+        .unwrap_err();
+    assert_eq!(err.raw_os_error(), Some(14), "EFAULT expected: {err}");
+    assert_eq!(file.metadata().unwrap().len(), 0, "no zero bytes landed");
+
+    lr.wait().unwrap();
+    file.write_all(&lr.state.buffers[0].as_slice()[page15])
+        .unwrap();
+    let written = std::fs::read(&path).unwrap();
+    assert_eq!(written.len(), ps);
+    assert!(written.iter().all(|&b| b == byte_of(15)), "page 15's bytes");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn checkpoint_drains_lazy_restore_and_stays_incremental() {
     let (backend, view) = MemoryBackend::shared();
     let cfg = small_cfg();
@@ -406,7 +439,7 @@ fn checkpoint_drains_lazy_restore_and_stays_incremental() {
     // Mutate one page while the filler is still streaming, then request a
     // checkpoint: the drain barrier must wait for every fill, and the
     // epoch's dirty set must contain ONLY the mutated page — the filler's
-    // /proc/self/mem writes never fault, so restored-but-untouched pages
+    // UFFDIO_COPY installs never fault, so restored-but-untouched pages
     // stay out of the increment.
     lr.state.buffers[0].as_mut_slice()[3 * ps] = 200;
     let plan = mgr.checkpoint().unwrap();
