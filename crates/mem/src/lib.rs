@@ -11,8 +11,9 @@
 //! * [`sigsegv`] — SIGSEGV (and userfaultfd SIGBUS) installation, dispatch
 //!   to the page manager's callback, and faithful forwarding of genuine
 //!   crashes;
-//! * [`uffd`] — a userfaultfd that installs whole pages atomically into
-//!   read-only memory (the lazy restore's landing);
+//! * [`uffd`] — a userfaultfd that write-protects pages without splitting
+//!   their mapping (the write tracker's trap) and installs whole pages
+//!   atomically (the lazy restore's landing);
 //! * [`alloc`] — transparent capture of large allocations through a
 //!   `#[global_allocator]` wrapper (the equivalent of the paper's preloaded
 //!   jemalloc-based interposition library).
@@ -23,16 +24,18 @@
 //!
 //! ## Platform support
 //!
-//! Linux only (`mprotect`, `SIGSEGV` + `SA_SIGINFO`, `sysconf`). The paper's
-//! evaluation platforms (Grid'5000, Shamrock) were Linux clusters.
+//! Linux only (`mprotect`, userfaultfd, `SIGSEGV`/`SIGBUS` + `SA_SIGINFO`,
+//! `sysconf`). The paper's evaluation platforms (Grid'5000, Shamrock) were
+//! Linux clusters.
 //!
 //! ## A note the paper also makes
 //!
-//! System calls that *write* into read-only user memory (e.g. `read(2)` into
-//! a protected buffer) do not raise `SIGSEGV` — they fail with `EFAULT`. The
-//! paper traps the affected syscalls and pre-faults the pages; our runtime
-//! exposes [`touch_pages`] for applications to do the same explicitly before
-//! handing protected buffers to the kernel.
+//! System calls that *write* into write-protected user memory (e.g.
+//! `read(2)` into a protected buffer) do not raise `SIGSEGV` or `SIGBUS` —
+//! they fail with `EFAULT`. The paper traps the affected syscalls and
+//! pre-faults the pages; our runtime exposes [`touch_pages`] for
+//! applications to do the same explicitly before handing protected buffers
+//! to the kernel.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

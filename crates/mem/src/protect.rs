@@ -1,6 +1,8 @@
 //! Thin, typed wrapper over `mprotect(2)` — the mechanism the paper uses to
 //! trap first writes (§3.4: "In order to trap writes to memory, we rely on
-//! the mprotect system call to mark specific pages as read only").
+//! the mprotect system call to mark specific pages as read only"), which
+//! the runtime keeps as its fallback where userfaultfd write-protect
+//! ([`Uffd`](crate::uffd::Uffd)) does not open, and for poison.
 
 use std::io;
 
@@ -14,7 +16,7 @@ pub enum Protection {
     /// `PROT_NONE`: any access traps with `SIGSEGV`. Used for poison only:
     /// a failed or stopped restore makes every page it still owed
     /// `PROT_NONE`, so touching one is a genuine crash rather than a read
-    /// of zeroes. (The lazy door's pages await their fill as read-only,
+    /// of zeroes. (The lazy door's pages await their fill as
     /// userfaultfd-registered memory; an eager restore fills writable pages
     /// in place.)
     None,

@@ -61,6 +61,9 @@ pub struct RegionHit {
     pub page: usize,
     /// Page-aligned address of the faulting page.
     pub page_addr: usize,
+    /// The registered region the page lies in: its first byte and one past
+    /// its last.
+    pub region: (usize, usize),
 }
 
 /// Handle returned by [`register`]; pass it to [`deregister`].
@@ -164,6 +167,7 @@ pub fn lookup(addr: usize) -> Option<RegionHit> {
             token,
             page: base_page + page_off,
             page_addr: start + page_off * ps,
+            region: (start, end),
         });
     }
     None

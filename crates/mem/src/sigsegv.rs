@@ -4,10 +4,14 @@
 //! SIGSEGV signal, which we trap using a custom signal handler that
 //! implements PROTECTED_PAGE_HANDLER").
 //!
-//! The same handler takes `SIGBUS` with `si_code` `BUS_ADRERR`: what a read
-//! of a page a [`Uffd`](crate::uffd::Uffd) registered but has not installed
-//! yet raises (the lazy restore's demand fault). The callback learns which
-//! signal it got.
+//! The same handler takes `SIGBUS` with `si_code` `BUS_ADRERR`: what a
+//! [`Uffd`](crate::uffd::Uffd) raises for a fault in a range it registered
+//! — a first write to a page it write-protected (the write tracker's trap
+//! where userfaultfd write-protect opens; the `mprotect` + `SIGSEGV` trap
+//! is the fallback elsewhere), or an access to a page the lazy restore has
+//! not installed yet (its demand fault). The callback learns which signal
+//! it got; which of the two a `SIGBUS` is, the runtime tells by the page's
+//! fill state.
 //!
 //! The installed handler is deliberately tiny and auditable:
 //!
@@ -16,7 +20,7 @@
 //!    [`registry`];
 //! 3. if it belongs to a protected region, invoke the registered callback
 //!    (the runtime's `PROTECTED_PAGE_HANDLER`), which must itself stay
-//!    async-signal-safe: atomics, spinlock, `memcpy`, `mprotect`,
+//!    async-signal-safe: atomics, spinlock, `memcpy`, `mprotect`, `ioctl`,
 //!    `sched_yield`/`nanosleep` only;
 //! 4. otherwise forward to whatever handler was installed before ours for
 //!    that signal, or re-raise it with the default disposition so genuine
@@ -29,8 +33,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::registry::{self, RegionHit};
 
 /// The runtime's fault entry point, given the signal (`SIGSEGV`, or
-/// `SIGBUS` for a registered missing page). Returns `true` if the fault was
-/// handled (the faulting instruction will be retried), `false` to escalate.
+/// `SIGBUS` for a userfaultfd fault: a write-protected or a missing page).
+/// Returns `true` if the fault was handled (the faulting instruction will
+/// be retried), `false` to escalate.
 pub type FaultCallback = fn(sig: libc::c_int, hit: RegionHit, fault_addr: usize) -> bool;
 
 static CALLBACK: AtomicUsize = AtomicUsize::new(0);
@@ -286,7 +291,7 @@ mod tests {
         // SAFETY: the test stores a live `Uffd` before any access and
         // clears it only after the last one.
         let uffd = unsafe { &*(UFFD.load(Ordering::Acquire) as *const crate::uffd::Uffd) };
-        uffd.copy(hit.page_addr, &[hit.page as u8 + 1; 4096])
+        uffd.copy(hit.page_addr, &[hit.page as u8 + 1; 4096], false)
             .is_ok()
     }
 
@@ -320,6 +325,62 @@ mod tests {
         UFFD.store(0, Ordering::Release);
         drop(uffd);
         region.protect(Protection::ReadWrite).unwrap();
+        registry::deregister(handle);
+        clear_callback();
+    }
+
+    /// Lift the write protection of the faulting page through the test's
+    /// descriptor.
+    fn lift_write_protect(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
+        FAULTS.fetch_add(1, Ordering::Relaxed);
+        LAST_SIG.store(sig as usize, Ordering::Relaxed);
+        LAST_PAGE.store(hit.page, Ordering::Relaxed);
+        // SAFETY: as in `fill_missing_page`.
+        let uffd = unsafe { &*(UFFD.load(Ordering::Acquire) as *const crate::uffd::Uffd) };
+        uffd.unprotect(hit.page_addr, crate::page_size()).is_ok()
+    }
+
+    #[test]
+    fn a_write_to_a_write_protected_page_is_one_sigbus_the_callback_lifts() {
+        let _g = FAULT_TEST_LOCK.lock().unwrap();
+        let ps = crate::page_size();
+        let region = MappedRegion::new(4 * ps).unwrap();
+        // Page 1 is resident; pages 0, 2 and 3 were never touched.
+        unsafe { region.as_ptr().add(ps).write_volatile(7) };
+        install(lift_write_protect).unwrap();
+        let handle = registry::register(region.addr(), region.len(), 0x44, 500).unwrap();
+        let uffd = crate::uffd::Uffd::open_write_protect().unwrap();
+        uffd.register_write_protect(region.addr(), region.len(), false)
+            .unwrap();
+        uffd.write_protect(region.addr(), region.len()).unwrap();
+        UFFD.store(&uffd as *const _ as usize, Ordering::Release);
+        FAULTS.store(0, Ordering::Relaxed);
+
+        // Reads never fault, resident or not.
+        let read = |i: usize| unsafe { (region.page_addr(i) as *const u8).read_volatile() };
+        assert_eq!((read(0), read(1), read(3)), (0, 7, 0));
+        assert_eq!(FAULTS.load(Ordering::Relaxed), 0);
+        // A write to each page raises one SIGBUS, then writes flow freely.
+        for (i, page) in [(1, 501), (2, 502)] {
+            let p = region.page_addr(i) as *mut u8;
+            unsafe {
+                p.write_volatile(40 + i as u8);
+                p.add(1).write_volatile(41 + i as u8);
+            }
+            assert_eq!(LAST_PAGE.load(Ordering::Relaxed), page);
+        }
+        assert_eq!(FAULTS.load(Ordering::Relaxed), 2, "one fault per page");
+        assert_eq!(LAST_SIG.load(Ordering::Relaxed), libc::SIGBUS as usize);
+        assert_eq!(unsafe { region.page_slice(1) }[..2], [41, 42]);
+        assert_eq!(unsafe { region.page_slice(2) }[..2], [42, 43]);
+        assert_eq!(read(3), 0);
+        assert_eq!(FAULTS.load(Ordering::Relaxed), 2);
+
+        // Closing the descriptor drops the protection of the rest.
+        UFFD.store(0, Ordering::Release);
+        drop(uffd);
+        unsafe { region.as_ptr().write_volatile(1) };
+        assert_eq!(FAULTS.load(Ordering::Relaxed), 2);
         registry::deregister(handle);
         clear_callback();
     }

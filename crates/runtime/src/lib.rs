@@ -4,7 +4,9 @@
 //! Adaptive Asynchronous Incremental Checkpointing* (Nicolae & Cappello,
 //! HPDC '13): a checkpointing runtime for iterative applications that
 //!
-//! * tracks dirty pages with `mprotect`/`SIGSEGV` (incremental),
+//! * tracks dirty pages by write-protecting them — userfaultfd
+//!   write-protect, or the paper's `mprotect`/`SIGSEGV` where that does not
+//!   open (incremental),
 //! * flushes them from a pool of background committer streams while the
 //!   application keeps running (asynchronous, multi-stream: see
 //!   [`CkptConfig::committer_streams`](config::CkptConfig::committer_streams)),
@@ -72,7 +74,7 @@ pub mod transparent;
 pub use attach::{FlushPool, TenantHook};
 pub use buffer::ProtectedBuffer;
 pub use config::{CkptConfig, CkptMode, CompactionPolicy};
-pub use manager::PageManager;
+pub use manager::{with_mprotect_tracking, PageManager};
 pub use restore::{
     restore_at, restore_latest, restore_latest_cached, restore_latest_lazy, restore_lazy,
     LazyRestore, RestoreStats, RestoredState,

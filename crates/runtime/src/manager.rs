@@ -6,7 +6,7 @@
 //!
 //! The paper's two concurrent modules (§3.3), generalised to N workers:
 //!
-//! * **Application threads** run `PROTECTED_PAGE_HANDLER` inside the SIGSEGV
+//! * **Application threads** run `PROTECTED_PAGE_HANDLER` inside the fault
 //!   handler (`fault_entry`): they take the engine spin lock briefly, may
 //!   copy a page into a CoW slot under it, may spin-wait (lock-free, on the
 //!   shared [`StateTable`]) until a flush worker processes their page,
@@ -49,6 +49,32 @@
 //! Lock ordering: `regions` → `engine`. The engine lock is the only lock
 //! touched by the fault handler; nothing allocates while holding it.
 //!
+//! ## How a first write traps
+//!
+//! Each manager opens one userfaultfd for write-protect
+//! ([`Uffd::open_write_protect`]) and keeps it for its life. A region is a
+//! read-write mapping registered with it; `alloc_protected` and every
+//! `CHECKPOINT` write-protect each region with one `UFFDIO_WRITEPROTECT`,
+//! and a first write raises `SIGBUS`. The handler records the write, then
+//! lifts just that page with one more ioctl: protection lives in the page
+//! tables, so a region stays one mapping whatever order its pages are
+//! written in, and no write pattern can run the process into
+//! `vm.max_map_count`.
+//!
+//! Where that descriptor does not open (`ENOSYS`, `EPERM` under seccomp,
+//! a kernel before 6.4), the manager tracks as the paper does: the region
+//! is `mprotect`ed `PROT_READ`, a first write raises `SIGSEGV`, and the
+//! handler `mprotect`s the page writable — which splits the mapping around
+//! it. Two things keep that path alive at any scale: each region is
+//! written once before its first protect, so all its pieces share one
+//! `anon_vma` and merge back at every checkpoint; and a lift that fails for
+//! want of mappings (`ENOMEM`) lifts the page's 2 MiB block, then the whole
+//! region, recording every page of it as written (`on_write` each: CoW,
+//! wait or nothing, by its state) — a lift over pieces merges them and
+//! needs no new mapping. The path is chosen from what the descriptor's
+//! open returns, nothing else (tests reach the fallback through
+//! [`with_mprotect_tracking`]).
+//!
 //! ## Caller contract (same as the paper's)
 //!
 //! `CHECKPOINT` must not race with writes to protected memory from *other*
@@ -68,7 +94,7 @@ use ai_ckpt_core::{
     CheckpointPlanInfo, CowSlotStore, EngineConfig, EpochEngine, FlushItem, FlushSource,
     LatencyHistogram, PageId, PageState, SpinGuard, SpinLock, StateTable, WriteOutcome,
 };
-use ai_ckpt_mem::{page_size, registry, sigsegv, MappedRegion, Protection, RegionHit};
+use ai_ckpt_mem::{page_size, registry, sigsegv, MappedRegion, Protection, RegionHit, Uffd};
 use ai_ckpt_storage::{crc64, EpochWriter, Scrubber, StorageBackend, META_RECORD};
 
 use crate::attach::{FlushPool, PoolInner, Tenant};
@@ -90,15 +116,16 @@ use crate::stats::{CheckpointRecord, RuntimeStats};
 pub(crate) mod fill {
     /// Page is not under lazy restore (the steady-state value).
     pub const NOT_LAZY: u8 = 0;
-    /// Content pending; the page is read-only and not present in a range
-    /// the restore's userfaultfd registered (a read raises `SIGBUS`, a write
-    /// `SIGSEGV`), and nobody asked for it yet.
+    /// Content pending; the page is not present in a range registered for
+    /// missing-page faults (any access raises `SIGBUS` — on the `mprotect`
+    /// fallback a write to its read-only page raises `SIGSEGV` first), and
+    /// nobody asked for it yet.
     pub const UNFILLED: u8 = 1;
     /// A fault hit the page; its id sits in the demand ring.
     pub const DEMANDED: u8 = 2;
     /// The filler is writing the page's bytes right now.
     pub const FILLING: u8 = 3;
-    /// Content present, protection `PROT_READ`: normal tracking applies.
+    /// Content present and write-protected: normal tracking applies.
     pub const FILLED: u8 = 4;
     /// The restore died before this page, which is `PROT_NONE`; any access
     /// is a real fault.
@@ -108,6 +135,31 @@ pub(crate) mod fill {
 /// Demand-ring capacity. Overflow only loses *priority hints* — the
 /// prefetch sweep still fills every page — so a modest fixed size suffices.
 const DEMAND_RING_SLOTS: usize = 1024;
+
+/// The `mprotect` fallback's first escalation when lifting one page runs
+/// out of mappings: the page's aligned block of this many pages (2 MiB of
+/// 4 KiB pages) within its region.
+const LIFT_BLOCK_PAGES: usize = 512;
+
+thread_local! {
+    /// Set by [`with_mprotect_tracking`] while its closure runs.
+    static MPROTECT_TRACKING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Run `f` with every manager it builds on this thread tracking writes with
+/// `mprotect` + `SIGSEGV`, the path a host without userfaultfd
+/// write-protect takes, so that tests reach it where write-protect opens.
+#[doc(hidden)]
+pub fn with_mprotect_tracking<R>(f: impl FnOnce() -> R) -> R {
+    struct Reset(bool);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            MPROTECT_TRACKING.set(self.0);
+        }
+    }
+    let _reset = Reset(MPROTECT_TRACKING.replace(true));
+    f()
+}
 
 /// State reachable from the SIGSEGV handler. Lives behind an `Arc` whose
 /// address is the registry token, so the handler can reach it without any
@@ -150,6 +202,10 @@ pub(crate) struct Shared {
     pub(crate) demand_ring: Box<[AtomicU64]>,
     /// Next demand-ring write position (monotonic; wraps via modulo).
     pub(crate) demand_head: AtomicUsize,
+    /// The userfaultfd every region is registered and write-protected with;
+    /// `None` on the `mprotect` fallback (see the module docs). A lazy
+    /// restore lands its fills through it too.
+    pub(crate) tracker: Option<Uffd>,
 }
 
 #[cfg(debug_assertions)]
@@ -194,9 +250,9 @@ impl Shared {
     /// Put `page` under lazy restore: content pending, any access must wait
     /// for the filler. Caller contract (restore): before the first
     /// application access can happen, every access to the page traps — it
-    /// is read-only, not present and registered for missing-page faults
-    /// with the restore's userfaultfd (an eager restore's pages are
-    /// reachable by no application thread until the door returns).
+    /// is not present and registered for missing-page faults (an eager
+    /// restore's pages are reachable by no application thread until the
+    /// door returns).
     pub(crate) fn lazy_mark_unfilled(&self, page: usize) {
         self.lazy_unfilled.fetch_add(1, Ordering::AcqRel);
         self.fill[page].store(fill::UNFILLED, Ordering::Release);
@@ -221,9 +277,9 @@ impl Shared {
         }
     }
 
-    /// Filler: publish `page` as filled (content written, protection
-    /// `PROT_READ`) and retire it from the unfilled count. Blocked faulting
-    /// threads wake on this store.
+    /// Filler: publish `page` as filled (content written and
+    /// write-protected) and retire it from the unfilled count. Blocked
+    /// faulting threads wake on this store.
     pub(crate) fn lazy_finish_fill(&self, page: usize) {
         debug_assert_eq!(self.fill[page].load(Ordering::Acquire), fill::FILLING);
         self.fill[page].store(fill::FILLED, Ordering::Release);
@@ -277,6 +333,18 @@ impl Shared {
     /// Whether a filler holds `page` right now (read, not yet published).
     pub(crate) fn lazy_filling(&self, page: usize) -> bool {
         self.fill[page].load(Ordering::Acquire) == fill::FILLING
+    }
+
+    /// Write-protect `[addr, addr + len)` of a registered region: the next
+    /// write to each page is a tracked first write. One
+    /// `UFFDIO_WRITEPROTECT`, or one `mprotect(PROT_READ)` on the fallback.
+    pub(crate) fn protect(&self, addr: usize, len: usize) -> io::Result<()> {
+        match &self.tracker {
+            Some(uffd) => uffd.write_protect(addr, len),
+            // SAFETY: a page-aligned range of a region this manager owns;
+            // the fault handler is installed.
+            None => unsafe { ai_ckpt_mem::set_protection(addr, len, Protection::ReadOnly) },
+        }
     }
 }
 
@@ -637,6 +705,10 @@ impl PageManager {
         fill.resize_with(cfg.max_pages, || AtomicU8::new(fill::NOT_LAZY));
         let mut demand_ring = Vec::with_capacity(DEMAND_RING_SLOTS);
         demand_ring.resize_with(DEMAND_RING_SLOTS, || AtomicU64::new(0));
+        let tracker = match MPROTECT_TRACKING.get() {
+            true => None,
+            false => Uffd::open_write_protect().ok(),
+        };
         let shared = Arc::new(Shared {
             engine: SpinLock::new(engine),
             states,
@@ -651,6 +723,7 @@ impl PageManager {
             lazy_demand_faults: AtomicU64::new(0),
             demand_ring: demand_ring.into_boxed_slice(),
             demand_head: AtomicUsize::new(0),
+            tracker,
         });
         let ctl = Arc::new(Ctl {
             shared,
@@ -669,6 +742,13 @@ impl PageManager {
     /// The configuration this manager runs with.
     pub fn config(&self) -> &CkptConfig {
         &self.cfg
+    }
+
+    /// Whether this manager tracks writes with userfaultfd write-protect
+    /// (`false`: the `mprotect` fallback). For tests that assert a path.
+    #[doc(hidden)]
+    pub fn tracks_writes_by_write_protect(&self) -> bool {
+        self.ctl.shared.tracker.is_some()
     }
 
     /// The id this manager is attached to its pool under — what the pool
@@ -701,6 +781,25 @@ impl PageManager {
         name: &str,
         len: usize,
     ) -> io::Result<crate::ProtectedBuffer> {
+        self.alloc_region(name, len, true)
+    }
+
+    /// Map, number and register a region, and put it under write tracking,
+    /// write-protected at once when `protect` (an eager restore protects its
+    /// buffers itself, once they are filled).
+    ///
+    /// On write-protect the region is registered with the manager's
+    /// userfaultfd. On the fallback it is first written once, and the page
+    /// dropped again at once, which costs nothing but gives the mapping an
+    /// `anon_vma` before any `mprotect` splits it: every piece then shares
+    /// it, so the pieces merge back whenever a checkpoint re-protects the
+    /// region.
+    pub(crate) fn alloc_region(
+        &self,
+        name: &str,
+        len: usize,
+        protect: bool,
+    ) -> io::Result<crate::ProtectedBuffer> {
         let region = MappedRegion::new(len)?;
         let pages = region.pages();
         let mut regions = self.regions.lock();
@@ -724,7 +823,28 @@ impl PageManager {
         let token = Arc::as_ptr(&self.ctl.shared) as usize;
         let handle = registry::register(region.addr(), region.len(), token, base)
             .map_err(|e| io::Error::other(e.to_string()))?;
-        region.protect(Protection::ReadOnly)?;
+        let shared = &self.ctl.shared;
+        let tracked = match &shared.tracker {
+            Some(uffd) => uffd.register_write_protect(region.addr(), region.len(), false),
+            None => {
+                // SAFETY: the first page of a fresh read-write mapping no
+                // other thread knows of yet; MADV_DONTNEED only drops it.
+                unsafe {
+                    region.as_ptr().write_volatile(0);
+                    let first = region.addr() as *mut libc::c_void;
+                    libc::madvise(first, shared.page_bytes, libc::MADV_DONTNEED);
+                }
+                Ok(())
+            }
+        }
+        .and_then(|()| match protect {
+            true => shared.protect(region.addr(), region.len()),
+            false => Ok(()),
+        });
+        if let Err(e) = tracked {
+            registry::deregister(handle);
+            return Err(e);
+        }
         let entry = RegionEntry {
             addr: region.addr(),
             len: region.len(),
@@ -803,14 +923,13 @@ impl PageManager {
                 .begin_checkpoint()
                 .expect("no checkpoint can be active here");
             // Write-protect every region so the new epoch's first writes
-            // trap (Algorithm 1 lines 10-14). One mprotect per region.
+            // trap (Algorithm 1 lines 10-14): one call per region, before
+            // the pool can start the flush.
             for e in regions.live() {
-                // SAFETY: registered regions are page-aligned mappings we
-                // own; the SIGSEGV handler is installed.
-                unsafe {
-                    ai_ckpt_mem::set_protection(e.addr, e.len, Protection::ReadOnly)
-                        .expect("mprotect(PROT_READ) on own region cannot fail");
-                }
+                self.ctl
+                    .shared
+                    .protect(e.addr, e.len)
+                    .expect("write-protecting an own region cannot fail");
             }
             (info, layout::encode(&regions.layout()))
         };
@@ -944,14 +1063,16 @@ impl Drop for PageManager {
     }
 }
 
-/// `PROTECTED_PAGE_HANDLER` (Algorithm 2), invoked from the SIGSEGV handler
-/// — and from SIGBUS, which only a read of a page a lazy restore has not
-/// installed yet raises.
+/// `PROTECTED_PAGE_HANDLER` (Algorithm 2), invoked from the fault handler
+/// for `SIGBUS` and `SIGSEGV`. The page's fill state decides what the fault
+/// is: a page a lazy restore still owes is a demand fault, whatever the
+/// signal; any other page takes write tracking — a `SIGBUS` on
+/// write-protect, a `SIGSEGV` on the `mprotect` fallback.
 ///
 /// Async-signal-safety: engine spin lock, atomics, `memcpy`, `mprotect`,
-/// `sched_yield`/`nanosleep`, `clock_gettime` (for the write-stall
-/// histogram; AS-safe on Linux). No allocation, no ordinary mutexes, no
-/// thread-locals.
+/// `ioctl`, `sched_yield`/`nanosleep`, `clock_gettime` (for the
+/// write-stall histogram; AS-safe on Linux). No allocation, no ordinary
+/// mutexes, no thread-locals.
 fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
     // SAFETY: the token is the address of the manager's `Shared`, kept alive
     // by the `Arc` in `Ctl` (and buffers); regions are deregistered before
@@ -962,11 +1083,12 @@ fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
     let stall_started = Instant::now();
     let p = hit.page as PageId;
     // Demand-paged restore: a page whose content has not been installed
-    // yet is read-only, registered with the restore's userfaultfd and not
-    // present, with a live fill state — a read lands here as SIGBUS, a
-    // write as SIGSEGV, either *before* write tracking can apply. Demand
-    // the page from the filler and wait it out; everything used below is
-    // async-signal-safe (atomics, spin/yield/nanosleep).
+    // yet is not present in a range registered for missing-page faults,
+    // with a live fill state — any access lands here (as SIGBUS; a write on
+    // the mprotect fallback as SIGSEGV, its page being read-only), *before*
+    // write tracking can apply. Demand the page from the filler and wait it
+    // out; everything used below is async-signal-safe (atomics,
+    // spin/yield/nanosleep).
     let fill_cell = &shared.fill[p as usize];
     let mut fill_state = fill_cell.load(Ordering::Acquire);
     if fill_state != fill::NOT_LAZY && fill_state != fill::FILLED {
@@ -1037,7 +1159,7 @@ fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
             fill_state = fill_cell.load(Ordering::Acquire);
         }
         if fill_state == fill::FILLED {
-            // Content is in place and the page is PROT_READ. Retry the
+            // Content is in place and write-protected. Retry the
             // instruction: a read proceeds; a *write* re-faults and takes
             // the normal tracking path on its second trip (so the dirty-set
             // bookkeeping below never runs for plain reads).
@@ -1049,13 +1171,39 @@ fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
         // NOT_LAZY: the page left lazy restore under us (buffer teardown);
         // fall through to the normal path.
     }
-    if sig == libc::SIGBUS {
-        // Only a page the lazy fill had not installed raises SIGBUS, and it
-        // never reaches write tracking. FILLED: the install landed between
-        // the fault and the look above, so the read retries and succeeds.
-        // NOT_LAZY: not a page under fill — decline.
-        return fill_state == fill::FILLED;
-    }
+    let lifted = match (&shared.tracker, sig) {
+        // A write-protected page took its first write. (A read that raced
+        // its page's install — the SIGBUS raised before, the fill state
+        // read after — lands here too: its page is stored once more,
+        // byte-identical.)
+        (Some(uffd), libc::SIGBUS) => {
+            record_write(shared, p, hit.page_addr);
+            uffd.unprotect(hit.page_addr, shared.page_bytes).is_ok()
+        }
+        (None, libc::SIGSEGV) => {
+            record_write(shared, p, hit.page_addr);
+            lift_by_mprotect(shared, &hit)
+        }
+        // On the fallback only a page the lazy fill had not installed
+        // raises SIGBUS. FILLED: the install landed between the fault and
+        // the look above, so the read retries and succeeds. NOT_LAZY: not a
+        // page under fill — decline.
+        (None, _) => return fill_state == fill::FILLED,
+        // On write-protect no page the tracker owes is read-only: a SIGSEGV
+        // is a genuine crash.
+        (Some(_), _) => return false,
+    };
+    shared
+        .stall
+        .record(stall_started.elapsed().as_nanos() as u64);
+    lifted
+}
+
+/// Algorithm 2 lines 5-20 for page `p` at `addr`, still write-protected:
+/// record the write, copying the page's pre-write bytes to a CoW slot or
+/// waiting until the committer processed it, as its state decides. The
+/// caller then lifts the protection (line 22).
+fn record_write(shared: &Shared, p: PageId, addr: usize) {
     let mut must_wait = false;
     {
         let mut eng = shared.engine_from_handler();
@@ -1066,11 +1214,11 @@ fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
                 // so no other thread can see the page writable before the
                 // snapshot is safe (see WriteOutcome::CopyToSlot docs).
                 let dst = eng.slab_slot_mut(slot);
-                // SAFETY: page_addr is a live page of page_bytes; dst is a
-                // slot of the same size; ranges cannot overlap.
+                // SAFETY: addr is a live page of page_bytes; dst is a slot
+                // of the same size; ranges cannot overlap.
                 unsafe {
                     std::ptr::copy_nonoverlapping(
-                        hit.page_addr as *const u8,
+                        addr as *const u8,
                         dst.as_mut_ptr(),
                         shared.page_bytes,
                     );
@@ -1102,17 +1250,45 @@ fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
         }
         shared.engine_from_handler().complete_wait(p);
     }
-    // Lift the write protection and let the instruction retry
-    // (Algorithm 2 line 22).
-    // SAFETY: page-aligned page of a registered region.
-    let handled = unsafe {
-        ai_ckpt_mem::set_protection_raw(hit.page_addr, shared.page_bytes, Protection::ReadWrite)
-            .is_ok()
-    };
-    shared
-        .stall
-        .record(stall_started.elapsed().as_nanos() as u64);
-    handled
+}
+
+/// The fallback's Algorithm 2 line 22: `mprotect` the page `hit` names
+/// writable. A split past `vm.max_map_count` fails with `ENOMEM`; then lift
+/// the page's aligned block of [`LIFT_BLOCK_PAGES`], and failing that the
+/// whole region — each page of the range recorded as written first, since
+/// none of them will trap again this epoch. A range over many pieces
+/// merges them as it goes, so it needs fewer mappings, not more. Not while
+/// a restore owes pages: a range could make a page it never installed, or
+/// poisoned, writable.
+fn lift_by_mprotect(shared: &Shared, hit: &RegionHit) -> bool {
+    let ps = shared.page_bytes;
+    let escalate = shared.lazy_unfilled.load(Ordering::Acquire) == 0;
+    let (start, end) = hit.region;
+    let base_page = hit.page - (hit.page_addr - start) / ps;
+    let block = LIFT_BLOCK_PAGES * ps;
+    let block_start = start + (hit.page_addr - start) / block * block;
+    let ranges = [
+        (hit.page_addr, hit.page_addr + ps),
+        (block_start, end.min(block_start + block)),
+        (start, end),
+    ];
+    for (i, &(from, to)) in ranges.iter().enumerate() {
+        if i > 0 {
+            if !escalate {
+                return false;
+            }
+            for addr in (from..to).step_by(ps) {
+                record_write(shared, (base_page + (addr - start) / ps) as PageId, addr);
+            }
+        }
+        // SAFETY: page-aligned pages of a registered region.
+        match unsafe { ai_ckpt_mem::set_protection_raw(from, to - from, Protection::ReadWrite) } {
+            Ok(()) => return true,
+            Err(libc::ENOMEM) => continue,
+            Err(_) => return false,
+        }
+    }
+    false
 }
 
 /// Commit or abort `job`'s epoch session after its drain completed (the

@@ -28,33 +28,43 @@
 //! [`restore_at`] / [`restore_latest`] run it to completion on the calling
 //! thread (plus the scoped helpers) and return the filled buffers. No
 //! thread holds a pointer into them before that, so prepare advises huge
-//! pages on them and makes the marked pages writable, each filler copies
+//! pages on them and leaves the marked pages writable, each filler copies
 //! each verified payload straight to its page, and once every filler has
-//! joined the door drops each buffer to `PROT_READ` with one `mprotect` and
-//! publishes every page `FILLED`. [`restore_lazy`] hands the fill to a
-//! background thread and returns at once — time-to-first-instruction is
-//! layout work only, independent of image size. Its buffers are born
-//! read-only with no page present, and prepare registers each
-//! address-contiguous run of marked pages with a userfaultfd
-//! ([`Uffd`]) for missing-page faults: an application read that outruns
-//! the fillers raises `SIGBUS`, a write `SIGSEGV`, and either posts a
+//! joined the door write-protects each buffer with one call (see
+//! [`Door::Eager`]) and publishes every page `FILLED`. [`restore_lazy`]
+//! hands the fill to a background thread and returns at once —
+//! time-to-first-instruction is layout work only, independent of image
+//! size. Its buffers are born write-protected with no page present, and
+//! prepare registers each address-contiguous run of marked pages for
+//! missing-page faults with a userfaultfd ([`Uffd`]): the manager's own,
+//! which already tracks writes on those ranges, or on the `mprotect`
+//! fallback one of the restore's own. An application access that outruns
+//! the fillers raises `SIGBUS` (a write on the fallback `SIGSEGV`), posts a
 //! priority hint to the demand ring and blocks only for that single page's
 //! read. A lazy filler turns to the demand ring after every page and breaks
 //! its run for a hint, so a hint waits for at most the read in flight. It
 //! gathers each address-contiguous run of fills, every payload zero-padded
 //! to its page, and installs it with one `UFFDIO_COPY` — at most 32 sweep
 //! fills, sooner when the next fill does not extend the run — which makes
-//! the pages present, read-only and readable in one atomic step, so no
-//! window exists in which a thread could observe a half-filled page, and
-//! no `mprotect` publishes anything. A syscall that reads a page not yet
-//! installed fails with `EFAULT`, as it would on `PROT_NONE` memory. The
-//! descriptor closes as soon as the fill ends, which drops the
-//! registrations; a failed or stopped fill first makes every page it
-//! still owes `PROT_NONE` (the poison), because once nothing is registered
-//! a page never installed reads as zero. Where userfaultfd cannot be opened
-//! (`ENOSYS`, `EPERM` under a seccomp profile, `EINVAL` before Linux 5.11)
-//! the lazy door runs the eager one and returns a restore that is already
-//! complete: the same bytes, only time-to-first-instruction is lost.
+//! the pages present, readable and write-protected in one atomic step, so
+//! no window exists in which a thread could observe a half-filled page,
+//! and no `mprotect` publishes anything. A syscall that reads a page not
+//! yet installed fails with `EFAULT`, as it would on `PROT_NONE` memory. A
+//! failed or stopped fill makes every page it still owes `PROT_NONE` (the
+//! poison). A descriptor of the restore's own then closes at once, which
+//! drops its registrations — after the poison, because once nothing is
+//! registered a page never installed reads as zero. The manager's
+//! descriptor stays, and the marked runs stay registered for missing-page
+//! faults as long as their buffers live: no call drops that mode and keeps
+//! the write protection (a narrower `UFFDIO_REGISTER` changes nothing, and
+//! `UFFDIO_UNREGISTER` lifts the protection of every installed page, which
+//! would leave writes untracked until it was put back). Once the fill is
+//! done every marked page is present, so the mode costs nothing but the
+//! mappings between the runs and the pages the image lacks. Where no
+//! userfaultfd can be opened (`ENOSYS`, `EPERM` under a seccomp profile,
+//! `EINVAL` before Linux 5.11) the lazy door runs the eager one and returns
+//! a restore that is already complete: the same bytes, only
+//! time-to-first-instruction is lost.
 //!
 //! The fill is the read-side dual of the flush: it runs on as many fillers
 //! as the manager has committer streams, capped so that each owns at least
@@ -69,18 +79,22 @@
 //!
 //! ## After a restore
 //!
-//! Restored pages are clean, read-only and digest-seeded at fill time, so
-//! the first checkpoint after any restore sees exactly the pages the
-//! application actually wrote: it is incremental in coverage as well as in
-//! bytes. That rests on one contract both doors share: the manager's own
-//! backend must hold the chain being restored (the next delta is only
+//! Restored pages are clean, write-protected and digest-seeded at fill
+//! time, so the first checkpoint after any restore sees exactly the pages
+//! the application actually wrote: it is incremental in coverage as well
+//! as in bytes. That rests on one contract both doors share: the manager's
+//! own backend must hold the chain being restored (the next delta is only
 //! meaningful on top of it), and restoring a `seq` below the chain head and
 //! then checkpointing requires retiring the newer epochs first.
 //!
 //! One restore runs per manager at a time. A child forked during a lazy
 //! restore inherits neither its fillers nor its userfaultfd registration:
 //! a page the parent had not installed at the fork reads as zero in the
-//! child.
+//! child. More generally, a child forked from a process that tracks writes
+//! with userfaultfd write-protect inherits no tracking: the descriptor
+//! does not ask for `UFFD_FEATURE_EVENT_FORK`, so the child's copies of
+//! the mappings drop the registration and every write-protect bit, and the
+//! child's writes are not tracked.
 
 use std::collections::HashMap;
 use std::io;
@@ -161,15 +175,9 @@ fn restore_eager(
     fill(&manager.ctl, backend, cache, &plan, None)?;
     let shared = &manager.ctl.shared;
     for buf in &state.buffers {
-        // SAFETY: a buffer this restore rebuilt; no thread holds a pointer
-        // into it before we return, and every filler has joined.
-        let sealed = unsafe {
-            ai_ckpt_mem::set_protection(
-                buf.as_ptr() as usize,
-                buf.pages() * shared.page_bytes,
-                Protection::ReadOnly,
-            )
-        };
+        // A buffer this restore rebuilt: no thread holds a pointer into it
+        // before we return, and every filler has joined.
+        let sealed = shared.protect(buf.as_ptr() as usize, buf.pages() * shared.page_bytes);
         if let Err(e) = sealed {
             // A page left `FILLING` would hold up its buffer's teardown.
             plan.poison_owed(shared);
@@ -353,20 +361,36 @@ pub fn restore_lazy(
     seq: u64,
     cache: Option<Arc<PageCache>>,
 ) -> io::Result<LazyRestore> {
-    let Ok(uffd) = Uffd::open() else {
-        return restore_lazy_eagerly(manager, backend.as_ref(), seq, cache.as_deref());
+    // Land through the manager's write-protect descriptor, which holds the
+    // buffers' ranges already; on the mprotect fallback, through one of the
+    // restore's own.
+    let own = match &manager.ctl.shared.tracker {
+        Some(_) => None,
+        None => match Uffd::open() {
+            Ok(uffd) => Some(uffd),
+            Err(_) => {
+                return restore_lazy_eagerly(manager, backend.as_ref(), seq, cache.as_deref())
+            }
+        },
     };
     let ctl = Arc::clone(&manager.ctl);
     let fault_baseline = ctl.shared.lazy_demand_faults.load(Ordering::Relaxed);
-    let (state, plan) = prepare(manager, backend.as_ref(), seq, Door::Lazy(&uffd))?;
+    let door = Door::Lazy(landing(&own, &ctl.shared));
+    let (state, plan) = prepare(manager, backend.as_ref(), seq, door)?;
     let plan = Arc::new(plan);
     let thread = {
         let (ctl, plan) = (Arc::clone(&ctl), Arc::clone(&plan));
         filler_thread().spawn(move || {
-            let filled = fill(&ctl, backend.as_ref(), cache.as_deref(), &plan, Some(&uffd));
-            // Close at once: a fill that failed or stopped poisoned what it
-            // owed first, so no page left unregistered reads as zero.
-            drop(uffd);
+            let uffd = landing(&own, &ctl.shared);
+            let filled = fill(&ctl, backend.as_ref(), cache.as_deref(), &plan, Some(uffd));
+            // A descriptor of the restore's own closes at once: a fill that
+            // failed or stopped poisoned what it owed first, so no page
+            // left unregistered reads as zero. The manager's stays, and
+            // with it the marked runs' registration for missing-page
+            // faults: a narrower registration changes nothing, and
+            // unregistering would drop the write-protection of every
+            // installed page (see the module docs).
+            drop(own);
             filled
         })?
     };
@@ -378,6 +402,14 @@ pub fn restore_lazy(
         plan,
         fault_baseline,
     })
+}
+
+/// The descriptor a lazy restore lands through: its own, or else the
+/// manager's write-protect one.
+fn landing<'a>(own: &'a Option<Uffd>, shared: &'a Shared) -> &'a Uffd {
+    own.as_ref()
+        .or(shared.tracker.as_ref())
+        .expect("a lazy restore lands through a userfaultfd")
 }
 
 /// The lazy door where no userfaultfd opens: the eager door, returned as a
@@ -407,19 +439,25 @@ fn restore_lazy_eagerly(
 enum Door<'u> {
     /// [`restore_at`] / [`restore_latest`]: no thread holds a pointer into
     /// the buffers before the door returns, so prepare advises huge pages on
-    /// them and makes the marked runs `PROT_READ | PROT_WRITE` — only the
-    /// marked runs, so a 2 MiB range that holds a page the image lacks stays
-    /// split from its writable neighbours, on base pages, and that page costs
-    /// no memory. Each filler copies each payload straight to its page and
-    /// publishes nothing; once every filler has joined `Ok`, the door makes
-    /// one `mprotect(PROT_READ)` call per buffer and marks every page
-    /// `FILLED`.
+    /// them and leaves the marked pages writable with no page table under
+    /// them, while each page the image lacks is write-protected: its 2 MiB
+    /// range gets a page table, so it fills on base pages and the page
+    /// costs no memory. (On write-protect the buffers are born unprotected
+    /// and the holes protected with one `UFFDIO_WRITEPROTECT` per run; on
+    /// the `mprotect` fallback they are born read-only and the marked runs
+    /// made writable, which splits each hole's range off.) Each filler
+    /// copies each payload straight to its page and publishes nothing; once
+    /// every filler has joined `Ok`, the door write-protects each buffer
+    /// with one call and marks every page `FILLED`.
     Eager,
     /// [`restore_lazy`]: the application runs during the fill, so prepare
-    /// registers the marked runs of the still read-only, never-touched
-    /// buffers with this userfaultfd, and the fillers install and publish
-    /// each run with one copy (see [`PendingPublish`]). A page the image
-    /// lacks stays unregistered: it reads as zero and never faults.
+    /// registers the marked runs of the still write-protected, never-touched
+    /// buffers with this userfaultfd for missing-page faults — the
+    /// manager's own on write-protect, which adds the mode to the runs, or
+    /// the restore's own on the fallback — and the fillers install and
+    /// publish each run with one copy (see [`PendingPublish`]). A page the
+    /// image lacks is not registered so: it reads as zero and only its first
+    /// write traps.
     Lazy(&'u Uffd),
 }
 
@@ -553,8 +591,12 @@ fn prepare(
 
     let mut buffers = Vec::with_capacity(layouts.len());
     let mut by_name = HashMap::new();
+    let write_protect = shared.tracker.as_ref();
+    // An eager restore on write-protect protects its buffers at publish:
+    // a write-protect now would give every 2 MiB range a page table.
+    let protect = !matches!((door, write_protect), (Door::Eager, Some(_)));
     for l in &layouts {
-        let buf = manager.alloc_protected_named(&l.name, l.len_bytes as usize)?;
+        let buf = manager.alloc_region(&l.name, l.len_bytes as usize, protect)?;
         if buf.base_page() as u64 != l.base_page {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -600,8 +642,21 @@ fn prepare(
     // time-to-first-instruction must not scale with per-page syscalls.
     marked_addrs.sort_unstable();
     let runs = marked_addrs.iter().copied();
-    match door {
-        Door::Eager => {
+    match (door, write_protect) {
+        (Door::Eager, Some(uffd)) => {
+            let mut holes: Vec<usize> = Vec::new();
+            for buf in &buffers {
+                let addr = buf.as_ptr() as usize;
+                ai_ckpt_mem::advise_huge_pages(addr, buf.pages() * page_bytes);
+                holes.extend((0..buf.pages()).map(|i| addr + i * page_bytes));
+            }
+            holes.sort_unstable();
+            holes.retain(|addr| marked_addrs.binary_search(addr).is_err());
+            for_each_run(holes.into_iter(), page_bytes, |start, len| {
+                uffd.write_protect(start, len)
+            })?;
+        }
+        (Door::Eager, None) => {
             for buf in &buffers {
                 ai_ckpt_mem::advise_huge_pages(buf.as_ptr() as usize, buf.pages() * page_bytes);
             }
@@ -611,9 +666,12 @@ fn prepare(
                 ai_ckpt_mem::set_protection(start, len, Protection::ReadWrite)
             })?;
         }
-        // The buffers were born read-only and nothing has touched them, so
-        // no marked page is present: registering is all it takes.
-        Door::Lazy(uffd) => for_each_run(runs, page_bytes, |start, len| {
+        // Nothing has touched the buffers, so no marked page is present:
+        // registering is all it takes.
+        (Door::Lazy(uffd), Some(_)) => for_each_run(runs, page_bytes, |start, len| {
+            uffd.register_write_protect(start, len, true)
+        })?,
+        (Door::Lazy(uffd), None) => for_each_run(runs, page_bytes, |start, len| {
             uffd.register_missing(start, len)
         })?,
     }
@@ -767,7 +825,7 @@ fn for_each_run(
 /// payload over a zero page — whose installation and publication are
 /// deferred: up to [`SWEEP_PUBLISH_BATCH`] pages, and only while each next
 /// fill extends the run. Publishing is one `UFFDIO_COPY` of the run, which
-/// makes its pages present and read-only in one step, then `FILLED` for
+/// makes its pages present and write-protected in one step, then `FILLED` for
 /// each page and one add to the shared counters. A fill's payload is
 /// copied once, into the run.
 ///
@@ -857,8 +915,10 @@ impl<'a> PendingPublish<'a> {
             return Ok(());
         }
         // Every page of the run is FILLING, which pins its address against
-        // its buffer's teardown, and no other thread installs it.
-        self.uffd.copy(self.run_at, &self.run)?;
+        // its buffer's teardown, and no other thread installs it. On
+        // write-protect it lands tracked.
+        let write_protect = self.shared.tracker.is_some();
+        self.uffd.copy(self.run_at, &self.run, write_protect)?;
         self.run.clear();
         let mut bytes = 0;
         for &(idx, len) in &self.pages {
@@ -1068,7 +1128,7 @@ impl Filler<'_> {
                 // reads or writes it, or changes its protection, before the
                 // door publishes it: no caller holds a pointer into an eager
                 // restore's buffers before it returns, and `checkpoint()`
-                // (the one mprotect of live regions) waits at the lazy drain
+                // (the one protection change of live regions) waits at the lazy drain
                 // barrier while any page is unfilled. `fits` bounds the
                 // payload to the page.
                 None => unsafe {

@@ -426,6 +426,64 @@ fn a_syscall_reading_an_unfilled_page_fails_with_efault_until_it_is_filled() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// During a lazy restore, a write to a page already installed and a write
+/// to one not installed yet are each tracked once, a read is not tracked,
+/// and the next checkpoint stores exactly the two written pages.
+fn writes_during_a_lazy_restore_row(mprotect: bool) {
+    let (backend, view) = MemoryBackend::shared();
+    let cfg = small_cfg();
+    seed_pages(Box::new(backend), &cfg, 16);
+
+    let slow: Arc<dyn StorageBackend> = Arc::new(Tripwire::slow(view, Duration::from_millis(10)));
+    let build = || PageManager::with_shared_backend(cfg.clone(), Arc::clone(&slow));
+    let mgr = match mprotect {
+        true => ai_ckpt::with_mprotect_tracking(build),
+        false => build(),
+    }
+    .unwrap();
+    let mut lr = restore_lazy(&mgr, Arc::clone(&slow), 1, None).unwrap();
+    let ps = page_size();
+    let buf = &mut lr.state.buffers[0];
+    // A read demands page 2 alone: it is installed before the read returns.
+    assert_eq!(buf.as_slice()[2 * ps], byte_of(2));
+    let stalls = mgr.stats().write_stall.count;
+    buf.as_mut_slice()[2 * ps] = 0xE2;
+    let installed = mgr.stats().write_stall.count - stalls;
+    // Page 12 is ~100 ms out: the write demands it, then is tracked.
+    buf.as_mut_slice()[12 * ps + 1] = 0xEC;
+    // A read of page 7 is no write (the checkpoint below holds two pages),
+    // and the same two pages written again take no fault.
+    assert_eq!(buf.as_slice()[7 * ps], byte_of(7));
+    let stalls = mgr.stats().write_stall.count;
+    buf.as_mut_slice()[2 * ps + 3] = 0xE2;
+    buf.as_mut_slice()[12 * ps + 3] = 0xEC;
+    assert_eq!(mgr.stats().write_stall.count, stalls, "tracked once each");
+    assert_eq!(installed, 1, "a write to an installed page is one fault");
+
+    let plan = mgr.checkpoint().unwrap();
+    assert_eq!(plan.scheduled_pages, 2, "exactly the written pages");
+    mgr.wait_checkpoint().unwrap();
+    lr.wait().unwrap();
+    let base = lr.state.buffers[0].base_page() as u64;
+    let mut stored = slow.epoch_page_ids(2).unwrap();
+    stored.retain(|&p| is_page(p));
+    stored.sort_unstable();
+    assert_eq!(stored, [base + 2, base + 12]);
+    let img = CheckpointImage::load(slow.as_ref(), 2).unwrap();
+    assert_eq!(img.page(base + 2).unwrap()[..4], [0xE2, 2 + 1, 2 + 1, 0xE2]);
+    assert_eq!(img.page(base + 12).unwrap()[..4], [13, 0xEC, 13, 0xEC]);
+}
+
+#[test]
+fn writes_during_a_lazy_restore_are_tracked_once_on_write_protect() {
+    writes_during_a_lazy_restore_row(false);
+}
+
+#[test]
+fn writes_during_a_lazy_restore_are_tracked_once_on_mprotect() {
+    writes_during_a_lazy_restore_row(true);
+}
+
 #[test]
 fn checkpoint_drains_lazy_restore_and_stays_incremental() {
     let (backend, view) = MemoryBackend::shared();

@@ -2350,13 +2350,14 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
 }
 
 /// The sweep of one stack in this process: every call, and damage at rest
-/// to its commit logs.
-fn sweep(stack: Stack) {
+/// to its commit logs. Its directories carry `tag`: two sweeps of one
+/// stack in one process must not share them.
+fn sweep(stack: Stack, tag: &str) {
     let sweep = Sweep::new(stack);
     if sweep.only.as_ref().is_some_and(|o| o[0] != stack.name()) {
         return;
     }
-    let mut case = Case::new(stack, "");
+    let mut case = Case::new(stack, tag);
     let base = Baseline::run(&sweep, &mut case);
     sweep_calls(&sweep, &mut case, &base);
     if stack != Stack::Buffer {
@@ -2367,37 +2368,45 @@ fn sweep(stack: Stack) {
 
 #[test]
 fn every_call_of_a_lone_file_backend_is_a_crash_point() {
-    sweep(Stack::File);
+    sweep(Stack::File, "");
 }
 
 #[test]
 fn every_call_of_file_over_file_tiers_is_a_crash_point() {
-    sweep(Stack::FileOverFile);
+    sweep(Stack::FileOverFile, "");
 }
 
 #[test]
 fn every_call_of_memory_over_file_tiers_is_a_crash_point() {
-    sweep(Stack::MemoryOverFile);
+    sweep(Stack::MemoryOverFile, "");
 }
 
 #[test]
 fn every_call_of_two_file_replicas_is_a_crash_point() {
-    sweep(Stack::Replica2);
+    sweep(Stack::Replica2, "");
 }
 
 #[test]
 fn every_call_of_a_three_level_policy_is_a_crash_point() {
-    sweep(Stack::Policy);
+    sweep(Stack::Policy, "");
 }
 
 #[test]
 fn every_call_of_a_two_rank_group_is_a_crash_point() {
-    sweep(Stack::Group);
+    sweep(Stack::Group, "");
 }
 
 #[test]
 fn every_call_of_a_checkpointed_buffer_is_a_crash_point() {
-    sweep(Stack::Buffer);
+    sweep(Stack::Buffer, "");
+}
+
+/// The buffer stack again, every manager of the sweep tracking writes with
+/// `mprotect` + `SIGSEGV`: the path of a host without userfaultfd
+/// write-protect.
+#[test]
+fn every_call_of_a_checkpointed_buffer_is_a_crash_point_on_mprotect() {
+    ai_ckpt::with_mprotect_tracking(|| sweep(Stack::Buffer, "-mprotect"));
 }
 
 /// Damage at rest to every segment file of every stack, in a child process
