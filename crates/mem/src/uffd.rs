@@ -184,6 +184,24 @@ impl Uffd {
         Ok(())
     }
 
+    /// Map the zero page over `[addr, addr + len)`, page-aligned in a
+    /// registered range with no page present: it reads zero, and its first
+    /// write is an ordinary copy-on-write, not a userfaultfd fault. `EEXIST`
+    /// if a page was present already.
+    ///
+    /// Async-signal-safe: one ioctl, no allocation.
+    pub fn zero(&self, addr: usize, len: usize) -> io::Result<()> {
+        let mut zero = libc::uffdio_zeropage {
+            range: libc::uffdio_range {
+                start: addr as u64,
+                len: len as u64,
+            },
+            mode: 0,
+            zeropage: 0,
+        };
+        self.ioctl(libc::UFFDIO_ZEROPAGE, &mut zero)
+    }
+
     fn ioctl<T>(&self, request: libc::c_ulong, arg: &mut T) -> io::Result<()> {
         // SAFETY: every request this type issues takes a pointer to the
         // struct it is paired with, which lives across the call.

@@ -1177,7 +1177,14 @@ fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
         // read after — lands here too: its page is stored once more,
         // byte-identical.)
         (Some(uffd), libc::SIGBUS) => {
-            record_write(shared, p, hit.page_addr);
+            if record_write(shared, p, hit.page_addr) {
+                // A second trip this epoch: the page is not there, in a run
+                // a lazy restore registered for missing-page faults (the
+                // application dropped it, `MADV_DONTNEED`). Map the zero
+                // page, what a dropped page reads; one that is there (a
+                // racing first writer's) refuses it.
+                let _ = uffd.zero(hit.page_addr, shared.page_bytes);
+            }
             uffd.unprotect(hit.page_addr, shared.page_bytes).is_ok()
         }
         (None, libc::SIGSEGV) => {
@@ -1202,13 +1209,15 @@ fn fault_entry(sig: libc::c_int, hit: RegionHit, _addr: usize) -> bool {
 /// Algorithm 2 lines 5-20 for page `p` at `addr`, still write-protected:
 /// record the write, copying the page's pre-write bytes to a CoW slot or
 /// waiting until the committer processed it, as its state decides. The
-/// caller then lifts the protection (line 22).
-fn record_write(shared: &Shared, p: PageId, addr: usize) {
+/// caller then lifts the protection (line 22). `true`: the page's write was
+/// recorded this epoch already.
+fn record_write(shared: &Shared, p: PageId, addr: usize) -> bool {
     let mut must_wait = false;
     {
         let mut eng = shared.engine_from_handler();
         match eng.on_write(p) {
-            WriteOutcome::Proceed | WriteOutcome::AlreadyHandled => {}
+            WriteOutcome::AlreadyHandled => return true,
+            WriteOutcome::Proceed => {}
             WriteOutcome::CopyToSlot(slot) => {
                 // Copy the pre-write content while still holding the lock,
                 // so no other thread can see the page writable before the
@@ -1250,6 +1259,7 @@ fn record_write(shared: &Shared, p: PageId, addr: usize) {
         }
         shared.engine_from_handler().complete_wait(p);
     }
+    false
 }
 
 /// The fallback's Algorithm 2 line 22: `mprotect` the page `hit` names

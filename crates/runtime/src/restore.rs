@@ -8,7 +8,7 @@
 //! epochs, replays the layout against a *fresh* [`PageManager`] (same
 //! allocation order ⇒ same page ids; no payload I/O), resolves every page to the
 //! newest epoch holding it through a [`PageLocator`], and marks every
-//! to-be-restored page (how, the door decides: see [`Door`]). **Fill** is
+//! to-be-restored page (how, the door decides: see `Door`). **Fill** is
 //! one loop, `filler_loop`: it
 //! reads its pages in runs — the stretch of its 64-entry slice of the
 //! prefetch order that one epoch holds, which is that epoch's records in
@@ -31,7 +31,7 @@
 //! pages on them and leaves the marked pages writable, each filler copies
 //! each verified payload straight to its page, and once every filler has
 //! joined the door write-protects each buffer with one call (see
-//! [`Door::Eager`]) and publishes every page `FILLED`. [`restore_lazy`]
+//! `Door::Eager`) and publishes every page `FILLED`. [`restore_lazy`]
 //! hands the fill to a background thread and returns at once —
 //! time-to-first-instruction is layout work only, independent of image
 //! size. Its buffers are born write-protected with no page present, and
@@ -44,8 +44,9 @@
 //! read. A lazy filler turns to the demand ring after every page and breaks
 //! its run for a hint, so a hint waits for at most the read in flight. It
 //! gathers each address-contiguous run of fills, every payload zero-padded
-//! to its page, and installs it with one `UFFDIO_COPY` — at most 32 sweep
-//! fills, sooner when the next fill does not extend the run — which makes
+//! to its page, and installs it with one `UFFDIO_COPY` — when its claimed
+//! slice of the prefetch order ends, sooner when the next fill does not
+//! extend the run — which makes
 //! the pages present, readable and write-protected in one atomic step, so
 //! no window exists in which a thread could observe a half-filled page,
 //! and no `mprotect` publishes anything. A syscall that reads a page not
@@ -60,11 +61,15 @@
 //! `UFFDIO_UNREGISTER` lifts the protection of every installed page, which
 //! would leave writes untracked until it was put back). Once the fill is
 //! done every marked page is present, so the mode costs nothing but the
-//! mappings between the runs and the pages the image lacks. Where no
+//! mappings between the runs and the pages the image lacks (a page the
+//! application drops gets the zero page: see `fault_entry`). Where no
 //! userfaultfd can be opened (`ENOSYS`, `EPERM` under a seccomp profile,
 //! `EINVAL` before Linux 5.11) the lazy door runs the eager one and returns
 //! a restore that is already complete: the same bytes, only
-//! time-to-first-instruction is lost.
+//! time-to-first-instruction is lost. The crash sweep
+//! (`tests/crash_points.rs`) judges every read of every door, on both
+//! write-tracking paths: burst, failed for good, rotten, panicking, and its
+//! leaf down.
 //!
 //! The fill is the read-side dual of the flush: it runs on as many fillers
 //! as the manager has committer streams, capped so that each owns at least
@@ -823,11 +828,12 @@ fn for_each_run(
 /// A lazy filler's write side: its newest address-contiguous run of sweep
 /// fills, each payload zero-padded to its page — the same bytes as the
 /// payload over a zero page — whose installation and publication are
-/// deferred: up to [`SWEEP_PUBLISH_BATCH`] pages, and only while each next
-/// fill extends the run. Publishing is one `UFFDIO_COPY` of the run, which
-/// makes its pages present and write-protected in one step, then `FILLED` for
-/// each page and one add to the shared counters. A fill's payload is
-/// copied once, into the run.
+/// deferred while each next fill extends the run, until the filler's
+/// claimed slice of [`RUN_PAGES`] ends — so never more than one slice.
+/// Publishing is one `UFFDIO_COPY` of the run, which makes its pages
+/// present and write-protected in one step, then `FILLED` for each page and
+/// one add to the shared counters. A fill's payload is copied once, into
+/// the run.
 ///
 /// Why defer: every publication is a syscall that takes the mmap lock for
 /// reading, and a filler streaming a fast backend would issue one per page
@@ -860,9 +866,6 @@ struct PendingPublish<'a> {
 /// What every page of `order` is: a page the locator resolved.
 const MARKED: &str = "only image pages are marked for fill";
 
-/// Max sweep fills a lazy filler holds back before a forced publication.
-const SWEEP_PUBLISH_BATCH: usize = 32;
-
 /// The entries of `order` a filler claims at a time (256 KiB of 4 KiB
 /// pages), and so the most pages one run read carries.
 const RUN_PAGES: usize = 64;
@@ -875,8 +878,8 @@ impl<'a> PendingPublish<'a> {
             shared,
             counters,
             page_bytes,
-            pages: Vec::with_capacity(SWEEP_PUBLISH_BATCH),
-            run: Vec::with_capacity(SWEEP_PUBLISH_BATCH * page_bytes),
+            pages: Vec::with_capacity(RUN_PAGES),
+            run: Vec::with_capacity(RUN_PAGES * page_bytes),
             run_at: 0,
             cached: (0, 0),
         }
@@ -1052,20 +1055,19 @@ struct Filler<'a> {
 impl Filler<'_> {
     /// One turn at the demand ring, taken before every run and after every
     /// page of one: a lazy filler pops a hint unless one is held, and
-    /// publishes when a hint came, another filler asked for it, or the batch
-    /// is full (an eager one holds nothing back and takes no hint). A held
-    /// hint and a stopped restore break the run.
+    /// publishes when a hint came or another filler asked for it (an eager
+    /// one holds nothing back and takes no hint). A held hint and a stopped
+    /// restore break the run.
     fn turn(&mut self) -> io::Result<ControlFlow<()>> {
-        if let Some(pending) = &self.pending {
-            let mut publish = pending.pages.len() >= SWEEP_PUBLISH_BATCH;
-            if self.hint.is_none() {
-                // A hint flushes the batch: the waiter may be blocked on a
-                // page that is read but not yet installed or published.
+        if self.pending.is_some() {
+            // A hint flushes the held run: the waiter may be blocked on a
+            // page that is read but not yet installed or published.
+            let hinted = self.hint.is_none() && {
                 self.hint = self.shared.lazy_next_demand(&self.plan.demand_tail);
-                publish |= self.hint.is_some();
-            }
+                self.hint.is_some()
+            };
             let requests = self.plan.publish_requests.load(Ordering::Acquire);
-            if publish || requests != self.asked {
+            if hinted || requests != self.asked {
                 self.asked = requests;
                 self.publish()?;
             }
@@ -1216,8 +1218,8 @@ fn panicked() -> io::Error {
 /// Runs until the whole order is claimed and its own fills are published,
 /// `stop` is raised, or storage fails (then it raises `stop`, so the other
 /// fillers wind down, and [`fill`] poisons what is owed). A lazy restore's
-/// fillers publish each run of sweep fills, at most
-/// [`SWEEP_PUBLISH_BATCH`] pages, with one copy through `uffd` (see
+/// fillers publish each run of sweep fills, at most the slice of
+/// [`RUN_PAGES`] it came from, with one copy through `uffd` (see
 /// [`PendingPublish`]); an eager one's publish nothing (see [`Door::Eager`]).
 ///
 /// Faults on the payload-read path follow the error taxonomy (see
@@ -1297,6 +1299,9 @@ fn filler_loop(
                 filler.sweep(page, payload, crc, cached)
             })?;
             mine.start += read;
+            if mine.is_empty() {
+                filler.publish()?;
+            }
         }
     })();
     if result.is_err() {

@@ -1,8 +1,11 @@
 //! Demand-paged restore: both restore doors against the reference replay
 //! (`CheckpointImage::load`) at one filler and at four, restore storms over
 //! a shared page cache, demand-fault prioritisation (a hint reaches the
-//! filler that holds the page), the `CHECKPOINT` drain barrier, and
-//! failure/abort semantics.
+//! filler that holds the page), the `CHECKPOINT` drain barrier, and the
+//! failures the crash sweep's read cases (`tests/crash_points.rs`, which
+//! arm every read of every door of its stacks) do not reach: four fillers,
+//! a record longer than its page, an abort, a demand fault that blocks on
+//! a repair.
 
 use std::io;
 use std::path::PathBuf;
@@ -339,11 +342,6 @@ impl<B: StorageBackend> StorageBackend for Tripwire<B> {
     }
 }
 
-/// A [`Tripwire`] trip: the store is gone.
-fn died(_page: u64) -> io::Result<()> {
-    Err(io::Error::other("storage died"))
-}
-
 /// The byte [`seed_pages`] fills page `i` with: never zero.
 fn byte_of(i: usize) -> u8 {
     (i % 255) as u8 + 1
@@ -523,49 +521,6 @@ fn checkpoint_drains_lazy_restore_and_stays_incremental() {
     assert_eq!(img.page(base + 15).unwrap()[0], 16, "untouched page intact");
 }
 
-#[test]
-fn failed_restore_poisons_checkpoint_until_buffers_drop() {
-    let (backend, view) = MemoryBackend::shared();
-    let cfg = small_cfg();
-    seed_pages(Box::new(backend), &cfg, 16);
-
-    // A store that is already dead fails the restore call itself, loudly,
-    // before any buffer exists: the layout is the first record read.
-    let dead: Arc<dyn StorageBackend> = Arc::new(Tripwire::new(view.clone(), 0, died));
-    let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&dead)).unwrap();
-    let err = restore_lazy(&mgr, dead, 1, None).err().expect("dead store");
-    assert!(err.to_string().contains("storage died"), "{err}");
-    assert_eq!(mgr.protected_bytes(), 0, "no buffer was rebuilt");
-    drop(mgr);
-
-    // One that dies right after prepare (the layout read is its last good
-    // one) fails in the filler instead; dropping the failed restore (and its
-    // buffers) lets a checkpoint run again.
-    let (mgr, lr) = both_doors_fail(
-        &cfg,
-        1,
-        || Tripwire::new(view.clone(), 1, died),
-        "storage died",
-    );
-    drop(lr);
-    mgr.checkpoint().unwrap();
-    mgr.wait_checkpoint().unwrap();
-}
-
-#[test]
-fn a_filler_that_panics_fails_both_doors_instead_of_hanging() {
-    let (backend, view) = MemoryBackend::shared();
-    let cfg = small_cfg();
-    seed_pages(Box::new(backend), &cfg, 16);
-    // The layout read and four page reads pass; the next read panics on the
-    // filler's own thread, which an eager restore is.
-    let trip = || Tripwire::new(view.clone(), 5, |_| panic!("the filler trips"));
-    let (mgr, lr) = both_doors_fail(&cfg, 1, trip, "panicked");
-    drop(lr);
-    mgr.checkpoint().unwrap();
-    mgr.wait_checkpoint().unwrap();
-}
-
 /// Both doors of a restore of `epoch` over a fresh `backend()` each fail
 /// with `why`: the eager one within 30 s, keeping no half-restored buffer;
 /// the lazy one's `wait`, every time, leaving it incomplete and its
@@ -642,8 +597,8 @@ fn a_read_of_a_page_in_an_unsubmitted_run_sees_its_bytes() {
 
     // The layout read and six page reads pass; the seventh waits at the
     // gate. The six pages read so far are one address-contiguous run the
-    // filler holds back: neither written nor published (the publish batch
-    // is 32). The log's order is one filler's, so one stream.
+    // filler holds back: neither written nor published (it publishes when
+    // its slice of 16 ends). The log's order is one filler's, so one stream.
     let cfg = cfg.with_committer_streams(1);
     let open = Arc::new(AtomicBool::new(false));
     let gate = Arc::clone(&open);
@@ -733,22 +688,6 @@ fn dying(view: &MemoryBackend, pages: u64) -> Tripwire<FailingBackend<MemoryBack
         control.fail(FaultOp::Read, true);
         Ok(())
     })
-}
-
-#[test]
-fn reads_failing_after_k_pages_fail_the_restore_and_publish_no_zeros() {
-    const PAGES: usize = 80;
-    let (backend, view) = MemoryBackend::shared();
-    // The published count below is one filler's batches.
-    let cfg = small_cfg().with_committer_streams(1);
-    seed_pages(Box::new(backend), &cfg, PAGES);
-    let (_mgr, lr) = both_doors_fail(&cfg, 1, || dying(&view, 40), "injected");
-    // One publish batch landed before the failure. Every other page —
-    // including the eight read into a run that was never written — stays
-    // PROT_NONE and poisoned: touching it raises a genuine SIGSEGV, and
-    // nothing reads as zero.
-    let published = published(&lr, PAGES);
-    assert_eq!(published.len(), 32, "{published:?}");
 }
 
 #[test]
@@ -843,92 +782,6 @@ fn a_read_of_a_page_in_another_fillers_unsubmitted_run_sees_its_bytes() {
 }
 
 #[test]
-fn lazy_restore_falls_through_a_dying_fast_level() {
-    use ai_ckpt::restore_latest_lazy;
-    use ai_ckpt_storage::{PolicyBuilder, ResilienceSpec};
-
-    let spec = ResilienceSpec::parse("nvme=plain -> partner=replica*2 -> cold=parity*4").unwrap();
-    let (policy, controls) = PolicyBuilder::new(spec)
-        .unwrap()
-        .build_injected(|_, _| Box::new(MemoryBackend::new()))
-        .unwrap();
-    let cfg = small_cfg();
-    let ps = page_size();
-    const PAGES: usize = 24;
-    {
-        let mgr = PageManager::new(cfg.clone(), Box::new(policy.clone())).unwrap();
-        let mut buf = mgr.alloc_protected_named("s", PAGES * ps).unwrap();
-        for (i, chunk) in buf.as_mut_slice().chunks_mut(ps).enumerate() {
-            for (j, byte) in chunk.iter_mut().enumerate() {
-                *byte = (i * 31 + j) as u8;
-            }
-        }
-        mgr.checkpoint().unwrap();
-        mgr.wait_checkpoint().unwrap();
-        // Epoch 2 touches one page, so the lazy locator must stitch the
-        // image from both epochs on whatever level serves it.
-        buf.as_mut_slice()[3 * ps] = 0xEE;
-        mgr.checkpoint().unwrap();
-        mgr.wait_checkpoint().unwrap();
-        mgr.wait_maintenance_idle().unwrap(); // drain both epochs outward
-        drop(buf);
-    }
-    let expect = |i: usize, j: usize| -> u8 {
-        if i == 3 && j == 0 {
-            0xEE
-        } else {
-            (i * 31 + j) as u8
-        }
-    };
-    let shared: Arc<dyn StorageBackend> = Arc::new(policy.clone());
-    let cache = Arc::new(PageCache::new(8 << 20));
-
-    // The fast level dies right after the layout replays: the filler must
-    // finish from the partner level without poisoning a single page.
-    {
-        let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&shared)).unwrap();
-        let mut lr = restore_latest_lazy(&mgr, Arc::clone(&shared), Some(Arc::clone(&cache)))
-            .unwrap()
-            .unwrap();
-        controls[0].kill();
-        lr.wait().unwrap();
-        for (i, chunk) in lr.state.buffers[0].as_slice().chunks(ps).enumerate() {
-            for (j, &byte) in chunk.iter().enumerate() {
-                assert_eq!(byte, expect(i, j), "page {i} byte {j} (mid-restore kill)");
-            }
-        }
-    }
-
-    // Fully degraded from the start: even the layout record read has to fall
-    // through the dead fast level.
-    {
-        let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&shared)).unwrap();
-        let mut lr = restore_latest_lazy(&mgr, Arc::clone(&shared), Some(Arc::clone(&cache)))
-            .unwrap()
-            .unwrap();
-        lr.wait().unwrap();
-        for (i, chunk) in lr.state.buffers[0].as_slice().chunks(ps).enumerate() {
-            for (j, &byte) in chunk.iter().enumerate() {
-                assert_eq!(byte, expect(i, j), "page {i} byte {j} (degraded start)");
-            }
-        }
-        assert!(
-            policy.stats().levels[0].read_fallthroughs >= 1,
-            "dead fast level must have been fallen through"
-        );
-    }
-
-    // The shared cache picked up only healthy fills: the second restore
-    // hit it instead of re-reading the surviving levels for every page.
-    let cs = cache.stats();
-    assert!(
-        cs.hits >= PAGES as u64,
-        "second restore should be served from the cache (hits {})",
-        cs.hits
-    );
-}
-
-#[test]
 fn demand_fault_on_rotted_fast_tier_blocks_on_repair_and_heals() {
     use ai_ckpt::restore_latest_lazy;
 
@@ -1000,90 +853,6 @@ fn demand_fault_on_rotted_fast_tier_blocks_on_repair_and_heals() {
     // The heal is durable, not a read-side patch: the fast tier's segment
     // verifies clean again for every later reader.
     assert!(backend.verify_epoch(1).unwrap().is_clean());
-}
-
-/// The page whose record sits in the middle of epoch 1's one run of
-/// records on the file store at `dir`: record 32 of 64.
-fn mid_run_page(dir: &std::path::Path) -> u64 {
-    let ids = FileBackend::open(dir).unwrap().epoch_page_ids(1).unwrap();
-    let pages: Vec<u64> = ids.into_iter().filter(|&p| is_page(p)).collect();
-    assert_eq!(pages.len(), 64);
-    pages[32]
-}
-
-/// Flip a payload byte of page `page`'s record of epoch 1 in `dir`.
-fn rot(dir: &std::path::Path, page: u64) {
-    corrupt_segment_region(dir, 1, SegmentRegion::PayloadOf { page, byte: 7 }).unwrap();
-}
-
-#[test]
-fn a_record_rotted_mid_run_fails_both_doors_of_a_lone_file_store() {
-    const PAGES: usize = 64;
-    let dir = tmpdir("runrot-file");
-    let cfg = small_cfg().with_committer_streams(1);
-    seed_pages(Box::new(FileBackend::open(&dir).unwrap()), &cfg, PAGES);
-    let rotted = mid_run_page(&dir);
-    rot(&dir, rotted);
-    let why = format!("page {rotted} in epoch 1");
-    let (_mgr, lr) = both_doors_fail(&cfg, 1, || FileBackend::open(&dir).unwrap(), &why);
-    // Whatever was published holds its own bytes; the rotted page is not
-    // among it, and nothing reads as zero.
-    assert_eq!(lr.state.buffers[0].base_page(), 0);
-    let published = published(&lr, PAGES);
-    assert!(!published.contains(&(rotted as usize)), "{published:?}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn a_record_rotted_mid_run_heals_on_stacks_that_can_repair() {
-    use ai_ckpt_storage::{PolicyBuilder, ReplicatedBackend, ResilienceSpec};
-
-    type Stack = fn(&[PathBuf; 2]) -> Box<dyn StorageBackend>;
-    let replicated: Stack = |dirs| {
-        Box::new(ReplicatedBackend::new(vec![
-            Box::new(FileBackend::open(&dirs[0]).unwrap()),
-            Box::new(FileBackend::open(&dirs[1]).unwrap()),
-        ]))
-    };
-    let policy: Stack = |dirs| {
-        let spec = ResilienceSpec::parse("r=replica*2").unwrap();
-        let built = PolicyBuilder::new(spec).unwrap().build(|_, replica| {
-            Box::new(FileBackend::open(&dirs[replica]).unwrap()) as Box<dyn StorageBackend>
-        });
-        Box::new(built.unwrap())
-    };
-    let cfg = small_cfg().with_committer_streams(1);
-    for (name, stack) in [("replicated", replicated), ("policy", policy)] {
-        let dirs = [tmpdir(&format!("{name}-0")), tmpdir(&format!("{name}-1"))];
-        seed_pages(stack(&dirs), &cfg, 64);
-        let image = CheckpointImage::load(stack(&dirs).as_ref(), 1).unwrap();
-        let rotted = mid_run_page(&dirs[0]);
-        for door in ["eager", "lazy"] {
-            rot(&dirs[0], rotted);
-            let backend: Arc<dyn StorageBackend> = Arc::from(stack(&dirs));
-            let mgr = PageManager::with_shared_backend(cfg.clone(), Arc::clone(&backend)).unwrap();
-            let what = format!("{name} {door}");
-            if door == "eager" {
-                let state = restore_at(&mgr, backend.as_ref(), 1).unwrap();
-                assert_matches_reference(&state, &image, &what);
-            } else {
-                let mut lr = restore_lazy(&mgr, Arc::clone(&backend), 1, None).unwrap();
-                lr.wait().unwrap();
-                assert_matches_reference(&lr.state, &image, &what);
-            }
-            let healed = FileBackend::open(&dirs[0])
-                .unwrap()
-                .verify_epoch(1)
-                .unwrap();
-            assert!(
-                healed.is_clean(),
-                "{name} {door}: the rot was healed in place"
-            );
-        }
-        for dir in &dirs {
-            std::fs::remove_dir_all(dir).unwrap();
-        }
-    }
 }
 
 #[test]

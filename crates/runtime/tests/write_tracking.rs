@@ -2,20 +2,28 @@
 //! write-protect (where it opens, as here) and the `mprotect` fallback
 //! (reached through `ai_ckpt::with_mprotect_tracking`).
 //!
-//! The two scale rows run in a child process each (this test binary,
-//! filtered to the row): a tracker that kills the process — an `mprotect`
-//! past `vm.max_map_count` used to end in SIGSEGV — then reports a red row
-//! instead of taking the rest of the binary down with it.
+//! The scale rows and the dropped-page row run in a child process each
+//! (this test binary, filtered to the row) under a timeout: a tracker that
+//! kills the process — an `mprotect` past `vm.max_map_count` used to end in
+//! SIGSEGV — or faults for ever then reports a red row instead of taking
+//! the rest of the binary down with it.
 
 use std::io::{Read, Write};
 use std::process::Command;
+use std::sync::Arc;
 
-use ai_ckpt::{restore_at, with_mprotect_tracking, CkptConfig, PageManager, ProtectedBuffer};
+use ai_ckpt::{
+    restore_at, restore_lazy, with_mprotect_tracking, CkptConfig, PageManager, ProtectedBuffer,
+};
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::{Compression, MemoryBackend, StorageBackend};
 
 /// Set in the child a row re-runs itself in.
 const CHILD: &str = "AI_CKPT_WRITE_TRACKING_CHILD";
+
+/// How long a row's child may run before `timeout(1)` kills it as hung
+/// (exit status 124).
+const CHILD_TIMEOUT: &str = "60";
 
 /// Run `row` in a child process: this binary, filtered to the test `name`.
 fn in_child(name: &str, row: impl FnOnce()) {
@@ -23,7 +31,9 @@ fn in_child(name: &str, row: impl FnOnce()) {
         row();
         return;
     }
-    let out = Command::new(std::env::current_exe().unwrap())
+    let out = Command::new("timeout")
+        .arg(CHILD_TIMEOUT)
+        .arg(std::env::current_exe().unwrap())
         .args(["--exact", name, "--test-threads=1", "--nocapture"])
         .env(CHILD, "1")
         .output()
@@ -254,4 +264,56 @@ fn a_syscall_writing_into_a_tracked_page_fails_with_efault_on_write_protect() {
 #[test]
 fn a_syscall_writing_into_a_tracked_page_fails_with_efault_on_mprotect() {
     syscall_row(Path::Mprotect);
+}
+
+/// A lazily restored page that the application drops with `MADV_DONTNEED`
+/// and then writes, and another it drops and reads: each access completes,
+/// each page reads zero but for what was written, and the written page is
+/// tracked once — the next checkpoint stores exactly its bytes. On
+/// write-protect the restore's marked runs stay registered for missing-page
+/// faults after the fill, and such a write used to fault for ever.
+fn dropped_page_row(path: Path) {
+    let ps = page_size();
+    let cfg = CkptConfig::ai_ckpt(1 << 20).with_max_pages(64);
+    let view = MemoryBackend::new();
+    let mgr = path.manager(cfg.clone(), Box::new(view.clone()));
+    let mut written = mgr.alloc_protected_named("d", 16 * ps).unwrap();
+    written.as_mut_slice().fill(7);
+    mgr.checkpoint().unwrap();
+    mgr.wait_checkpoint().unwrap();
+    drop((written, mgr));
+
+    let mgr = path.manager(cfg, Box::new(view.clone()));
+    let mut lazy = restore_lazy(&mgr, Arc::new(view.clone()), 1, None).unwrap();
+    lazy.wait().unwrap();
+    let (buf, zero) = (&mut lazy.state.buffers[0], vec![0; ps]);
+    // SAFETY: two pages of the buffer, which no other thread touches.
+    let at = unsafe { buf.as_ptr().add(3 * ps) } as _;
+    assert_eq!(unsafe { libc::madvise(at, 2 * ps, libc::MADV_DONTNEED) }, 0);
+    buf.as_mut_slice()[3 * ps + 1] = 0xD3;
+    assert!(buf.as_slice()[4 * ps..5 * ps] == zero, "{path:?}: read");
+    let stalls = mgr.stats().write_stall.count;
+    buf.as_mut_slice()[3 * ps + 2] = 0xD3;
+    assert_eq!(mgr.stats().write_stall.count, stalls, "{path:?}");
+    mgr.checkpoint().unwrap();
+    mgr.wait_checkpoint().unwrap();
+    let stored = view.read_page_at(2, buf.base_page() as u64 + 3).unwrap();
+    let want = [&zero[..1], &[0xD3; 2], &zero[3..]].concat();
+    assert!(stored == Some(want), "{path:?}: page 3 stored wrong");
+}
+
+#[test]
+fn a_dropped_page_of_a_lazy_restore_reads_zero_and_takes_a_write_on_write_protect() {
+    in_child(
+        "a_dropped_page_of_a_lazy_restore_reads_zero_and_takes_a_write_on_write_protect",
+        || dropped_page_row(Path::WriteProtect),
+    );
+}
+
+#[test]
+fn a_dropped_page_of_a_lazy_restore_reads_zero_and_takes_a_write_on_mprotect() {
+    in_child(
+        "a_dropped_page_of_a_lazy_restore_reads_zero_and_takes_a_write_on_mprotect",
+        || dropped_page_row(Path::Mprotect),
+    );
 }

@@ -54,8 +54,8 @@
 //! |---|---|
 //! | `Fail` | fails before it reaches the wrapped store ([`Permanent`](crate::FaultClass::Permanent)); a syscall fails `EIO`, and a failed `Fsync` loses the file's unsynced bytes for good (below) |
 //! | `Burst(n)` | fails `Interrupted` ([`Transient`](crate::FaultClass::Transient)) `n` times, then the entry is spent |
-//! | `FailAfter(n)` | lets `n` more page records land, then fails: a batch that straddles the budget lands its first records |
-//! | `Corrupt` | proceeds, with the first record it writes (a page batch's, an installed image's) rotten at rest: reads of it fail `InvalidData` until its epoch is rewritten |
+//! | `FailAfter(n)` | lets `n` more page records land, then fails: a batch that straddles the budget lands its first records, a run read (`read_pages_at`) its first pages |
+//! | `Corrupt` | proceeds, with the record it writes first or reads rotten at rest — a page batch's first, an installed image's first, the page of a `read_page_at`, a run's middle page (the run fails there), a `read_epoch` stream's layout record ([`META_RECORD`]): reads of it fail `InvalidData` until its epoch is rewritten |
 //!
 //! Entries stay armed until [`FailureControl::heal`]; rot survives it —
 //! recovering the transport cannot un-flip stored bytes. `kill` and `fail`
@@ -85,12 +85,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{EpochWriter, StorageBackend};
+use crate::backend::{EpochWriter, PageRead, StorageBackend, META_RECORD};
 use crate::errors::transient;
 use crate::io::Sys;
 use crate::scrub::{RecordMeta, RepairReport, VerifyReport};
@@ -108,8 +109,8 @@ pub enum FaultOp {
     Abort,
     /// The listings: `epochs`, `chain`, `high_water`.
     List,
-    /// The record reads: `read_epoch`, `epoch_page_ids`, `read_page_at`,
-    /// `record_meta`, `verify_epoch`.
+    /// The record reads: `read_epoch`, `epoch_page_ids`, `read_page_at`, a
+    /// `read_pages_at` run, `record_meta`, `verify_epoch`.
     Read,
     /// `remove_epochs` (tier eviction, group abort).
     RemoveEpoch,
@@ -768,14 +769,14 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
     }
 
     fn read_epoch(&self, epoch: u64, visit: &mut dyn FnMut(u64, &[u8])) -> io::Result<()> {
-        self.gated(FaultOp::Read, || {
-            // A stream cannot step over rot: the first rotten record of the
-            // epoch fails the whole read, exactly as a CRC mismatch would.
-            match self.leaf.control.rot_of(self.leaf.index, epoch).first() {
-                Some(rot) => Err(rotten(rot)),
-                None => self.inner.read_epoch(epoch, visit),
-            }
-        })
+        self.leaf
+            .gate(FaultOp::Read, Some((epoch, META_RECORD)), 0)?;
+        // A stream cannot step over rot: the first rotten record of the
+        // epoch fails the whole read, exactly as a CRC mismatch would.
+        match self.leaf.control.rot_of(self.leaf.index, epoch).first() {
+            Some(rot) => Err(rotten(rot)),
+            None => self.inner.read_epoch(epoch, visit),
+        }
     }
 
     fn epoch_page_ids(&self, epoch: u64) -> io::Result<Vec<u64>> {
@@ -785,13 +786,44 @@ impl<B: StorageBackend> StorageBackend for FailingBackend<B> {
     }
 
     fn read_page_at(&self, epoch: u64, page: u64) -> io::Result<Option<Vec<u8>>> {
-        self.gated(FaultOp::Read, || {
-            let rot = self.leaf.control.rot_of(self.leaf.index, epoch);
-            match rot.iter().find(|rot| rot.page == page) {
-                Some(rot) => Err(rotten(rot)),
-                None => self.inner.read_page_at(epoch, page),
-            }
-        })
+        self.leaf.gate(FaultOp::Read, Some((epoch, page)), 0)?;
+        let rot = self.leaf.control.rot_of(self.leaf.index, epoch);
+        match rot.iter().find(|rot| rot.page == page) {
+            Some(rot) => Err(rotten(rot)),
+            None => self.inner.read_page_at(epoch, page),
+        }
+    }
+
+    // One gated call per run, as the file engine reads it with one `pread`:
+    // the run lands up to its first rotten page or its `FailAfter` budget,
+    // and that page fails.
+    fn read_pages_at(
+        &self,
+        epoch: u64,
+        pages: &[u64],
+        buf: &mut Vec<u8>,
+        visit: &mut dyn FnMut(u64, io::Result<PageRead<'_>>) -> ControlFlow<()>,
+    ) {
+        let middle = pages.get(pages.len() / 2).map(|&page| (epoch, page));
+        let gated = self.leaf.gate(FaultOp::Read, middle, pages.len());
+        let rot = self.leaf.control.rot_of(self.leaf.index, epoch);
+        let rotten_at = |page: u64| rot.iter().find(|rot| rot.page == page);
+        let land = *gated.as_ref().unwrap_or(&0);
+        let end = pages[..land].iter().position(|&p| rotten_at(p).is_some());
+        let (end, mut going) = (end.unwrap_or(land), true);
+        if end > 0 {
+            self.inner
+                .read_pages_at(epoch, &pages[..end], buf, &mut |page, got| {
+                    let ok = got.is_ok();
+                    let flow = visit(page, got);
+                    going = ok && flow.is_continue();
+                    flow
+                });
+        }
+        if let Some(&page) = pages.get(end).filter(|_| going) {
+            let e = gated.err().or(rotten_at(page).map(rotten));
+            let _ = visit(page, Err(e.unwrap_or_else(|| injected(FaultOp::Read))));
+        }
     }
 
     fn bytes_written(&self) -> u64 {
@@ -861,7 +893,8 @@ mod tests {
     use crate::memory::MemoryBackend;
 
     /// One fixed script of eight calls, each answering `.` (ok), `F`
-    /// (failed), `T` (transient), `C` (corrupt) or `-` (no session to call).
+    /// (failed), `T` (transient), `C` (corrupt) or `-` (no session to call)
+    /// — in lower case where a run read failed after its first page landed.
     fn script(b: &dyn StorageBackend) -> String {
         let code = |r: io::Result<()>| match r.map_err(|e| e.kind()) {
             Ok(()) => '.',
@@ -869,10 +902,16 @@ mod tests {
             Err(io::ErrorKind::InvalidData) => 'C',
             Err(_) => 'F',
         };
-        let mut out = vec![
-            code(b.epochs().map(drop)),
-            code(b.read_page_at(1, 0).map(drop)),
-        ];
+        let listed = code(b.epochs().map(drop));
+        let mut run = '.';
+        b.read_pages_at(1, &[0, 1], &mut Vec::new(), &mut |page, got| {
+            if let Err(e) = got {
+                let c = code(Err(e));
+                run = if page == 0 { c } else { c.to_ascii_lowercase() };
+            }
+            ControlFlow::Continue(())
+        });
+        let mut out = vec![listed, run];
         match b.begin_epoch(2) {
             Ok(w) => out.extend([
                 '.',
@@ -890,7 +929,7 @@ mod tests {
     #[test]
     fn the_arming_table() {
         type Arming = fn(&FailureControl);
-        let rows: [(Arming, &str); 14] = [
+        let rows: [(Arming, &str); 16] = [
             (|_| {}, "........"),
             (|c| c.arm(When::At(2), Fault::Fail), ".F......"),
             (|c| c.arm(When::From(5), Fault::Fail), "....FFFF"),
@@ -914,6 +953,9 @@ mod tests {
             ),
             (|c| c.arm(When::At(4), Fault::Burst(1)), "...T...."),
             (|c| c.arm(When::At(4), Fault::Corrupt), ".....C.."),
+            // A run read lands its budget, and fails at its middle page rot.
+            (|c| c.arm(When::At(2), Fault::FailAfter(1)), ".f......"),
+            (|c| c.arm(When::At(2), Fault::Corrupt), ".c......"),
         ];
         for (row, (arming, want)) in rows.into_iter().enumerate() {
             let (store, view) = MemoryBackend::shared();

@@ -109,22 +109,40 @@
 //! retirements; `restore_latest` the model's; the next
 //! checkpoint numbered above every number a log names.
 //!
+//! The restore is a crash point too: the read sweep, two tests of its own
+//! (on userfaultfd write-protect, and on the `mprotect` fallback). On each
+//! stack's fault-free end state each door of a restore of the newest epoch
+//! (on the group, of rank 0's store) runs once to list its R reads — calls
+//! of kind `Read`, one per run on a file leaf — then once per read k and
+//! mode: a burst, every call failing from k (`crash`), rot of what read k
+//! fetches, a gate hook panicking, and on a stack of several leaves read
+//! k's leaf down. A door yields the model or fails loudly; a burst, a leaf
+//! down whose peers hold the replay window and rot a peer can repair must
+//! restore (`load` retries nothing: a burst may fail it `Interrupted`), and
+//! other rot fails `InvalidData`. Healed, the stack restores exactly. Every
+//! door any case judges runs through [`open_door`], which judges the door's
+//! own rules: nothing hangs, and a lazy fill is probed while it runs.
+//!
 //! A failure names its case — `stack:mode:k`, `stack:down:L:k`,
 //! `policy:down:partner:k`, `stack:tear:k:b`, `stack:powercut:k`, `stack:rot|cut:FILE:b`,
-//! `stack:lose:FILE` — with the call's kind, leaf and path. To replay one
+//! `stack:lose:FILE`, `stack:read:DOOR:mode:k` (DOOR `load`, `eager` or
+//! `lazy`; mode `burst`, `crash`, `corrupt`, `panic` or `down:L`; k counts
+//! the door's reads) — with the call's kind, leaf and path. To replay one
 //! case with its step log printed: `CRASH_POINTS=policy:down:1:187 cargo
 //! test --test crash_points -- --nocapture` (`group:fail:78`: rank 1's
 //! `finish` of checkpoint 2; `buffer:fail:36`: the `finish` of checkpoint
-//! 2, whose pages checkpoint 3 must carry).
+//! 2, whose pages checkpoint 3 must carry; `file:read:lazy:crash:5`: the
+//! lazy door's second run read fails).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::hash::{Hash, Hasher};
-use std::io;
+use std::io::{self, Read, Write};
 use std::ops::RangeInclusive;
 use std::os::unix::fs::FileExt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -138,8 +156,8 @@ use ai_ckpt_coord::{
 use ai_ckpt_mem::page_size;
 use ai_ckpt_storage::failing::{Call, Fault, Leaf, PowerCut, StoppedWrite, Syscall, When};
 use ai_ckpt_storage::{
-    corrupt_segment_region, log, write_epoch, ChainEntry, CheckpointImage, EpochKind,
-    FailingBackend, FailureControl, FaultOp, FileBackend, ManifestRecord, MemoryBackend,
+    corrupt_segment_region, log, replay_window, write_epoch, ChainEntry, CheckpointImage,
+    EpochKind, FailingBackend, FailureControl, FaultOp, FileBackend, ManifestRecord, MemoryBackend,
     PolicyBuilder, ReplicatedBackend, ResilienceSpec, RetryPolicy, ScrubPolicy, Scrubber,
     SegmentRegion, StorageBackend, TieredBackend, META_RECORD,
 };
@@ -288,6 +306,8 @@ enum Mode {
     Down(usize),
     /// Both leaves of the policy's `partner` level are down from call k.
     PartnerDown,
+    /// A gate hook panics at call k (a read of a restore door only).
+    Panic,
 }
 
 impl Mode {
@@ -303,6 +323,7 @@ impl Mode {
             Mode::Corrupt => id(&[&"corrupt", &k]),
             Mode::Down(leaf) => id(&[&"down", &leaf, &k]),
             Mode::PartnerDown => id(&[&"down", &"partner", &k]),
+            Mode::Panic => id(&[&"panic", &k]),
         }
     }
 
@@ -321,6 +342,11 @@ impl Mode {
             Mode::Fail => ctl.arm(When::At(k), Fault::Fail),
             Mode::Burst => ctl.arm(When::At(k), Fault::Burst(1)),
             Mode::Corrupt => ctl.arm(When::At(k), Fault::Corrupt),
+            Mode::Panic => ctl.on_call(move |call| {
+                if call.number == k {
+                    panic!("injected panic");
+                }
+            }),
             _ => (self.down().iter()).for_each(|&l| ctl.arm_on(l, When::From(k), Fault::Fail)),
         }
     }
@@ -1391,7 +1417,8 @@ fn loaded(stack: &dyn StorageBackend, top: u64) -> io::Result<Vec<Vec<u8>>> {
 }
 
 /// The three doors of a restore of `top` — run once per state they read
-/// (`files`, before any read healed it) and handle.
+/// (`files`, before any read healed it) and handle. `Err`: a door broke
+/// its own rules (see [`open_door`]).
 fn restores(
     case: &mut Case,
     stack: &Stacked,
@@ -1399,31 +1426,147 @@ fn restores(
     files: &Files,
     handle: Handle,
     salt: u8,
-) -> [Door; 3] {
+) -> Result<[Door; 3], String> {
     let mut key = case.key(top, files);
     key.extend([handle as u8, salt]);
     if let Some(doors) = case.doors.get(&key) {
-        return doors.clone();
+        return Ok(doors.clone());
     }
-    let load = loaded(stack.as_ref(), top);
-    let fresh = || {
-        let backend = Arc::new(MemoryBackend::new());
-        case.pool.attach(cfg(), backend, Arc::new(())).unwrap()
-    };
-    let mgr = fresh();
-    let eager = restore_at(&mgr, stack.as_ref(), top).map(|state| pages_of(&state.buffers));
-    let mgr = fresh();
-    let lazy = restore_lazy(&mgr, Arc::clone(stack), top, None).and_then(|mut lazy| {
-        lazy.wait()?;
-        Ok(pages_of(&lazy.state.buffers))
-    });
-    let door = |got: io::Result<Vec<Vec<u8>>>| match got {
-        Ok(pages) => Ok(digest(&pages)),
-        Err(e) => Err((e.kind(), e.to_string())),
-    };
-    let doors = [door(load), door(eager), door(lazy)];
+    let [load, eager, lazy] = DOORS.map(|(id, _)| open_door(id, stack, top, &case.pool));
+    let doors = [load?.0, eager?.0, lazy?.0];
     case.doors.insert(key, doors.clone());
-    doors
+    Ok(doors)
+}
+
+/// The restore doors: each one's id in a case id, and its name.
+const DOORS: [(&str, &str); 3] = [
+    ("load", "CheckpointImage::load"),
+    ("eager", "restore_at"),
+    ("lazy", "restore_lazy"),
+];
+
+/// How long an eager or a lazy door may take.
+const HUNG: Duration = Duration::from_secs(20);
+
+/// What a lazy door's probe read while the fill ran: page index and digest.
+type Probed = BTreeSet<(usize, u64)>;
+
+/// Open door `id` of a restore of `top` and judge the door's own rules;
+/// `Err` is red whatever the case allows. The eager and lazy doors run on a
+/// thread of their own, on a fresh manager built on this thread, and must
+/// end within [`HUNG`]; a failed eager door keeps no buffer. A lazy door is
+/// probed while its fill runs ([`probe`]): a page it shows holds what the
+/// restore ends with. Failed, it returns its error from a second `wait`
+/// too, stays incomplete and refuses a checkpoint while its buffers live,
+/// and one runs once they drop. A door that panics fails with "panicked".
+/// `Ok` carries the door and what its probe read.
+fn open_door(
+    id: &str,
+    stack: &Stacked,
+    top: u64,
+    pool: &Arc<FlushPool>,
+) -> Result<(Door, Probed), String> {
+    if id == "load" {
+        return Ok((door(caught(|| loaded(stack.as_ref(), top))), Probed::new()));
+    }
+    let mgr = pool.attach(cfg(), Arc::new(MemoryBackend::new()), Arc::new(()));
+    let (mgr, stack, (tx, rx)) = (mgr.unwrap(), Arc::clone(stack), mpsc::channel());
+    let lazy = id == "lazy";
+    let thread = std::thread::spawn(move || {
+        let door = match lazy {
+            true => lazy_door(&mgr, stack, top),
+            false => eager_door(&mgr, &stack, top),
+        };
+        drop(mgr);
+        let _ = tx.send(());
+        door
+    });
+    let opened = match rx.recv_timeout(HUNG) {
+        Err(mpsc::RecvTimeoutError::Timeout) => Err("hung".into()),
+        _ => thread.join().unwrap_or_else(|_| Err("panicked".into())),
+    };
+    opened.map_err(|e| format!("{id}: {e}"))
+}
+
+fn door(got: io::Result<Vec<Vec<u8>>>) -> Door {
+    got.map(|pages| digest(&pages))
+        .map_err(|e| (e.kind(), e.to_string()))
+}
+
+/// `f`'s result, with a panic as an error.
+fn caught<T>(f: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|_| Err(io::Error::other("panicked")))
+}
+
+fn eager_door(mgr: &PageManager, stack: &Stacked, top: u64) -> Result<(Door, Probed), String> {
+    let got = caught(|| restore_at(mgr, stack.as_ref(), top).map(|s| pages_of(&s.buffers)));
+    match mgr.protected_bytes() {
+        kept @ 1.. if got.is_err() => Err(format!("{got:?}, and kept {kept} bytes")),
+        _ => Ok((door(got), Probed::new())),
+    }
+}
+
+fn lazy_door(mgr: &PageManager, stack: Stacked, top: u64) -> Result<(Door, Probed), String> {
+    let mut lazy = match caught(|| restore_lazy(mgr, stack, top, None)) {
+        Err(e) if mgr.protected_bytes() == 0 => return Ok((door(Err(e)), Probed::new())),
+        got => got.map_err(|e| format!("{e}, and kept a buffer"))?,
+    };
+    let buf = &lazy.state.buffers[0];
+    let (addr, len, done) = (buf.as_ptr() as usize, buf.len(), AtomicBool::new(false));
+    let (waited, probed) = std::thread::scope(|s| {
+        let probing = s.spawn(|| probe(addr, len, &done));
+        let waited = lazy.wait();
+        done.store(true, Ordering::Release);
+        (waited, probing.join().unwrap())
+    });
+    let probed = probed?;
+    let Err(e) = waited else {
+        let pages = pages_of(&lazy.state.buffers);
+        return match probed.iter().find(|&&(i, seen)| seen != digest(&pages[i])) {
+            Some((i, _)) => Err(format!("showed page {i} with bytes it did not end with")),
+            None if lazy.is_complete() => Ok((door(Ok(pages)), probed)),
+            None => Err("incomplete".into()),
+        };
+    };
+    let again = lazy.wait().map(drop).map_err(|e| e.to_string());
+    let (complete, refused) = (lazy.is_complete(), mgr.checkpoint().is_err());
+    if again != Err(e.to_string()) || complete || !refused {
+        let why = format!("again {again:?}, complete {complete}, refused {refused}");
+        return Err(format!("{e}: {why}"));
+    }
+    drop(lazy);
+    let next = mgr.checkpoint().and_then(|_| mgr.wait_checkpoint());
+    next.map_err(|e| format!("{e}: a checkpoint once its buffers dropped"))?;
+    Ok((door(Err(e)), probed))
+}
+
+/// Read each page of `[addr, addr + len)` with `write(2)` into a pipe, over
+/// and over until `done` and once more after. A syscall takes no demand
+/// fault: a page not installed yet, or poisoned, fails with `EFAULT`.
+fn probe(addr: usize, len: usize, done: &AtomicBool) -> Result<Probed, String> {
+    let (mut rx, mut tx) = io::pipe().map_err(|e| e.to_string())?;
+    let (ps, mut probed) = (page_size(), Probed::new());
+    let mut page = vec![0u8; ps];
+    loop {
+        let last = done.load(Ordering::Acquire);
+        for i in 0..len / ps {
+            // SAFETY: a page of a buffer that outlives the probe; only the
+            // kernel reads it.
+            let src = unsafe { std::slice::from_raw_parts((addr + i * ps) as *const u8, ps) };
+            match tx.write(src) {
+                Ok(n) if n == ps => {
+                    rx.read_exact(&mut page).map_err(|e| e.to_string())?;
+                    probed.insert((i, digest(&page)));
+                }
+                Err(e) if e.raw_os_error() == Some(libc::EFAULT) => {}
+                other => return Err(format!("probe: write(2) of page {i}: {other:?}")),
+            }
+        }
+        if last {
+            return Ok(probed);
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// What the stack shows must fit the case: the listing one of its models
@@ -1475,11 +1618,8 @@ fn judge_view(
     let below = below.map(|&e| (e, &[][..], false));
     for (top, loud, must_fail) in newest.into_iter().chain(below) {
         let want = model_pages(model, top, rules.salt);
-        let doors = ["CheckpointImage::load", "restore_at", "restore_lazy"];
-        for (door, got) in doors
-            .iter()
-            .zip(restores(case, stack, top, files, handle, rules.salt))
-        {
+        let doors = restores(case, stack, top, files, handle, rules.salt)?;
+        for ((_, door), got) in DOORS.iter().zip(doors) {
             if replay {
                 println!("{door} of epoch {top}: {got:?}");
             }
@@ -1533,7 +1673,7 @@ fn judge_live(case: &mut Case, live: Live, rules: &Rules, replay: bool) -> Resul
         // elsewhere all restore its image.
         let holds = |m: &&Model| listed.iter().all(|e| m.listed.contains(e));
         let files = case.snapshot();
-        let doors = restores(case, &live.stack, top, &files, Handle::Degraded, 0);
+        let doors = restores(case, &live.stack, top, &files, Handle::Degraded, 0)?;
         if replay {
             println!("degraded, listing {listed:?}: epoch {top}'s doors {doors:?}");
         }
@@ -2349,56 +2489,170 @@ fn sweep_at_rest(sweep: &Sweep, case: &mut Case, base: &Baseline, logs: bool) {
     }
 }
 
+/// The read sweep of a stack's fault-free end state (see the module docs):
+/// each door of a restore of the newest epoch — on the group, of rank 0's
+/// store — run unarmed to list its reads, then once per read k and mode.
+fn sweep_reads(sweep: &Sweep, case: &mut Case, base: &Baseline) {
+    let model = models(&base.log).remove(0);
+    let top = *base.seen.listed.last().expect("the scenario commits");
+    let want = padded(&model.image(top), layout().base, salt(0));
+    let (stack, restored): (_, Door) = (sweep.stack.name(), Ok(digest(&want)));
+    let open = |case: &mut Case, ctl: &FailureControl| -> Stacked {
+        base.restore(case);
+        match case.stack {
+            Stack::Group => Arc::from(Case::file_on(&case.dirs[0], ctl.leaf(), true).unwrap()),
+            _ => case.open(ctl, true).unwrap(),
+        }
+    };
+    for (door, name) in DOORS {
+        let ctl = FailureControl::new();
+        let stacked = open(case, &ctl);
+        let opened = ctl.ops() as usize;
+        let (got, _) = open_door(door, &stacked, top, &case.pool).unwrap();
+        assert_eq!(got, restored, "{stack}: {name} unarmed");
+        let journal = ctl.journal().into_iter().skip(opened);
+        let reads: Vec<Call> = journal.filter(|c| c.kind == FaultOp::Read).collect();
+        println!("{stack}: {door} R = {}", reads.len());
+        let (chains, chain) = (leaf_chains(stacked.as_ref()), stacked.chain().unwrap());
+        let window: Vec<u64> = replay_window(&chain, top)
+            .unwrap()
+            .iter()
+            .map(|c| c.epoch)
+            .collect();
+        for (k, call) in (1..).zip(&reads) {
+            let down = (chains.len() > 1).then_some(Mode::Down(call.leaf));
+            let modes = [Mode::Burst, Mode::Crash, Mode::Corrupt, Mode::Panic];
+            for mode in modes.into_iter().chain(down) {
+                let id = [vec!["read".into(), door.into()], mode.id(k)].concat();
+                if !sweep.wants(&id) {
+                    continue;
+                }
+                let what = format!("{stack}:{}", id.join(":"));
+                let ctl = FailureControl::new();
+                let stacked = open(case, &ctl);
+                mode.arm(&ctl, call.number);
+                let armed = open_door(door, &stacked, top, &case.pool);
+                if mode != Mode::Panic {
+                    same_calls(&what, std::slice::from_ref(call), ctl.fired().as_slice());
+                }
+                // Rot on a leaf that lists no such epoch fetched nothing.
+                let rotten = || {
+                    ctl.rot()
+                        .into_iter()
+                        .find(|r| holds(&chains, r.leaf, r.epoch))
+                };
+                // Where the mode leaves a way the door must restore; where
+                // not, a burst may fail `Interrupted`, rot `InvalidData`.
+                let (must, loud) = match (mode, rotten()) {
+                    (Mode::Burst, _) => (door != "load", Some(io::ErrorKind::Interrupted)),
+                    (Mode::Down(leaf), _) => (peers_hold(&chains, leaf, &window), None),
+                    (Mode::Corrupt, rot) => {
+                        let repairable =
+                            rot.is_none_or(|r| peers_hold(&chains, r.leaf, &[r.epoch]));
+                        (repairable, Some(io::ErrorKind::InvalidData))
+                    }
+                    _ => (false, None),
+                };
+                let armed = armed.and_then(|(got, probed)| {
+                    if sweep.replay() {
+                        println!("{name} {what}, read {k} {call:?}: {got:?}");
+                    }
+                    let fine = match &got {
+                        Ok(_) => got == restored,
+                        Err((kind, _)) => !must && loud.is_none_or(|l| l == *kind),
+                    };
+                    match probed.iter().find(|&&(i, d)| d != digest(&want[i])) {
+                        Some((i, _)) => Err(format!("the probe read page {i} wrong")),
+                        None if fine => Ok(()),
+                        None => Err(format!("{got:?}")),
+                    }
+                });
+                // Healed, the same stack restores exactly — or fails again
+                // on rot no read repaired.
+                ctl.heal();
+                ctl.on_call(|_| {});
+                let healed =
+                    open_door(door, &stacked, top, &case.pool).and_then(|(got, _)| {
+                        match (&got, rotten()) {
+                            (Err((io::ErrorKind::InvalidData, _)), Some(_)) => Ok(()),
+                            (_, None) if got == restored => Ok(()),
+                            _ => Err(format!("healed: {got:?}")),
+                        }
+                    });
+                if let Err(why) = armed.and(healed) {
+                    panic!("{what} — {why}\nread {k} is {call:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Whether leaf `leaf`'s chain lists `epoch`.
+fn holds(chains: &[Option<Vec<ChainEntry>>], leaf: usize, epoch: u64) -> bool {
+    chains[leaf].iter().flatten().any(|c| c.epoch == epoch)
+}
+
+/// Whether a leaf other than `leaf` holds each of `epochs`.
+fn peers_hold(chains: &[Option<Vec<ChainEntry>>], leaf: usize, epochs: &[u64]) -> bool {
+    let elsewhere = |&e: &u64| (0..chains.len()).any(|l| l != leaf && holds(chains, l, e));
+    epochs.iter().all(elsewhere)
+}
+
 /// The sweep of one stack in this process: every call, and damage at rest
-/// to its commit logs. Its directories carry `tag`: two sweeps of one
-/// stack in one process must not share them.
-fn sweep(stack: Stack, tag: &str) {
+/// to its commit logs — or, `reads`, every read of every restore door. Its
+/// directories carry `tag`: two sweeps of one stack in one process must
+/// not share them.
+fn sweep(stack: Stack, tag: &str, reads: bool) {
     let sweep = Sweep::new(stack);
     if sweep.only.as_ref().is_some_and(|o| o[0] != stack.name()) {
         return;
     }
     let mut case = Case::new(stack, tag);
     let base = Baseline::run(&sweep, &mut case);
-    sweep_calls(&sweep, &mut case, &base);
-    if stack != Stack::Buffer {
-        sweep_at_rest(&sweep, &mut case, &base, true);
+    match (reads, stack) {
+        (true, _) => sweep_reads(&sweep, &mut case, &base),
+        (false, Stack::Buffer) => sweep_calls(&sweep, &mut case, &base),
+        (false, _) => {
+            sweep_calls(&sweep, &mut case, &base);
+            sweep_at_rest(&sweep, &mut case, &base, true);
+        }
     }
     case.reset();
 }
 
 #[test]
 fn every_call_of_a_lone_file_backend_is_a_crash_point() {
-    sweep(Stack::File, "");
+    sweep(Stack::File, "", false);
 }
 
 #[test]
 fn every_call_of_file_over_file_tiers_is_a_crash_point() {
-    sweep(Stack::FileOverFile, "");
+    sweep(Stack::FileOverFile, "", false);
 }
 
 #[test]
 fn every_call_of_memory_over_file_tiers_is_a_crash_point() {
-    sweep(Stack::MemoryOverFile, "");
+    sweep(Stack::MemoryOverFile, "", false);
 }
 
 #[test]
 fn every_call_of_two_file_replicas_is_a_crash_point() {
-    sweep(Stack::Replica2, "");
+    sweep(Stack::Replica2, "", false);
 }
 
 #[test]
 fn every_call_of_a_three_level_policy_is_a_crash_point() {
-    sweep(Stack::Policy, "");
+    sweep(Stack::Policy, "", false);
 }
 
 #[test]
 fn every_call_of_a_two_rank_group_is_a_crash_point() {
-    sweep(Stack::Group, "");
+    sweep(Stack::Group, "", false);
 }
 
 #[test]
 fn every_call_of_a_checkpointed_buffer_is_a_crash_point() {
-    sweep(Stack::Buffer, "");
+    sweep(Stack::Buffer, "", false);
 }
 
 /// The buffer stack again, every manager of the sweep tracking writes with
@@ -2406,7 +2660,27 @@ fn every_call_of_a_checkpointed_buffer_is_a_crash_point() {
 /// write-protect.
 #[test]
 fn every_call_of_a_checkpointed_buffer_is_a_crash_point_on_mprotect() {
-    ai_ckpt::with_mprotect_tracking(|| sweep(Stack::Buffer, "-mprotect"));
+    ai_ckpt::with_mprotect_tracking(|| sweep(Stack::Buffer, "-mprotect", false));
+}
+
+/// Every stack's read sweep; on the group, rank 0's store.
+fn every_read(tag: &str) {
+    for stack in Stack::ALL.into_iter().chain([Stack::Buffer]) {
+        sweep(stack, tag, true);
+    }
+}
+
+#[test]
+fn every_read_of_every_restore_door_is_a_crash_point() {
+    every_read("-reads");
+}
+
+/// The read sweep with every manager tracking writes with `mprotect` +
+/// `SIGSEGV`: a lazy restore lands through a userfaultfd of its own, which
+/// closes once the fill ends.
+#[test]
+fn every_read_of_every_restore_door_is_a_crash_point_on_mprotect() {
+    ai_ckpt::with_mprotect_tracking(|| every_read("-reads-mprotect"));
 }
 
 /// Damage at rest to every segment file of every stack, in a child process
